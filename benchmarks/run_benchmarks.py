@@ -10,8 +10,9 @@ Two artefacts track the repository's performance trajectory:
   rows for ABD/CAS/CASGC/SODA (``<proto>_events_per_s`` and the
   deterministic ``<proto>_completion_ratio``), event-loop microbenchmark
   rows (``eventloop_events_per_s`` / ``send_path_msgs_per_s`` /
-  ``eventloop_cancel_ops_per_s`` — see :mod:`bench_event_loop`, gated
-  tighter than the protocol rows), checker-core microbenchmark rows
+  ``fanout_msgs_per_s`` / ``eventloop_cancel_ops_per_s`` — see
+  :mod:`bench_event_loop`, gated tighter than the protocol rows),
+  checker-core microbenchmark rows
   (``checker_ops_per_s`` / ``checker_batched_ops_per_s`` /
   ``multiobj_checked_ops_per_s`` — pre-generated operation streams
   replayed straight into the checking layer, see :mod:`bench_checker`),
@@ -120,6 +121,7 @@ GATED_METRICS = {
         "completion_ratio",
         "eventloop_events_per_s",
         "send_path_msgs_per_s",
+        "fanout_msgs_per_s",
         "checker_ops_per_s",
         "multiobj_checked_ops_per_s",
         "openloop_ops_per_s",
@@ -135,6 +137,7 @@ GATED_METRICS = {
 GATED_METRIC_FACTORS = {
     "eventloop_events_per_s": 1 / 0.7,
     "send_path_msgs_per_s": 1 / 0.7,
+    "fanout_msgs_per_s": 1 / 0.7,
     # The worker-mode mux row includes process spawn/import amortization,
     # which varies with host cold-start far more than pure compute does —
     # gate it, but at a looser threshold than the in-process rows.
@@ -246,9 +249,10 @@ def bench_sim(*, quick: bool = False, seed: int = 7) -> Dict[str, object]:
         results.update(_protocol_row(protocol, ops=proto_ops, seed=seed))
 
     # Event-loop microbenchmark rows: pure timer churn, send/deliver
-    # churn and cancel-heavy churn (see bench_event_loop.py).  The first
-    # two carry a tighter CI gate (>30% regression fails) because they
-    # isolate the simulation core from protocol logic.
+    # churn, fan-out churn and cancel-heavy churn (see
+    # bench_event_loop.py).  The first three carry a tighter CI gate
+    # (>30% regression fails) because they isolate the simulation core
+    # from protocol logic.
     results.update(bench_event_loop(quick=quick))
 
     # Checker-core microbenchmark rows: pre-generated operation streams

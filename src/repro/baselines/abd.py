@@ -102,7 +102,8 @@ class AbdServer(Process):
             self.storage_tracker.update(self.pid, 1.0, time=0.0)
 
     def on_message(self, sender: str, message: object) -> None:
-        if isinstance(message, AbdQueryRequest):
+        mtype = type(message)
+        if mtype is AbdQueryRequest:
             value = self.value if message.include_value else None
             self.send(
                 sender,
@@ -113,7 +114,7 @@ class AbdServer(Process):
                     data_units=1.0 if message.include_value else 0.0,
                 ),
             )
-        elif isinstance(message, AbdStoreRequest):
+        elif mtype is AbdStoreRequest:
             if message.tag > self.tag:
                 self.tag = message.tag
                 self.value = message.value
@@ -164,8 +165,7 @@ class AbdWriter(Process):
         self._current = _AbdWrite(op_id=op_id, value=value, callback=callback)
         if self.history is not None:
             self.history.invoke(op_id, WRITE, str(self.pid), self.now, value=value)
-        for s in self.servers:
-            self.send(s, AbdQueryRequest(op_id=op_id, include_value=False))
+        self.send_many(self.servers, AbdQueryRequest(op_id=op_id, include_value=False))
         return op_id
 
     def is_complete(self, op_id: str) -> bool:
@@ -175,7 +175,8 @@ class AbdWriter(Process):
         op = self._current
         if op is None:
             return
-        if isinstance(message, AbdQueryResponse) and message.op_id == op.op_id:
+        mtype = type(message)
+        if mtype is AbdQueryResponse and message.op_id == op.op_id:
             if op.phase != "query":
                 return
             op.responses[sender] = message.tag
@@ -183,9 +184,10 @@ class AbdWriter(Process):
                 return
             op.tag = max_tag(op.responses.values()).next_for(str(self.pid))
             op.phase = "store"
-            for s in self.servers:
-                self.send(s, AbdStoreRequest(op_id=op.op_id, tag=op.tag, value=op.value))
-        elif isinstance(message, AbdStoreAck) and message.op_id == op.op_id:
+            self.send_many(
+                self.servers, AbdStoreRequest(op_id=op.op_id, tag=op.tag, value=op.value)
+            )
+        elif mtype is AbdStoreAck and message.op_id == op.op_id:
             if op.phase != "store" or message.tag != op.tag:
                 return
             op.acks.add(sender)
@@ -243,8 +245,7 @@ class AbdReader(Process):
         self._current = _AbdRead(op_id=op_id, callback=callback)
         if self.history is not None:
             self.history.invoke(op_id, READ, str(self.pid), self.now)
-        for s in self.servers:
-            self.send(s, AbdQueryRequest(op_id=op_id, include_value=True))
+        self.send_many(self.servers, AbdQueryRequest(op_id=op_id, include_value=True))
         return op_id
 
     def is_complete(self, op_id: str) -> bool:
@@ -254,7 +255,8 @@ class AbdReader(Process):
         op = self._current
         if op is None:
             return
-        if isinstance(message, AbdQueryResponse) and message.op_id == op.op_id:
+        mtype = type(message)
+        if mtype is AbdQueryResponse and message.op_id == op.op_id:
             if op.phase != "query":
                 return
             op.responses[sender] = (message.tag, message.value)
@@ -264,11 +266,11 @@ class AbdReader(Process):
             best_value = next(v for t, v in op.responses.values() if t == best_tag)
             op.tag, op.value = best_tag, best_value
             op.phase = "writeback"
-            for s in self.servers:
-                self.send(
-                    s, AbdStoreRequest(op_id=op.op_id, tag=best_tag, value=best_value)
-                )
-        elif isinstance(message, AbdStoreAck) and message.op_id == op.op_id:
+            self.send_many(
+                self.servers,
+                AbdStoreRequest(op_id=op.op_id, tag=best_tag, value=best_value),
+            )
+        elif mtype is AbdStoreAck and message.op_id == op.op_id:
             if op.phase != "writeback" or message.tag != op.tag:
                 return
             op.acks.add(sender)

@@ -158,12 +158,13 @@ class CasServer(Process):
 
     # -- request handling -------------------------------------------------
     def on_message(self, sender: str, message: object) -> None:
-        if isinstance(message, CasQueryRequest):
+        mtype = type(message)
+        if mtype is CasQueryRequest:
             self.send(
                 sender,
                 CasQueryResponse(op_id=message.op_id, tag=self._max_finalized),
             )
-        elif isinstance(message, CasPreWriteRequest):
+        elif mtype is CasPreWriteRequest:
             existing = self.versions.get(message.tag)
             if existing is None:
                 self.versions[message.tag] = _StoredVersion(
@@ -176,7 +177,7 @@ class CasServer(Process):
             self._garbage_collect()
             self._notify_storage()
             self.send(sender, CasPreWriteAck(op_id=message.op_id, tag=message.tag))
-        elif isinstance(message, CasFinalizeRequest):
+        elif mtype is CasFinalizeRequest:
             version = self.versions.get(message.tag)
             if version is None:
                 version = _StoredVersion(element=None, finalized=True)
@@ -267,8 +268,7 @@ class CasWriter(Process):
         self._current = _CasWrite(op_id=op_id, value=value, callback=callback)
         if self.history is not None:
             self.history.invoke(op_id, WRITE, str(self.pid), self.now, value=value)
-        for s in self.servers:
-            self.send(s, CasQueryRequest(op_id=op_id))
+        self.send_many(self.servers, CasQueryRequest(op_id=op_id))
         return op_id
 
     def is_complete(self, op_id: str) -> bool:
@@ -278,7 +278,8 @@ class CasWriter(Process):
         op = self._current
         if op is None:
             return
-        if isinstance(message, CasQueryResponse) and message.op_id == op.op_id:
+        mtype = type(message)
+        if mtype is CasQueryResponse and message.op_id == op.op_id:
             if op.phase != "query":
                 return
             op.query_responses[sender] = message.tag
@@ -301,21 +302,18 @@ class CasWriter(Process):
                     else self.code.encode(op.value)
                 )
                 self._send_prewrites(op, elements)
-        elif isinstance(message, CasPreWriteAck) and message.op_id == op.op_id:
+        elif mtype is CasPreWriteAck and message.op_id == op.op_id:
             if op.phase != "prewrite" or message.tag != op.tag:
                 return
             op.prewrite_acks.add(sender)
             if len(op.prewrite_acks) < self.quorum:
                 return
             op.phase = "finalize"
-            for s in self.servers:
-                self.send(
-                    s,
-                    CasFinalizeRequest(
-                        op_id=op.op_id, tag=op.tag, reply_with_element=False
-                    ),
-                )
-        elif isinstance(message, CasFinalizeAck) and message.op_id == op.op_id:
+            self.send_many(
+                self.servers,
+                CasFinalizeRequest(op_id=op.op_id, tag=op.tag, reply_with_element=False),
+            )
+        elif mtype is CasFinalizeAck and message.op_id == op.op_id:
             if op.phase != "finalize" or message.tag != op.tag:
                 return
             op.finalize_acks.add(sender)
@@ -395,8 +393,7 @@ class CasReader(Process):
         self._current = _CasRead(op_id=op_id, callback=callback)
         if self.history is not None:
             self.history.invoke(op_id, READ, str(self.pid), self.now)
-        for s in self.servers:
-            self.send(s, CasQueryRequest(op_id=op_id))
+        self.send_many(self.servers, CasQueryRequest(op_id=op_id))
         return op_id
 
     def is_complete(self, op_id: str) -> bool:
@@ -406,7 +403,8 @@ class CasReader(Process):
         op = self._current
         if op is None:
             return
-        if isinstance(message, CasQueryResponse) and message.op_id == op.op_id:
+        mtype = type(message)
+        if mtype is CasQueryResponse and message.op_id == op.op_id:
             if op.phase != "query":
                 return
             op.query_responses[sender] = message.tag
@@ -414,14 +412,11 @@ class CasReader(Process):
                 return
             op.tag = max_tag(op.query_responses.values())
             op.phase = "collect"
-            for s in self.servers:
-                self.send(
-                    s,
-                    CasFinalizeRequest(
-                        op_id=op.op_id, tag=op.tag, reply_with_element=True
-                    ),
-                )
-        elif isinstance(message, CasFinalizeAck) and message.op_id == op.op_id:
+            self.send_many(
+                self.servers,
+                CasFinalizeRequest(op_id=op.op_id, tag=op.tag, reply_with_element=True),
+            )
+        elif mtype is CasFinalizeAck and message.op_id == op.op_id:
             if op.phase != "collect" or message.tag != op.tag:
                 return
             op.responders.add(sender)

@@ -566,7 +566,7 @@ class IncrementalAtomicityChecker(StreamObserver):
 
     def _table_remove(self, cid: int) -> None:
         index = self._pos[cid]
-        if index < 0 or self._tcid[index] != cid:
+        if not 0 <= index < len(self._tcid) or self._tcid[index] != cid:
             # A stale position would make the deletes below silently evict
             # some *other* cluster's interval — the failure mode the old
             # closed-staircase `_reopen` could only `break` past.  Refuse

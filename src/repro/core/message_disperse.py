@@ -93,9 +93,7 @@ class MDSender:
             data_units=1.0,
         )
         # Sent in server order, as required by the protocol description.
-        send = self._process.send
-        for server in self._dispersal:
-            send(server, full)
+        self._process.send_many(self._dispersal, full)
         return mid
 
     def md_meta_send(self, payload: object, op_id: str) -> MessageId:
@@ -104,9 +102,7 @@ class MDSender:
         meta = MDMeta(
             mid=mid, payload=payload, origin=self._pid_str, op_id=op_id
         )
-        send = self._process.send
-        for server in self._dispersal:
-            send(server, meta)
+        self._process.send_many(self._dispersal, meta)
         return mid
 
 
@@ -178,22 +174,22 @@ class MDServerEngine:
         self._value_delivered: Set[MessageId] = set()
         self._value_forwarded: Set[MessageId] = set()
         self._meta_delivered: Set[MessageId] = set()
-        # The relay topology is fixed at construction: the dispersal set,
-        # this server's forward targets within it, and the (index, pid)
-        # pairs outside it.  Precomputing replaces the per-message slices,
-        # `.index()` and membership scans the handlers used to perform.
+        # The relay topology is fixed at construction: this server's
+        # forward targets within the dispersal set, the (index, pid) pairs
+        # outside it, and the two joined in send order for MD-META.  A
+        # server outside the dispersal set relays nothing.
         dispersal = self._servers[: f + 1]
-        self._dispersal = dispersal
         pid = server.pid
-        self._in_dispersal = pid in dispersal
-        if self._in_dispersal:
-            my_pos = dispersal.index(pid)
-            self._forward_targets = tuple(dispersal[my_pos + 1 :])
+        if pid in dispersal:
+            self._forward_targets = tuple(dispersal[dispersal.index(pid) + 1 :])
+            self._outside_dispersal = tuple(
+                (idx, s) for idx, s in enumerate(self._servers) if s not in dispersal
+            )
         else:
             self._forward_targets = ()
-        dispersal_set = set(dispersal)
-        self._outside_dispersal = tuple(
-            (idx, s) for idx, s in enumerate(self._servers) if s not in dispersal_set
+            self._outside_dispersal = ()
+        self._meta_targets = self._forward_targets + tuple(
+            s for _, s in self._outside_dispersal
         )
         # Exact message types are final; dict dispatch on type() replaces
         # the isinstance chain the per-message handle() used to walk.
@@ -219,19 +215,17 @@ class MDServerEngine:
         return True
 
     def handler_map(self) -> dict:
-        """``message type -> unary handler`` mapping for dict dispatch.
+        """``message type -> unary handler`` mapping.
 
-        Servers merge this into their own dispatch table so one dict
-        lookup replaces the isinstance chain on the per-message hot path.
+        The owning server publishes it as its :attr:`Process.handlers`
+        table, so a message-disperse delivery is one dict lookup and one
+        call from the event loop.
         """
         return dict(self._handlers)
 
     # ------------------------------------------------------------------
     # MD-VALUE
     # ------------------------------------------------------------------
-    def _dispersal_set(self) -> List[str]:
-        return list(self._dispersal)
-
     def _handle_full(self, message: MDValueFull) -> None:
         if message.mid in self._value_forwarded or message.mid in self._value_delivered:
             return
@@ -255,21 +249,19 @@ class MDServerEngine:
 
     def _relay_full(self, message: MDValueFull, elements: List[CodedElement]) -> None:
         # Forward the full message to the later servers of the dispersal set.
-        if self._in_dispersal:
-            send = self._server.send
-            for server in self._forward_targets:
-                send(server, message)
-            # Send coded elements to every server outside the dispersal set.
-            for idx, server in self._outside_dispersal:
-                coded = MDValueCoded(
-                    mid=message.mid,
-                    tag=message.tag,
-                    element=elements[idx],
-                    origin=message.origin,
-                    op_id=message.op_id,
-                    data_units=self._code.element_data_units,
-                )
-                send(server, coded)
+        self._server.send_many(self._forward_targets, message)
+        # Send coded elements to every server outside the dispersal set.
+        send = self._server.send
+        for idx, server in self._outside_dispersal:
+            coded = MDValueCoded(
+                mid=message.mid,
+                tag=message.tag,
+                element=elements[idx],
+                origin=message.origin,
+                op_id=message.op_id,
+                data_units=self._code.element_data_units,
+            )
+            send(server, coded)
         # Deliver the local coded element.
         self._deliver_value(message.mid, message.tag, elements[self._index], message)
 
@@ -291,12 +283,8 @@ class MDServerEngine:
         if message.mid in self._meta_delivered:
             return
         self._meta_delivered.add(message.mid)
-        if self._in_dispersal:
-            send = self._server.send
-            for server in self._forward_targets:
-                send(server, message)
-            for _, server in self._outside_dispersal:
-                send(server, message)
+        if self._meta_targets:
+            self._server.send_many(self._meta_targets, message)
         self._on_meta_deliver(message.payload, message.origin, message.op_id)
 
     # ------------------------------------------------------------------

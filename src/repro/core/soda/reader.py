@@ -85,6 +85,7 @@ class SodaReader(Process):
         self._current: Optional[_ReadOperation] = None
         self._op_counter = 0
         self.completed_reads: List[str] = []
+        self.handlers = {ReadValueResponse: self._on_element}
 
     def attach(self, simulation) -> None:
         super().attach(simulation)
@@ -113,8 +114,7 @@ class SodaReader(Process):
         self._current = _ReadOperation(op_id=op_id, callback=callback)
         if self.history is not None:
             self.history.invoke(op_id, READ, str(self.pid), self.now)
-        for server in self.servers:
-            self.send(server, ReadGetRequest(op_id=op_id))
+        self.send_many(self.servers, ReadGetRequest(op_id=op_id))
         return op_id
 
     def is_complete(self, op_id: str) -> bool:
@@ -130,18 +130,15 @@ class SodaReader(Process):
     # message handling
     # ------------------------------------------------------------------
     def on_message(self, sender: str, message: object) -> None:
+        # Coded elements are bound in ``self.handlers``; a tag reply is
+        # counted per responding server, so it needs the sender.
         op = self._current
-        if op is None:
-            return
-        if isinstance(message, ReadGetResponse) and message.op_id == op.op_id:
-            self._on_get_response(op, sender, message)
-        elif isinstance(message, ReadValueResponse) and message.op_id == op.op_id:
-            self._on_element(op, message)
-
-    def _on_get_response(
-        self, op: _ReadOperation, sender: str, message: ReadGetResponse
-    ) -> None:
-        if op.phase != "get":
+        if (
+            op is None
+            or type(message) is not ReadGetResponse
+            or message.op_id != op.op_id
+            or op.phase != "get"
+        ):
             return
         op.get_responses[sender] = message.tag
         if len(op.get_responses) < self.majority:
@@ -156,8 +153,9 @@ class SodaReader(Process):
             op_id=op.op_id,
         )
 
-    def _on_element(self, op: _ReadOperation, message: ReadValueResponse) -> None:
-        if op.phase != "value":
+    def _on_element(self, message: ReadValueResponse) -> None:
+        op = self._current
+        if op is None or message.op_id != op.op_id or op.phase != "value":
             return
         assert op.target_tag is not None
         if message.tag < op.target_tag:

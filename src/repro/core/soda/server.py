@@ -151,7 +151,9 @@ class SodaServer(Process):
             encoder=encoder,
             encode_batcher=encode_batcher,
         )
-        self._md_handlers = self._md_engine.handler_map()
+        # MD-VALUE / MD-META traffic (the bulk of a server's deliveries)
+        # goes straight from the event loop to the engine's handlers.
+        self.handlers = self._md_engine.handler_map()
         # Metadata payload dispatch for _on_md_meta_deliver, same scheme.
         self._meta_handlers = {
             ReadValuePayload: self._on_read_value,
@@ -194,13 +196,8 @@ class SodaServer(Process):
     # message dispatch
     # ------------------------------------------------------------------
     def on_message(self, sender: str, message: object) -> None:
-        # Dict dispatch on the exact message type (message classes are
-        # final): one lookup replaces the isinstance chain plus the
-        # md-engine handle() indirection on the per-message hot path.
-        handler = self._md_handlers.get(type(message))
-        if handler is not None:
-            handler(message)
-            return
+        # Only the tag queries, which are answered to their sender, land
+        # here; message-disperse traffic is bound in ``self.handlers``.
         mtype = type(message)
         if mtype is WriteGetRequest:
             self.send(sender, WriteGetResponse(op_id=message.op_id, tag=self.tag))

@@ -60,6 +60,7 @@ class SodaWriter(Process):
         self._current: Optional[_WriteOperation] = None
         self._op_counter = 0
         self.completed_writes: List[str] = []
+        self.handlers = {WriteAck: self._on_ack}
 
     def attach(self, simulation) -> None:
         super().attach(simulation)
@@ -92,8 +93,7 @@ class SodaWriter(Process):
         self._current = _WriteOperation(op_id=op_id, value=value, callback=callback)
         if self.history is not None:
             self.history.invoke(op_id, WRITE, str(self.pid), self.now, value=value)
-        for server in self.servers:
-            self.send(server, WriteGetRequest(op_id=op_id))
+        self.send_many(self.servers, WriteGetRequest(op_id=op_id))
         return op_id
 
     def is_complete(self, op_id: str) -> bool:
@@ -103,18 +103,15 @@ class SodaWriter(Process):
     # message handling
     # ------------------------------------------------------------------
     def on_message(self, sender: str, message: object) -> None:
+        # Acks are bound in ``self.handlers``; a tag reply is counted per
+        # responding server, so it needs the sender.
         op = self._current
-        if op is None:
-            return
-        if isinstance(message, WriteGetResponse) and message.op_id == op.op_id:
-            self._on_get_response(op, sender, message)
-        elif isinstance(message, WriteAck) and message.op_id == op.op_id:
-            self._on_ack(op, message)
-
-    def _on_get_response(
-        self, op: _WriteOperation, sender: str, message: WriteGetResponse
-    ) -> None:
-        if op.phase != "get":
+        if (
+            op is None
+            or type(message) is not WriteGetResponse
+            or message.op_id != op.op_id
+            or op.phase != "get"
+        ):
             return
         op.get_responses[sender] = message.tag
         if len(op.get_responses) < self.majority:
@@ -126,8 +123,14 @@ class SodaWriter(Process):
         assert self._md_sender is not None
         self._md_sender.md_value_send(op.tag, op.value, op_id=op.op_id)
 
-    def _on_ack(self, op: _WriteOperation, message: WriteAck) -> None:
-        if op.phase != "put" or message.tag != op.tag:
+    def _on_ack(self, message: WriteAck) -> None:
+        op = self._current
+        if (
+            op is None
+            or message.op_id != op.op_id
+            or op.phase != "put"
+            or message.tag != op.tag
+        ):
             return
         op.acks.add(message.server_index)
         if len(op.acks) < self.acks_needed:

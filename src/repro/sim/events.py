@@ -1,9 +1,22 @@
 """The event queue driving the discrete-event simulation.
 
-Events are kept in a binary heap of ``(time, seq, event)`` tuples.  The
-sequence number breaks ties deterministically (FIFO among events scheduled
-for the same instant), which keeps executions fully reproducible for a
-given seed — an essential property for debugging distributed protocols.
+The queue is a binary heap of plain tuples in two shapes:
+
+* ``(time, seq, event)`` — a scheduled :class:`Event` (timers, client
+  operation starts, anything that may be cancelled);
+* ``(time, seq, None, dst, src, payload, record)`` — a *message entry*,
+  pushed by :class:`~repro.sim.network.Network` for every delivery.
+  Deliveries are never cancelled, so they carry no :class:`Event`: the
+  heap tuple is the message's only allocation.  ``record`` is the
+  :class:`~repro.sim.network.MessageRecord` when an observer asked for
+  one and ``None`` otherwise.  :class:`~repro.sim.simulation.Simulation`
+  delivers these; an ``event_hook`` is shown an :class:`Event` built on
+  demand.
+
+The sequence number breaks ties deterministically (FIFO among entries
+scheduled for the same instant, whatever their shape), which keeps
+executions fully reproducible for a given seed — an essential property for
+debugging distributed protocols.
 
 Performance notes (this queue is the innermost hot loop of every
 experiment in the repository):
@@ -14,20 +27,19 @@ experiment in the repository):
   generated ``__lt__`` re-built two comparison tuples per compare in
   Python — the single largest line item in event-loop profiles.
   ``seq`` is unique and strictly increasing, so a comparison never reaches
-  the third tuple slot (events themselves are never compared).
+  the third tuple slot (events and payloads are never compared).
 * :class:`Event` is a slotted handle (no instance ``__dict__``), created
   once per schedule and mutated in place on cancellation, replacing the
   old lazy-cancel set of pending sequence numbers.
-* Events can carry one preallocated call argument (``argument``), which
-  lets the network schedule ``deliver(record)`` without allocating a
-  ``functools.partial`` per message.
+* The pending count is ``len(heap)`` minus the cancelled events still
+  sitting in it, so pushing and popping keep no counter of their own.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 #: Sentinel: the event's action takes no argument.
 NO_ARG = object()
@@ -47,9 +59,8 @@ class Event:
         ``argument`` is set.
     argument:
         Optional single argument passed to ``action`` (``NO_ARG`` means
-        the action is called with no arguments).  Carrying the argument on
-        the event avoids a per-schedule closure/partial allocation on the
-        network's send path.
+        the action is called with no arguments).  The event view of a
+        message entry carries the entry here.
     label:
         Optional human-readable description (used in traces and error
         messages); not part of the ordering.
@@ -90,7 +101,7 @@ _new_event = Event.__new__
 
 
 class EventQueue:
-    """A deterministic priority queue of :class:`Event` objects.
+    """A deterministic priority queue of events and message entries.
 
     Cancellation is in-place: a pending event holds a reference to its
     queue, and cancelling simply clears that reference (the heap entry is
@@ -101,15 +112,17 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Event]] = []
+        #: Heap entries in either shape described in the module docstring.
+        self._heap: List[tuple] = []
         self._counter = count()
-        self._live = 0
+        #: Cancelled events whose heap entry has not been skipped yet.
+        self._cancelled = 0
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._heap) - self._cancelled
 
     def __bool__(self) -> bool:
-        return self._live > 0
+        return len(self._heap) > self._cancelled
 
     def push(
         self,
@@ -133,49 +146,36 @@ class EventQueue:
         event.label = label
         event._queue = self
         heapq.heappush(self._heap, (time, seq, event))
-        self._live += 1
         return event
 
-    def pop(self) -> Event:
-        """Remove and return the next event in (time, seq) order."""
+    def pop(self) -> tuple:
+        """Remove and return the next live heap entry in (time, seq) order.
+
+        ``entry[2]`` is the :class:`Event`, or ``None`` for a message entry.
+        """
         heap = self._heap
         while heap:
-            event = heapq.heappop(heap)[2]
+            entry = heapq.heappop(heap)
+            event = entry[2]
+            if event is None:
+                return entry
             if event._queue is self:
                 event._queue = None
-                self._live -= 1
-                return event
+                return entry
+            self._cancelled -= 1
         raise IndexError("pop from an empty event queue")
 
-    def pop_ready(self, max_time: float = float("inf")) -> Optional[Event]:
-        """Pop the next live event firing at or before ``max_time``.
-
-        Returns ``None`` (leaving the event queued) when the queue is empty
-        or the next event fires later than ``max_time``.  This fuses the
-        ``peek_time`` + ``pop`` pair the run loop used to perform into one
-        heap traversal.
-        """
+    def peek_time(self) -> Optional[float]:
+        """The firing time of the next pending entry, or ``None`` if empty."""
         heap = self._heap
         while heap:
             entry = heap[0]
             event = entry[2]
-            if event._queue is not self:
-                heapq.heappop(heap)
-                continue
-            if entry[0] > max_time:
-                return None
+            if event is None or event._queue is self:
+                return entry[0]
             heapq.heappop(heap)
-            event._queue = None
-            self._live -= 1
-            return event
+            self._cancelled -= 1
         return None
-
-    def peek_time(self) -> Optional[float]:
-        """The firing time of the next pending event, or ``None`` if empty."""
-        heap = self._heap
-        while heap and heap[0][2]._queue is not self:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event in place.
@@ -185,12 +185,13 @@ class EventQueue:
         """
         if event._queue is self:
             event._queue = None
-            self._live -= 1
+            self._cancelled += 1
 
     def clear(self) -> None:
-        """Drop every pending event."""
-        for _, _, event in self._heap:
-            if event._queue is self:
+        """Drop every pending event and message entry."""
+        for entry in self._heap:
+            event = entry[2]
+            if event is not None:
                 event._queue = None
         self._heap.clear()
-        self._live = 0
+        self._cancelled = 0

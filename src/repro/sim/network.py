@@ -10,6 +10,12 @@ the destination has crashed (a crashed process would never process it
 anyway, so this does not change protocol behaviour — it only avoids useless
 work).
 
+A message in flight is one heap tuple on the simulation's event queue (the
+*message entry* of :mod:`repro.sim.events`), delivered by
+:class:`~repro.sim.simulation.Simulation`.  A :class:`MessageRecord` is
+built only while something installed on the network reads records — the
+message trace, a send or deliver listener, an adversary.
+
 Messages can be any Python object.  For cost accounting the network reads
 two optional attributes off each message:
 
@@ -32,7 +38,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, List, Optional
+from heapq import heappush
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -205,7 +212,8 @@ class SlowDisk(DelayModel):
 # ----------------------------------------------------------------------
 @dataclass(slots=True)
 class MessageRecord:
-    """One message in flight (or already delivered), for tracing and costs."""
+    """One message in flight (or already delivered), as shown to observers:
+    the message trace, send/deliver listeners and adversaries."""
 
     src: ProcessId
     dst: ProcessId
@@ -233,13 +241,6 @@ class NetworkStats:
     total_data_units: float = 0.0
     metadata_messages: int = 0
 
-    def record_send(self, record: MessageRecord) -> None:
-        self.messages_sent += 1
-        units = record.data_units
-        self.total_data_units += units
-        if units == 0.0:
-            self.metadata_messages += 1
-
 
 class Network:
     """Reliable, non-FIFO point-to-point message delivery."""
@@ -254,7 +255,7 @@ class Network:
         self._sim = simulation
         self.delay_model = delay_model
         self.stats = NetworkStats()
-        self.keep_trace = keep_trace
+        self._keep_trace = keep_trace
         self.trace: List[MessageRecord] = []
         self._send_listeners: List[Callable[[MessageRecord], None]] = []
         self._deliver_listeners: List[Callable[[MessageRecord], None]] = []
@@ -274,17 +275,41 @@ class Network:
         self._block_capable = False
         # Optional message adversary (repro.sim.adversary): inspects each
         # in-flight message after the delay is drawn and may stretch or
-        # drop the delivery.  One branch per send when absent.
+        # drop the delivery.
         self._adversary = None
+        # True while anything installed reads MessageRecords; derived from
+        # what is installed, never set by a caller.  A message sent while
+        # it is False carries no record.
+        self._observed = keep_trace
+
+    @property
+    def keep_trace(self) -> bool:
+        """Whether every message's record is appended to :attr:`trace`
+        (fixed at construction)."""
+        return self._keep_trace
+
+    def _refresh_observed(self) -> None:
+        self._observed = bool(
+            self._keep_trace
+            or self._send_listeners
+            or self._deliver_listeners
+            or self._adversary is not None
+        )
 
     # -- listener registration -----------------------------------------
     def on_send(self, listener: Callable[[MessageRecord], None]) -> None:
         """Register a callback invoked for every message placed on a channel."""
         self._send_listeners.append(listener)
+        self._refresh_observed()
 
     def on_deliver(self, listener: Callable[[MessageRecord], None]) -> None:
-        """Register a callback invoked whenever a message is handed to a process."""
+        """Register a callback invoked whenever a message is handed to a process.
+
+        It sees the messages sent from now on: one already in flight when
+        the network's first observer is installed has no record to show.
+        """
         self._deliver_listeners.append(listener)
+        self._refresh_observed()
 
     def attach_cost_tracker(self, tracker) -> bool:
         """Claim the inline cost-accounting slot; False if already taken.
@@ -309,9 +334,10 @@ class Network:
         rng stream.
         """
         self._adversary = adversary
+        self._refresh_observed()
 
     # -- sending ---------------------------------------------------------
-    def send(self, src: ProcessId, dst: ProcessId, payload: object) -> MessageRecord:
+    def send(self, src: ProcessId, dst: ProcessId, payload: object) -> None:
         """Place ``payload`` on the channel from ``src`` to ``dst``.
 
         The message is delivered after a delay drawn from the delay model
@@ -319,31 +345,21 @@ class Network:
         crash immediately afterwards without affecting delivery, matching
         the paper's channel model.
 
-        This is the per-message fast path: stats are updated inline, the
-        delivery label is built only when the trace is kept, listener
-        dispatch is skipped when nothing is registered, delays come from
-        the vectorized buffer when the model supports it, and the delivery
-        is scheduled through :meth:`Simulation.schedule_call` (the record
-        rides on the event — no per-send ``functools.partial``).
+        This is the per-message path and the public interception point for
+        sends (:meth:`send_many` defers to it while it is overridden or
+        wrapped): stats and the first cost tracker are updated inline, the
+        delay comes from the vectorized buffer when the model supports it,
+        and the delivery is one message entry pushed onto the simulation's
+        heap.
         """
         sim = self._sim
-        record = MessageRecord(src, dst, payload, sim._now)
-        # Inlined NetworkStats.record_send: one attribute walk per send
-        # instead of a method call plus two property evaluations.
+        now = sim._now
         stats = self.stats
         stats.messages_sent += 1
         units = float(getattr(payload, "data_units", 0.0))
         stats.total_data_units += units
         if units == 0.0:
             stats.metadata_messages += 1
-        # Human-readable delivery labels are a tracing aid; building the
-        # f-string on every send is measurable overhead in long benchmark
-        # runs, so it is skipped unless the message trace is kept.
-        if self.keep_trace:
-            self.trace.append(record)
-            label = f"deliver {type(payload).__name__} {src}->{dst}"
-        else:
-            label = ""
         tracker = self._cost_tracker
         if tracker is not None:
             # Inlined CommunicationCostTracker.record (same aggregates).
@@ -354,7 +370,11 @@ class Network:
             else:
                 tracker._per_op[op] += units
                 tracker._messages_per_op[op] += 1
-        if self._send_listeners:
+        record = None
+        if self._observed:
+            record = MessageRecord(src, dst, payload, now)
+            if self._keep_trace:
+                self.trace.append(record)
             for listener in self._send_listeners:
                 listener(record)
         pos = self._delay_pos
@@ -363,23 +383,91 @@ class Network:
             self._delay_pos = pos + 1
         else:
             delay = self._next_delay(src, dst)
-        # Non-negativity is a delay-model construction invariant; the old
-        # per-send ``delay < 0`` raise is now a debug-mode assert.
+        # Non-negativity is a delay-model construction invariant.
         assert delay >= 0, f"delay model produced a negative delay {delay}"
-        adversary = self._adversary
-        if adversary is not None:
-            delay, dropped = adversary.intervene(record, delay, sim._now)
+        if record is not None and self._adversary is not None:
+            delay, dropped = self._adversary.intervene(record, delay, now)
             if dropped:
                 record.dropped = True
                 stats.messages_dropped += 1
-                return record
-        # Push the delivery straight onto the event queue (one frame less
-        # than Simulation.schedule_call; same (time, seq) semantics).
-        sim._queue.push(sim._now + delay, self._deliver, label, record)
-        return record
+                return
+        queue = sim._queue
+        heappush(
+            queue._heap,
+            (now + delay, next(queue._counter), None, dst, src, payload, record),
+        )
+
+    def send_many(
+        self, src: ProcessId, dsts: Sequence[ProcessId], payload: object
+    ) -> None:
+        """Send one ``payload`` from ``src`` to every destination, in order.
+
+        Equivalent to ``for dst in dsts: send(src, dst, payload)`` — same
+        counters, same delays in destination order, same ``(time, seq)``
+        per delivery — with the per-payload work (size, cost attribution)
+        done once.  While the network is observed, or :meth:`send` is
+        overridden or wrapped, it *is* that loop, so every message still
+        passes through :meth:`send`.
+        """
+        if self._observed or type(self).send is not _NETWORK_SEND:
+            send = self.send
+            for dst in dsts:
+                send(src, dst, payload)
+            return
+        fanout = len(dsts)
+        if not fanout:
+            return
+        sim = self._sim
+        now = sim._now
+        stats = self.stats
+        stats.messages_sent += fanout
+        units = float(getattr(payload, "data_units", 0.0))
+        tracker = self._cost_tracker
+        if tracker is not None:
+            op = getattr(payload, "op_id", None)
+            if op is not None:
+                # Touch the entry even for metadata: per-op costs list
+                # every attributed operation, at 0.0 if need be.
+                tracker._per_op[op] += 0.0
+                tracker._messages_per_op[op] += fanout
+        if units == 0.0:
+            stats.metadata_messages += fanout
+        else:
+            # One float add per message, as send() does, so the totals
+            # stay bit-identical to the per-message loop.
+            for _ in dsts:
+                stats.total_data_units += units
+                if tracker is not None:
+                    tracker.total_data_units += units
+                    if op is None:
+                        tracker.unattributed_data_units += units
+                    else:
+                        tracker._per_op[op] += units
+        queue = sim._queue
+        heap = queue._heap
+        counter = queue._counter
+        buffer = self._delay_buffer
+        pos = self._delay_pos
+        if pos + fanout <= len(buffer) and self._buffered_model is self.delay_model:
+            self._delay_pos = pos + fanout
+            for dst in dsts:
+                heappush(
+                    heap, (now + buffer[pos], next(counter), None, dst, src, payload, None)
+                )
+                pos += 1
+        else:
+            # The buffer runs out inside this fan-out (or the model samples
+            # per pair): take the delays one at a time, refilling in place.
+            for dst in dsts:
+                delay = self._next_delay(src, dst)
+                assert delay >= 0, f"delay model produced a negative delay {delay}"
+                heappush(
+                    heap, (now + delay, next(counter), None, dst, src, payload, None)
+                )
 
     def _next_delay(self, src: ProcessId, dst: ProcessId) -> float:
-        """Refill the vectorized delay buffer (or sample one scalar delay).
+        """The next delay: from the vectorized buffer, refilling it when it
+        is exhausted, or one scalar sample.
 
         Models whose delays depend on (src, dst) return ``None`` from
         ``sample_block`` once; after that every send takes the scalar path
@@ -391,6 +479,10 @@ class Network:
             self._delay_buffer = []
             self._delay_pos = 0
             self._block_capable = True
+        pos = self._delay_pos
+        if pos < len(self._delay_buffer):
+            self._delay_pos = pos + 1
+            return self._delay_buffer[pos]
         if self._block_capable:
             block = model.sample_block(DELAY_BLOCK_SIZE, self._sim.rng)
             if block is None:
@@ -401,17 +493,7 @@ class Network:
                 return block[0]
         return model.sample(src, dst, self._sim.rng)
 
-    # -- delivery --------------------------------------------------------
-    def _deliver(self, record: MessageRecord) -> None:
-        sim = self._sim
-        destination = sim._processes.get(record.dst)
-        if destination is None or destination._crashed:
-            record.dropped = True
-            self.stats.messages_dropped += 1
-            return
-        record.delivered_at = sim._now
-        self.stats.messages_delivered += 1
-        if self._deliver_listeners:
-            for listener in self._deliver_listeners:
-                listener(record)
-        destination.deliver(record.src, record.payload)
+
+#: The send this module defines; :meth:`Network.send_many` compares against
+#: it to notice a subclass override or a wrapper installed on the class.
+_NETWORK_SEND = Network.send

@@ -1,10 +1,10 @@
 """Base class for simulated processes (clients and servers).
 
 A process is a purely message-driven automaton: it reacts to message
-deliveries via :meth:`Process.on_message` and to locally scheduled actions
-via timers.  This mirrors the IO-Automata style used by the paper (each
-transition is triggered by an input action) without the notational
-overhead.
+deliveries — through its :attr:`Process.handlers` table or
+:meth:`Process.on_message` — and to locally scheduled actions via timers.
+This mirrors the IO-Automata style used by the paper (each transition is
+triggered by an input action) without the notational overhead.
 
 Crash failures follow Section II-d: a crashed process performs no further
 local computation and sends no further messages.  Messages already placed
@@ -13,7 +13,7 @@ on channels by the process *before* the crash are still delivered.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
 
 from repro.sim.network import ProcessId
 
@@ -35,6 +35,16 @@ class Process:
         self._crashed = False
         self.messages_received = 0
         self.messages_sent = 0
+        #: ``type(message) -> handler(message)`` for the messages this
+        #: process handles without needing the sender; a delivery is one
+        #: dict lookup and one call.  Types not listed (none by default) go
+        #: to :meth:`on_message`.  Message classes are final, so the exact
+        #: type is the key.
+        self.handlers: Dict[type, Callable[[object], None]] = {}
+        # Whether the run loop may inline deliver() for this process:
+        # false while a subclass overrides it or the class attribute has
+        # been replaced.  Resolved on attach and again at each run().
+        self._deliver_inline = False
 
     # ------------------------------------------------------------------
     # wiring
@@ -43,6 +53,7 @@ class Process:
         """Called by the simulation when the process is registered."""
         self._sim = simulation
         self._network = simulation.network
+        self._deliver_inline = type(self).deliver is _PROCESS_DELIVER
 
     @property
     def sim(self) -> "Simulation":
@@ -84,13 +95,29 @@ class Process:
         """
         if self._crashed:
             return
-        self.messages_sent += 1
         network = self._network
         if network is None:
             raise RuntimeError(
                 f"process {self.pid!r} is not attached to a simulation"
             )
+        self.messages_sent += 1
         network.send(self.pid, dst, message)
+
+    def send_many(self, dsts: Sequence[ProcessId], message: object) -> None:
+        """Send the same ``message`` to every destination, in order.
+
+        Same effect as one :meth:`send` per destination; the network does
+        the per-message work in one pass (:meth:`Network.send_many`).
+        """
+        if self._crashed:
+            return
+        network = self._network
+        if network is None:
+            raise RuntimeError(
+                f"process {self.pid!r} is not attached to a simulation"
+            )
+        self.messages_sent += len(dsts)
+        network.send_many(self.pid, dsts, message)
 
     def broadcast(self, destinations, message_factory: Callable[[ProcessId], object]) -> None:
         """Send an individually constructed message to every destination."""
@@ -98,14 +125,24 @@ class Process:
             self.send(dst, message_factory(dst))
 
     def deliver(self, sender: ProcessId, message: object) -> None:
-        """Entry point used by the network; dispatches to :meth:`on_message`."""
+        """Hand a delivered message to its handler.
+
+        This is the public per-message interception point for deliveries:
+        :meth:`Simulation.run` inlines exactly this body, and calls the
+        method itself for any process whose class overrides or wraps it.
+        """
         if self._crashed:
             return
         self.messages_received += 1
-        self.on_message(sender, message)
+        handler = self.handlers.get(type(message))
+        if handler is not None:
+            handler(message)
+        else:
+            self.on_message(sender, message)
 
     def on_message(self, sender: ProcessId, message: object) -> None:
-        """Handle a delivered message.  Subclasses override this."""
+        """Handle a delivered message whose type is not in :attr:`handlers`.
+        Subclasses override this."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -126,3 +163,8 @@ class Process:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         status = "crashed" if self._crashed else "up"
         return f"{type(self).__name__}(pid={self.pid!r}, {status})"
+
+
+#: The deliver this module defines; a process whose class resolves
+#: ``deliver`` to anything else is never delivered to inline.
+_PROCESS_DELIVER = Process.deliver

@@ -6,12 +6,14 @@ façades drive it with :meth:`Simulation.run` (until quiescence) or
 :meth:`Simulation.run_until` (until a predicate holds), both of which guard
 against runaway executions with event-count and time limits.
 
-The run loops are the hottest code in the repository (every simulated
-message is at least one event), so they are deliberately flat: one fused
-``pop_ready`` call per iteration (emptiness check, time-limit check and
-pop in a single heap traversal), clock/accounting updates inlined, and the
+The quiescence loop in :meth:`Simulation.run` is the hottest code in the
+repository (every simulated message is one heap entry), so it is
+deliberately flat: emptiness check, cancelled-event skip, time-limit check
+and pop are one heap traversal, clock and accounting updates are inlined, a
+message entry (see :mod:`repro.sim.events`) is delivered in place, and the
 optional hooks (:attr:`Simulation.event_hook`, deferred micro-tasks) each
-costing one predictable branch per event when unused.
+cost one predictable branch per event when unused.  :meth:`Simulation.step`
+and :meth:`Simulation.run_until` share :meth:`Simulation._deliver_entry`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from repro.sim.events import NO_ARG, Event, EventQueue
 from repro.sim.network import DelayModel, Network, ProcessId, UniformDelay
-from repro.sim.process import Process
+from repro.sim.process import _PROCESS_DELIVER, Process
 
 
 class SimulationError(RuntimeError):
@@ -76,9 +78,10 @@ class Simulation:
         #: drain and push them through ``decode_many`` in a single call.
         self._deferred: List[Callable[[], None]] = []
         #: Optional per-event observer ``hook(event)`` invoked after the
-        #: clock advanced but before the event fires.  Used by the golden
-        #: event-order determinism tests; ``None`` (the default) costs one
-        #: branch per event.
+        #: clock advanced but before the event fires; a message delivery is
+        #: shown as an :class:`Event` built for the hook.  Used by the
+        #: golden event-order determinism tests; ``None`` (the default)
+        #: costs one branch per event.
         self.event_hook: Optional[Callable[[Event], None]] = None
         self.network = Network(
             self, delay_model or UniformDelay(), keep_trace=keep_message_trace
@@ -105,20 +108,6 @@ class Simulation:
         """
         assert delay >= 0, f"cannot schedule into the past (delay={delay})"
         return self._queue.push(self._now + delay, action, label=label)
-
-    def schedule_call(
-        self, delay: float, action: Callable[..., None], argument, label: str = ""
-    ) -> Event:
-        """Schedule ``action(argument)`` after ``delay`` time units.
-
-        The argument rides on the event itself, so hot paths (the network's
-        per-message delivery) need no closure or ``functools.partial``
-        allocation per schedule.
-        """
-        assert delay >= 0, f"cannot schedule into the past (delay={delay})"
-        return self._queue.push(
-            self._now + delay, action, label=label, argument=argument
-        )
 
     def schedule_at(
         self, time: float, action: Callable[[], None], label: str = ""
@@ -179,20 +168,50 @@ class Simulation:
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
-    def _fire_event(self, event: Event) -> None:
-        """Advance the clock to ``event`` and execute it (single source of
-        truth for the per-event accounting shared by step/run_until; the
-        quiescence loop in :meth:`run` inlines the same sequence)."""
-        if event.time < self._now:
+    def _message_event(self, entry: tuple) -> Event:
+        """The :class:`Event` view of a message entry, for ``event_hook``."""
+        label = ""
+        if self.network.keep_trace:  # a tracing aid, as costly as a delivery
+            label = f"deliver {type(entry[5]).__name__} {entry[4]}->{entry[3]}"
+        return Event(entry[0], entry[1], self._deliver_message, entry, label)
+
+    def _deliver_message(self, entry: tuple) -> None:
+        """Deliver a message entry through :meth:`Process.deliver`."""
+        _, _, _, dst, src, payload, record = entry
+        network = self.network
+        destination = self._processes.get(dst)
+        if destination is None or destination._crashed:
+            network.stats.messages_dropped += 1
+            if record is not None:
+                record.dropped = True
+            return
+        network.stats.messages_delivered += 1
+        if record is not None:
+            record.delivered_at = self._now
+            for listener in network._deliver_listeners:
+                listener(record)
+        destination.deliver(src, payload)
+
+    def _deliver_entry(self, entry: tuple) -> None:
+        """Advance the clock to a popped heap entry and execute it: fire
+        the event or deliver the message (the per-entry sequence shared by
+        step/run_until; the quiescence loop in :meth:`run` inlines it)."""
+        time = entry[0]
+        if time < self._now:
             raise SimulationError(
-                f"event {event.label!r} scheduled in the past "
-                f"({event.time} < {self._now})"
+                f"entry scheduled in the past ({time} < {self._now})"
             )
-        self._now = event.time
+        self._now = time
         self.events_processed += 1
-        if self.event_hook is not None:
-            self.event_hook(event)
-        event.fire()
+        event = entry[2]
+        if event is None:
+            if self.event_hook is not None:
+                self.event_hook(self._message_event(entry))
+            self._deliver_message(entry)
+        else:
+            if self.event_hook is not None:
+                self.event_hook(event)
+            event.fire()
         if self._deferred:
             self._drain_deferred()
 
@@ -200,7 +219,7 @@ class Simulation:
         """Process a single event; returns False if the queue is empty."""
         if not self._queue:
             return False
-        self._fire_event(self._queue.pop())
+        self._deliver_entry(self._queue.pop())
         return True
 
     def run(
@@ -211,10 +230,11 @@ class Simulation:
     ) -> None:
         """Run until the event queue drains (quiescence) or a limit is hit.
 
-        The loop pops directly off the event queue: one fused ``pop_ready``
-        call per iteration doubles as the emptiness check, the time-limit
-        check and the pop, and the per-event accounting is inlined (no
-        ``_fire_event`` call per event).
+        The loop works directly on the heap, for both entry shapes.  A
+        message without a record, for a process whose ``deliver`` is
+        :meth:`Process.deliver` itself, is delivered in place; every other
+        message goes through :meth:`_deliver_message`.  Which processes
+        qualify is resolved here, once per call.
         """
         queue = self._queue
         heap = queue._heap
@@ -222,41 +242,62 @@ class Simulation:
         deferred = self._deferred
         hook = self.event_hook
         no_arg = NO_ARG
+        processes = self._processes
+        stats = self.network.stats
+        for process in processes.values():
+            process._deliver_inline = type(process).deliver is _PROCESS_DELIVER
         processed = 0
         try:
             while True:
-                # Inlined EventQueue.pop_ready: emptiness check, cancelled
-                # skip, time-limit check and pop in one heap traversal with
-                # no per-event function call.
-                while True:
-                    if not heap:
-                        return
-                    entry = heap[0]
-                    event = entry[2]
-                    if event._queue is not queue:
-                        heappop(heap)
-                        continue
-                    if entry[0] > max_time:
-                        return
+                if not heap:
+                    return
+                entry = heap[0]
+                event = entry[2]
+                if event is not None and event._queue is not queue:
                     heappop(heap)
-                    event._queue = None
-                    queue._live -= 1
-                    break
-                time = event.time
+                    queue._cancelled -= 1
+                    continue
+                time = entry[0]
+                if time > max_time:
+                    return
+                heappop(heap)
                 if time < self._now:
                     raise SimulationError(
-                        f"event {event.label!r} scheduled in the past "
-                        f"({time} < {self._now})"
+                        f"entry scheduled in the past ({time} < {self._now})"
                     )
                 self._now = time
                 processed += 1
-                if hook is not None:
-                    hook(event)
-                argument = event.argument
-                if argument is no_arg:
-                    event.action()
+                if event is None:
+                    if hook is not None:
+                        hook(self._message_event(entry))
+                    destination = processes.get(entry[3])
+                    if (
+                        entry[6] is not None
+                        or destination is None
+                        or not destination._deliver_inline
+                    ):
+                        self._deliver_message(entry)
+                    elif destination._crashed:
+                        stats.messages_dropped += 1
+                    else:
+                        # Process.deliver, inlined.
+                        stats.messages_delivered += 1
+                        destination.messages_received += 1
+                        payload = entry[5]
+                        handler = destination.handlers.get(type(payload))
+                        if handler is not None:
+                            handler(payload)
+                        else:
+                            destination.on_message(entry[4], payload)
                 else:
-                    event.action(argument)
+                    event._queue = None
+                    if hook is not None:
+                        hook(event)
+                    argument = event.argument
+                    if argument is no_arg:
+                        event.action()
+                    else:
+                        event.action(argument)
                 if deferred:
                     self._drain_deferred()
                 if processed > max_events:
@@ -295,7 +336,7 @@ class Simulation:
                 raise SimulationError(
                     f"condition not reached by simulated time {max_time}"
                 )
-            self._fire_event(queue.pop())
+            self._deliver_entry(queue.pop())
             processed += 1
             if processed > max_events:
                 raise EventBudgetExceeded(

@@ -322,7 +322,15 @@ class TestReopenAfterDuplicateMinResp:
         """The flat core refuses to operate on a stale id→slot mapping —
         the loud replacement for the old silent `break` fallback."""
         checker = self._feed(IncrementalAtomicityChecker(frontier_limit=2))
-        cid = next(iter(checker._cid_of.values()))
-        checker._pos[cid] = len(checker._tb) + 5  # simulate corruption
-        with pytest.raises((RuntimeError, IndexError), match=""):
-            checker._table_remove(cid)
+        cid, other = list(checker._cid_of.values())[:2]
+        # Simulated corruption: a slot past the table, then another
+        # cluster's slot (the case that used to evict the wrong interval).
+        for stale in (len(checker._tb) + 5, checker._pos[other]):
+            checker._pos[cid] = stale
+            table = list(checker._tcid)
+            with pytest.raises(
+                RuntimeError,
+                match=rf"interval-table slot for cluster {cid} is stale \(pos={stale}\)",
+            ):
+                checker._table_remove(cid)
+            assert checker._tcid == table  # nothing was evicted

@@ -1,5 +1,7 @@
 """Tests for the event queue."""
 
+import heapq
+
 import pytest
 
 from repro.sim.events import Event, EventQueue
@@ -13,7 +15,7 @@ class TestEventQueue:
         q.push(1.0, lambda: fired.append("a"))
         q.push(3.0, lambda: fired.append("c"))
         while q:
-            q.pop().fire()
+            q.pop()[2].fire()
         assert fired == ["a", "b", "c"]
 
     def test_ties_broken_by_insertion_order(self):
@@ -22,7 +24,7 @@ class TestEventQueue:
         for name in "abcde":
             q.push(1.0, lambda n=name: fired.append(n))
         while q:
-            q.pop().fire()
+            q.pop()[2].fire()
         assert fired == list("abcde")
 
     def test_len_and_bool(self):
@@ -58,7 +60,7 @@ class TestEventQueue:
         q.cancel(ev)
         assert len(q) == 1
         while q:
-            q.pop().fire()
+            q.pop()[2].fire()
         assert fired == ["kept"]
 
     def test_cancel_then_peek(self):
@@ -76,13 +78,13 @@ class TestEventQueue:
         fired = []
         ev = q.push(1.0, lambda: fired.append("a"))
         q.push(2.0, lambda: fired.append("b"))
-        assert q.pop() is ev
+        assert q.pop()[2] is ev
         ev.fire()
         q.cancel(ev)  # already fired: must be a no-op
         assert len(q) == 1
         assert q
         assert q.peek_time() == 2.0
-        q.pop().fire()
+        q.pop()[2].fire()
         assert fired == ["a", "b"]
         assert len(q) == 0
 
@@ -123,29 +125,42 @@ class TestEventQueue:
         seen = []
         ev = q.push(1.0, seen.append, argument="payload")
         ev2 = q.push(2.0, lambda: seen.append("no-arg"))
-        q.pop().fire()
-        q.pop().fire()
+        q.pop()[2].fire()
+        q.pop()[2].fire()
         assert seen == ["payload", "no-arg"]
         assert ev.argument == "payload"
         assert ev2.seq > ev.seq
 
-    def test_pop_ready_fuses_peek_and_pop(self):
+    def test_message_entries_share_the_heap_with_events(self):
+        """The network pushes deliveries as bare tuples (no Event); pop,
+        peek_time, len and clear treat both shapes alike and order them by
+        the shared (time, seq) key."""
         q = EventQueue()
-        q.push(1.0, lambda: None, label="early")
-        q.push(5.0, lambda: None, label="late")
-        ev = q.pop_ready(2.0)
-        assert ev is not None and ev.label == "early"
-        assert q.pop_ready(2.0) is None  # "late" fires after the limit...
-        assert len(q) == 1  # ...and stays queued
-        assert q.pop_ready(10.0).label == "late"
-        assert q.pop_ready(10.0) is None  # empty queue
+        ev = q.push(2.0, lambda: None, label="timer")
+        message = (1.0, next(q._counter), None, "dst", "src", "payload", None)
+        heapq.heappush(q._heap, message)
+        tie = (2.0, next(q._counter), None, "dst", "src", "later", None)
+        heapq.heappush(q._heap, tie)
+        assert len(q) == 3 and q
+        assert q.peek_time() == 1.0
+        assert q.pop() is message
+        assert q.pop()[2] is ev  # same instant, scheduled first
+        assert q.pop() is tie
+        assert len(q) == 0 and not q
+        heapq.heappush(q._heap, message)
+        q.clear()
+        assert len(q) == 0 and q.peek_time() is None
 
-    def test_pop_ready_skips_cancelled(self):
+    def test_cancelled_event_is_skipped_between_message_entries(self):
         q = EventQueue()
         ev = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None, label="kept")
+        message = (2.0, next(q._counter), None, "dst", "src", "payload", None)
+        heapq.heappush(q._heap, message)
         q.cancel(ev)
-        assert q.pop_ready(10.0).label == "kept"
+        assert len(q) == 1
+        assert q.peek_time() == 2.0
+        assert q.pop() is message
+        assert len(q) == 0
 
     def test_cancel_event_of_other_queue_is_noop(self):
         """In-place cancellation must not corrupt a different queue's
@@ -155,7 +170,7 @@ class TestEventQueue:
         q2.push(1.0, lambda: None)
         q2.cancel(ev1)
         assert len(q1) == 1 and len(q2) == 1
-        assert q1.pop() is ev1
+        assert q1.pop()[2] is ev1
 
     def test_cancel_after_clear_is_noop(self):
         q = EventQueue()

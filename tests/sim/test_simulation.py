@@ -260,10 +260,3 @@ class TestDeferredMicrotasks:
         sim.run()
         assert [(t, lbl) for t, _, lbl in fired] == [(1.0, "one"), (2.0, "two")]
         assert fired[0][1] < fired[1][1]
-
-    def test_schedule_call_carries_argument(self):
-        sim = Simulation(seed=1)
-        seen = []
-        sim.schedule_call(1.0, seen.append, "payload", label="call")
-        sim.run()
-        assert seen == ["payload"]
