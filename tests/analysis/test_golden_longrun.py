@@ -1,46 +1,39 @@
-"""Golden long-run artefact bytes: small sharded runs recorded on the
-pre-overhaul engine (see tests/golden/README.md) must reproduce
-byte-identically — across the event-loop/network rewrite, the pipelined
-`imap_unordered` merge, and any jobs count.
+"""Golden artefact bytes, one scenario (or more) per artefact kind: small
+sharded runs recorded on a known-good engine (see tests/golden/README.md)
+must reproduce byte-identically — across the event-loop/network rewrite,
+the pipelined `imap_unordered` merge and the engine unification.
 """
-
-from pathlib import Path
 
 import pytest
 
-from repro.analysis.longrun import (
-    run_longrun,
-    run_multi_longrun,
-    write_longrun_artefacts,
-    write_multiobj_artefacts,
-)
 from tests.golden.capture_goldens import (
+    ARTEFACT_SCENARIOS,
     GOLDEN_DIR,
-    LONGRUN_SCENARIO,
-    MULTIOBJ_SCENARIO,
+    write_scenario,
 )
 
 
-def _assert_identical(produced: Path, golden_name: str) -> None:
-    golden = GOLDEN_DIR / golden_name
-    assert produced.read_bytes() == golden.read_bytes(), (
-        f"{golden_name} diverged from the golden artefact — the long-run "
-        f"engine's deterministic output changed"
-    )
+def test_every_artefact_kind_has_a_golden():
+    kinds = {kind for kind, _, _ in ARTEFACT_SCENARIOS.values()}
+    assert kinds == {
+        "longrun",
+        "multiobj-longrun",
+        "openloop",
+        "adversary-longrun",
+        "fleet-longrun",
+        "fleet-openloop",
+        "fleet-adversary",
+    }
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_longrun_artefacts_match_golden(tmp_path, jobs):
-    report = run_longrun("SODA", jobs=jobs, **LONGRUN_SCENARIO)
-    assert report.ok
-    json_path, csv_path = write_longrun_artefacts(report, tmp_path)
-    _assert_identical(json_path, "longrun_soda_1200.json")
-    _assert_identical(csv_path, "longrun_soda_1200.csv")
-
-
-def test_multiobj_artefacts_match_golden(tmp_path):
-    report = run_multi_longrun("SODA", jobs=1, **MULTIOBJ_SCENARIO)
-    assert report.ok
-    json_path, csv_path = write_multiobj_artefacts(report, tmp_path)
-    _assert_identical(json_path, "multiobj_soda_4x600.json")
-    _assert_identical(csv_path, "multiobj_soda_4x600.csv")
+@pytest.mark.parametrize("name", sorted(ARTEFACT_SCENARIOS))
+def test_artefacts_match_golden(tmp_path, name):
+    report, json_path, csv_path = write_scenario(name, tmp_path)
+    assert getattr(report, "ok", True)
+    for produced in (json_path, csv_path):
+        assert produced.stem == name
+        golden = GOLDEN_DIR / produced.name
+        assert produced.read_bytes() == golden.read_bytes(), (
+            f"{produced.name} diverged from the golden artefact — the "
+            f"engine's deterministic output changed"
+        )

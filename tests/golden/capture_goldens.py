@@ -32,11 +32,103 @@ TRACE_SCENARIO = dict(
     workload_seed=123,
 )
 
-#: Golden long-run scenarios (mirrored by tests/analysis/test_golden_longrun.py).
-LONGRUN_SCENARIO = dict(ops=1200, epoch_ops=400, n=5, f=2, seed=11)
-MULTIOBJ_SCENARIO = dict(
-    ops=600, epoch_ops=200, objects=4, key_dist="zipf:1.1", n=5, f=2, seed=11
-)
+#: Golden artefact scenarios, one or more per artefact kind (mirrored by
+#: tests/analysis/test_golden_longrun.py): name -> (kind, protocol, params).
+#: The name is the artefact stem the scenario writes under this directory.
+ARTEFACT_SCENARIOS = {
+    "longrun_soda_1200": (
+        "longrun",
+        "SODA",
+        dict(ops=1200, epoch_ops=400, n=5, f=2, seed=11),
+    ),
+    "multiobj_soda_4x600": (
+        "multiobj-longrun",
+        "SODA",
+        dict(
+            ops=600, epoch_ops=200, objects=4, key_dist="zipf:1.1", n=5, f=2, seed=11
+        ),
+    ),
+    "openloop_soda_poisson_1x400": (
+        "openloop",
+        "SODA",
+        dict(
+            ops=400, epoch_ops=200, arrival="poisson:2", n=5, f=2,
+            num_writers=4, num_readers=4, seed=11,
+        ),
+    ),
+    "openloop_soda_burst_3x360": (
+        "openloop",
+        "SODA",
+        dict(
+            # Lossy on purpose: a 5-slot queue per object under shed-reads
+            # with a queue timeout, so rejected/shed/timed-out are all > 0.
+            ops=360, epoch_ops=180, objects=3, key_dist="zipf:1.1",
+            arrival="burst:12:0.5:10:20", policy="shed-reads", queue_per_server=1,
+            op_timeout=6.0, n=5, f=2, num_writers=1, num_readers=1, seed=11,
+        ),
+    ),
+    "adversary_soda_2x600": (
+        "adversary-longrun",
+        "SODA",
+        dict(
+            ops=600, epoch_ops=300, objects=2,
+            faults="withhold:1:8:20;partition:2:2:5", audit_rounds=30, seed=11,
+        ),
+    ),
+    "fleet_soda_4x240": (
+        "fleet-longrun",
+        "SODA",
+        dict(
+            ops=240, epoch_ops=120, fleet=2, objects=4, key_dist="zipf:1.1", n=5,
+            seed=11,
+        ),
+    ),
+    "fleet_openloop_soda_poisson_4x240": (
+        "fleet-openloop",
+        "SODA",
+        dict(
+            # Lossy on purpose (drop policy, 5-slot queues): rejected > 0, so
+            # completed < arrived.
+            ops=240, epoch_ops=120, fleet=2, objects=4, key_dist="zipf:1.1",
+            arrival="poisson:8", policy="drop", queue_per_server=1, n=5,
+            num_writers=1, num_readers=1, seed=11,
+        ),
+    ),
+    "fleet_adversary_soda_4x240": (
+        "fleet-adversary",
+        "SODA",
+        dict(
+            ops=240, epoch_ops=120, fleet=2, objects=4, key_dist="zipf:1.1", n=6,
+            seed=11,
+        ),
+    ),
+}
+
+
+def write_scenario(name: str, directory: Path, *, jobs: int = 1):
+    """Run artefact scenario ``name`` and write its JSON+CSV under
+    ``directory``; returns ``(report, json_path, csv_path)``."""
+    from repro.analysis import adversary, fleet, longrun, openloop
+
+    engines = {
+        "longrun": (longrun.run_longrun, longrun.write_longrun_artefacts),
+        "multiobj-longrun": (
+            longrun.run_multi_longrun,
+            longrun.write_multiobj_artefacts,
+        ),
+        "openloop": (openloop.run_openloop, openloop.write_openloop_artefacts),
+        "adversary-longrun": (
+            adversary.run_adversary,
+            adversary.write_adversary_artefacts,
+        ),
+        "fleet-longrun": (fleet.run_fleet_longrun, fleet.write_fleet_artefacts),
+        "fleet-openloop": (fleet.run_fleet_openloop, fleet.write_fleet_artefacts),
+        "fleet-adversary": (fleet.run_fleet_adversary, fleet.write_fleet_artefacts),
+    }
+    kind, protocol, params = ARTEFACT_SCENARIOS[name]
+    run, write = engines[kind]
+    report = run(protocol, jobs=jobs, **params)
+    return (report, *write(report, directory))
 
 
 def record_event_trace() -> list:
@@ -69,26 +161,17 @@ def record_event_trace() -> list:
 
 
 def main() -> None:
-    from repro.analysis.longrun import (
-        run_longrun,
-        run_multi_longrun,
-        write_longrun_artefacts,
-        write_multiobj_artefacts,
-    )
-
     trace = record_event_trace()
     (GOLDEN_DIR / "golden_event_trace.json").write_text(
         json.dumps({"scenario": TRACE_SCENARIO, "events": trace}) + "\n"
     )
     print(f"captured event trace: {len(trace)} events")
 
-    report = run_longrun("SODA", jobs=1, **LONGRUN_SCENARIO)
-    assert report.ok
-    print("captured:", *write_longrun_artefacts(report, GOLDEN_DIR))
-
-    multi = run_multi_longrun("SODA", jobs=1, **MULTIOBJ_SCENARIO)
-    assert multi.ok
-    print("captured:", *write_multiobj_artefacts(multi, GOLDEN_DIR))
+    for name in ARTEFACT_SCENARIOS:
+        report, json_path, csv_path = write_scenario(name, GOLDEN_DIR)
+        assert json_path.stem == name, (json_path, name)
+        assert getattr(report, "ok", True), name
+        print("captured:", json_path, csv_path)
 
 
 if __name__ == "__main__":
