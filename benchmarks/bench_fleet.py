@@ -2,14 +2,15 @@
 
 The ``multiobj_*`` rows in ``BENCH_sim.json`` run an 8-register namespace
 through **one** simulation in **one** process, so they measure what a
-single core sustains.  Fleet mode (:mod:`repro.analysis.fleet`) splits
+single core sustains.  Fleet mode (the ``fleet-*`` kinds of
+:mod:`repro.analysis.engine`) splits
 the same namespace into partitions, each simulated in its own spawned
 process with per-object derived seeds — the artefacts are byte-identical
 for any partition count, so the only thing that changes is where the CPU
 time is spent.  These rows measure that:
 
-* ``fleet_ops_per_s`` — issued operations divided by ``fleet_cpu_s``,
-  the sum over epochs of the *largest* per-cell CPU time (the critical
+* ``fleet_ops_per_s`` — completed operations divided by the report's
+  ``cpu_s``, the sum over epochs of the *largest* per-cell CPU time (the critical
   path when every partition has its own core).  This is the sustained
   all-core capacity metric the fleet exists for, and it is
   host-core-count independent: a 1-core CI runner measures per-cell CPU
@@ -22,7 +23,7 @@ time is spent.  These rows measure that:
   ceiling, max over every cell.  Deterministic (window + clients per
   object), so it gates the bounded-memory property exactly like
   ``multiobj_max_resident`` does for the monolithic run.
-* ``fleet_wall_ops_per_s`` — issued / wall seconds *on this host* (cells
+* ``fleet_wall_ops_per_s`` — completed / wall seconds *on this host* (cells
   time-slice one core here).  Trajectory record, not a gate: it measures
   the committer's core count as much as the code.
 
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.analysis.fleet import run_fleet_longrun
+from repro.analysis.engine import run_experiment
 
 #: Partitions for the bench row — 4 cells per epoch, matching the
 #: acceptance target (``--fleet 4`` beating the single-process namespace
@@ -54,7 +55,8 @@ _FLEET = 4
 def bench_fleet(*, quick: bool = False, seed: int = 7) -> Dict[str, float]:
     """The fleet rows folded into BENCH_sim.json by run_benchmarks.py."""
     ops = 1_000 if quick else 8_000
-    report = run_fleet_longrun(
+    report = run_experiment(
+        "fleet-longrun",
         "SODA",
         ops=ops,
         epoch_ops=max(500, ops // 4),
@@ -71,8 +73,8 @@ def bench_fleet(*, quick: bool = False, seed: int = 7) -> Dict[str, float]:
             f"fleet verdict reported violations: {report.verdict.violations()}"
         )
     return {
-        "fleet_ops_per_s": report.fleet_ops_per_s,
-        "fleet_events_per_s": report.fleet_events_per_s,
+        "fleet_ops_per_s": report.ops_per_cpu_s,
+        "fleet_events_per_s": report.events_per_cpu_s,
         "fleet_max_resident": float(report.stream_max_resident),
         "fleet_wall_ops_per_s": report.ops_per_s,
     }

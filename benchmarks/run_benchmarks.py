@@ -22,18 +22,17 @@ Two artefacts track the repository's performance trajectory:
   bounded-memory recorder), real-cluster longrun rows
   (``longrun_ops_per_s`` / ``longrun_events_per_s`` wall rates plus the
   gated ``longrun_max_resident`` memory gauge — see
-  :mod:`repro.analysis.longrun`), multi-object namespace rows
+  :mod:`repro.analysis.engine`), multi-object namespace rows
   (``multiobj_ops_per_s`` / ``multiobj_events_per_s`` for an 8-register
   Zipf-skewed namespace run, plus the gated ``multiobj_max_resident``
   per-object recorder gauge), open-loop traffic rows
   (``openloop_ops_per_s`` wall rate plus the gated ``openloop_p99_ms``
-  simulated p99 latency under Poisson load — see
-  :mod:`repro.analysis.openloop`) and fleet-mode rows
+  simulated p99 latency under Poisson load) and fleet-mode rows
   (``fleet_ops_per_s`` / ``fleet_events_per_s`` — the same 8-register
   namespace partitioned across spawned processes, rated against the
   per-epoch CPU critical path so the number is host-core-count
   independent, plus the gated ``fleet_max_resident`` residency ceiling —
-  see :mod:`bench_fleet` and :mod:`repro.analysis.fleet`).
+  see :mod:`bench_fleet`).
 
 Usage::
 
@@ -72,8 +71,7 @@ from bench_fleet import bench_fleet  # noqa: E402
 from bench_gf_kernels import bench_erasure  # noqa: E402
 
 from repro.analysis.experiments import storage_cost_vs_f  # noqa: E402
-from repro.analysis.longrun import run_longrun, run_multi_longrun  # noqa: E402
-from repro.analysis.openloop import run_openloop  # noqa: E402
+from repro.analysis.engine import run_experiment  # noqa: E402
 from repro.baselines.registry import make_cluster  # noqa: E402
 from repro.consistency.incremental import IncrementalAtomicityChecker  # noqa: E402
 from repro.consistency.stream import StreamingRecorder  # noqa: E402
@@ -291,7 +289,8 @@ def bench_sim(*, quick: bool = False, seed: int = 7) -> Dict[str, object]:
     # gauge is deterministic (window + clients) and gated; the rate row is
     # a trajectory record.
     longrun_ops = 1_500 if quick else 20_000
-    report = run_longrun(
+    report = run_experiment(
+        "longrun",
         "SODA",
         ops=longrun_ops,
         epoch_ops=max(500, longrun_ops // 4),
@@ -314,7 +313,8 @@ def bench_sim(*, quick: bool = False, seed: int = 7) -> Dict[str, object]:
     # residency gauge (max over the per-object recorders) is deterministic
     # and gated; the rate row is a trajectory record.
     multiobj_ops = 1_000 if quick else 8_000
-    multiobj_report = run_multi_longrun(
+    multiobj_report = run_experiment(
+        "multiobj-longrun",
         "SODA",
         ops=multiobj_ops,
         epoch_ops=max(500, multiobj_ops // 4),
@@ -342,7 +342,8 @@ def bench_sim(*, quick: bool = False, seed: int = 7) -> Dict[str, object]:
     # speed); the p99 is in simulated ms — deterministic for the seed — so
     # it gates the protocol/admission latency behaviour itself.
     openloop_ops = 1_200 if quick else 12_000
-    openloop_report = run_openloop(
+    openloop_report = run_experiment(
+        "openloop",
         "SODA",
         ops=openloop_ops,
         epoch_ops=max(400, openloop_ops // 4),

@@ -16,18 +16,20 @@
   latency, SODAerr, atomicity, trade-off ablation, scenario sweeps); each
   is a thin wrapper over the sweep engine, used by both the benchmark
   harness and the CLI.
-* :mod:`repro.analysis.longrun` — the scaled streaming-run engine: one
-  long real-cluster execution sharded into epochs over the sweep pool,
-  checked online under bounded memory, with per-shard verdicts merged by
-  :mod:`repro.consistency.shardmerge` (``experiment longrun``).
+* :mod:`repro.analysis.pool` — the spawn-pool scaffolding both engines
+  share (completion-order fan-out, the order-restoring cursor, the
+  daemonic-worker guard).
+* :mod:`repro.analysis.engine` — the epoch engine behind ``experiment
+  longrun | openloop | adversary`` and ``--fleet``: one long real-cluster
+  execution cut into seeded epochs (and, in fleet mode, per-object
+  cells) over the pool, checked online under bounded memory, folded in
+  grid order into one :class:`Report` whose JSON/CSV artefacts are
+  byte-identical under any scheduling.  Its seven artefact kinds are rows
+  of one table (:data:`KINDS`) behind :func:`run_experiment`.
 """
 
 from repro.analysis import theoretical
-from repro.analysis.longrun import (
-    LongRunReport,
-    run_longrun,
-    write_longrun_artefacts,
-)
+from repro.analysis.engine import KINDS, Report, run_experiment, write_artefacts
 from repro.analysis.tables import format_table, generate_table1
 from repro.analysis.sweep import SweepPoint, SweepSpec, derive_seed, run_sweep
 from repro.analysis.experiments import (
@@ -48,9 +50,10 @@ __all__ = [
     "theoretical",
     "generate_table1",
     "format_table",
-    "LongRunReport",
-    "run_longrun",
-    "write_longrun_artefacts",
+    "KINDS",
+    "Report",
+    "run_experiment",
+    "write_artefacts",
     "SweepPoint",
     "SweepSpec",
     "derive_seed",

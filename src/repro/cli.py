@@ -21,42 +21,38 @@ paper's tables and theorems, and docs/sweeps.md for the sweep registry).
 ``N`` worker processes; results are identical for every jobs count (each
 point derives its own seed), so ``--jobs`` is purely a wall-clock knob.
 
-``experiment longrun --ops N --jobs J --protocol P`` streams one long
-real-cluster simulation through bounded recorders with the incremental
-atomicity checker attached online, sharded into epochs over ``J``
-processes; the merged verdict and the JSON/CSV artefacts written under
-``--results-dir`` are byte-identical for every jobs count.
+``experiment longrun | openloop | adversary`` are the three faces of the
+one epoch engine (:mod:`repro.analysis.engine`): a long run is cut into
+seeded epochs, each simulated on a fresh cluster, and folded in epoch
+order into a JSON/CSV artefact pair under ``--results-dir`` that is
+byte-identical for every ``--jobs`` / ``--fleet`` / ``--checker-workers``.
+The flags pick one of the engine's seven artefact kinds:
 
-``experiment longrun --objects N --key-dist zipf:1.1`` switches to the
-multi-object namespace engine: N independent registers multiplexed over
-one shared simulation per epoch, keyed load split by the distribution
-(object 0 is the hottest key), checked per object and merged into
-per-object + aggregate namespace verdicts (``results/multiobj_*``).
+* ``longrun`` streams a closed-loop real-cluster run through bounded
+  recorders with the incremental atomicity checker attached online
+  (``results/longrun_*``); ``--objects N --key-dist zipf:1.1`` makes it a
+  namespace of N registers on one shared simulation per epoch, checked
+  per object (``results/multiobj_*``; object 0 is the hottest key).
+* ``openloop --arrival poisson:4`` drives the cluster open-loop: arrivals
+  follow a seeded arrival process (Poisson, diurnal, burst, or trace
+  replay) independent of completions, a bounded admission queue applies
+  ``--admission`` (drop, shed-reads, backpressure), and latency
+  percentiles come from bounded-memory mergeable histograms
+  (``results/openloop_*``).
+* ``adversary`` runs the namespace under a fault plan with a background
+  availability-audit pool and reports whether every register driven
+  below ``k`` surviving coded elements was flagged before any foreground
+  read stalled (``results/adversary_*``).
+* ``--fleet P`` on any of the three partitions every epoch's namespace
+  into ``P`` slices (LPT on the key-popularity shares), each object on
+  its own simulation in its slice's spawned process, so a namespace run
+  saturates all cores (``results/fleet_*``).  Every object's event
+  stream is a pure function of ``(seed, object)``.
 
-``experiment openloop --arrival poisson:4 --jobs J`` drives the cluster
-open-loop: arrivals follow a seeded arrival process (Poisson, diurnal,
-burst, or trace replay) independent of completions, a bounded admission
-queue applies ``--admission`` (drop, shed-reads, backpressure), and
-latency percentiles come from bounded-memory mergeable histograms; the
-artefacts under ``--results-dir`` are byte-identical for every jobs
-count.
-
-``--fleet P`` on ``longrun``, ``openloop`` and ``adversary`` switches to
-fleet mode: every epoch's namespace is partitioned into ``P`` slices
-(LPT on the key-popularity shares), each slice simulating its objects in
-its own spawned process, so a namespace run saturates all cores.  Every
-object's event stream is a pure function of ``(seed, object)``, so the
-``results/fleet_*`` artefacts are byte-identical for any
-``--fleet``/``--jobs``/``--checker-workers`` combination; the summary
-reports the all-core capacity (``issued / fleet CPU critical path``)
-alongside this host's wall-clock rate.
-
-``--faults`` accepts the unified fault-plan spec
-(:func:`repro.workloads.faults.parse_faults`) on ``longrun``,
-``openloop`` and ``adversary`` alike; ``experiment adversary`` adds a
-background availability-audit pool and reports whether every register
-driven below ``k`` surviving coded elements was flagged before any
-foreground read stalled (``results/adversary_*``).
+Every summary reports this host's wall-clock rate and the capacity rate
+(completed operations per CPU-second of the critical path, one core per
+partition).  ``--faults`` accepts the unified fault-plan spec
+(:func:`repro.workloads.faults.parse_faults`) on all three commands.
 """
 
 from __future__ import annotations
@@ -67,20 +63,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis import experiments as exp
-from repro.analysis.adversary import run_adversary, write_adversary_artefacts
-from repro.analysis.fleet import (
-    run_fleet_adversary,
-    run_fleet_longrun,
-    run_fleet_openloop,
-    write_fleet_artefacts,
-)
-from repro.analysis.longrun import (
-    run_longrun,
-    run_multi_longrun,
-    write_longrun_artefacts,
-    write_multiobj_artefacts,
-)
-from repro.analysis.openloop import run_openloop, write_openloop_artefacts
+from repro.analysis.engine import KINDS, Report, run_experiment, write_artefacts
 from repro.analysis.sweeps import available_sweeps, rows_as_dicts, run_named_sweep
 from repro.analysis.tables import format_table, generate_table1
 from repro.baselines.registry import available_protocols, make_cluster
@@ -94,7 +77,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
     for name in available_protocols():
         print(f"  {name}")
     print("\nExperiments: storage, write-cost, read-cost, latency, sodaerr, "
-          "atomicity, tradeoff, sweep, longrun, openloop (see `experiment -h`)")
+          "atomicity, tradeoff, sweep, longrun, openloop, adversary "
+          "(see `experiment -h`)")
     return 0
 
 
@@ -148,239 +132,174 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_multiobj_longrun(args: argparse.Namespace) -> int:
-    try:
-        report = run_multi_longrun(
-            args.protocol,
-            ops=args.ops,
-            epoch_ops=args.epoch_ops,
-            jobs=args.jobs,
-            objects=args.objects,
-            key_dist=args.key_dist,
-            n=args.n,
-            f=args.f,
-            seed=args.seed,
-            checker_workers=args.checker_workers,
-            faults=args.faults,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(
-        f"{report.protocol} multiobj longrun: {report.issued} ops over "
-        f"{report.objects} objects ({report.params['key_dist']}), "
-        f"{len(report.epochs)} epochs ({args.jobs} jobs), "
-        f"{report.completed} completed, {report.failed} failed"
-    )
-    print(
-        f"throughput      : {report.ops_per_s:.0f} ops/s wall "
-        f"({report.events} simulated events in {report.wall_s:.1f}s)"
-    )
-    print(
-        f"memory gauge    : stream_max_resident={report.stream_max_resident} "
-        f"records across {report.objects} per-object recorders "
-        f"(window {report.params['window']})"
-    )
-    verdict = report.verdict
-    print(
-        f"namespace       : {'ATOMIC' if report.ok else 'VIOLATIONS'} "
-        f"({verdict.clusters} clusters, {verdict.crossings_tested} crossings "
-        f"tested, {verdict.shards} shards per object)"
-    )
-    hot = max(
-        enumerate(report.object_totals()), key=lambda pair: pair[1]["issued"]
-    )
-    print(
-        f"hottest object  : o{hot[0]} with {hot[1]['issued']} ops "
-        f"({hot[1]['writes']} writes / {hot[1]['reads']} reads)"
-    )
-    for j, merged in enumerate(verdict.per_object):
-        status = "atomic" if merged.ok else "VIOLATIONS"
-        print(
-            f"  object o{j:<3}: {status} ({merged.clusters} clusters, "
-            f"{merged.ops_seen} ops)"
-        )
-        for violation in merged.violations[:3]:
-            print(f"    merged : [{violation.kind}] {violation.description}")
-    for obj, violation in report.local_violations[:5]:
-        print(f"  online o{obj}: {violation}")
-    if not args.no_artefacts:
-        json_path, csv_path = write_multiobj_artefacts(
-            report, Path(args.results_dir)
-        )
-        print(f"artefacts       : {json_path} {csv_path}")
-    return 0 if report.ok else 1
+def _engine_kind(name: str, args: argparse.Namespace) -> str:
+    """Which of the engine's artefact kinds the flags select."""
+    if name == "longrun":
+        if args.fleet:
+            return "fleet-longrun"
+        return "multiobj-longrun" if args.objects > 1 else "longrun"
+    if name == "openloop":
+        return "fleet-openloop" if args.fleet else "openloop"
+    return "fleet-adversary" if args.fleet else "adversary-longrun"
 
 
-def _print_fleet_capacity(report, args: argparse.Namespace) -> None:
-    """The fleet capacity lines shared by all three fleet commands."""
-    print(
-        f"capacity        : {report.fleet_ops_per_s:.0f} ops/s sustained with "
-        f"one core per partition ({report.fleet_cpu_s:.1f} CPU-s critical "
-        f"path, {report.fleet_events_per_s:.0f} events/s)"
+def _engine_params(kind, args: argparse.Namespace) -> dict:
+    """The ``run_experiment`` parameters the flags map to (everything not
+    named here keeps the kind's default)."""
+    params = dict(
+        ops=args.ops,
+        epoch_ops=args.epoch_ops,
+        jobs=args.jobs,
+        n=args.n,
+        f=args.f,
+        seed=args.seed,
+        faults=args.faults,
     )
-    print(
-        f"this host       : {report.ops_per_s:.0f} ops/s wall "
-        f"({report.events} simulated events in {report.wall_s:.1f}s, "
-        f"--fleet {args.fleet} --jobs {args.jobs})"
-    )
-
-
-def _cmd_fleet_longrun(args: argparse.Namespace) -> int:
-    try:
-        report = run_fleet_longrun(
-            args.protocol,
-            ops=args.ops,
-            epoch_ops=args.epoch_ops,
-            fleet=args.fleet,
-            jobs=args.jobs,
-            objects=args.objects,
-            key_dist=args.key_dist,
-            n=args.n,
-            f=args.f,
-            seed=args.seed,
-            checker_workers=args.checker_workers,
-            faults=args.faults,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(
-        f"{report.protocol} fleet longrun: {report.issued} ops over "
-        f"{report.objects} objects ({report.params['key_dist']}) in "
-        f"{args.fleet} partitions, {len(report.epochs)} epochs, "
-        f"{report.completed} completed, {report.failed} failed"
-    )
-    _print_fleet_capacity(report, args)
-    verdict = report.verdict
-    print(
-        f"namespace       : {'ATOMIC' if report.ok else 'VIOLATIONS'} "
-        f"({verdict.clusters} clusters, {verdict.crossings_tested} crossings "
-        f"tested, {verdict.shards} shards per object)"
-    )
-    for obj, violation in report.local_violations[:5]:
-        print(f"  online o{obj}: {violation}")
-    if not args.no_artefacts:
-        json_path, csv_path = write_fleet_artefacts(report, Path(args.results_dir))
-        print(f"artefacts       : {json_path} {csv_path}")
-    return 0 if report.ok else 1
-
-
-def _cmd_fleet_openloop(args: argparse.Namespace) -> int:
-    num_writers = max(1, args.clients // 2)
-    num_readers = max(1, args.clients - num_writers)
-    try:
-        report = run_fleet_openloop(
-            args.protocol,
-            ops=args.ops,
-            epoch_ops=args.epoch_ops,
-            fleet=args.fleet,
-            jobs=args.jobs,
-            objects=args.objects,
-            key_dist=args.key_dist,
+    if kind.namespace:
+        params.update(objects=args.objects, key_dist=args.key_dist)
+    if kind.private:
+        params["fleet"] = args.fleet
+    if kind.driver == "open":
+        writers = max(1, args.clients // 2)
+        params.update(
             arrival=args.arrival,
             read_fraction=args.read_fraction,
             policy=args.admission,
             queue_per_server=args.queue_per_server,
             op_timeout=args.op_timeout if args.op_timeout > 0 else None,
             slo=args.slo,
-            n=args.n,
-            f=args.f,
-            num_writers=num_writers,
-            num_readers=num_readers,
-            seed=args.seed,
-            faults=args.faults,
+            num_writers=writers,
+            num_readers=max(1, args.clients - writers),
         )
-    except ValueError as exc:
-        print(f"openloop: {exc}", file=sys.stderr)
-        return 2
-    summary = report.latency().summary()
-    print(
-        f"{report.protocol} fleet openloop: {report.arrived} arrivals "
-        f"({report.params['arrival']}) over {report.objects} objects in "
-        f"{args.fleet} partitions, {len(report.epochs)} epochs, "
-        f"policy {report.params['policy']}"
-    )
-    print(
-        f"admission       : {report.admitted} admitted, {report.rejected} "
-        f"rejected, {report.shed_reads} reads shed, {report.timed_out} timed out"
-    )
-    _print_fleet_capacity(report, args)
-    print(
-        f"latency (ms)    : p50={format_latency(report.p50)} "
-        f"p99={format_latency(report.p99)} p999={format_latency(report.p999)} "
-        f"mean={format_latency(summary['mean'])}"
-    )
-    print(
-        f"slo             : {format_latency(100.0 * report.slo_attainment(), precision=2)}% "
-        f"of completed ops within {report.slo:g} ms"
-    )
-    if not args.no_artefacts:
-        json_path, csv_path = write_fleet_artefacts(report, Path(args.results_dir))
-        print(f"artefacts       : {json_path} {csv_path}")
-    return 0
+    else:
+        params["checker_workers"] = args.checker_workers
+    if kind.driver == "audited":
+        params["stall_threshold"] = args.stall_threshold
+        if args.faults == "none":
+            # 'none' (the shared flag default) means "the canonical
+            # adversarial plan" here — an adversary run with no faults
+            # has nothing to detect.
+            del params["faults"]
+    return params
 
 
-def _cmd_fleet_adversary(args: argparse.Namespace, faults: str) -> int:
-    try:
-        report = run_fleet_adversary(
-            args.protocol,
-            ops=args.ops,
-            epoch_ops=args.epoch_ops,
-            fleet=args.fleet,
-            jobs=args.jobs,
-            objects=args.objects,
-            key_dist=args.key_dist,
-            faults=faults,
-            n=args.n,
-            f=args.f,
-            seed=args.seed,
-            stall_threshold=args.stall_threshold,
-            checker_workers=args.checker_workers,
+def _print_summary(report: Report, args: argparse.Namespace) -> None:
+    """Print what the report carries: counts, rates, then whichever of the
+    checker verdict, latency percentiles and detection verdict it has."""
+    kind, p = report.kind, report.params
+    scope = f"{len(report.epochs)} epochs ({args.jobs} jobs"
+    scope += f", {report.fleet} partitions)" if kind.private else ")"
+    if kind.namespace:
+        scope += f", {p['objects']} objects ({p['key_dist']})"
+    if "faults" in p:
+        scope += f", under {p['faults']!r}"
+    if kind.driver == "open":
+        print(
+            f"{report.protocol} {kind.name}: {report.arrived} arrivals "
+            f"({p['arrival']}), policy {p['policy']}, over {scope}"
         )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    detection = report.detection_summary()
+        print(
+            f"admission       : {report.admitted} admitted, {report.rejected} "
+            f"rejected, {report.shed_reads} reads shed, {report.timed_out} timed out"
+        )
+        in_flight = report.issued - report.completed - report.failed
+        print(
+            f"outcome         : {report.completed} completed "
+            f"({report.writes} writes / {report.reads} reads), "
+            f"{report.failed} failed, {in_flight} in flight at end"
+        )
+    else:
+        print(
+            f"{report.protocol} {kind.name}: {report.issued} ops issued over "
+            f"{scope}, {report.completed} completed, {report.failed} failed"
+        )
     print(
-        f"{report.protocol} fleet adversary: {report.issued} ops over "
-        f"{report.objects} objects under {report.params['faults']!r} in "
-        f"{args.fleet} partitions, {len(report.epochs)} epochs, "
-        f"{report.completed} completed, {report.failed} failed"
+        f"throughput      : {report.ops_per_s:.0f} ops/s wall "
+        f"({report.events} simulated events in {report.wall_s:.1f}s)"
     )
-    _print_fleet_capacity(report, args)
     print(
-        f"audit detection : {detection['detected']}/{detection['below_k_rows']} "
-        f"below-k registers flagged "
-        f"({detection['detected_before_stall']} before any foreground stall), "
-        f"{detection['missed']} missed, {detection['false_flags']} false flags, "
-        f"{detection['stalled_reads']} stalled reads"
+        f"capacity        : {report.ops_per_cpu_s:.0f} ops/s sustained with one "
+        f"core per partition ({report.cpu_s:.1f} CPU-s critical path, "
+        f"{report.events_per_cpu_s:.0f} events/s)"
     )
-    for row in report.object_rows:
-        if row.below_k and not row.detected_before_stall:
+    if report.read_latency is not None:
+        print(
+            f"simulated       : {format_latency(report.sim_ops_per_s, precision=0)} "
+            f"ops/s sustained over {report.sim_time:.0f} simulated ms"
+        )
+        print(
+            f"latency (ms)    : p50={format_latency(report.p50)} "
+            f"p99={format_latency(report.p99)} p999={format_latency(report.p999)} "
+            f"mean={format_latency(report.latency().summary()['mean'])}"
+        )
+        attained = format_latency(100.0 * report.slo_attainment(), precision=2)
+        print(
+            f"slo             : {attained}% of completed ops within "
+            f"{report.slo_ms:g} ms"
+        )
+    verdict = report.verdict
+    if verdict is not None:
+        print(
+            f"memory gauge    : stream_max_resident={report.stream_max_resident} "
+            f"records per recorder (window {p['window']})"
+        )
+        status = "ATOMIC" if report.checker_ok else "VIOLATIONS"
+        counts = f"{verdict.clusters} clusters, {verdict.crossings_tested} crossings"
+        if kind.namespace:
             print(
-                f"  MISSED e{row.epoch}/o{row.object}: "
-                f"{row.surviving_elements} surviving elements, "
-                f"flagged_at={row.first_flagged_at}, "
-                f"first_stall_at={row.first_stall_at}"
+                f"namespace       : {status} ({counts} tested, "
+                f"{verdict.shards} shards per object)"
             )
-    for obj, violation in report.local_violations[:5]:
-        print(f"  online o{obj}: {violation}")
-    if not args.no_artefacts:
-        json_path, csv_path = write_fleet_artefacts(report, Path(args.results_dir))
-        print(f"artefacts       : {json_path} {csv_path}")
-    return 0 if report.ok else 1
+            for j, merged in enumerate(verdict.per_object):
+                print(
+                    f"  object o{j:<3}: {'atomic' if merged.ok else 'VIOLATIONS'} "
+                    f"({merged.clusters} clusters, {merged.ops_seen} ops)"
+                )
+                for violation in merged.violations[:3]:
+                    print(f"    merged : [{violation.kind}] {violation.description}")
+        else:
+            print(
+                f"merged verdict  : {status} ({counts} tested, "
+                f"{verdict.shards} shards)"
+            )
+            for violation in verdict.violations[:5]:
+                print(f"  merged  : [{violation.kind}] {violation.description}")
+        for obj, violation in report.local_violations[:5]:
+            print(f"  online o{obj}: {violation}")
+    if kind.driver == "closed" and kind.object_columns:
+        hot, totals = max(
+            enumerate(report.object_totals()), key=lambda pair: pair[1]["issued"]
+        )
+        print(
+            f"hottest object  : o{hot} with {totals['issued']} ops "
+            f"({totals['writes']} writes / {totals['reads']} reads)"
+        )
+    if kind.driver == "audited":
+        detection = report.detection_summary()
+        print(
+            f"audit detection : {detection['detected']}/{detection['below_k_rows']} "
+            f"below-k registers flagged "
+            f"({detection['detected_before_stall']} before any foreground stall), "
+            f"{detection['missed']} missed, {detection['false_flags']} false flags, "
+            f"{detection['stalled_reads']} stalled reads"
+        )
+        for row in report.object_rows:
+            if row.below_k and not row.detected_before_stall:
+                print(
+                    f"  MISSED e{row.epoch}/o{row.object}: "
+                    f"{row.surviving_elements} surviving elements, "
+                    f"flagged_at={row.first_flagged_at}, "
+                    f"first_stall_at={row.first_stall_at}"
+                )
 
 
-def _cmd_longrun(args: argparse.Namespace) -> int:
+def _cmd_engine(name: str, args: argparse.Namespace) -> int:
+    """``experiment longrun | openloop | adversary``: one engine run."""
     if args.objects < 1:
         print(f"--objects must be at least 1, got {args.objects}", file=sys.stderr)
         return 2
-    if args.fleet:
-        return _cmd_fleet_longrun(args)
-    if args.objects > 1:
-        return _cmd_multiobj_longrun(args)
-    if args.key_dist != "uniform":
+    kind = KINDS[_engine_kind(name, args)]
+    if not kind.namespace and args.key_dist != "uniform":
         print(
             f"--key-dist {args.key_dist!r} has no effect on a single register; "
             f"pass --objects N (N > 1) for a keyed namespace run",
@@ -388,186 +307,15 @@ def _cmd_longrun(args: argparse.Namespace) -> int:
         )
         return 2
     try:
-        report = run_longrun(
-            args.protocol,
-            ops=args.ops,
-            epoch_ops=args.epoch_ops,
-            jobs=args.jobs,
-            n=args.n,
-            f=args.f,
-            seed=args.seed,
-            faults=args.faults,
+        report = run_experiment(
+            kind.name, args.protocol, **_engine_params(kind, args)
         )
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+        print(f"{name}: {exc}", file=sys.stderr)
         return 2
-    print(
-        f"{report.protocol} longrun: {report.issued} ops issued over "
-        f"{len(report.epochs)} epochs ({args.jobs} jobs), "
-        f"{report.completed} completed, {report.failed} failed"
-    )
-    print(
-        f"throughput      : {report.ops_per_s:.0f} ops/s wall "
-        f"({report.events} simulated events in {report.wall_s:.1f}s)"
-    )
-    print(
-        f"memory gauge    : stream_max_resident={report.stream_max_resident} "
-        f"records (window {report.params['window']})"
-    )
-    verdict = report.verdict
-    print(
-        f"merged verdict  : {'ATOMIC' if report.ok else 'VIOLATIONS'} "
-        f"({verdict.clusters} clusters, {verdict.crossings_tested} crossings "
-        f"tested, {verdict.shards} shards)"
-    )
-    for violation in report.local_violations[:5]:
-        print(f"  online  : {violation}")
-    for violation in verdict.violations[:5]:
-        print(f"  merged  : [{violation.kind}] {violation.description}")
+    _print_summary(report, args)
     if not args.no_artefacts:
-        json_path, csv_path = write_longrun_artefacts(
-            report, Path(args.results_dir)
-        )
-        print(f"artefacts       : {json_path} {csv_path}")
-    return 0 if report.ok else 1
-
-
-def _cmd_openloop(args: argparse.Namespace) -> int:
-    if args.objects < 1:
-        print(f"--objects must be at least 1, got {args.objects}", file=sys.stderr)
-        return 2
-    if args.fleet:
-        return _cmd_fleet_openloop(args)
-    num_writers = max(1, args.clients // 2)
-    num_readers = max(1, args.clients - num_writers)
-    try:
-        report = run_openloop(
-            args.protocol,
-            ops=args.ops,
-            epoch_ops=args.epoch_ops,
-            jobs=args.jobs,
-            objects=args.objects,
-            key_dist=args.key_dist,
-            arrival=args.arrival,
-            read_fraction=args.read_fraction,
-            policy=args.admission,
-            queue_per_server=args.queue_per_server,
-            op_timeout=args.op_timeout if args.op_timeout > 0 else None,
-            slo=args.slo,
-            n=args.n,
-            f=args.f,
-            num_writers=num_writers,
-            num_readers=num_readers,
-            seed=args.seed,
-            faults=args.faults,
-        )
-    except ValueError as exc:
-        print(f"openloop: {exc}", file=sys.stderr)
-        return 2
-    summary = report.latency().summary()
-    print(
-        f"{report.protocol} openloop: {report.arrived} arrivals "
-        f"({report.params['arrival']}) over {len(report.epochs)} epochs "
-        f"({args.jobs} jobs), policy {report.params['policy']}"
-    )
-    print(
-        f"admission       : {report.admitted} admitted, {report.rejected} "
-        f"rejected, {report.shed_reads} reads shed, {report.timed_out} timed out"
-    )
-    in_flight = report.issued - report.completed - report.failed
-    print(
-        f"outcome         : {report.completed} completed "
-        f"({report.writes} writes / {report.reads} reads), "
-        f"{report.failed} failed, {in_flight} in flight at end"
-    )
-    print(
-        f"throughput      : {report.ops_per_s:.0f} ops/s wall, "
-        f"{report.sim_ops_per_s:.0f} ops/s sustained "
-        f"({report.events} simulated events in {report.wall_s:.1f}s)"
-    )
-    print(
-        f"latency (ms)    : p50={format_latency(report.p50)} "
-        f"p99={format_latency(report.p99)} p999={format_latency(report.p999)} "
-        f"mean={format_latency(summary['mean'])}"
-    )
-    print(
-        f"slo             : {format_latency(100.0 * report.slo_attainment(), precision=2)}% "
-        f"of completed ops within {report.slo:g} ms"
-    )
-    if not args.no_artefacts:
-        json_path, csv_path = write_openloop_artefacts(
-            report, Path(args.results_dir)
-        )
-        print(f"artefacts       : {json_path} {csv_path}")
-    return 0
-
-
-def _cmd_adversary(args: argparse.Namespace) -> int:
-    # 'none' (the shared flag default) means "the canonical adversarial
-    # plan" here — an adversary run with no faults has nothing to detect.
-    faults = (
-        args.faults
-        if args.faults != "none"
-        else "withhold:1:40:30;partition:2:10:12"
-    )
-    if args.fleet:
-        return _cmd_fleet_adversary(args, faults)
-    try:
-        report = run_adversary(
-            args.protocol,
-            ops=args.ops,
-            epoch_ops=args.epoch_ops,
-            jobs=args.jobs,
-            objects=args.objects,
-            key_dist=args.key_dist,
-            faults=faults,
-            n=args.n,
-            f=args.f,
-            seed=args.seed,
-            stall_threshold=args.stall_threshold,
-            checker_workers=args.checker_workers,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    detection = report.detection_summary()
-    print(
-        f"{report.protocol} adversary run: {report.issued} ops over "
-        f"{report.objects} objects under {report.params['faults']!r}, "
-        f"{len(report.epochs)} epochs ({args.jobs} jobs), "
-        f"{report.completed} completed, {report.failed} failed"
-    )
-    print(
-        f"throughput      : {report.ops_per_s:.0f} ops/s wall "
-        f"({report.events} simulated events in {report.wall_s:.1f}s)"
-    )
-    verdict = report.verdict
-    print(
-        f"namespace       : {'ATOMIC' if report.checker_ok else 'VIOLATIONS'} "
-        f"({verdict.clusters} clusters, {verdict.crossings_tested} crossings "
-        f"tested, {verdict.shards} shards per object)"
-    )
-    print(
-        f"audit detection : {detection['detected']}/{detection['below_k_rows']} "
-        f"below-k registers flagged "
-        f"({detection['detected_before_stall']} before any foreground stall), "
-        f"{detection['missed']} missed, {detection['false_flags']} false flags, "
-        f"{detection['stalled_reads']} stalled reads"
-    )
-    for row in report.object_rows:
-        if row.below_k and not row.detected_before_stall:
-            print(
-                f"  MISSED e{row.epoch}/o{row.object}: "
-                f"{row.surviving_elements} surviving elements, "
-                f"flagged_at={row.first_flagged_at}, "
-                f"first_stall_at={row.first_stall_at}"
-            )
-    for obj, violation in report.local_violations[:5]:
-        print(f"  online o{obj}: {violation}")
-    if not args.no_artefacts:
-        json_path, csv_path = write_adversary_artefacts(
-            report, Path(args.results_dir)
-        )
+        json_path, csv_path = write_artefacts(report, Path(args.results_dir))
         print(f"artefacts       : {json_path} {csv_path}")
     return 0 if report.ok else 1
 
@@ -583,12 +331,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if name == "longrun":
-        return _cmd_longrun(args)
-    if name == "openloop":
-        return _cmd_openloop(args)
-    if name == "adversary":
-        return _cmd_adversary(args)
+    if name in ("longrun", "openloop", "adversary"):
+        return _cmd_engine(name, args)
     if name == "storage":
         for p in exp.storage_cost_vs_f(n=args.n, seed=args.seed, jobs=args.jobs):
             print(f"f={p.f}: measured={p.measured:.3f} predicted={p.predicted:.3f}")

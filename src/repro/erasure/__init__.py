@@ -13,9 +13,9 @@ split into ``k`` elements, expanded into ``n`` coded elements of size
 
 This package implements everything needed from scratch:
 
-* :mod:`repro.erasure.gf` — arithmetic in GF(2^8), with three
-  byte-identical bulk-kernel backends (full-table numpy gathers, 4-bit
-  split tables, compiled C kernels) selected per field instance or
+* :mod:`repro.erasure.gf` — arithmetic in GF(2^8), with two
+  byte-identical bulk-kernel backends (full-table numpy gathers,
+  compiled C kernels) selected per field instance or
   process-wide via ``REPRO_GF_BACKEND`` / the ``--gf-backend`` CLI flag.
 * :mod:`repro.erasure.gf_native` — the optional cffi-compiled kernels
   behind the ``native`` backend (graceful availability probing; pure

@@ -417,7 +417,7 @@ class RegisterCluster(ABC):
         :class:`~repro.consistency.stream.StreamingRecorder` sink and the
         online incremental checker, a million-operation *real cluster
         simulation* runs in O(clients + window) resident history — the
-        engine behind ``experiment longrun`` (:mod:`repro.analysis.longrun`).
+        engine behind ``experiment longrun`` (:mod:`repro.analysis.engine`).
 
         Writers issue globally unique values ``{value_prefix}#{seq}|…``
         padded to ``value_size`` with seeded random bytes; upcoming values

@@ -4,11 +4,7 @@ import json
 
 import pytest
 
-from repro.analysis.adversary import (
-    adversary_artefact_paths,
-    run_adversary,
-    write_adversary_artefacts,
-)
+from repro.analysis.engine import artefact_paths, run_experiment, write_artefacts
 
 SMALL = dict(
     ops=600,
@@ -22,7 +18,7 @@ SMALL = dict(
 
 @pytest.fixture(scope="module")
 def small_report():
-    return run_adversary("SODA", **SMALL)
+    return run_experiment("adversary-longrun", "SODA", **SMALL)
 
 
 class TestDetectionColumns:
@@ -75,24 +71,15 @@ class TestDetectionColumns:
         assert len(epochs) == 2
 
 
-class TestDeterminism:
-    def test_jobs_and_checker_workers_are_byte_identical(self, small_report):
-        baseline = json.dumps(small_report.to_jsonable(), sort_keys=True)
-        sharded = run_adversary("SODA", jobs=2, **SMALL)
-        assert json.dumps(sharded.to_jsonable(), sort_keys=True) == baseline
-        muxed = run_adversary("SODA", checker_workers=2, **SMALL)
-        assert json.dumps(muxed.to_jsonable(), sort_keys=True) == baseline
-
+class TestParams:
     def test_params_carry_canonical_spec(self, small_report):
         assert small_report.params["faults"] == "withhold:1:8:20:0;partition:2:2:5"
 
 
 class TestArtefacts:
     def test_write_and_paths(self, small_report, tmp_path):
-        json_path, csv_path = write_adversary_artefacts(small_report, tmp_path)
-        assert (json_path, csv_path) == adversary_artefact_paths(
-            small_report, tmp_path
-        )
+        json_path, csv_path = write_artefacts(small_report, tmp_path)
+        assert (json_path, csv_path) == artefact_paths(small_report, tmp_path)
         assert json_path.name == "adversary_soda_2x600.json"
         payload = json.loads(json_path.read_text())
         assert payload["kind"] == "adversary-longrun"
@@ -101,17 +88,19 @@ class TestArtefacts:
         assert len(lines) == 1 + len(small_report.object_rows)
 
     def test_rewrite_is_byte_identical(self, small_report, tmp_path):
-        json_path, _ = write_adversary_artefacts(small_report, tmp_path)
+        json_path, _ = write_artefacts(small_report, tmp_path)
         first = json_path.read_bytes()
-        write_adversary_artefacts(small_report, tmp_path)
+        write_artefacts(small_report, tmp_path)
         assert json_path.read_bytes() == first
 
 
 class TestValidation:
     def test_bad_args_rejected(self):
         with pytest.raises(ValueError):
-            run_adversary("SODA", ops=0)
+            run_experiment("adversary-longrun", "SODA", ops=0)
         with pytest.raises(ValueError):
-            run_adversary("SODA", stall_threshold=0.0)
+            run_experiment("adversary-longrun", "SODA", stall_threshold=0.0)
         with pytest.raises(ValueError):
-            run_adversary("SODA", faults="meteor:1")
+            run_experiment("adversary-longrun", "SODA", faults="meteor:1")
+        with pytest.raises(ValueError, match="must not be 'none'"):
+            run_experiment("adversary-longrun", "SODA", faults="none")

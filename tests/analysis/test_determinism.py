@@ -1,0 +1,79 @@
+"""Determinism as one property: artefact bytes are invariant over every
+scheduling axis, for every artefact kind of the engine.
+
+The scheduling axes — ``jobs`` (epochs in flight), ``checker_workers``
+(where the per-object checkers run) and, for the fleet kinds, ``fleet``
+(how many cells an epoch's namespace is partitioned into) — decide only
+*where* work executes.  This harness iterates the engine's kind table,
+runs every golden scenario of each kind once as a baseline and once per
+scheduling variant, and asserts the JSON and CSV bytes never move.  It
+replaces the per-engine ``TestJobsDeterminism`` / ``TestDeterminism`` /
+``TestFleetDeterminism`` classes; the CI ``determinism-smoke`` matrix job
+checks the same property through the CLI at larger sizes.
+"""
+
+import pytest
+
+from repro.analysis.engine import KINDS
+from tests.golden.capture_goldens import ARTEFACT_SCENARIOS, write_scenario
+
+
+def _variants(kind):
+    """The scheduling variants worth running for ``kind`` (the scenarios
+    themselves run at jobs=1, checker_workers=1 and, fleet kinds, fleet=2)."""
+    variants = [{"jobs": 2}]
+    if kind.driver != "open" and kind.namespace and not kind.private:
+        # The open loop has no checkers; a one-object checker mux (the
+        # single register, every fleet cell) caps its workers at one.
+        variants.append({"checker_workers": 2})
+    if kind.private:
+        variants += [
+            {"fleet": 1},
+            {"fleet": 3},
+            {"fleet": 3, "jobs": 2, "checker_workers": 2},
+        ]
+    return variants
+
+
+def _case_id(name, variant):
+    return f"{name}-" + "-".join(f"{axis}{value}" for axis, value in variant.items())
+
+
+CASES = [
+    pytest.param(name, variant, id=_case_id(name, variant))
+    for name, (kind, _, _) in sorted(ARTEFACT_SCENARIOS.items())
+    for variant in _variants(KINDS[kind])
+]
+
+
+@pytest.fixture(scope="module")
+def baselines(tmp_path_factory):
+    """Each scenario's baseline artefact bytes, computed once."""
+    cache = {}
+
+    def baseline(name):
+        if name not in cache:
+            _, *paths = write_scenario(name, tmp_path_factory.mktemp(name))
+            cache[name] = [path.read_bytes() for path in paths]
+        return cache[name]
+
+    return baseline
+
+
+def test_every_kind_is_covered():
+    assert {kind for kind, _, _ in ARTEFACT_SCENARIOS.values()} == set(KINDS)
+    assert all(_variants(kind) for kind in KINDS.values())
+
+
+@pytest.mark.parametrize("name, variant", CASES)
+def test_artefact_bytes_invariant_under_scheduling(
+    tmp_path, baselines, name, variant
+):
+    report, *paths = write_scenario(name, tmp_path, **variant)
+    assert report.ok
+    assert [path.read_bytes() for path in paths] == baselines(name), (
+        f"{name}: artefact bytes moved under {variant}"
+    )
+    for axis, value in variant.items():
+        if axis != "checker_workers":
+            assert getattr(report, axis) == value

@@ -1,0 +1,138 @@
+"""Engine-wide properties of :mod:`repro.analysis.engine`: the kind table,
+the one report's rate definitions and the atomic artefact writer.
+
+Per-kind behaviour lives in test_longrun / test_multiobj / test_openloop /
+test_adversary_engine / test_fleet; byte-identity under scheduling in
+test_determinism; golden bytes in test_golden_longrun.
+"""
+
+import csv
+
+import pytest
+
+from repro.analysis import engine
+from repro.analysis.engine import (
+    DEFAULTS,
+    KINDS,
+    artefact_paths,
+    run_experiment,
+    write_artefacts,
+)
+
+
+class TestKindTable:
+    def test_seven_kinds_with_consistent_schemas(self):
+        assert len(KINDS) == 7
+        for name, kind in KINDS.items():
+            assert kind.name == name
+            assert kind.driver in ("closed", "open", "audited")
+            assert set(kind.defaults) <= set(DEFAULTS)
+            assert kind.epoch_columns[:3] == ("index", "seed", "ops")
+            if kind.object_columns:
+                assert kind.object_columns[:3] == ("epoch", "object", "seed")
+            # Every total folds a column the epoch rows actually carry.
+            for total in kind.totals:
+                source = engine._DERIVED.get(total, (total,))[0]
+                assert total == "sim_ops_per_s" or source in kind.epoch_columns
+            # Private clocks give every object row its own end_time.
+            assert kind.private == (
+                bool(kind.object_columns) and "end_time" in kind.object_columns
+            )
+
+    def test_shared_seed_streams(self):
+        """Fleet kinds reuse the shared-clock kind's epoch-seed stream, so
+        per-object driver outcomes cross-validate against it."""
+        streams = {name: kind.seed_name for name, kind in KINDS.items()}
+        assert streams["fleet-longrun"] == streams["multiobj-longrun"]
+        assert streams["fleet-openloop"] == streams["openloop"]
+        assert streams["fleet-adversary"] == streams["adversary-longrun"]
+
+
+LOSSY = dict(
+    ops=300,
+    epoch_ops=150,
+    objects=3,
+    key_dist="zipf:1.1",
+    arrival="poisson:8",
+    policy="shed-reads",
+    queue_per_server=1,
+    num_writers=1,
+    num_readers=1,
+    n=5,
+    f=2,
+    seed=5,
+    # Withheld elements park reads past the end of the epoch, so some
+    # issued operations never complete.
+    faults="withhold:1:5:400",
+)
+
+
+class TestRatesCountCompletedOperations:
+    """One meaning of ``ops_per_s``: completed operations, fleet or not
+    (the fleet reports used to divide *issued* by the same denominators,
+    overstating a lossy run's rate)."""
+
+    @pytest.mark.parametrize(
+        "kind, extra", [("openloop", {}), ("fleet-openloop", {"fleet": 2})]
+    )
+    def test_lossy_run_rates(self, kind, extra):
+        report = run_experiment(kind, "SODA", **LOSSY, **extra)
+        assert report.rejected > 0 and report.shed_reads > 0
+        assert report.completed < report.issued < report.arrived
+        assert report.ops_per_s == report.completed / report.wall_s
+        assert report.ops_per_cpu_s == report.completed / report.cpu_s
+        assert report.events_per_cpu_s == report.events / report.cpu_s
+        assert report.ops_per_s < report.issued / report.wall_s
+
+    def test_totals_and_params_read_as_attributes(self):
+        report = run_experiment("openloop", "SODA", **LOSSY)
+        assert report.completed == report.totals["completed"]
+        assert report.slo_ms == report.params["slo_ms"] == 10.0
+        assert report.objects == 3
+        with pytest.raises(AttributeError):
+            report.no_such_total
+
+
+class TestAtomicArtefacts:
+    @pytest.fixture(scope="class")
+    def report(self):
+        return run_experiment(
+            "multiobj-longrun", "SODA", ops=120, epoch_ops=60, objects=2, seed=3
+        )
+
+    def test_csv_header_is_the_schema(self, report, tmp_path):
+        _, csv_path = write_artefacts(report, tmp_path)
+        with csv_path.open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert tuple(rows[0]) == report.kind.object_columns
+        assert len(rows) == 1 + len(report.object_rows)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            p.name for p in artefact_paths(report, tmp_path)
+        )
+
+    def test_failed_csv_stage_leaves_nothing_behind(
+        self, report, tmp_path, monkeypatch
+    ):
+        def explode(report, path):
+            path.write_text("epoch,obj")  # a half-written file
+            raise OSError("disk full")
+
+        monkeypatch.setattr(engine, "_write_csv", explode)
+        with pytest.raises(OSError, match="disk full"):
+            write_artefacts(report, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rewrite_keeps_the_previous_pair_intact(
+        self, report, tmp_path, monkeypatch
+    ):
+        paths = write_artefacts(report, tmp_path)
+        before = [path.read_bytes() for path in paths]
+
+        def explode(report, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(engine, "_write_csv", explode)
+        with pytest.raises(OSError):
+            write_artefacts(report, tmp_path)
+        assert [path.read_bytes() for path in paths] == before
+        assert sorted(tmp_path.iterdir()) == sorted(paths)

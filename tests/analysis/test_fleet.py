@@ -1,18 +1,19 @@
 """Tests for fleet mode: partitioned namespaces across OS processes.
 
-The load-bearing property is the byte-identity contract: partitioning is
-a *scheduling* choice, so every artefact byte must be independent of
-``fleet`` (how many partitions), ``jobs`` (how many epochs in flight)
-and ``checker_workers`` (where the checkers run).  The cross-validation
-class pins the fleet timeline to the monolithic namespace engine: both
-draw the same :func:`~repro.workloads.keyed.plan_objects` grid, so every
-object's allocation, driver seed and issued count must match exactly.
+The load-bearing property — partitioning is a *scheduling* choice, so
+every artefact byte is independent of ``fleet``, ``jobs`` and
+``checker_workers`` — is asserted for every kind at once in
+``test_determinism.py``.  This file covers what is specific to the
+private-clock grouping.  The cross-validation class pins the fleet
+timeline to the shared-clock grouping: both draw the same
+:func:`~repro.workloads.keyed.plan_objects` grid, so every object's
+allocation, driver seed and issued count must match exactly.
 
-Note the deliberate *limit* of that contract: the monolithic run
-schedules all objects on one shared simulation clock while each fleet
-object runs on its own, and the closed-loop driver's write/read split is
+Note the deliberate *limit* of that contract: the shared-clock run
+schedules all objects on one simulation clock while each fleet object
+runs on its own, and the closed-loop driver's write/read split is
 client-timing dependent — so per-object ``writes``/``reads`` may drift
-by a slot or two between the two engines (their sum may not: every
+by a slot or two between the two groupings (their sum may not: every
 issued operation is one or the other).  Fleet-vs-fleet stays exact.
 """
 
@@ -21,16 +22,13 @@ import warnings
 
 import pytest
 
-from repro.analysis.fleet import (
-    fleet_artefact_paths,
-    run_fleet_adversary,
-    run_fleet_longrun,
-    run_fleet_openloop,
-    write_fleet_artefacts,
+from repro.analysis.engine import (
+    artefact_paths,
+    fleet_object_seed,
+    run_experiment,
+    write_artefacts,
 )
-from repro.analysis.longrun import run_multi_longrun
 from repro.analysis.pool import in_order, iter_unordered, resolve_workers
-from repro.runtime.fleet import fleet_object_seed
 
 
 def small_fleet_run(**overrides):
@@ -46,81 +44,30 @@ def small_fleet_run(**overrides):
         seed=11,
     )
     defaults.update(overrides)
-    return run_fleet_longrun(defaults.pop("protocol"), **defaults)
+    return run_experiment("fleet-longrun", defaults.pop("protocol"), **defaults)
 
 
-class TestFleetDeterminism:
-    """Artefact bytes are identical for any --fleet/--jobs/--checker-workers."""
-
-    def canonical(self, report):
-        return json.dumps(report.to_jsonable(), sort_keys=True)
-
-    def test_longrun_identical_across_the_matrix(self):
-        reference = self.canonical(small_fleet_run())
-        for fleet, jobs, checker_workers in (
-            (2, 1, 1),
-            (4, 2, 1),
-            (2, 1, 2),
-            (1, 2, 2),
-        ):
-            report = small_fleet_run(
-                fleet=fleet, jobs=jobs, checker_workers=checker_workers
-            )
-            assert self.canonical(report) == reference, (
-                f"fleet={fleet} jobs={jobs} checker_workers={checker_workers}"
-            )
-            assert report.ok
-
-    def test_openloop_identical_across_partitions(self):
-        def run(fleet, jobs=1):
-            return run_fleet_openloop(
-                "SODA",
-                ops=240,
-                epoch_ops=120,
-                fleet=fleet,
-                jobs=jobs,
-                objects=4,
-                key_dist="zipf:1.1",
-                arrival="poisson:4",
-                n=5,
-                seed=11,
-            )
-
-        reference = self.canonical(run(1))
-        assert self.canonical(run(2)) == reference
-        assert self.canonical(run(4, jobs=2)) == reference
-
-    def test_adversary_identical_across_partitions(self):
-        def run(fleet):
-            return run_fleet_adversary(
-                "SODA",
-                ops=240,
-                epoch_ops=120,
-                fleet=fleet,
-                objects=4,
-                key_dist="zipf:1.1",
-                n=6,
-                seed=11,
-            )
-
-        first, second = run(1), run(2)
-        assert self.canonical(first) == self.canonical(second)
-        # The detection contract itself must hold, not just determinism:
-        # every withheld-below-k register flagged before any foreground
-        # stall, no healthy register ever flagged.
-        assert first.ok
-        assert all(
-            row.detected_before_stall for row in first.object_rows if row.below_k
+class TestFleetReports:
+    def test_adversary_detection_contract_holds_per_object(self):
+        """Not just determinism: every withheld-below-k register flagged
+        before any foreground stall, no healthy register ever flagged."""
+        report = run_experiment(
+            "fleet-adversary",
+            "SODA",
+            ops=240,
+            epoch_ops=120,
+            fleet=2,
+            objects=4,
+            key_dist="zipf:1.1",
+            n=6,
+            seed=11,
         )
-        assert not any(row.false_flag for row in first.object_rows)
-
-    def test_artefact_bytes_identical_across_fleet(self, tmp_path):
-        for fleet, sub in ((1, "f1"), (3, "f3")):
-            write_fleet_artefacts(small_fleet_run(fleet=fleet), tmp_path / sub)
-        for suffix in (".json", ".csv"):
-            first = (tmp_path / "f1" / f"fleet_soda_4x240{suffix}").read_bytes()
-            second = (tmp_path / "f3" / f"fleet_soda_4x240{suffix}").read_bytes()
-            assert first == second
+        assert report.ok
+        assert any(row.below_k for row in report.object_rows)
+        assert all(
+            row.detected_before_stall for row in report.object_rows if row.below_k
+        )
+        assert not any(row.false_flag for row in report.object_rows)
 
     def test_jsonable_excludes_scheduling_and_wall_clock(self):
         flat = json.dumps(small_fleet_run(fleet=2).to_jsonable())
@@ -135,8 +82,8 @@ class TestMonolithicCrossValidation:
         config = dict(
             ops=240, epoch_ops=120, objects=4, key_dist="zipf:1.1", n=5, seed=11
         )
-        fleet_report = run_fleet_longrun("SODA", fleet=2, **config)
-        mono_report = run_multi_longrun("SODA", jobs=1, **config)
+        fleet_report = run_experiment("fleet-longrun", "SODA", fleet=2, **config)
+        mono_report = run_experiment("multiobj-longrun", "SODA", jobs=1, **config)
         assert fleet_report.ok and mono_report.ok
 
         mono_rows = {(r.epoch, r.object): r for r in mono_report.object_rows}
@@ -158,8 +105,8 @@ class TestMonolithicCrossValidation:
         config = dict(
             ops=240, epoch_ops=120, objects=4, key_dist="zipf:1.1", n=5, seed=11
         )
-        fleet_report = run_fleet_longrun("SODA", fleet=4, **config)
-        mono_report = run_multi_longrun("SODA", jobs=1, **config)
+        fleet_report = run_experiment("fleet-longrun", "SODA", fleet=4, **config)
+        mono_report = run_experiment("multiobj-longrun", "SODA", jobs=1, **config)
         assert fleet_report.issued == mono_report.issued == 240
         assert [t["issued"] for t in fleet_report.object_totals()] == [
             t["issued"] for t in mono_report.object_totals()
@@ -179,17 +126,17 @@ class TestSeedDerivation:
 class TestCapacityAccounting:
     def test_capacity_fields_populate(self):
         report = small_fleet_run(fleet=2)
-        assert report.fleet_cpu_s > 0
+        assert report.cpu_s > 0
         assert report.wall_s > 0
-        assert report.fleet_ops_per_s > 0
-        assert report.fleet_events_per_s > 0
+        assert report.ops_per_cpu_s > 0
+        assert report.events_per_cpu_s > 0
         assert report.worker_max_rss_kb >= 0
         assert report.fleet == 2
 
     def test_artefact_paths_and_kind(self, tmp_path):
         report = small_fleet_run()
-        json_path, csv_path = write_fleet_artefacts(report, tmp_path)
-        assert (json_path, csv_path) == fleet_artefact_paths(report, tmp_path)
+        json_path, csv_path = write_artefacts(report, tmp_path)
+        assert (json_path, csv_path) == artefact_paths(report, tmp_path)
         payload = json.loads(json_path.read_text())
         assert payload["kind"] == "fleet-longrun"
         assert payload["params"]["objects"] == 4
@@ -242,8 +189,10 @@ class TestPoolHelpers:
 class TestValidation:
     def test_bad_parameters(self):
         with pytest.raises(ValueError, match="ops must be positive"):
-            run_fleet_longrun("SODA", ops=0, objects=2)
+            run_experiment("fleet-longrun", "SODA", ops=0, objects=2)
         with pytest.raises(ValueError, match="fleet must be positive"):
-            run_fleet_longrun("SODA", ops=10, objects=2, fleet=0)
+            run_experiment("fleet-longrun", "SODA", ops=10, objects=2, fleet=0)
         with pytest.raises(ValueError, match="unknown key distribution"):
-            run_fleet_longrun("SODA", ops=10, objects=2, key_dist="hotcold")
+            run_experiment(
+                "fleet-longrun", "SODA", ops=10, objects=2, key_dist="hotcold"
+            )

@@ -6,6 +6,7 @@ the pipelined `imap_unordered` merge and the engine unification.
 
 import pytest
 
+from repro.analysis.engine import KINDS
 from tests.golden.capture_goldens import (
     ARTEFACT_SCENARIOS,
     GOLDEN_DIR,
@@ -14,22 +15,13 @@ from tests.golden.capture_goldens import (
 
 
 def test_every_artefact_kind_has_a_golden():
-    kinds = {kind for kind, _, _ in ARTEFACT_SCENARIOS.values()}
-    assert kinds == {
-        "longrun",
-        "multiobj-longrun",
-        "openloop",
-        "adversary-longrun",
-        "fleet-longrun",
-        "fleet-openloop",
-        "fleet-adversary",
-    }
+    assert {kind for kind, _, _ in ARTEFACT_SCENARIOS.values()} == set(KINDS)
 
 
 @pytest.mark.parametrize("name", sorted(ARTEFACT_SCENARIOS))
 def test_artefacts_match_golden(tmp_path, name):
     report, json_path, csv_path = write_scenario(name, tmp_path)
-    assert getattr(report, "ok", True)
+    assert report.ok
     for produced in (json_path, csv_path):
         assert produced.stem == name
         golden = GOLDEN_DIR / produced.name

@@ -4,14 +4,15 @@ import json
 
 import pytest
 
-from repro.analysis.longrun import (
+from repro.analysis.engine import (
     EPOCH_GAP,
     artefact_paths,
-    run_longrun,
-    write_longrun_artefacts,
+    run_experiment,
+    write_artefacts,
 )
 from repro.consistency.incremental import check_history_incrementally
 from repro.consistency.wgl import check_linearizability
+from repro.metrics.latency import LatencyTracker
 
 #: An initial value nothing in a long run ever writes or reads — the merged
 #: replay history models every epoch's initial state as an explicit marker
@@ -22,29 +23,7 @@ GENESIS = b"<genesis>"
 def small_run(**overrides):
     defaults = dict(protocol="SODA", ops=240, epoch_ops=80, jobs=1, seed=11)
     defaults.update(overrides)
-    return run_longrun(defaults.pop("protocol"), **defaults)
-
-
-class TestJobsDeterminism:
-    """The acceptance property: the merged verdict (and every other
-    deterministic field of the report) is byte-identical for any --jobs."""
-
-    def test_report_identical_for_jobs_1_and_2(self):
-        serial = small_run(ops=320, epoch_ops=80, jobs=1)
-        sharded = small_run(ops=320, epoch_ops=80, jobs=2)
-        assert json.dumps(serial.to_jsonable(), sort_keys=True) == json.dumps(
-            sharded.to_jsonable(), sort_keys=True
-        )
-        assert serial.ok and sharded.ok
-
-    def test_artefact_bytes_identical_across_jobs(self, tmp_path):
-        for jobs, sub in ((1, "j1"), (3, "j3")):
-            report = small_run(ops=320, epoch_ops=80, jobs=jobs)
-            write_longrun_artefacts(report, tmp_path / sub)
-        for suffix in (".json", ".csv"):
-            first = (tmp_path / "j1" / f"longrun_soda_320{suffix}").read_bytes()
-            second = (tmp_path / "j3" / f"longrun_soda_320{suffix}").read_bytes()
-            assert first == second
+    return run_experiment("longrun", defaults.pop("protocol"), **defaults)
 
 
 class TestVerdictCrossValidation:
@@ -53,7 +32,7 @@ class TestVerdictCrossValidation:
         the single-stream incremental checker and WGL: all three verdict
         paths must agree that the real cluster execution is atomic."""
         report = small_run(ops=180, epoch_ops=60, keep_records=True)
-        history = report.full_history()
+        history = report.replay_history()
         assert len(history) == report.issued + len(report.epochs)  # + markers
         assert report.ok
         assert bool(check_history_incrementally(history, initial_value=GENESIS))
@@ -67,12 +46,14 @@ class TestVerdictCrossValidation:
         for (start, end), (next_start, _) in zip(spans, spans[1:]):
             assert end + EPOCH_GAP <= next_start + 1e-9
         # Every replayed record falls inside its epoch's global span.
-        for op in report.full_history().operations():
+        for op in report.replay_history().operations():
             assert op.invoked_at >= spans[0][0] - EPOCH_GAP
 
     @pytest.mark.parametrize("protocol", ["SODA", "SODAerr", "ABD", "CAS", "CASGC"])
     def test_every_protocol_streams_atomically(self, protocol):
-        report = run_longrun(protocol, ops=120, epoch_ops=60, jobs=1, seed=23)
+        report = run_experiment(
+            "longrun", protocol, ops=120, epoch_ops=60, jobs=1, seed=23
+        )
         assert report.ok, (
             report.verdict.violations,
             report.local_violations,
@@ -101,25 +82,26 @@ class TestBoundedMemory:
 
 
 class TestWholeHistoryGuard:
-    def test_full_history_raises_like_a_streaming_sink(self):
-        """Satellite fix: the sharded run raises the same clear error as a
-        single-process streaming cluster instead of an AttributeError."""
+    def test_replay_history_raises_like_a_streaming_sink(self):
+        """The sharded run raises the same clear error as a single-process
+        streaming cluster instead of an AttributeError."""
         report = small_run()
         with pytest.raises(TypeError, match="StreamingRecorder"):
-            report.full_history()
+            report.replay_history()
         with pytest.raises(TypeError, match="stream observer"):
-            report.latency_tracker()
+            report.replay_history()
 
     def test_keep_records_unlocks_whole_history_analyses(self):
         report = small_run(ops=120, epoch_ops=60, keep_records=True)
-        tracker = report.latency_tracker()
+        tracker = LatencyTracker()
+        tracker.record_operations(report.replay_history().operations())
         assert tracker.stats("write").count == report.writes + len(report.epochs)
 
 
 class TestArtefacts:
     def test_written_files_and_paths(self, tmp_path):
         report = small_run()
-        json_path, csv_path = write_longrun_artefacts(report, tmp_path)
+        json_path, csv_path = write_artefacts(report, tmp_path)
         assert (json_path, csv_path) == artefact_paths(report, tmp_path)
         payload = json.loads(json_path.read_text())
         assert payload["schema_version"] == 1
@@ -142,9 +124,15 @@ class TestArtefacts:
 class TestValidation:
     def test_bad_parameters(self):
         with pytest.raises(ValueError, match="ops must be positive"):
-            run_longrun("SODA", ops=0)
+            run_experiment("longrun", "SODA", ops=0)
         with pytest.raises(ValueError, match="epoch_ops must be positive"):
-            run_longrun("SODA", ops=10, epoch_ops=0)
+            run_experiment("longrun", "SODA", ops=10, epoch_ops=0)
+        with pytest.raises(ValueError, match="single register"):
+            run_experiment("longrun", "SODA", ops=10, objects=2)
+        with pytest.raises(ValueError, match="fleet must be 1"):
+            run_experiment("longrun", "SODA", ops=10, fleet=2)
+        with pytest.raises(TypeError, match="unknown experiment parameter"):
+            run_experiment("longrun", "SODA", ops=10, epochs=2)
 
     def test_last_epoch_takes_the_remainder(self):
         report = small_run(ops=250, epoch_ops=100)

@@ -4,11 +4,7 @@ import json
 
 import pytest
 
-from repro.analysis.longrun import (
-    multiobj_artefact_paths,
-    run_multi_longrun,
-    write_multiobj_artefacts,
-)
+from repro.analysis.engine import artefact_paths, run_experiment, write_artefacts
 from repro.consistency.incremental import check_history_incrementally
 from repro.consistency.wgl import check_linearizability
 
@@ -29,29 +25,7 @@ def small_run(**overrides):
         seed=11,
     )
     defaults.update(overrides)
-    return run_multi_longrun(defaults.pop("protocol"), **defaults)
-
-
-class TestJobsDeterminism:
-    """The acceptance property: per-object + aggregate verdicts (and every
-    other deterministic field) are byte-identical for any --jobs."""
-
-    def test_report_identical_for_jobs_1_and_2(self):
-        serial = small_run(jobs=1)
-        sharded = small_run(jobs=2)
-        assert json.dumps(serial.to_jsonable(), sort_keys=True) == json.dumps(
-            sharded.to_jsonable(), sort_keys=True
-        )
-        assert serial.ok and sharded.ok
-
-    def test_artefact_bytes_identical_across_jobs(self, tmp_path):
-        for jobs, sub in ((1, "j1"), (3, "j3")):
-            report = small_run(jobs=jobs)
-            write_multiobj_artefacts(report, tmp_path / sub)
-        for suffix in (".json", ".csv"):
-            first = (tmp_path / "j1" / f"multiobj_soda_3x240{suffix}").read_bytes()
-            second = (tmp_path / "j3" / f"multiobj_soda_3x240{suffix}").read_bytes()
-            assert first == second
+    return run_experiment("multiobj-longrun", defaults.pop("protocol"), **defaults)
 
 
 class TestVerdictCrossValidation:
@@ -83,7 +57,8 @@ class TestVerdictCrossValidation:
 
     @pytest.mark.parametrize("protocol", ["SODA", "ABD", "CAS"])
     def test_other_protocols_stream_atomically(self, protocol):
-        report = run_multi_longrun(
+        report = run_experiment(
+            "multiobj-longrun",
             protocol,
             ops=120,
             epoch_ops=60,
@@ -128,8 +103,8 @@ class TestBoundedMemory:
 class TestArtefacts:
     def test_written_files_and_paths(self, tmp_path):
         report = small_run()
-        json_path, csv_path = write_multiobj_artefacts(report, tmp_path)
-        assert (json_path, csv_path) == multiobj_artefact_paths(report, tmp_path)
+        json_path, csv_path = write_artefacts(report, tmp_path)
+        assert (json_path, csv_path) == artefact_paths(report, tmp_path)
         payload = json.loads(json_path.read_text())
         assert payload["kind"] == "multiobj-longrun"
         assert payload["protocol"] == "SODA"
@@ -152,11 +127,13 @@ class TestArtefacts:
 class TestValidation:
     def test_bad_parameters(self):
         with pytest.raises(ValueError, match="ops must be positive"):
-            run_multi_longrun("SODA", ops=0, objects=2)
+            run_experiment("multiobj-longrun", "SODA", ops=0, objects=2)
         with pytest.raises(ValueError, match="objects must be positive"):
-            run_multi_longrun("SODA", ops=10, objects=0)
+            run_experiment("multiobj-longrun", "SODA", ops=10, objects=0)
         with pytest.raises(ValueError, match="unknown key distribution"):
-            run_multi_longrun("SODA", ops=10, objects=2, key_dist="hotcold")
+            run_experiment(
+                "multiobj-longrun", "SODA", ops=10, objects=2, key_dist="hotcold"
+            )
 
     def test_whole_history_guard(self):
         report = small_run()

@@ -1,17 +1,15 @@
 """Tests for the epoch-sharded open-loop analysis engine."""
 
-import json
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.analysis.longrun import longrun_epoch_point
-from repro.analysis.openloop import (
+from repro.analysis.engine import (
     artefact_paths,
-    openloop_epoch_point,
-    run_openloop,
-    write_openloop_artefacts,
+    build_grid,
+    run_cell,
+    run_experiment,
 )
 
 
@@ -29,41 +27,10 @@ def small_run(**overrides):
         seed=11,
     )
     defaults.update(overrides)
-    return run_openloop(defaults.pop("protocol"), **defaults)
+    return run_experiment("openloop", defaults.pop("protocol"), **defaults)
 
 
-class TestJobsDeterminism:
-    """The acceptance property: every artefact byte is identical for any
-    --jobs count."""
-
-    def test_report_identical_for_jobs_1_and_2(self):
-        serial = small_run(jobs=1)
-        sharded = small_run(jobs=2)
-        assert json.dumps(serial.to_jsonable(), sort_keys=True) == json.dumps(
-            sharded.to_jsonable(), sort_keys=True
-        )
-
-    def test_multi_object_report_identical_across_jobs(self):
-        serial = small_run(
-            ops=240, epoch_ops=120, objects=3, key_dist="zipf:1.1",
-            arrival="burst:6:0.5:10:20", jobs=1,
-        )
-        sharded = small_run(
-            ops=240, epoch_ops=120, objects=3, key_dist="zipf:1.1",
-            arrival="burst:6:0.5:10:20", jobs=2,
-        )
-        assert serial.to_jsonable() == sharded.to_jsonable()
-
-    def test_artefact_bytes_identical_across_jobs(self, tmp_path):
-        for jobs, sub in ((1, "j1"), (3, "j3")):
-            report = small_run(jobs=jobs)
-            write_openloop_artefacts(report, tmp_path / sub)
-        name = "openloop_soda_poisson_1x400"
-        for suffix in (".json", ".csv"):
-            first = (tmp_path / "j1" / f"{name}{suffix}").read_bytes()
-            second = (tmp_path / "j3" / f"{name}{suffix}").read_bytes()
-            assert first == second
-
+class TestArtefactPaths:
     def test_artefact_paths_stem(self, tmp_path):
         report = small_run(ops=200, epoch_ops=100)
         json_path, csv_path = artefact_paths(report, tmp_path)
@@ -92,7 +59,7 @@ class TestReport:
             exact = float(np.percentile(samples, p))
             assert abs(approx - exact) / exact < 0.03, (p, exact, approx)
         # SLO attainment against the exact sample fraction.
-        exact_att = float((samples <= report.slo).mean())
+        exact_att = float((samples <= report.slo_ms).mean())
         assert report.slo_attainment() == pytest.approx(exact_att, abs=0.02)
 
     def test_invalid_specs_rejected(self):
@@ -103,54 +70,21 @@ class TestReport:
 
 
 class TestTruncationGuards:
-    def test_openloop_epoch_truncation_raises(self):
-        # A truncated epoch must fail the run, not fold partial counters
-        # into the report.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(RuntimeError, match="truncated"):
-                openloop_epoch_point(
-                    protocol="SODA",
-                    n=5,
-                    f=2,
-                    num_writers=4,
-                    num_readers=4,
-                    objects=1,
-                    key_dist_spec="uniform",
-                    arrival_spec="poisson:2",
-                    read_fraction=0.5,
-                    policy="drop",
-                    queue_per_server=4,
-                    op_timeout=None,
-                    epoch_index=0,
-                    ops=200,
-                    value_size=16,
-                    keep_samples=False,
-                    cluster_kwargs={},
-                    seed=3,
-                    max_events=100,
-                )
+    """A truncated cell must fail the run, not fold partial counters into
+    the report — for every driver of the one cell runner."""
 
-    def test_longrun_epoch_truncation_raises(self):
-        # Regression: analysis/longrun used to aggregate a silently
-        # truncated epoch as if it had completed.
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("openloop", dict(arrival="poisson:2", num_writers=4, num_readers=4)),
+            ("longrun", dict(mean_gap=1.0, num_writers=4, num_readers=4)),
+            ("fleet-longrun", dict(objects=2)),
+            ("adversary-longrun", dict(objects=2)),
+        ],
+    )
+    def test_truncated_cell_raises(self, kind, params):
+        grid = build_grid(kind, "SODA", ops=200, n=5, f=2, seed=3, **params)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(RuntimeError, match="truncated"):
-                longrun_epoch_point(
-                    protocol="SODA",
-                    n=5,
-                    f=2,
-                    num_writers=4,
-                    num_readers=4,
-                    epoch_index=0,
-                    ops=200,
-                    value_size=16,
-                    mean_gap=1.0,
-                    window=64,
-                    frontier_limit=64,
-                    keep_records=False,
-                    cluster_kwargs={},
-                    seed=3,
-                    max_events=100,
-                )
+                run_cell({**grid.cells[0], "max_events": 100})

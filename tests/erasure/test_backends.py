@@ -1,14 +1,14 @@
 """Differential kernel-equivalence fuzz across the GF(2^8) backends.
 
-The numpy (full 256x256 table), split (two 256x16 nibble tables) and
-native (compiled cffi kernels) backends must produce byte-identical
-results for every bulk operation — the backend choice is a pure speed
-knob, never a semantics knob.  These tests pit the backends against each
-other on random inputs for every code in the repository, including the
-errors-and-erasures decoder and a field built on an alternative primitive
-polynomial, so a backend that silently diverges (wrong nibble split,
-kernel indexing bug, SIMD lane mix-up) fails loudly here rather than as a
-corrupted coded element deep inside a protocol run.
+The numpy (full 256x256 table) and native (compiled cffi kernels)
+backends must produce byte-identical results for every bulk operation —
+the backend choice is a pure speed knob, never a semantics knob.  These
+tests pit the backends against each other on random inputs for every
+code in the repository, including the errors-and-erasures decoder and a
+field built on an alternative primitive polynomial, so a backend that
+silently diverges (kernel indexing bug, SIMD lane mix-up) fails loudly
+here rather than as a corrupted coded element deep inside a protocol
+run.
 """
 
 import numpy as np
@@ -108,21 +108,6 @@ def test_matmul_many_validates_shapes():
     assert empty.shape == (0, 10, 7)
 
 
-def test_split_tables_match_full_table():
-    field = GF256(backend="split")
-    full = field._mul_table
-    assert field._split_lo.shape == (256, 16)
-    assert field._split_hi.shape == (256, 16)
-    assert np.array_equal(field._split_lo, full[:, :16])
-    assert np.array_equal(field._split_hi, full[:, ::16])
-    # lo/hi recombination reproduces every product (GF-linearity over XOR).
-    rng = np.random.default_rng(3)
-    a = rng.integers(0, 256, 1000)
-    x = rng.integers(0, 256, 1000)
-    recombined = field._split_lo[a, x & 0x0F] ^ field._split_hi[a, x >> 4]
-    assert np.array_equal(recombined, full[a, x])
-
-
 # ----------------------------------------------------------------------
 # whole codecs
 # ----------------------------------------------------------------------
@@ -189,16 +174,22 @@ def test_decode_with_errors_identical_across_backends(poly, generator):
 # ----------------------------------------------------------------------
 def test_backend_listing_and_selection():
     assert set(BACKENDS) <= set(GF_BACKENDS)
-    assert "numpy" in BACKENDS and "split" in BACKENDS
+    assert "numpy" in BACKENDS
+    assert GF_BACKENDS == ("numpy", "native")
     assert default_backend() in BACKENDS
     with pytest.raises(ValueError):
         GF256(backend="fortran")
     with pytest.raises(ValueError):
         set_default_backend("fortran")
-    try:
+    # The removed 4-bit split-table backend is no longer a selectable value.
+    with pytest.raises(ValueError, match="unknown GF backend"):
+        GF256(backend="split")
+    with pytest.raises(ValueError, match="unknown GF backend"):
         set_default_backend("split")
-        assert default_backend() == "split"
-        assert default_field().backend == "split"
+    try:
+        set_default_backend("numpy")
+        assert default_backend() == "numpy"
+        assert default_field().backend == "numpy"
     finally:
         set_default_backend(None)
 
@@ -213,8 +204,9 @@ def test_native_backend_selected_field():
 
 
 def test_backend_env_var(monkeypatch):
-    monkeypatch.setenv("REPRO_GF_BACKEND", "split")
-    assert default_backend() == "split"
-    monkeypatch.setenv("REPRO_GF_BACKEND", "cobol")
-    with pytest.raises(ValueError):
-        default_backend()
+    monkeypatch.setenv("REPRO_GF_BACKEND", " NumPy ")
+    assert default_backend() == "numpy"
+    for removed_or_unknown in ("split", "cobol"):
+        monkeypatch.setenv("REPRO_GF_BACKEND", removed_or_unknown)
+        with pytest.raises(ValueError, match="is not a GF backend"):
+            default_backend()

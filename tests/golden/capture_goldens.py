@@ -105,30 +105,16 @@ ARTEFACT_SCENARIOS = {
 }
 
 
-def write_scenario(name: str, directory: Path, *, jobs: int = 1):
-    """Run artefact scenario ``name`` and write its JSON+CSV under
-    ``directory``; returns ``(report, json_path, csv_path)``."""
-    from repro.analysis import adversary, fleet, longrun, openloop
+def write_scenario(name: str, directory: Path, **scheduling):
+    """Run artefact scenario ``name`` — under the given scheduling overrides
+    (``jobs``, ``fleet``, ``checker_workers``), none of which may move a
+    byte — and write its JSON+CSV under ``directory``; returns
+    ``(report, json_path, csv_path)``."""
+    from repro.analysis.engine import run_experiment, write_artefacts
 
-    engines = {
-        "longrun": (longrun.run_longrun, longrun.write_longrun_artefacts),
-        "multiobj-longrun": (
-            longrun.run_multi_longrun,
-            longrun.write_multiobj_artefacts,
-        ),
-        "openloop": (openloop.run_openloop, openloop.write_openloop_artefacts),
-        "adversary-longrun": (
-            adversary.run_adversary,
-            adversary.write_adversary_artefacts,
-        ),
-        "fleet-longrun": (fleet.run_fleet_longrun, fleet.write_fleet_artefacts),
-        "fleet-openloop": (fleet.run_fleet_openloop, fleet.write_fleet_artefacts),
-        "fleet-adversary": (fleet.run_fleet_adversary, fleet.write_fleet_artefacts),
-    }
     kind, protocol, params = ARTEFACT_SCENARIOS[name]
-    run, write = engines[kind]
-    report = run(protocol, jobs=jobs, **params)
-    return (report, *write(report, directory))
+    report = run_experiment(kind, protocol, **{**params, **scheduling})
+    return (report, *write_artefacts(report, directory))
 
 
 def record_event_trace() -> list:
@@ -170,7 +156,7 @@ def main() -> None:
     for name in ARTEFACT_SCENARIOS:
         report, json_path, csv_path = write_scenario(name, GOLDEN_DIR)
         assert json_path.stem == name, (json_path, name)
-        assert getattr(report, "ok", True), name
+        assert report.ok, name
         print("captured:", json_path, csv_path)
 
 

@@ -36,6 +36,14 @@ class TestParser:
         assert "CASGC" in capsys.readouterr().out
 
 
+    def test_removed_split_gf_backend_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["--gf-backend", "split", "list"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'split'" in capsys.readouterr().err
+        assert build_parser().parse_args(["--gf-backend", "numpy", "list"])
+
+
 class TestExperiments:
     def test_storage(self, capsys):
         assert main(["experiment", "storage", "--n", "6"]) == 0
