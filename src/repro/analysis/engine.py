@@ -102,6 +102,7 @@ ADVERSARIAL_PLAN = "withhold:1:40:30;partition:2:10:12"
 # the kind table
 # ----------------------------------------------------------------------
 def _columns(spec: str) -> Tuple[str, ...]:
+    """A whitespace-separated column list as a tuple of names."""
     return tuple(spec.split())
 
 
@@ -385,8 +386,7 @@ class Grid(NamedTuple):
     """The deterministic cell grid of one run (epoch-major)."""
 
     kind: Kind
-    protocol: str
-    params: Dict[str, object]
+    params: Dict[str, object]  # resolved: defaults applied, specs canonical
     epochs: int
     width: int  # cells per epoch
     cells: List[Dict[str, object]]
@@ -463,7 +463,7 @@ def build_grid(kind: str, protocol: str = "SODA", **params) -> Grid:
         for k in range(epochs)
         for c, groups in enumerate(cell_groups)
     ]
-    return Grid(spec, protocol, p, epochs, width, cells)
+    return Grid(spec, p, epochs, width, cells)
 
 
 # ----------------------------------------------------------------------

@@ -218,8 +218,8 @@ def _print_summary(report: Report, args: argparse.Namespace) -> None:
         f"({report.events} simulated events in {report.wall_s:.1f}s)"
     )
     print(
-        f"capacity        : {report.ops_per_cpu_s:.0f} ops/s sustained with one "
-        f"core per partition ({report.cpu_s:.1f} CPU-s critical path, "
+        f"capacity        : {report.ops_per_cpu_s:.0f} ops per CPU-second of the "
+        f"critical path, one core per partition ({report.cpu_s:.1f} CPU-s, "
         f"{report.events_per_cpu_s:.0f} events/s)"
     )
     if report.read_latency is not None:

@@ -7,6 +7,7 @@ test_determinism; golden bytes in test_golden_longrun.
 """
 
 import csv
+import warnings
 
 import pytest
 
@@ -15,6 +16,8 @@ from repro.analysis.engine import (
     DEFAULTS,
     KINDS,
     artefact_paths,
+    build_grid,
+    run_cell,
     run_experiment,
     write_artefacts,
 )
@@ -46,6 +49,27 @@ class TestKindTable:
         assert streams["fleet-longrun"] == streams["multiobj-longrun"]
         assert streams["fleet-openloop"] == streams["openloop"]
         assert streams["fleet-adversary"] == streams["adversary-longrun"]
+
+
+class TestTruncationGuards:
+    """A truncated cell must fail the run, not fold partial counters into
+    the report — for every driver of the one cell runner."""
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("openloop", dict(arrival="poisson:2", num_writers=4, num_readers=4)),
+            ("longrun", dict(mean_gap=1.0, num_writers=4, num_readers=4)),
+            ("fleet-longrun", dict(objects=2)),
+            ("adversary-longrun", dict(objects=2)),
+        ],
+    )
+    def test_truncated_cell_raises(self, kind, params):
+        grid = build_grid(kind, "SODA", ops=200, n=5, f=2, seed=3, **params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(RuntimeError, match="truncated"):
+                run_cell({**grid.cells[0], "max_events": 100})
 
 
 LOSSY = dict(

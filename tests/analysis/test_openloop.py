@@ -1,16 +1,9 @@
 """Tests for the epoch-sharded open-loop analysis engine."""
 
-import warnings
-
 import numpy as np
 import pytest
 
-from repro.analysis.engine import (
-    artefact_paths,
-    build_grid,
-    run_cell,
-    run_experiment,
-)
+from repro.analysis.engine import artefact_paths, run_experiment
 
 
 def small_run(**overrides):
@@ -67,24 +60,3 @@ class TestReport:
             small_run(arrival="bogus")
         with pytest.raises(ValueError, match="slo"):
             small_run(slo=0.0)
-
-
-class TestTruncationGuards:
-    """A truncated cell must fail the run, not fold partial counters into
-    the report — for every driver of the one cell runner."""
-
-    @pytest.mark.parametrize(
-        "kind, params",
-        [
-            ("openloop", dict(arrival="poisson:2", num_writers=4, num_readers=4)),
-            ("longrun", dict(mean_gap=1.0, num_writers=4, num_readers=4)),
-            ("fleet-longrun", dict(objects=2)),
-            ("adversary-longrun", dict(objects=2)),
-        ],
-    )
-    def test_truncated_cell_raises(self, kind, params):
-        grid = build_grid(kind, "SODA", ops=200, n=5, f=2, seed=3, **params)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(RuntimeError, match="truncated"):
-                run_cell({**grid.cells[0], "max_events": 100})
