@@ -55,7 +55,6 @@ runs any of them and :func:`write_artefacts` writes any report.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import os
@@ -79,6 +78,7 @@ from repro.consistency.stream import OperationRecord, StreamObserver
 from repro.metrics.latency import LatencyHistogram
 from repro.runtime.audit import AuditConfig, AuditPool
 from repro.runtime.namespace import MultiRegisterCluster, object_namespace
+from repro.sim.simulation import seed_from_text
 from repro.workloads.arrivals import parse_arrival
 from repro.workloads.faults import canonical_fault_spec, fault_seed
 from repro.workloads.keyed import parse_key_dist, partition_objects
@@ -364,14 +364,9 @@ def default_protocol_kwargs(protocol: str) -> Dict[str, object]:
 
 def fleet_object_seed(epoch_seed: int, object_index: int) -> int:
     """The simulation seed of one private-clock object: a stable hash of
-    ``(epoch_seed, object)`` — same construction as
-    :func:`repro.analysis.sweep.derive_seed` /
-    :func:`repro.workloads.faults.fault_seed`, under its own tag so fleet
-    simulations stay decorrelated from every other derived stream."""
-    digest = hashlib.sha256(
-        f"fleet:{epoch_seed}:object:{object_index}".encode()
-    ).digest()
-    return int.from_bytes(digest[:8], "little") % (2**63 - 1)
+    ``(epoch_seed, object)`` under its own tag, so fleet simulations stay
+    decorrelated from every other derived stream."""
+    return seed_from_text(f"fleet:{epoch_seed}:object:{object_index}")
 
 
 def _epoch_marker(epoch_index: int) -> bytes:

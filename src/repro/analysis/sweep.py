@@ -26,11 +26,11 @@ CLI exposes the registry in :mod:`repro.analysis.sweeps` via
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Tuple
 
 from repro.analysis.pool import iter_unordered
+from repro.sim.simulation import seed_from_text
 
 
 def derive_seed(base_seed: int, sweep_name: str, index: int) -> int:
@@ -41,10 +41,7 @@ def derive_seed(base_seed: int, sweep_name: str, index: int) -> int:
     identical on every platform and process, which is what makes sharded
     execution reproducible.
     """
-    digest = hashlib.sha256(
-        f"{base_seed}:{sweep_name}:{index}".encode()
-    ).digest()
-    return int.from_bytes(digest[:8], "little") % (2**63 - 1)
+    return seed_from_text(f"{base_seed}:{sweep_name}:{index}")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,12 @@ the operation history and the cost/latency metrics, and offers both
 blocking (``write`` / ``read``) and scheduled (``schedule_write`` /
 ``schedule_read``) operation APIs used by the examples, workloads and
 benchmarks.
+
+Long runs go through ``run_streamed`` (closed loop) and ``run_open_loop``
+on a cluster or on a :class:`~repro.runtime.namespace.MultiRegisterCluster`
+of many; :mod:`repro.runtime.driver` holds what those four entry points
+share (run loop, fault-plan materialiser, value source) and
+:class:`~repro.runtime.config.RunConfig` their knobs.
 """
 
 from repro.runtime.cluster import RegisterCluster, ScheduledOperation

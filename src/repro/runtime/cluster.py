@@ -19,7 +19,6 @@ experiments of Table I apples-to-apples.
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
@@ -42,11 +41,13 @@ from repro.erasure.batch import (
 from repro.erasure.mds import CodedElement, MDSCode
 from repro.metrics.costs import CommunicationCostTracker, StorageTracker
 from repro.metrics.latency import LatencyTracker
-from repro.runtime.config import RunConfig, resolve_config
+from repro.runtime.config import RunConfig
+from repro.runtime.driver import apply_fault_plan, run_armed, value_source
+from repro.runtime.openloop import OpenLoopStats, begin_open_loop
 from repro.sim.failures import CrashSchedule, FailureInjector
-from repro.sim.network import DelayModel, SlowDisk
+from repro.sim.network import DelayModel
 from repro.sim.process import Process
-from repro.sim.simulation import EventBudgetExceeded, Simulation
+from repro.sim.simulation import Simulation
 
 
 @dataclass
@@ -395,15 +396,11 @@ class RegisterCluster(ABC):
         self,
         *,
         operations: int,
-        value_size: Optional[int] = None,
-        mean_gap: Optional[float] = None,
-        start_window: Optional[float] = None,
         seed: int = 0,
         value_prefix: str = "",
-        warm_batch: Optional[int] = None,
         max_events: Optional[int] = None,
-        config: Optional[RunConfig] = None,
         faults=None,
+        **knobs,
     ) -> StreamedRunStats:
         """Drive ``operations`` client operations through the live cluster
         in a closed loop, with memory bounded by the client count.
@@ -430,59 +427,29 @@ class RegisterCluster(ABC):
         operations) instead of hanging.  All randomness derives from
         ``seed``, making the run reproducible event-for-event.
 
-        Driver knobs may come from a shared :class:`RunConfig` (``config``);
-        explicit keyword values override it per call.  ``faults`` accepts a
+        ``knobs`` are the :class:`~repro.runtime.config.RunConfig` fields
+        (``value_size``, ``mean_gap``, ``start_window``, ``warm_batch``),
+        validated there.  ``faults`` accepts a
         :class:`~repro.workloads.faults.FaultPlan` (or its spec string) and
         applies it before the run via :meth:`apply_fault_plan`.
         """
-        cfg = resolve_config(
-            config,
-            value_size=value_size,
-            mean_gap=mean_gap,
-            start_window=start_window,
-            warm_batch=warm_batch,
-        )
+        cfg = RunConfig(**knobs)
         if faults is not None:
             self.apply_fault_plan(faults, seed=seed)
-        events_before = self.sim.events_processed
         stats, finalize = self._begin_streamed(
+            cfg, operations=operations, seed=seed, value_prefix=value_prefix
+        )
+        stats.events = run_armed(
+            self.sim,
+            [(stats, finalize)],
             operations=operations,
-            seed=seed,
-            value_prefix=value_prefix,
-            config=cfg,
+            max_events=max_events,
+            label="streamed",
         )
-        budget = max_events if max_events is not None else max(
-            10_000_000, operations * 2_000
-        )
-        try:
-            self.run(max_events=budget)
-        except EventBudgetExceeded:
-            # The stats describe a prefix of the run, not the whole thing.
-            # Flag it loudly instead of letting a truncated run masquerade
-            # as a completed one.
-            stats.truncated = True
-            warnings.warn(
-                f"streamed run truncated: event budget of {budget} exhausted "
-                f"after {stats.completed}/{operations} completed operations",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        finally:
-            finalize()
-        stats.events = self.sim.events_processed - events_before
         return stats
 
     def _begin_streamed(
-        self,
-        *,
-        operations: int,
-        value_size: Optional[int] = None,
-        mean_gap: Optional[float] = None,
-        start_window: Optional[float] = None,
-        seed: int = 0,
-        value_prefix: str = "",
-        warm_batch: Optional[int] = None,
-        config: Optional[RunConfig] = None,
+        self, cfg: RunConfig, *, operations: int, seed: int, value_prefix: str
     ):
         """Arm one closed-loop streamed run without running the simulation.
 
@@ -491,21 +458,11 @@ class RegisterCluster(ABC):
         runs the simulation (possibly alongside other clusters sharing it —
         the multi-object namespace layer arms one driver per register
         object) and calls ``finalize()`` afterwards to detach the driver
-        and seal ``stats.end_time``.
+        and seal ``stats.end_time``.  ``cfg`` is the validated knob record
+        of the public call.
         """
         if operations < 0:
             raise ValueError("operations cannot be negative")
-        cfg = resolve_config(
-            config,
-            value_size=value_size,
-            mean_gap=mean_gap,
-            start_window=start_window,
-            warm_batch=warm_batch,
-        )
-        value_size = cfg.value_size
-        mean_gap = cfg.mean_gap
-        start_window = cfg.start_window
-        warm_batch = cfg.warm_batch
         rng = np.random.default_rng(seed)
         stats = StreamedRunStats(requested=operations)
 
@@ -515,8 +472,8 @@ class RegisterCluster(ABC):
         ]
         by_pid = {str(client.pid): client for client in clients}
         index_of = {str(client.pid): i for i, client in enumerate(clients)}
-        state = {"remaining": operations, "active": True, "value_seq": 0}
-        value_queue: List[bytes] = []
+        state = {"remaining": operations, "active": True}
+        next_value = value_source(self, rng, cfg, value_prefix)
         # Operations issued by THIS run and still outstanding: the sink may
         # also carry completions of externally scheduled operations, which
         # must not perturb the stats or trigger extra closed-loop issues.
@@ -530,22 +487,6 @@ class RegisterCluster(ABC):
                 if not candidate.is_crashed:
                     return candidate
             return None
-
-        def next_value() -> bytes:
-            if not value_queue:
-                batch = []
-                for _ in range(max(1, warm_batch)):
-                    header = f"{value_prefix}#{state['value_seq']}|".encode()
-                    state["value_seq"] += 1
-                    filler = b""
-                    if value_size > len(header):
-                        filler = rng.integers(
-                            0, 256, size=value_size - len(header), dtype=np.uint8
-                        ).tobytes()
-                    batch.append(header + filler)
-                self.warm_encode(batch)
-                value_queue.extend(reversed(batch))
-            return value_queue.pop()
 
         def issue(client: Process) -> None:
             if not state["active"] or state["remaining"] <= 0:
@@ -606,7 +547,7 @@ class RegisterCluster(ABC):
                     client = live_replacement(client)
                     if client is None:
                         return
-                gap = float(rng.exponential(mean_gap)) if mean_gap else 0.0
+                gap = float(rng.exponential(cfg.mean_gap)) if cfg.mean_gap else 0.0
                 next_client = client
                 cluster.sim.schedule(
                     gap, lambda: issue(next_client), label="next streamed op"
@@ -622,7 +563,7 @@ class RegisterCluster(ABC):
         for index, client in enumerate(clients):
             if index >= operations:
                 break
-            at = float(rng.uniform(0.0, start_window)) if start_window else 0.0
+            at = float(rng.uniform(0.0, cfg.start_window)) if cfg.start_window else 0.0
             self.sim.schedule(
                 at, (lambda c: lambda: issue(c))(client), label="start streamed op"
             )
@@ -642,19 +583,12 @@ class RegisterCluster(ABC):
         *,
         operations: int,
         arrival,
-        read_fraction: Optional[float] = None,
-        policy: Optional[str] = None,
-        queue_per_server: Optional[int] = None,
-        op_timeout: Optional[float] = None,
-        value_size: Optional[int] = None,
         seed: int = 0,
         value_prefix: str = "",
-        warm_batch: Optional[int] = None,
-        keep_samples: Optional[bool] = None,
         max_events: Optional[int] = None,
-        config: Optional[RunConfig] = None,
         faults=None,
-    ):
+        **knobs,
+    ) -> OpenLoopStats:
         """Drive ``operations`` arrivals through the cluster open-loop.
 
         ``arrival`` is an :class:`~repro.workloads.arrivals.ArrivalProcess`
@@ -665,66 +599,34 @@ class RegisterCluster(ABC):
         ``backpressure``) with ``op_timeout`` queue waits counted as
         failures; completion latency is measured from arrival (queueing
         included) into mergeable per-kind latency histograms.  See
-        :mod:`repro.runtime.openloop` for the full mechanics.  Returns
-        :class:`~repro.runtime.openloop.OpenLoopStats`.
+        :mod:`repro.runtime.openloop` for the full mechanics.
 
-        Driver knobs may come from a shared :class:`RunConfig` (``config``);
-        explicit keyword values override it per call.  ``faults`` accepts a
+        ``knobs`` are the :class:`~repro.runtime.config.RunConfig` fields
+        (``read_fraction``, ``policy``, ``queue_per_server``,
+        ``op_timeout``, ``value_size``, ``warm_batch``, ``keep_samples``),
+        validated there.  ``faults`` accepts a
         :class:`~repro.workloads.faults.FaultPlan` (or its spec string) and
         applies it before the run via :meth:`apply_fault_plan`.
         """
-        from repro.runtime.openloop import begin_open_loop
-
-        cfg = resolve_config(
-            config,
-            read_fraction=read_fraction,
-            policy=policy,
-            queue_per_server=queue_per_server,
-            op_timeout=op_timeout,
-            value_size=value_size,
-            warm_batch=warm_batch,
-            keep_samples=keep_samples,
-        )
+        cfg = RunConfig(**knobs)
         if faults is not None:
             self.apply_fault_plan(faults, seed=seed)
-        events_before = self.sim.events_processed
         stats, finalize = begin_open_loop(
             self,
+            cfg,
             operations=operations,
             arrival=arrival,
             seed=seed,
             value_prefix=value_prefix,
-            config=cfg,
         )
-        budget = max_events if max_events is not None else max(
-            10_000_000, operations * 2_000
+        stats.events = run_armed(
+            self.sim,
+            [(stats, finalize)],
+            operations=operations,
+            max_events=max_events,
+            label="open-loop",
         )
-        try:
-            self.run(max_events=budget)
-        except EventBudgetExceeded:
-            stats.truncated = True
-            warnings.warn(
-                f"open-loop run truncated: event budget of {budget} "
-                f"exhausted after {stats.completed}/{operations} completed "
-                f"operations",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        finally:
-            finalize()
-        stats.events = self.sim.events_processed - events_before
         return stats
-
-    def _begin_open_loop(self, **kwargs):
-        """Arm one open-loop run without running the simulation.
-
-        Thin delegate to :func:`repro.runtime.openloop.begin_open_loop`
-        (same ``(stats, finalize)`` contract as :meth:`_begin_streamed`),
-        used by the namespace layer to arm one driver per object.
-        """
-        from repro.runtime.openloop import begin_open_loop
-
-        return begin_open_loop(self, **kwargs)
 
     # ------------------------------------------------------------------
     # failures
@@ -739,132 +641,28 @@ class RegisterCluster(ABC):
         self.failures.crash_at(pid, at_time)
 
     def apply_crash_schedule(self, schedule: CrashSchedule) -> None:
-        if len([e for e in schedule if e.pid in self.server_ids]) > self.f:
+        """Arm ``schedule``, refusing to go past ``f`` server crashes.
+
+        The budget is the cluster's, not the call's: servers whose crash
+        is already armed count against it together with the new victims.
+        """
+        victims = {e.pid for e in (*self.failures.injected, *schedule)}
+        if len(victims.intersection(self.server_ids)) > self.f:
             raise ValueError(
                 f"crash schedule kills more than f={self.f} servers; the "
                 f"protocol's guarantees would not apply"
             )
         self.failures.apply(schedule)
 
-    def apply_fault_plan(self, plan, *, seed: int = 0, object_index: int = 0):
-        """Materialise a :class:`~repro.workloads.faults.FaultPlan` here.
-
-        ``plan`` may be a plan or its spec string.  Each leg derives its
-        own rng from ``(seed, leg name, object_index)`` via
-        :func:`~repro.workloads.faults.fault_seed`, so materialisation is a
-        pure function of the seed — byte-identical under re-derivation and
-        epoch sharding.  Crash legs go through the usual ``f``-budget
-        check, slow legs wrap the network delay model in
-        :class:`~repro.sim.network.SlowDisk`, and the adversarial legs
-        install (or extend) a message adversary on the network.  Returns
-        the materialised ground truth as an
-        :class:`~repro.workloads.faults.AppliedFaultPlan`.
+    def apply_fault_plan(self, plan, *, seed: int = 0):
+        """Materialise a :class:`~repro.workloads.faults.FaultPlan` (or its
+        spec string) on this register — the one-hosted-object case of
+        :func:`repro.runtime.driver.apply_fault_plan`, which documents the
+        legs.  Returns (and keeps as ``applied_faults``) the
+        :class:`~repro.workloads.faults.AppliedFaultPlan` ground truth.
         """
-        # Imported lazily: the workloads package imports this module.
-        from repro.sim.adversary import (
-            CompositeAdversary,
-            DelayAdversary,
-            PartitionAdversary,
-            WithholdingAdversary,
-        )
-        from repro.workloads.faults import (
-            AppliedFaultPlan,
-            AppliedObjectFaults,
-            FaultPlan,
-            fault_seed,
-            parse_faults,
-        )
-
-        if isinstance(plan, str):
-            plan = parse_faults(plan)
-        if not isinstance(plan, FaultPlan):
-            raise TypeError(
-                f"expected a FaultPlan or fault spec string, got {type(plan).__name__}"
-            )
-        if not plan:
-            applied = AppliedFaultPlan(plan_spec=plan.spec())
-            self.applied_faults = applied
-            return applied
-
-        j = object_index
-        crashed: tuple = ()
-        slow: tuple = ()
-        withheld: tuple = ()
-        withhold_window = None
-        surviving = None
-        below_k = False
-        isolated: tuple = ()
-        partition_window = None
-        adversaries = []
-        k = self.code.k
-
-        if plan.crash is not None and plan.crash.count:
-            rng = np.random.default_rng(fault_seed(seed, "crash", j))
-            schedule = plan.crash.materialise(self.server_ids, rng)
-            self.apply_crash_schedule(schedule)
-            crashed = tuple((e.pid, e.time) for e in schedule)
-        if plan.slow is not None and plan.slow.count:
-            rng = np.random.default_rng(fault_seed(seed, "slow", j))
-            slow = plan.slow.choose(self.server_ids, rng)
-            network = self.sim.network
-            network.delay_model = SlowDisk(
-                network.delay_model,
-                slow,
-                extra=plan.slow.extra,
-                jitter=plan.slow.jitter,
-            )
-        if plan.delay_adversary is not None:
-            leg = plan.delay_adversary
-            adversaries.append(
-                DelayAdversary(factor=leg.factor, start=leg.start, end=leg.end)
-            )
-        if plan.withhold is not None:
-            leg = plan.withhold
-            rng = np.random.default_rng(fault_seed(seed, "withhold", j))
-            withheld = leg.choose(self.server_ids, k, rng)
-            withhold_window = (leg.start, leg.end)
-            surviving = self.n - len(withheld)
-            below_k = surviving < k
-            adversaries.append(
-                WithholdingAdversary({pid: withhold_window for pid in withheld})
-            )
-        if plan.partition is not None:
-            leg = plan.partition
-            rng = np.random.default_rng(fault_seed(seed, "partition", j))
-            isolated = leg.choose(self.server_ids, rng)
-            partition_window = (leg.start, leg.end)
-            adversaries.append(
-                PartitionAdversary({pid: partition_window for pid in isolated})
-            )
-        if adversaries:
-            network = self.sim.network
-            existing = network._adversary
-            if existing is not None:
-                adversaries = [existing, *adversaries]
-            network.install_adversary(
-                adversaries[0]
-                if len(adversaries) == 1
-                else CompositeAdversary(adversaries)
-            )
-
-        applied = AppliedFaultPlan(
-            plan_spec=plan.spec(),
-            objects=(
-                AppliedObjectFaults(
-                    object_index=j,
-                    crashed=crashed,
-                    slow=slow,
-                    withheld=withheld,
-                    withhold_window=withhold_window,
-                    surviving_elements=surviving,
-                    below_k=below_k,
-                    isolated=isolated,
-                    partition_window=partition_window,
-                ),
-            ),
-        )
-        self.applied_faults = applied
-        return applied
+        self.applied_faults = apply_fault_plan(self.sim, [(0, self)], 1, plan, seed)
+        return self.applied_faults
 
     # ------------------------------------------------------------------
     # metrics accessors

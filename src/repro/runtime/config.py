@@ -1,12 +1,12 @@
-"""Shared driver configuration.
+"""Driver knobs: one validated record.
 
-The closed-loop (:meth:`repro.runtime.cluster.RegisterCluster.run_streamed`)
-and open-loop (:func:`repro.runtime.openloop.begin_open_loop`) drivers —
-and their namespace counterparts — used to thread the same knobs through
-four parallel kwarg lists.  :class:`RunConfig` consolidates them into one
-validated dataclass that every driver consumes; the original kwargs remain
-as thin per-call overrides resolved by :func:`resolve_config`, so existing
-call sites keep working unchanged.
+The closed-loop (:meth:`~repro.runtime.cluster.RegisterCluster.run_streamed`)
+and open-loop (:meth:`~repro.runtime.cluster.RegisterCluster.run_open_loop`)
+entry points of a bare cluster and of a
+:class:`~repro.runtime.namespace.MultiRegisterCluster` all take their knobs
+as keyword arguments and build one :class:`RunConfig` from them per call
+(an unknown name is a ``TypeError``, an out-of-range value a
+``ValueError``); the arm functions consume that record.
 
 Knobs that only one driver reads are simply ignored by the other: the
 closed loop has no admission queue (``policy`` / ``queue_per_server`` /
@@ -17,10 +17,10 @@ client mix), and the open loop has no think time (``mean_gap`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["ADMISSION_POLICIES", "RunConfig", "resolve_config"]
+__all__ = ["ADMISSION_POLICIES", "RunConfig"]
 
 #: Admission-queue overflow policies, in CLI surface order (re-exported by
 #: :mod:`repro.runtime.openloop`, its original home).
@@ -72,22 +72,3 @@ class RunConfig:
         if self.op_timeout is not None and not self.op_timeout > 0:
             raise ValueError("op_timeout must be positive (or None to disable)")
 
-
-def resolve_config(config: Optional[RunConfig], **overrides) -> RunConfig:
-    """Merge per-call keyword overrides onto a base config.
-
-    ``None`` overrides mean "not specified, use the config's value" —
-    which makes legacy kwargs (now defaulting to ``None``) transparent
-    adapters over the config.  ``op_timeout`` is the one knob whose
-    *meaningful* value can be ``None`` (timeout disabled); that is also
-    its config default, so the ambiguity is harmless.
-    """
-    base = config if config is not None else RunConfig()
-    known = {f.name for f in fields(RunConfig)}
-    cleaned = {}
-    for name, value in overrides.items():
-        if name not in known:
-            raise TypeError(f"unknown run-config field {name!r}")
-        if value is not None:
-            cleaned[name] = value
-    return replace(base, **cleaned) if cleaned else base

@@ -21,21 +21,17 @@ Communication cost accounting is shared (one network, one tracker) and
 attributed per operation id, which stays unambiguous because operation ids
 embed the namespaced client pid.
 
-:meth:`MultiRegisterCluster.run_streamed` is the namespace counterpart of
-the single-register closed loop: a
-:class:`~repro.workloads.keyed.KeyDistribution` splits the operation
-budget over objects (Zipf-skewed hot keys or uniform), each object arms
-its own closed-loop driver, and one shared simulation run drives them all
-concurrently.
+:meth:`MultiRegisterCluster.run_streamed` / ``run_open_loop`` drive the
+whole namespace: a :class:`~repro.workloads.keyed.KeyDistribution` splits
+the operation budget over objects (Zipf-skewed hot keys or uniform), each
+object arms its own closed- or open-loop driver, and one shared simulation
+run (:func:`repro.runtime.driver.run_armed`) drives them all concurrently.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
-
-import numpy as np
 
 from repro.baselines.registry import make_cluster
 from repro.consistency.history import OperationRecord
@@ -43,13 +39,14 @@ from repro.consistency.stream import HistorySink
 from repro.metrics.costs import CommunicationCostTracker
 from repro.metrics.latency import LatencyHistogram
 from repro.runtime.cluster import RegisterCluster, StreamedRunStats
-from repro.runtime.config import RunConfig, resolve_config
-from repro.runtime.openloop import OpenLoopStats
+from repro.runtime.config import RunConfig
+from repro.runtime.driver import apply_fault_plan, run_armed
+from repro.runtime.openloop import OpenLoopStats, begin_open_loop
 from repro.sim.failures import CrashSchedule
 from repro.sim.network import DelayModel
-from repro.sim.simulation import EventBudgetExceeded, Simulation
+from repro.sim.simulation import Simulation
 from repro.workloads.arrivals import ArrivalProcess
-from repro.workloads.keyed import KeyDistribution, plan_objects
+from repro.workloads.keyed import KeyDistribution, ObjectPlan, plan_objects
 
 
 def object_namespace(index: int) -> str:
@@ -57,136 +54,73 @@ def object_namespace(index: int) -> str:
     return f"o{index}/"
 
 
-@dataclass
-class NamespaceStreamedStats:
-    """Outcome of one namespace-wide closed-loop streamed run."""
-
-    requested: int
-    allocation: List[int] = field(default_factory=list)
-    per_object: List[StreamedRunStats] = field(default_factory=list)
-    end_time: float = 0.0
-    events: int = 0
-    #: True when the shared run exhausted its event budget — every
-    #: object's stats then describe a prefix, not a completed run.
-    truncated: bool = False
-
-    @property
-    def issued(self) -> int:
-        return sum(s.issued for s in self.per_object)
-
-    @property
-    def completed(self) -> int:
-        return sum(s.completed for s in self.per_object)
-
-    @property
-    def failed(self) -> int:
-        return sum(s.failed for s in self.per_object)
-
-    @property
-    def writes(self) -> int:
-        return sum(s.writes for s in self.per_object)
-
-    @property
-    def reads(self) -> int:
-        return sum(s.reads for s in self.per_object)
+#: Per-object counters that add up to a namespace-wide count.
+_ADDITIVE = frozenset(
+    "arrived admitted issued completed failed rejected shed_reads timed_out "
+    "writes reads queued_at_end stall_time".split()
+)
 
 
 @dataclass
-class NamespaceOpenLoopStats:
-    """Outcome of one namespace-wide open-loop run.
+class NamespaceStats:
+    """Outcome of one namespace-wide run, closed- or open-loop.
 
-    ``allocation`` is the multinomial split of the operation budget over
-    objects; each object's :class:`~repro.runtime.openloop.OpenLoopStats`
-    carries its own admission counters and latency histograms.  The
-    summed counters and merged histograms (always folded in object order,
-    so they are deterministic) give the namespace-wide view.
+    ``per_object`` holds the hosted objects' own driver stats
+    (:class:`~repro.runtime.cluster.StreamedRunStats` or
+    :class:`~repro.runtime.openloop.OpenLoopStats`) and ``allocation``
+    their shares of the multinomial budget split.  Every additive
+    per-object counter (``completed``, ``rejected``, ``stall_time`` …)
+    reads here as its sum; the open loop's latency histograms and samples
+    read as their merge, always folded in object order, so they are
+    deterministic.
     """
 
     requested: int
-    allocation: List[int] = field(default_factory=list)
-    per_object: List[OpenLoopStats] = field(default_factory=list)
+    per_object: List[Union[StreamedRunStats, OpenLoopStats]] = field(
+        default_factory=list
+    )
     end_time: float = 0.0
     events: int = 0
-    truncated: bool = False
 
-    def _sum(self, attribute: str) -> int:
-        return sum(getattr(s, attribute) for s in self.per_object)
-
-    @property
-    def arrived(self) -> int:
-        return self._sum("arrived")
+    def __getattr__(self, counter: str):
+        # Reached only for names that are not fields or properties.
+        if counter not in _ADDITIVE:
+            raise AttributeError(counter)
+        return sum(getattr(own, counter) for own in self.per_object)
 
     @property
-    def admitted(self) -> int:
-        return self._sum("admitted")
+    def allocation(self) -> List[int]:
+        return [own.requested for own in self.per_object]
 
     @property
-    def issued(self) -> int:
-        return self._sum("issued")
+    def truncated(self) -> bool:
+        """True when the shared run exhausted its event budget — every
+        object's stats then describe a prefix, not a completed run."""
+        return any(own.truncated for own in self.per_object)
 
-    @property
-    def completed(self) -> int:
-        return self._sum("completed")
-
-    @property
-    def failed(self) -> int:
-        return self._sum("failed")
-
-    @property
-    def rejected(self) -> int:
-        return self._sum("rejected")
-
-    @property
-    def shed_reads(self) -> int:
-        return self._sum("shed_reads")
-
-    @property
-    def timed_out(self) -> int:
-        return self._sum("timed_out")
-
-    @property
-    def writes(self) -> int:
-        return self._sum("writes")
-
-    @property
-    def reads(self) -> int:
-        return self._sum("reads")
-
-    @property
-    def queued_at_end(self) -> int:
-        return self._sum("queued_at_end")
-
-    @property
-    def stall_time(self) -> float:
-        return sum(s.stall_time for s in self.per_object)
+    def _merged(self, histogram: str) -> LatencyHistogram:
+        merged = LatencyHistogram()
+        for own in self.per_object:
+            merged.merge(getattr(own, histogram))
+        return merged
 
     @property
     def read_latency(self) -> LatencyHistogram:
-        merged = LatencyHistogram()
-        for s in self.per_object:
-            merged.merge(s.read_latency)
-        return merged
+        return self._merged("read_latency")
 
     @property
     def write_latency(self) -> LatencyHistogram:
-        merged = LatencyHistogram()
-        for s in self.per_object:
-            merged.merge(s.write_latency)
-        return merged
+        return self._merged("write_latency")
 
     def latency(self) -> LatencyHistogram:
         return self.read_latency.merge(self.write_latency)
 
     @property
     def samples(self) -> Optional[Dict[str, List[float]]]:
-        if not any(s.samples is not None for s in self.per_object):
+        kept = [own.samples for own in self.per_object if own.samples is not None]
+        if not kept:
             return None
-        merged: Dict[str, List[float]] = {"read": [], "write": []}
-        for s in self.per_object:
-            if s.samples is not None:
-                merged["read"].extend(s.samples["read"])
-                merged["write"].extend(s.samples["write"])
-        return merged
+        return {kind: [x for s in kept for x in s[kind]] for kind in ("read", "write")}
 
 
 class MultiRegisterCluster:
@@ -309,23 +243,19 @@ class MultiRegisterCluster:
         self.sim.run(max_events=max_events)
 
     # ------------------------------------------------------------------
-    # closed-loop streaming over the whole namespace
+    # closed- and open-loop runs over the whole namespace
     # ------------------------------------------------------------------
     def run_streamed(
         self,
         *,
         operations: int,
         key_dist: Optional[KeyDistribution] = None,
-        value_size: Optional[int] = None,
-        mean_gap: Optional[float] = None,
-        start_window: Optional[float] = None,
         seed: int = 0,
         value_prefix: str = "",
-        warm_batch: Optional[int] = None,
         max_events: Optional[int] = None,
-        config: Optional[RunConfig] = None,
         faults=None,
-    ) -> NamespaceStreamedStats:
+        **knobs,
+    ) -> NamespaceStats:
         """Drive ``operations`` keyed client operations through the
         namespace in one shared simulation run.
 
@@ -338,88 +268,37 @@ class MultiRegisterCluster:
         event-for-event and independent of how many worker processes a
         sharded analysis fans epochs over.
 
-        Driver knobs may come from a shared
-        :class:`~repro.runtime.config.RunConfig` (``config``); explicit
-        keyword values override it per call.  ``faults`` accepts a
-        :class:`~repro.workloads.faults.FaultPlan` (or its spec string)
-        applied namespace-wide before the run via
-        :meth:`apply_fault_plan`.
+        ``knobs`` and ``faults`` are those of
+        :meth:`RegisterCluster.run_streamed
+        <repro.runtime.cluster.RegisterCluster.run_streamed>`; the fault
+        plan applies namespace-wide (:meth:`apply_fault_plan`).
         """
-        if operations < 0:
-            raise ValueError("operations cannot be negative")
-        cfg = resolve_config(
-            config,
-            value_size=value_size,
-            mean_gap=mean_gap,
-            start_window=start_window,
-            warm_batch=warm_batch,
-        )
-        if faults is not None:
-            self.apply_fault_plan(faults, seed=seed)
-        dist = key_dist if key_dist is not None else KeyDistribution.uniform()
-        # Drawn over the whole logical namespace, so a subset cluster
-        # reproduces the monolithic per-object budgets and driver seeds.
-        plan = plan_objects(dist, operations, self.namespace_size, seed)
-        allocation = [plan.allocation[g] for g in self.object_ids]
-        events_before = self.sim.events_processed
+        cfg = RunConfig(**knobs)
 
-        stats = NamespaceStreamedStats(requested=operations, allocation=allocation)
-        finalizers = []
-        for gid, obj, ops_j in zip(self.object_ids, self.objects, allocation):
-            per_obj, finalize = obj._begin_streamed(
-                operations=ops_j,
+        def arm(obj: RegisterCluster, gid: int, plan: ObjectPlan):
+            return obj._begin_streamed(
+                cfg,
+                operations=plan.allocation[gid],
                 seed=plan.object_seeds[gid],
                 value_prefix=f"{value_prefix}o{gid}|",
-                config=cfg,
             )
-            stats.per_object.append(per_obj)
-            finalizers.append(finalize)
 
-        budget = max_events if max_events is not None else max(
-            10_000_000, operations * 2_000
+        return self._run(
+            "namespace streamed", arm, operations, key_dist, seed, max_events, faults
         )
-        try:
-            self.sim.run(max_events=budget)
-        except EventBudgetExceeded:
-            stats.truncated = True
-            for per_obj in stats.per_object:
-                per_obj.truncated = True
-            warnings.warn(
-                f"namespace streamed run truncated: event budget of {budget} "
-                f"exhausted after {stats.completed}/{operations} completed "
-                f"operations",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        finally:
-            for finalize in finalizers:
-                finalize()
-        stats.end_time = self.sim.now
-        stats.events = self.sim.events_processed - events_before
-        return stats
 
-    # ------------------------------------------------------------------
-    # open-loop traffic over the whole namespace
-    # ------------------------------------------------------------------
     def run_open_loop(
         self,
         *,
         operations: int,
         arrival: ArrivalProcess,
         key_dist: Optional[KeyDistribution] = None,
-        read_fraction: Optional[float] = None,
-        policy: Optional[str] = None,
-        queue_per_server: Optional[int] = None,
-        op_timeout: Optional[float] = None,
-        value_size: Optional[int] = None,
         seed: int = 0,
         value_prefix: str = "",
-        warm_batch: Optional[int] = None,
-        keep_samples: Optional[bool] = None,
         max_events: Optional[int] = None,
-        config: Optional[RunConfig] = None,
         faults=None,
-    ) -> NamespaceOpenLoopStats:
+        **knobs,
+    ) -> NamespaceStats:
         """Drive ``operations`` open-loop arrivals through the namespace.
 
         The operation budget is split over objects by one deterministic
@@ -433,25 +312,34 @@ class MultiRegisterCluster:
         reproducible event-for-event for any shard fan-out.  Trace
         arrivals cannot be rescaled and raise ``ValueError`` here.
 
-        Driver knobs may come from a shared
-        :class:`~repro.runtime.config.RunConfig` (``config``); explicit
-        keyword values override it per call.  ``faults`` accepts a
-        :class:`~repro.workloads.faults.FaultPlan` (or its spec string)
-        applied namespace-wide before the run via
-        :meth:`apply_fault_plan`.
+        ``knobs`` and ``faults`` are those of
+        :meth:`RegisterCluster.run_open_loop
+        <repro.runtime.cluster.RegisterCluster.run_open_loop>`; the fault
+        plan applies namespace-wide (:meth:`apply_fault_plan`).
         """
+        cfg = RunConfig(**knobs)
+
+        def arm(obj: RegisterCluster, gid: int, plan: ObjectPlan):
+            return begin_open_loop(
+                obj,
+                cfg,
+                operations=plan.allocation[gid],
+                arrival=arrival.scaled(plan.probabilities[gid]),
+                seed=plan.object_seeds[gid],
+                value_prefix=f"{value_prefix}o{gid}|",
+            )
+
+        return self._run(
+            "namespace open-loop", arm, operations, key_dist, seed, max_events, faults
+        )
+
+    def _run(
+        self, label, arm, operations, key_dist, seed, max_events, faults
+    ) -> NamespaceStats:
+        """Apply ``faults``, split the budget, ``arm`` one driver per
+        hosted object and run them all on the shared simulation."""
         if operations < 0:
             raise ValueError("operations cannot be negative")
-        cfg = resolve_config(
-            config,
-            read_fraction=read_fraction,
-            policy=policy,
-            queue_per_server=queue_per_server,
-            op_timeout=op_timeout,
-            value_size=value_size,
-            warm_batch=warm_batch,
-            keep_samples=keep_samples,
-        )
         if faults is not None:
             self.apply_fault_plan(faults, seed=seed)
         dist = key_dist if key_dist is not None else KeyDistribution.uniform()
@@ -459,43 +347,12 @@ class MultiRegisterCluster:
         # reproduces the monolithic per-object budgets, arrival shares
         # and driver seeds.
         plan = plan_objects(dist, operations, self.namespace_size, seed)
-        allocation = [plan.allocation[g] for g in self.object_ids]
-        events_before = self.sim.events_processed
-
-        stats = NamespaceOpenLoopStats(requested=operations, allocation=allocation)
-        finalizers = []
-        for gid, obj, ops_j in zip(self.object_ids, self.objects, allocation):
-            per_obj, finalize = obj._begin_open_loop(
-                operations=ops_j,
-                arrival=arrival.scaled(plan.probabilities[gid]),
-                seed=plan.object_seeds[gid],
-                value_prefix=f"{value_prefix}o{gid}|",
-                config=cfg,
-            )
-            stats.per_object.append(per_obj)
-            finalizers.append(finalize)
-
-        budget = max_events if max_events is not None else max(
-            10_000_000, operations * 2_000
+        armed = [arm(obj, gid, plan) for gid, obj in zip(self.object_ids, self.objects)]
+        stats = NamespaceStats(operations, per_object=[own for own, _ in armed])
+        stats.events = run_armed(
+            self.sim, armed, operations=operations, max_events=max_events, label=label
         )
-        try:
-            self.sim.run(max_events=budget)
-        except EventBudgetExceeded:
-            stats.truncated = True
-            for per_obj in stats.per_object:
-                per_obj.truncated = True
-            warnings.warn(
-                f"namespace open-loop run truncated: event budget of "
-                f"{budget} exhausted after {stats.completed}/{operations} "
-                f"completed operations",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        finally:
-            for finalize in finalizers:
-                finalize()
         stats.end_time = self.sim.now
-        stats.events = self.sim.events_processed - events_before
         return stats
 
     # ------------------------------------------------------------------
@@ -530,154 +387,22 @@ class MultiRegisterCluster:
             self.object(j).apply_crash_schedule(sub)
 
     def apply_fault_plan(self, plan, *, seed: int = 0):
-        """Materialise a :class:`~repro.workloads.faults.FaultPlan` on the
-        whole namespace.
+        """Materialise a :class:`~repro.workloads.faults.FaultPlan` (or its
+        spec string) on the whole namespace
+        (:func:`repro.runtime.driver.apply_fault_plan` documents the legs).
 
-        Crash and slow legs apply per object (each from its own derived
-        rng, each object's ``f`` budget validated independently); the
-        withholding leg picks its victim objects (``objects = 0`` hits all
-        of them) and its withholding servers per object; the partition leg
-        cuts each object's server set along its own seeded cut.  All
-        per-object adversary windows merge into **one** composite
-        installed on the shared network — valid because objects never
-        exchange cross-object messages — and the slow sets merge into one
-        :class:`~repro.sim.network.SlowDisk` wrap instead of nesting one
-        layer per object.  Returns the materialised
+        Every per-object rng derives from the object's *global* index and
+        the withhold victim draw runs over the *logical* namespace size,
+        so a subset cluster materialises exactly the faults its objects
+        would see in the monolithic namespace.  Returns (and keeps as
+        ``applied_faults``) the
         :class:`~repro.workloads.faults.AppliedFaultPlan` ground truth.
         """
-        from repro.sim.adversary import (
-            CompositeAdversary,
-            DelayAdversary,
-            PartitionAdversary,
-            WithholdingAdversary,
+        hosted = list(zip(self.object_ids, self.objects))
+        self.applied_faults = apply_fault_plan(
+            self.sim, hosted, self.namespace_size, plan, seed
         )
-        from repro.sim.network import SlowDisk
-        from repro.workloads.faults import (
-            AppliedFaultPlan,
-            AppliedObjectFaults,
-            FaultPlan,
-            fault_seed,
-            parse_faults,
-        )
-
-        if isinstance(plan, str):
-            plan = parse_faults(plan)
-        if not isinstance(plan, FaultPlan):
-            raise TypeError(
-                f"expected a FaultPlan or fault spec string, got {type(plan).__name__}"
-            )
-        # Every per-object rng derives from the object's *global* index,
-        # and the withhold victim draw runs over the *logical* namespace
-        # size — so a subset cluster materialises exactly the faults its
-        # objects would see in the monolithic namespace (for a full
-        # cluster both reduce to the hosted count).
-        count = self.namespace_size
-        if not plan:
-            applied = AppliedFaultPlan(plan_spec=plan.spec())
-            self.applied_faults = applied
-            return applied
-
-        per_object: Dict[int, Dict[str, object]] = {
-            j: {} for j in range(len(self.objects))
-        }
-        slow_union: List[str] = []
-        withheld_windows: Dict[str, tuple] = {}
-        isolated_windows: Dict[str, tuple] = {}
-        adversaries = []
-
-        if plan.crash is not None and plan.crash.count:
-            for j, (gid, obj) in enumerate(zip(self.object_ids, self.objects)):
-                rng = np.random.default_rng(fault_seed(seed, "crash", gid))
-                schedule = plan.crash.materialise(obj.server_ids, rng)
-                obj.apply_crash_schedule(schedule)
-                per_object[j]["crashed"] = tuple(
-                    (e.pid, e.time) for e in schedule
-                )
-        if plan.slow is not None and plan.slow.count:
-            for j, (gid, obj) in enumerate(zip(self.object_ids, self.objects)):
-                rng = np.random.default_rng(fault_seed(seed, "slow", gid))
-                chosen = plan.slow.choose(obj.server_ids, rng)
-                per_object[j]["slow"] = chosen
-                slow_union.extend(chosen)
-            network = self.sim.network
-            network.delay_model = SlowDisk(
-                network.delay_model,
-                slow_union,
-                extra=plan.slow.extra,
-                jitter=plan.slow.jitter,
-            )
-        if plan.delay_adversary is not None:
-            leg = plan.delay_adversary
-            adversaries.append(
-                DelayAdversary(factor=leg.factor, start=leg.start, end=leg.end)
-            )
-        if plan.withhold is not None:
-            leg = plan.withhold
-            if leg.objects and leg.objects < count:
-                rng = np.random.default_rng(
-                    fault_seed(seed, "withhold-objects", 0)
-                )
-                victims = set(
-                    int(i)
-                    for i in rng.choice(count, size=leg.objects, replace=False)
-                )
-            else:
-                victims = set(range(count))
-            window = (leg.start, leg.end)
-            for j, (gid, obj) in enumerate(zip(self.object_ids, self.objects)):
-                if gid not in victims:
-                    continue
-                rng = np.random.default_rng(fault_seed(seed, "withhold", gid))
-                withheld = leg.choose(obj.server_ids, obj.code.k, rng)
-                surviving = obj.n - len(withheld)
-                per_object[j]["withheld"] = withheld
-                per_object[j]["withhold_window"] = window
-                per_object[j]["surviving_elements"] = surviving
-                per_object[j]["below_k"] = surviving < obj.code.k
-                for pid in withheld:
-                    withheld_windows[pid] = window
-            adversaries.append(WithholdingAdversary(withheld_windows))
-        if plan.partition is not None:
-            leg = plan.partition
-            window = (leg.start, leg.end)
-            for j, (gid, obj) in enumerate(zip(self.object_ids, self.objects)):
-                rng = np.random.default_rng(fault_seed(seed, "partition", gid))
-                isolated = leg.choose(obj.server_ids, rng)
-                per_object[j]["isolated"] = isolated
-                per_object[j]["partition_window"] = window
-                for pid in isolated:
-                    isolated_windows[pid] = window
-            adversaries.append(PartitionAdversary(isolated_windows))
-        if adversaries:
-            network = self.sim.network
-            existing = network._adversary
-            if existing is not None:
-                adversaries = [existing, *adversaries]
-            network.install_adversary(
-                adversaries[0]
-                if len(adversaries) == 1
-                else CompositeAdversary(adversaries)
-            )
-
-        applied = AppliedFaultPlan(
-            plan_spec=plan.spec(),
-            objects=tuple(
-                AppliedObjectFaults(
-                    object_index=gid,
-                    crashed=per_object[j].get("crashed", ()),
-                    slow=per_object[j].get("slow", ()),
-                    withheld=per_object[j].get("withheld", ()),
-                    withhold_window=per_object[j].get("withhold_window"),
-                    surviving_elements=per_object[j].get("surviving_elements"),
-                    below_k=per_object[j].get("below_k", False),
-                    isolated=per_object[j].get("isolated", ()),
-                    partition_window=per_object[j].get("partition_window"),
-                )
-                for j, gid in enumerate(self.object_ids)
-            ),
-        )
-        self.applied_faults = applied
-        return applied
+        return self.applied_faults
 
     # ------------------------------------------------------------------
     # metrics

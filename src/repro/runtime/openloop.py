@@ -53,7 +53,8 @@ import numpy as np
 from repro.consistency.history import OperationRecord
 from repro.consistency.stream import StreamObserver
 from repro.metrics.latency import LatencyHistogram
-from repro.runtime.config import ADMISSION_POLICIES, RunConfig, resolve_config
+from repro.runtime.config import ADMISSION_POLICIES, RunConfig
+from repro.runtime.driver import value_source
 from repro.sim.process import Process
 
 __all__ = ["ADMISSION_POLICIES", "OpenLoopStats", "begin_open_loop"]
@@ -108,20 +109,7 @@ class OpenLoopStats:
 
 
 def begin_open_loop(
-    cluster,
-    *,
-    operations: int,
-    arrival,
-    read_fraction: Optional[float] = None,
-    policy: Optional[str] = None,
-    queue_per_server: Optional[int] = None,
-    op_timeout: Optional[float] = None,
-    value_size: Optional[int] = None,
-    seed: int = 0,
-    value_prefix: str = "",
-    warm_batch: Optional[int] = None,
-    keep_samples: Optional[bool] = None,
-    config: Optional[RunConfig] = None,
+    cluster, cfg: RunConfig, *, operations: int, arrival, seed: int, value_prefix: str
 ) -> Tuple[OpenLoopStats, Callable[[], None]]:
     """Arm one open-loop run on ``cluster`` without running the simulation.
 
@@ -131,42 +119,21 @@ def begin_open_loop(
     ``(stats, finalize)`` exactly like
     :meth:`~repro.runtime.cluster.RegisterCluster._begin_streamed`, so the
     namespace layer can arm one driver per register object on a shared
-    simulation.
-
-    Driver knobs resolve through :class:`~repro.runtime.config.RunConfig`
-    (validated there): a shared ``config`` supplies the defaults, explicit
-    keyword values override it per call.
+    simulation.  ``cfg`` is the validated knob record of the public call.
     """
     if operations < 0:
         raise ValueError("operations cannot be negative")
-    cfg = resolve_config(
-        config,
-        read_fraction=read_fraction,
-        policy=policy,
-        queue_per_server=queue_per_server,
-        op_timeout=op_timeout,
-        value_size=value_size,
-        warm_batch=warm_batch,
-        keep_samples=keep_samples,
-    )
-    read_fraction = cfg.read_fraction
-    policy = cfg.policy
-    queue_per_server = cfg.queue_per_server
-    op_timeout = cfg.op_timeout
-    value_size = cfg.value_size
-    warm_batch = cfg.warm_batch
-    keep_samples = cfg.keep_samples
 
     sim = cluster.sim
     rng = np.random.default_rng(seed)
     schedule = arrival.generate(rng, operations)
-    is_read = rng.random(operations) < read_fraction
-    capacity = queue_per_server * cluster.n
+    is_read = rng.random(operations) < cfg.read_fraction
+    capacity = cfg.queue_per_server * cluster.n
     stats = OpenLoopStats(
         requested=operations,
-        policy=policy,
+        policy=cfg.policy,
         queue_capacity=capacity,
-        samples={"read": [], "write": []} if keep_samples else None,
+        samples={"read": [], "write": []} if cfg.keep_samples else None,
     )
 
     # Free lists, reversed so .pop() hands out the lowest-numbered idle
@@ -184,28 +151,11 @@ def begin_open_loop(
         "stall_started": 0.0,
         "shift": 0.0,
         "active": True,
-        "value_seq": 0,
     }
-    value_queue: List[bytes] = []
+    next_value = value_source(cluster, rng, cfg, value_prefix)
 
     def queue_depth() -> int:
         return len(queues["write"]) + len(queues["read"])
-
-    def next_value() -> bytes:
-        if not value_queue:
-            batch = []
-            for _ in range(max(1, warm_batch)):
-                header = f"{value_prefix}#{state['value_seq']}|".encode()
-                state["value_seq"] += 1
-                filler = b""
-                if value_size > len(header):
-                    filler = rng.integers(
-                        0, 256, size=value_size - len(header), dtype=np.uint8
-                    ).tobytes()
-                batch.append(header + filler)
-            cluster.warm_encode(batch)
-            value_queue.extend(reversed(batch))
-        return value_queue.pop()
 
     def dispatch(kind: str, arrival_time: float) -> bool:
         """Issue one ``kind`` operation on an idle client, if any."""
@@ -239,7 +189,7 @@ def begin_open_loop(
         kind = "read" if is_read[index] else "write"
         now = sim.now
         depth = queue_depth()
-        if depth >= capacity and policy == "backpressure":
+        if depth >= capacity and cfg.policy == "backpressure":
             # Stall the arrival stream: this arrival (and everything
             # behind it) waits until the queue drains below capacity.
             state["stalled"] = True
@@ -253,7 +203,7 @@ def begin_open_loop(
             queues[kind].append(now)
             stats.admitted += 1
             stats.max_queue_depth = max(stats.max_queue_depth, depth + 1)
-        elif policy == "shed-reads" and kind == "write" and queues["read"]:
+        elif cfg.policy == "shed-reads" and kind == "write" and queues["read"]:
             queues["read"].popleft()
             stats.shed_reads += 1
             queues[kind].append(now)
@@ -268,7 +218,7 @@ def begin_open_loop(
         now = sim.now
         while queue:
             arrival_time = queue[0]
-            if op_timeout is not None and now - arrival_time > op_timeout:
+            if cfg.op_timeout is not None and now - arrival_time > cfg.op_timeout:
                 queue.popleft()
                 stats.timed_out += 1
                 continue

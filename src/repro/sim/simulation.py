@@ -18,6 +18,7 @@ and :meth:`Simulation.run_until` share :meth:`Simulation._deliver_entry`.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -26,6 +27,15 @@ import numpy as np
 from repro.sim.events import NO_ARG, Event, EventQueue
 from repro.sim.network import DelayModel, Network, ProcessId, UniformDelay
 from repro.sim.process import _PROCESS_DELIVER, Process
+
+
+def seed_from_text(text: str) -> int:
+    """The one seed-derivation rule: the first 8 bytes of ``sha256(text)``,
+    little-endian, clamped to a non-negative int64 — identical on every
+    platform and process.  Callers own the text format, whose tag keeps
+    their streams decorrelated from every other derived seed."""
+    digest = hashlib.sha256(text.encode()).digest()
+    return int.from_bytes(digest[:8], "little") % (2**63 - 1)
 
 
 class SimulationError(RuntimeError):

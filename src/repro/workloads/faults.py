@@ -33,7 +33,6 @@ detections against what was actually injected.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -42,6 +41,7 @@ import numpy as np
 
 from repro.sim.failures import CrashSchedule
 from repro.sim.network import ProcessId
+from repro.sim.simulation import seed_from_text
 
 __all__ = [
     "CrashLeg",
@@ -61,13 +61,11 @@ __all__ = [
 def fault_seed(base_seed: int, leg: str, index: int) -> int:
     """Derive a stable per-leg, per-object seed from the run's base seed.
 
-    Same construction as :func:`repro.analysis.sweep.derive_seed` (first 8
-    bytes of a sha256, little-endian, clamped to a non-negative int64) with
-    a ``faults:`` prefix so fault randomness never collides with epoch or
-    sweep seeds derived from the same base.
+    :func:`~repro.sim.simulation.seed_from_text` under a ``faults:`` prefix,
+    so fault randomness never collides with epoch or sweep seeds derived
+    from the same base.
     """
-    digest = hashlib.sha256(f"faults:{base_seed}:{leg}:{index}".encode()).digest()
-    return int.from_bytes(digest[:8], "little") % (2**63 - 1)
+    return seed_from_text(f"faults:{base_seed}:{leg}:{index}")
 
 
 def _format_field(value: float) -> str:
@@ -261,9 +259,10 @@ class FaultPlan:
     """A composite of independent fault legs, each deriving its own rng.
 
     The plan itself is declarative; :meth:`repro.runtime.cluster.
-    RegisterCluster.apply_fault_plan` (and its namespace counterpart)
-    materialise it against a concrete server set and record the outcome in
-    an :class:`AppliedFaultPlan`.
+    RegisterCluster.apply_fault_plan` and :meth:`repro.runtime.namespace.
+    MultiRegisterCluster.apply_fault_plan` materialise it (both through
+    :func:`repro.runtime.driver.apply_fault_plan`) against concrete server
+    sets and record the outcome in an :class:`AppliedFaultPlan`.
     """
 
     crash: Optional[CrashLeg] = None

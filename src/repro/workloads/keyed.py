@@ -156,11 +156,11 @@ class ObjectPlan:
 def plan_objects(
     dist: KeyDistribution, total: int, objects: int, seed: int
 ) -> ObjectPlan:
-    """Draw the namespace driver plan — exactly the rng sequence
-    :meth:`repro.runtime.namespace.MultiRegisterCluster.run_streamed` and
-    :meth:`~repro.runtime.namespace.MultiRegisterCluster.run_open_loop`
-    consume: one multinomial :meth:`KeyDistribution.allocate` over all
-    ``objects``, then one block of ``objects`` 63-bit driver seeds.
+    """Draw the namespace driver plan — exactly the rng sequence a
+    :class:`repro.runtime.namespace.MultiRegisterCluster` run consumes
+    (its closed and open loop share the one call): one multinomial
+    :meth:`KeyDistribution.allocate` over all ``objects``, then one block
+    of ``objects`` 63-bit driver seeds.
     ``probabilities`` rides along for open-loop arrival rescaling (it
     consumes no rng state)."""
     rng = np.random.default_rng(seed)

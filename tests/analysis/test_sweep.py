@@ -3,8 +3,10 @@
 import pytest
 
 from repro.analysis import experiments as exp
+from repro.analysis.engine import fleet_object_seed
 from repro.analysis.sweep import SweepSpec, derive_seed, iter_sweep, run_sweep
 from repro.analysis.sweeps import available_sweeps, rows_as_dicts, run_named_sweep
+from repro.workloads.faults import fault_seed
 
 
 def echo_point(*, label: str, scale: int, seed: int) -> dict:
@@ -30,6 +32,17 @@ class TestSeedDerivation:
         assert derive_seed(1, "storage", 1) != base
         assert derive_seed(0, "write-cost", 1) != base
         assert derive_seed(0, "storage", 2) != base
+
+    def test_text_formats_are_pinned(self):
+        """The three derived-seed families share one rule and differ only
+        in their text formats, which are committed bytes (every artefact
+        under ``results/`` descends from them)."""
+        assert derive_seed(0, "longrun", 0) == 45555707255896427
+        assert derive_seed(12345, "multiobj", 7) == 6718459430949554245
+        assert fault_seed(0, "crash", 0) == 6600943012843402091
+        assert fault_seed(12345, "withhold-objects", 3) == 3047226056859978451
+        assert fleet_object_seed(0, 0) == 7873489990770789343
+        assert fleet_object_seed(12345, 7) == 1804012197883522832
 
     def test_points_carry_derived_seeds(self):
         points = _spec(points=3, base_seed=9).points()

@@ -73,6 +73,26 @@ class TestScheduling:
         with pytest.raises(ValueError):
             c.apply_crash_schedule(CrashSchedule().add("s0", 1.0).add("s1", 1.0))
 
+    def test_crash_budget_is_per_cluster_not_per_call(self):
+        # Regression: each call used to count only its own victims, so two
+        # within-f schedules armed 2f server crashes without an error.
+        c = SodaCluster(n=6, f=2)
+        c.apply_crash_schedule(CrashSchedule().add("s0", 1.0).add("s1", 1.0))
+        with pytest.raises(ValueError, match="more than f=2"):
+            c.apply_crash_schedule(CrashSchedule().add("s2", 1.0).add("s3", 1.0))
+        assert [e.pid for e in c.failures.injected] == ["s0", "s1"]
+
+        c = SodaCluster(n=6, f=2)
+        c.apply_fault_plan("crash:2", seed=1)
+        with pytest.raises(ValueError, match="more than f=2"):
+            c.apply_fault_plan("crash:2", seed=2)
+
+    def test_second_schedule_within_f_in_total_is_accepted(self):
+        c = SodaCluster(n=6, f=2, num_writers=2)
+        c.apply_crash_schedule(CrashSchedule().add("s0", 1.0))
+        c.apply_crash_schedule(CrashSchedule().add("s1", 2.0).add("w1", 2.0))
+        assert [e.pid for e in c.failures.injected] == ["s0", "s1", "w1"]
+
     def test_run_until_complete_times_out_cleanly(self):
         """If an operation can never complete (too many servers crashed by an
         external actor), the façade surfaces a SimulationError rather than

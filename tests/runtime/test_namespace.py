@@ -6,7 +6,7 @@ from repro.consistency.history import History
 from repro.consistency.multiplex import ObjectCheckerMux
 from repro.runtime.namespace import (
     MultiRegisterCluster,
-    NamespaceStreamedStats,
+    NamespaceStats,
     object_namespace,
 )
 from repro.sim.failures import CrashSchedule
@@ -102,7 +102,7 @@ class TestStreamedNamespaceRuns:
         stats = cluster.run_streamed(
             operations=240, key_dist=KeyDistribution.zipf(1.0), seed=5
         )
-        assert isinstance(stats, NamespaceStreamedStats)
+        assert isinstance(stats, NamespaceStats)
         assert sum(stats.allocation) == 240
         assert stats.issued == stats.completed == 240
         assert stats.failed == 0
@@ -158,6 +158,19 @@ class TestNamespaceFailures:
             schedule.add(f"o1/s{i}", float(i))
         with pytest.raises(ValueError, match="more than f=2"):
             cluster.apply_crash_schedule(schedule)
+
+    def test_fault_budgets_stay_per_object_across_calls(self):
+        cluster = make_namespace(2)
+        cluster.apply_crash_schedule(
+            CrashSchedule().add("o0/s0", 1.0).add("o0/s1", 1.0)
+        )
+        # Object 0's budget is spent; object 1's is untouched by it.
+        cluster.apply_crash_schedule(
+            CrashSchedule().add("o1/s0", 1.0).add("o1/s1", 1.0)
+        )
+        with pytest.raises(ValueError, match="more than f=2"):
+            cluster.apply_crash_schedule(CrashSchedule().add("o0/s2", 2.0))
+        assert len(cluster.object(0).failures.injected) == 2
 
     def test_unknown_pid_is_rejected(self):
         cluster = make_namespace(2)
