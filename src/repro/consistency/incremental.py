@@ -95,7 +95,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -235,6 +235,12 @@ class IncrementalAtomicityChecker(StreamObserver):
         #: :meth:`end_batch` (insertion-ordered, deduplicated).
         self._deferred: Optional[Dict[int, None]] = None
 
+        #: op id -> (value object, its digest) per open write.  A sink
+        #: completes a write with the bytes object it was invoked with, so
+        #: a large value is hashed once, not again at completion; the entry
+        #: goes when the write completes or fails.
+        self._open_write_keys: Dict[str, Tuple[Optional[bytes], bytes]] = {}
+
         self._initial_key = _value_key(initial_value)
         cid = self._new_cluster(
             self._initial_key,
@@ -254,6 +260,11 @@ class IncrementalAtomicityChecker(StreamObserver):
         if record.kind != WRITE:
             return
         key = _value_key(record.value)
+        self._open_write_keys[record.op_id] = (record.value, key)
+        self._register_write(record, key)
+
+    def _register_write(self, record: OperationRecord, key: bytes) -> None:
+        """Claim the cluster of value digest ``key`` for write ``record``."""
         cid = self._cid_of.get(key)
         if cid is not None:
             if self._has_write[cid]:
@@ -304,12 +315,19 @@ class IncrementalAtomicityChecker(StreamObserver):
 
     def on_complete(self, record: OperationRecord) -> None:
         if record.kind == WRITE:
-            key = _value_key(record.value)
+            # The digest from invoke serves only the very object it was
+            # computed from: a response carrying other bytes is hashed anew.
+            memo = self._open_write_keys.pop(record.op_id, None)
+            if memo is not None and memo[0] is record.value:
+                key = memo[1]
+            else:
+                key = _value_key(record.value)
             cid = self._cid_of.get(key)
             if cid is None or not self._has_write[cid]:
                 # invoke was never observed (stream joined late, or a defer
                 # placeholder holds the value): register/adopt now.
-                self.on_invoke(record)
+                self.ops_seen += 1
+                self._register_write(record, key)
                 cid = self._cid_of.get(key)
             if cid is None or self._write_id[cid] != record.op_id:
                 # Duplicate write value: flagged when its invoke was observed
@@ -367,6 +385,11 @@ class IncrementalAtomicityChecker(StreamObserver):
                 new_inv=record.invoked_at,
                 new_resp=record.responded_at,
             )
+
+    def on_failed(self, record: OperationRecord) -> None:
+        # A failed write never completes: forget its value now, or the memo
+        # would pin one value per abandoned write for the rest of the run.
+        self._open_write_keys.pop(record.op_id, None)
 
     # Direct-feed aliases for callers not going through a sink.
     observe_invoke = on_invoke

@@ -64,6 +64,7 @@ _FORWARD_CHUNK = 512
 
 _INVOKE = 0
 _COMPLETE = 1
+_FAILED = 2
 
 
 class _ForwardingObserver(StreamObserver):
@@ -105,7 +106,13 @@ class _ForwardingObserver(StreamObserver):
         if len(self._buffer) >= _FORWARD_CHUNK:
             self.flush()
 
-    # on_failed is not forwarded: the checker's on_failed is a no-op.
+    def on_failed(self, record: OperationRecord) -> None:
+        # Forwarded so the checker drops what it holds for the open write.
+        self._buffer.append(
+            (_FAILED, record.op_id, record.kind, record.client, record.invoked_at)
+        )
+        if len(self._buffer) >= _FORWARD_CHUNK:
+            self.flush()
 
     def flush(self) -> None:
         if self._buffer:
@@ -144,7 +151,7 @@ def _checker_worker(
                         value=event[5],
                     )
                 )
-            else:
+            elif event[0] == _COMPLETE:
                 checker.on_complete(
                     OperationRecord(
                         op_id=event[1],
@@ -153,6 +160,16 @@ def _checker_worker(
                         invoked_at=event[4],
                         responded_at=event[5],
                         value=event[6],
+                    )
+                )
+            else:
+                checker.on_failed(
+                    OperationRecord(
+                        op_id=event[1],
+                        kind=event[2],
+                        client=event[3],
+                        invoked_at=event[4],
+                        failed=True,
                     )
                 )
         checker.end_batch()

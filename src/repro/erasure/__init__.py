@@ -31,13 +31,13 @@ This package implements everything needed from scratch:
 * :mod:`repro.erasure.mds` — the :class:`~repro.erasure.mds.MDSCode`
   interface shared by all protocol implementations, including the batched
   ``encode_many`` / ``decode_many`` pipeline.
-* :mod:`repro.erasure.linear` — shared matrix-code machinery (one-matmul
-  encoding, LRU-cached erasure decoding, wide-stripe batch variants).
+* :mod:`repro.erasure.linear` — shared matrix-code machinery (parity-only
+  systematic encoding, LRU-cached erasure decoding, batched variants).
 * :mod:`repro.erasure.batch` — the memoizing/batch-warming
   :class:`~repro.erasure.batch.CachedEncoder` shared by a cluster's
   servers, the read-side :class:`~repro.erasure.batch.CachedDecoder` /
   :class:`~repro.erasure.batch.ReadDecodeBatcher` pair and the write-side
-  :class:`~repro.erasure.batch.WriteEncodeBatcher` (one fused stripe
+  :class:`~repro.erasure.batch.WriteEncodeBatcher` (one batched
   encode per event-loop drain).
 * :mod:`repro.erasure.replication` — the trivial ``[n, 1]`` replication
   "code" used by the ABD baseline.

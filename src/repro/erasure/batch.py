@@ -5,12 +5,14 @@ dispersal set (the first ``f + 1`` servers) encodes the *same* value to
 derive the coded elements it forwards — ``f + 1`` identical encodes per
 write.  A :class:`CachedEncoder` shared across the cluster collapses those
 into one, and its :meth:`CachedEncoder.warm` method lets workload drivers
-pre-encode a whole batch of values with a single wide GF(2^8) matmul
-(:meth:`~repro.erasure.mds.MDSCode.encode_many`) before the simulation
-starts, so the in-simulation hot path is pure cache hits.  For workloads
-that cannot be pre-encoded, a :class:`WriteEncodeBatcher` collects the
-encodes issued within one event-loop drain and flushes the cache misses
-through a single ``encode_many`` call — one fused stripe matmul.
+pre-encode a whole batch of values with one batched
+:meth:`~repro.erasure.mds.MDSCode.encode_many` call before the simulation
+needs them, so the in-simulation hot path is pure cache hits.  For
+workloads that cannot be pre-encoded, a :class:`WriteEncodeBatcher`
+collects the encodes issued within one event-loop drain and flushes the
+cache misses through a single ``encode_many`` call.  (Batching pays for
+small values, whose per-call overhead it shares; large values are encoded
+block by block either way — see :meth:`repro.erasure.gf.GF256.matmul_many`.)
 
 Decoding: concurrent reads of the same version decode the same
 ``(tag, element-set)`` over and over — every read between two writes
@@ -26,9 +28,11 @@ simulated time as the triggering event and never perturbs the
 ``(time, seq)`` event order — executions are event-for-event identical to
 eager decoding.
 
-Both caches are LRU-bounded: scenario sweeps reuse a small working set of
-values, while long randomized workloads with unique values stay within a
-predictable memory budget.
+Both caches are LRU-bounded twice over, by entries and by bytes
+(:data:`CACHE_BYTE_BUDGET`): scenario sweeps reuse a small working set of
+values, while long randomized workloads with unique values hold a window
+of recent encodings — their memory does not grow with the value size
+times the entry capacity.
 """
 
 from __future__ import annotations
@@ -44,6 +48,26 @@ DEFAULT_ENCODER_CAPACITY = 1024
 #: Default bound on memoized reconstructions per decoder.
 DEFAULT_DECODER_CAPACITY = 1024
 
+#: Bound on the bytes one cache keeps alive: an entry weighs its value plus
+#: every coded element held with it (the encoder's ``n``, the decoder's key).
+#: Sized for two of the driver's default warm batches (64 values) of 64 KiB
+#: values at storage overhead 1.5 — 10.5 MiB each: when a batch is warmed,
+#: the last writes of the batch before are still in flight and, never served
+#: yet, are older in LRU order than their served batch-mates, so that batch
+#: has to survive the insertion of the next one.  The newest entry is always
+#: kept, so one value larger than the budget is still encoded once, not
+#: ``f + 1`` times.
+CACHE_BYTE_BUDGET = 24 * 1024 * 1024
+
+
+def _evict(cache: OrderedDict, capacity: int, used: int, weigh) -> int:
+    """Drop least-recently-used entries until ``cache`` is within
+    ``capacity`` entries and :data:`CACHE_BYTE_BUDGET` bytes (the newest
+    entry always stays); returns the bytes still in use."""
+    while len(cache) > capacity or (used > CACHE_BYTE_BUDGET and len(cache) > 1):
+        used -= weigh(*cache.popitem(last=False))
+    return used
+
 
 class CachedEncoder:
     """Memoizing ``encode`` wrapper around an :class:`MDSCode`."""
@@ -54,6 +78,7 @@ class CachedEncoder:
         self.code = code
         self.capacity = capacity
         self._cache: "OrderedDict[bytes, List[CodedElement]]" = OrderedDict()
+        self._bytes = 0
         self.hits = 0
         self.misses = 0
 
@@ -70,16 +95,23 @@ class CachedEncoder:
         return elements
 
     def warm(self, values: Iterable[bytes]) -> int:
-        """Pre-encode a batch of values with one wide matmul.
+        """Pre-encode a batch of values with one ``encode_many`` call.
 
         Duplicates and already-cached values are skipped, and the batch is
-        capped at the cache capacity — encoding more would only evict the
-        excess again before it is ever served, doubling the work and
-        spiking memory with one wide stripe matrix per surplus value.
+        capped at what the cache can hold, in entries and in bytes —
+        encoding more would only evict the excess again before it is ever
+        served, doubling the work and spiking memory by one encoding per
+        surplus value.  Values past the cap are encoded when first written.
         Returns the number of values actually encoded.
         """
         fresh = [v for v in dict.fromkeys(values) if v not in self._cache]
         fresh = fresh[: self.capacity]
+        room = CACHE_BYTE_BUDGET
+        for count, value in enumerate(fresh):
+            room -= len(value) + self.code.n * self.code.element_size(len(value))
+            if room < 0:
+                fresh = fresh[: max(count, 1)]
+                break
         if not fresh:
             return 0
         for value, elements in zip(fresh, self.code.encode_many(fresh)):
@@ -91,7 +123,7 @@ class CachedEncoder:
 
         Distinct uncached values go through the code's batched
         :meth:`~repro.erasure.mds.MDSCode.encode_many` in one call (one
-        fused stripe matmul for same-sized values).  Hit/miss accounting
+        kernel call per distinct value size).  Hit/miss accounting
         matches the eager loop: the first occurrence of an uncached value
         is a miss, duplicates within the batch are hits.
         """
@@ -117,12 +149,26 @@ class CachedEncoder:
 
     def _insert(self, value: bytes, elements: List[CodedElement]) -> None:
         self._cache[value] = elements
-        if len(self._cache) > self.capacity:
-            self._cache.popitem(last=False)
+        self._bytes = _evict(
+            self._cache,
+            self.capacity,
+            self._bytes + self._entry_bytes(value, elements),
+            self._entry_bytes,
+        )
+
+    @staticmethod
+    def _entry_bytes(value: bytes, elements: Sequence[CodedElement]) -> int:
+        """What an entry keeps alive: the value and its coded elements."""
+        return len(value) + sum(len(element.data) for element in elements)
 
     def stats(self) -> dict:
         """Hit/miss/occupancy counters (benchmarks and tests read these)."""
-        return {"hits": self.hits, "misses": self.misses, "entries": len(self._cache)}
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "entries": len(self._cache),
+            "bytes": self._bytes,
+        }
 
     def __len__(self) -> int:
         return len(self._cache)
@@ -170,6 +216,7 @@ class CachedDecoder:
         self.capacity = capacity
         self.max_errors = max_errors
         self._cache: "OrderedDict[tuple, bytes]" = OrderedDict()
+        self._bytes = 0
         self.hits = 0
         self.misses = 0
 
@@ -226,12 +273,26 @@ class CachedDecoder:
 
     def _insert(self, key: tuple, value: bytes) -> None:
         self._cache[key] = value
-        if len(self._cache) > self.capacity:
-            self._cache.popitem(last=False)
+        self._bytes = _evict(
+            self._cache,
+            self.capacity,
+            self._bytes + self._entry_bytes(key, value),
+            self._entry_bytes,
+        )
+
+    @staticmethod
+    def _entry_bytes(key: tuple, value: bytes) -> int:
+        """What an entry keeps alive: the value and the elements in its key."""
+        return len(value) + sum(len(data) for _, data in key[1])
 
     def stats(self) -> dict:
         """Hit/miss/occupancy counters (benchmarks and tests read these)."""
-        return {"hits": self.hits, "misses": self.misses, "entries": len(self._cache)}
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "entries": len(self._cache),
+            "bytes": self._bytes,
+        }
 
     def __len__(self) -> int:
         return len(self._cache)
@@ -309,8 +370,8 @@ class WriteEncodeBatcher:
     encoding inline, a writer (CAS/CASGC pre-write) or dispersal server
     (SODA/SODAerr MD-VALUE) submits ``(value, continuation)``; the batcher
     arms one deferred micro-task per drain and flushes every submission
-    through a single :meth:`CachedEncoder.encode_many` call — one fused
-    stripe matmul when the batch's values share a size — then runs the
+    through a single :meth:`CachedEncoder.encode_many` call — one kernel
+    call when the batch's values share a size — then runs the
     continuations in submission order.
 
     Determinism: at every eager encode site the encode and the sends that
@@ -319,8 +380,8 @@ class WriteEncodeBatcher:
     before the next event pops, FIFO across submitters) preserves the
     exact send order and therefore the RNG delay stream — executions are
     event-for-event identical, enforced by the golden-trace tests.  N
-    concurrent writers landing in one drain cost one stripe encode
-    instead of N table gathers.
+    concurrent small writes landing in one drain cost one batched encode
+    instead of N.
     """
 
     def __init__(

@@ -20,8 +20,10 @@ backends — byte-identical, differing only in how the per-coefficient
 table product is computed:
 
 ``numpy``
-    The always-on portable default: one 1D ``take`` per non-trivial
-    coefficient against a 256-byte row of the full 64 KiB product table.
+    The always-on portable default: one ``take`` per non-trivial
+    coefficient against a 256-byte row of the full 64 KiB product table,
+    run over cache-sized blocks of the operand (:data:`KERNEL_BLOCK`) so an
+    input row's index is built once and reused by every output row.
 ``native``
     Compiled C kernels (:mod:`repro.erasure.gf_native`, built at runtime via
     cffi) consuming the same product table; uses a 16-lane ``pshufb``
@@ -62,6 +64,11 @@ ORDER = FIELD_SIZE - 1  # multiplicative group order
 GF_BACKENDS = ("numpy", "native")
 #: Environment variable consulted by :func:`default_backend`.
 BACKEND_ENV_VAR = "REPRO_GF_BACKEND"
+
+#: Bytes of one input row the numpy kernel works on at a time.  Its ``intp``
+#: index is eight times that (256 KiB), which with the output rows it feeds
+#: stays inside a private L2 while every output row reuses it.
+KERNEL_BLOCK = 32 * 1024
 
 _backend_override: Optional[str] = None
 
@@ -255,57 +262,14 @@ class GF256:
         """Matrix product over GF(2^8).
 
         ``A`` has shape ``(m, p)`` and ``B`` shape ``(p, q)``; the result has
-        shape ``(m, q)``.  The inner accumulation is XOR.
+        shape ``(m, q)``.  The inner accumulation is XOR.  This is
+        :meth:`matmul_many` on a batch of one.
         """
         A = np.asarray(A, dtype=np.uint8)
         B = np.asarray(B, dtype=np.uint8)
         if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
             raise ValueError(f"incompatible shapes {A.shape} x {B.shape}")
-        if self.backend == "native":
-            return self._matmul_native(A, B)
-        return self._matmul_table(A, B)
-
-    def _matmul_table(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        m, p = A.shape
-        q = B.shape[1]
-        out = np.zeros((m, q), dtype=np.uint8)
-        mul_table = self._mul_table
-        product = np.empty(q, dtype=np.uint8)
-        # For typical code parameters m, p = n, k <= 255 while q (the value
-        # axis) is long: m * p scalar-times-row products, each one a 1D take
-        # from a 256-byte L1-resident table row, XOR-accumulated in place.
-        # Scalar coefficients 0 and 1 shortcut the gather entirely — the
-        # identity block of a systematic encode matrix is half its entries.
-        for j in range(p):
-            row = B[j]
-            for i in range(m):
-                coeff = A[i, j]
-                if coeff == 0:
-                    continue
-                if coeff == 1:
-                    np.bitwise_xor(out[i], row, out=out[i])
-                    continue
-                np.take(mul_table[coeff], row, out=product, mode="wrap")
-                np.bitwise_xor(out[i], product, out=out[i])
-        return out
-
-    def _matmul_native(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        m, p = A.shape
-        q = B.shape[1]
-        A = np.ascontiguousarray(A)
-        B = np.ascontiguousarray(B)
-        out = np.empty((m, q), dtype=np.uint8)
-        ffi, lib = self._native
-        lib.gf_matmul(
-            ffi.from_buffer(A),
-            ffi.from_buffer(self._mul_table),
-            ffi.from_buffer(B),
-            ffi.from_buffer(out),
-            m,
-            p,
-            q,
-        )
-        return out
+        return self.matmul_many(A, B[None])[0]
 
     def matmul_many(
         self,
@@ -314,22 +278,14 @@ class GF256:
         *,
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Apply one matrix to a whole stripe of same-shape operands.
+        """Apply one matrix to a whole batch of same-shape operands.
 
         ``A`` has shape ``(m, p)`` and ``stacked`` shape ``(batch, p, q)``;
-        returns ``(batch, m, q)``.  The batch is laid out as one wide
-        ``(p, batch * q)`` matrix — column-concatenation, the same layout
-        ``LinearCode.encode_many`` used to build by hand — so the whole
-        stripe costs one fused kernel pass instead of ``batch`` passes, and
-        each slice of the result is byte-identical to ``matmul(A,
-        stacked[b])`` because every output column depends only on its own
-        input column.
+        returns ``(batch, m, q)`` with slice ``b`` equal to ``A @ stacked[b]``.
+        ``stacked`` may be read-only or non-contiguous; it is read in place.
 
         ``out``, when given, must be a C-contiguous ``(batch, m, q)`` uint8
-        array; the result is written into it and it is returned.  Callers
-        that encode stripes repeatedly (``LinearCode.encode_many``) pass a
-        reused scratch buffer so steady-state stripes run in warm pages
-        instead of paying a multi-megabyte allocation per drain.
+        array; the result is written into it and it is returned.
         """
         A = np.asarray(A, dtype=np.uint8)
         stacked = np.asarray(stacked, dtype=np.uint8)
@@ -340,7 +296,9 @@ class GF256:
             )
         batch, p, q = stacked.shape
         m = A.shape[0]
-        if out is not None and (
+        if out is None:
+            out = np.empty((batch, m, q), dtype=np.uint8)
+        elif (
             out.shape != (batch, m, q)
             or out.dtype != np.uint8
             or not out.flags["C_CONTIGUOUS"]
@@ -348,18 +306,13 @@ class GF256:
             raise ValueError(
                 f"out must be C-contiguous uint8 of shape {(batch, m, q)}"
             )
-        if batch == 0:
-            return np.zeros((0, m, q), dtype=np.uint8) if out is None else out
+        if out.size == 0:
+            return out
         if self.backend == "native":
-            # The compiled kernel has no per-call setup worth amortising, so
-            # the stripe is dispatched slice-by-slice straight into the
-            # (batch, m, q) output — contiguous in, contiguous out, zero
-            # layout copies.  (The wide path below would pay two full-stripe
-            # transpose copies just to feed the kernel one call.)
+            # The compiled kernel has no per-call setup worth amortising:
+            # one call per slice, contiguous in, contiguous out.
             A = np.ascontiguousarray(A)
             stacked = np.ascontiguousarray(stacked)
-            if out is None:
-                out = np.empty((batch, m, q), dtype=np.uint8)
             ffi, lib = self._native
             a_buf = ffi.from_buffer(A)
             table = ffi.from_buffer(self._mul_table)
@@ -374,13 +327,77 @@ class GF256:
                     q,
                 )
             return out
-        wide = stacked.transpose(1, 0, 2).reshape(p, batch * q)
-        product = self.matmul(A, wide)
-        stripes = product.reshape(m, batch, q).transpose(1, 0, 2)
-        if out is None:
-            return np.ascontiguousarray(stripes)
-        np.copyto(out, stripes)
+        coeffs = A.tolist()
+        width = min(q, KERNEL_BLOCK)
+        group = KERNEL_BLOCK // width
+        if group == 1 or batch == 1:
+            # One value at a time, ``width`` columns at a time, straight
+            # from its input rows into its output rows.
+            for b in range(batch):
+                for c in range(0, q, width):
+                    self._combine_block(
+                        coeffs,
+                        stacked[b, :, c : c + width],
+                        out[b, :, c : c + width],
+                    )
+            return out
+        # Short rows: as many whole values as fill one block are combined
+        # together, so a batch of small values costs a handful of numpy
+        # calls in all, not a handful per value.
+        for b in range(0, batch, group):
+            rows = stacked[b : b + group].transpose(1, 0, 2)  # (p, g, q) view
+            block = np.empty((m, rows.shape[1], q), dtype=np.uint8)
+            self._combine_block(coeffs, rows, block)
+            out[b : b + group] = block.transpose(1, 0, 2)
         return out
+
+    def _combine_block(
+        self, coeffs: List[List[int]], rows: np.ndarray, acc: np.ndarray
+    ) -> None:
+        """``acc[i] = XOR_j coeffs[i][j] * rows[j]`` on one cache-sized block.
+
+        ``rows[j]`` and ``acc[i]`` are equal-shape blocks of at most
+        ``KERNEL_BLOCK`` bytes (``acc[i]`` contiguous).  A product is one
+        ``take`` from the coefficient's 256-byte table row, and ``take``
+        wants ``intp`` indices: handed ``uint8`` it converts them on every
+        call, so each input row is widened once here and the index reused
+        for every output row while it is cache-resident.  The first
+        contribution to an output row is written, not XORed into zeros;
+        coefficients 0 and 1 never gather (decoding from systematic
+        elements is mostly copies).
+        """
+        table = self._mul_table
+        written = [False] * len(coeffs)
+        product = None
+        for j, row in enumerate(rows):
+            index = None
+            for i, coeff_row in enumerate(coeffs):
+                coeff = coeff_row[j]
+                if coeff == 0:
+                    continue
+                target = acc[i]
+                if not written[i]:
+                    written[i] = True
+                    if coeff == 1:
+                        np.copyto(target, row)
+                    else:
+                        if index is None:
+                            index = row.astype(np.intp, order="C")
+                        np.take(table[coeff], index, out=target, mode="wrap")
+                    continue
+                if coeff == 1:
+                    np.bitwise_xor(target, row, out=target)
+                    continue
+                if index is None:
+                    index = row.astype(np.intp, order="C")
+                if product is None:
+                    product = np.empty(target.shape, dtype=np.uint8)
+                # mode="wrap" skips the bounds check: every index is a byte.
+                np.take(table[coeff], index, out=product, mode="wrap")
+                np.bitwise_xor(target, product, out=target)
+        for i, done in enumerate(written):
+            if not done:
+                acc[i].fill(0)
 
     # ------------------------------------------------------------------
     # misc helpers

@@ -6,9 +6,13 @@ erasures by inverting the ``k x k`` submatrix of ``G`` selected by the
 available element indices.  :class:`LinearCode` hosts that shared pipeline:
 
 * single-value ``encode`` / ``decode``;
-* batched ``encode_many`` / ``decode_many`` that frame a whole batch of
-  values into one wide stripe matrix so a single GF(2^8) matmul amortises
-  the per-call overhead over the batch (the sweep workloads' hot path);
+* batched ``encode_many`` / ``decode_many`` that frame same-sized values
+  into one ``(batch, k, stripe)`` block per
+  :meth:`~repro.erasure.gf.GF256.matmul_many` call, which shares the
+  per-call overhead of small values over the batch;
+* a systematic encode matrix (identity on top, as both codes here build)
+  is detected once: only the ``n - k`` parity rows are ever multiplied, and
+  the first ``k`` coded elements are slices of the framed bytes;
 * a bounded LRU cache of inverted decode submatrices — there are C(n, k)
   distinct index sets, which grows combinatorially for large ``n``, so an
   unbounded cache is a memory leak in long crash-heavy runs.
@@ -21,8 +25,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.erasure.gf import GF256
-from repro.erasure.matrix import gauss_jordan_invert
+from repro.erasure.gf import KERNEL_BLOCK, GF256
+from repro.erasure.matrix import gauss_jordan_invert, identity
 from repro.erasure.mds import CodedElement, DecodingError, MDSCode
 
 #: Default bound on cached inverted decode submatrices per code instance.
@@ -55,72 +59,78 @@ class LinearCode(MDSCode):
             )
         self._decode_cache_size = decode_cache_size
         self._decode_cache: "OrderedDict[Tuple[int, ...], np.ndarray]" = OrderedDict()
-        # Reused (stacked, codewords) scratch pair for the same-stripe
-        # encode_many fast path.  Drains tend to repeat the same batch
-        # geometry, so steady-state stripe encodes run entirely in warm
-        # pages instead of allocating multiple megabytes per flush.  The
-        # buffers never escape: results leave as bytes copies.
-        self._stripe_scratch: Tuple[np.ndarray, np.ndarray] | None = None
+        # The rows encoding has to multiply: all n of them in general, only
+        # the n - k parity rows under an identity block — the first k coded
+        # elements are then the rows of the frame itself.
+        systematic = np.array_equal(self._encode_matrix[: self.k], identity(self.k))
+        self._coding_rows = np.ascontiguousarray(
+            self._encode_matrix[self.k if systematic else 0 :]
+        )
 
     # ------------------------------------------------------------------
     # encoding
     # ------------------------------------------------------------------
     def encode(self, value: bytes) -> List[CodedElement]:
         """Encode ``value`` into ``n`` coded elements of equal size."""
-        message = self._frame(value)  # (k, stripe)
-        codeword = self.field.matmul(self._encode_matrix, message)  # (n, stripe)
-        return [
-            CodedElement(index=i, data=codeword[i].tobytes()) for i in range(self.n)
-        ]
+        return self._encode_group((value,))[0]
 
     def encode_many(self, values: Sequence[bytes]) -> List[List[CodedElement]]:
-        """Encode a batch of values with one wide matrix product.
+        """Encode a batch of values, same-sized ones together.
 
-        Every value is framed to its own ``(k, stripe_i)`` matrix.  When all
-        frames share one stripe length — concurrent writers in a namespace
-        encode same-sized values, which is the hot case — they are stacked
-        into a ``(batch, k, stripe)`` block and encoded by one fused
-        :meth:`GF256.matmul_many` pass.  Mixed-size batches fall back to
-        column-wise concatenation through a single plain matmul.  Either
-        way the output is byte-identical to calling :meth:`encode` per
-        value (``matmul_many`` lays the batch out as the same wide
-        column-concatenated matrix).
+        Values of one size go through the kernel :meth:`_batch_step` at a
+        time: a batch of small values — concurrent writers in a namespace,
+        the hot case — is one call, large values go one by one.  The output
+        is byte-identical to calling :meth:`encode` per value.
         """
-        if not values:
-            return []
-        frames = [self._frame(v) for v in values]
-        stripe = frames[0].shape[1]
-        if all(frame.shape[1] == stripe for frame in frames):
-            shape = (len(frames), self.k, stripe)
-            if self._stripe_scratch is None or self._stripe_scratch[0].shape != shape:
-                self._stripe_scratch = (
-                    np.empty(shape, dtype=np.uint8),
-                    np.empty((len(frames), self.n, stripe), dtype=np.uint8),
+        by_size: Dict[int, List[int]] = {}
+        for position, value in enumerate(values):
+            by_size.setdefault(len(value), []).append(position)
+        out: List[List[CodedElement]] = [None] * len(values)  # type: ignore[list-item]
+        for size, positions in by_size.items():
+            step = self._batch_step(self.element_size(size))
+            for start in range(0, len(positions), step):
+                chunk = positions[start : start + step]
+                group = self._encode_group([values[position] for position in chunk])
+                for position, elements in zip(chunk, group):
+                    out[position] = elements
+        return out
+
+    def _batch_step(self, stripe: int) -> int:
+        """How many values of ``stripe``-byte elements share a kernel call:
+        one block's worth of framed bytes (:data:`~repro.erasure.gf.KERNEL_BLOCK`).
+
+        Batching exists to share per-call overhead among small values.
+        Large ones gain nothing from it — the kernel walks them value by
+        value anyway — and lose to it: buffers for a whole batch of them
+        are mapped fresh and faulted in on every call, while one value's
+        buffers are small enough for the allocator to hand back warm.
+        """
+        return max(1, KERNEL_BLOCK // (self.k * stripe))
+
+    def _encode_group(self, values: Sequence[bytes]) -> List[List[CodedElement]]:
+        """Encode equal-length values: frame them in one buffer, multiply
+        the coding rows through it, slice the systematic elements off it."""
+        k = self.k
+        framed = self._frame_bytes(values)
+        stripe = self.element_size(len(values[0]))
+        stacked = np.frombuffer(framed, dtype=np.uint8).reshape(len(values), k, stripe)
+        coded = self.field.matmul_many(self._coding_rows, stacked)
+        first = self.n - coded.shape[1]  # k when systematic, else 0
+        out = []
+        for b, rows in enumerate(coded):
+            start = b * k * stripe
+            elements = [
+                CodedElement(
+                    index=i,
+                    data=framed[start + i * stripe : start + (i + 1) * stripe],
                 )
-            stacked, out = self._stripe_scratch
-            for b, frame in enumerate(frames):
-                stacked[b] = frame
-            codewords = self.field.matmul_many(
-                self._encode_matrix, stacked, out=out
-            )
-            return [
-                [
-                    CodedElement(index=i, data=codeword[i].tobytes())
-                    for i in range(self.n)
-                ]
-                for codeword in codewords
+                for i in range(first)
             ]
-        stacked = np.concatenate(frames, axis=1)  # (k, sum of stripes)
-        codeword = self.field.matmul(self._encode_matrix, stacked)
-        out: List[List[CodedElement]] = []
-        column = 0
-        for frame in frames:
-            width = frame.shape[1]
-            block = codeword[:, column : column + width]
-            out.append(
-                [CodedElement(index=i, data=block[i].tobytes()) for i in range(self.n)]
-            )
-            column += width
+            elements += [
+                CodedElement(index=first + i, data=row.tobytes())
+                for i, row in enumerate(rows)
+            ]
+            out.append(elements)
         return out
 
     # ------------------------------------------------------------------
@@ -130,7 +140,7 @@ class LinearCode(MDSCode):
         """Reconstruct the value from any ``k`` (or more) correct elements."""
         available = self._collect(elements)
         indices, stripe = self._decoding_plan(available)
-        received = self._gather_rows(available, indices, stripe)
+        received = self._gather_rows((available,), indices, stripe)[0]
         inverse = self._decode_matrix(indices)
         message = self.field.matmul(inverse, received)
         return self._unframe(message)
@@ -155,16 +165,16 @@ class LinearCode(MDSCode):
             groups.setdefault(plan, []).append(position)
         results: List[bytes] = [b""] * len(collected)
         for (indices, stripe), positions in groups.items():
-            stacked = np.stack(
-                [
-                    self._gather_rows(collected[position], indices, stripe)
-                    for position in positions
-                ]
-            )
             inverse = self._decode_matrix(indices)
-            messages = self.field.matmul_many(inverse, stacked)
-            for slot, position in enumerate(positions):
-                results[position] = self._unframe(messages[slot])
+            step = self._batch_step(stripe)
+            for start in range(0, len(positions), step):
+                chunk = positions[start : start + step]
+                stacked = self._gather_rows(
+                    [collected[position] for position in chunk], indices, stripe
+                )
+                messages = self.field.matmul_many(inverse, stacked)
+                for position, message in zip(chunk, messages):
+                    results[position] = self._unframe(message)
         return results
 
     # ------------------------------------------------------------------
@@ -182,13 +192,18 @@ class LinearCode(MDSCode):
         indices = tuple(sorted(available))[: self.k]
         return indices, self._stripe_length(available)
 
+    @staticmethod
     def _gather_rows(
-        self, available: Dict[int, bytes], indices: Tuple[int, ...], stripe: int
+        collections: Sequence[Dict[int, bytes]], indices: Tuple[int, ...], stripe: int
     ) -> np.ndarray:
-        rows = np.zeros((len(indices), stripe), dtype=np.uint8)
-        for row, idx in enumerate(indices):
-            rows[row] = np.frombuffer(available[idx], dtype=np.uint8)
-        return rows
+        """The ``indices`` elements of each collection as one read-only
+        ``(len(collections), len(indices), stripe)`` block (a single join)."""
+        joined = b"".join(
+            [available[idx] for available in collections for idx in indices]
+        )
+        return np.frombuffer(joined, dtype=np.uint8).reshape(
+            len(collections), len(indices), stripe
+        )
 
     def _decode_matrix(self, indices: Tuple[int, ...]) -> np.ndarray:
         """Inverse of the ``k x k`` encode submatrix for ``indices`` (LRU-cached)."""

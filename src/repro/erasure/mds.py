@@ -84,27 +84,43 @@ class MDSCode(ABC):
     # ------------------------------------------------------------------
     # framing helpers shared by the concrete codes
     # ------------------------------------------------------------------
+    def element_size(self, value_length: int) -> int:
+        """Bytes in each coded element of a ``value_length``-byte value."""
+        return -(-(_LENGTH_HEADER.size + value_length) // self._k)  # ceil
+
+    def _frame_bytes(self, values: Sequence[bytes]) -> bytes:
+        """The frames of equal-length ``values`` back to back, in one join.
+
+        A frame is the length header, the value and zero padding up to
+        ``k`` rows of :meth:`element_size` bytes.
+        """
+        length = len(values[0])
+        header = _LENGTH_HEADER.pack(length)
+        padding = bytes(
+            self._k * self.element_size(length) - _LENGTH_HEADER.size - length
+        )
+        return b"".join(
+            [piece for value in values for piece in (header, value, padding)]
+        )
+
     def _frame(self, value: bytes) -> np.ndarray:
         """Prefix with a length header, pad, and reshape to ``(k, stripe)``."""
-        framed = _LENGTH_HEADER.pack(len(value)) + value
-        stripe = -(-len(framed) // self._k)  # ceil division
-        stripe = max(stripe, 1)
-        padded = framed + b"\x00" * (self._k * stripe - len(framed))
-        return np.frombuffer(padded, dtype=np.uint8).reshape(self._k, stripe)
+        framed = self._frame_bytes((value,))
+        return np.frombuffer(framed, dtype=np.uint8).reshape(self._k, -1)
 
     @staticmethod
     def _unframe(rows: np.ndarray) -> bytes:
         """Inverse of :meth:`_frame`: strip padding using the length header."""
-        flat = rows.astype(np.uint8, copy=False).tobytes()
-        if len(flat) < _LENGTH_HEADER.size:
+        flat = np.ascontiguousarray(rows, dtype=np.uint8).reshape(-1)
+        if flat.size < _LENGTH_HEADER.size:
             raise DecodingError("decoded data shorter than the length header")
         (length,) = _LENGTH_HEADER.unpack_from(flat)
         payload = flat[_LENGTH_HEADER.size : _LENGTH_HEADER.size + length]
-        if len(payload) != length:
+        if payload.size != length:
             raise DecodingError(
-                f"decoded data truncated: header says {length} bytes, got {len(payload)}"
+                f"decoded data truncated: header says {length} bytes, got {payload.size}"
             )
-        return payload
+        return payload.tobytes()
 
     @staticmethod
     def _collect(elements: Iterable[CodedElement]) -> Dict[int, bytes]:
@@ -148,9 +164,10 @@ class MDSCode(ABC):
         ``j``-th coded element.
 
         The default implementation simply loops; matrix-backed codes
-        override it to frame the whole batch into one wide stripe matrix so
-        a single GF(2^8) matmul amortises over the batch.  Implementations
-        must produce results byte-identical to per-value :meth:`encode`.
+        override it to frame same-sized values into one block so a single
+        GF(2^8) kernel call shares its overhead over the batch.
+        Implementations must produce results byte-identical to per-value
+        :meth:`encode`.
         """
         return [self.encode(value) for value in values]
 

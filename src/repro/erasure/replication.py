@@ -26,7 +26,7 @@ class ReplicationCode(MDSCode):
         super().__init__(n, 1)
 
     def encode(self, value: bytes) -> List[CodedElement]:
-        framed = self._frame(value).tobytes()
+        framed = self._frame_bytes((value,))
         return [CodedElement(index=i, data=framed) for i in range(self.n)]
 
     def decode(self, elements: Iterable[CodedElement]) -> bytes:

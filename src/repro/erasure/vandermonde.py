@@ -64,7 +64,9 @@ class VandermondeCode(LinearCode):
     def _rows_for(
         self, available: Dict[int, bytes], indices: Tuple[int, ...]
     ) -> np.ndarray:
-        return self._gather_rows(available, indices, self._stripe_length(available))
+        return self._gather_rows(
+            (available,), indices, self._stripe_length(available)
+        )[0]
 
     # ------------------------------------------------------------------
     # errors-and-erasures decoding (combinatorial decode-and-verify)

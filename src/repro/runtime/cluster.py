@@ -195,7 +195,7 @@ class RegisterCluster(ABC):
             else None
         )
         # Write-side mirror: writers/dispersal servers submit their encodes
-        # here; one encode_many (a fused stripe matmul) per event-loop
+        # here; one batched encode_many per event-loop
         # drain, flushed through the same micro-task hook — execution stays
         # event-for-event identical to eager encoding.
         self.encode_batcher = (
@@ -379,11 +379,13 @@ class RegisterCluster(ABC):
     def warm_encode(self, values: Sequence[bytes]) -> int:
         """Pre-encode a batch of values into the shared encoder cache.
 
-        One wide GF(2^8) matmul (:meth:`MDSCode.encode_many`) covers the
-        whole batch, so the per-write encodes during the simulation become
-        cache hits.  No-op for protocols that never read the shared cache
-        (see :attr:`warm_encoding_effective`).  Returns the number of
-        values newly encoded.
+        One :meth:`MDSCode.encode_many` call covers the batch — as much of
+        it as the cache's entry and byte bounds can hold, see
+        :meth:`~repro.erasure.batch.CachedEncoder.warm` — so the per-write
+        encodes during the simulation become cache hits.  No-op for
+        protocols that never read the shared cache (see
+        :attr:`warm_encoding_effective`).  Returns the number of values
+        newly encoded.
         """
         if not self.warm_encoding_effective:
             return 0
@@ -419,7 +421,7 @@ class RegisterCluster(ABC):
         Writers issue globally unique values ``{value_prefix}#{seq}|…``
         padded to ``value_size`` with seeded random bytes; upcoming values
         are pre-encoded into the shared encoder cache ``warm_batch`` at a
-        time (one wide GF(2^8) matmul each refill).  Readers issue reads.
+        time (one batched encode each refill).  Readers issue reads.
         The operation budget is consumed by whichever clients are alive: a
         crashed client's slot is handed to the next live client
         round-robin, so the budget drains fully while anyone survives, and
@@ -681,7 +683,7 @@ class RegisterCluster(ABC):
     def codec_stats(self) -> Dict[str, int]:
         """Hit/miss/flush counters of the codec layer, flattened.
 
-        Keys are ``encoder_*``/``decoder_*`` (hits, misses, entries) and
+        Keys are ``encoder_*``/``decoder_*`` (hits, misses, entries, bytes) and
         ``encode_batcher_*``/``decode_batcher_*`` (submitted, flushes);
         components the protocol does not use are simply absent.
         """

@@ -85,7 +85,15 @@ def value_source(
     Values are globally unique — ``{value_prefix}#{seq}|`` padded to
     ``cfg.value_size`` with bytes drawn from the driver's ``rng`` — and are
     generated ``cfg.warm_batch`` at a time, each refill pre-encoded into
-    the cluster's shared encoder cache (one wide GF(2^8) matmul).
+    the cluster's shared encoder cache by one batched call.
+
+    The filler is ``rng.bytes(size)``: for ``size >= 1`` the same bytes,
+    and the same generator state afterwards, as ``rng.integers(0, 256,
+    size=size, dtype=np.uint8).tobytes()`` (what every committed value
+    stream was drawn with; ``tests/runtime/test_driver.py`` pins the
+    equivalence) without the array in between.  ``rng.bytes(0)`` does
+    consume a draw, hence no filler is drawn for a header that already
+    fills the value.
     """
     queue: List[bytes] = []
     seq = itertools.count()
@@ -94,13 +102,10 @@ def value_source(
         if not queue:
             batch = []
             for _ in range(cfg.warm_batch):
-                header = f"{value_prefix}#{next(seq)}|".encode()
-                filler = b""
-                if cfg.value_size > len(header):
-                    filler = rng.integers(
-                        0, 256, size=cfg.value_size - len(header), dtype=np.uint8
-                    ).tobytes()
-                batch.append(header + filler)
+                value = f"{value_prefix}#{next(seq)}|".encode()
+                if cfg.value_size > len(value):
+                    value += rng.bytes(cfg.value_size - len(value))
+                batch.append(value)
             cluster.warm_encode(batch)
             queue.extend(reversed(batch))
         return queue.pop()

@@ -146,7 +146,7 @@ def run_workload(cluster: RegisterCluster, spec: WorkloadSpec) -> WorkloadResult
         result.crash_schedule = schedule
 
     # Generate every write value up front so the whole batch can be
-    # pre-encoded with one wide matmul before the simulation starts.
+    # pre-encoded with one batched call before the simulation starts.
     sequence = 0
     planned: List[tuple] = []  # (writer index, start time, value)
     for w_index in range(cluster.num_writers):

@@ -334,3 +334,119 @@ class TestReopenAfterDuplicateMinResp:
             ):
                 checker._table_remove(cid)
             assert checker._tcid == table  # nothing was evicted
+
+
+class TestWriteValueHashedOnce:
+    """A write's value is digested at invoke; completion reuses that digest
+    only for the very same bytes object, and nothing is kept for a write
+    that will never complete."""
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        """Every value handed to the checker's digest function, in order."""
+        # Imported first: the reference binds the digest function it finds
+        # at import, and must find the uncounted one.
+        import reference_incremental  # noqa: F401
+
+        from repro.consistency import incremental
+
+        seen = []
+        digest = incremental._value_key
+        monkeypatch.setattr(
+            incremental, "_value_key", lambda value: seen.append(value) or digest(value)
+        )
+        return seen
+
+    def test_one_digest_per_write_one_per_read(self, hashed):
+        recorder = StreamingRecorder(window=8)
+        checker = recorder.subscribe(IncrementalAtomicityChecker())
+        hashed.clear()  # the initial value's digest
+        value = b"v" * 65536
+        recorder.invoke("w1", WRITE, "w", 0.0, value=value)
+        assert checker._open_write_keys.keys() == {"w1"}
+        recorder.respond("w1", 1.0)
+        recorder.invoke("r1", READ, "r", 2.0)
+        recorder.respond("r1", 3.0, value=bytes(value))
+        assert hashed == [value, value] and hashed[0] is value
+        assert checker.ok and not checker._open_write_keys
+
+    def test_response_with_other_bytes_is_hashed_again(self, hashed):
+        """Identity, not the op id, vouches for the memoized digest — and
+        the verdict is what a checker without the memo reaches."""
+        from reference_incremental import ReferenceAtomicityChecker
+
+        recorder = StreamingRecorder(window=8)
+        checker = recorder.subscribe(IncrementalAtomicityChecker())
+        reference = recorder.subscribe(ReferenceAtomicityChecker())
+        hashed.clear()
+        recorder.invoke("w1", WRITE, "w", 0.0, value=b"claimed")
+        recorder.respond("w1", 1.0, value=b"other")
+        assert hashed == [b"claimed", b"other"]
+        # An equal but distinct object is re-hashed too: equality is what
+        # the digest establishes, so it cannot be assumed beforehand.
+        claimed = b"second-claim"
+        recorder.invoke("w2", WRITE, "w", 2.0, value=claimed)
+        recorder.respond("w2", 3.0, value=bytes(bytearray(claimed)))
+        assert len(hashed) == 4
+        recorder.invoke("r1", READ, "r", 4.0)
+        recorder.respond("r1", 5.0, value=b"other")
+        assert not checker._open_write_keys
+        assert [str(v) for v in checker.violations] == [str(v) for v in reference.violations]
+        assert checker.cluster_summaries() == reference.cluster_summaries()
+
+    def test_failed_write_drops_its_entry(self):
+        recorder = StreamingRecorder(window=8)
+        checker = recorder.subscribe(IncrementalAtomicityChecker())
+        recorder.invoke("w1", WRITE, "w", 0.0, value=b"x" * 1024)
+        recorder.invoke("r1", READ, "r", 0.5)
+        recorder.mark_failed("w1")  # its client crashed mid-write
+        recorder.mark_failed("r1")
+        assert not checker._open_write_keys
+        assert checker.ok
+
+    def test_failed_write_is_dropped_behind_a_batcher_too(self):
+        from repro.consistency.stream import CheckerBatcher
+
+        recorder = StreamingRecorder(window=8)
+        checker = IncrementalAtomicityChecker()
+        recorder.subscribe(CheckerBatcher(checker))
+        recorder.invoke("w1", WRITE, "w", 0.0, value=b"abandoned")
+        recorder.mark_failed("w1")
+        assert not checker._open_write_keys
+
+    def test_late_joining_stream_leaves_nothing_behind(self):
+        """A completion whose invoke was never observed registers the write
+        on the spot, without parking an entry nobody will collect."""
+        checker = IncrementalAtomicityChecker()
+        record = History().invoke("w1", WRITE, "w", 0.0, value=b"late")
+        record.responded_at = 1.0
+        checker.on_complete(record)
+        assert checker.ok and checker.ops_seen == 1
+        assert not checker._open_write_keys
+
+    def test_memo_is_empty_after_a_fuzz_schedule_with_client_crashes(self):
+        recorder = StreamingRecorder(window=64)
+        checker = recorder.subscribe(IncrementalAtomicityChecker())
+        stats = stream_operations(
+            StreamSpec(operations=1_000, clients=8, incomplete_fraction=0.05, seed=41),
+            recorder,
+        )
+        assert stats.invoked == 1_000
+        assert recorder.failed_count > 10  # crashes did happen, mid-write too
+        assert checker.ok, checker.violations
+        assert not checker._open_write_keys
+
+    def test_memo_is_empty_after_a_cluster_run_with_a_crashed_writer(self):
+        from repro.core.soda.cluster import SodaCluster
+
+        recorder = StreamingRecorder(window=64)
+        checker = recorder.subscribe(IncrementalAtomicityChecker())
+        cluster = SodaCluster(
+            n=6, f=2, num_writers=2, num_readers=2, seed=5, recorder=recorder
+        )
+        cluster.crash_client("w0", at_time=3.0)
+        cluster.crash_client("r1", at_time=4.0)
+        stats = cluster.run_streamed(operations=1_000, seed=6, value_size=256)
+        assert stats.failed >= 1 and stats.completed + stats.failed == stats.issued
+        assert checker.ok, checker.violations
+        assert not checker._open_write_keys

@@ -187,6 +187,27 @@ class TestWorkerMode:
         assert {obj for obj, _ in parallel.violations()} == {2}
         assert project_violations(parallel.violations(), 2)
 
+    def test_abandoned_writes_are_forwarded_and_change_nothing(self):
+        """Failures reach the worker's checker (it drops what it holds for
+        the open write) and leave the exports what serial checking gives."""
+
+        def run(workers):
+            mux = ObjectCheckerMux(2, window=16, workers=workers)
+            for j in range(2):
+                recorder = mux.recorder(j)
+                feed_clean_history(recorder, prefix=f"o{j}")
+                recorder.invoke(f"o{j}-dead", "write", "wx", 30.0, value=b"abandoned")
+                recorder.mark_failed(f"o{j}-dead")
+                feed_clean_history(recorder, prefix=f"x{j}", base=40.0)
+            mux.finish()
+            return mux
+
+        serial, parallel = run(1), run(2)
+        assert serial.ok and parallel.ok
+        assert not any(checker._open_write_keys for checker in serial.checkers)
+        assert parallel.ops_seen == serial.ops_seen
+        assert parallel.shard_verdicts(0) == serial.shard_verdicts(0)
+
     def test_checker_access_and_finish_protocol(self):
         mux = ObjectCheckerMux(2, window=16, workers=2)
         feed_clean_history(mux.recorder(0), prefix="o0")
