@@ -215,13 +215,6 @@ def bench_erasure(*, quick: bool = False, seed: int = 0) -> Dict[str, object]:
         )
         results[f"{backend}_stripe_encode_mb_per_s"] = rate
         stripe_rates.append(rate)
-        # The same values, one encode() each, results kept like a batch
-        # keeps them: what the batched call has to be no slower than (the
-        # single-value rows above drop each result, which the allocator
-        # rewards with warm pages a batch of 16 never sees).
-        results[f"{backend}_loop_encode_mb_per_s"] = _best_rate(
-            lambda c=code: [c.encode(v) for v in stripe_values], stripe_bytes, repeats
-        )
     results["stripe_encode_mb_per_s"] = max(stripe_rates)
     best_backend = backends[int(np.argmax(stripe_rates))]
 

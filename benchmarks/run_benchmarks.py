@@ -185,22 +185,6 @@ GATED_LATENCY_METRICS = {
         "openloop_p99_ms",
     ],
 }
-#: Same-run ratio gates ``(metric, reference, floor)``: the quick run's own
-#: ``metric`` must reach ``floor`` times its own ``reference``.  Both sides
-#: come from one process on one host, so the ratio is host-independent and
-#: needs no committed baseline.  The erasure one keeps "batching made it
-#: slower" from recurring silently: BENCH_erasure.json once carried a
-#: batched numpy encode at 0.72x the per-value rate for three PRs.  The
-#: reference is the per-value loop over the batch's own values with the
-#: results kept, not ``table_encode_mb_per_s``: that row re-encodes one
-#: value and drops the result, which the allocator rewards with warm pages
-#: (about 15% on the build host) that no batch of 16 can have.
-SAME_RUN_RATIO_GATES = {
-    "erasure": [
-        ("numpy_stripe_encode_mb_per_s", "numpy_loop_encode_mb_per_s", 0.9),
-    ],
-    "sim": [],
-}
 REGRESSION_FACTOR = 2.0
 
 
@@ -479,16 +463,6 @@ def check_regressions(
         lower_is_better=True,
         suffix=" — the open-loop latency tail regressed",
     )
-    for metric, reference, floor in SAME_RUN_RATIO_GATES[benchmark]:
-        now = current["results"].get(metric)
-        ref = current["results"].get(reference)
-        if now is None or ref is None:
-            failures.append(f"{benchmark}: metric {metric!r} or {reference!r} missing")
-        elif now < floor * ref:
-            failures.append(
-                f"{benchmark}: {metric} is below {floor:.2f}x this run's own "
-                f"{reference} ({now:.2f} vs {ref:.2f})"
-            )
     return failures
 
 
@@ -534,9 +508,6 @@ def main(argv=None) -> int:
             + GATED_LATENCY_METRICS[name]
         ):
             print(f"[bench]   {metric} = {payload['results'][metric]:.2f}")
-        for metric, reference, floor in SAME_RUN_RATIO_GATES[name]:
-            ratio = payload["results"][metric] / payload["results"][reference]
-            print(f"[bench]   {metric} / {reference} = {ratio:.2f} (floor {floor:.2f})")
         if args.dump_dir is not None:
             dump_path = args.dump_dir / f"BENCH_{name}.quick.json"
             dump_path.write_text(

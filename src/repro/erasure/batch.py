@@ -12,7 +12,7 @@ workloads that cannot be pre-encoded, a :class:`WriteEncodeBatcher`
 collects the encodes issued within one event-loop drain and flushes the
 cache misses through a single ``encode_many`` call.  (Batching pays for
 small values, whose per-call overhead it shares; large values are encoded
-block by block either way — see :meth:`repro.erasure.gf.GF256.matmul_many`.)
+one by one either way — see ``LinearCode._batch_step``.)
 
 Decoding: concurrent reads of the same version decode the same
 ``(tag, element-set)`` over and over — every read between two writes
@@ -60,10 +60,16 @@ DEFAULT_DECODER_CAPACITY = 1024
 CACHE_BYTE_BUDGET = 24 * 1024 * 1024
 
 
-def _evict(cache: OrderedDict, capacity: int, used: int, weigh) -> int:
-    """Drop least-recently-used entries until ``cache`` is within
-    ``capacity`` entries and :data:`CACHE_BYTE_BUDGET` bytes (the newest
-    entry always stays); returns the bytes still in use."""
+def _store(cache: OrderedDict, capacity: int, used: int, key, entry, weigh) -> int:
+    """Put ``entry`` under ``key``, then drop least-recently-used entries
+    until ``cache`` is within ``capacity`` entries and
+    :data:`CACHE_BYTE_BUDGET` bytes (the newest entry always stays).
+    ``used`` is the bytes in use before, the return value the bytes after;
+    an entry replaced under its own key stops counting."""
+    if key in cache:
+        used -= weigh(key, cache[key])
+    cache[key] = entry
+    used += weigh(key, entry)
     while len(cache) > capacity or (used > CACHE_BYTE_BUDGET and len(cache) > 1):
         used -= weigh(*cache.popitem(last=False))
     return used
@@ -148,12 +154,8 @@ class CachedEncoder:
         return out
 
     def _insert(self, value: bytes, elements: List[CodedElement]) -> None:
-        self._cache[value] = elements
-        self._bytes = _evict(
-            self._cache,
-            self.capacity,
-            self._bytes + self._entry_bytes(value, elements),
-            self._entry_bytes,
+        self._bytes = _store(
+            self._cache, self.capacity, self._bytes, value, elements, self._entry_bytes
         )
 
     @staticmethod
@@ -272,12 +274,8 @@ class CachedDecoder:
         return values
 
     def _insert(self, key: tuple, value: bytes) -> None:
-        self._cache[key] = value
-        self._bytes = _evict(
-            self._cache,
-            self.capacity,
-            self._bytes + self._entry_bytes(key, value),
-            self._entry_bytes,
+        self._bytes = _store(
+            self._cache, self.capacity, self._bytes, key, value, self._entry_bytes
         )
 
     @staticmethod

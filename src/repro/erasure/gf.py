@@ -284,6 +284,12 @@ class GF256:
         returns ``(batch, m, q)`` with slice ``b`` equal to ``A @ stacked[b]``.
         ``stacked`` may be read-only or non-contiguous; it is read in place.
 
+        On the numpy backend a batch whose rows fit one block together
+        (``batch * q <= KERNEL_BLOCK``) is combined in one go; anything
+        larger is walked value by value, so how many short rows share a
+        call is the caller's decision (the codec's is
+        ``LinearCode._batch_step``).
+
         ``out``, when given, must be a C-contiguous ``(batch, m, q)`` uint8
         array; the result is written into it and it is returned.
         """
@@ -328,27 +334,23 @@ class GF256:
                 )
             return out
         coeffs = A.tolist()
-        width = min(q, KERNEL_BLOCK)
-        group = KERNEL_BLOCK // width
-        if group == 1 or batch == 1:
-            # One value at a time, ``width`` columns at a time, straight
-            # from its input rows into its output rows.
-            for b in range(batch):
-                for c in range(0, q, width):
-                    self._combine_block(
-                        coeffs,
-                        stacked[b, :, c : c + width],
-                        out[b, :, c : c + width],
-                    )
+        if batch > 1 and batch * q <= KERNEL_BLOCK:
+            # Short rows that fit one block together: every value at once
+            # through a strided view, a handful of numpy calls in all, not
+            # a handful per value.
+            block = np.empty((m, batch, q), dtype=np.uint8)
+            self._combine_block(coeffs, stacked.transpose(1, 0, 2), block)
+            out[:] = block.transpose(1, 0, 2)
             return out
-        # Short rows: as many whole values as fill one block are combined
-        # together, so a batch of small values costs a handful of numpy
-        # calls in all, not a handful per value.
-        for b in range(0, batch, group):
-            rows = stacked[b : b + group].transpose(1, 0, 2)  # (p, g, q) view
-            block = np.empty((m, rows.shape[1], q), dtype=np.uint8)
-            self._combine_block(coeffs, rows, block)
-            out[b : b + group] = block.transpose(1, 0, 2)
+        # One value at a time, a block of columns at a time, straight from
+        # its input rows into its output rows.
+        for b in range(batch):
+            for c in range(0, q, KERNEL_BLOCK):
+                self._combine_block(
+                    coeffs,
+                    stacked[b, :, c : c + KERNEL_BLOCK],
+                    out[b, :, c : c + KERNEL_BLOCK],
+                )
         return out
 
     def _combine_block(

@@ -97,7 +97,9 @@ class LinearCode(MDSCode):
 
     def _batch_step(self, stripe: int) -> int:
         """How many values of ``stripe``-byte elements share a kernel call:
-        one block's worth of framed bytes (:data:`~repro.erasure.gf.KERNEL_BLOCK`).
+        one block's worth of framed bytes (:data:`~repro.erasure.gf.KERNEL_BLOCK`),
+        which the kernel combines in one go.  This is the only place that
+        decides it, for encoding and decoding alike.
 
         Batching exists to share per-call overhead among small values.
         Large ones gain nothing from it — the kernel walks them value by
@@ -152,8 +154,8 @@ class LinearCode(MDSCode):
 
         Collections that share the same index set and stripe length (the
         common case in scenario sweeps, where all reads of a run see the
-        same surviving servers) are concatenated column-wise and decoded by
-        a single matrix product.  Results come back in input order and are
+        same surviving servers) are decoded :meth:`_batch_step` at a time
+        by one kernel call.  Results come back in input order and are
         byte-identical to calling :meth:`decode` per collection.
         """
         collected = [self._collect(els) for els in element_sets]

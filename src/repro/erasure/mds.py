@@ -103,14 +103,10 @@ class MDSCode(ABC):
             [piece for value in values for piece in (header, value, padding)]
         )
 
-    def _frame(self, value: bytes) -> np.ndarray:
-        """Prefix with a length header, pad, and reshape to ``(k, stripe)``."""
-        framed = self._frame_bytes((value,))
-        return np.frombuffer(framed, dtype=np.uint8).reshape(self._k, -1)
-
     @staticmethod
     def _unframe(rows: np.ndarray) -> bytes:
-        """Inverse of :meth:`_frame`: strip padding using the length header."""
+        """Inverse of :meth:`_frame_bytes` on one frame's rows: strip padding
+        using the length header."""
         flat = np.ascontiguousarray(rows, dtype=np.uint8).reshape(-1)
         if flat.size < _LENGTH_HEADER.size:
             raise DecodingError("decoded data shorter than the length header")

@@ -55,9 +55,10 @@ def test_matches_reference_across_block_boundaries(field, batch, q):
         assert np.array_equal(got, reference(field, A, stacked)), (m, p)
 
 
-@pytest.mark.parametrize("q", (1, 9, 511, 513, BLOCK // 64, BLOCK // 64 + 1))
-def test_batch_of_64_groups_short_rows(field, q):
-    """The warm path's batch: groups of whole values, a ragged last group."""
+@pytest.mark.parametrize("q", (1, 9, BLOCK // 64 - 1, BLOCK // 64, BLOCK // 64 + 1, BLOCK // 61))
+def test_batch_of_64_short_rows(field, q):
+    """The warm path's batch: every value at once while they fit one block
+    together (``batch * q <= BLOCK``), value by value from there on."""
     rng = np.random.default_rng(q)
     A, stacked = _operands(rng, 64, 2, 4, q)
     assert np.array_equal(field.matmul_many(A, stacked), reference(field, A, stacked))

@@ -153,6 +153,22 @@ class TestDecoderBudget:
         assert decoder.decode_many(jobs) == values
         assert decoder.stats()["bytes"] == _decoder_recount(decoder) <= limit
 
+    def test_the_same_job_twice_in_one_batch_is_counted_once(self, budget):
+        """Both copies miss (the eager loop's accounting) and both store
+        under one key; the bytes must be those of the one live entry, or
+        they drift up for good and the budget evicts live entries early."""
+        limit = budget(10_000)
+        code = ReedSolomonCode(6, 4)
+        decoder = CachedDecoder(code)
+        entry = 1000 + 4 * code.element_size(1000)
+        for tag, value in enumerate(_values(3, 1000, seed=7)):
+            elements = code.encode(value)[:4]
+            jobs = [(tag, elements), (tag, elements[::-1]), (tag, elements)]
+            assert decoder.decode_many(jobs) == [value] * 3
+            assert decoder.stats()["bytes"] == _decoder_recount(decoder) == (tag + 1) * entry
+        assert (decoder.hits, decoder.misses, len(decoder)) == (0, 9, 3)
+        assert 3 * entry <= limit  # nothing was evicted on a phantom weight
+
     def test_oversized_reconstruction_is_kept_alone(self, budget):
         budget(100)
         code = ReedSolomonCode(6, 4)

@@ -1,5 +1,6 @@
 """Tests for the MDS framing helpers and module-level utilities."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,14 +56,13 @@ class TestFraming:
     @settings(max_examples=60, deadline=None)
     def test_frame_unframe_roundtrip(self, value, k):
         code = ReedSolomonCode(k + 2, k)
-        rows = code._frame(value)
-        assert rows.shape[0] == k
+        framed = code._frame_bytes((value,))
+        assert len(framed) == k * code.element_size(len(value))
+        rows = np.frombuffer(framed, dtype=np.uint8).reshape(k, -1)
         assert code._unframe(rows) == value
 
     def test_unframe_truncated_raises(self):
         code = ReedSolomonCode(4, 2)
-        import numpy as np
-
         # A header claiming more bytes than are present.
         rows = np.frombuffer(b"\x00\x00\x01\x00" + b"ab", dtype=np.uint8).reshape(2, 3)
         with pytest.raises(DecodingError):

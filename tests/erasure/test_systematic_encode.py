@@ -99,6 +99,23 @@ class TestSystematicCodes:
             assert code.decode([elements[i] for i in chosen]) == value
         assert code.decode_many([elements[:k], elements[n - k :]]) == [value, value]
 
+    def test_unequal_elements_adding_up_to_a_frame_are_rejected(self, make, n, k):
+        """Decode gathers its rows with one join and a reshape, which alone
+        would accept misaligned elements whose total is ``k * stripe``."""
+        code = make(n, k)
+        elements = code.encode(_values([1000], seed=5)[0])
+        shifted = [
+            CodedElement(0, elements[0].data + elements[1].data[:1]),
+            CodedElement(1, elements[1].data[1:]),
+            *elements[2:],
+        ]
+        with pytest.raises(DecodingError):
+            code.decode(shifted[:k])
+        with pytest.raises(DecodingError):
+            code.decode_many([elements[:k], shifted[:k]])
+        with pytest.raises(DecodingError):
+            code.decode_with_errors(shifted, max_errors=(n - k) // 2)
+
 
 class PlainVandermondeCode(LinearCode):
     """A deliberately non-systematic code: the raw Vandermonde matrix."""
@@ -127,7 +144,7 @@ def test_non_systematic_code_takes_the_full_matrix_path(n, k):
 
 
 def test_frame_layout_is_unchanged():
-    """``_frame`` builds header + value + padding with one join now; the
+    """``_frame_bytes`` builds header + value + padding with one join; the
     bytes are what the two concatenations produced."""
     for k in (1, 3, 4, 5):
         code = ReedSolomonCode(k + 2, k)
@@ -135,7 +152,8 @@ def test_frame_layout_is_unchanged():
             framed = struct.pack(">I", len(value)) + value
             stripe = max(-(-len(framed) // k), 1)
             padded = framed + b"\x00" * (k * stripe - len(framed))
-            frame = code._frame(value)
-            assert frame.shape == (k, stripe)
-            assert frame.tobytes() == padded
+            assert code.element_size(len(value)) == stripe
+            assert code._frame_bytes((value,)) == padded
+            assert code._frame_bytes((value, value)) == padded + padded
+            frame = np.frombuffer(padded, dtype=np.uint8).reshape(k, stripe)
             assert code._unframe(frame) == value
