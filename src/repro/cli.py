@@ -58,16 +58,23 @@ partition).  ``--faults`` accepts the unified fault-plan spec
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro import __version__
 from repro.analysis import experiments as exp
 from repro.analysis.engine import KINDS, Report, run_experiment, write_artefacts
 from repro.analysis.sweeps import available_sweeps, rows_as_dicts, run_named_sweep
 from repro.analysis.tables import format_table, generate_table1
 from repro.baselines.registry import available_protocols, make_cluster
-from repro.erasure.gf import GF_BACKENDS, set_default_backend
+from repro.erasure.gf import (
+    BACKEND_ENV_VAR,
+    GF_BACKENDS,
+    describe_backend,
+    set_default_backend,
+)
 from repro.metrics.latency import format_latency
 from repro.runtime.openloop import ADMISSION_POLICIES
 
@@ -393,18 +400,33 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+class _VersionAction(argparse.Action):
+    """``--version``: resolves the GF backend only when actually asked."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"{parser.prog} {__version__} (gf backend: {describe_backend()})")
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="soda-repro",
         description="Reproduction of the SODA storage-optimized atomic register algorithms",
     )
     parser.add_argument(
+        "--version",
+        action=_VersionAction,
+        nargs=0,
+        help="print the version and the resolved GF(2^8) backend, then exit",
+    )
+    parser.add_argument(
         "--gf-backend",
         choices=GF_BACKENDS,
         default=None,
         help="GF(2^8) kernel backend for erasure coding (default: the "
-        "REPRO_GF_BACKEND env var, else numpy; 'native' needs cffi plus a "
-        "C toolchain and fails fast when unavailable)",
+        "REPRO_GF_BACKEND env var, else the compiled 'native' kernels when "
+        "they load or build and 'numpy' otherwise; an explicit 'native' "
+        "needs cffi plus a C toolchain and fails fast when unavailable)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -591,6 +613,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.gf_backend is not None:
         set_default_backend(args.gf_backend)
+        # Pool and checker workers are spawned: they resolve from the environment.
+        os.environ[BACKEND_ENV_VAR] = args.gf_backend
+    # Results and artefacts are byte-equal across backends, so this line is
+    # the only place a run says which kernels it used.
+    print(f"gf backend: {describe_backend()}", file=sys.stderr)
     return args.func(args)
 
 

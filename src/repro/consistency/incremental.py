@@ -115,10 +115,65 @@ _EAGER_TAIL = 32
 _DIRTY_LIMIT = 16
 
 
+#: Values shorter than this are digested directly: BLAKE2 of 1 KiB costs
+#: ~1.6 us, twice what remembering a write plus finding it again costs
+#: (~0.8 us), and below that the digest is the cheaper of the two.
+_MEMO_MIN_BYTES = 1024
+
+#: Bounds of the recent-writes memo, in entries and in bytes referenced (it
+#: holds references, not copies).  A read returns one of the last few
+#: writes, so a handful of entries serves.
+_MEMO_ENTRIES = 32
+_MEMO_BYTES = 4 * 1024 * 1024
+
+
 def _value_key(value: Optional[bytes]) -> bytes:
     if value is None:
         value = b""
     return hashlib.blake2b(value, digest_size=16).digest()
+
+
+class _RecentWrites:
+    """Digests of recently written large values, found again by comparison.
+
+    A read's value is the value of a write digested moments earlier, so
+    rather than digesting the same bytes a second time (BLAKE2 runs at
+    ~0.7 GB/s, 90 us per 64 KiB) the read is matched against the remembered
+    write with the same length, first and last bytes by ``==`` — a
+    ``memcmp``, a few us per 64 KiB — and takes that write's digest.  It is
+    exact, since equal bytes have equal digests, and trusts neither tags
+    nor the protocol: anything that fails to match is digested as before.
+    Comparing values rather than identities serves a worker-mode checker,
+    whose values arrive unpickled, just as well.
+    """
+
+    __slots__ = ("_entries", "_bytes")
+
+    def __init__(self) -> None:
+        # (length, head, tail) -> (value, digest), oldest first
+        self._entries: Dict[Tuple[int, bytes, bytes], Tuple[bytes, bytes]] = {}
+        self._bytes = 0
+
+    def remember(self, value: bytes, key: bytes) -> None:
+        """Note that ``key`` is the digest of the just-written ``value``."""
+        size = len(value)
+        if size > _MEMO_BYTES:
+            return
+        entries = self._entries
+        fingerprint = (size, value[:8], value[-8:])
+        if entries.pop(fingerprint, None) is None:
+            self._bytes += size
+        entries[fingerprint] = (value, key)
+        while len(entries) > _MEMO_ENTRIES or self._bytes > _MEMO_BYTES:
+            evicted, _ = entries.pop(next(iter(entries)))
+            self._bytes -= len(evicted)
+
+    def key_of(self, value: bytes) -> Optional[bytes]:
+        """The digest of ``value`` if an equal value was remembered, else None."""
+        candidate = self._entries.get((len(value), value[:8], value[-8:]))
+        if candidate is not None and candidate[0] == value:
+            return candidate[1]
+        return None
 
 
 @dataclass(frozen=True)
@@ -240,6 +295,8 @@ class IncrementalAtomicityChecker(StreamObserver):
         #: a large value is hashed once, not again at completion; the entry
         #: goes when the write completes or fails.
         self._open_write_keys: Dict[str, Tuple[Optional[bytes], bytes]] = {}
+        #: What a read's value is compared against before it is digested.
+        self._recent_writes = _RecentWrites()
 
         self._initial_key = _value_key(initial_value)
         cid = self._new_cluster(
@@ -259,8 +316,11 @@ class IncrementalAtomicityChecker(StreamObserver):
         self.ops_seen += 1
         if record.kind != WRITE:
             return
-        key = _value_key(record.value)
-        self._open_write_keys[record.op_id] = (record.value, key)
+        value = record.value
+        key = _value_key(value)
+        self._open_write_keys[record.op_id] = (value, key)
+        if value is not None and len(value) >= _MEMO_MIN_BYTES:
+            self._recent_writes.remember(value, key)
         self._register_write(record, key)
 
     def _register_write(self, record: OperationRecord, key: bytes) -> None:
@@ -337,7 +397,11 @@ class IncrementalAtomicityChecker(StreamObserver):
             self._update(cid, new_resp=record.responded_at)
         else:
             self.reads_checked += 1
-            key = _value_key(record.value)
+            value = record.value
+            if value is not None and len(value) >= _MEMO_MIN_BYTES:
+                key = self._recent_writes.key_of(value) or _value_key(value)
+            else:
+                key = _value_key(value)
             cid = self._cid_of.get(key)
             if cid is None:
                 if self.unknown_values == "flag":

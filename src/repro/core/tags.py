@@ -12,21 +12,50 @@ cost (Section II-h).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import total_ordering
 
 
 @total_ordering
-@dataclass(frozen=True, slots=True)
 class Tag:
-    """A version identifier ``(z, writer_id)``."""
+    """A version identifier ``(z, writer_id)``.
+
+    Immutable and hashed once: tags key the per-read relay state of every
+    server, so ``hash(tag)`` runs tens of times per operation and returns
+    the value computed at construction (the hash of the ``(z, writer_id)``
+    pair, so set and dict orders are those of the pair).
+    """
+
+    __slots__ = ("z", "writer_id", "_hash")
 
     z: int
     writer_id: str
 
-    def __post_init__(self) -> None:
-        if self.z < 0:
+    def __init__(self, z: int, writer_id: str) -> None:
+        if z < 0:
             raise ValueError("tag sequence number must be non-negative")
+        set_field = object.__setattr__
+        set_field(self, "z", z)
+        set_field(self, "writer_id", writer_id)
+        set_field(self, "_hash", hash((z, writer_id)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: Tag is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: Tag is immutable")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.z == other.z and self.writer_id == other.writer_id
+
+    def __reduce__(self):
+        # Rebuilt through __init__: the string hash seed differs per process,
+        # so a pool worker must not inherit the parent's _hash.
+        return (Tag, (self.z, self.writer_id))
 
     def next_for(self, writer_id: str) -> "Tag":
         """The tag a writer creates after observing this one as the maximum

@@ -14,12 +14,14 @@ split into ``k`` elements, expanded into ``n`` coded elements of size
 This package implements everything needed from scratch:
 
 * :mod:`repro.erasure.gf` — arithmetic in GF(2^8), with two
-  byte-identical bulk-kernel backends (full-table numpy gathers,
-  compiled C kernels) selected per field instance or
-  process-wide via ``REPRO_GF_BACKEND`` / the ``--gf-backend`` CLI flag.
-* :mod:`repro.erasure.gf_native` — the optional cffi-compiled kernels
-  behind the ``native`` backend (graceful availability probing; pure
-  numpy remains the always-on fallback).
+  byte-identical bulk-kernel backends: compiled C kernels (``native``, the
+  default wherever they load or build) and full-table numpy gathers
+  (``numpy``, the portable fallback and the tests' reference), pinned per
+  field instance or process-wide via ``REPRO_GF_BACKEND`` / the
+  ``--gf-backend`` CLI flag.
+* :mod:`repro.erasure.gf_native` — the cffi-compiled kernels behind the
+  ``native`` backend and their per-user build cache (every way of failing
+  to provide them is a named reason, never an exception).
 * :mod:`repro.erasure.poly` — polynomials over GF(2^8).
 * :mod:`repro.erasure.matrix` — matrices over GF(2^8) (inversion, solving).
 * :mod:`repro.erasure.rs` — a classical Reed–Solomon codec with systematic
@@ -55,6 +57,7 @@ from repro.erasure.gf import (
     available_backends,
     default_backend,
     default_field,
+    describe_backend,
     set_default_backend,
 )
 from repro.erasure.linear import LinearCode
@@ -69,6 +72,7 @@ __all__ = [
     "available_backends",
     "default_backend",
     "default_field",
+    "describe_backend",
     "set_default_backend",
     "CachedDecoder",
     "CachedEncoder",

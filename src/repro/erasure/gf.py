@@ -19,25 +19,29 @@ Each field instance carries one of two interchangeable bulk-kernel
 backends — byte-identical, differing only in how the per-coefficient
 table product is computed:
 
-``numpy``
-    The always-on portable default: one ``take`` per non-trivial
-    coefficient against a 256-byte row of the full 64 KiB product table,
-    run over cache-sized blocks of the operand (:data:`KERNEL_BLOCK`) so an
-    input row's index is built once and reused by every output row.
 ``native``
-    Compiled C kernels (:mod:`repro.erasure.gf_native`, built at runtime via
-    cffi) consuming the same product table; uses a 16-lane ``pshufb``
-    split-table product on SSSE3-capable x86-64 hosts and a scalar table
-    walk elsewhere.  Requires cffi plus a C toolchain.
+    Compiled C kernels (:mod:`repro.erasure.gf_native`, built once per user
+    at runtime via cffi) consuming the same product table; uses a 16-lane
+    ``pshufb`` split-table product on SSSE3-capable x86-64 hosts and a
+    scalar table walk elsewhere.  The default wherever cffi and a C
+    toolchain (or a cached build) are present.
+``numpy``
+    The portable fallback and the reference the tests compare ``native``
+    against: one ``take`` per non-trivial coefficient against a 256-byte
+    row of the full 64 KiB product table, run over cache-sized blocks of
+    the operand (:data:`KERNEL_BLOCK`) so an input row's index is built
+    once and reused by every output row.
 
 (A third, pure-numpy 4-bit split-table backend was removed in PR 13: it
 benched below the default table kernel on every committed row and nothing
 depended on it.)
 
-The process-wide default backend is resolved from the ``REPRO_GF_BACKEND``
-environment variable (CLI flag ``--gf-backend`` sets it explicitly via
-:func:`set_default_backend`); an env-selected ``native`` backend that cannot
-build falls back to ``numpy`` with a warning, while an explicit
+The process-wide default backend (:func:`default_backend`) is ``native``
+when the compiled kernels load and ``numpy``, silently, when they do not —
+:func:`describe_backend` names the reason.  ``REPRO_GF_BACKEND`` (and the CLI
+flag ``--gf-backend``, via :func:`set_default_backend`) are explicit
+overrides: an env-selected ``native`` that cannot load falls back to
+``numpy`` with a warning, while an explicit
 :func:`set_default_backend`/constructor request raises.
 """
 
@@ -438,7 +442,8 @@ def set_default_backend(backend: Optional[str]) -> None:
 
     An explicit request for ``"native"`` raises ``RuntimeError`` when the
     compiled kernels cannot be built, unlike the env-var path which falls
-    back to ``numpy`` with a warning.
+    back to ``numpy`` with a warning and the unset default which falls back
+    silently.
     """
     global _backend_override
     if backend is not None:
@@ -453,33 +458,50 @@ def set_default_backend(backend: Optional[str]) -> None:
     _backend_override = backend
 
 
-def default_backend() -> str:
-    """Resolve the backend new ``default_field()`` instances use.
-
-    Precedence: :func:`set_default_backend` override, then the
-    ``REPRO_GF_BACKEND`` environment variable, then ``"numpy"``.
-    """
+def _requested_backend() -> Optional[str]:
+    """The explicitly chosen backend (override, then environment), if any."""
     if _backend_override is not None:
         return _backend_override
     env = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
     if not env:
-        return "numpy"
+        return None
     if env not in GF_BACKENDS:
         raise ValueError(
             f"{BACKEND_ENV_VAR}={env!r} is not a GF backend; "
             f"expected one of {GF_BACKENDS}"
         )
-    if env == "native":
-        error = gf_native.availability_error()
-        if error is not None:
-            warnings.warn(
-                f"{BACKEND_ENV_VAR}=native requested but the compiled backend "
-                f"is unavailable ({error}); falling back to the numpy kernels",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return "numpy"
     return env
+
+
+def default_backend() -> str:
+    """Resolve the backend new ``default_field()`` instances use.
+
+    Precedence: :func:`set_default_backend` override, then the
+    ``REPRO_GF_BACKEND`` environment variable, then ``"native"`` when the
+    compiled kernels load (a cached build) or build, else ``"numpy"``.
+    """
+    requested = _requested_backend()
+    if requested == "numpy":
+        return "numpy"
+    error = gf_native.availability_error()
+    if error is None:
+        return "native"
+    if requested == "native":
+        warnings.warn(
+            f"{BACKEND_ENV_VAR}=native requested but the compiled backend "
+            f"is unavailable ({error}); falling back to the numpy kernels",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return "numpy"
+
+
+def describe_backend() -> str:
+    """The resolved default backend and, on a fallback, why ``native`` is out."""
+    backend = default_backend()
+    if backend == "numpy" and _requested_backend() != "numpy":
+        return f"numpy (native unavailable: {gf_native.availability_error()})"
+    return backend
 
 
 @lru_cache(maxsize=None)

@@ -1,14 +1,14 @@
-"""Optional compiled GF(2^8) kernels (the ``native`` backend).
+"""Compiled GF(2^8) kernels (the ``native`` backend).
 
 This module builds a tiny C extension at runtime via :mod:`cffi` and exposes
 it to :class:`repro.erasure.gf.GF256` behind two entry points:
 
 * :func:`load` — compile (or reuse a cached build of) the extension and
-  return its ``(ffi, lib)`` pair; raises ``RuntimeError`` when cffi or a C
-  toolchain is unavailable.
+  return its ``(ffi, lib)`` pair; raises ``RuntimeError`` — and nothing
+  else — with the reason when the kernels cannot be provided on this host.
 * :func:`is_available` / :func:`availability_error` — probe without raising,
-  so callers (env-var backend selection, CI build steps, skipif marks) can
-  fall back to the pure-numpy kernels cleanly.
+  so callers (the default backend resolution, CI build steps, skipif marks)
+  can fall back to the pure-numpy kernels cleanly.
 
 The C kernels consume the exact same 256 x 256 product table the numpy
 backend gathers from, so every backend is byte-identical by construction:
@@ -22,9 +22,20 @@ The SIMD path is compiled only under ``__x86_64__`` + GCC/Clang and selected
 at runtime via ``__builtin_cpu_supports``; every other host uses the scalar
 loop, still well ahead of a Python-side gather for matmul shapes.
 
-Builds land in a content-addressed cache directory (hash of the C source)
-under the system temp dir — override with ``REPRO_GF_NATIVE_CACHE`` — so the
-~2 s compile is paid once per source revision per machine, not per process.
+Build cache
+-----------
+The ~2 s compile is paid once per source revision per user, not per
+process: the extension is published into a content-addressed directory
+(hash of the C source, python tag) under ``$XDG_CACHE_HOME`` / ``~/.cache``
+— or, when neither can be written, a uid-named directory under the system
+temp dir; ``REPRO_GF_NATIVE_CACHE`` names the directory outright.  The
+directory is created ``0700`` and nothing is imported from a directory or
+file another uid owns: ``native`` is the default backend, so this path runs
+in every process that encodes a value.  A cached file that does not load
+(truncated, foreign) is rebuilt once; a build that fails leaves a
+``<digest>.unavailable`` marker holding the reason, so the workers of a pool
+on a host without a C toolchain read one line each and do not each retry the
+compile.  Delete the marker to try again.
 """
 
 from __future__ import annotations
@@ -39,6 +50,8 @@ import threading
 from typing import Optional, Tuple
 
 MODULE_NAME = "_repro_gf_native"
+#: Environment variable naming the build directory outright.
+CACHE_ENV_VAR = "REPRO_GF_NATIVE_CACHE"
 
 CDEF = """
 void gf_matmul(const unsigned char *A, const unsigned char *table,
@@ -155,19 +168,52 @@ def _source_digest() -> str:
     return hashlib.sha256((CDEF + C_SOURCE).encode()).hexdigest()[:16]
 
 
+def _creatable(path: str) -> bool:
+    """Whether ``path`` exists, or could be created, as a writable directory."""
+    while not os.path.lexists(path):
+        parent = os.path.dirname(path)
+        if parent == path:
+            return False
+        path = parent
+    return os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)
+
+
 def _cache_dir() -> str:
-    override = os.environ.get("REPRO_GF_NATIVE_CACHE")
+    """The directory this source revision's build (or its marker) lives in."""
+    override = os.environ.get(CACHE_ENV_VAR)
     if override:
         return override
-    tag = f"py{sys.version_info.major}{sys.version_info.minor}"
+    leaf = f"{_source_digest()}-py{sys.version_info.major}{sys.version_info.minor}"
+    user_cache = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(user_cache):  # unset, or relative and so to be ignored
+        user_cache = os.path.join(os.path.expanduser("~"), ".cache")
+    if os.path.isabs(user_cache) and _creatable(user_cache):
+        return os.path.join(user_cache, "repro-gf-native", leaf)
+    # One level, so the only directory above it that is not ours is the
+    # temp dir itself, whose sticky bit keeps other users from renaming it.
     return os.path.join(
-        tempfile.gettempdir(), f"repro-gf-native-{_source_digest()}-{tag}"
+        tempfile.gettempdir(), f"repro-gf-native-uid{_uid()}-{leaf}"
     )
 
 
+def _uid() -> Optional[int]:
+    # A platform without uids has no other user to distrust.
+    return os.getuid() if hasattr(os, "getuid") else None
+
+
+def _require_owned(path: str) -> None:
+    uid = _uid()
+    if uid is None:
+        return
+    owner = os.stat(path).st_uid
+    if owner != uid:
+        raise RuntimeError(
+            f"refusing to import compiled kernels from {path}: it is owned by "
+            f"uid {owner}, not by the current uid {uid}"
+        )
+
+
 def _find_extension(directory: str) -> Optional[str]:
-    if not os.path.isdir(directory):
-        return None
     for name in sorted(os.listdir(directory)):
         if name.startswith(MODULE_NAME) and name.endswith((".so", ".pyd")):
             return os.path.join(directory, name)
@@ -175,42 +221,69 @@ def _find_extension(directory: str) -> Optional[str]:
 
 
 def _load_extension(path: str) -> Tuple[object, object]:
+    """Import the extension at ``path`` (in a directory already checked to be
+    ours); ``ImportError`` when it is not the kernel module."""
+    _require_owned(path)
     spec = importlib.util.spec_from_file_location(MODULE_NAME, path)
     if spec is None or spec.loader is None:  # pragma: no cover - loader quirk
-        raise RuntimeError(f"cannot load compiled module at {path}")
+        raise ImportError(f"no loader for {path}")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.ffi, module.lib
+    try:
+        spec.loader.exec_module(module)
+        return module.ffi, module.lib
+    except (OSError, AttributeError) as exc:
+        raise ImportError(f"{path} is not the compiled kernel module: {exc}") from exc
 
 
-def _build() -> Tuple[object, object]:
+def _compile(cache_dir: str, marker: str) -> str:
+    """Build the extension and publish it into ``cache_dir``; returns its path."""
     try:
         from cffi import FFI
     except ImportError as exc:
         raise RuntimeError(f"cffi is not installed: {exc}") from exc
 
-    cache_dir = _cache_dir()
-    cached = _find_extension(cache_dir)
-    if cached is not None:
-        return _load_extension(cached)
-
     builder = FFI()
     builder.cdef(CDEF)
     builder.set_source(MODULE_NAME, C_SOURCE, extra_compile_args=["-O3"])
-    build_dir = tempfile.mkdtemp(prefix="repro-gf-build-")
+    # A fresh directory inside the cache: same filesystem, so publishing is
+    # one atomic rename of the finished file.  A concurrent builder's rename
+    # lands the same bytes; a process that has the old file mapped keeps it.
+    build_dir = tempfile.mkdtemp(prefix="build-", dir=cache_dir)
     try:
-        built = builder.compile(tmpdir=build_dir)
-    except Exception as exc:
+        try:
+            built = builder.compile(tmpdir=build_dir)
+        except Exception as exc:  # cffi, setuptools and the compiler all raise their own
+            reason = f"C toolchain unavailable or build failed: {exc}"
+            with open(marker, "w") as handle:
+                handle.write(reason + "\n")
+            raise RuntimeError(reason) from exc
+        published = os.path.join(cache_dir, os.path.basename(built))
+        os.replace(built, published)
+        return published
+    finally:
         shutil.rmtree(build_dir, ignore_errors=True)
-        raise RuntimeError(f"C toolchain unavailable or build failed: {exc}") from exc
+
+
+def _provide() -> Tuple[object, object]:
+    cache_dir = _cache_dir()
+    marker = os.path.join(cache_dir, f"{_source_digest()}.unavailable")
     try:
-        # Publish atomically; a concurrent builder winning the rename is fine,
-        # we just load whichever copy landed.
-        os.replace(build_dir, cache_dir)
-    except OSError:
-        shutil.rmtree(build_dir, ignore_errors=True)
-    published = _find_extension(cache_dir)
-    return _load_extension(published if published is not None else built)
+        os.makedirs(cache_dir, mode=0o700, exist_ok=True)
+        _require_owned(cache_dir)
+        cached = _find_extension(cache_dir)
+        if cached is not None:
+            try:
+                return _load_extension(cached)
+            except ImportError:
+                # Truncated or foreign: out of the way, then one rebuild.
+                os.unlink(cached)
+        elif os.path.exists(marker):
+            with open(marker) as handle:
+                reason = handle.read().strip()
+            raise RuntimeError(f"{reason} (recorded in {marker}; delete it to retry)")
+        return _load_extension(_compile(cache_dir, marker))
+    except (OSError, ImportError) as exc:
+        raise RuntimeError(f"build cache {cache_dir} is unusable: {exc}") from exc
 
 
 def load() -> Tuple[object, object]:
@@ -226,7 +299,7 @@ def load() -> Tuple[object, object]:
         if _error is not None:
             raise RuntimeError(_error)
         try:
-            _loaded = _build()
+            _loaded = _provide()
         except RuntimeError as exc:
             _error = str(exc)
             raise

@@ -1,5 +1,6 @@
 """Determinism as one property: artefact bytes are invariant over every
-scheduling axis, for every artefact kind of the engine.
+scheduling axis and over the GF(2^8) backend, for every artefact kind of
+the engine.
 
 The scheduling axes — ``jobs`` (epochs in flight), ``checker_workers``
 (where the per-object checkers run) and, for the fleet kinds, ``fleet``
@@ -10,11 +11,17 @@ scheduling variant, and asserts the JSON and CSV bytes never move.  It
 replaces the per-engine ``TestJobsDeterminism`` / ``TestDeterminism`` /
 ``TestFleetDeterminism`` classes; the CI ``determinism-smoke`` matrix job
 checks the same property through the CLI at larger sizes.
+
+The baseline runs on the backend a user gets (``native`` where the compiled
+kernels load); ``tests/analysis/test_golden_longrun.py`` pins those bytes to
+the committed goldens, and the backend axis here re-runs every scenario on
+the ``numpy`` reference, workers included.
 """
 
 import pytest
 
 from repro.analysis.engine import KINDS
+from repro.erasure.gf import BACKEND_ENV_VAR, default_backend
 from tests.golden.capture_goldens import ARTEFACT_SCENARIOS, write_scenario
 
 
@@ -77,3 +84,18 @@ def test_artefact_bytes_invariant_under_scheduling(
     for axis, value in variant.items():
         if axis != "checker_workers":
             assert getattr(report, axis) == value
+
+
+@pytest.mark.parametrize("name", sorted(ARTEFACT_SCENARIOS))
+def test_artefact_bytes_invariant_under_gf_backend(
+    tmp_path, baselines, monkeypatch, name
+):
+    expected = baselines(name)  # on the default-resolved backend
+    # Through the environment, so that spawned workers follow.
+    monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
+    assert default_backend() == "numpy"
+    report, *paths = write_scenario(name, tmp_path, jobs=2)
+    assert report.ok
+    assert [path.read_bytes() for path in paths] == expected, (
+        f"{name}: artefact bytes differ between the default backend and numpy"
+    )

@@ -307,6 +307,48 @@ class TestFlatCoreDifferential:
                 f"{inject} trial {trial}"
             )
 
+    @pytest.mark.parametrize("aliased", [True, False])
+    def test_read_value_memo_matches_reference(self, monkeypatch, aliased):
+        """The read-value memo at its most exposed: consulted for every
+        size, two entries so writes evict all the time, every operation
+        carrying its own copy of the bytes, and (``aliased``) every value of
+        one length with one head and one tail, so the fingerprint never
+        tells two apart.  The reference has no memo: it digests every value."""
+        import repro.consistency.incremental as incremental_module
+
+        digests = []
+        digest = incremental_module._value_key
+        monkeypatch.setattr(
+            incremental_module,
+            "_value_key",
+            lambda value: digests.append(1) or digest(value),
+        )
+        monkeypatch.setattr(incremental_module, "_MEMO_MIN_BYTES", 0)
+        monkeypatch.setattr(incremental_module, "_MEMO_ENTRIES", 2)
+        cases = 60 * FUZZ_FACTOR
+        rng = np.random.default_rng(fuzz_seed(f"flatcore-memo-{aliased}"))
+        valued = 0
+        for trial in range(cases):
+            inject = rng.choice([None, "phantom", "swap", "future", "duplicate"])
+            history = build_history(rng, inject=inject)
+            for op in history.operations():
+                if op.value:  # the initial value stays the checker's b""
+                    valued += 1
+                    op.value = bytes(bytearray(op.value))
+                    if aliased:
+                        op.value = b"HEADHEAD" + op.value.rjust(16, b".") + b"TAILTAIL"
+            flat = replay_operations(
+                IncrementalAtomicityChecker(), history.operations()
+            )
+            reference = replay_operations(
+                ReferenceAtomicityChecker(), history.operations()
+            )
+            assert checker_export(reference) == checker_export(flat), (
+                f"{inject} trial {trial}"
+            )
+        # ... and the memo did serve reads while agreeing.
+        assert len(digests) < valued
+
     def test_scrambled_event_order_matches_reference(self):
         """Out-of-stream-order feeds hit the mid-table insert fallback:
         the interval table must stay sorted (audited) and the exports must

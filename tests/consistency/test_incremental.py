@@ -336,28 +336,29 @@ class TestReopenAfterDuplicateMinResp:
             assert checker._tcid == table  # nothing was evicted
 
 
+@pytest.fixture
+def hashed(monkeypatch):
+    """Every value handed to the checker's digest function, in order."""
+    # Imported first: the reference binds the digest function it finds
+    # at import, and must find the uncounted one.
+    import reference_incremental  # noqa: F401
+
+    from repro.consistency import incremental
+
+    seen = []
+    digest = incremental._value_key
+    monkeypatch.setattr(
+        incremental, "_value_key", lambda value: seen.append(value) or digest(value)
+    )
+    return seen
+
+
 class TestWriteValueHashedOnce:
     """A write's value is digested at invoke; completion reuses that digest
     only for the very same bytes object, and nothing is kept for a write
     that will never complete."""
 
-    @pytest.fixture
-    def hashed(self, monkeypatch):
-        """Every value handed to the checker's digest function, in order."""
-        # Imported first: the reference binds the digest function it finds
-        # at import, and must find the uncounted one.
-        import reference_incremental  # noqa: F401
-
-        from repro.consistency import incremental
-
-        seen = []
-        digest = incremental._value_key
-        monkeypatch.setattr(
-            incremental, "_value_key", lambda value: seen.append(value) or digest(value)
-        )
-        return seen
-
-    def test_one_digest_per_write_one_per_read(self, hashed):
+    def test_one_digest_per_write_none_for_a_read_of_a_recent_write(self, hashed):
         recorder = StreamingRecorder(window=8)
         checker = recorder.subscribe(IncrementalAtomicityChecker())
         hashed.clear()  # the initial value's digest
@@ -366,9 +367,10 @@ class TestWriteValueHashedOnce:
         assert checker._open_write_keys.keys() == {"w1"}
         recorder.respond("w1", 1.0)
         recorder.invoke("r1", READ, "r", 2.0)
-        recorder.respond("r1", 3.0, value=bytes(value))
-        assert hashed == [value, value] and hashed[0] is value
-        assert checker.ok and not checker._open_write_keys
+        recorder.respond("r1", 3.0, value=bytes(bytearray(value)))
+        assert len(hashed) == 1 and hashed[0] is value
+        assert checker.ok and checker.reads_checked == 1
+        assert not checker._open_write_keys
 
     def test_response_with_other_bytes_is_hashed_again(self, hashed):
         """Identity, not the op id, vouches for the memoized digest — and
@@ -450,3 +452,142 @@ class TestWriteValueHashedOnce:
         assert stats.failed >= 1 and stats.completed + stats.failed == stats.issued
         assert checker.ok, checker.violations
         assert not checker._open_write_keys
+
+
+class TestReadValueMemo:
+    """A read's value is identified by comparing it with a recently written
+    one; whatever the comparison cannot settle is digested as before, so
+    the memo can only ever save a digest, never change a key."""
+
+    @staticmethod
+    def _write(recorder, op_id, at, value):
+        recorder.invoke(op_id, WRITE, "w", at, value=value)
+        recorder.respond(op_id, at + 0.5)
+
+    @staticmethod
+    def _read(recorder, op_id, at, value):
+        recorder.invoke(op_id, READ, "r", at)
+        recorder.respond(op_id, at + 0.5, value=value)
+
+    def test_same_length_head_and_tail_but_another_middle_does_not_alias(self, hashed):
+        """The fingerprint only finds the candidate; ``==`` decides."""
+        from repro.consistency.incremental import _value_key
+
+        recorder = StreamingRecorder(window=8)
+        checker = recorder.subscribe(IncrementalAtomicityChecker())
+        head, tail = b"H" * 64, b"T" * 64
+        first = head + b"a" * 4096 + tail
+        second = head + b"b" * 4096 + tail
+        self._write(recorder, "w1", 0.0, first)
+        # Open across both reads, so either value is a legal return.
+        recorder.invoke("w2", WRITE, "w", 1.0, value=second)  # takes the fingerprint
+        hashed.clear()
+        self._read(recorder, "r1", 2.0, bytes(bytearray(first)))  # candidate differs
+        assert len(hashed) == 1
+        self._read(recorder, "r2", 3.0, bytes(bytearray(second)))
+        assert len(hashed) == 1
+        recorder.respond("w2", 4.0)
+        assert checker.ok
+        never_written = head + b"c" * 4096 + tail
+        self._read(recorder, "r3", 5.0, never_written)
+        assert [v.kind for v in checker.violations] == ["unwritten-value"]
+        summaries = {row.key: row.reads for row in checker.cluster_summaries()}
+        assert summaries[_value_key(first)] == 1 and summaries[_value_key(second)] == 1
+
+    def test_values_below_the_size_gate_are_digested(self, hashed):
+        from repro.consistency import incremental
+
+        recorder = StreamingRecorder(window=8)
+        checker = recorder.subscribe(IncrementalAtomicityChecker())
+        small = b"s" * (incremental._MEMO_MIN_BYTES - 1)
+        self._write(recorder, "w1", 0.0, small)
+        assert not checker._recent_writes._entries
+        hashed.clear()
+        self._read(recorder, "r1", 1.0, bytes(bytearray(small)))
+        assert len(hashed) == 1 and checker.ok
+
+    def test_initial_and_absent_values_are_digested(self, hashed):
+        from repro.consistency import incremental
+
+        big_initial = b"i" * 4096
+        recorder = StreamingRecorder(window=8)
+        checker = recorder.subscribe(
+            IncrementalAtomicityChecker(initial_value=big_initial)
+        )
+        hashed.clear()
+        self._read(recorder, "r1", 0.0, bytes(bytearray(big_initial)))
+        assert len(hashed) == 1 and checker.ok
+        # A read that returned nothing is keyed like the empty value.
+        self._read(recorder, "r2", 1.0, None)
+        assert hashed[1] is None
+        assert [v.kind for v in checker.violations] == ["unwritten-value"]
+        assert incremental._value_key(None) == incremental._value_key(b"")
+
+    def test_eviction_by_entries(self, hashed, monkeypatch):
+        from repro.consistency import incremental
+
+        monkeypatch.setattr(incremental, "_MEMO_ENTRIES", 3)
+        recorder = StreamingRecorder(window=8)
+        checker = recorder.subscribe(IncrementalAtomicityChecker())
+        values = [bytes([i]) * 2048 for i in range(5)]
+        for i, value in enumerate(values):
+            self._write(recorder, f"w{i}", float(i), value)
+        memo = checker._recent_writes
+        assert [entry[0] for entry in memo._entries.values()] == values[2:]
+        assert memo._bytes == 3 * 2048
+        hashed.clear()
+        self._read(recorder, "r-new", 10.0, bytes(bytearray(values[4])))
+        assert hashed == []
+        self._read(recorder, "r-old", 11.0, bytes(bytearray(values[0])))  # evicted
+        assert len(hashed) == 1
+        assert checker.reads_checked == 2
+
+    def test_eviction_by_bytes(self, monkeypatch):
+        from repro.consistency import incremental
+
+        monkeypatch.setattr(incremental, "_MEMO_BYTES", 10_000)
+        memo = incremental._RecentWrites()
+        values = [bytes([i]) * 4096 for i in range(3)]
+        for value in values:
+            memo.remember(value, incremental._value_key(value))
+        assert [entry[0] for entry in memo._entries.values()] == values[1:]
+        assert memo._bytes == 8192
+        assert memo.key_of(values[0]) is None
+        assert memo.key_of(bytes(values[2])) == incremental._value_key(values[2])
+        # A value the whole budget cannot hold is never referenced at all.
+        huge = b"x" * 10_001
+        memo.remember(huge, incremental._value_key(huge))
+        assert memo.key_of(huge) is None and memo._bytes == 8192
+        # Writing an equal value again replaces its entry, counted once.
+        memo.remember(bytes(values[2]), incremental._value_key(values[2]))
+        assert len(memo._entries) == 2 and memo._bytes == 8192
+
+    def test_memo_holds_references_not_copies(self):
+        checker = IncrementalAtomicityChecker()
+        value = b"r" * 8192
+        record = History().invoke("w1", WRITE, "w", 0.0, value=value)
+        checker.on_invoke(record)
+        ((kept, _),) = checker._recent_writes._entries.values()
+        assert kept is value
+
+    @pytest.mark.parametrize("inject", ["stale", "phantom"])
+    def test_injected_violations_are_still_flagged(self, inject):
+        """The benchmark's ``consistency.probes_flagged`` probes, at a value
+        size the memo serves."""
+        from repro.consistency import incremental
+
+        recorder = StreamingRecorder(window=64)
+        checker = recorder.subscribe(IncrementalAtomicityChecker())
+        stats = stream_operations(
+            StreamSpec(
+                operations=600,
+                clients=8,
+                value_size=2 * incremental._MEMO_MIN_BYTES,
+                inject=inject,
+                seed=7,
+            ),
+            recorder,
+        )
+        assert stats.injected_violation == inject
+        assert checker._recent_writes._entries
+        assert not checker.ok

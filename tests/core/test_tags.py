@@ -1,5 +1,8 @@
 """Tests for version tags."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -34,6 +37,38 @@ class TestTagOrdering:
         assert Tag(1, "w") == Tag(1, "w")
         assert hash(Tag(1, "w")) == hash(Tag(1, "w"))
         assert Tag(1, "w") != Tag(1, "x")
+
+    def test_hash_is_that_of_the_pair(self):
+        """Set and dict orders (and with them the goldens) are those the
+        generated dataclass hash gave."""
+        assert hash(Tag(7, "w3")) == hash((7, "w3"))
+        assert Tag(1, "w") != (1, "w")
+
+    def test_immutable_and_slotted(self):
+        tag = Tag(2, "w")
+        for name in ("z", "writer_id", "_hash", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(tag, name, 9)
+        with pytest.raises(AttributeError):
+            del tag.z
+        assert not hasattr(tag, "__dict__")
+        assert (tag.z, tag.writer_id, hash(tag)) == (2, "w", hash((2, "w")))
+
+    def test_pickle_and_copy_round_trip(self):
+        tag = Tag(41, "w7")
+        for clone in (
+            pickle.loads(pickle.dumps(tag)),
+            pickle.loads(pickle.dumps(tag, protocol=0)),
+            copy.copy(tag),
+            copy.deepcopy(tag),
+        ):
+            assert clone == tag and hash(clone) == hash(tag)
+            assert {tag: "found"}[clone] == "found"
+
+    def test_unpickling_rehashes_in_the_receiving_process(self):
+        """String hashes are seeded per process, so the pickle carries the
+        fields and never the parent's hash."""
+        assert Tag(3, "w").__reduce__() == (Tag, (3, "w"))
 
     def test_next_for(self):
         t = Tag(5, "w1").next_for("w2")

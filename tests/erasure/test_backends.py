@@ -11,6 +11,8 @@ here rather than as a corrupted coded element deep inside a protocol
 run.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.erasure.gf import (
     available_backends,
     default_backend,
     default_field,
+    describe_backend,
     set_default_backend,
 )
 from repro.erasure.mds import corrupt
@@ -210,3 +213,82 @@ def test_backend_env_var(monkeypatch):
         monkeypatch.setenv("REPRO_GF_BACKEND", removed_or_unknown)
         with pytest.raises(ValueError, match="is not a GF backend"):
             default_backend()
+
+
+# ----------------------------------------------------------------------
+# the unset default: native when it loads, numpy (silently) when not
+# ----------------------------------------------------------------------
+class TestDefaultResolution:
+    @pytest.fixture(autouse=True)
+    def unset(self, monkeypatch):
+        monkeypatch.delenv("REPRO_GF_BACKEND", raising=False)
+        set_default_backend(None)
+
+    @staticmethod
+    def _native_loads(monkeypatch):
+        monkeypatch.setattr(gf_native, "load", lambda: ("ffi", "lib"))
+
+    @staticmethod
+    def _native_fails(monkeypatch, reason="no C compiler on this host"):
+        def load():
+            raise RuntimeError(reason)
+
+        monkeypatch.setattr(gf_native, "load", load)
+
+    def test_native_when_the_kernel_loads(self, monkeypatch):
+        self._native_loads(monkeypatch)
+        assert default_backend() == "native"
+        assert describe_backend() == "native"
+        assert available_backends() == ["numpy", "native"]
+
+    def test_numpy_without_a_warning_when_it_does_not(self, monkeypatch):
+        self._native_fails(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert default_backend() == "numpy"
+            assert default_field().backend == "numpy"
+        assert describe_backend() == (
+            "numpy (native unavailable: no C compiler on this host)"
+        )
+        assert available_backends() == ["numpy"]
+
+    def test_explicit_env_native_that_cannot_load_still_warns(self, monkeypatch):
+        self._native_fails(monkeypatch)
+        monkeypatch.setenv("REPRO_GF_BACKEND", "native")
+        with pytest.warns(RuntimeWarning, match="no C compiler on this host"):
+            assert default_backend() == "numpy"
+        with pytest.raises(RuntimeError, match="native GF backend unavailable"):
+            set_default_backend("native")
+
+    def test_explicit_numpy_never_probes_the_kernel(self, monkeypatch):
+        def load():
+            raise AssertionError("the compiled kernel was probed")
+
+        monkeypatch.setattr(gf_native, "load", load)
+        monkeypatch.setenv("REPRO_GF_BACKEND", "numpy")
+        assert default_backend() == "numpy" and describe_backend() == "numpy"
+        monkeypatch.delenv("REPRO_GF_BACKEND")
+        try:
+            set_default_backend("numpy")
+            assert default_backend() == "numpy" and describe_backend() == "numpy"
+        finally:
+            set_default_backend(None)
+
+    def test_marker_file_is_honoured(self, monkeypatch, tmp_path):
+        """A host whose build failed once resolves to numpy from the marker
+        alone — quietly, and without compiling again."""
+        marker = tmp_path / f"{gf_native._source_digest()}.unavailable"
+        marker.write_text("C toolchain unavailable or build failed: cc: not found\n")
+        monkeypatch.setenv(gf_native.CACHE_ENV_VAR, str(tmp_path))
+        monkeypatch.setattr(gf_native, "_loaded", None)
+        monkeypatch.setattr(gf_native, "_error", None)
+
+        def compile_(*args):
+            raise AssertionError("a compile was attempted")
+
+        monkeypatch.setattr(gf_native, "_compile", compile_)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert default_backend() == "numpy"
+        assert "cc: not found" in describe_backend()
+        assert str(marker) in describe_backend()

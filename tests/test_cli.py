@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
+from repro import __version__
 from repro.cli import build_parser, main
+from repro.erasure import gf_native
+from repro.erasure.gf import describe_backend, set_default_backend
 
 
 class TestParser:
@@ -42,6 +47,48 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "invalid choice: 'split'" in capsys.readouterr().err
         assert build_parser().parse_args(["--gf-backend", "numpy", "list"])
+
+
+class TestWhichBackendRan:
+    """Artefacts are byte-equal across backends, so the version line and one
+    stderr line per run are where a run names its kernels."""
+
+    @pytest.fixture(autouse=True)
+    def unset(self, monkeypatch):
+        monkeypatch.delenv("REPRO_GF_BACKEND", raising=False)
+        yield
+        set_default_backend(None)
+
+    def test_version_names_the_resolved_backend(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--version"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert out == f"soda-repro {__version__} (gf backend: {describe_backend()})\n"
+
+    def test_every_run_says_so_once_on_stderr(self, capsys):
+        assert main(["demo", "--protocol", "SODA", "--n", "5", "--f", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"gf backend: {describe_backend()}\n"
+        assert "gf backend" not in captured.out
+
+    def test_a_fallback_comes_with_its_reason(self, capsys, monkeypatch):
+        def load():
+            raise RuntimeError("no C compiler on this host")
+
+        monkeypatch.setattr(gf_native, "load", load)
+        assert main(["list"]) == 0
+        assert capsys.readouterr().err == (
+            "gf backend: numpy (native unavailable: no C compiler on this host)\n"
+        )
+
+    def test_explicit_flag_reaches_spawned_workers(self, capsys, monkeypatch):
+        # Set through monkeypatch first, so that what main() exports is undone.
+        monkeypatch.setenv("REPRO_GF_BACKEND", "native")
+        assert main(["--gf-backend", "numpy", "list"]) == 0
+        assert capsys.readouterr().err == "gf backend: numpy\n"
+        # Pool and checker workers resolve from the environment they inherit.
+        assert os.environ["REPRO_GF_BACKEND"] == "numpy"
 
 
 class TestExperiments:
