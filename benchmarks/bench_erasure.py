@@ -11,7 +11,7 @@ reproduction, including the errors-and-erasures decoder SODAerr relies on.
 import numpy as np
 import pytest
 
-from repro.erasure.batch import CachedDecoder, CachedEncoder, WriteEncodeBatcher
+from repro.erasure.batch import CachedDecoder, CachedEncoder
 from repro.erasure.mds import corrupt
 from repro.erasure.rs import ReedSolomonCode
 from repro.erasure.vandermonde import VandermondeCode
@@ -64,34 +64,6 @@ def test_cached_encoder_stripe_throughput(benchmark):
     results = benchmark(encoder.encode_many, batch)
     assert len(results) == len(batch)
     benchmark.extra_info.update(encoder.stats())
-
-
-def test_write_batcher_flush_throughput(benchmark):
-    """One ``WriteEncodeBatcher`` drain flush: submissions from concurrent
-    writers collapsed into a single stripe encode, continuations run in
-    submission order.  Flush/submission counters go to ``extra_info``."""
-    code = ReedSolomonCode(10, 5)
-    encoder = CachedEncoder(code)
-    values = [_value(seed) for seed in range(16)]
-
-    def drain():
-        deferred = []
-        batcher = WriteEncodeBatcher(encoder, deferred.append)
-        done = []
-        for value in values:
-            batcher.submit(value, done.append)
-        while deferred:
-            deferred.pop(0)()
-        assert len(done) == len(values)
-        return batcher
-
-    batcher = benchmark(drain)
-    benchmark.extra_info.update(
-        {f"batcher_{key}": val for key, val in batcher.stats().items()}
-    )
-    benchmark.extra_info.update(
-        {f"encoder_{key}": val for key, val in encoder.stats().items()}
-    )
 
 
 def test_cached_decoder_repeat_throughput(benchmark):

@@ -23,7 +23,6 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from repro.erasure.batch import CachedEncoder, WriteEncodeBatcher
 from repro.erasure.gf import GF256, available_backends
 from repro.erasure.rs import ReedSolomonCode
 
@@ -33,13 +32,9 @@ VALUE_SIZE = 64 * 1024
 #: The shape the ``soda-64k`` benchmark workload runs (SODA n=6, f=2 with
 #: the same 64 KiB values): per-value encode/decode rows at [6, 4].
 SODA_N, SODA_K = 6, 4
-#: Stripe width for the batched-encode rows: concurrent same-sized writes
-#: landing in one event-loop drain (namespace sweeps run 16+ writers).
+#: Stripe width for the batched-encode rows: same-sized values a driver
+#: warms in one ``encode_many`` call.
 STRIPE_BATCH = 16
-#: Batched-writer row: distinct small values per cold-cache round, the
-#: closed-loop writer profile (unique timestamped payloads, cache miss-heavy).
-WRITER_OPS = 256
-WRITER_VALUE_SIZE = 64
 #: SODAerr reference geometry (n=10, f=2, e=2 => k = n - f - 2e = 4); reads
 #: decode from k + 2e = 8 elements with up to e = 2 silent corruptions.
 ERR_N, ERR_K, ERR_E = 10, 4, 2
@@ -103,21 +98,6 @@ def _best_rate(fn: Callable[[], object], payload_bytes: int, repeats: int) -> fl
         fn()
         best = min(best, time.perf_counter() - start)
     return payload_bytes / best / 1e6
-
-
-def _best_ops(fn: Callable[[], object], ops: int, repeats: int) -> float:
-    """Best observed rate in operations/s over ``repeats`` timed runs.
-
-    Unlike :func:`_best_rate` there is no warm-up call: the batched-writer
-    round rebuilds its encoder each run precisely to measure the cold
-    (cache-miss) path, so a warm-up would only waste time.
-    """
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return ops / best
 
 
 def bench_erasure(*, quick: bool = False, seed: int = 0) -> Dict[str, object]:
@@ -220,35 +200,9 @@ def bench_erasure(*, quick: bool = False, seed: int = 0) -> Dict[str, object]:
     results["stripe_encode_mb_per_s"] = max(stripe_rates)
     best_backend = backends[int(np.argmax(stripe_rates))]
 
-    # Batched-writer round: WRITER_OPS distinct values submitted to a
-    # WriteEncodeBatcher and flushed through one cold CachedEncoder —
-    # the closed-loop many-writer drain profile end to end (batcher
-    # bookkeeping + cache misses + one batched encode).
-    writer_values = [
-        bytes(rng.integers(0, 256, WRITER_VALUE_SIZE, dtype=np.uint8))
-        for _ in range(WRITER_OPS)
-    ]
-    best_field = GF256(backend=best_backend)
-    writer_code = ReedSolomonCode(N, K, field=best_field)
-
-    def writer_round() -> None:
-        encoder = CachedEncoder(writer_code)
-        deferred: List[Callable[[], None]] = []
-        batcher = WriteEncodeBatcher(encoder, deferred.append)
-        done: List[object] = []
-        for val in writer_values:
-            batcher.submit(val, done.append)
-        while deferred:
-            deferred.pop(0)()
-        assert len(done) == WRITER_OPS and batcher.flushes == 1
-
-    results["batched_writer_ops_per_s"] = _best_ops(
-        writer_round, WRITER_OPS, repeats
-    )
-
     # SODAerr errors-and-erasures decode: k + 2e elements, e of them
     # silently corrupted, through the stripe-at-a-time fast path.
-    err_code = ReedSolomonCode(ERR_N, ERR_K, field=best_field)
+    err_code = ReedSolomonCode(ERR_N, ERR_K, field=GF256(backend=best_backend))
     err_elements = err_code.encode(value)[: ERR_K + 2 * ERR_E]
     corrupted = [
         type(el)(el.index, bytes([el.data[0] ^ 0xA5]) + el.data[1:])
@@ -283,8 +237,6 @@ def bench_erasure(*, quick: bool = False, seed: int = 0) -> Dict[str, object]:
             "soda_n": SODA_N,
             "soda_k": SODA_K,
             "stripe_batch": STRIPE_BATCH,
-            "writer_ops": WRITER_OPS,
-            "writer_value_size_bytes": WRITER_VALUE_SIZE,
             "sodaerr_n": ERR_N,
             "sodaerr_k": ERR_K,
             "sodaerr_e": ERR_E,

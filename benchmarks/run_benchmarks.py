@@ -111,7 +111,6 @@ GATED_METRICS = {
         "decode_speedup_vs_seed",
         "encode_decode_speedup_vs_seed",
         "stripe_encode_mb_per_s",
-        "batched_writer_ops_per_s",
         "sodaerr_error_decode_mb_per_s",
     ],
     "sim": [
@@ -145,10 +144,9 @@ GATED_METRIC_FACTORS = {
     # takes the max over whatever GF backends build on the host.  A looser
     # 3x threshold rides out committer-vs-CI host speed differences while
     # still catching the failure modes these rows exist for: the native
-    # backend silently not building, or the stripe/batcher fast paths
-    # regressing to the per-value loop (both are order-of-magnitude drops).
+    # backend silently not building, or the stripe fast path regressing
+    # to the per-value loop (both are order-of-magnitude drops).
     "stripe_encode_mb_per_s": 3.0,
-    "batched_writer_ops_per_s": 3.0,
     "sodaerr_error_decode_mb_per_s": 3.0,
     # End-to-end wall-clock rate through the open-loop driver: same
     # host-speed caveat as the longrun rows, so gate loosely.

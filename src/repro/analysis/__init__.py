@@ -11,8 +11,8 @@
   derived seeds (results independent of the jobs count).
 * :mod:`repro.analysis.sweeps` — the registry of named sweeps (E2-E8 plus
   the scenario sweeps) behind ``repro.cli experiment sweep``.
-* :mod:`repro.analysis.experiments` — one runner per experiment in
-  DESIGN.md (storage sweep, write-cost sweep, read-cost vs concurrency,
+* :mod:`repro.analysis.experiments` — one runner per experiment of
+  docs/sweeps.md (storage sweep, write-cost sweep, read-cost vs concurrency,
   latency, SODAerr, atomicity, trade-off ablation, scenario sweeps); each
   is a thin wrapper over the sweep engine, used by both the benchmark
   harness and the CLI.

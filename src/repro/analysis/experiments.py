@@ -1,4 +1,4 @@
-"""Experiment runners: one function per artefact in DESIGN.md's index.
+"""Experiment runners: one function per artefact of docs/sweeps.md's index.
 
 Each runner declares its sweep as a grid of per-point parameters over a
 module-level *point function* (picklable, so the sharded sweep engine in
@@ -27,8 +27,8 @@ E8        tradeoff_experiment      Section I-B (SODA vs CASGC provisioning)
 ========  =======================  ===========================================
 
 The benchmark modules under ``benchmarks/`` time these runners with
-pytest-benchmark and print the resulting rows; EXPERIMENTS.md records
-representative output.
+pytest-benchmark and print the resulting rows; docs/sweeps.md ("E2–E8 →
+sweep definitions") carries the same table keyed by CLI sweep name.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.consistency.history import READ, WRITE, History
 from repro.core.tags import TAG_ZERO, Tag, max_tag
-from repro.erasure.batch import CachedEncoder, ReadDecodeBatcher, WriteEncodeBatcher
+from repro.erasure.batch import CachedDecoder, CachedEncoder
 from repro.erasure.mds import CodedElement, MDSCode
 from repro.erasure.rs import ReedSolomonCode
 from repro.metrics.costs import StorageTracker
@@ -241,15 +241,14 @@ class CasWriter(Process):
         quorum_size: int,
         history: Optional[History] = None,
         encoder: Optional[CachedEncoder] = None,
-        encode_batcher: Optional[WriteEncodeBatcher] = None,
     ) -> None:
         super().__init__(pid)
         self.servers = list(servers)
         self.code = code
         self.quorum = quorum_size
         self.history = history
-        self.encoder = encoder
-        self.encode_batcher = encode_batcher
+        #: The cluster's shared memoizing encoder, or a private one.
+        self.encoder = CachedEncoder(code) if encoder is None else encoder
         self._current: Optional[_CasWrite] = None
         self._op_counter = 0
         self.completed_writes: List[str] = []
@@ -287,21 +286,17 @@ class CasWriter(Process):
                 return
             op.tag = max_tag(op.query_responses.values()).next_for(str(self.pid))
             op.phase = "prewrite"
-            # The encode and the pre-write sends that depend on it are the
-            # last actions of this handler, so batching mode may defer them
-            # as a unit to the drain flush (same simulated time, same send
-            # order) without perturbing the event trace.
-            if self.encode_batcher is not None:
-                self.encode_batcher.submit(
-                    op.value, lambda elements, op=op: self._send_prewrites(op, elements)
+            elements = self.encoder.encode(op.value)
+            for idx, s in enumerate(self.servers):
+                self.send(
+                    s,
+                    CasPreWriteRequest(
+                        op_id=op.op_id,
+                        tag=op.tag,
+                        element=elements[idx],
+                        data_units=self.code.element_data_units,
+                    ),
                 )
-            else:
-                elements = (
-                    self.encoder.encode(op.value)
-                    if self.encoder is not None
-                    else self.code.encode(op.value)
-                )
-                self._send_prewrites(op, elements)
         elif mtype is CasPreWriteAck and message.op_id == op.op_id:
             if op.phase != "prewrite" or message.tag != op.tag:
                 return
@@ -327,18 +322,6 @@ class CasWriter(Process):
             if op.callback is not None:
                 op.callback(op.tag)
 
-    def _send_prewrites(self, op: _CasWrite, elements: Sequence[CodedElement]) -> None:
-        for idx, s in enumerate(self.servers):
-            self.send(
-                s,
-                CasPreWriteRequest(
-                    op_id=op.op_id,
-                    tag=op.tag,
-                    element=elements[idx],
-                    data_units=self.code.element_data_units,
-                ),
-            )
-
     def on_crash(self) -> None:
         if self._current is not None and self.history is not None:
             self.history.mark_failed(self._current.op_id)
@@ -347,12 +330,11 @@ class CasWriter(Process):
 @dataclass(slots=True)
 class _CasRead:
     op_id: str
-    phase: str = "query"  # "query" -> "collect" [-> "decode"] -> "done"
+    phase: str = "query"  # "query" -> "collect" -> "done"
     query_responses: Dict[str, Tag] = field(default_factory=dict)
     tag: Optional[Tag] = None
     elements: Dict[int, CodedElement] = field(default_factory=dict)
     responders: Set[str] = field(default_factory=set)
-    value: Optional[bytes] = None
     callback: Optional[Callable] = None
 
 
@@ -366,15 +348,15 @@ class CasReader(Process):
         code: MDSCode,
         quorum_size: int,
         history: Optional[History] = None,
-        decode_batcher: Optional[ReadDecodeBatcher] = None,
+        decoder: Optional[CachedDecoder] = None,
     ) -> None:
         super().__init__(pid)
         self.servers = list(servers)
         self.code = code
         self.quorum = quorum_size
         self.history = history
-        #: Cluster-shared decode batcher; ``None`` decodes eagerly inline.
-        self.decode_batcher = decode_batcher
+        #: The cluster's shared memoizing decoder, or a private one.
+        self.decoder = decoder if decoder is not None else CachedDecoder(code)
         self._current: Optional[_CasRead] = None
         self._op_counter = 0
         self.completed_reads: List[str] = []
@@ -424,29 +406,14 @@ class CasReader(Process):
                 op.elements[message.element.index] = message.element
             if len(op.elements) < self.code.k:
                 return
-            tag = op.tag
-            elements = list(op.elements.values())
-            batcher = self.decode_batcher
-            if batcher is None:
-                self._finish_read(op, tag, self.code.decode(elements))
-            else:
-                # Ready decodes are collected per event-loop drain and
-                # flushed through one memoized decode_many call at the
-                # same simulated time (see repro.erasure.batch).
-                op.phase = "decode"
-                batcher.submit(
-                    tag, elements, lambda value: self._finish_read(op, tag, value)
-                )
-
-    def _finish_read(self, op: _CasRead, tag: Tag, value: bytes) -> None:
-        op.value = value
-        op.phase = "done"
-        self.completed_reads.append(op.op_id)
-        self._current = None
-        if self.history is not None:
-            self.history.respond(op.op_id, self.now, value=value, tag=tag)
-        if op.callback is not None:
-            op.callback(value, tag)
+            value = self.decoder.decode(op.tag, list(op.elements.values()))
+            op.phase = "done"
+            self.completed_reads.append(op.op_id)
+            self._current = None
+            if self.history is not None:
+                self.history.respond(op.op_id, self.now, value=value, tag=op.tag)
+            if op.callback is not None:
+                op.callback(value, op.tag)
 
     def on_crash(self) -> None:
         if self._current is not None and self.history is not None:
@@ -501,7 +468,6 @@ class CasCluster(RegisterCluster):
             self.quorum_size,
             history=self.history,
             encoder=self.encoder,
-            encode_batcher=self.encode_batcher,
         )
 
     def _make_reader(self, pid: str) -> CasReader:
@@ -511,7 +477,7 @@ class CasCluster(RegisterCluster):
             self.code,
             self.quorum_size,
             history=self.history,
-            decode_batcher=self.decode_batcher,
+            decoder=self.decoder,
         )
 
     # ------------------------------------------------------------------

@@ -14,8 +14,8 @@ Usage examples::
     python -m repro.cli experiment sweep --list
 
 The CLI is a thin wrapper over :mod:`repro.analysis`; anything it prints can
-also be obtained programmatically (see EXPERIMENTS.md for the mapping to the
-paper's tables and theorems, and docs/sweeps.md for the sweep registry).
+also be obtained programmatically (see docs/sweeps.md for the sweep registry
+and the mapping of its entries to the paper's tables and theorems).
 
 ``experiment sweep <name> --jobs N`` runs any registered sweep sharded over
 ``N`` worker processes; results are identical for every jobs count (each
@@ -60,6 +60,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import List, Optional
 
@@ -400,26 +401,20 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-class _VersionAction(argparse.Action):
-    """``--version``: resolves the GF backend only when actually asked."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        print(f"{parser.prog} {__version__} (gf backend: {describe_backend()})")
-        parser.exit()
+_PROG = "soda-repro"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="soda-repro",
-        description="Reproduction of the SODA storage-optimized atomic register algorithms",
-    )
-    parser.add_argument(
+def _global_flags() -> argparse.ArgumentParser:
+    """The flags that stand before the command.  :func:`main` reads them
+    ahead of the full parse: ``--version`` needs no command and must name
+    the backend ``--gf-backend`` selects, whichever of the two comes first."""
+    flags = argparse.ArgumentParser(prog=_PROG, add_help=False, allow_abbrev=False)
+    flags.add_argument(
         "--version",
-        action=_VersionAction,
-        nargs=0,
+        action="store_true",
         help="print the version and the resolved GF(2^8) backend, then exit",
     )
-    parser.add_argument(
+    flags.add_argument(
         "--gf-backend",
         choices=GF_BACKENDS,
         default=None,
@@ -427,6 +422,15 @@ def build_parser() -> argparse.ArgumentParser:
         "REPRO_GF_BACKEND env var, else the compiled 'native' kernels when "
         "they load or build and 'numpy' otherwise; an explicit 'native' "
         "needs cffi plus a C toolchain and fails fast when unavailable)",
+    )
+    return flags
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=_PROG,
+        description="Reproduction of the SODA storage-optimized atomic register algorithms",
+        parents=[_global_flags()],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -608,17 +612,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _backend_pinned(backend: Optional[str]):
+    """Pin the GF backend ``--gf-backend`` names for one :func:`main` call,
+    then put the process back as it was: a later ``main()`` in the same
+    process (tests, notebooks, the benchmark's in-process CLI loop) resolves
+    its own backend."""
+    if backend is None:
+        yield
+        return
+    previous_env = os.environ.get(BACKEND_ENV_VAR)
+    previous_pin = set_default_backend(backend)
+    # Pool and checker workers are spawned: they resolve from the environment.
+    os.environ[BACKEND_ENV_VAR] = backend
+    try:
+        yield
+    finally:
+        set_default_backend(previous_pin)
+        if previous_env is None:
+            os.environ.pop(BACKEND_ENV_VAR, None)
+        else:
+            os.environ[BACKEND_ENV_VAR] = previous_env
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.gf_backend is not None:
-        set_default_backend(args.gf_backend)
-        # Pool and checker workers are spawned: they resolve from the environment.
-        os.environ[BACKEND_ENV_VAR] = args.gf_backend
-    # Results and artefacts are byte-equal across backends, so this line is
-    # the only place a run says which kernels it used.
-    print(f"gf backend: {describe_backend()}", file=sys.stderr)
-    return args.func(args)
+    early, _ = _global_flags().parse_known_args(argv)
+    args = early if early.version else build_parser().parse_args(argv)
+    with _backend_pinned(args.gf_backend):
+        if args.version:
+            print(f"{_PROG} {__version__} (gf backend: {describe_backend()})")
+            sys.exit(0)
+        # Results and artefacts are byte-equal across backends, so this line
+        # is the only place a run says which kernels it used.
+        print(f"gf backend: {describe_backend()}", file=sys.stderr)
+        return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -287,8 +287,7 @@ def iter_observers(sink: HistorySink) -> tuple:
 class CheckerBatcher(StreamObserver):
     """Drain-batched observer shim in front of an incremental checker.
 
-    Mirrors the :class:`~repro.erasure.batch.ReadDecodeBatcher` pattern:
-    the first event recorded during an event-loop drain opens a checker
+    The first event recorded during an event-loop drain opens a checker
     batch (:meth:`~repro.consistency.incremental.IncrementalAtomicityChecker.begin_batch`)
     and arms a single deferred flush via the simulation's micro-task hook;
     when the drain ends the flush closes the batch, running one crossing
@@ -311,7 +310,7 @@ class CheckerBatcher(StreamObserver):
         self.checker = checker
         self._defer = None
         self._armed = False
-        #: Completed drain-batches (diagnostics, mirrors ReadDecodeBatcher).
+        #: Completed drain-batches (diagnostics).
         self.flushes = 0
 
     @property

@@ -38,7 +38,7 @@ from repro.core.messages import (
     MessageId,
 )
 from repro.core.tags import Tag
-from repro.erasure.batch import CachedEncoder, WriteEncodeBatcher
+from repro.erasure.batch import CachedEncoder
 from repro.erasure.mds import CodedElement, MDSCode
 from repro.sim.process import Process
 
@@ -128,21 +128,12 @@ class MDServerEngine:
         Callback ``(payload, origin, op_id)`` fired exactly once per
         md-meta-send whose message reaches this server.
     encoder:
-        Optional :class:`~repro.erasure.batch.CachedEncoder` shared across
-        the cluster's servers.  Every server of the dispersal set encodes
-        the *same* value for the same md-value-send, so a shared memoized
+        The :class:`~repro.erasure.batch.CachedEncoder` shared across the
+        cluster's servers.  Every server of the dispersal set encodes the
+        *same* value for the same md-value-send, so a shared memoized
         encoder collapses those ``f + 1`` encodes into one (and lets
-        workload drivers pre-encode whole batches up front).
-    encode_batcher:
-        Optional :class:`~repro.erasure.batch.WriteEncodeBatcher`.  When
-        set, the encode triggered by a full-message receipt — and the
-        relays/deliveries that depend on its elements — are deferred as a
-        unit to the current event-loop drain's flush, so the encodes of
-        every dispersal server handled in one drain go through a single
-        ``encode_many``.  The deferred block runs at the same simulated
-        time, in submission order, so the send order (and with it the
-        RNG delay stream and the ``(time, seq)`` event trace) is
-        identical to eager encoding.
+        workload drivers pre-encode whole batches up front).  An engine
+        constructed alone gets a private one over ``code``.
     """
 
     def __init__(
@@ -155,15 +146,13 @@ class MDServerEngine:
         on_value_deliver: Callable[[Tag, CodedElement, str, str], None],
         on_meta_deliver: Callable[[object, str, str], None],
         encoder: Optional[CachedEncoder] = None,
-        encode_batcher: Optional[WriteEncodeBatcher] = None,
     ) -> None:
         self._server = server
         self._index = server_index
         self._servers = list(servers_in_order)
         self._f = f
         self._code = code
-        self._encoder = encoder
-        self._encode_batcher = encode_batcher
+        self._encoder = CachedEncoder(code) if encoder is None else encoder
         self._on_value_deliver = on_value_deliver
         self._on_meta_deliver = on_meta_deliver
         # Per-mid bookkeeping: which mids this server has already forwarded /
@@ -230,24 +219,7 @@ class MDServerEngine:
         if message.mid in self._value_forwarded or message.mid in self._value_delivered:
             return
         self._value_forwarded.add(message.mid)
-        if self._encode_batcher is not None:
-            # The encode and everything depending on its elements are the
-            # last actions of this handler; defer them as a unit (see the
-            # encode_batcher parameter note).  The dedup marking above
-            # stays eager so a second full receipt in the same drain is
-            # still ignored.
-            self._encode_batcher.submit(
-                message.value,
-                lambda elements, message=message: self._relay_full(message, elements),
-            )
-            return
-        if self._encoder is not None:
-            elements = self._encoder.encode(message.value)
-        else:
-            elements = self._code.encode(message.value)
-        self._relay_full(message, elements)
-
-    def _relay_full(self, message: MDValueFull, elements: List[CodedElement]) -> None:
+        elements = self._encoder.encode(message.value)
         # Forward the full message to the later servers of the dispersal set.
         self._server.send_many(self._forward_targets, message)
         # Send coded elements to every server outside the dispersal set.

@@ -60,7 +60,6 @@ class SodaCluster(RegisterCluster):
             disk_error_model=self._disk_error_model(),
             unregister_threshold=self._unregister_threshold(),
             encoder=self.encoder,
-            encode_batcher=self.encode_batcher,
         )
 
     def _make_writer(self, pid: str) -> SodaWriter:
@@ -80,7 +79,7 @@ class SodaCluster(RegisterCluster):
             code=self.code,
             history=self.history,
             decode_threshold=self._decode_threshold(),
-            decode_batcher=self.decode_batcher,
+            decoder=self.decoder,
         )
 
     # ------------------------------------------------------------------

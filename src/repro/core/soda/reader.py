@@ -25,7 +25,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.consistency.history import READ, History
 from repro.core.message_disperse import MDSender
-from repro.erasure.batch import ReadDecodeBatcher
 from repro.core.messages import (
     ReadCompletePayload,
     ReadGetRequest,
@@ -34,6 +33,7 @@ from repro.core.messages import (
     ReadValueResponse,
 )
 from repro.core.tags import Tag, max_tag
+from repro.erasure.batch import CachedDecoder
 from repro.erasure.mds import CodedElement, MDSCode
 from repro.sim.process import Process
 
@@ -43,13 +43,11 @@ class _ReadOperation:
     """In-flight state of one read operation."""
 
     op_id: str
-    phase: str = "get"  # "get" -> "value" [-> "decode"] -> "done"
+    phase: str = "get"  # "get" -> "value" -> "done"
     get_responses: Dict[str, Tag] = field(default_factory=dict)
     target_tag: Optional[Tag] = None
     # tag -> {server index -> coded element}
     collected: Dict[Tag, Dict[int, CodedElement]] = field(default_factory=dict)
-    value: Optional[bytes] = None
-    decoded_tag: Optional[Tag] = None
     callback: Optional[Callable[[bytes, Tag], None]] = None
 
 
@@ -65,7 +63,7 @@ class SodaReader(Process):
         history: Optional[History] = None,
         *,
         decode_threshold: Optional[int] = None,
-        decode_batcher: Optional[ReadDecodeBatcher] = None,
+        decoder: Optional[CachedDecoder] = None,
     ) -> None:
         super().__init__(pid)
         self.servers = list(servers_in_order)
@@ -76,11 +74,8 @@ class SodaReader(Process):
         #: Number of distinct coded elements (for one tag) needed to decode:
         #: ``k`` for SODA, ``k + 2e`` for SODAerr.
         self.decode_threshold = decode_threshold if decode_threshold is not None else code.k
-        #: Cluster-shared decode batcher; ``None`` decodes eagerly inline
-        #: (standalone readers in unit tests).  When set, ready decodes are
-        #: collected per event-loop drain, memoized and batched through
-        #: ``decode_many`` — see :mod:`repro.erasure.batch`.
-        self.decode_batcher = decode_batcher
+        #: The cluster's shared memoizing decoder, or a private one.
+        self.decoder = decoder if decoder is not None else CachedDecoder(code)
         self._md_sender: Optional[MDSender] = None
         self._current: Optional[_ReadOperation] = None
         self._op_counter = 0
@@ -119,12 +114,6 @@ class SodaReader(Process):
 
     def is_complete(self, op_id: str) -> bool:
         return op_id in self.completed_reads
-
-    # ------------------------------------------------------------------
-    # decoding hook (overridden by the SODAerr reader)
-    # ------------------------------------------------------------------
-    def _decode(self, elements: List[CodedElement]) -> bytes:
-        return self.code.decode(elements)
 
     # ------------------------------------------------------------------
     # message handling
@@ -167,24 +156,8 @@ class SodaReader(Process):
         if len(per_tag) < self.decode_threshold:
             return
         tag = message.tag
-        elements = list(per_tag.values())
-        batcher = self.decode_batcher
-        if batcher is None:
-            self._finish_read(op, tag, self._decode(elements))
-        else:
-            # Park the operation until the end of the current event-loop
-            # drain; the batcher decodes every ready read in one
-            # (memoized) decode_many call and resumes _finish_read at the
-            # same simulated time, preserving the execution byte-for-byte.
-            op.phase = "decode"
-            batcher.submit(
-                tag, elements, lambda value: self._finish_read(op, tag, value)
-            )
-
-    def _finish_read(self, op: _ReadOperation, tag: Tag, value: bytes) -> None:
-        """Complete ``op`` with the decoded ``value`` (phases read-complete)."""
-        op.value = value
-        op.decoded_tag = tag
+        value = self.decoder.decode(tag, list(per_tag.values()))
+        # read-complete: announce, then return the decoded value.
         op.phase = "done"
         assert self._md_sender is not None
         self._md_sender.md_meta_send(

@@ -34,7 +34,7 @@ from repro.core.messages import (
     WriteGetResponse,
 )
 from repro.core.tags import TAG_ZERO, Tag
-from repro.erasure.batch import CachedEncoder, WriteEncodeBatcher
+from repro.erasure.batch import CachedEncoder
 from repro.erasure.mds import CodedElement, MDSCode
 from repro.metrics.costs import StorageTracker
 from repro.sim.failures import DiskErrorModel
@@ -79,15 +79,10 @@ class SodaServer(Process):
         sent to a registered reader before the server stops relaying to it
         (``k`` for SODA, ``k + 2e`` for SODAerr).
     encoder:
-        Optional cluster-shared :class:`~repro.erasure.batch.CachedEncoder`
+        The cluster-shared :class:`~repro.erasure.batch.CachedEncoder`
         handed to the MD-VALUE engine so dispersal-set servers do not each
-        re-encode the same value.
-    encode_batcher:
-        Optional cluster-shared
-        :class:`~repro.erasure.batch.WriteEncodeBatcher` handed to the
-        MD-VALUE engine; dispersal encodes issued in one event-loop drain
-        flush through a single ``encode_many`` (trace-neutral, see the
-        engine docs).
+        re-encode the same value (a server constructed alone gets a
+        private one).
     """
 
     def __init__(
@@ -104,7 +99,6 @@ class SodaServer(Process):
         disk_error_model: Optional[DiskErrorModel] = None,
         unregister_threshold: Optional[int] = None,
         encoder: Optional[CachedEncoder] = None,
-        encode_batcher: Optional[WriteEncodeBatcher] = None,
     ) -> None:
         super().__init__(pid)
         self.index = index
@@ -149,7 +143,6 @@ class SodaServer(Process):
             on_value_deliver=self._on_md_value_deliver,
             on_meta_deliver=self._on_md_meta_deliver,
             encoder=encoder,
-            encode_batcher=encode_batcher,
         )
         # MD-VALUE / MD-META traffic (the bulk of a server's deliveries)
         # goes straight from the event loop to the engine's handlers.

@@ -103,10 +103,6 @@ class SodaErrCluster(SodaCluster):
         # Phi^-1_err is the most expensive per-read operation in the
         # repository, and concurrent reads of one version repeat it with
         # byte-identical inputs (the ROADMAP's "SODAerr decode gap").
-        if self.decoder_capacity is not None:
-            return CachedDecoder(
-                self.code, capacity=self.decoder_capacity, max_errors=self.e
-            )
         return CachedDecoder(self.code, max_errors=self.e)
 
     def _make_reader(self, pid: str) -> SodaErrReader:
@@ -117,7 +113,7 @@ class SodaErrCluster(SodaCluster):
             code=self.code,
             e=self.e,
             history=self.history,
-            decode_batcher=self.decode_batcher,
+            decoder=self.decoder,
         )
 
     # ------------------------------------------------------------------

@@ -7,12 +7,12 @@ tolerates up to ``e`` silently corrupted elements among them.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.consistency.history import History
 from repro.core.soda.reader import SodaReader
-from repro.erasure.batch import ReadDecodeBatcher
-from repro.erasure.mds import CodedElement, MDSCode
+from repro.erasure.batch import CachedDecoder
+from repro.erasure.mds import MDSCode
 
 
 class SodaErrReader(SodaReader):
@@ -26,10 +26,12 @@ class SodaErrReader(SodaReader):
         code: MDSCode,
         e: int,
         history: Optional[History] = None,
-        decode_batcher: Optional[ReadDecodeBatcher] = None,
+        decoder: Optional[CachedDecoder] = None,
     ) -> None:
         if e < 0:
             raise ValueError("e must be non-negative")
+        # ``Phi^-1_err``: ``max_errors=e`` makes the decoder reconstruct from
+        # ``k + 2e`` elements, up to ``e`` of which may be corrupted.
         super().__init__(
             pid,
             servers_in_order,
@@ -37,11 +39,6 @@ class SodaErrReader(SodaReader):
             code,
             history,
             decode_threshold=code.k + 2 * e,
-            decode_batcher=decode_batcher,
+            decoder=decoder if decoder is not None else CachedDecoder(code, max_errors=e),
         )
         self.e = e
-
-    def _decode(self, elements: List[CodedElement]) -> bytes:
-        """``Phi^-1_err``: decode from ``k + 2e`` elements, up to ``e`` of
-        which may be corrupted."""
-        return self.code.decode_with_errors(elements, max_errors=self.e)

@@ -35,22 +35,17 @@ This package implements everything needed from scratch:
   ``encode_many`` / ``decode_many`` pipeline.
 * :mod:`repro.erasure.linear` — shared matrix-code machinery (parity-only
   systematic encoding, LRU-cached erasure decoding, batched variants).
-* :mod:`repro.erasure.batch` — the memoizing/batch-warming
+* :mod:`repro.erasure.batch` — the codec front every protocol process
+  calls inline: the memoizing/batch-warming
   :class:`~repro.erasure.batch.CachedEncoder` shared by a cluster's
-  servers, the read-side :class:`~repro.erasure.batch.CachedDecoder` /
-  :class:`~repro.erasure.batch.ReadDecodeBatcher` pair and the write-side
-  :class:`~repro.erasure.batch.WriteEncodeBatcher` (one batched
-  encode per event-loop drain).
+  writers and servers and the :class:`~repro.erasure.batch.CachedDecoder`
+  shared by its readers (erasure-only, or errors-and-erasures with
+  ``max_errors=e`` for SODAerr).
 * :mod:`repro.erasure.replication` — the trivial ``[n, 1]`` replication
   "code" used by the ABD baseline.
 """
 
-from repro.erasure.batch import (
-    CachedDecoder,
-    CachedEncoder,
-    ReadDecodeBatcher,
-    WriteEncodeBatcher,
-)
+from repro.erasure.batch import CachedDecoder, CachedEncoder
 from repro.erasure.gf import (
     GF256,
     GF_BACKENDS,
@@ -76,8 +71,6 @@ __all__ = [
     "set_default_backend",
     "CachedDecoder",
     "CachedEncoder",
-    "ReadDecodeBatcher",
-    "WriteEncodeBatcher",
     "CodedElement",
     "LinearCode",
     "MDSCode",

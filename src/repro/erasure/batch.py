@@ -1,4 +1,4 @@
-"""Batched / memoized codec front-ends shared by a cluster's processes.
+"""The codec front: memoizing encoder and decoder a cluster's processes share.
 
 Encoding: in the MD-VALUE dispersal primitive every server of the
 dispersal set (the first ``f + 1`` servers) encodes the *same* value to
@@ -7,26 +7,23 @@ write.  A :class:`CachedEncoder` shared across the cluster collapses those
 into one, and its :meth:`CachedEncoder.warm` method lets workload drivers
 pre-encode a whole batch of values with one batched
 :meth:`~repro.erasure.mds.MDSCode.encode_many` call before the simulation
-needs them, so the in-simulation hot path is pure cache hits.  For
-workloads that cannot be pre-encoded, a :class:`WriteEncodeBatcher`
-collects the encodes issued within one event-loop drain and flushes the
-cache misses through a single ``encode_many`` call.  (Batching pays for
-small values, whose per-call overhead it shares; large values are encoded
-one by one either way — see ``LinearCode._batch_step``.)
+needs them, so the in-simulation hot path is pure cache hits.  (Batching
+pays for small values, whose per-call overhead it shares; large values are
+encoded one by one either way — see ``LinearCode._batch_step``.)
 
 Decoding: concurrent reads of the same version decode the same
 ``(tag, element-set)`` over and over — every read between two writes
 reconstructs an identical value.  A :class:`CachedDecoder` shared by a
 cluster's readers memoizes those reconstructions (including SODAerr's
-far more expensive errors-and-erasures decode), and a
-:class:`ReadDecodeBatcher` collects the decodes that become ready within
-one event-loop drain and pushes the cache misses through
-:meth:`~repro.erasure.mds.MDSCode.decode_many` in a single call.  The
-batcher flushes through the simulation's deferred micro-task hook
-(:meth:`repro.sim.simulation.Simulation.defer`), which runs at the same
-simulated time as the triggering event and never perturbs the
-``(time, seq)`` event order — executions are event-for-event identical to
-eager decoding.
+far more expensive errors-and-erasures decode).
+
+Both are called inline, at the step the paper's automata encode or decode
+at: a dispersal server when the full value arrives, a reader when the
+``k``-th (SODAerr: ``k + 2e``-th) coded element of one tag arrives.  There
+is no per-drain collection point in front of them — the simulator drains
+its micro-task queue after every event and one delivery completes at most
+one encode or decode, so such a batch never held more than one job
+(docs/perf.md, "Codec front").
 
 Both caches are LRU-bounded twice over, by entries and by bytes
 (:data:`CACHE_BYTE_BUDGET`): scenario sweeps reuse a small working set of
@@ -38,15 +35,13 @@ times the entry capacity.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.erasure.mds import CodedElement, MDSCode
 
-#: Default bound on memoized values per encoder.
-DEFAULT_ENCODER_CAPACITY = 1024
-
-#: Default bound on memoized reconstructions per decoder.
-DEFAULT_DECODER_CAPACITY = 1024
+#: Default bound on memoized entries: values per encoder, reconstructions
+#: per decoder.
+DEFAULT_CAPACITY = 1024
 
 #: Bound on the bytes one cache keeps alive: an entry weighs its value plus
 #: every coded element held with it (the encoder's ``n``, the decoder's key).
@@ -78,7 +73,7 @@ def _store(cache: OrderedDict, capacity: int, used: int, key, entry, weigh) -> i
 class CachedEncoder:
     """Memoizing ``encode`` wrapper around an :class:`MDSCode`."""
 
-    def __init__(self, code: MDSCode, capacity: int = DEFAULT_ENCODER_CAPACITY) -> None:
+    def __init__(self, code: MDSCode, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("encoder capacity must be at least 1")
         self.code = code
@@ -124,6 +119,8 @@ class CachedEncoder:
             self._insert(value, elements)
         return len(fresh)
 
+    # No caller in src/: the frozen bench/spans.py wraps this method by name.
+    # Retire it with ``erasure.encode_batch_mean`` in the next benchmark PR.
     def encode_many(self, values: Sequence[bytes]) -> List[List[CodedElement]]:
         """Encode a batch, serving repeats from the cache.
 
@@ -180,7 +177,7 @@ class CachedEncoder:
 
 
 # ----------------------------------------------------------------------
-# read-side decode cache + per-drain batcher
+# read-side decode cache
 # ----------------------------------------------------------------------
 #: A decode job: the protocol tag being reconstructed plus the coded
 #: elements collected for it.
@@ -206,7 +203,7 @@ class CachedDecoder:
     def __init__(
         self,
         code: MDSCode,
-        capacity: int = DEFAULT_DECODER_CAPACITY,
+        capacity: int = DEFAULT_CAPACITY,
         *,
         max_errors: int = 0,
     ) -> None:
@@ -244,6 +241,8 @@ class CachedDecoder:
         self._insert(key, value)
         return value
 
+    # No caller in src/: the frozen bench/spans.py wraps this method by name.
+    # Retire it with ``erasure.decode_batch_mean`` in the next benchmark PR.
     def decode_many(self, jobs: Sequence[DecodeJob]) -> List[bytes]:
         """Decode a batch of jobs; cache misses go through the code's
         batched :meth:`~repro.erasure.mds.MDSCode.decode_many` in one call
@@ -294,127 +293,3 @@ class CachedDecoder:
 
     def __len__(self) -> int:
         return len(self._cache)
-
-
-class ReadDecodeBatcher:
-    """Collects read decodes becoming ready in one event-loop drain.
-
-    Readers submit ``(tag, elements, continuation)`` instead of decoding
-    inline; the batcher arms one deferred micro-task per drain and flushes
-    every submission through a single :meth:`CachedDecoder.decode_many`
-    call, then runs the continuations in submission order.  Because the
-    flush executes at the same simulated time as the triggering event and
-    before the next event is popped, the observable execution — message
-    order, RNG stream, history timestamps — is identical to eager
-    decoding; only the decode work itself is batched and memoized.
-
-    Today one delivery event completes at most one read, so a drain's
-    batch is typically a single job and the throughput win comes from the
-    memoization; the per-drain collection point is what lets any future
-    multi-completion event (or a fused multi-object drain) widen the
-    ``decode_many`` batch without touching the readers again.
-    """
-
-    def __init__(
-        self,
-        decoder: CachedDecoder,
-        defer: Callable[[Callable[[], None]], None],
-    ) -> None:
-        self.decoder = decoder
-        self._defer = defer
-        self._pending: List[Tuple[object, Sequence[CodedElement], Callable[[bytes], None]]] = []
-        self._armed = False
-        #: Flush/batch counters (benchmarks and tests read these).
-        self.flushes = 0
-        self.submitted = 0
-
-    def submit(
-        self,
-        tag: object,
-        elements: Sequence[CodedElement],
-        continuation: Callable[[bytes], None],
-    ) -> None:
-        """Queue one decode; ``continuation(value)`` runs at flush time."""
-        self._pending.append((tag, elements, continuation))
-        self.submitted += 1
-        if not self._armed:
-            self._armed = True
-            self._defer(self._flush)
-
-    def _flush(self) -> None:
-        self._armed = False
-        pending, self._pending = self._pending, []
-        if not pending:
-            return
-        self.flushes += 1
-        values = self.decoder.decode_many(
-            [(tag, elements) for tag, elements, _ in pending]
-        )
-        for (_, _, continuation), value in zip(pending, values):
-            continuation(value)
-
-    def stats(self) -> dict:
-        """Submission/flush counters (benchmarks and tests read these)."""
-        return {"submitted": self.submitted, "flushes": self.flushes}
-
-
-# ----------------------------------------------------------------------
-# write-side per-drain encode batcher
-# ----------------------------------------------------------------------
-class WriteEncodeBatcher:
-    """Collects writer/server encodes issued in one event-loop drain.
-
-    The write-side mirror of :class:`ReadDecodeBatcher`: instead of
-    encoding inline, a writer (CAS/CASGC pre-write) or dispersal server
-    (SODA/SODAerr MD-VALUE) submits ``(value, continuation)``; the batcher
-    arms one deferred micro-task per drain and flushes every submission
-    through a single :meth:`CachedEncoder.encode_many` call — one kernel
-    call when the batch's values share a size — then runs the
-    continuations in submission order.
-
-    Determinism: at every eager encode site the encode and the sends that
-    depend on its elements are the *last* actions of the message handler,
-    so deferring them as a unit to the drain flush (same simulated time,
-    before the next event pops, FIFO across submitters) preserves the
-    exact send order and therefore the RNG delay stream — executions are
-    event-for-event identical, enforced by the golden-trace tests.  N
-    concurrent small writes landing in one drain cost one batched encode
-    instead of N.
-    """
-
-    def __init__(
-        self,
-        encoder: CachedEncoder,
-        defer: Callable[[Callable[[], None]], None],
-    ) -> None:
-        self.encoder = encoder
-        self._defer = defer
-        self._pending: List[Tuple[bytes, Callable[[List[CodedElement]], None]]] = []
-        self._armed = False
-        #: Flush/batch counters (benchmarks and tests read these).
-        self.flushes = 0
-        self.submitted = 0
-
-    def submit(
-        self, value: bytes, continuation: Callable[[List[CodedElement]], None]
-    ) -> None:
-        """Queue one encode; ``continuation(elements)`` runs at flush time."""
-        self._pending.append((value, continuation))
-        self.submitted += 1
-        if not self._armed:
-            self._armed = True
-            self._defer(self._flush)
-
-    def _flush(self) -> None:
-        self._armed = False
-        pending, self._pending = self._pending, []
-        if not pending:
-            return
-        self.flushes += 1
-        batches = self.encoder.encode_many([value for value, _ in pending])
-        for (_, continuation), elements in zip(pending, batches):
-            continuation(elements)
-
-    def stats(self) -> dict:
-        """Submission/flush counters (benchmarks and tests read these)."""
-        return {"submitted": self.submitted, "flushes": self.flushes}

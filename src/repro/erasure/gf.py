@@ -437,15 +437,17 @@ def available_backends() -> List[str]:
     ]
 
 
-def set_default_backend(backend: Optional[str]) -> None:
+def set_default_backend(backend: Optional[str]) -> Optional[str]:
     """Pin the process-wide default backend (``None`` restores env/default).
 
     An explicit request for ``"native"`` raises ``RuntimeError`` when the
     compiled kernels cannot be built, unlike the env-var path which falls
     back to ``numpy`` with a warning and the unset default which falls back
-    silently.
+    silently.  Returns the pin it replaces, so a caller that pins for the
+    length of one call can put it back.
     """
     global _backend_override
+    previous = _backend_override
     if backend is not None:
         if backend not in GF_BACKENDS:
             raise ValueError(
@@ -456,6 +458,7 @@ def set_default_backend(backend: Optional[str]) -> None:
             if error is not None:
                 raise RuntimeError(f"native GF backend unavailable: {error}")
     _backend_override = backend
+    return previous
 
 
 def _requested_backend() -> Optional[str]:

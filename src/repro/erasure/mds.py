@@ -145,6 +145,7 @@ class MDSCode(ABC):
     def decode(self, elements: Iterable[CodedElement]) -> bytes:
         """Reconstruct the value from at least ``k`` correct elements (Phi^-1)."""
 
+    # The frozen bench/calibrate.py calls this by name with ``max_errors=``.
     @abstractmethod
     def decode_with_errors(
         self, elements: Iterable[CodedElement], max_errors: int
@@ -155,6 +156,8 @@ class MDSCode(ABC):
     # ------------------------------------------------------------------
     # batched pipeline
     # ------------------------------------------------------------------
+    # In-tree only ``CachedEncoder.warm`` batches encodes; the frozen
+    # bench/calibrate.py also calls this by name.
     def encode_many(self, values: Sequence[bytes]) -> List[List[CodedElement]]:
         """Encode a batch of values; element ``[i][j]`` is value ``i``'s
         ``j``-th coded element.
@@ -167,6 +170,8 @@ class MDSCode(ABC):
         """
         return [self.encode(value) for value in values]
 
+    # In-tree only ``CachedDecoder.decode_many`` (itself kept for the frozen
+    # bench/spans.py) reaches this; bench/calibrate.py calls it by name.
     def decode_many(
         self, element_sets: Sequence[Iterable[CodedElement]]
     ) -> List[bytes]:
@@ -200,9 +205,10 @@ def as_elements(mapping: Mapping[int, bytes]) -> List[CodedElement]:
 
 
 def corrupt(element: CodedElement, xor_mask: int = 0xA5) -> CodedElement:
-    """Return a corrupted copy of an element (used by tests and the
-    SODAerr disk-error injector).  The corruption is guaranteed to change
-    the data (an all-zero mask is rejected)."""
+    """Return a corrupted copy of an element (used by tests and benchmarks;
+    the SODAerr disk-error injector, ``DiskErrorModel.read``, corrupts raw
+    bytes with its own copy of this).  The corruption is guaranteed to
+    change the data (an all-zero mask is rejected)."""
     if xor_mask == 0:
         raise ValueError("xor_mask must be non-zero to actually corrupt data")
     data = bytes(b ^ xor_mask for b in element.data)

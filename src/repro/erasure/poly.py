@@ -5,11 +5,14 @@ Polynomials are represented as Python lists of integer coefficients in
 conventional presentation of Reed–Solomon generator polynomials.  The empty
 polynomial and ``[0]`` both denote the zero polynomial.
 
-These routines back the Reed–Solomon encoder (polynomial long division for
-systematic encoding) and decoder (syndromes, Berlekamp–Massey, Chien search,
-Forney's formula).  They favour clarity over raw speed: the polynomials
-involved have degree at most ``n - k`` (a handful of coefficients), so the
-per-symbol numpy paths in :mod:`repro.erasure.rs` dominate the runtime.
+These routines back the construction of the Reed–Solomon encoder: the
+generator polynomial (:func:`from_roots`) and the polynomial long division
+that derives each systematic encode-matrix column (:func:`mod`).  The
+errors-and-erasures decoder (Berlekamp–Massey, Chien search, Forney) does
+not use them — :class:`~repro.erasure.rs.ReedSolomonCode` carries its own
+*ascending*-order helpers.  They favour clarity over raw speed: the
+polynomials involved have degree at most ``n - k`` (a handful of
+coefficients) and are built once per code.
 """
 
 from __future__ import annotations

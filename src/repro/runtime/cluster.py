@@ -32,12 +32,7 @@ from repro.consistency.stream import (
     StreamObserver,
     iter_observers,
 )
-from repro.erasure.batch import (
-    CachedDecoder,
-    CachedEncoder,
-    ReadDecodeBatcher,
-    WriteEncodeBatcher,
-)
+from repro.erasure.batch import CachedDecoder, CachedEncoder
 from repro.erasure.mds import CodedElement, MDSCode
 from repro.metrics.costs import CommunicationCostTracker, StorageTracker
 from repro.metrics.latency import LatencyTracker
@@ -118,9 +113,6 @@ class RegisterCluster(ABC):
         sim: Optional[Simulation] = None,
         namespace: str = "",
         costs: Optional[CommunicationCostTracker] = None,
-        encoder_capacity: Optional[int] = None,
-        decoder_capacity: Optional[int] = None,
-        batch_writer_encodes: bool = True,
     ) -> None:
         if n < 1:
             raise ValueError("need at least one server")
@@ -174,40 +166,15 @@ class RegisterCluster(ABC):
         self.storage = StorageTracker()
         self.failures = FailureInjector(self.sim)
 
-        #: Optional overrides for the codec LRU bounds (None keeps the
-        #: module defaults in :mod:`repro.erasure.batch`).
-        self.encoder_capacity = encoder_capacity
-        self.decoder_capacity = decoder_capacity
-
         self.code: MDSCode = self._build_code()
         # Cluster-shared memoizing encoder: dispersal-set servers encode the
         # same value for the same write, and workload drivers can pre-encode
         # whole batches through it (see warm_encode).
-        self.encoder = self._build_encoder()
-        # Cluster-shared memoizing decoder + per-drain batcher: readers of
-        # erasure-coded protocols submit ready decodes here instead of
-        # decoding inline; concurrent reads of one version become cache
-        # hits and misses go through decode_many in one call per drain.
+        self.encoder = CachedEncoder(self.code)
+        # Cluster-shared memoizing decoder: concurrent reads of one version
+        # decode the same (tag, element-set), so all but the first are hits.
         self.decoder = self._build_decoder()
-        self.decode_batcher = (
-            ReadDecodeBatcher(self.decoder, self.sim.defer)
-            if self.decoder is not None
-            else None
-        )
-        # Write-side mirror: writers/dispersal servers submit their encodes
-        # here; one batched encode_many per event-loop
-        # drain, flushed through the same micro-task hook — execution stays
-        # event-for-event identical to eager encoding.
-        self.encode_batcher = (
-            WriteEncodeBatcher(self.encoder, self.sim.defer)
-            if (self.encoder is not None and batch_writer_encodes)
-            else None
-        )
-        self.initial_elements: List[CodedElement] = (
-            self.encoder.encode(initial_value)
-            if self.encoder is not None
-            else self.code.encode(initial_value)
-        )
+        self.initial_elements: List[CodedElement] = self.encoder.encode(initial_value)
 
         self.server_ids = [f"{namespace}s{i}" for i in range(n)]
         self.writer_ids = [f"{namespace}w{i}" for i in range(num_writers)]
@@ -243,27 +210,13 @@ class RegisterCluster(ABC):
     def _build_code(self) -> MDSCode:
         """The erasure code the protocol stores data with."""
 
-    def _build_encoder(self) -> Optional[CachedEncoder]:
-        """The memoizing encoder shared by this cluster's writers/servers.
-
-        Subclasses may override (mirroring :meth:`_build_decoder`) to tune
-        capacity or disable write-side memoization entirely by returning
-        ``None`` — which also disables the write-encode batcher.
-        """
-        if self.encoder_capacity is not None:
-            return CachedEncoder(self.code, capacity=self.encoder_capacity)
-        return CachedEncoder(self.code)
-
     def _build_decoder(self) -> Optional[CachedDecoder]:
         """The memoizing decoder shared by this cluster's readers.
 
-        ``None`` disables read-side decode batching (protocols whose reads
-        never invoke the code's decoder, e.g. ABD's full-value
-        replication, override this).  SODAerr overrides it to memoize the
-        errors-and-erasures decode per (tag, element-set).
+        ``None`` is for protocols whose reads never invoke the code's
+        decoder (ABD's full-value replication).  SODAerr overrides it to
+        memoize the errors-and-erasures decode per (tag, element-set).
         """
-        if self.decoder_capacity is not None:
-            return CachedDecoder(self.code, capacity=self.decoder_capacity)
         return CachedDecoder(self.code)
 
     @abstractmethod
@@ -681,19 +634,13 @@ class RegisterCluster(ABC):
         return self.storage.current_total
 
     def codec_stats(self) -> Dict[str, int]:
-        """Hit/miss/flush counters of the codec layer, flattened.
+        """Hit/miss counters of the codec front, flattened.
 
-        Keys are ``encoder_*``/``decoder_*`` (hits, misses, entries, bytes) and
-        ``encode_batcher_*``/``decode_batcher_*`` (submitted, flushes);
-        components the protocol does not use are simply absent.
+        Keys are ``encoder_*``/``decoder_*`` (hits, misses, entries, bytes);
+        a decoder the protocol does not have (ABD) is simply absent.
         """
         stats: Dict[str, int] = {}
-        for prefix, component in (
-            ("encoder", self.encoder),
-            ("decoder", self.decoder),
-            ("encode_batcher", self.encode_batcher),
-            ("decode_batcher", self.decode_batcher),
-        ):
+        for prefix, component in (("encoder", self.encoder), ("decoder", self.decoder)):
             if component is not None:
                 for key, count in component.stats().items():
                     stats[f"{prefix}_{key}"] = count

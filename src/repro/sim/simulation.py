@@ -83,9 +83,9 @@ class Simulation:
         self._processes: Dict[ProcessId, Process] = {}
         #: FIFO of deferred micro-tasks: callables run after the current
         #: event finishes firing, at the same simulated time, before the
-        #: next event is popped.  The read-decode batcher uses this to
-        #: collect every decode that becomes ready within one event-loop
-        #: drain and push them through ``decode_many`` in a single call.
+        #: next event is popped.  The checker's drain batcher
+        #: (:class:`~repro.consistency.stream.CheckerBatcher`) uses this to
+        #: run one crossing test per cluster touched by an event.
         self._deferred: List[Callable[[], None]] = []
         #: Optional per-event observer ``hook(event)`` invoked after the
         #: clock advanced but before the event fires; a message delivery is

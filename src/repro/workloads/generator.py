@@ -62,11 +62,6 @@ class WorkloadSpec:
     seed:
         Seed for the workload's own randomness (independent from the
         cluster's delay randomness).
-    batch_encode:
-        Pre-encode every write value into the cluster's shared encoder
-        cache with one batched matmul before the simulation starts, so the
-        in-simulation dispersal encodes are cache hits.  On by default;
-        disable to measure the unbatched path.
     """
 
     writes_per_writer: int = 3
@@ -76,7 +71,6 @@ class WorkloadSpec:
     server_crashes: int = 0
     crash_window: Optional[float] = None
     seed: int = 0
-    batch_encode: bool = True
 
 
 @dataclass
@@ -155,8 +149,7 @@ def run_workload(cluster: RegisterCluster, spec: WorkloadSpec) -> WorkloadResult
             value = unique_value(w_index, sequence, spec.value_size, rng)
             sequence += 1
             planned.append((w_index, at, value))
-    if spec.batch_encode:
-        cluster.warm_encode([value for _, _, value in planned])
+    cluster.warm_encode([value for _, _, value in planned])
     for w_index, at, value in planned:
         result.write_handles.append(cluster.schedule_write(at, value, writer=w_index))
     for r_index in range(cluster.num_readers):

@@ -150,6 +150,13 @@ class TestCachedEncoder:
         encoder.encode(value)
         assert (encoder.misses, encoder.hits) == (1, 1)
 
+    def test_encode_many_counts_a_repeat_inside_the_batch_as_a_hit(self):
+        code = ReedSolomonCode(5, 3)
+        encoder = CachedEncoder(code)
+        values = [b"alpha", b"beta", b"alpha", b"gamma"]
+        assert encoder.encode_many(values) == [code.encode(v) for v in values]
+        assert (encoder.misses, encoder.hits) == (3, 1)
+
 
 class TestClusterWiring:
     def test_dispersal_encodes_hit_shared_cache(self):

@@ -1,17 +1,16 @@
-"""Tests for the read-side decode cache and the per-drain batcher.
+"""Tests for the read-side decode cache.
 
 Contract: a memoized decode is byte-identical to an eager decode for the
 same (tag, element-set); conflicting element sets never collide in the
-cache; the batcher flushes every submission of one drain through a single
-``decode_many`` call, in submission order.
+cache.  (How the protocols call it: ``tests/runtime/test_codec_front.py``.)
 """
 
 import pytest
 
 from repro.core.tags import Tag
 from repro.erasure import ReedSolomonCode
-from repro.erasure.batch import CachedDecoder, ReadDecodeBatcher
-from repro.erasure.mds import CodedElement, corrupt
+from repro.erasure.batch import CachedDecoder
+from repro.erasure.mds import corrupt
 
 
 def _code():
@@ -88,47 +87,3 @@ class TestCachedDecoder:
             CachedDecoder(_code(), capacity=0)
         with pytest.raises(ValueError):
             CachedDecoder(_code(), max_errors=-1)
-
-
-class TestReadDecodeBatcher:
-    def _batcher(self):
-        deferred = []
-        batcher = ReadDecodeBatcher(CachedDecoder(_code()), deferred.append)
-        return batcher, deferred
-
-    def test_single_flush_per_drain(self):
-        code = _code()
-        batcher, deferred = self._batcher()
-        out = []
-        v1, v2 = b"first", b"second"
-        batcher.submit(Tag(1, "w0"), _elements(code, v1), out.append)
-        batcher.submit(Tag(2, "w0"), _elements(code, v2), out.append)
-        assert len(deferred) == 1  # armed once per drain
-        assert out == []  # nothing decoded before the flush
-        deferred.pop()()
-        assert out == [v1, v2]  # submission order
-        assert batcher.flushes == 1 and batcher.submitted == 2
-
-    def test_rearms_after_flush(self):
-        code = _code()
-        batcher, deferred = self._batcher()
-        out = []
-        batcher.submit(Tag(1, "w0"), _elements(code, b"a"), out.append)
-        deferred.pop()()
-        batcher.submit(Tag(2, "w0"), _elements(code, b"b"), out.append)
-        assert len(deferred) == 1
-        deferred.pop()()
-        assert out == [b"a", b"b"]
-        assert batcher.flushes == 2
-
-    def test_decode_elements_conflicting_duplicates_still_raise(self):
-        from repro.erasure.mds import DecodingError
-
-        code = _code()
-        batcher, deferred = self._batcher()
-        value = b"conflict"
-        elements = _elements(code, value)
-        bad = elements + [CodedElement(index=elements[0].index, data=b"\x00" * 8)]
-        batcher.submit(Tag(1, "w0"), bad, lambda v: None)
-        with pytest.raises(DecodingError):
-            deferred.pop()()

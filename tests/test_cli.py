@@ -5,9 +5,10 @@ import os
 import pytest
 
 from repro import __version__
+from repro import cli
 from repro.cli import build_parser, main
 from repro.erasure import gf_native
-from repro.erasure.gf import describe_backend, set_default_backend
+from repro.erasure.gf import default_backend, describe_backend, set_default_backend
 
 
 class TestParser:
@@ -83,12 +84,61 @@ class TestWhichBackendRan:
         )
 
     def test_explicit_flag_reaches_spawned_workers(self, capsys, monkeypatch):
-        # Set through monkeypatch first, so that what main() exports is undone.
         monkeypatch.setenv("REPRO_GF_BACKEND", "native")
+        seen = []
+
+        def list_command(args):
+            seen.append(os.environ["REPRO_GF_BACKEND"])
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_list", list_command)
         assert main(["--gf-backend", "numpy", "list"]) == 0
         assert capsys.readouterr().err == "gf backend: numpy\n"
-        # Pool and checker workers resolve from the environment they inherit.
-        assert os.environ["REPRO_GF_BACKEND"] == "numpy"
+        # Pool and checker workers resolve from the environment they inherit
+        # while the command runs ...
+        assert seen == ["numpy"]
+        # ... and the caller's environment is its own again afterwards.
+        assert os.environ["REPRO_GF_BACKEND"] == "native"
+
+    @pytest.mark.parametrize("env_before", [None, "native"])
+    def test_the_flag_pins_one_call_not_the_process(self, capsys, monkeypatch, env_before):
+        if env_before is not None:
+            monkeypatch.setenv("REPRO_GF_BACKEND", env_before)
+        before = default_backend()
+        assert main(["--gf-backend", "numpy", "list"]) == 0
+        assert capsys.readouterr().err == "gf backend: numpy\n"
+        assert os.environ.get("REPRO_GF_BACKEND") == env_before
+        assert default_backend() == before
+        # The next main() in the same process resolves its own backend.
+        assert main(["list"]) == 0
+        assert capsys.readouterr().err == f"gf backend: {describe_backend()}\n"
+
+    def test_a_failing_command_still_unpins(self, monkeypatch):
+        def boom(args):
+            raise RuntimeError("command failed")
+
+        monkeypatch.setattr(cli, "_cmd_list", boom)
+        before = default_backend()
+        with pytest.raises(RuntimeError, match="command failed"):
+            main(["--gf-backend", "numpy", "list"])
+        assert "REPRO_GF_BACKEND" not in os.environ
+        assert default_backend() == before
+
+    def test_a_pin_made_by_the_caller_survives(self):
+        set_default_backend("numpy")
+        assert main(["--gf-backend", "numpy", "list"]) == 0
+        assert default_backend() == "numpy"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--gf-backend", "numpy", "--version"], ["--version", "--gf-backend", "numpy"]],
+    )
+    def test_version_names_the_backend_the_flags_select(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == f"soda-repro {__version__} (gf backend: numpy)\n"
+        assert "REPRO_GF_BACKEND" not in os.environ
 
 
 class TestExperiments:
