@@ -1,28 +1,13 @@
-"""Microbenchmarks for the incremental atomicity checker's hot paths.
+"""Microbenchmark for the incremental atomicity checker's hot path.
 
 The simulation rows in ``BENCH_sim.json`` measure the checker *behind* a
 cluster or workload generator, so checker regressions hide inside
-simulation noise.  These rows isolate it: a synthetic operation stream is
-generated once (outside the timed region) and replayed straight into the
-checking layer in three configurations:
+simulation noise.  This row isolates it: a synthetic operation stream is
+generated once (outside the timed region) and replayed straight into one
+:class:`IncrementalAtomicityChecker`, one crossing test per completed read
+— exactly the streaming path (``checker_ops_per_s``).
 
-* **serial** — one :class:`IncrementalAtomicityChecker`, one crossing
-  test per completed read, exactly the unbatched streaming path
-  (``checker_ops_per_s``);
-* **batched** — the same events bracketed by ``begin_batch`` /
-  ``end_batch`` at a fixed chunk size, the way
-  :class:`~repro.consistency.stream.CheckerBatcher` brackets event-loop
-  drains (``checker_batched_ops_per_s``);
-* **parallel mux** — a multi-object namespace stream fed through an
-  :class:`~repro.consistency.multiplex.ObjectCheckerMux` in
-  worker-process mode, measuring the forwarding + worker-checking
-  pipeline end to end including the ``finish()`` drain
-  (``multiobj_checked_ops_per_s``).  Worker spawn time is excluded (the
-  mux is constructed before the clock starts) because in real runs the
-  workers spawn once and check for the whole run.
-
-``run_benchmarks.py`` folds the rows into ``BENCH_sim.json``;
-``checker_ops_per_s`` and ``multiobj_checked_ops_per_s`` are gated in CI
+``run_benchmarks.py`` folds the row into ``BENCH_sim.json``, gated in CI
 at the standard regression factor.
 """
 
@@ -32,17 +17,12 @@ import time
 from typing import Dict, List, Tuple
 
 from repro.consistency.incremental import IncrementalAtomicityChecker
-from repro.consistency.multiplex import ObjectCheckerMux
 from repro.consistency.stream import (
     OperationRecord,
     StreamingRecorder,
     StreamObserver,
 )
 from repro.workloads.generator import StreamSpec, stream_operations
-
-#: Events per ``begin_batch``/``end_batch`` bracket in the batched replay
-#: — the same order of magnitude as one event-loop drain in a streamed run.
-_BATCH_CHUNK = 256
 
 
 class _Tape(StreamObserver):
@@ -73,7 +53,7 @@ def record_tape(operations: int, *, clients: int = 16, seed: int = 7) -> _Tape:
 
 def _checker_events(tape: _Tape) -> List[Tuple[int, OperationRecord]]:
     """Pre-build the observer-level records a sink would dispatch, so the
-    timed replay loops measure checker cost, not record construction."""
+    timed replay loop measures checker cost, not record construction."""
     events: List[Tuple[int, OperationRecord]] = []
     live: Dict[str, OperationRecord] = {}
     for event in tape.events:
@@ -94,7 +74,7 @@ def _checker_events(tape: _Tape) -> List[Tuple[int, OperationRecord]]:
 
 
 def bench_serial(events: List[Tuple[int, OperationRecord]], invoked: int) -> float:
-    """Operations per second through one per-op (unbatched) checker."""
+    """Operations per second through one checker."""
     checker = IncrementalAtomicityChecker()
     on_invoke = checker.on_invoke
     on_complete = checker.on_complete
@@ -110,80 +90,11 @@ def bench_serial(events: List[Tuple[int, OperationRecord]], invoked: int) -> flo
     return invoked / wall
 
 
-def bench_batched(events: List[Tuple[int, OperationRecord]], invoked: int) -> float:
-    """Operations per second with drain-sized begin/end_batch brackets."""
-    checker = IncrementalAtomicityChecker()
-    on_invoke = checker.on_invoke
-    on_complete = checker.on_complete
-    start = time.perf_counter()
-    for base in range(0, len(events), _BATCH_CHUNK):
-        checker.begin_batch()
-        for kind, record in events[base : base + _BATCH_CHUNK]:
-            if kind == 0:
-                on_invoke(record)
-            else:
-                on_complete(record)
-        checker.end_batch()
-    wall = time.perf_counter() - start
-    if not checker.ok:  # pragma: no cover - would be a generator/checker bug
-        raise RuntimeError(f"clean stream flagged: {checker.violations}")
-    return invoked / wall
-
-
-def bench_parallel_mux(
-    tapes: List[_Tape], invoked: int, *, workers: int = 2
-) -> float:
-    """Operations per second through a worker-mode ObjectCheckerMux.
-
-    Replays per-object tapes into the mux's recorders (exercising the
-    forwarding observers and queues) and times feed + ``finish()`` drain;
-    worker spawn happens before the clock starts.
-    """
-    mux = ObjectCheckerMux(objects=len(tapes), window=256, workers=workers)
-    start = time.perf_counter()
-    for index, tape in enumerate(tapes):
-        recorder = mux.recorders[index]
-        invoke = recorder.invoke
-        respond = recorder.respond
-        for event in tape.events:
-            if event[0] == "i":
-                invoke(event[1], event[2], event[3], event[4], event[5])
-            else:
-                respond(event[1], event[2], value=event[3])
-    mux.finish()
-    wall = time.perf_counter() - start
-    if not mux.ok:  # pragma: no cover - would be a generator/checker bug
-        raise RuntimeError(f"clean stream flagged: {mux.violations()}")
-    return invoked / wall
-
-
 def bench_checker(*, quick: bool = False, seed: int = 7) -> Dict[str, float]:
-    """The checker rows folded into BENCH_sim.json by run_benchmarks.py."""
-    single_ops = 10_000 if quick else 100_000
-    # The mux row needs enough work to amortize worker spawn latency even
-    # in quick mode, or the rate collapses into startup noise: the workers
-    # are still importing while a small feed is already over, and
-    # ``finish()`` then waits on them doing nothing.
-    per_object_ops = 6_000 if quick else 12_000
-    objects = 8
-
-    tape = record_tape(single_ops, clients=16, seed=seed)
-    events = _checker_events(tape)
-    tapes = [
-        record_tape(per_object_ops, clients=4, seed=seed * 1_000 + index)
-        for index in range(objects)
-    ]
-    multiobj_invoked = sum(
-        1 for t in tapes for event in t.events if event[0] == "i"
-    )
-
-    return {
-        "checker_ops_per_s": bench_serial(events, single_ops),
-        "checker_batched_ops_per_s": bench_batched(events, single_ops),
-        "multiobj_checked_ops_per_s": bench_parallel_mux(
-            tapes, multiobj_invoked, workers=2
-        ),
-    }
+    """The checker row folded into BENCH_sim.json by run_benchmarks.py."""
+    operations = 10_000 if quick else 100_000
+    events = _checker_events(record_tape(operations, clients=16, seed=seed))
+    return {"checker_ops_per_s": bench_serial(events, operations)}
 
 
 if __name__ == "__main__":

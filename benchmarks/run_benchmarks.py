@@ -12,11 +12,9 @@ Two artefacts track the repository's performance trajectory:
   rows (``eventloop_events_per_s`` / ``send_path_msgs_per_s`` /
   ``fanout_msgs_per_s`` / ``eventloop_cancel_ops_per_s`` — see
   :mod:`bench_event_loop`, gated tighter than the protocol rows),
-  checker-core microbenchmark rows
-  (``checker_ops_per_s`` / ``checker_batched_ops_per_s`` /
-  ``multiobj_checked_ops_per_s`` — pre-generated operation streams
-  replayed straight into the checking layer, see :mod:`bench_checker`),
-  a sweep-engine throughput
+  a checker-core microbenchmark row (``checker_ops_per_s`` — a
+  pre-generated operation stream replayed straight into the checker, see
+  :mod:`bench_checker`), a sweep-engine throughput
   row (``sweep_points_per_s``), a streaming-checker throughput row
   (``stream_ops_per_s``, the incremental atomicity checker over a
   bounded-memory recorder), real-cluster longrun rows
@@ -100,11 +98,10 @@ SIM_PROTOCOLS = ("ABD", "CAS", "CASGC", "SODA")
 #: rate rows (per-protocol ``*_events_per_s``, ``sweep_points_per_s``,
 #: ``stream_ops_per_s``) are trajectory records, not gates: stacking more
 #: absolute wall-clock gates would multiply the odds of a slow CI host
-#: failing with no code change.  The checker-core rows
-#: (``checker_ops_per_s``, ``multiobj_checked_ops_per_s``) ARE gated:
-#: they replay a pre-generated stream with no simulation in the loop, so
-#: they are far less noisy than the end-to-end rates and a 2x drop means
-#: the checker's flat core (or the mux forwarding pipeline) regressed.
+#: failing with no code change.  The checker-core row
+#: (``checker_ops_per_s``) IS gated: it replays a pre-generated stream
+#: with no simulation in the loop, so it is far less noisy than the
+#: end-to-end rates and a 2x drop means the checker's flat core regressed.
 GATED_METRICS = {
     "erasure": [
         "encode_speedup_vs_seed",
@@ -120,7 +117,6 @@ GATED_METRICS = {
         "send_path_msgs_per_s",
         "fanout_msgs_per_s",
         "checker_ops_per_s",
-        "multiobj_checked_ops_per_s",
         "openloop_ops_per_s",
         "fleet_ops_per_s",
         "fleet_events_per_s",
@@ -135,10 +131,6 @@ GATED_METRIC_FACTORS = {
     "eventloop_events_per_s": 1 / 0.7,
     "send_path_msgs_per_s": 1 / 0.7,
     "fanout_msgs_per_s": 1 / 0.7,
-    # The worker-mode mux row includes process spawn/import amortization,
-    # which varies with host cold-start far more than pure compute does —
-    # gate it, but at a looser threshold than the in-process rows.
-    "multiobj_checked_ops_per_s": 3.0,
     # The new erasure rows are raw wall-clock rates (unlike the
     # machine-independent *_vs_seed ratios), and stripe_encode additionally
     # takes the max over whatever GF backends build on the host.  A looser
@@ -153,8 +145,7 @@ GATED_METRIC_FACTORS = {
     "openloop_ops_per_s": 3.0,
     # The fleet capacity rows are CPU-time rates (core-count independent)
     # but still scale with the host's single-core speed, and each cell
-    # pays spawn/import amortization in its CPU account — same looseness
-    # as the other process-spawning row (multiobj_checked_ops_per_s).
+    # pays spawn/import amortization in its CPU account.
     "fleet_ops_per_s": 3.0,
     "fleet_events_per_s": 3.0,
 }
@@ -251,11 +242,9 @@ def bench_sim(*, quick: bool = False, seed: int = 7) -> Dict[str, object]:
     # from protocol logic.
     results.update(bench_event_loop(quick=quick))
 
-    # Checker-core microbenchmark rows: pre-generated operation streams
-    # replayed straight into the checking layer — serial per-op, batched
-    # (drain-sized begin/end_batch brackets) and worker-process mux
-    # pipelines (see bench_checker.py).  The serial and mux rows carry CI
-    # gates: no simulation in the loop makes them stable enough to gate.
+    # Checker-core microbenchmark row: a pre-generated operation stream
+    # replayed straight into the checker (see bench_checker.py).  It
+    # carries a CI gate: no simulation in the loop makes it stable enough.
     results.update(bench_checker(quick=quick, seed=seed))
 
     # Sweep-engine throughput: points of the E2 storage sweep per second

@@ -38,8 +38,8 @@ group-by-group, and rows are built from each kind's declarative column
 schema — the same schema generates the per-object rows, the per-epoch
 aggregates, the run totals and the CSV header.  Everything in
 :meth:`Report.to_jsonable` is a pure function of the parameters, so both
-artefacts are **byte-identical for any** ``jobs`` / ``fleet`` /
-``checker_workers``; wall-clock, CPU and RSS accounting ride beside it.
+artefacts are **byte-identical for any** ``jobs`` / ``fleet``;
+wall-clock, CPU and RSS accounting ride beside it.
 
 **Rates.**  Every wall/CPU rate is over *completed* operations.  Each
 cell measures its own CPU seconds; an epoch's critical path is its
@@ -324,7 +324,6 @@ DEFAULTS: Dict[str, object] = {
     "mean_gap": 0.25,
     "window": 128,
     "frontier_limit": 256,
-    "checker_workers": 1,
     "keep_records": False,
     # open-loop driver
     "arrival": "poisson:4",
@@ -567,15 +566,11 @@ def _run_group(cell: Mapping[str, object], gids: Tuple[int, ...]) -> dict:
 
     mux = taps = stall_taps = None
     if closed:
-        # Recorders exist before the cluster, so every object's register
-        # cluster binds its checker batcher to the simulation's micro-task
-        # hook: crossing tests run once per event-loop drain.
         mux = ObjectCheckerMux(
             len(gids),
             window=p["window"],
             frontier_limit=p["frontier_limit"],
             initial_value=marker,
-            workers=p["checker_workers"],
         )
         if p["keep_records"]:
             taps = [r.subscribe(_RecordTap()) for r in mux.recorders]
@@ -663,8 +658,6 @@ def _run_group(cell: Mapping[str, object], gids: Tuple[int, ...]) -> dict:
         else (stats.per_object, stats.allocation)
     )
 
-    if closed:
-        mux.finish()
     objects = []
     counters = _CLOSED if closed else _OPEN
     for j, (gid, own) in enumerate(zip(gids, per_object)):
@@ -1054,7 +1047,7 @@ class Report:
 
 def _artefact_params(grid: Grid) -> Dict[str, object]:
     """The self-describing ``params`` block: everything the bytes depend
-    on, nothing they do not (``jobs``, ``fleet``, ``checker_workers``)."""
+    on, nothing they do not (``jobs``, ``fleet``)."""
     kind, p = grid.kind, grid.params
     names = list(
         _columns("ops epoch_ops n f num_writers num_readers value_size seed")
@@ -1091,9 +1084,9 @@ def run_experiment(kind: str, protocol: str = "SODA", **params) -> Report:
     ``Kind.defaults``): the workload (``ops``, ``epoch_ops``, ``objects``,
     ``key_dist``, ``seed``, ``faults`` …), the cluster shape (``n``, ``f``,
     ``num_writers``, ``num_readers``, ``protocol_kwargs``), the driver's
-    knobs, and the scheduling axes ``jobs`` (epochs in flight), ``fleet``
-    (cells per epoch, private kinds only) and ``checker_workers`` — up to
-    ``jobs × fleet`` cell processes, none of which moves an artefact byte.
+    knobs, and the scheduling axes ``jobs`` (epochs in flight) and ``fleet``
+    (cells per epoch, private kinds only) — up to ``jobs × fleet`` cell
+    processes, none of which moves an artefact byte.
     ``keep_records`` / ``keep_samples`` capture whole histories / raw
     latency samples of *small* runs for cross-validation.
     """
@@ -1249,12 +1242,11 @@ def write_artefacts(report: Report, directory: Path) -> Tuple[Path, Path]:
     """Write the deterministic JSON report and its CSV rows under
     ``directory`` (typically ``results/``); returns the two paths.
 
-    Both files are byte-identical for any ``jobs`` / ``fleet`` /
-    ``checker_workers``.  The pair is written atomically: both are
-    rendered into ``<name>.tmp`` siblings and renamed into place only
-    once both are complete, so an interrupted run leaves either the
-    previous pair or nothing — never a half-written file or a JSON
-    without its CSV.
+    Both files are byte-identical for any ``jobs`` / ``fleet``.  The pair
+    is written atomically: both are rendered into ``<name>.tmp`` siblings
+    and renamed into place only once both are complete, so an interrupted
+    run leaves either the previous pair or nothing — never a half-written
+    file or a JSON without its CSV.
     """
     json_path, csv_path = artefact_paths(report, directory)
     json_path.parent.mkdir(parents=True, exist_ok=True)

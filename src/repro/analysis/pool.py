@@ -13,9 +13,9 @@ buffered next-expected cursor.  This module is that shape, extracted once:
 * :func:`in_order` — the order-restoring cursor over ``(index, result)``
   pairs;
 * :func:`resolve_workers` — the daemonic-context guard: a worker process
-  of a spawn pool cannot itself spawn children, so nested engines (an
-  epoch point asking for checker workers inside a sweep pool, a fleet
-  cell inside the fleet pool) degrade to serial execution with a loud
+  of a spawn pool cannot itself spawn children, so nested engines (a
+  ``jobs>1`` run inside a sweep pool, a fleet cell inside the fleet
+  pool) degrade to serial execution with a loud
   :class:`RuntimeWarning` instead of crashing — results are byte-identical
   either way, only the parallelism is lost.
 

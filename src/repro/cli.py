@@ -25,8 +25,8 @@ point derives its own seed), so ``--jobs`` is purely a wall-clock knob.
 one epoch engine (:mod:`repro.analysis.engine`): a long run is cut into
 seeded epochs, each simulated on a fresh cluster, and folded in epoch
 order into a JSON/CSV artefact pair under ``--results-dir`` that is
-byte-identical for every ``--jobs`` / ``--fleet`` / ``--checker-workers``.
-The flags pick one of the engine's seven artefact kinds:
+byte-identical for every ``--jobs`` / ``--fleet``.  The flags pick one of
+the engine's seven artefact kinds:
 
 * ``longrun`` streams a closed-loop real-cluster run through bounded
   recorders with the incremental atomicity checker attached online
@@ -179,8 +179,6 @@ def _engine_params(kind, args: argparse.Namespace) -> dict:
             num_writers=writers,
             num_readers=max(1, args.clients - writers),
         )
-    else:
-        params["checker_workers"] = args.checker_workers
     if kind.driver == "audited":
         params["stall_threshold"] = args.stall_threshold
         if args.faults == "none":
@@ -521,15 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with 'longrun': skip writing artefact files",
     )
     p_exp.add_argument(
-        "--checker-workers",
-        type=int,
-        default=1,
-        help="with 'longrun --objects N': run each epoch's per-object "
-        "checkers in this many spawned worker processes (verdicts are "
-        "byte-identical for any count; >1 is ignored under --jobs>1, "
-        "whose pool workers cannot spawn children)",
-    )
-    p_exp.add_argument(
         "--fleet",
         type=int,
         default=0,
@@ -537,8 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
         "namespace's objects into this many fleet partitions, each epoch's "
         "partitions simulating in their own spawned processes (composes "
         "with --jobs: up to jobs x fleet processes); artefacts are "
-        "byte-identical for any --fleet/--jobs/--checker-workers "
-        "combination (0 disables fleet mode)",
+        "byte-identical for any --fleet/--jobs combination (0 disables "
+        "fleet mode)",
     )
     p_exp.add_argument(
         "--arrival",
@@ -623,7 +612,7 @@ def _backend_pinned(backend: Optional[str]):
         return
     previous_env = os.environ.get(BACKEND_ENV_VAR)
     previous_pin = set_default_backend(backend)
-    # Pool and checker workers are spawned: they resolve from the environment.
+    # Pool workers are spawned: they resolve from the environment.
     os.environ[BACKEND_ENV_VAR] = backend
     try:
         yield

@@ -78,17 +78,6 @@ them (counted in ``reopened_clusters``), but open/closed no longer selects
 between two crossing structures, so reopening does zero structural work —
 the staircase-removal fallback of the old core (which could silently leave
 a stale entry behind on duplicate ``min_resp`` runs) is structurally gone.
-
-Batched ingestion
------------------
-:meth:`IncrementalAtomicityChecker.begin_batch` /
-:meth:`~IncrementalAtomicityChecker.end_batch` bracket a batch of events
-(one event-loop drain, fed by
-:class:`~repro.consistency.stream.CheckerBatcher`): summary bookkeeping
-stays per-record, but crossing tests are deferred and run once per touched
-cluster at the batch end.  Monotonicity makes this sound *and* complete —
-a crossing visible mid-batch is still visible at batch end, and a clean
-batch end proves every intermediate state was clean.
 """
 
 from __future__ import annotations
@@ -143,8 +132,8 @@ class _RecentWrites:
     ``memcmp``, a few us per 64 KiB — and takes that write's digest.  It is
     exact, since equal bytes have equal digests, and trusts neither tags
     nor the protocol: anything that fails to match is digested as before.
-    Comparing values rather than identities serves a worker-mode checker,
-    whose values arrive unpickled, just as well.
+    Values are compared, not identities: a coded read returns a freshly
+    decoded bytes object.
     """
 
     __slots__ = ("_entries", "_bytes")
@@ -285,10 +274,6 @@ class IncrementalAtomicityChecker(StreamObserver):
         self._pm2: List[float] = []
         # cids whose a grew past their snapshot without a prefix refresh
         self._dirty: Dict[int, None] = {}
-
-        #: When not None, cids whose crossing test is deferred to
-        #: :meth:`end_batch` (insertion-ordered, deduplicated).
-        self._deferred: Optional[Dict[int, None]] = None
 
         #: op id -> (value object, its digest) per open write.  A sink
         #: completes a write with the bytes object it was invoked with, so
@@ -458,26 +443,6 @@ class IncrementalAtomicityChecker(StreamObserver):
     # Direct-feed aliases for callers not going through a sink.
     observe_invoke = on_invoke
     observe_complete = on_complete
-
-    # ------------------------------------------------------------------
-    # batched ingestion (one event-loop drain = one batch)
-    # ------------------------------------------------------------------
-    def begin_batch(self) -> None:
-        """Defer crossing tests until :meth:`end_batch`.
-
-        Summary updates stay per-record; only the (monotone) crossing
-        predicate is postponed, so the batch verdict equals the per-op
-        verdict.  Nested calls coalesce into the outermost batch.
-        """
-        if self._deferred is None:
-            self._deferred = {}
-
-    def end_batch(self) -> None:
-        """Run one crossing test per cluster touched since ``begin_batch``."""
-        pending, self._deferred = self._deferred, None
-        if pending:
-            for cid in pending:
-                self._check_crossings(cid)
 
     # ------------------------------------------------------------------
     # results
@@ -751,9 +716,6 @@ class IncrementalAtomicityChecker(StreamObserver):
         b = self._min_resp[cid]
         if b == _INF:
             return  # no member responded yet: cannot cross anything
-        if self._deferred is not None:
-            self._deferred[cid] = None
-            return
         a = self._max_inv[cid]
         # Fast existence test: the b-sorted table answers "is there another
         # cluster with b' < a whose (snapshot) a' exceeds b" in O(log n);

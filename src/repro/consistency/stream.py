@@ -272,87 +272,24 @@ class StreamingRecorder(HistorySink):
         return self.invoked_count
 
 
-def iter_observers(sink: HistorySink) -> tuple:
-    """The sink's subscribed observers, as an immutable snapshot.
-
-    The observer list is sink-private; runtime layers that need to
-    introspect it — e.g. :class:`~repro.runtime.cluster.RegisterCluster`
-    binding unbound :class:`CheckerBatcher`\\ s to its simulation — go
-    through this helper instead of reaching into ``_observers``, keeping
-    the :class:`HistorySink` interface itself unchanged.
-    """
-    return tuple(sink._observers)
-
-
 class CheckerBatcher(StreamObserver):
-    """Drain-batched observer shim in front of an incremental checker.
+    """Forwards every event to ``checker`` as it is recorded.
 
-    The first event recorded during an event-loop drain opens a checker
-    batch (:meth:`~repro.consistency.incremental.IncrementalAtomicityChecker.begin_batch`)
-    and arms a single deferred flush via the simulation's micro-task hook;
-    when the drain ends the flush closes the batch, running one crossing
-    test per cluster touched instead of one per record.  The checker's
-    monotone summaries make this verdict-identical to per-record checking
-    (see the batching notes in :mod:`repro.consistency.incremental`).
-
-    A batcher starts *unbound* and is a pure pass-through (per-record
-    checking) until :meth:`bind` hands it a ``defer`` callable — a
-    :class:`~repro.runtime.cluster.RegisterCluster` binds any unbound
-    batchers it finds among its recorder's observers at construction, so
-    callers can subscribe the batcher before the simulation exists::
-
-        recorder = StreamingRecorder(window=256)
-        batcher = recorder.subscribe(CheckerBatcher(checker))
-        cluster = make_cluster(..., recorder=recorder)   # binds batcher
+    Kept only because the frozen ``bench/workloads.py`` subscribes
+    ``CheckerBatcher(checker)`` and calls ``flush()``; the next ``benchmark``
+    PR can subscribe the checker directly and retire this name.
     """
 
     def __init__(self, checker) -> None:
         self.checker = checker
-        self._defer = None
-        self._armed = False
-        #: Completed drain-batches (diagnostics).
-        self.flushes = 0
-
-    @property
-    def bound(self) -> bool:
-        return self._defer is not None
-
-    def bind(self, defer) -> None:
-        """Attach the per-drain micro-task hook (idempotent for the same
-        hook; rebinding to a different simulation is a caller bug)."""
-        if self._defer is not None and self._defer is not defer:
-            raise RuntimeError("CheckerBatcher is already bound to a simulation")
-        self._defer = defer
-
-    def _arm(self) -> None:
-        self._armed = True
-        self.checker.begin_batch()
-        self._defer(self._flush)
-
-    def _flush(self) -> None:
-        if self._armed:
-            self._armed = False
-            self.checker.end_batch()
-            self.flushes += 1
 
     def flush(self) -> None:
-        """Force any deferred crossing tests to run now.
+        """Nothing is ever parked, so there is nothing to flush."""
 
-        Safe at any point (no-op when nothing is pending); callers export
-        verdicts only after this.  An already-armed micro-task that fires
-        later finds the batch closed and does nothing.
-        """
-        self._flush()
-
-    # -- observer callbacks: open a batch lazily, then forward ----------
     def on_invoke(self, record: OperationRecord) -> None:
-        if self._defer is not None and not self._armed:
-            self._arm()
         self.checker.on_invoke(record)
 
     def on_complete(self, record: OperationRecord) -> None:
-        if self._defer is not None and not self._armed:
-            self._arm()
         self.checker.on_complete(record)
 
     def on_failed(self, record: OperationRecord) -> None:

@@ -20,9 +20,8 @@ far more expensive errors-and-erasures decode).
 Both are called inline, at the step the paper's automata encode or decode
 at: a dispersal server when the full value arrives, a reader when the
 ``k``-th (SODAerr: ``k + 2e``-th) coded element of one tag arrives.  There
-is no per-drain collection point in front of them — the simulator drains
-its micro-task queue after every event and one delivery completes at most
-one encode or decode, so such a batch never held more than one job
+is no per-event collection point in front of them — one delivery completes
+at most one encode or decode, so such a batch never held more than one job
 (docs/perf.md, "Codec front").
 
 Both caches are LRU-bounded twice over, by entries and by bytes

@@ -26,12 +26,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.consistency.history import History, OperationRecord
-from repro.consistency.stream import (
-    CheckerBatcher,
-    HistorySink,
-    StreamObserver,
-    iter_observers,
-)
+from repro.consistency.stream import HistorySink, StreamObserver
 from repro.erasure.batch import CachedDecoder, CachedEncoder
 from repro.erasure.mds import CodedElement, MDSCode
 from repro.metrics.costs import CommunicationCostTracker, StorageTracker
@@ -149,12 +144,6 @@ class RegisterCluster(ABC):
         # can pass a bounded StreamingRecorder (with, e.g., the incremental
         # atomicity checker subscribed) instead.
         self.history: HistorySink = recorder if recorder is not None else History()
-        # Checker batchers subscribed before the cluster existed could not
-        # know the simulation's micro-task hook; bind them now so their
-        # crossing tests run once per event-loop drain instead of per op.
-        for observer in iter_observers(self.history):
-            if isinstance(observer, CheckerBatcher) and not observer.bound:
-                observer.bind(self.sim.defer)
         # One network send-listener per tracker: clusters sharing a
         # simulation must also share one tracker, or each would shadow-count
         # every other object's traffic.

@@ -11,9 +11,9 @@ repository (every simulated message is one heap entry), so it is
 deliberately flat: emptiness check, cancelled-event skip, time-limit check
 and pop are one heap traversal, clock and accounting updates are inlined, a
 message entry (see :mod:`repro.sim.events`) is delivered in place, and the
-optional hooks (:attr:`Simulation.event_hook`, deferred micro-tasks) each
-cost one predictable branch per event when unused.  :meth:`Simulation.step`
-and :meth:`Simulation.run_until` share :meth:`Simulation._deliver_entry`.
+optional :attr:`Simulation.event_hook` costs one predictable branch per
+event when unused.  :meth:`Simulation.step` and :meth:`Simulation.run_until`
+share :meth:`Simulation._deliver_entry`.
 """
 
 from __future__ import annotations
@@ -81,12 +81,6 @@ class Simulation:
         self._queue = EventQueue()
         self._now = 0.0
         self._processes: Dict[ProcessId, Process] = {}
-        #: FIFO of deferred micro-tasks: callables run after the current
-        #: event finishes firing, at the same simulated time, before the
-        #: next event is popped.  The checker's drain batcher
-        #: (:class:`~repro.consistency.stream.CheckerBatcher`) uses this to
-        #: run one crossing test per cluster touched by an event.
-        self._deferred: List[Callable[[], None]] = []
         #: Optional per-event observer ``hook(event)`` invoked after the
         #: clock advanced but before the event fires; a message delivery is
         #: shown as an :class:`Event` built for the hook.  Used by the
@@ -132,24 +126,6 @@ class Simulation:
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event."""
         self._queue.cancel(event)
-
-    def defer(self, fn: Callable[[], None]) -> None:
-        """Run ``fn`` after the current event finishes firing.
-
-        Deferred micro-tasks execute at the same simulated time as the
-        event that scheduled them, in FIFO order, before the next event is
-        popped — they are *not* heap events and never perturb the
-        ``(time, seq)`` event order (the golden-trace tests rely on this).
-        """
-        self._deferred.append(fn)
-
-    def _drain_deferred(self) -> None:
-        deferred = self._deferred
-        while deferred:
-            fns = deferred[:]
-            deferred.clear()
-            for fn in fns:
-                fn()
 
     # ------------------------------------------------------------------
     # process registry
@@ -222,8 +198,6 @@ class Simulation:
             if self.event_hook is not None:
                 self.event_hook(event)
             event.fire()
-        if self._deferred:
-            self._drain_deferred()
 
     def step(self) -> bool:
         """Process a single event; returns False if the queue is empty."""
@@ -249,7 +223,6 @@ class Simulation:
         queue = self._queue
         heap = queue._heap
         heappop = heapq.heappop
-        deferred = self._deferred
         hook = self.event_hook
         no_arg = NO_ARG
         processes = self._processes
@@ -308,8 +281,6 @@ class Simulation:
                         event.action()
                     else:
                         event.action(argument)
-                if deferred:
-                    self._drain_deferred()
                 if processed > max_events:
                     raise EventBudgetExceeded(
                         f"exceeded {max_events} events without reaching quiescence"

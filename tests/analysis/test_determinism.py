@@ -2,13 +2,12 @@
 scheduling axis and over the GF(2^8) backend, for every artefact kind of
 the engine.
 
-The scheduling axes — ``jobs`` (epochs in flight), ``checker_workers``
-(where the per-object checkers run) and, for the fleet kinds, ``fleet``
-(how many cells an epoch's namespace is partitioned into) — decide only
-*where* work executes.  This harness iterates the engine's kind table,
-runs every golden scenario of each kind once as a baseline and once per
-scheduling variant, and asserts the JSON and CSV bytes never move.  It
-replaces the per-engine ``TestJobsDeterminism`` / ``TestDeterminism`` /
+The scheduling axes — ``jobs`` (epochs in flight) and, for the fleet
+kinds, ``fleet`` (how many cells an epoch's namespace is partitioned
+into) — decide only *where* work executes.  This harness iterates the
+engine's kind table, runs every golden scenario of each kind once as a
+baseline and once per scheduling variant, and asserts the JSON and CSV
+bytes never move.  It replaces the per-engine ``TestJobsDeterminism`` / ``TestDeterminism`` /
 ``TestFleetDeterminism`` classes; the CI ``determinism-smoke`` matrix job
 checks the same property through the CLI at larger sizes.
 
@@ -27,18 +26,10 @@ from tests.golden.capture_goldens import ARTEFACT_SCENARIOS, write_scenario
 
 def _variants(kind):
     """The scheduling variants worth running for ``kind`` (the scenarios
-    themselves run at jobs=1, checker_workers=1 and, fleet kinds, fleet=2)."""
+    themselves run at jobs=1 and, fleet kinds, fleet=2)."""
     variants = [{"jobs": 2}]
-    if kind.driver != "open" and kind.namespace and not kind.private:
-        # The open loop has no checkers; a one-object checker mux (the
-        # single register, every fleet cell) caps its workers at one.
-        variants.append({"checker_workers": 2})
     if kind.private:
-        variants += [
-            {"fleet": 1},
-            {"fleet": 3},
-            {"fleet": 3, "jobs": 2, "checker_workers": 2},
-        ]
+        variants += [{"fleet": 1}, {"fleet": 3}, {"fleet": 3, "jobs": 2}]
     return variants
 
 
@@ -82,8 +73,7 @@ def test_artefact_bytes_invariant_under_scheduling(
         f"{name}: artefact bytes moved under {variant}"
     )
     for axis, value in variant.items():
-        if axis != "checker_workers":
-            assert getattr(report, axis) == value
+        assert getattr(report, axis) == value
 
 
 @pytest.mark.parametrize("name", sorted(ARTEFACT_SCENARIOS))

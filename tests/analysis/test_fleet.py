@@ -1,8 +1,8 @@
 """Tests for fleet mode: partitioned namespaces across OS processes.
 
 The load-bearing property — partitioning is a *scheduling* choice, so
-every artefact byte is independent of ``fleet``, ``jobs`` and
-``checker_workers`` — is asserted for every kind at once in
+every artefact byte is independent of ``fleet`` and ``jobs`` — is
+asserted for every kind at once in
 ``test_determinism.py``.  This file covers what is specific to the
 private-clock grouping.  The cross-validation class pins the fleet
 timeline to the shared-clock grouping: both draw the same

@@ -11,9 +11,7 @@ histories — clean, corrupted, and seeded with specific violation shapes —
 is strong evidence each is right.  Against the reference the suite
 demands more than verdict agreement: the flat core must be
 *byte-identical* in violations, cluster summaries, reopen counts and
-duplicate-write claims, and a batch-bracketed flat checker must export
-the same summaries (batching may legally merge per-op violation reports,
-so only its verdict and exports are pinned).
+duplicate-write claims.
 
 The generator produces histories that are linearizable by construction
 (operations take effect at sampled linearization points), then optionally
@@ -150,9 +148,7 @@ def verdicts(history):
     """(wgl, incremental, sharded ...) verdicts; wgl None if inapplicable.
 
     En route, differentially replays the history through the retired
-    reference checker (byte-identical export required) and through a
-    batch-bracketed flat checker (verdict and summaries required — batch
-    boundaries may legally merge violation reports).
+    reference checker (byte-identical export required).
     """
     try:
         wgl = bool(check_linearizability(history, initial_value=b""))
@@ -167,15 +163,6 @@ def verdicts(history):
         ReferenceAtomicityChecker(), history.operations()
     )
     assert checker_export(reference) == checker_export(flat)
-
-    batched = IncrementalAtomicityChecker()
-    batched.begin_batch()
-    replay_operations(batched, history.operations())
-    batched.end_batch()
-    assert batched.ok == flat.ok
-    assert batched.reopened_clusters == flat.reopened_clusters
-    assert tuple(batched.duplicate_write_claims) == tuple(flat.duplicate_write_claims)
-    assert tuple(batched.cluster_summaries()) == tuple(flat.cluster_summaries())
 
     sharded = [
         bool(check_history_sharded(history, shards=s, initial_value=b""))
@@ -456,72 +443,3 @@ class TestHypothesisProperties:
             bool(check_history_sharded(history, shards=shards, initial_value=b""))
             == reference
         )
-
-
-class TestParallelMuxDifferential:
-    """Worker-process mux checking on randomized per-object histories.
-
-    One spawn-heavy case (not per-history: worker startup would dominate):
-    every namespace object gets its own randomized history — some with
-    injected violations — and the canonical merged namespace verdict must
-    be identical for serial and worker-mode muxes of any worker count.
-    """
-
-    @staticmethod
-    def _replay(history, recorder):
-        events = []
-        for op in history.operations():
-            events.append((op.invoked_at, 0, op))
-            if op.is_complete:
-                events.append((op.responded_at, 1, op))
-        events.sort(key=lambda e: (e[0], e[1]))
-        for _, phase, op in events:
-            if phase == 0:
-                recorder.invoke(
-                    op.op_id,
-                    op.kind,
-                    op.client,
-                    op.invoked_at,
-                    value=op.value if op.kind == WRITE else None,
-                )
-            else:
-                recorder.respond(
-                    op.op_id,
-                    op.responded_at,
-                    value=op.value if op.kind == READ else None,
-                )
-
-    def test_worker_counts_agree_on_randomized_namespaces(self):
-        from repro.consistency.multiplex import ObjectCheckerMux
-        from repro.consistency.shardmerge import merge_namespace_verdicts
-
-        rng = np.random.default_rng(fuzz_seed("mux-parallel"))
-        rounds = 2 * FUZZ_FACTOR
-        objects = 6
-        for round_index in range(rounds):
-            histories = [
-                build_history(
-                    rng,
-                    clients=int(rng.integers(2, 4)),
-                    ops_per_client=int(rng.integers(3, 6)),
-                    inject=rng.choice([None, None, "phantom", "swap"]),
-                )
-                for _ in range(objects)
-            ]
-            merged = {}
-            per_object_ok = {}
-            for workers in (1, 2, 3):
-                mux = ObjectCheckerMux(objects, window=64, workers=workers)
-                for j, history in enumerate(histories):
-                    self._replay(history, mux.recorder(j))
-                mux.finish()
-                merged[workers] = merge_namespace_verdicts(
-                    [[v] for v in mux.shard_verdicts(0)]
-                ).to_jsonable()
-                per_object_ok[workers] = [
-                    mux.object_ok(j) for j in range(objects)
-                ]
-            assert per_object_ok[2] == per_object_ok[1], f"round {round_index}"
-            assert per_object_ok[3] == per_object_ok[1], f"round {round_index}"
-            assert merged[2] == merged[1], f"round {round_index}"
-            assert merged[3] == merged[1], f"round {round_index}"

@@ -406,16 +406,6 @@ class TestWriteValueHashedOnce:
         assert not checker._open_write_keys
         assert checker.ok
 
-    def test_failed_write_is_dropped_behind_a_batcher_too(self):
-        from repro.consistency.stream import CheckerBatcher
-
-        recorder = StreamingRecorder(window=8)
-        checker = IncrementalAtomicityChecker()
-        recorder.subscribe(CheckerBatcher(checker))
-        recorder.invoke("w1", WRITE, "w", 0.0, value=b"abandoned")
-        recorder.mark_failed("w1")
-        assert not checker._open_write_keys
-
     def test_late_joining_stream_leaves_nothing_behind(self):
         """A completion whose invoke was never observed registers the write
         on the spot, without parking an entry nobody will collect."""

@@ -124,105 +124,54 @@ class TestNamespaceMerge:
         assert merged.shards == 0
 
 
-class TestVerdictCaching:
-    def test_violations_cache_reuses_until_count_changes(self):
+class TestVerdictsTrackTheHistory:
+    """Every accessor reads the live checkers: current after each record,
+    a function of the recorded history and nothing else."""
+
+    def test_accessors_are_current_after_every_record(self):
         mux = ObjectCheckerMux(2, window=16)
         feed_clean_history(mux.recorder(0), prefix="o0")
         feed_clean_history(mux.recorder(1), prefix="o1")
-        first = mux.violations()
-        assert first == []
-        assert mux.violations() is first  # unchanged count: cached list
-        flagged = mux.flagged_objects()
-        assert flagged == []
-        assert mux.flagged_objects() is flagged
+        assert mux.violations() == []
+        assert mux.flagged_objects() == []
         inject_stale_read(mux.recorder(1), prefix="o1")
-        second = mux.violations()
-        assert second is not first
-        assert [obj for obj, _ in second] == [1]
-        assert mux.violations() is second
+        assert [obj for obj, _ in mux.violations()] == [1]
         assert mux.flagged_objects() == [1]
-
-
-class TestWorkerMode:
-    """Worker-process checking must be byte-identical to serial checking
-    for any worker count (the chunking depends only on each object's own
-    event sequence), and its accessors must enforce the finish() protocol."""
+        assert not mux.object_ok(1) and mux.object_ok(0)
 
     @staticmethod
-    def _run(workers, *, objects=4, violate=False):
-        mux = ObjectCheckerMux(objects, window=16, workers=workers)
-        for j in range(objects):
+    def _stale_read_on_object_two():
+        mux = ObjectCheckerMux(4, window=16)
+        for j in range(4):
             feed_clean_history(mux.recorder(j), prefix=f"o{j}")
             feed_clean_history(mux.recorder(j), prefix=f"x{j}", base=20.0)
-        if violate:
-            inject_stale_read(mux.recorder(2), prefix="o2", base=50.0)
-        mux.finish()
+        inject_stale_read(mux.recorder(2), prefix="o2", base=50.0)
         return mux
 
-    def test_clean_run_verdicts_identical_across_worker_counts(self):
-        muxes = {workers: self._run(workers) for workers in (1, 2, 3)}
-        assert muxes[2].workers == 2 and muxes[3].workers == 3
-        baseline = muxes[1].shard_verdicts(0)
-        for workers in (2, 3):
-            assert muxes[workers].ok
-            assert muxes[workers].ops_seen == muxes[1].ops_seen
-            assert muxes[workers].shard_verdicts(0) == baseline
-        merged = merge_namespace_verdicts([[v] for v in baseline])
-        for workers in (2, 3):
-            other = merge_namespace_verdicts(
-                [[v] for v in muxes[workers].shard_verdicts(0)]
-            )
-            assert other.to_jsonable() == merged.to_jsonable()
+    def test_one_stale_read_is_exactly_one_report(self):
+        """At the parent this feed exported one ``cluster-cycle`` report
+        checked serially and four with ``workers=2``, whose chunk-end
+        testing reported the crossing once per involved cluster."""
+        mux = self._stale_read_on_object_two()
+        reports = mux.violations()
+        assert [(obj, v.kind) for obj, v in reports] == [(2, "cluster-cycle")]
+        assert mux.object_violations(2) == (reports[0][1],)
+        for j in (0, 1, 3):
+            assert mux.object_violations(j) == ()
+        assert len(mux.shard_verdict(0, 2).violations) == 1
 
-    def test_violation_flags_same_object_in_worker_mode(self):
-        serial = self._run(1, violate=True)
-        parallel = self._run(2, violate=True)
-        assert not serial.ok and not parallel.ok
-        assert serial.flagged_objects() == parallel.flagged_objects() == [2]
-        for j in range(4):
-            assert serial.object_ok(j) == parallel.object_ok(j)
-        # Batch-end testing may report the crossing from each involved
-        # cluster, so the *count* can exceed serial's — but every report
-        # must still land on the injected object.
-        assert {obj for obj, _ in parallel.violations()} == {2}
-        assert project_violations(parallel.violations(), 2)
+    def test_two_muxes_fed_the_same_events_export_equal_verdicts(self):
+        first, second = (self._stale_read_on_object_two() for _ in range(2))
+        assert first.shard_verdicts(0) == second.shard_verdicts(0)
+        assert first.violations() == second.violations()
 
-    def test_abandoned_writes_are_forwarded_and_change_nothing(self):
-        """Failures reach the worker's checker (it drops what it holds for
-        the open write) and leave the exports what serial checking gives."""
-
-        def run(workers):
-            mux = ObjectCheckerMux(2, window=16, workers=workers)
-            for j in range(2):
-                recorder = mux.recorder(j)
-                feed_clean_history(recorder, prefix=f"o{j}")
-                recorder.invoke(f"o{j}-dead", "write", "wx", 30.0, value=b"abandoned")
-                recorder.mark_failed(f"o{j}-dead")
-                feed_clean_history(recorder, prefix=f"x{j}", base=40.0)
-            mux.finish()
-            return mux
-
-        serial, parallel = run(1), run(2)
-        assert serial.ok and parallel.ok
-        assert not any(checker._open_write_keys for checker in serial.checkers)
-        assert parallel.ops_seen == serial.ops_seen
-        assert parallel.shard_verdicts(0) == serial.shard_verdicts(0)
-
-    def test_checker_access_and_finish_protocol(self):
-        mux = ObjectCheckerMux(2, window=16, workers=2)
-        feed_clean_history(mux.recorder(0), prefix="o0")
-        with pytest.raises(RuntimeError, match="worker processes"):
-            mux.checker(0)
-        with pytest.raises(RuntimeError, match="finish"):
-            mux.object_ok(0)
-        mux.finish()
-        mux.finish()  # idempotent
+    def test_abandoned_writes_leave_nothing_behind(self):
+        mux = ObjectCheckerMux(2, window=16)
+        for j in range(2):
+            recorder = mux.recorder(j)
+            feed_clean_history(recorder, prefix=f"o{j}")
+            recorder.invoke(f"o{j}-dead", WRITE, "wx", 30.0, value=b"abandoned")
+            recorder.mark_failed(f"o{j}-dead")
+            feed_clean_history(recorder, prefix=f"x{j}", base=40.0)
         assert mux.ok
-        assert mux.object_ok(1)  # object with no traffic exports clean
-
-    def test_worker_count_capped_to_objects(self):
-        mux = ObjectCheckerMux(2, window=16, workers=8)
-        assert mux.workers == 2
-        feed_clean_history(mux.recorder(0), prefix="o0")
-        mux.finish()
-        assert mux.ok
+        assert not any(checker._open_write_keys for checker in mux.checkers)

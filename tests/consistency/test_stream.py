@@ -11,7 +11,6 @@ from repro.consistency.stream import (
     OperationRecord,
     StreamingRecorder,
     StreamObserver,
-    iter_observers,
 )
 
 
@@ -268,100 +267,36 @@ def _feed_stale_read(sink):
     sink.respond("bad", 7.0, value=b"v1")
 
 
-class TestIterObservers:
-    def test_snapshot_of_subscriptions(self):
-        sink = StreamingRecorder(window=8)
-        assert iter_observers(sink) == ()
-        observer = sink.subscribe(_CollectingObserver())
-        snapshot = iter_observers(sink)
-        assert snapshot == (observer,)
-        sink.unsubscribe(observer)
-        assert snapshot == (observer,)  # immutable snapshot
-        assert iter_observers(sink) == ()
-
-
 class TestCheckerBatcher:
-    def test_unbound_is_per_record_passthrough(self):
-        sink = StreamingRecorder(window=8)
-        batcher = sink.subscribe(CheckerBatcher(IncrementalAtomicityChecker()))
-        assert not batcher.bound
-        sink.invoke("w1", WRITE, "w0", 0.0, value=b"v1")
-        sink.respond("w1", 1.0)
-        sink.invoke("bad", READ, "r0", 2.0)
-        sink.respond("bad", 3.0, value=b"\xffphantom\xff")
-        # No drain hook: the violation is flagged at the response itself.
-        assert not batcher.checker.ok
-        assert batcher.flushes == 0
+    """The name the frozen ``bench/workloads.py`` subscribes: a pure
+    pass-through, so the checker behind it sees what a directly subscribed
+    one sees, when it would see it."""
 
-    def test_bound_defers_crossing_tests_to_the_drain_hook(self):
-        deferred = []
-        sink = StreamingRecorder(window=8)
-        batcher = sink.subscribe(CheckerBatcher(IncrementalAtomicityChecker()))
-        batcher.bind(deferred.append)
-        assert batcher.bound
-        _feed_stale_read(sink)
-        # One drain: the first event armed exactly one micro-task, and the
-        # stale read stays undetected until it fires.
-        assert len(deferred) == 1
-        assert batcher.checker.ok
-        deferred.pop()()
-        assert not batcher.checker.ok
-        assert batcher.flushes == 1
-        # Next drain arms again.
-        sink.invoke("w3", WRITE, "w0", 8.0, value=b"v3")
-        assert len(deferred) == 1
+    def test_stale_read_is_flagged_at_respond_and_flush_changes_nothing(self):
+        def export(checker):
+            return (
+                tuple(checker.violations),
+                checker.cluster_summaries(),
+                checker.ops_seen,
+            )
 
-    def test_manual_flush_and_stale_microtask(self):
-        deferred = []
         sink = StreamingRecorder(window=8)
         batcher = sink.subscribe(CheckerBatcher(IncrementalAtomicityChecker()))
-        batcher.bind(deferred.append)
+        direct = sink.subscribe(IncrementalAtomicityChecker())
         _feed_stale_read(sink)
+        # Nothing is parked: the violation is there when respond() returns.
+        before = export(batcher.checker)
+        assert len(before[0]) == 1
+        assert before == export(direct)
         batcher.flush()
-        assert not batcher.checker.ok
-        assert batcher.flushes == 1
-        # The armed micro-task fires later and finds the batch closed.
-        deferred.pop()()
-        assert batcher.flushes == 1
-        batcher.flush()  # idle flush is a no-op
-        assert batcher.flushes == 1
+        batcher.flush()
+        assert export(batcher.checker) == before
 
-    def test_rebinding_to_a_different_hook_is_rejected(self):
-        batcher = CheckerBatcher(IncrementalAtomicityChecker())
-        hook = lambda fn: None  # noqa: E731
-        batcher.bind(hook)
-        batcher.bind(hook)  # same hook: idempotent
-        with pytest.raises(RuntimeError, match="already bound"):
-            batcher.bind(lambda fn: None)
-
-    def test_failed_records_forward_without_arming(self):
-        deferred = []
+    def test_failures_are_forwarded(self):
         sink = StreamingRecorder(window=8)
         batcher = sink.subscribe(CheckerBatcher(IncrementalAtomicityChecker()))
-        batcher.bind(deferred.append)
         sink.invoke("w1", WRITE, "w0", 0.0, value=b"v1")
-        assert len(deferred) == 1
-        deferred.pop()()
-        sink.mark_failed("w1")  # on_failed must not re-arm a drain
-        assert deferred == []
+        assert batcher.checker._open_write_keys
+        sink.mark_failed("w1")
+        assert not batcher.checker._open_write_keys
         assert batcher.checker.ok
-
-    def test_verdict_matches_per_record_checking(self):
-        per_record = StreamingRecorder(window=8)
-        unbatched = per_record.subscribe(
-            CheckerBatcher(IncrementalAtomicityChecker())
-        )
-        _feed_stale_read(per_record)
-
-        deferred = []
-        drained = StreamingRecorder(window=8)
-        batched = drained.subscribe(CheckerBatcher(IncrementalAtomicityChecker()))
-        batched.bind(deferred.append)
-        _feed_stale_read(drained)
-        while deferred:
-            deferred.pop()()
-        assert batched.checker.ok == unbatched.checker.ok is False
-        assert (
-            batched.checker.cluster_summaries()
-            == unbatched.checker.cluster_summaries()
-        )

@@ -107,9 +107,8 @@ ARTEFACT_SCENARIOS = {
 
 def write_scenario(name: str, directory: Path, **scheduling):
     """Run artefact scenario ``name`` — under the given scheduling overrides
-    (``jobs``, ``fleet``, ``checker_workers``), none of which may move a
-    byte — and write its JSON+CSV under ``directory``; returns
-    ``(report, json_path, csv_path)``."""
+    (``jobs``, ``fleet``), neither of which may move a byte — and write its
+    JSON+CSV under ``directory``; returns ``(report, json_path, csv_path)``."""
     from repro.analysis.engine import run_experiment, write_artefacts
 
     kind, protocol, params = ARTEFACT_SCENARIOS[name]

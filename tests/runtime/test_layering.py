@@ -1,6 +1,7 @@
-"""Layering: the runtime layer never reaches back up into the analysis
-layer (the epoch engine's cell runner used to live in ``runtime/fleet.py``
-and import ``repro.analysis`` lazily to break the cycle)."""
+"""Layering: no package below ``analysis/`` reaches back up into it (the
+epoch engine's cell runner used to live in ``runtime/fleet.py``, and the
+checker mux's worker mode in ``consistency/multiplex.py``; both imported
+``repro.analysis`` lazily to break the cycle)."""
 
 import os
 import subprocess
@@ -9,20 +10,36 @@ from pathlib import Path
 
 import repro
 
-RUNTIME = Path(repro.__file__).resolve().parent / "runtime"
+ROOT = Path(repro.__file__).resolve().parent
+BELOW_ANALYSIS = (
+    "sim",
+    "erasure",
+    "core",
+    "baselines",
+    "metrics",
+    "consistency",
+    "workloads",
+    "runtime",
+)
 
 
-def test_importing_runtime_does_not_import_analysis():
+def _sources():
+    return sorted(
+        path for package in BELOW_ANALYSIS for path in (ROOT / package).rglob("*.py")
+    )
+
+
+def test_importing_the_lower_packages_does_not_import_analysis():
     modules = sorted(
-        f"repro.runtime.{path.stem}"
-        for path in RUNTIME.glob("*.py")
+        ".".join(("repro", *path.relative_to(ROOT).with_suffix("").parts))
+        for path in _sources()
         if path.stem != "__init__"
     )
     assert "repro.runtime.namespace" in modules
+    assert "repro.consistency.multiplex" in modules
     script = (
         "import importlib, sys\n"
         f"for name in {modules!r}: importlib.import_module(name)\n"
-        "assert 'repro.runtime' in sys.modules\n"
         "bad = sorted(m for m in sys.modules if m.startswith('repro.analysis'))\n"
         "assert not bad, bad\n"
     )
@@ -30,13 +47,15 @@ def test_importing_runtime_does_not_import_analysis():
         [sys.executable, "-c", script],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(RUNTIME.parent.parent)},
+        env={**os.environ, "PYTHONPATH": str(ROOT.parent)},
     )
     assert done.returncode == 0, done.stderr
 
 
-def test_no_runtime_module_names_the_analysis_package():
-    for path in RUNTIME.glob("*.py"):
+def test_no_lower_module_names_the_analysis_package_in_an_import():
+    sources = _sources()
+    assert len({path.parent for path in sources}) >= len(BELOW_ANALYSIS)
+    for path in sources:
         source = path.read_text()
-        assert "import repro.analysis" not in source, path.name
-        assert "from repro.analysis" not in source, path.name
+        assert "import repro.analysis" not in source, path
+        assert "from repro.analysis" not in source, path

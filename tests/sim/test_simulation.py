@@ -211,46 +211,7 @@ class TestMessaging:
         assert sim.events_processed >= 3  # send trigger + 2 deliveries
 
 
-class TestDeferredMicrotasks:
-    """Simulation.defer: run after the current event, same simulated time,
-    FIFO, never a heap event (the decode batcher's flush hook)."""
-
-    def test_deferred_runs_after_event_at_same_time(self):
-        sim = Simulation(seed=1)
-        order = []
-
-        def action():
-            sim.defer(lambda: order.append(("deferred", sim.now)))
-            order.append(("event", sim.now))
-
-        sim.schedule(1.0, action)
-        sim.schedule(2.0, lambda: order.append(("later", sim.now)))
-        sim.run()
-        assert order == [("event", 1.0), ("deferred", 1.0), ("later", 2.0)]
-
-    def test_deferred_fifo_and_nested(self):
-        sim = Simulation(seed=1)
-        order = []
-
-        def action():
-            sim.defer(lambda: order.append("first"))
-            sim.defer(lambda: (order.append("second"),
-                               sim.defer(lambda: order.append("nested"))))
-
-        sim.schedule(1.0, action)
-        sim.run()
-        assert order == ["first", "second", "nested"]
-
-    def test_deferred_runs_in_step_and_run_until(self):
-        sim = Simulation(seed=1)
-        seen = []
-        sim.schedule(1.0, lambda: sim.defer(lambda: seen.append("a")))
-        assert sim.step()
-        assert seen == ["a"]
-        sim.schedule(1.0, lambda: sim.defer(lambda: seen.append("b")))
-        sim.run_until(lambda: len(seen) == 2)
-        assert seen == ["a", "b"]
-
+class TestEventHook:
     def test_event_hook_observes_every_event(self):
         sim = Simulation(seed=1)
         fired = []

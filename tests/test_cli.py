@@ -229,6 +229,12 @@ class TestMultiObjectLongrunCommand:
         assert args.objects == 1
         assert args.key_dist == "uniform"
 
+    def test_removed_checker_workers_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "longrun", "--objects", "2", "--checker-workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --checker-workers" in capsys.readouterr().err
+
     def test_multiobj_run_writes_artefacts_and_reports_verdicts(
         self, capsys, tmp_path
     ):
