@@ -32,8 +32,8 @@ VALUE_SIZE = 64 * 1024
 #: The shape the ``soda-64k`` benchmark workload runs (SODA n=6, f=2 with
 #: the same 64 KiB values): per-value encode/decode rows at [6, 4].
 SODA_N, SODA_K = 6, 4
-#: Stripe width for the batched-encode rows: same-sized values a driver
-#: warms in one ``encode_many`` call.
+#: Stripe width for the batched-encode rows: same-sized values handed to
+#: one ``encode_many`` call.
 STRIPE_BATCH = 16
 #: SODAerr reference geometry (n=10, f=2, e=2 => k = n - f - 2e = 4); reads
 #: decode from k + 2e = 8 elements with up to e = 2 silent corruptions.

@@ -228,6 +228,10 @@ def _print_summary(report: Report, args: argparse.Namespace) -> None:
         f"critical path, one core per partition ({report.cpu_s:.1f} CPU-s, "
         f"{report.events_per_cpu_s:.0f} events/s)"
     )
+    print(
+        f"memory          : {report.worker_max_rss_kb / 1024:.1f} MiB peak RSS "
+        f"of the largest cell worker"
+    )
     if report.read_latency is not None:
         print(
             f"simulated       : {format_latency(report.sim_ops_per_s, precision=0)} "

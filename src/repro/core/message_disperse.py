@@ -22,6 +22,14 @@ correct server receives the full message whenever any server does, and that
 server's forwarding reaches every non-faulty server over the reliable
 channels — which is exactly the uniformity argument of Theorem 3.1.
 
+Telling a first receipt from a later one needs no record of every message
+ever seen.  The relay topology is fixed, so the number of copies of one
+md-send that can reach a server is known: ``j + 1`` at position ``j`` of
+the dispersal set, ``f + 1`` outside it.  A server keeps the message id
+while copies are still due and drops it with the last, so once a send's
+copies have all arrived nothing of it is left anywhere — values, coded
+elements and ids alike (no state bloat, Theorem 3.2).
+
 The sender side is :class:`MDSender`; the server side is
 :class:`MDServerEngine`, which a server process instantiates with callbacks
 for the two deliver events.
@@ -29,7 +37,7 @@ for the two deliver events.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.messages import (
     MDMeta,
@@ -155,14 +163,6 @@ class MDServerEngine:
         self._encoder = CachedEncoder(code) if encoder is None else encoder
         self._on_value_deliver = on_value_deliver
         self._on_meta_deliver = on_meta_deliver
-        # Per-mid bookkeeping: which mids this server has already forwarded /
-        # delivered, so each invocation is relayed and delivered exactly once.
-        # (Only the small mid tuples are retained — values and coded elements
-        # are dropped as soon as they are delivered, which is the substance of
-        # the paper's no-state-bloat property, Theorem 3.2.)
-        self._value_delivered: Set[MessageId] = set()
-        self._value_forwarded: Set[MessageId] = set()
-        self._meta_delivered: Set[MessageId] = set()
         # The relay topology is fixed at construction: this server's
         # forward targets within the dispersal set, the (index, pid) pairs
         # outside it, and the two joined in send order for MD-META.  A
@@ -170,16 +170,27 @@ class MDServerEngine:
         dispersal = self._servers[: f + 1]
         pid = server.pid
         if pid in dispersal:
-            self._forward_targets = tuple(dispersal[dispersal.index(pid) + 1 :])
+            position = dispersal.index(pid)
+            self._forward_targets = tuple(dispersal[position + 1 :])
             self._outside_dispersal = tuple(
                 (idx, s) for idx, s in enumerate(self._servers) if s not in dispersal
             )
         else:
+            position = f
             self._forward_targets = ()
             self._outside_dispersal = ()
         self._meta_targets = self._forward_targets + tuple(
             s for _, s in self._outside_dispersal
         )
+        # Copies of one md-send due here after the first: the sender's copy
+        # and one relay from each earlier dispersal server make ``j + 1`` at
+        # position ``j``; one relay from each dispersal server makes
+        # ``f + 1`` outside the set.  ``mid -> copies still due``, one map
+        # for both primitives (a sender numbers its sends with one counter);
+        # a send that loses copies to a crash or a dropped message keeps its
+        # entry.
+        self._later_copies = position
+        self._pending: Dict[MessageId, int] = {}
         # Exact message types are final; dict dispatch on type() replaces
         # the isinstance chain the per-message handle() used to walk.
         self._handlers = {
@@ -213,12 +224,31 @@ class MDServerEngine:
         return dict(self._handlers)
 
     # ------------------------------------------------------------------
+    # copy countdown
+    # ------------------------------------------------------------------
+    def _later_copy(self, mid: MessageId) -> bool:
+        """Count one received copy of ``mid``: False for the first (the one
+        to relay and deliver), True for every later one.  The pending map
+        holds the copies still due after the first and loses the mid with
+        the last of them."""
+        pending = self._pending
+        left = pending.get(mid)
+        if left is None:
+            if self._later_copies:
+                pending[mid] = self._later_copies
+            return False
+        if left == 1:
+            del pending[mid]
+        else:
+            pending[mid] = left - 1
+        return True
+
+    # ------------------------------------------------------------------
     # MD-VALUE
     # ------------------------------------------------------------------
     def _handle_full(self, message: MDValueFull) -> None:
-        if message.mid in self._value_forwarded or message.mid in self._value_delivered:
+        if self._later_copy(message.mid):
             return
-        self._value_forwarded.add(message.mid)
         elements = self._encoder.encode(message.value)
         # Forward the full message to the later servers of the dispersal set.
         self._server.send_many(self._forward_targets, message)
@@ -235,26 +265,34 @@ class MDServerEngine:
             )
             send(server, coded)
         # Deliver the local coded element.
-        self._deliver_value(message.mid, message.tag, elements[self._index], message)
+        self._on_value_deliver(
+            message.tag, elements[self._index], message.origin, message.op_id
+        )
 
     def _handle_coded(self, message: MDValueCoded) -> None:
-        self._deliver_value(message.mid, message.tag, message.element, message)
-
-    def _deliver_value(
-        self, mid: MessageId, tag: Tag, element: CodedElement, message
-    ) -> None:
-        if mid in self._value_delivered:
+        if self._later_copy(message.mid):
             return
-        self._value_delivered.add(mid)
-        self._on_value_deliver(tag, element, message.origin, message.op_id)
+        self._on_value_deliver(
+            message.tag, message.element, message.origin, message.op_id
+        )
 
     # ------------------------------------------------------------------
     # MD-META
     # ------------------------------------------------------------------
     def _handle_meta(self, message: MDMeta) -> None:
-        if message.mid in self._meta_delivered:
+        # _later_copy inlined: two of three MD-META events are later copies,
+        # and they are 45% of everything a SODA run's event loop pops.
+        pending = self._pending
+        mid = message.mid
+        left = pending.get(mid)
+        if left is not None:
+            if left == 1:
+                del pending[mid]
+            else:
+                pending[mid] = left - 1
             return
-        self._meta_delivered.add(message.mid)
+        if self._later_copies:
+            pending[mid] = self._later_copies
         if self._meta_targets:
             self._server.send_many(self._meta_targets, message)
         self._on_meta_deliver(message.payload, message.origin, message.op_id)
@@ -263,9 +301,7 @@ class MDServerEngine:
     # introspection (tests)
     # ------------------------------------------------------------------
     @property
-    def delivered_value_mids(self) -> Set[MessageId]:
-        return set(self._value_delivered)
-
-    @property
-    def delivered_meta_mids(self) -> Set[MessageId]:
-        return set(self._meta_delivered)
+    def pending_copies(self) -> Dict[MessageId, int]:
+        """Copies still due per delivered md-send.  Empty once every copy
+        of every send has arrived."""
+        return dict(self._pending)

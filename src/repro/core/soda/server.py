@@ -311,9 +311,12 @@ class SodaServer(Process):
         occur; relayed elements from concurrent writes never touch the
         local disk (Section VI).
         """
-        assert self.element is not None
-        data = self.disk_errors.read(self.pid, self.element.data)
-        return CodedElement(index=self.element.index, data=data)
+        element = self.element
+        assert element is not None
+        data = self.disk_errors.read(self.pid, element.data)
+        if data is element.data:  # read back intact (always, for plain SODA)
+            return element
+        return CodedElement(index=element.index, data=data)
 
     def _note_history(self, tag: Tag, server_index: int, read_id: str) -> None:
         self.history_index.setdefault(read_id, {}).setdefault(tag, set()).add(

@@ -4,18 +4,24 @@ Encoding: in the MD-VALUE dispersal primitive every server of the
 dispersal set (the first ``f + 1`` servers) encodes the *same* value to
 derive the coded elements it forwards — ``f + 1`` identical encodes per
 write.  A :class:`CachedEncoder` shared across the cluster collapses those
-into one, and its :meth:`CachedEncoder.warm` method lets workload drivers
-pre-encode a whole batch of values with one batched
-:meth:`~repro.erasure.mds.MDSCode.encode_many` call before the simulation
-needs them, so the in-simulation hot path is pure cache hits.  (Batching
-pays for small values, whose per-call overhead it shares; large values are
-encoded one by one either way — see ``LinearCode._batch_step``.)
+into one.  An encoding is wanted from the first dispersal server's encode
+to the ``(f + 1)``-th and never again.
+
+Small values are also encoded ahead of their write: :meth:`CachedEncoder.warm`
+takes the batch of values a workload driver has just generated and encodes
+those that share a kernel call (:meth:`~repro.erasure.mds.MDSCode.batch_step`
+above 1) in one batched :meth:`~repro.erasure.mds.MDSCode.encode_many`,
+which spreads the per-call overhead over the batch.  Large values are
+encoded one by one either way, so warming them would buy no time and hold
+a batch of encodings in memory until their writes come round; they are
+encoded by their write.
 
 Decoding: concurrent reads of the same version decode the same
-``(tag, element-set)`` over and over — every read between two writes
-reconstructs an identical value.  A :class:`CachedDecoder` shared by a
-cluster's readers memoizes those reconstructions (including SODAerr's
-far more expensive errors-and-erasures decode).
+``(tag, element-set)`` — every read between two writes reconstructs an
+identical value.  A :class:`CachedDecoder` shared by a cluster's readers
+memoizes those reconstructions (including SODAerr's far more expensive
+errors-and-erasures decode).  A reconstruction is wanted again within a
+few reads or not at all.
 
 Both are called inline, at the step the paper's automata encode or decode
 at: a dispersal server when the full value arrives, a reader when the
@@ -24,11 +30,12 @@ is no per-event collection point in front of them — one delivery completes
 at most one encode or decode, so such a batch never held more than one job
 (docs/perf.md, "Codec front").
 
-Both caches are LRU-bounded twice over, by entries and by bytes
-(:data:`CACHE_BYTE_BUDGET`): scenario sweeps reuse a small working set of
-values, while long randomized workloads with unique values hold a window
-of recent encodings — their memory does not grow with the value size
-times the entry capacity.
+Both caches are LRU-bounded by entries and by bytes, at what the traffic
+asks again for rather than at what a run has seen: the LRU depth of every
+hit on the benchmark's workloads is tabulated in docs/perf.md ("Memory:
+what a cluster holds"), and the bounds below are those depths with room to
+spare.  An entry dropped too early costs one more kernel call, never a
+wrong answer.
 """
 
 from __future__ import annotations
@@ -38,20 +45,22 @@ from typing import Iterable, List, Sequence, Tuple
 
 from repro.erasure.mds import CodedElement, MDSCode
 
-#: Default bound on memoized entries: values per encoder, reconstructions
-#: per decoder.
-DEFAULT_CAPACITY = 1024
+#: Values an encoder keeps.  Only small values get this far (large ones meet
+#: :data:`CACHE_BYTE_BUDGET` first), and those are warmed a driver batch at a
+#: time: a warmed value is first served up to 134 entries deep.
+ENCODER_CAPACITY = 1024
 
-#: Bound on the bytes one cache keeps alive: an entry weighs its value plus
-#: every coded element held with it (the encoder's ``n``, the decoder's key).
-#: Sized for two of the driver's default warm batches (64 values) of 64 KiB
-#: values at storage overhead 1.5 — 10.5 MiB each: when a batch is warmed,
-#: the last writes of the batch before are still in flight and, never served
-#: yet, are older in LRU order than their served batch-mates, so that batch
-#: has to survive the insertion of the next one.  The newest entry is always
-#: kept, so one value larger than the budget is still encoded once, not
-#: ``f + 1`` times.
-CACHE_BYTE_BUDGET = 24 * 1024 * 1024
+#: Reconstructions a decoder keeps: no hit is deeper than 5.
+DECODER_CAPACITY = 8
+
+#: Bytes one cache keeps alive; an entry weighs its value plus every coded
+#: element held with it (the encoder's ``n``, the decoder's key).  Between
+#: the ``f + 1`` encodes of one write a closed loop encodes at most one other
+#: value, so a dozen 64 KiB encodings (160 KiB each at [6,4]) are six times
+#: the need; 134 warmed encodings of 4 KiB values at [8,4] are 1.6 MiB.  The
+#: newest entry is always kept, so a value larger than the budget is still
+#: encoded once, not ``f + 1`` times.
+CACHE_BYTE_BUDGET = 2 * 1024 * 1024
 
 
 def _store(cache: OrderedDict, capacity: int, used: int, key, entry, weigh) -> int:
@@ -72,7 +81,7 @@ def _store(cache: OrderedDict, capacity: int, used: int, key, entry, weigh) -> i
 class CachedEncoder:
     """Memoizing ``encode`` wrapper around an :class:`MDSCode`."""
 
-    def __init__(self, code: MDSCode, capacity: int = DEFAULT_CAPACITY) -> None:
+    def __init__(self, code: MDSCode, capacity: int = ENCODER_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("encoder capacity must be at least 1")
         self.code = code
@@ -97,24 +106,31 @@ class CachedEncoder:
     def warm(self, values: Iterable[bytes]) -> int:
         """Pre-encode a batch of values with one ``encode_many`` call.
 
-        Duplicates and already-cached values are skipped, and the batch is
-        capped at what the cache can hold, in entries and in bytes —
-        encoding more would only evict the excess again before it is ever
-        served, doubling the work and spiking memory by one encoding per
-        surplus value.  Values past the cap are encoded when first written.
-        Returns the number of values actually encoded.
+        Only values that would share a kernel call are taken (see the
+        module docstring); duplicates and already-cached values are
+        skipped, and the batch is capped at what the cache can hold, in
+        entries and in bytes — encoding more would only evict the excess
+        again before it is ever served, doubling the work and spiking
+        memory by one encoding per surplus value.  Everything else is
+        encoded when first written.  Returns the number of values actually
+        encoded.
         """
-        fresh = [v for v in dict.fromkeys(values) if v not in self._cache]
+        code = self.code
+        fresh = [
+            v
+            for v in dict.fromkeys(values)
+            if code.batch_step(code.element_size(len(v))) > 1 and v not in self._cache
+        ]
         fresh = fresh[: self.capacity]
         room = CACHE_BYTE_BUDGET
         for count, value in enumerate(fresh):
-            room -= len(value) + self.code.n * self.code.element_size(len(value))
+            room -= len(value) + code.n * code.element_size(len(value))
             if room < 0:
                 fresh = fresh[: max(count, 1)]
                 break
         if not fresh:
             return 0
-        for value, elements in zip(fresh, self.code.encode_many(fresh)):
+        for value, elements in zip(fresh, code.encode_many(fresh)):
             self._insert(value, elements)
         return len(fresh)
 
@@ -202,7 +218,7 @@ class CachedDecoder:
     def __init__(
         self,
         code: MDSCode,
-        capacity: int = DEFAULT_CAPACITY,
+        capacity: int = DECODER_CAPACITY,
         *,
         max_errors: int = 0,
     ) -> None:

@@ -292,7 +292,7 @@ class GF256:
         (``batch * q <= KERNEL_BLOCK``) is combined in one go; anything
         larger is walked value by value, so how many short rows share a
         call is the caller's decision (the codec's is
-        ``LinearCode._batch_step``).
+        ``LinearCode.batch_step``).
 
         ``out``, when given, must be a C-contiguous ``(batch, m, q)`` uint8
         array; the result is written into it and it is returned.

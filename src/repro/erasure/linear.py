@@ -77,7 +77,7 @@ class LinearCode(MDSCode):
     def encode_many(self, values: Sequence[bytes]) -> List[List[CodedElement]]:
         """Encode a batch of values, same-sized ones together.
 
-        Values of one size go through the kernel :meth:`_batch_step` at a
+        Values of one size go through the kernel :meth:`batch_step` at a
         time: a batch of small values — concurrent writers in a namespace,
         the hot case — is one call, large values go one by one.  The output
         is byte-identical to calling :meth:`encode` per value.
@@ -87,7 +87,7 @@ class LinearCode(MDSCode):
             by_size.setdefault(len(value), []).append(position)
         out: List[List[CodedElement]] = [None] * len(values)  # type: ignore[list-item]
         for size, positions in by_size.items():
-            step = self._batch_step(self.element_size(size))
+            step = self.batch_step(self.element_size(size))
             for start in range(0, len(positions), step):
                 chunk = positions[start : start + step]
                 group = self._encode_group([values[position] for position in chunk])
@@ -95,11 +95,12 @@ class LinearCode(MDSCode):
                     out[position] = elements
         return out
 
-    def _batch_step(self, stripe: int) -> int:
+    def batch_step(self, stripe: int) -> int:
         """How many values of ``stripe``-byte elements share a kernel call:
         one block's worth of framed bytes (:data:`~repro.erasure.gf.KERNEL_BLOCK`),
         which the kernel combines in one go.  This is the only place that
-        decides it, for encoding and decoding alike.
+        decides it, for encoding, decoding and the codec front's pre-encode
+        (:meth:`~repro.erasure.batch.CachedEncoder.warm`) alike.
 
         Batching exists to share per-call overhead among small values.
         Large ones gain nothing from it — the kernel walks them value by
@@ -154,7 +155,7 @@ class LinearCode(MDSCode):
 
         Collections that share the same index set and stripe length (the
         common case in scenario sweeps, where all reads of a run see the
-        same surviving servers) are decoded :meth:`_batch_step` at a time
+        same surviving servers) are decoded :meth:`batch_step` at a time
         by one kernel call.  Results come back in input order and are
         byte-identical to calling :meth:`decode` per collection.
         """
@@ -168,7 +169,7 @@ class LinearCode(MDSCode):
         results: List[bytes] = [b""] * len(collected)
         for (indices, stripe), positions in groups.items():
             inverse = self._decode_matrix(indices)
-            step = self._batch_step(stripe)
+            step = self.batch_step(stripe)
             for start in range(0, len(positions), step):
                 chunk = positions[start : start + step]
                 stacked = self._gather_rows(

@@ -156,6 +156,13 @@ class MDSCode(ABC):
     # ------------------------------------------------------------------
     # batched pipeline
     # ------------------------------------------------------------------
+    def batch_step(self, stripe: int) -> int:
+        """How many values with ``stripe``-byte coded elements one kernel
+        call of :meth:`encode_many` / :meth:`decode_many` takes together.
+        1 — the answer of a code without a batched kernel — means batching
+        such values saves nothing over encoding them one by one."""
+        return 1
+
     # In-tree only ``CachedEncoder.warm`` batches encodes; the frozen
     # bench/calibrate.py also calls this by name.
     def encode_many(self, values: Sequence[bytes]) -> List[List[CodedElement]]:

@@ -9,7 +9,7 @@ the trackers below simply aggregate those attributes.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Hashable, Optional
 
@@ -25,8 +25,13 @@ class CommunicationCostTracker:
     """
 
     def __init__(self) -> None:
-        self._per_op: Dict[Hashable, float] = defaultdict(float)
-        self._messages_per_op: Dict[Hashable, int] = defaultdict(int)
+        # One record per attributed operation, ``data units + messages * 1j``:
+        # a complex is the one built-in pair of doubles, so an operation costs
+        # one dict entry and one 32-byte object (a ``[units, messages]`` list
+        # behind the same entry would weigh more than the two dicts it
+        # replaces — docs/perf.md, "Memory: what a cluster holds").  Real
+        # parts add exactly as floats do; counts are exact below 2**53.
+        self._per_op: Dict[Hashable, complex] = {}
         self.total_data_units = 0.0
         self.unattributed_data_units = 0.0
 
@@ -45,19 +50,18 @@ class CommunicationCostTracker:
         if op is None:
             self.unattributed_data_units += units
             return
-        self._per_op[op] += units
-        self._messages_per_op[op] += 1
+        self._per_op[op] = self._per_op.get(op, 0j) + (units + 1j)
 
     def cost_of(self, op_id: Hashable) -> float:
         """Total data units transmitted on behalf of ``op_id``."""
-        return self._per_op.get(op_id, 0.0)
+        return self._per_op.get(op_id, 0j).real
 
     def messages_of(self, op_id: Hashable) -> int:
         """Number of messages (including metadata) attributed to ``op_id``."""
-        return self._messages_per_op.get(op_id, 0)
+        return int(self._per_op.get(op_id, 0j).imag)
 
     def costs(self) -> Dict[Hashable, float]:
-        return dict(self._per_op)
+        return {op: record.real for op, record in self._per_op.items()}
 
 
 @dataclass

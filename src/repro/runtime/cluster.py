@@ -321,11 +321,12 @@ class RegisterCluster(ABC):
     def warm_encode(self, values: Sequence[bytes]) -> int:
         """Pre-encode a batch of values into the shared encoder cache.
 
-        One :meth:`MDSCode.encode_many` call covers the batch — as much of
-        it as the cache's entry and byte bounds can hold, see
-        :meth:`~repro.erasure.batch.CachedEncoder.warm` — so the per-write
-        encodes during the simulation become cache hits.  No-op for
-        protocols that never read the shared cache (see
+        One :meth:`MDSCode.encode_many` call covers the batch — the values
+        of it small enough to share a kernel call, as many as the cache's
+        entry and byte bounds can hold, see
+        :meth:`~repro.erasure.batch.CachedEncoder.warm` — so their
+        per-write encodes during the simulation become cache hits.  No-op
+        for protocols that never read the shared cache (see
         :attr:`warm_encoding_effective`).  Returns the number of values
         newly encoded.
         """
@@ -362,8 +363,9 @@ class RegisterCluster(ABC):
 
         Writers issue globally unique values ``{value_prefix}#{seq}|…``
         padded to ``value_size`` with seeded random bytes; upcoming values
-        are pre-encoded into the shared encoder cache ``warm_batch`` at a
-        time (one batched encode each refill).  Readers issue reads.
+        are generated ``warm_batch`` at a time and, when small, pre-encoded
+        into the shared encoder cache (one batched encode each refill).
+        Readers issue reads.
         The operation budget is consumed by whichever clients are alive: a
         crashed client's slot is handed to the next live client
         round-robin, so the budget drains fully while anyone survives, and

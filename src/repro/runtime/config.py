@@ -32,7 +32,8 @@ class RunConfig:
     """Driver knobs shared by the closed- and open-loop run engines.
 
     * ``value_size`` — written value size in bytes;
-    * ``warm_batch`` — values pre-encoded per encoder-cache refill;
+    * ``warm_batch`` — values generated (and, when small, pre-encoded) per
+      refill of the value source;
     * ``mean_gap`` — closed-loop exponential think time between a client's
       operations;
     * ``start_window`` — closed-loop initial-invocation jitter window;

@@ -84,8 +84,11 @@ def value_source(
 
     Values are globally unique — ``{value_prefix}#{seq}|`` padded to
     ``cfg.value_size`` with bytes drawn from the driver's ``rng`` — and are
-    generated ``cfg.warm_batch`` at a time, each refill pre-encoded into
-    the cluster's shared encoder cache by one batched call.
+    generated ``cfg.warm_batch`` at a time (the draw order every committed
+    artefact was produced with).  Each refill is offered to the cluster's
+    shared encoder, which pre-encodes it in one batched call when the
+    values are small enough to share one
+    (:meth:`~repro.erasure.batch.CachedEncoder.warm`).
 
     The filler is ``rng.bytes(size)``: for ``size >= 1`` the same bytes,
     and the same generator state afterwards, as ``rng.integers(0, 256,

@@ -368,8 +368,8 @@ class Network:
             if op is None:
                 tracker.unattributed_data_units += units
             else:
-                tracker._per_op[op] += units
-                tracker._messages_per_op[op] += 1
+                per_op = tracker._per_op
+                per_op[op] = per_op.get(op, 0j) + (units + 1j)
         record = None
         if self._observed:
             record = MessageRecord(src, dst, payload, now)
@@ -423,13 +423,11 @@ class Network:
         stats.messages_sent += fanout
         units = float(getattr(payload, "data_units", 0.0))
         tracker = self._cost_tracker
-        if tracker is not None:
-            op = getattr(payload, "op_id", None)
-            if op is not None:
-                # Touch the entry even for metadata: per-op costs list
-                # every attributed operation, at 0.0 if need be.
-                tracker._per_op[op] += 0.0
-                tracker._messages_per_op[op] += fanout
+        op = None if tracker is None else getattr(payload, "op_id", None)
+        if op is not None:
+            # Per-op costs list every attributed operation, metadata
+            # included, at 0.0 if need be.
+            attributed = tracker._per_op.get(op, 0j) + fanout * 1j
         if units == 0.0:
             stats.metadata_messages += fanout
         else:
@@ -442,7 +440,9 @@ class Network:
                     if op is None:
                         tracker.unattributed_data_units += units
                     else:
-                        tracker._per_op[op] += units
+                        attributed += units
+        if op is not None:
+            tracker._per_op[op] = attributed
         queue = sim._queue
         heap = queue._heap
         counter = queue._counter

@@ -7,6 +7,7 @@ readers, the READ-COMPLETE-before-READ-VALUE marker, and unregistration once
 ``k`` distinct elements of one tag were sent to a reader.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.messages import (
@@ -26,6 +27,7 @@ from repro.core.soda.server import SodaServer
 from repro.core.tags import TAG_ZERO, Tag
 from repro.erasure.rs import ReedSolomonCode
 from repro.metrics.costs import StorageTracker
+from repro.sim.failures import DiskErrorModel
 from repro.sim.network import FixedDelay
 from repro.sim.process import Process
 from repro.sim.simulation import Simulation
@@ -161,6 +163,24 @@ class TestReadValueRegistration:
         assert responses[0].tag == TAG_ZERO
         assert responses[0].element.index == server.index
         assert "read:r0:1" in server.registered_readers
+
+    def test_an_intact_disk_read_is_the_stored_element_itself(self):
+        """No fresh ``CodedElement`` per registration when the disk handed
+        back the stored bytes (always, without a disk-error model); a
+        corrupted read is a new element and leaves the stored one alone."""
+        sim, server, probes = build_server()
+        register_reader(sim, server, tag=TAG_ZERO)
+        (response,) = probes["reader-proc"].of_type(ReadValueResponse)
+        assert response.element is server.element
+
+        stored = server.element
+        server.disk_errors = DiskErrorModel(
+            np.random.default_rng(0), error_probability=1.0
+        )
+        register_reader(sim, server, read_id="read:r0:2", tag=TAG_ZERO)
+        corrupted = probes["reader-proc"].of_type(ReadValueResponse)[-1].element
+        assert corrupted.index == stored.index and corrupted.data != stored.data
+        assert server.element is stored
 
     def test_registration_without_sending_when_tag_too_small(self):
         sim, server, probes = build_server()

@@ -194,7 +194,7 @@ class TestClusterWiring:
         assert cluster.read().value == b"replicated"
 
     def test_warm_capped_at_capacity(self):
-        encoder = CachedEncoder(ReplicationCode(3), capacity=2)
+        encoder = CachedEncoder(ReedSolomonCode(5, 3), capacity=2)
         values = _values([8, 8, 8, 8], seed=12)
         assert encoder.warm(values) == 2
         assert len(encoder) == 2

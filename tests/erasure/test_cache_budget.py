@@ -1,12 +1,15 @@
-"""The codec caches' byte budget.
+"""The codec caches' byte budget, and what ``warm`` takes.
 
 ``CachedEncoder``/``CachedDecoder`` are bounded by entries *and* by bytes
 (``batch.CACHE_BYTE_BUDGET``, counting each entry's value and the coded
 elements held with it), so a run of unique large values keeps a window of
 encodings instead of ``capacity`` of them.  The tests shrink the budget to
 a few KiB; the accounting is checked against a recount of what the cache
-actually holds.
+actually holds.  ``warm`` pre-encodes only values that share a kernel call
+(``MDSCode.batch_step`` above 1): for the rest it is a no-op.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,18 +117,62 @@ class TestEncoderBudget:
 
     def test_warm_always_encodes_at_least_one_value(self, budget):
         budget(100)
-        encoder = CachedEncoder(ReplicationCode(3))
+        encoder = CachedEncoder(ReedSolomonCode(6, 4))
         assert encoder.warm(_values(4, 1000, seed=3)) == 1
         assert len(encoder) == 1
 
-    def test_default_budget_holds_two_default_warm_batches_of_64k_values(self):
-        """The sizing the constant's comment promises (runtime default
-        ``warm_batch`` 64, SODA [6,4])."""
-        from repro.runtime.config import RunConfig
 
+class TestWarmTakesOnlyWhatBatches:
+    """Pre-encoding pays by sharing a kernel call among small values.  A
+    value the kernel takes alone is encoded as fast by its write, and warming
+    a driver batch of such values only held 64 x 2.5 x value bytes until the
+    writes came round."""
+
+    def test_the_step_is_public_and_one_without_a_batched_kernel(self):
         code = ReedSolomonCode(6, 4)
-        entry = 65536 + code.n * code.element_size(65536)
-        assert 2 * RunConfig().warm_batch * entry <= batch.CACHE_BYTE_BUDGET
+        assert code.batch_step(code.element_size(32)) > 1
+        assert code.batch_step(code.element_size(4096)) > 1
+        assert code.batch_step(code.element_size(65536)) == 1
+        for stripe in (1, 9, 1025, 16385):
+            assert ReplicationCode(3).batch_step(stripe) == 1
+
+    @pytest.mark.parametrize(
+        "code, size",
+        [
+            (ReedSolomonCode(6, 4), 65536),
+            (ReedSolomonCode(6, 4), 20000),
+            (ReplicationCode(3), 32),
+        ],
+        ids=["rs-64k", "rs-20k", "replication-32"],
+    )
+    def test_warm_is_a_no_op_at_step_one(self, code, size):
+        def unexpected(*args):
+            raise AssertionError("warm reached the kernel")
+
+        values = _values(8, size, seed=8)
+        encoder = CachedEncoder(code)
+        code.encode = code.encode_many = unexpected
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert encoder.warm(values) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 4096  # the de-duplicating dict, no buffer
+        assert encoder.stats() == {"hits": 0, "misses": 0, "entries": 0, "bytes": 0}
+
+    def test_a_mixed_batch_is_warmed_in_its_small_values(self):
+        code = ReedSolomonCode(6, 4)
+        small, large = _values(5, 200, seed=9), _values(3, 65536, seed=10)
+        encoder = CachedEncoder(code)
+        assert encoder.warm([large[0], *small, *large[1:]]) == 5
+        assert all(value in encoder for value in small)
+        assert not any(value in encoder for value in large)
+        # The large ones are encoded by their first use, once.
+        first = encoder.encode(large[0])
+        assert encoder.encode(large[0]) is first
+        assert (encoder.hits, encoder.misses) == (1, 1)
 
 
 class TestDecoderBudget:

@@ -69,12 +69,12 @@ class TestSystematicCodes:
             assert _as_pairs(elements) == list(enumerate(full_product(code, value)))
 
     def test_batches_larger_than_one_kernel_call(self, make, n, k):
-        """``_batch_step`` values share a kernel call: groups that need
+        """``batch_step`` values share a kernel call: groups that need
         several calls (a ragged last one) and values that each need their
         own must come back whole and in order, from both directions."""
         code = make(n, k)
         for size, count in ((5000, 20), (40000, 5)):
-            step = code._batch_step(code.element_size(size))
+            step = code.batch_step(code.element_size(size))
             assert count > step and (step == 1 or count % step)
             values = _values([size] * count, seed=size)
             batch = code.encode_many(values)

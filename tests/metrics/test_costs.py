@@ -1,8 +1,11 @@
 """Tests for communication and storage cost tracking."""
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.metrics.costs import CommunicationCostTracker, StorageTracker
 from repro.sim.network import MessageRecord
@@ -41,6 +44,31 @@ class TestCommunicationCostTracker:
 
     def test_unknown_operation_is_zero(self):
         assert CommunicationCostTracker().cost_of("nope") == 0.0
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.0, 0.25, 1 / 3, 1 / 7]),
+                st.sampled_from(["op1", "op2", "op3", None]),
+            ),
+            max_size=200,
+        )
+    )
+    def test_one_record_per_op_adds_like_a_float_and_an_int(self, messages):
+        """The per-op record packs both sums in one object; they must come
+        out as the separately kept float and int would — bit for bit."""
+        t = CommunicationCostTracker()
+        units_of, messages_of = defaultdict(float), defaultdict(int)
+        for units, op in messages:
+            t.record(record(units, op))
+            if op is not None:
+                units_of[op] += units
+                messages_of[op] += 1
+        assert t.costs() == dict(units_of)
+        assert {op: t.messages_of(op) for op in units_of} == dict(messages_of)
+        for op in units_of:
+            assert type(t.cost_of(op)) is float and type(t.messages_of(op)) is int
+            assert t.cost_of(op) == units_of[op]
 
     def test_attach_to_network(self):
         class Sink(Process):

@@ -1,72 +1,133 @@
-"""Memory regression fence for the codec caches, without reading RSS.
+"""The codec caches are sized by what the traffic asks again for.
 
-SODA [6,4] driven through ``run_streamed`` with unique 64 KiB values is
-the case the caches' byte budget exists for: bounded by entries alone they
-keep ~160 KiB per write ever made.  The run below makes ~300 such writes —
-more than the budget holds — and must (a) keep both caches' accounted bytes
-under ``CACHE_BYTE_BUDGET`` and (b) serve exactly the hits of the same run
-with the budget lifted, i.e. the budget only ever drops entries nothing
-asks for again.
+An encoding is wanted from the first dispersal server's encode to the
+``(f + 1)``-th; a reconstruction within a few reads or not at all.  The
+bounds in ``erasure/batch.py`` (a handful of decoder entries, 2 MiB per
+cache, no pre-encoding of values the kernel takes one at a time) must
+therefore cost nothing a run can see: the bounded decoder scores the hits
+of an unbounded one, and every written value still goes through the kernel
+exactly once — no second encode because an entry was dropped before its
+``(f + 1)``-th use.  No RSS is read; memory shows in the accounted bytes.
 """
+
+from collections import Counter
 
 import pytest
 
 from repro.baselines.registry import make_cluster
-from repro.consistency.incremental import IncrementalAtomicityChecker
-from repro.consistency.stream import StreamingRecorder
 from repro.erasure import batch
-
-OPERATIONS = 600  # 2 writers + 2 readers: about half of them writes
-VALUE_SIZE = 65536
+from repro.workloads.arrivals import parse_arrival
 
 
-def _run():
-    recorder = StreamingRecorder(window=32)
-    checker = recorder.subscribe(IncrementalAtomicityChecker())
+def _closed_loop(cluster, value_size=96):
+    return cluster.run_streamed(
+        operations=400, value_size=value_size, mean_gap=0.25, seed=12
+    )
+
+
+def _open_loop(cluster):
+    return cluster.run_open_loop(
+        operations=400,
+        arrival=parse_arrival("poisson:4"),
+        read_fraction=0.5,
+        policy="drop",
+        queue_per_server=4,
+        value_size=96,
+        seed=12,
+    )
+
+
+def _crash_two(cluster):
+    cluster.crash_server(0, 30.0)
+    cluster.crash_server(2, 60.0)
+
+
+#: protocol, n, cluster kwargs, (writers, readers), faults to arm, driver.
+TRAFFIC = {
+    "soda-closed": ("SODA", 6, {}, (2, 2), None, _closed_loop),
+    "sodaerr-crashes-closed": (
+        "SODAerr",
+        8,
+        dict(e=1, error_probability=1.0, error_prone_servers=(1,)),
+        (2, 2),
+        _crash_two,
+        _closed_loop,
+    ),
+    "casgc-closed": ("CASGC", 6, dict(delta=4), (2, 2), None, _closed_loop),
+    "soda-open-8+8": ("SODA", 6, {}, (8, 8), None, _open_loop),
+}
+
+
+def _run(traffic, *, unbounded):
+    protocol, n, kwargs, clients, arm_faults, drive = TRAFFIC[traffic]
+    writers, readers = clients
     cluster = make_cluster(
-        "SODA", 6, 2, num_writers=2, num_readers=2, seed=11, recorder=recorder
+        protocol, n, 2, num_writers=writers, num_readers=readers, seed=11, **kwargs
     )
-    stats = cluster.run_streamed(
-        operations=OPERATIONS, value_size=VALUE_SIZE, mean_gap=0.25, seed=12
-    )
-    assert checker.ok, checker.violations
-    assert stats.completed == OPERATIONS and not stats.truncated
+    if unbounded:
+        cluster.decoder.capacity = 1 << 30
+    if arm_faults is not None:
+        arm_faults(cluster)
+    stats = drive(cluster)
+    assert stats.completed >= 300 and not stats.truncated
     return stats, cluster.codec_stats()
 
 
-def test_unique_64k_values_stay_under_the_byte_budget_without_losing_hits(monkeypatch):
-    limit = batch.CACHE_BYTE_BUDGET
-    stats, budgeted = _run()
+@pytest.mark.parametrize("traffic", TRAFFIC)
+def test_the_bounded_decoder_scores_the_hits_of_an_unbounded_one(traffic, monkeypatch):
+    stats, bounded = _run(traffic, unbounded=False)
     monkeypatch.setattr(batch, "CACHE_BYTE_BUDGET", 1 << 40)
-    unbounded_stats, unbounded = _run()
+    unbounded_stats, unbounded = _run(traffic, unbounded=True)
 
     # Same execution either way: the caches are not observable from inside.
-    assert (stats.writes, stats.reads, stats.events, stats.end_time) == (
-        unbounded_stats.writes,
-        unbounded_stats.reads,
+    assert (stats.completed, stats.events, stats.end_time) == (
+        unbounded_stats.completed,
         unbounded_stats.events,
         unbounded_stats.end_time,
     )
-    assert stats.writes >= 280
-
-    # (a) bounded by bytes, and the bound is what binds here ...
-    for prefix in ("encoder", "decoder"):
-        assert 0 < budgeted[f"{prefix}_bytes"] <= limit
-        assert budgeted[f"{prefix}_entries"] < unbounded[f"{prefix}_entries"]
-        assert unbounded[f"{prefix}_bytes"] > limit
-    # ... (b) at no cost in hits: every eviction was of a dead entry.
-    for key in ("encoder_hits", "encoder_misses", "decoder_hits", "decoder_misses"):
-        assert budgeted[key] == unbounded[key], key
-    # Every one of the f + 1 dispersal servers of every write was served
-    # from the cache: nothing warmed was evicted before its write.
-    assert budgeted["encoder_hits"] == 3 * stats.writes
+    # The bound is what binds ...
+    assert bounded["decoder_entries"] == batch.DECODER_CAPACITY
+    assert unbounded["decoder_entries"] == unbounded["decoder_misses"] > 100
+    # ... at no cost in hits: everything it dropped was never asked for again.
+    assert bounded["decoder_hits"] == unbounded["decoder_hits"] > 0
+    assert bounded["decoder_misses"] == unbounded["decoder_misses"]
 
 
-@pytest.mark.parametrize("value_size", (32, 4096))
-def test_small_values_never_reach_the_budget(value_size):
-    """Entry capacity stays the binding bound for small values, as before."""
-    cluster = make_cluster("SODA", 6, 2, num_writers=2, num_readers=2, seed=3)
-    cluster.run_streamed(operations=200, value_size=value_size, seed=4)
-    stats = cluster.codec_stats()
-    assert stats["encoder_bytes"] < batch.CACHE_BYTE_BUDGET // 8
-    assert stats["encoder_entries"] >= 64
+def _count_kernel_encodes(code):
+    """How often each value went through ``code``'s encode kernel."""
+    counts = Counter()
+    encode, encode_many = code.encode, code.encode_many
+
+    def counting_encode(value):
+        counts[value] += 1
+        return encode(value)
+
+    def counting_encode_many(values):
+        counts.update(values)
+        return encode_many(values)
+
+    code.encode, code.encode_many = counting_encode, counting_encode_many
+    return counts
+
+
+@pytest.mark.parametrize("value_size", (32, 4096, 65536))
+def test_every_written_value_is_encoded_by_the_kernel_once(value_size):
+    cluster = make_cluster("SODA", 6, 2, num_writers=2, num_readers=2, seed=11)
+    kernel_encodes = _count_kernel_encodes(cluster.code)
+    stats = _closed_loop(cluster, value_size)
+    written = [op.value for op in cluster.history.writes()]
+    assert len(written) == stats.writes >= 180
+    assert {kernel_encodes[value] for value in written} == {1}
+
+    codec = cluster.codec_stats()
+    warmed = cluster.code.batch_step(cluster.code.element_size(value_size)) > 1
+    if warmed:
+        # Pre-encoded a driver batch at a time: all f + 1 dispersal servers hit.
+        assert codec["encoder_hits"] == 3 * stats.writes
+    else:
+        # Encoded by the first dispersal server, served to the other f; the
+        # cache holds the writes in flight, not a batch of 64 encodings.
+        assert codec["encoder_hits"] == 2 * stats.writes
+        assert codec["encoder_misses"] == stats.writes + 1  # and the initial value
+    for front in ("encoder", "decoder"):
+        assert 0 < codec[f"{front}_bytes"] <= batch.CACHE_BYTE_BUDGET

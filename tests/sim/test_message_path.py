@@ -88,7 +88,7 @@ def _protocol_run(protocol: str, *, observed: bool):
         cost_total=cluster.costs.total_data_units,
         cost_unattributed=cluster.costs.unattributed_data_units,
         cost_per_op=cluster.costs.costs(),
-        messages_per_op=dict(cluster.costs._messages_per_op),
+        messages_per_op={op: cluster.costs.messages_of(op) for op in cluster.costs.costs()},
         end_time=cluster.sim.now,
         events=cluster.sim.events_processed,
         received={pid: p.messages_received for pid, p in cluster.sim.processes.items()},
@@ -169,7 +169,7 @@ def _fanout_run(plan, *, many, model, crashed, adversary, extra_tracker):
         network=asdict(sim.network.stats),
         totals=(tracker.total_data_units, tracker.unattributed_data_units),
         per_op=tracker.costs(),
-        messages_per_op=dict(tracker._messages_per_op),
+        messages_per_op={op: tracker.messages_of(op) for op in tracker.costs()},
         second=None if second is None else (second.total_data_units, second.costs()),
         rng_next=float(sim.rng.uniform()),  # both drew the same number of delays
     )

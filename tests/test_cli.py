@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import os
+import re
 
 import pytest
 
@@ -195,6 +196,11 @@ class TestLongrunCommand:
         assert "stream_max_resident" in out
         assert (tmp_path / "longrun_soda_120.json").exists()
         assert (tmp_path / "longrun_soda_120.csv").exists()
+        # Peak RSS of the cell workers: on stdout, in no artefact.
+        (memory,) = re.findall(r"^memory          : ([0-9.]+) MiB peak RSS", out, re.M)
+        assert 1.0 < float(memory) < 4096.0
+        for artefact in tmp_path.iterdir():
+            assert "rss" not in artefact.read_text().lower()
 
     def test_longrun_no_artefacts(self, capsys, tmp_path):
         assert (
