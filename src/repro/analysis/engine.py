@@ -710,6 +710,7 @@ def _run_group(cell: Mapping[str, object], gids: Tuple[int, ...]) -> dict:
         "end_time": stats.end_time if closed else float(stats.end_time),
         "events": stats.events,
         "objects": objects,
+        "max_retired_bytes": mux.max_retired_bytes if mux else 0,
     }
     if not closed:
         # Merged over the group's objects in object order; the fold then
@@ -905,6 +906,9 @@ class Report:
     #: Peak resident-set size (KB) over the cell workers — OS-level memory
     #: ground truth per process, beside the deterministic record gauge.
     worker_max_rss_kb: int = 0
+    #: Peak value bytes one recorder's retired window referenced (a gauge
+    #: beside ``stream_max_resident``, outside the artefacts like the RSS).
+    stream_max_value_bytes: int = 0
 
     def __getattr__(self, name: str):
         for source in ("totals", "params"):
@@ -1105,12 +1109,12 @@ def run_experiment(kind: str, protocol: str = "SODA", **params) -> Report:
     samples = {"read": [], "write": []} if p["keep_samples"] else None
     offsets = [EPOCH_GAP] * objects
     cpu_s = 0.0
-    worker_rss = 0
+    worker_rss = stream_bytes = 0
 
     def fold_epoch(cells: List[Dict[str, object]]) -> None:
         """Fold one epoch's cells, objects in global order — hence
         independent of which cell hosted which object."""
-        nonlocal cpu_s, worker_rss
+        nonlocal cpu_s, worker_rss, stream_bytes
         k, seed = cells[0]["epoch"], cells[0]["seed"]
         groups = sorted(
             (group for cell in cells for group in cell["groups"]),
@@ -1168,6 +1172,7 @@ def run_experiment(kind: str, protocol: str = "SODA", **params) -> Report:
         )
         cpu_s += max(cell["cpu_s"] for cell in cells)
         worker_rss = max(worker_rss, *(cell["max_rss_kb"] for cell in cells))
+        stream_bytes = max(stream_bytes, *(g["max_retired_bytes"] for g in groups))
 
     # Pipelined fold: the pool fans the whole grid out at once (up to
     # jobs × width cells in flight, imap_unordered — no barrier on the
@@ -1219,6 +1224,7 @@ def run_experiment(kind: str, protocol: str = "SODA", **params) -> Report:
         jobs=p["jobs"],
         fleet=p["fleet"],
         worker_max_rss_kb=worker_rss,
+        stream_max_value_bytes=stream_bytes,
     )
 
 

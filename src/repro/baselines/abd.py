@@ -26,7 +26,7 @@ write-back traffic).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.consistency.history import READ, WRITE, History
 from repro.core.tags import TAG_ZERO, Tag, max_tag
@@ -149,7 +149,6 @@ class AbdWriter(Process):
         self.history = history
         self._current: Optional[_AbdWrite] = None
         self._op_counter = 0
-        self.completed_writes: List[str] = []
 
     @property
     def busy(self) -> bool:
@@ -167,9 +166,6 @@ class AbdWriter(Process):
             self.history.invoke(op_id, WRITE, str(self.pid), self.now, value=value)
         self.send_many(self.servers, AbdQueryRequest(op_id=op_id, include_value=False))
         return op_id
-
-    def is_complete(self, op_id: str) -> bool:
-        return op_id in self.completed_writes
 
     def on_message(self, sender: str, message: object) -> None:
         op = self._current
@@ -194,7 +190,6 @@ class AbdWriter(Process):
             if len(op.acks) < self.majority:
                 return
             op.phase = "done"
-            self.completed_writes.append(op.op_id)
             self._current = None
             if self.history is not None:
                 self.history.respond(op.op_id, self.now, tag=op.tag)
@@ -229,7 +224,6 @@ class AbdReader(Process):
         self.history = history
         self._current: Optional[_AbdRead] = None
         self._op_counter = 0
-        self.completed_reads: List[str] = []
 
     @property
     def busy(self) -> bool:
@@ -247,9 +241,6 @@ class AbdReader(Process):
             self.history.invoke(op_id, READ, str(self.pid), self.now)
         self.send_many(self.servers, AbdQueryRequest(op_id=op_id, include_value=True))
         return op_id
-
-    def is_complete(self, op_id: str) -> bool:
-        return op_id in self.completed_reads
 
     def on_message(self, sender: str, message: object) -> None:
         op = self._current
@@ -277,7 +268,6 @@ class AbdReader(Process):
             if len(op.acks) < self.majority:
                 return
             op.phase = "done"
-            self.completed_reads.append(op.op_id)
             self._current = None
             if self.history is not None:
                 self.history.respond(op.op_id, self.now, value=op.value, tag=op.tag)

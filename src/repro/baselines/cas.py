@@ -29,7 +29,7 @@ protocol rather than implementation shortcuts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, Optional, Sequence, Set
 
 from repro.consistency.history import READ, WRITE, History
 from repro.core.tags import TAG_ZERO, Tag, max_tag
@@ -251,7 +251,6 @@ class CasWriter(Process):
         self.encoder = CachedEncoder(code) if encoder is None else encoder
         self._current: Optional[_CasWrite] = None
         self._op_counter = 0
-        self.completed_writes: List[str] = []
 
     @property
     def busy(self) -> bool:
@@ -269,9 +268,6 @@ class CasWriter(Process):
             self.history.invoke(op_id, WRITE, str(self.pid), self.now, value=value)
         self.send_many(self.servers, CasQueryRequest(op_id=op_id))
         return op_id
-
-    def is_complete(self, op_id: str) -> bool:
-        return op_id in self.completed_writes
 
     def on_message(self, sender: str, message: object) -> None:
         op = self._current
@@ -315,7 +311,6 @@ class CasWriter(Process):
             if len(op.finalize_acks) < self.quorum:
                 return
             op.phase = "done"
-            self.completed_writes.append(op.op_id)
             self._current = None
             if self.history is not None:
                 self.history.respond(op.op_id, self.now, tag=op.tag)
@@ -359,7 +354,6 @@ class CasReader(Process):
         self.decoder = decoder if decoder is not None else CachedDecoder(code)
         self._current: Optional[_CasRead] = None
         self._op_counter = 0
-        self.completed_reads: List[str] = []
 
     @property
     def busy(self) -> bool:
@@ -377,9 +371,6 @@ class CasReader(Process):
             self.history.invoke(op_id, READ, str(self.pid), self.now)
         self.send_many(self.servers, CasQueryRequest(op_id=op_id))
         return op_id
-
-    def is_complete(self, op_id: str) -> bool:
-        return op_id in self.completed_reads
 
     def on_message(self, sender: str, message: object) -> None:
         op = self._current
@@ -408,7 +399,6 @@ class CasReader(Process):
                 return
             value = self.decoder.decode(op.tag, list(op.elements.values()))
             op.phase = "done"
-            self.completed_reads.append(op.op_id)
             self._current = None
             if self.history is not None:
                 self.history.respond(op.op_id, self.now, value=value, tag=op.tag)

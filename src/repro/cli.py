@@ -251,7 +251,8 @@ def _print_summary(report: Report, args: argparse.Namespace) -> None:
     if verdict is not None:
         print(
             f"memory gauge    : stream_max_resident={report.stream_max_resident} "
-            f"records per recorder (window {p['window']})"
+            f"records, {report.stream_max_value_bytes / 1024:.1f} KiB of values "
+            f"per recorder (window {p['window']})"
         )
         status = "ATOMIC" if report.checker_ok else "VIOLATIONS"
         counts = f"{verdict.clusters} clusters, {verdict.crossings_tested} crossings"

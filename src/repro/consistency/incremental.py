@@ -111,8 +111,10 @@ _MEMO_MIN_BYTES = 1024
 
 #: Bounds of the recent-writes memo, in entries and in bytes referenced (it
 #: holds references, not copies).  A read returns one of the last few
-#: writes, so a handful of entries serves.
-_MEMO_ENTRIES = 32
+#: writes: every hit on the benchmark's workloads lands within 5 entries of
+#: the newest (docs/perf.md, "Memory: what a cluster holds"); a deeper one
+#: would be digested instead, which is only slower.
+_MEMO_ENTRIES = 8
 _MEMO_BYTES = 4 * 1024 * 1024
 
 

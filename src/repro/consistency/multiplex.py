@@ -120,6 +120,11 @@ class ObjectCheckerMux:
         return max(recorder.max_resident for recorder in self.recorders)
 
     @property
+    def max_retired_bytes(self) -> int:
+        """Peak value bytes one recorder's retired window referenced."""
+        return max(recorder.max_retired_bytes for recorder in self.recorders)
+
+    @property
     def evicted_count(self) -> int:
         return sum(recorder.evicted_count for recorder in self.recorders)
 

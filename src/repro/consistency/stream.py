@@ -28,6 +28,11 @@ from typing import Dict, List, Optional
 WRITE = "write"
 READ = "read"
 
+#: Value bytes a :class:`StreamingRecorder`'s retired window may reference, on
+#: top of its record count: in-flight scale, and enough for a full 256-record
+#: window of values up to 8 KiB.
+RETIRED_BYTE_BUDGET = 2 * 1024 * 1024
+
 
 @dataclass(slots=True)
 class OperationRecord:
@@ -176,6 +181,8 @@ class HistorySink(ABC):
 
     def mark_failed(self, op_id: str) -> None:
         record = self._require(op_id)
+        if record.failed:
+            return  # counted, reported and (if incomplete) retired already
         record.failed = True
         self.failed_count += 1
         for observer in self._observers:
@@ -218,7 +225,9 @@ class StreamingRecorder(HistorySink):
 
     In-flight operations are always resident (clients are well-formed, so
     their number is bounded by the client count); completed operations stay
-    resident in a FIFO window of ``window`` records and are then evicted.
+    resident in a FIFO window of ``window`` records referencing at most
+    :data:`RETIRED_BYTE_BUDGET` value bytes (the newest always stays) and are
+    then evicted, oldest first.
     Aggregate counters and the peak resident size survive eviction, so a
     workload driver can still report completion ratios, and subscribed
     observers (the incremental checker) see every event exactly once.
@@ -233,6 +242,9 @@ class StreamingRecorder(HistorySink):
         self._retired: "OrderedDict[str, OperationRecord]" = OrderedDict()
         self.evicted_count = 0
         self.max_resident = 0
+        #: Value bytes the retired window references now, and their peak.
+        self.retired_bytes = 0
+        self.max_retired_bytes = 0
 
     # -- storage hooks ---------------------------------------------------
     def _store(self, record: OperationRecord) -> None:
@@ -250,12 +262,27 @@ class StreamingRecorder(HistorySink):
         return record
 
     def _retire(self, record: OperationRecord) -> None:
-        self._active.pop(record.op_id, None)
-        self._retired[record.op_id] = record
-        while len(self._retired) > self.window:
-            self._retired.popitem(last=False)
+        retired = self._retired
+        if self._active.pop(record.op_id, None) is not None:
+            retired[record.op_id] = record
+            value = record.value
+            nbytes = self.retired_bytes + (len(value) if value is not None else 0)
+        else:
+            # A response recorded after mark_failed had retired the record
+            # may have replaced its value: weigh the window again.
+            nbytes = sum(len(r.value) for r in retired.values() if r.value is not None)
+        window = self.window
+        while len(retired) > window or (
+            nbytes > RETIRED_BYTE_BUDGET and len(retired) > 1
+        ):
+            value = retired.popitem(last=False)[1].value
+            if value is not None:
+                nbytes -= len(value)
             self.evicted_count += 1
-        resident = len(self._active) + len(self._retired)
+        self.retired_bytes = nbytes
+        if nbytes > self.max_retired_bytes:
+            self.max_retired_bytes = nbytes
+        resident = len(self._active) + len(retired)
         if resident > self.max_resident:
             self.max_resident = resident
 

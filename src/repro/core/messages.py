@@ -121,11 +121,14 @@ class MDValueCoded:
 @dataclass(frozen=True, slots=True)
 class ReadValuePayload:
     """READ-VALUE: register reader ``read_id`` (process ``reader_pid``) for
-    tags greater than or equal to ``tag``."""
+    tags greater than or equal to ``tag``.  ``seq`` numbers the reader's
+    reads 1, 2, ... (they are sequential), which lets a server remember the
+    reads it is done with as one watermark per reader."""
 
     reader_pid: str
     read_id: str
     tag: Tag
+    seq: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,16 +138,20 @@ class ReadCompletePayload:
     reader_pid: str
     read_id: str
     tag: Tag
+    seq: int
 
 
 @dataclass(frozen=True, slots=True)
 class ReadDispersePayload:
     """READ-DISPERSE: server ``server_index`` sent the coded element of
-    ``tag`` to reader ``read_id`` (server-to-server bookkeeping)."""
+    ``tag`` to reader ``read_id``, the ``seq``-th read of ``reader_pid``
+    (server-to-server bookkeeping)."""
 
     tag: Tag
     server_index: int
     read_id: str
+    reader_pid: str
+    seq: int
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,9 +8,11 @@ uses an ``[n, k]`` MDS code with ``k = n - f`` and tolerates up to
 
 from __future__ import annotations
 
+from typing import Optional
 
+from repro.consistency.history import History
 from repro.core.soda.reader import SodaReader
-from repro.core.soda.server import SodaServer
+from repro.core.soda.server import RegistrationLog, SodaServer
 from repro.core.soda.writer import SodaWriter
 from repro.erasure.mds import MDSCode
 from repro.erasure.rs import ReedSolomonCode
@@ -22,6 +24,11 @@ class SodaCluster(RegisterCluster):
     """An ``n``-server SODA deployment tolerating ``f`` crashes."""
 
     protocol_name = "SODA"
+
+    #: The servers' shared log behind :meth:`measured_delta_w`, kept exactly
+    #: when the whole history is (``None`` under a streaming sink): per-read
+    #: results live as long as the sink that can be asked about them.
+    registrations: Optional[RegistrationLog] = None
 
     def _validate_parameters(self) -> None:
         super()._validate_parameters()
@@ -49,6 +56,8 @@ class SodaCluster(RegisterCluster):
         return self.code.k
 
     def _make_server(self, index: int, pid: str) -> SodaServer:
+        if self.registrations is None and isinstance(self.history, History):
+            self.registrations = RegistrationLog()
         return SodaServer(
             pid=pid,
             index=index,
@@ -57,6 +66,7 @@ class SodaCluster(RegisterCluster):
             code=self.code,
             initial_element=self.initial_elements[index],
             storage_tracker=self.storage,
+            registration_log=self.registrations,
             disk_error_model=self._disk_error_model(),
             unregister_threshold=self._unregister_threshold(),
             encoder=self.encoder,
@@ -100,24 +110,13 @@ class SodaCluster(RegisterCluster):
         execution was truncated), the current simulated time is used as
         ``T2``.
         """
-        t1 = None
-        t2 = None
-        for server in self.servers:
-            reg = server.registration_times.get(read_op_id)
-            if reg is not None:
-                t1 = reg if t1 is None else min(t1, reg)
-            unreg = server.unregistration_times.get(read_op_id)
-            if unreg is not None:
-                t2 = unreg if t2 is None else max(t2, unreg)
-            elif reg is not None:
-                # Still registered somewhere: the interval is still open.
-                t2 = self.sim.now if t2 is None else max(t2, self.sim.now)
-        if t1 is None:
+        history = self.full_history()  # raises where there is no log either
+        window = self.registrations.window(read_op_id, self.sim.now)
+        if window is None:
             return 0
-        if t2 is None:
-            t2 = self.sim.now
+        t1, t2 = window
         count = 0
-        for w in self.full_history().writes():
+        for w in history.writes():
             ends = w.responded_at if w.responded_at is not None else float("inf")
             if w.invoked_at <= t2 and ends >= t1:
                 count += 1

@@ -21,7 +21,7 @@ client.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.consistency.history import READ, History
 from repro.core.message_disperse import MDSender
@@ -79,7 +79,6 @@ class SodaReader(Process):
         self._md_sender: Optional[MDSender] = None
         self._current: Optional[_ReadOperation] = None
         self._op_counter = 0
-        self.completed_reads: List[str] = []
         self.handlers = {ReadValueResponse: self._on_element}
 
     def attach(self, simulation) -> None:
@@ -112,9 +111,6 @@ class SodaReader(Process):
         self.send_many(self.servers, ReadGetRequest(op_id=op_id))
         return op_id
 
-    def is_complete(self, op_id: str) -> bool:
-        return op_id in self.completed_reads
-
     # ------------------------------------------------------------------
     # message handling
     # ------------------------------------------------------------------
@@ -137,7 +133,10 @@ class SodaReader(Process):
         assert self._md_sender is not None
         self._md_sender.md_meta_send(
             ReadValuePayload(
-                reader_pid=str(self.pid), read_id=op.op_id, tag=op.target_tag
+                reader_pid=str(self.pid),
+                read_id=op.op_id,
+                tag=op.target_tag,
+                seq=self._op_counter,  # reads are sequential: the current one's number
             ),
             op_id=op.op_id,
         )
@@ -162,11 +161,13 @@ class SodaReader(Process):
         assert self._md_sender is not None
         self._md_sender.md_meta_send(
             ReadCompletePayload(
-                reader_pid=str(self.pid), read_id=op.op_id, tag=op.target_tag
+                reader_pid=str(self.pid),
+                read_id=op.op_id,
+                tag=op.target_tag,
+                seq=self._op_counter,  # reads are sequential: the current one's number
             ),
             op_id=op.op_id,
         )
-        self.completed_reads.append(op.op_id)
         self._current = None
         if self.history is not None:
             self.history.respond(op.op_id, self.now, value=value, tag=tag)

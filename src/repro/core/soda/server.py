@@ -18,6 +18,7 @@ payloads READ-VALUE, READ-COMPLETE and READ-DISPERSE.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Set, Tuple
 
@@ -48,6 +49,34 @@ class RegisteredReader:
     reader_pid: str
     read_id: str
     tag: Tag
+    seq: int
+
+
+class RegistrationLog:
+    """When each read was first registered and last unregistered, over all
+    the servers sharing the log — the ``[T1, T2]`` of the paper's ``delta_w``
+    (Section V-B).  One entry per read for as long as the log lives, so a
+    cluster keeps one only beside a keep-everything history."""
+
+    def __init__(self) -> None:
+        # read id -> [T1, latest unregistration, servers still registered]
+        self._reads: Dict[str, list] = {}
+
+    def registered(self, read_id: str, now: float) -> None:
+        self._reads.setdefault(read_id, [now, now, 0])[2] += 1
+
+    def unregistered(self, read_id: str, now: float) -> None:
+        entry = self._reads[read_id]
+        entry[1] = now
+        entry[2] -= 1
+
+    def window(self, read_id: str, now: float) -> Optional[Tuple[float, float]]:
+        """``(T1, T2)``, with ``now`` for ``T2`` while some server still has
+        the read registered; ``None`` for a read no server registered."""
+        entry = self._reads.get(read_id)
+        if entry is None:
+            return None
+        return entry[0], now if entry[2] else entry[1]
 
 
 class SodaServer(Process):
@@ -71,6 +100,10 @@ class SodaServer(Process):
     storage_tracker:
         Optional :class:`~repro.metrics.costs.StorageTracker` notified
         whenever the amount of locally stored coded data changes.
+    registration_log:
+        Optional :class:`RegistrationLog` told of every registration and
+        unregistration (the servers themselves keep nothing per finished
+        read).
     disk_error_model:
         Model for silent local disk read errors.  Plain SODA uses a
         disabled model; SODAerr injects errors through it.
@@ -96,6 +129,7 @@ class SodaServer(Process):
         initial_element: Optional[CodedElement] = None,
         initial_tag: Tag = TAG_ZERO,
         storage_tracker: Optional[StorageTracker] = None,
+        registration_log: Optional[RegistrationLog] = None,
         disk_error_model: Optional[DiskErrorModel] = None,
         unregister_threshold: Optional[int] = None,
         encoder: Optional[CachedEncoder] = None,
@@ -119,17 +153,18 @@ class SodaServer(Process):
         # read_id) sentinel in the history would collide with the real
         # entry recorded when the initial value (tag TAG_ZERO) is relayed.
         self.completed_reads: Set[str] = set()
-        # Reads whose pending registration this server cancelled because the
-        # READ-COMPLETE had already been processed.  Together with the keys
-        # of ``unregistration_times`` these are the reads this server is
-        # completely done with: late READ-DISPERSE messages for them are
-        # dropped instead of re-accumulating history entries that nothing
-        # would ever clean up again — over a million-operation streamed run
-        # that leak dominated both memory and time.  (Only the rare
-        # overtake race lands here, so unlike the per-read timestamp maps
-        # this set stays tiny.)
-        self._cancelled_registrations: Set[str] = set()
+        # The reads this server is completely done with (unregistered, or
+        # registration cancelled because READ-COMPLETE came first): late
+        # READ-DISPERSE messages for them are dropped instead of
+        # re-accumulating history entries that nothing would ever clean up
+        # again.  A reader's reads are sequential and numbered, so they are a
+        # watermark per reader — every read up to it — plus the few
+        # ``(reader, seq)`` that finished here out of order above it, which
+        # the watermark absorbs as the gap closes: O(readers), not O(reads).
+        self._done_upto: Dict[str, int] = defaultdict(int)
+        self._done_above: Set[Tuple[str, int]] = set()
         self.storage_tracker = storage_tracker
+        self.registration_log = registration_log
         self.disk_errors = disk_error_model or DiskErrorModel.disabled()
         self.unregister_threshold = (
             unregister_threshold if unregister_threshold is not None else code.k
@@ -157,11 +192,6 @@ class SodaServer(Process):
         # Counters exposed for tests and experiments.
         self.elements_relayed_to_readers = 0
         self.writes_applied = 0
-        # Registration / unregistration instants per read identifier, used to
-        # measure the paper's delta_w (writes initiated between the first
-        # registration and the last unregistration of a read).
-        self.registration_times: Dict[str, float] = {}
-        self.unregistration_times: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # wiring
@@ -236,24 +266,30 @@ class SodaServer(Process):
             # The READ-COMPLETE for this read has already been processed
             # (it overtook the registration request); do not register.
             self.completed_reads.discard(payload.read_id)
-            self._cancelled_registrations.add(payload.read_id)
-            self._drop_history_for(payload.read_id)
+            self._finish_read(payload.reader_pid, payload.seq)
+            self.history_index.pop(payload.read_id, None)
             return
         reg = RegisteredReader(
-            reader_pid=payload.reader_pid, read_id=payload.read_id, tag=payload.tag
+            reader_pid=payload.reader_pid,
+            read_id=payload.read_id,
+            tag=payload.tag,
+            seq=payload.seq,
         )
         self.registered[payload.read_id] = reg
-        self.registration_times.setdefault(payload.read_id, self.now)
+        if self.registration_log is not None:
+            self.registration_log.registered(payload.read_id, self.now)
         if self.element is not None and self.tag >= payload.tag:
             local_element = self._local_disk_read()
             self._send_element_to_reader(reg, self.tag, local_element)
 
     def _on_read_complete(self, payload: ReadCompletePayload) -> None:
-        if payload.read_id in self.registered:
-            del self.registered[payload.read_id]
-            self.unregistration_times[payload.read_id] = self.now
-            self._drop_history_for(payload.read_id)
-        elif payload.read_id not in self.unregistration_times:
+        reg = self.registered.get(payload.read_id)
+        if reg is not None:
+            self._unregister(reg)
+        elif not (
+            payload.seq <= self._done_upto[payload.reader_pid]
+            or (payload.reader_pid, payload.seq) in self._done_above
+        ):  # not over here (the same test as in _on_read_disperse)
             # Registration has not arrived yet; remember the completion so
             # that the late READ-VALUE does not (re-)register the reader.
             # (If this server already unregistered the read via the relay
@@ -262,9 +298,9 @@ class SodaServer(Process):
             self.completed_reads.add(payload.read_id)
 
     def _on_read_disperse(self, payload: ReadDispersePayload) -> None:
-        if (
-            payload.read_id in self.unregistration_times
-            or payload.read_id in self._cancelled_registrations
+        if payload.seq <= self._done_upto[payload.reader_pid] or (
+            self._done_above
+            and (payload.reader_pid, payload.seq) in self._done_above
         ):
             # The read is over as far as this server is concerned; tracking
             # stragglers would only re-grow history nothing cleans up.
@@ -277,9 +313,7 @@ class SodaServer(Process):
         if len(sent_for_tag) >= self.unregister_threshold:
             # Enough distinct coded elements of one tag have reached the
             # reader; it can decode, so stop relaying to it.
-            del self.registered[payload.read_id]
-            self.unregistration_times[payload.read_id] = self.now
-            self._drop_history_for(payload.read_id)
+            self._unregister(reg)
 
     # ------------------------------------------------------------------
     # helpers
@@ -300,7 +334,13 @@ class SodaServer(Process):
         self.elements_relayed_to_readers += 1
         self._note_history(tag, self.index, reg.read_id)
         self.md_sender.md_meta_send(
-            ReadDispersePayload(tag=tag, server_index=self.index, read_id=reg.read_id),
+            ReadDispersePayload(
+                tag=tag,
+                server_index=self.index,
+                read_id=reg.read_id,
+                reader_pid=reg.reader_pid,
+                seq=reg.seq,
+            ),
             op_id=reg.read_id,
         )
 
@@ -323,8 +363,25 @@ class SodaServer(Process):
             server_index
         )
 
-    def _drop_history_for(self, read_id: str) -> None:
-        self.history_index.pop(read_id, None)
+    def _unregister(self, reg: RegisteredReader) -> None:
+        del self.registered[reg.read_id]
+        if self.registration_log is not None:
+            self.registration_log.unregistered(reg.read_id, self.now)
+        self._finish_read(reg.reader_pid, reg.seq)
+        self.history_index.pop(reg.read_id, None)
+
+    def _finish_read(self, reader_pid: str, seq: int) -> None:
+        """This server is done with the ``seq``-th read of ``reader_pid``."""
+        upto = self._done_upto
+        if seq == upto[reader_pid] + 1:
+            above = self._done_above
+            while above and (reader_pid, seq + 1) in above:
+                seq += 1
+                above.remove((reader_pid, seq))
+            upto[reader_pid] = seq
+        elif seq > upto[reader_pid]:
+            # An earlier read of this reader is not over here yet.
+            self._done_above.add((reader_pid, seq))
 
     # ------------------------------------------------------------------
     # introspection for tests and experiments
@@ -332,6 +389,17 @@ class SodaServer(Process):
     @property
     def registered_readers(self) -> Dict[str, RegisteredReader]:
         return dict(self.registered)
+
+    @property
+    def per_read_entries(self) -> int:
+        """Entries of per-read state held now: registrations, history,
+        READ-COMPLETE-first markers and reads finished out of order."""
+        return (
+            len(self.registered)
+            + len(self.history_index)
+            + len(self.completed_reads)
+            + len(self._done_above)
+        )
 
     @property
     def history_entries(self) -> Set[Tuple[Tag, int, str]]:

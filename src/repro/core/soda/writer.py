@@ -15,7 +15,7 @@ in progress.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.consistency.history import WRITE, History
 from repro.core.message_disperse import MDSender
@@ -59,7 +59,6 @@ class SodaWriter(Process):
         self._md_sender: Optional[MDSender] = None
         self._current: Optional[_WriteOperation] = None
         self._op_counter = 0
-        self.completed_writes: List[str] = []
         self.handlers = {WriteAck: self._on_ack}
 
     def attach(self, simulation) -> None:
@@ -95,9 +94,6 @@ class SodaWriter(Process):
             self.history.invoke(op_id, WRITE, str(self.pid), self.now, value=value)
         self.send_many(self.servers, WriteGetRequest(op_id=op_id))
         return op_id
-
-    def is_complete(self, op_id: str) -> bool:
-        return op_id in self.completed_writes
 
     # ------------------------------------------------------------------
     # message handling
@@ -136,7 +132,6 @@ class SodaWriter(Process):
         if len(op.acks) < self.acks_needed:
             return
         op.phase = "done"
-        self.completed_writes.append(op.op_id)
         self._current = None
         if self.history is not None:
             self.history.respond(op.op_id, self.now, tag=op.tag)

@@ -1,11 +1,18 @@
 """Tests for the operation event stream: sinks, observers, bounded memory."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_fuzz_checkers import FUZZ_FACTOR, build_history, checker_export, fuzz_seed
 
 from repro.consistency.history import History
 from repro.consistency.incremental import IncrementalAtomicityChecker
+from repro.consistency.shardmerge import shard_verdict_from_checker
 from repro.consistency.stream import (
     READ,
+    RETIRED_BYTE_BUDGET,
     WRITE,
     CheckerBatcher,
     OperationRecord,
@@ -203,7 +210,186 @@ class TestStreamingRecorderBoundedMemory:
                 recorder.mark_failed(op_id)
 
 
+class TestMarkFailedTwice:
+    """A second mark_failed on one operation is a no-op: counted once,
+    retired once, observers told once."""
+
+    @pytest.mark.parametrize("sink_factory", [History, lambda: StreamingRecorder(window=4)])
+    @pytest.mark.parametrize("completed", [False, True])
+    def test_second_call_changes_nothing(self, sink_factory, completed):
+        sink = sink_factory()
+        observer = sink.subscribe(_CollectingObserver())
+        sink.invoke("w", WRITE, "c0", 0.0, value=b"x" * 100)
+        if completed:
+            sink.respond("w", 1.0)
+        sink.mark_failed("w")
+        sink.mark_failed("w")
+        assert sink.failed_count == 1
+        assert observer.failed == ["w"]
+        assert sink.get("w").failed
+        if isinstance(sink, StreamingRecorder):
+            assert sink.resident_count == 1 and sink.evicted_count == 0
+            assert sink.retired_bytes == 100
+
+
+#: One shared object per size: the recorder holds references, so a schedule
+#: of values "above the budget" allocates nothing per example.
+_SIZES = (0, 1, 65536, 1 << 20, RETIRED_BYTE_BUDGET, RETIRED_BYTE_BUDGET + 1, 3 << 20)
+_VALUES = {size: bytes(size) for size in _SIZES}
+
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["invoke", "invoke", "respond", "respond", "fail"]),
+        st.integers(0, 1 << 16),  # which operation, modulo the candidates
+        st.sampled_from(_SIZES),
+        st.booleans(),  # write?
+    ),
+    max_size=60,
+)
+
+
+def check_byte_bounded_window(recorder, steps):
+    """Drive ``steps`` into ``recorder`` and hold the window's contract
+    after each: in-flight records are never evicted, the retired window
+    references at most the budget (or is one record), every operation is
+    resident or counted evicted, and an evicted id raises the named error."""
+    live, failed, invoked = [], [], []
+    for serial, (action, pick, size, is_write) in enumerate(steps):
+        # a late response reaches an operation retired as failed only while
+        # that record is resident (and may then change its value)
+        late = [op_id for op_id in failed if op_id in recorder._retired]
+        if action == "invoke" or not (live or late):
+            op_id = f"op{serial}"
+            value = _VALUES[size] if is_write else None
+            kind = WRITE if is_write else READ
+            recorder.invoke(op_id, kind, "c", float(serial), value=value)
+            live.append(op_id)
+            invoked.append(op_id)
+        elif action == "fail" and live:
+            op_id = live.pop(pick % len(live))
+            recorder.mark_failed(op_id)
+            if op_id in recorder._retired:
+                recorder.mark_failed(op_id)  # counted once, retired once
+            failed.append(op_id)
+        else:
+            op_id = (live + late)[pick % len(live + late)]
+            recorder.respond(op_id, float(serial), value=_VALUES[size])
+            (live if op_id in live else failed).remove(op_id)
+
+        for op_id in live:
+            assert not recorder.get(op_id).is_complete  # resident, whatever its size
+        assert [record.op_id for record in recorder.in_flight()] == live
+        retired = recorder._retired
+        assert recorder.retired_bytes == sum(len(r.value or b"") for r in retired.values())
+        assert len(retired) <= recorder.window
+        assert recorder.retired_bytes <= RETIRED_BYTE_BUDGET or len(retired) == 1
+        assert recorder.retired_bytes <= recorder.max_retired_bytes
+        assert recorder.evicted_count + recorder.resident_count == len(invoked)
+        evicted = [op for op in invoked if op not in retired and op not in live]
+        assert len(evicted) == recorder.evicted_count
+        for op_id in evicted[-3:]:
+            with pytest.raises(ValueError, match="already evicted from its retirement"):
+                recorder.get(op_id)
+
+
+class TestByteBoundedWindow:
+    def test_values_are_evicted_by_bytes_before_the_record_count(self):
+        recorder = StreamingRecorder(window=256)
+        for i in range(100):
+            recorder.invoke(f"w{i}", WRITE, "c0", float(i), value=bytes(65536))
+            recorder.respond(f"w{i}", i + 0.5)
+        assert recorder.retired_bytes == RETIRED_BYTE_BUDGET == recorder.max_retired_bytes
+        assert recorder.resident_count == 32 and recorder.evicted_count == 68
+        assert recorder.max_resident == 33
+        with pytest.raises(ValueError, match="already evicted from its retirement window"):
+            recorder.get("w0")
+        assert recorder.get("w99").is_complete
+
+    def test_small_values_keep_the_whole_window(self):
+        recorder = StreamingRecorder(window=256)
+        for i in range(600):
+            recorder.invoke(f"w{i}", WRITE, "c0", float(i), value=bytes(8192))
+            recorder.respond(f"w{i}", i + 0.5)
+        assert recorder.resident_count == 256
+        assert recorder.max_retired_bytes == RETIRED_BYTE_BUDGET
+
+    def test_the_newest_retired_record_stays_even_above_the_budget(self):
+        recorder = StreamingRecorder(window=8)
+        for i in range(3):
+            recorder.invoke(f"w{i}", WRITE, "c0", float(i), value=_VALUES[3 << 20])
+            recorder.respond(f"w{i}", i + 0.5)
+            assert recorder.resident_count == 1
+            assert recorder.get(f"w{i}").is_complete
+        assert recorder.retired_bytes == 3 << 20
+        assert recorder.evicted_count == 2
+
+    @settings(max_examples=150 * FUZZ_FACTOR, deadline=None)
+    @given(window=st.sampled_from([0, 1, 2, 4, 256]), steps=_steps)
+    def test_any_interleaving_keeps_the_contract(self, window, steps):
+        check_byte_bounded_window(StreamingRecorder(window=window), steps)
+
+    def test_mutant_evicting_in_flight_records_is_killed(self):
+        """tests/mutants/recorder.py: a large write in flight while another
+        retires is evicted, and the contract's live lookup says so."""
+        from mutants.recorder import EvictsInFlightRecorder
+
+        big = 3 << 20
+        steps = [("invoke", 0, big, True), ("invoke", 0, big, True), ("respond", 1, 0, True)]
+        check_byte_bounded_window(StreamingRecorder(window=4), steps)
+        with pytest.raises(ValueError, match="already evicted from its retirement"):
+            check_byte_bounded_window(EvictsInFlightRecorder(window=4), steps)
+
+
+def _feed(sink, history, pad):
+    """Record ``history`` into ``sink`` in live-stream order, values padded
+    to ``pad`` bytes; operations that never complete fail at the end."""
+
+    def padded(value):
+        return None if value is None else value.ljust(pad, b".")
+
+    events = []
+    for op in history.operations():
+        events.append((op.invoked_at, 0, op))
+        if op.is_complete:
+            events.append((op.responded_at, 1, op))
+    for _, phase, op in sorted(events, key=lambda e: e[:2]):
+        if phase == 0:
+            value = padded(op.value) if op.kind == WRITE else None
+            sink.invoke(op.op_id, op.kind, op.client, op.invoked_at, value=value)
+        else:
+            value = padded(op.value) if op.kind == READ else None
+            sink.respond(op.op_id, op.responded_at, value=value)
+    for op in history.incomplete_operations():
+        sink.mark_failed(op.op_id)
+
+
+class TestReportsDoNotDependOnTheWindow:
+    """What the checker reports is a function of the events, never of which
+    records the recorder still holds: window 0, window 256 and the
+    keep-everything sink export equal verdicts on the fuzz schedules — with
+    600 KiB values too, where the byte bound evicts after three records."""
+
+    @pytest.mark.parametrize("pad, cases", [(0, 150), (600 * 1024, 12)])
+    @pytest.mark.parametrize("inject", [None, "phantom", "swap", "future", "duplicate"])
+    def test_equal_exports(self, inject, pad, cases):
+        rng = np.random.default_rng(fuzz_seed(f"window:{inject}:{pad}"))
+        flagged = 0
+        for _ in range(cases * FUZZ_FACTOR):
+            history = build_history(rng, inject=inject)
+            exports = []
+            for sink in (StreamingRecorder(window=0), StreamingRecorder(window=256), History()):
+                checker = sink.subscribe(IncrementalAtomicityChecker(unknown_values="defer"))
+                _feed(sink, history, pad)
+                exports.append(
+                    (checker_export(checker), shard_verdict_from_checker(0, checker))
+                )
+            assert exports[0] == exports[1] == exports[2]
+            flagged += not exports[0][0][0]
+        assert inject is None or flagged  # the schedules do reach the checker
+
+
 class TestClusterWithStreamingRecorder:
+
     def test_blocking_ops_survive_tiny_window(self):
         """Blocking write/read must work even when the completed record is
         evicted from the sink immediately (window=0)."""

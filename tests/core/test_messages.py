@@ -59,12 +59,16 @@ class TestMetadataMessagesAreFree:
 
 class TestPayloads:
     def test_payloads_are_hashable_and_comparable(self):
-        a = ReadDispersePayload(tag=Tag(1, "w"), server_index=2, read_id="r:1")
-        b = ReadDispersePayload(tag=Tag(1, "w"), server_index=2, read_id="r:1")
+        a = ReadDispersePayload(
+            tag=Tag(1, "w"), server_index=2, read_id="r:1", reader_pid="r", seq=1
+        )
+        b = ReadDispersePayload(
+            tag=Tag(1, "w"), server_index=2, read_id="r:1", reader_pid="r", seq=1
+        )
         assert a == b
         assert hash(a) == hash(b)
-        assert ReadValuePayload("r0", "r:1", TAG_ZERO) != ReadCompletePayload(
-            "r0", "r:1", TAG_ZERO
+        assert ReadValuePayload("r0", "r:1", TAG_ZERO, 1) != ReadCompletePayload(
+            "r0", "r:1", TAG_ZERO, 1
         )
 
     def test_messages_are_immutable(self):

@@ -96,8 +96,10 @@ def md_value_deliver(sim, server, tag, value, op_id="write:op", origin="writer")
     return element
 
 
-def register_reader(sim, server, read_id="read:r0:1", tag=TAG_ZERO):
-    payload = ReadValuePayload(reader_pid="reader-proc", read_id=read_id, tag=tag)
+def register_reader(sim, server, read_id="read:r0:1", tag=TAG_ZERO, seq=1):
+    payload = ReadValuePayload(
+        reader_pid="reader-proc", read_id=read_id, tag=tag, seq=seq
+    )
     msg = MDMeta(mid=("reader-proc", hash(read_id) % 10_000), payload=payload,
                  origin="reader-proc", op_id=read_id)
     deliver(sim, server, "reader-proc", msg)
@@ -193,7 +195,9 @@ class TestReadValueRegistration:
         sim, server, probes = build_server()
         complete = MDMeta(
             mid=("reader-proc", 77),
-            payload=ReadCompletePayload(reader_pid="reader-proc", read_id="read:r0:1", tag=TAG_ZERO),
+            payload=ReadCompletePayload(
+                reader_pid="reader-proc", read_id="read:r0:1", tag=TAG_ZERO, seq=1
+            ),
             origin="reader-proc",
             op_id="read:r0:1",
         )
@@ -217,7 +221,11 @@ class TestReadValueRegistration:
         # arrives before the reader's registration (entries for unregistered
         # readers are accumulated, note 1 of Section IV).
         payload = ReadDispersePayload(
-            tag=TAG_ZERO, server_index=server.index, read_id="read:r0:1"
+            tag=TAG_ZERO,
+            server_index=server.index,
+            read_id="read:r0:1",
+            reader_pid="reader-proc",
+            seq=1,
         )
         msg = MDMeta(mid=("s0", 400), payload=payload, origin="s0", op_id="read:r0:1")
         deliver(sim, server, "s0", msg)
@@ -234,7 +242,9 @@ class TestReadValueRegistration:
         assert server.registered_readers
         complete = MDMeta(
             mid=("reader-proc", 78),
-            payload=ReadCompletePayload(reader_pid="reader-proc", read_id="read:r0:1", tag=TAG_ZERO),
+            payload=ReadCompletePayload(
+                reader_pid="reader-proc", read_id="read:r0:1", tag=TAG_ZERO, seq=1
+            ),
             origin="reader-proc",
             op_id="read:r0:1",
         )
@@ -250,7 +260,13 @@ class TestReadDisperse:
         tag = Tag(1, "w")
         # READ-DISPERSE notifications from k different servers for this tag.
         for src in range(CODE.k):
-            payload = ReadDispersePayload(tag=tag, server_index=src, read_id="read:r0:1")
+            payload = ReadDispersePayload(
+                tag=tag,
+                server_index=src,
+                read_id="read:r0:1",
+                reader_pid="reader-proc",
+                seq=1,
+            )
             msg = MDMeta(mid=(f"s{src}", 100 + src), payload=payload,
                          origin=f"s{src}", op_id="read:r0:1")
             deliver(sim, server, f"s{src}", msg)
@@ -262,7 +278,7 @@ class TestReadDisperse:
         complete = MDMeta(
             mid=("reader-proc", 101 + CODE.k),
             payload=ReadCompletePayload(
-                reader_pid="reader-proc", read_id="read:r0:1", tag=tag
+                reader_pid="reader-proc", read_id="read:r0:1", tag=tag, seq=1
             ),
             origin="reader-proc",
             op_id="read:r0:1",
@@ -275,7 +291,13 @@ class TestReadDisperse:
         register_reader(sim, server, tag=Tag(1, "w"))
         tag = Tag(1, "w")
         for src in range(CODE.k - 1):
-            payload = ReadDispersePayload(tag=tag, server_index=src, read_id="read:r0:1")
+            payload = ReadDispersePayload(
+                tag=tag,
+                server_index=src,
+                read_id="read:r0:1",
+                reader_pid="reader-proc",
+                seq=1,
+            )
             msg = MDMeta(mid=(f"s{src}", 200 + src), payload=payload,
                          origin=f"s{src}", op_id="read:r0:1")
             deliver(sim, server, f"s{src}", msg)
@@ -285,8 +307,62 @@ class TestReadDisperse:
         """Entries arriving before registration are kept so the server can
         unregister the reader promptly once it does register (note 1)."""
         sim, server, probes = build_server()
-        payload = ReadDispersePayload(tag=Tag(1, "w"), server_index=0, read_id="read:r9:1")
+        payload = ReadDispersePayload(
+            tag=Tag(1, "w"), server_index=0, read_id="read:r9:1", reader_pid="r9", seq=1
+        )
         msg = MDMeta(mid=("s0", 300), payload=payload, origin="s0", op_id="read:r9:1")
         deliver(sim, server, "s0", msg)
         assert (Tag(1, "w"), 0, "read:r9:1") in server.history_entries
         assert "read:r9:1" not in server.registered_readers
+
+
+class TestFinishedReads:
+    """The per-reader watermark behind the READ-DISPERSE straggler filter."""
+
+    @staticmethod
+    def complete(sim, server, seq):
+        read_id = f"read:r0:{seq}"
+        payload = ReadCompletePayload(
+            reader_pid="reader-proc", read_id=read_id, tag=TAG_ZERO, seq=seq
+        )
+        msg = MDMeta(mid=("reader-proc", 500 + seq), payload=payload,
+                     origin="reader-proc", op_id=read_id)
+        deliver(sim, server, "reader-proc", msg)
+
+    @staticmethod
+    def straggler(sim, server, seq, src):
+        read_id = f"read:r0:{seq}"
+        payload = ReadDispersePayload(
+            tag=TAG_ZERO, server_index=src, read_id=read_id,
+            reader_pid="reader-proc", seq=seq,
+        )
+        msg = MDMeta(mid=(f"s{src}", 600 + 10 * seq + src), payload=payload,
+                     origin=f"s{src}", op_id=read_id)
+        deliver(sim, server, f"s{src}", msg)
+
+    def test_a_read_finished_out_of_order_closes_into_the_watermark(self):
+        sim, server, probes = build_server()
+        # Read 2 runs its whole course here while read 1's READ-VALUE and
+        # READ-COMPLETE are still under way (asynchronous links).
+        register_reader(sim, server, read_id="read:r0:2", seq=2)
+        self.complete(sim, server, 2)
+        assert server._done_above == {("reader-proc", 2)}
+        assert server._done_upto["reader-proc"] == 0
+        # Read 2 is over here: its stragglers leave nothing.  Read 1 is not.
+        self.straggler(sim, server, seq=2, src=0)
+        self.straggler(sim, server, seq=1, src=0)
+        assert {entry[2] for entry in server.history_entries} == {"read:r0:1"}
+        register_reader(sim, server, read_id="read:r0:1", seq=1)
+        self.complete(sim, server, 1)
+        assert server._done_upto["reader-proc"] == 2 and not server._done_above
+        self.straggler(sim, server, seq=1, src=1)
+        assert server.per_read_entries == 0
+
+    def test_a_cancelled_registration_counts_as_finished(self):
+        sim, server, probes = build_server()
+        self.complete(sim, server, 1)  # overtook the READ-VALUE
+        assert server._done_upto["reader-proc"] == 0
+        register_reader(sim, server, read_id="read:r0:1", seq=1)
+        assert server._done_upto["reader-proc"] == 1
+        self.straggler(sim, server, seq=1, src=0)
+        assert server.per_read_entries == 0

@@ -199,8 +199,17 @@ class TestLongrunCommand:
         # Peak RSS of the cell workers: on stdout, in no artefact.
         (memory,) = re.findall(r"^memory          : ([0-9.]+) MiB peak RSS", out, re.M)
         assert 1.0 < float(memory) < 4096.0
+        # Peak value bytes one recorder's retired window held: same rule.
+        ((records, kib),) = re.findall(
+            r"^memory gauge    : stream_max_resident=(\d+) records, "
+            r"([0-9.]+) KiB of values per recorder \(window 256\)$",
+            out,
+            re.M,
+        )
+        assert int(records) > 0 and 0.0 < float(kib) <= 2048.0
         for artefact in tmp_path.iterdir():
-            assert "rss" not in artefact.read_text().lower()
+            text = artefact.read_text().lower()
+            assert "rss" not in text and "value_bytes" not in text
 
     def test_longrun_no_artefacts(self, capsys, tmp_path):
         assert (
