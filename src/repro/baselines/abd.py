@@ -40,7 +40,7 @@ from repro.sim.process import Process
 # ----------------------------------------------------------------------
 # messages
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AbdQueryRequest:
     """Phase-1 query (both reads and writes): ask for the stored tag.
 
@@ -52,7 +52,7 @@ class AbdQueryRequest:
     data_units: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AbdQueryResponse:
     op_id: str
     tag: Tag
@@ -60,7 +60,7 @@ class AbdQueryResponse:
     data_units: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AbdStoreRequest:
     """Phase-2 store (write) or write-back (read): replace older versions."""
 
@@ -70,7 +70,7 @@ class AbdStoreRequest:
     data_units: float = 1.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AbdStoreAck:
     op_id: str
     tag: Tag
@@ -99,7 +99,7 @@ class AbdServer(Process):
     def attach(self, simulation) -> None:
         super().attach(simulation)
         if self.storage_tracker is not None:
-            self.storage_tracker.update(self.pid, 1.0, time=0.0)
+            self.storage_tracker.update(self.pid, 1.0)
 
     def on_message(self, sender: str, message: object) -> None:
         mtype = type(message)
@@ -108,10 +108,10 @@ class AbdServer(Process):
             self.send(
                 sender,
                 AbdQueryResponse(
-                    op_id=message.op_id,
-                    tag=self.tag,
-                    value=value,
-                    data_units=1.0 if message.include_value else 0.0,
+                    message.op_id,
+                    self.tag,
+                    value,
+                    1.0 if message.include_value else 0.0,
                 ),
             )
         elif mtype is AbdStoreRequest:
@@ -119,8 +119,8 @@ class AbdServer(Process):
                 self.tag = message.tag
                 self.value = message.value
                 if self.storage_tracker is not None:
-                    self.storage_tracker.update(self.pid, 1.0, time=self.now)
-            self.send(sender, AbdStoreAck(op_id=message.op_id, tag=message.tag))
+                    self.storage_tracker.update(self.pid, 1.0)
+            self.send(sender, AbdStoreAck(message.op_id, message.tag))
 
 
 # ----------------------------------------------------------------------

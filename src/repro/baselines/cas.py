@@ -44,7 +44,7 @@ from repro.sim.process import Process
 # ----------------------------------------------------------------------
 # messages
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CasQueryRequest:
     """Ask a server for its highest *finalized* tag."""
 
@@ -52,14 +52,14 @@ class CasQueryRequest:
     data_units: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CasQueryResponse:
     op_id: str
     tag: Tag
     data_units: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CasPreWriteRequest:
     """Store one coded element under ``tag`` with the 'pre' label."""
 
@@ -69,14 +69,14 @@ class CasPreWriteRequest:
     data_units: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CasPreWriteAck:
     op_id: str
     tag: Tag
     data_units: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CasFinalizeRequest:
     """Mark ``tag`` as finalized.  ``reply_with_element`` is set by readers,
     which need the coded elements back to decode."""
@@ -87,7 +87,7 @@ class CasFinalizeRequest:
     data_units: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CasFinalizeAck:
     op_id: str
     tag: Tag
@@ -150,7 +150,7 @@ class CasServer(Process):
 
     def _notify_storage(self) -> None:
         if self.storage_tracker is not None:
-            self.storage_tracker.update(self.pid, self.stored_data_units, time=self.now)
+            self.storage_tracker.update(self.pid, self.stored_data_units)
 
     def attach(self, simulation) -> None:
         super().attach(simulation)
@@ -160,10 +160,7 @@ class CasServer(Process):
     def on_message(self, sender: str, message: object) -> None:
         mtype = type(message)
         if mtype is CasQueryRequest:
-            self.send(
-                sender,
-                CasQueryResponse(op_id=message.op_id, tag=self._max_finalized),
-            )
+            self.send(sender, CasQueryResponse(message.op_id, self._max_finalized))
         elif mtype is CasPreWriteRequest:
             existing = self.versions.get(message.tag)
             if existing is None:
@@ -176,7 +173,7 @@ class CasServer(Process):
                 self._with_elements.add(message.tag)
             self._garbage_collect()
             self._notify_storage()
-            self.send(sender, CasPreWriteAck(op_id=message.op_id, tag=message.tag))
+            self.send(sender, CasPreWriteAck(message.op_id, message.tag))
         elif mtype is CasFinalizeRequest:
             version = self.versions.get(message.tag)
             if version is None:
@@ -192,13 +189,11 @@ class CasServer(Process):
             self.send(
                 sender,
                 CasFinalizeAck(
-                    op_id=message.op_id,
-                    tag=message.tag,
-                    element=element,
-                    server_index=self.index,
-                    data_units=(
-                        self.code.element_data_units if element is not None else 0.0
-                    ),
+                    message.op_id,
+                    message.tag,
+                    element,
+                    self.index,
+                    self.code.element_data_units if element is not None else 0.0,
                 ),
             )
 

@@ -107,9 +107,7 @@ class MDSender:
     def md_meta_send(self, payload: object, op_id: str) -> MessageId:
         """Disperse a metadata payload to every non-faulty server."""
         mid = self._next_mid()
-        meta = MDMeta(
-            mid=mid, payload=payload, origin=self._pid_str, op_id=op_id
-        )
+        meta = MDMeta(mid, payload, self._pid_str, op_id)
         self._process.send_many(self._dispersal, meta)
         return mid
 
@@ -254,20 +252,12 @@ class MDServerEngine:
         self._server.send_many(self._forward_targets, message)
         # Send coded elements to every server outside the dispersal set.
         send = self._server.send
+        mid, tag, origin = message.mid, message.tag, message.origin
+        op_id, units = message.op_id, self._code.element_data_units
         for idx, server in self._outside_dispersal:
-            coded = MDValueCoded(
-                mid=message.mid,
-                tag=message.tag,
-                element=elements[idx],
-                origin=message.origin,
-                op_id=message.op_id,
-                data_units=self._code.element_data_units,
-            )
-            send(server, coded)
+            send(server, MDValueCoded(mid, tag, elements[idx], origin, op_id, units))
         # Deliver the local coded element.
-        self._on_value_deliver(
-            message.tag, elements[self._index], message.origin, message.op_id
-        )
+        self._on_value_deliver(tag, elements[self._index], origin, op_id)
 
     def _handle_coded(self, message: MDValueCoded) -> None:
         if self._later_copy(message.mid):

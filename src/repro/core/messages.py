@@ -1,7 +1,16 @@
 """Protocol messages for SODA / SODAerr and the message-disperse primitives.
 
-Every message is a frozen dataclass.  Two attributes drive the cost
-accounting of Section II-h:
+Every message is a plain slotted dataclass with typed equality and a field
+hash, as are the CAS/ABD messages and ``CodedElement``.  One object is
+shared by every destination of a ``send_many`` and by every relay hop, so
+**no handler may assign to a message it sent or received**.  That rule is
+not enforced per field at construction (``frozen=True`` cost ~0.8 us on each
+of 34 constructions per SODA operation): the suite checks it on watched runs
+of all protocols (``tests/sent_payloads.py``), and the per-event sites build
+messages positionally, with the field order pinned by
+``tests/core/test_messages.py`` — docs/perf.md, "Construction per event".
+
+Two attributes drive the cost accounting of Section II-h:
 
 * ``data_units`` — normalized payload size: ``1.0`` for a full value,
   ``1/k`` for a coded element, ``0.0`` for pure metadata;
@@ -27,7 +36,7 @@ MessageId = Tuple[str, int]
 # ----------------------------------------------------------------------
 # client <-> server query phases (metadata only)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WriteGetRequest:
     """write-get phase: the writer asks a server for its local tag."""
 
@@ -35,7 +44,7 @@ class WriteGetRequest:
     data_units: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WriteGetResponse:
     """A server's reply to :class:`WriteGetRequest` with its stored tag."""
 
@@ -44,7 +53,7 @@ class WriteGetResponse:
     data_units: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ReadGetRequest:
     """read-get phase: the reader asks a server for its local tag."""
 
@@ -52,7 +61,7 @@ class ReadGetRequest:
     data_units: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ReadGetResponse:
     """A server's reply to :class:`ReadGetRequest` with its stored tag."""
 
@@ -61,7 +70,7 @@ class ReadGetResponse:
     data_units: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WriteAck:
     """Acknowledgement a server sends to the writer after the corresponding
     coded element has been delivered to it by MD-VALUE (Fig. 5, response 3)."""
@@ -72,7 +81,7 @@ class WriteAck:
     data_units: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ReadValueResponse:
     """A coded element relayed from a server to a registered reader.
 
@@ -91,7 +100,7 @@ class ReadValueResponse:
 # ----------------------------------------------------------------------
 # MD-VALUE primitive (Section III-A)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MDValueFull:
     """The ``"full"`` message: carries the whole value to the first f+1 servers."""
 
@@ -103,7 +112,7 @@ class MDValueFull:
     data_units: float = 1.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MDValueCoded:
     """The ``"coded"`` message: carries one coded element to one server."""
 
@@ -118,7 +127,7 @@ class MDValueCoded:
 # ----------------------------------------------------------------------
 # MD-META primitive payloads (Section III-B)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ReadValuePayload:
     """READ-VALUE: register reader ``read_id`` (process ``reader_pid``) for
     tags greater than or equal to ``tag``.  ``seq`` numbers the reader's
@@ -131,7 +140,7 @@ class ReadValuePayload:
     seq: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ReadCompletePayload:
     """READ-COMPLETE: the read ``read_id`` finished; unregister it."""
 
@@ -141,7 +150,7 @@ class ReadCompletePayload:
     seq: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ReadDispersePayload:
     """READ-DISPERSE: server ``server_index`` sent the coded element of
     ``tag`` to reader ``read_id``, the ``seq``-th read of ``reader_pid``
@@ -154,7 +163,7 @@ class ReadDispersePayload:
     seq: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MDMeta:
     """Envelope for a metadata payload dispersed via MD-META."""
 

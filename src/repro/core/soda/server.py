@@ -200,9 +200,7 @@ class SodaServer(Process):
         super().attach(simulation)
         self._md_sender = MDSender(self, self.servers_in_order, self.f)
         if self.storage_tracker is not None:
-            self.storage_tracker.update(
-                self.pid, self.stored_data_units, time=0.0
-            )
+            self.storage_tracker.update(self.pid, self.stored_data_units)
 
     @property
     def md_sender(self) -> MDSender:
@@ -223,9 +221,9 @@ class SodaServer(Process):
         # here; message-disperse traffic is bound in ``self.handlers``.
         mtype = type(message)
         if mtype is WriteGetRequest:
-            self.send(sender, WriteGetResponse(op_id=message.op_id, tag=self.tag))
+            self.send(sender, WriteGetResponse(message.op_id, self.tag))
         elif mtype is ReadGetRequest:
-            self.send(sender, ReadGetResponse(op_id=message.op_id, tag=self.tag))
+            self.send(sender, ReadGetResponse(message.op_id, self.tag))
         # Any other message type is not for a SODA server; ignore silently
         # (the simulator never produces such messages in practice).
 
@@ -247,11 +245,9 @@ class SodaServer(Process):
             self.element = element
             self.writes_applied += 1
             if self.storage_tracker is not None:
-                self.storage_tracker.update(
-                    self.pid, self.stored_data_units, time=self.now
-                )
+                self.storage_tracker.update(self.pid, self.stored_data_units)
         # Acknowledge to the writer.
-        self.send(origin, WriteAck(op_id=op_id, tag=tag, server_index=self.index))
+        self.send(origin, WriteAck(op_id, tag, self.index))
 
     # ------------------------------------------------------------------
     # MD-META deliveries (Fig. 5, responses 4-6)
@@ -270,10 +266,7 @@ class SodaServer(Process):
             self.history_index.pop(payload.read_id, None)
             return
         reg = RegisteredReader(
-            reader_pid=payload.reader_pid,
-            read_id=payload.read_id,
-            tag=payload.tag,
-            seq=payload.seq,
+            payload.reader_pid, payload.read_id, payload.tag, payload.seq
         )
         self.registered[payload.read_id] = reg
         if self.registration_log is not None:
@@ -324,22 +317,14 @@ class SodaServer(Process):
         self.send(
             reg.reader_pid,
             ReadValueResponse(
-                op_id=reg.read_id,
-                tag=tag,
-                element=element,
-                server_index=self.index,
-                data_units=self.code.element_data_units,
+                reg.read_id, tag, element, self.index, self.code.element_data_units
             ),
         )
         self.elements_relayed_to_readers += 1
         self._note_history(tag, self.index, reg.read_id)
         self.md_sender.md_meta_send(
             ReadDispersePayload(
-                tag=tag,
-                server_index=self.index,
-                read_id=reg.read_id,
-                reader_pid=reg.reader_pid,
-                seq=reg.seq,
+                tag, self.index, reg.read_id, reg.reader_pid, reg.seq
             ),
             op_id=reg.read_id,
         )

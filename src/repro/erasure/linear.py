@@ -123,14 +123,11 @@ class LinearCode(MDSCode):
         for b, rows in enumerate(coded):
             start = b * k * stripe
             elements = [
-                CodedElement(
-                    index=i,
-                    data=framed[start + i * stripe : start + (i + 1) * stripe],
-                )
+                CodedElement(i, framed[start + i * stripe : start + (i + 1) * stripe])
                 for i in range(first)
             ]
             elements += [
-                CodedElement(index=first + i, data=row.tobytes())
+                CodedElement(first + i, row.tobytes())
                 for i, row in enumerate(rows)
             ]
             out.append(elements)

@@ -29,7 +29,7 @@ class DecodingError(ValueError):
     """Raised when a value cannot be reconstructed from the given elements."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CodedElement:
     """A single coded element: the ``index``-th symbol of the codeword.
 

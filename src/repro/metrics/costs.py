@@ -9,9 +9,7 @@ the trackers below simply aggregate those attributes.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, Hashable, Optional
+from typing import Dict, Hashable
 
 from repro.sim.network import MessageRecord, Network
 
@@ -64,40 +62,20 @@ class CommunicationCostTracker:
         return {op: record.real for op, record in self._per_op.items()}
 
 
-@dataclass
-class StorageSample:
-    """Total stored data units observed at a point in simulated time."""
-
-    time: float
-    total_units: float
-
-
 class StorageTracker:
-    """Tracks the total coded data stored across servers over time.
+    """Tracks the total coded data stored across servers.
 
     Servers call :meth:`update` whenever the amount of coded data they hold
     changes (storing a new element, garbage-collecting old versions, ...).
     The tracker maintains the current total and the running maximum — the
     paper's worst-case total storage cost.
-
-    The per-update time series in :attr:`samples` is bounded: long benchmark
-    runs produce one sample per applied write per server, which would grow
-    without limit.  The newest ``max_samples`` samples are retained (pass
-    ``max_samples=None`` for an unbounded series); the running peak and
-    current totals are exact regardless of the bound.
     """
 
-    #: Default bound on the retained time series.
-    DEFAULT_MAX_SAMPLES = 10_000
-
-    def __init__(self, *, max_samples: Optional[int] = DEFAULT_MAX_SAMPLES) -> None:
-        if max_samples is not None and max_samples < 1:
-            raise ValueError("max_samples must be positive (or None for unbounded)")
+    def __init__(self) -> None:
         self._per_server: Dict[Hashable, float] = {}
         self.max_total_units = 0.0
-        self.samples: Deque[StorageSample] = deque(maxlen=max_samples)
 
-    def update(self, server_id: Hashable, data_units: float, *, time: float = 0.0) -> None:
+    def update(self, server_id: Hashable, data_units: float) -> None:
         """Record that ``server_id`` currently stores ``data_units`` of data."""
         if data_units < 0:
             raise ValueError("stored data cannot be negative")
@@ -105,7 +83,6 @@ class StorageTracker:
         total = self.current_total
         if total > self.max_total_units:
             self.max_total_units = total
-        self.samples.append(StorageSample(time=time, total_units=total))
 
     @property
     def current_total(self) -> float:

@@ -86,12 +86,12 @@ class TestCommunicationCostTracker:
 class TestStorageTracker:
     def test_peak_tracking(self):
         t = StorageTracker()
-        t.update("s1", 0.5, time=0.0)
-        t.update("s2", 0.5, time=1.0)
+        t.update("s1", 0.5)
+        t.update("s2", 0.5)
         assert t.current_total == pytest.approx(1.0)
-        t.update("s1", 2.0, time=2.0)
+        t.update("s1", 2.0)
         assert t.peak() == pytest.approx(2.5)
-        t.update("s1", 0.0, time=3.0)
+        t.update("s1", 0.0)
         assert t.current_total == pytest.approx(0.5)
         assert t.peak() == pytest.approx(2.5)  # peak is sticky
 
@@ -104,30 +104,3 @@ class TestStorageTracker:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             StorageTracker().update("s1", -1.0)
-
-    def test_samples_recorded(self):
-        t = StorageTracker()
-        t.update("s1", 1.0, time=1.0)
-        t.update("s1", 2.0, time=5.0)
-        assert [s.time for s in t.samples] == [1.0, 5.0]
-        assert [s.total_units for s in t.samples] == [1.0, 2.0]
-
-    def test_samples_bounded_keeps_newest_and_exact_peak(self):
-        t = StorageTracker(max_samples=3)
-        for i in range(10):
-            t.update("s1", float(i), time=float(i))
-        assert len(t.samples) == 3
-        assert [s.time for s in t.samples] == [7.0, 8.0, 9.0]
-        # Peak and current totals are exact despite the dropped samples.
-        assert t.peak() == pytest.approx(9.0)
-        assert t.current_total == pytest.approx(9.0)
-
-    def test_samples_unbounded_when_requested(self):
-        t = StorageTracker(max_samples=None)
-        for i in range(StorageTracker.DEFAULT_MAX_SAMPLES + 5):
-            t.update("s1", 1.0, time=float(i))
-        assert len(t.samples) == StorageTracker.DEFAULT_MAX_SAMPLES + 5
-
-    def test_invalid_bound_rejected(self):
-        with pytest.raises(ValueError):
-            StorageTracker(max_samples=0)

@@ -6,6 +6,10 @@ A message normally costs one heap tuple and one handler call; a
 reads it.  These tests pin down that the two ways a message can travel are
 indistinguishable from outside: same ``(time, seq)`` stream, same counters,
 same costs.
+
+The observed protocol runs also carry the check that stands where
+``frozen=True`` stood on the message classes: no payload changes after it is
+sent (``tests/sent_payloads.py``).
 """
 
 from dataclasses import asdict, dataclass
@@ -14,6 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mutants.soda_server import RewritingRelayServer
+from sent_payloads import SentPayloads
+
+import repro.core.soda.cluster as soda_cluster
 import repro.sim.network as network_module
 from repro.baselines.registry import make_cluster
 from repro.metrics.costs import CommunicationCostTracker
@@ -69,6 +77,7 @@ def _protocol_run(protocol: str, *, observed: bool):
     if observed:
         network.on_send(sends.append)
         network.on_deliver(delivers.append)
+        payloads = SentPayloads(network)
     if protocol == "SODAerr":
         cluster.crash_server(0, at_time=40.0)
     stream = []
@@ -80,6 +89,8 @@ def _protocol_run(protocol: str, *, observed: bool):
         assert len(network.trace) == len(sends) == network.stats.messages_sent
         assert len(delivers) == network.stats.messages_delivered
         assert all(r.delivered_at is not None or r.dropped for r in network.trace)
+        # ... and every payload is still what its sender sent.
+        payloads.check()
     else:
         assert network.trace == []
     return dict(
@@ -106,6 +117,14 @@ def test_fast_path_is_event_for_event_the_observed_path(protocol):
         assert fast["network"]["messages_dropped"] > 0  # the crash happened mid-run
     for key in fast:
         assert fast[key] == observed[key], f"{protocol}: {key} differs"
+
+
+def test_mutant_rewriting_a_delivered_payload_is_killed_by_the_sent_payload_check(
+    monkeypatch,
+):
+    monkeypatch.setattr(soda_cluster, "SodaServer", RewritingRelayServer)
+    with pytest.raises(AssertionError, match="payload changed after it was sent"):
+        _protocol_run("SODA", observed=True)
 
 
 # ----------------------------------------------------------------------

@@ -13,10 +13,12 @@ differential tests in ``tests/consistency/test_fuzz_checkers.py``.
 import os
 
 import pytest
+from sent_payloads import SentPayloads
 
 from repro.baselines.registry import available_protocols, make_cluster
 from repro.consistency.incremental import IncrementalAtomicityChecker
 from repro.consistency.stream import StreamingRecorder
+from repro.sim.adversary import WithholdingAdversary
 from repro.sim.failures import CrashSchedule
 from repro.sim.network import SlowDisk, UniformDelay
 
@@ -130,3 +132,24 @@ class TestRandomSchedules:
         assert_clean(cluster, recorder, checker, stats)
         # The surviving clients carried on past the crash.
         assert stats.completed > OPS // 2
+
+    def test_no_handler_rewrites_a_payload(self, protocol, seed):
+        """Message classes are not frozen: one object reaches every
+        destination and relay hop, so a handler assigning to what it sent or
+        received would corrupt its peers' input.  Watched here under random
+        crashes plus (SODA's element relays) a withholding server, in runs
+        ``FUZZ_FACTOR`` times longer at nightly scale."""
+        cluster, recorder, checker = build(protocol, seed=seed)
+        payloads = SentPayloads(cluster.sim.network)
+        rng = cluster.sim.spawn_rng()
+        schedule = CrashSchedule.random(
+            cluster.server_ids, cluster.f - 1, rng, time_range=(0.0, 15.0)
+        )
+        cluster.apply_crash_schedule(schedule)
+        cluster.sim.network.install_adversary(
+            WithholdingAdversary({cluster.server_ids[-1]: (3.0, 12.0)})
+        )
+        stats = cluster.run_streamed(operations=OPS * FUZZ_FACTOR, seed=seed + 6)
+        assert_clean(cluster, recorder, checker, stats)
+        assert stats.completed > OPS // 2
+        payloads.check()
