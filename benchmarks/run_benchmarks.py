@@ -14,7 +14,7 @@ Two artefacts track the repository's performance trajectory:
   :mod:`bench_event_loop`, gated tighter than the protocol rows),
   a checker-core microbenchmark row (``checker_ops_per_s`` — a
   pre-generated operation stream replayed straight into the checker, see
-  :mod:`bench_checker`), a sweep-engine throughput
+  :mod:`bench_checker`), a paper-sweep throughput
   row (``sweep_points_per_s``), a streaming-checker throughput row
   (``stream_ops_per_s``, the incremental atomicity checker over a
   bounded-memory recorder), real-cluster longrun rows
@@ -68,7 +68,7 @@ from bench_event_loop import bench_event_loop  # noqa: E402
 from bench_fleet import bench_fleet  # noqa: E402
 from bench_gf_kernels import bench_erasure  # noqa: E402
 
-from repro.analysis.experiments import storage_cost_vs_f  # noqa: E402
+from repro.analysis.experiments import run_sweep  # noqa: E402
 from repro.analysis.engine import run_experiment  # noqa: E402
 from repro.baselines.registry import make_cluster  # noqa: E402
 from repro.consistency.incremental import IncrementalAtomicityChecker  # noqa: E402
@@ -203,7 +203,7 @@ def _protocol_row(protocol: str, *, ops: int, seed: int) -> Dict[str, float]:
 
 def bench_sim(*, quick: bool = False, seed: int = 7) -> Dict[str, object]:
     """Simulation throughput: the headline SODA workload, per-protocol
-    rows, the sweep engine and the streaming checker, all wall-clocked."""
+    rows, a paper sweep and the streaming checker, all wall-clocked."""
     ops = 10 if quick else 40
     cluster = SodaCluster(
         n=5, f=2, num_writers=2, num_readers=2, seed=seed, initial_value=b"v0"
@@ -247,12 +247,10 @@ def bench_sim(*, quick: bool = False, seed: int = 7) -> Dict[str, object]:
     # carries a CI gate: no simulation in the loop makes it stable enough.
     results.update(bench_checker(quick=quick, seed=seed))
 
-    # Sweep-engine throughput: points of the E2 storage sweep per second
-    # (in-process; multiprocess sharding is covered by the determinism
-    # tests, and spawn startup would dominate a seconds-long measurement).
+    # Paper-sweep throughput: points of the E2 storage sweep per second.
     sweep_f_values = (1, 2) if quick else (1, 2, 3, 4)
     start = time.perf_counter()
-    points = storage_cost_vs_f(n=10, f_values=sweep_f_values, seed=seed, jobs=1)
+    points = run_sweep("storage", seed=seed, values=sweep_f_values)
     results["sweep_points_per_s"] = len(points) / (time.perf_counter() - start)
 
     # Streaming-checker throughput: synthetic operations streamed through a

@@ -12,7 +12,7 @@ Run with:  python examples/cost_comparison.py [n]
 import sys
 
 from repro.analysis.tables import format_table, generate_table1
-from repro.analysis.experiments import tradeoff_experiment
+from repro.analysis.experiments import run_sweep
 
 
 def main() -> None:
@@ -27,7 +27,7 @@ def main() -> None:
     print("\nStorage/communication trade-off (Section I-B): CASGC provisions")
     print("storage for delta concurrent writes up front; SODA keeps storage flat")
     print("and pays only in read communication when concurrency actually occurs.\n")
-    for p in tradeoff_experiment(n=6, f=2, delta_values=(0, 1, 2, 4), seed=7):
+    for p in run_sweep("tradeoff", seed=7):
         print(
             f"  delta={p.delta}: CASGC storage={p.casgc_storage:5.2f} read={p.casgc_read_cost:5.2f}   "
             f"SODA storage={p.soda_storage:5.2f} read={p.soda_read_cost:5.2f}"

@@ -63,8 +63,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from repro.analysis.pool import in_order, iter_unordered, max_rss_kb
-from repro.analysis.sweep import derive_seed
+from repro.analysis.pool import derive_seed, in_order, iter_unordered, max_rss_kb
 from repro.baselines.registry import make_cluster
 from repro.consistency.history import History
 from repro.consistency.incremental import ClusterSummary, Violation

@@ -1,43 +1,44 @@
-"""Experiment runners: one function per artefact of docs/sweeps.md's index.
+"""The paper's experiments: ten point functions and one table that runs them.
 
-Each runner declares its sweep as a grid of per-point parameters over a
-module-level *point function* (picklable, so the sharded sweep engine in
-:mod:`repro.analysis.sweep` can fan points out across processes) and
-returns a structured result that pairs the *measured* value with the
-paper's *predicted* value.  Every runner takes a ``jobs`` keyword: ``1``
-runs in-process, ``N`` shards the points over a spawn pool with identical
-results (per-point derived seeds make the output independent of
-scheduling).
+Every claim of the paper's evaluation is a *sweep* — a cost or latency as
+one parameter varies — and every point of a sweep is an independent seeded
+simulation.  Each point is a module-level *point function* returning a row
+that pairs the *measured* value with the paper's *predicted* one;
+:data:`SWEEPS` names, per sweep, the claim, the point function, the keyword
+it varies with its default values, and the defaults of the keywords it
+holds fixed; :func:`run_sweep` is the one way to run a row:
 
-The mapping from the paper's claims to sweeps:
+========  =============  ==============================================
+artefact  sweep          paper claim
+========  =============  ==============================================
+E2        storage        Theorem 5.3 (storage cost n/(n-f))
+E3        write-cost     Theorem 5.4 (write cost <= 5 f^2)
+E4        read-cost      Theorem 5.6 (read cost vs delta_w)
+E5        latency        Theorem 5.7 (5*delta / 6*delta bounds)
+E6        sodaerr        Theorem 6.3 (error-tolerant costs)
+E7        atomicity      Theorems 5.1/5.2, 6.1/6.2 (liveness+atomicity)
+E8        tradeoff       Section I-B (SODA vs CASGC provisioning)
+--        skew           scenario: skewed read/write mixes
+--        crash-burst    scenario: correlated crash bursts
+--        slow-disk      scenario: slow-disk latency injection
+========  =============  ==============================================
 
-========  =======================  ===========================================
-artefact  runner                   paper claim
-========  =======================  ===========================================
-E2        storage_cost_vs_f        Theorem 5.3 (storage cost n/(n-f))
-E3        write_cost_vs_f          Theorem 5.4 (write cost <= 5 f^2)
-E4        read_cost_vs_concurrency Theorem 5.6 (read cost vs delta_w)
-E5        latency_experiment       Theorem 5.7 (5*delta / 6*delta bounds)
-E6        sodaerr_experiment       Theorem 6.3 (error-tolerant costs)
-E7        atomicity_experiment     Theorems 5.1/5.2, 6.1/6.2 (liveness+atomicity)
-E8        tradeoff_experiment      Section I-B (SODA vs CASGC provisioning)
---        skew_experiment          scenario: skewed read/write mixes
---        crash_burst_experiment   scenario: correlated crash bursts
---        slow_disk_experiment     scenario: slow-disk latency injection
-========  =======================  ===========================================
-
-The benchmark modules under ``benchmarks/`` time these runners with
-pytest-benchmark and print the resulting rows; docs/sweeps.md ("E2–E8 →
-sweep definitions") carries the same table keyed by CLI sweep name.
+Point ``i`` of a sweep runs on ``derive_seed(seed, <seed text>, i)``, so a
+row at a given seed is the same number wherever and whenever it runs.  The
+points run one after another in this process: a point is 2-7 ms and a
+sweep 1-5 points (docs/sweeps.md has the table and the measurement that
+retired the sweep pool).  ``python -m repro.cli experiment <sweep>`` prints
+the rows; ``tests/golden/paper_sweeps_seed0.json`` pins every row at the
+table defaults.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.analysis import theoretical
-from repro.analysis.sweep import SweepSpec, run_sweep
+from repro.analysis.pool import derive_seed
 from repro.baselines.casgc import CasGcCluster
 from repro.baselines.registry import make_cluster
 from repro.consistency import (
@@ -85,27 +86,6 @@ def storage_point(*, n: int, f: int, writes: int, seed: int) -> StoragePoint:
     )
 
 
-def storage_cost_vs_f(
-    n: int = 10,
-    f_values: Optional[Sequence[int]] = None,
-    *,
-    writes: int = 3,
-    seed: int = 0,
-    jobs: int = 1,
-) -> List[StoragePoint]:
-    """Measure SODA's worst-case total storage for a sweep of ``f``."""
-    if f_values is None:
-        f_values = range(1, (n - 1) // 2 + 1)
-    spec = SweepSpec(
-        name="storage",
-        fn=storage_point,
-        grid=tuple({"n": n, "f": f, "writes": writes} for f in f_values),
-        base_seed=seed,
-        description="E2: storage cost vs f (Theorem 5.3)",
-    )
-    return run_sweep(spec, jobs=jobs)
-
-
 # ----------------------------------------------------------------------
 # E3: write cost vs f (Theorem 5.4)
 # ----------------------------------------------------------------------
@@ -133,29 +113,6 @@ def write_cost_point(
         measured=max(costs),
         bound=theoretical.soda_write_cost_bound(system_n, f),
     )
-
-
-def write_cost_vs_f(
-    f_values: Sequence[int] = (1, 2, 3, 4, 5),
-    *,
-    n: Optional[int] = None,
-    value_size: int = 256,
-    seed: int = 0,
-    jobs: int = 1,
-) -> List[WriteCostPoint]:
-    """Measure the per-write communication cost for a sweep of ``f``.
-
-    By default the system size follows ``n = 2f + 1`` (the maximum
-    tolerance configuration); pass ``n`` to fix the system size instead.
-    """
-    spec = SweepSpec(
-        name="write-cost",
-        fn=write_cost_point,
-        grid=tuple({"f": f, "n": n, "value_size": value_size} for f in f_values),
-        base_seed=seed,
-        description="E3: write cost vs f (Theorem 5.4)",
-    )
-    return run_sweep(spec, jobs=jobs)
 
 
 # ----------------------------------------------------------------------
@@ -188,25 +145,6 @@ def read_cost_point(*, n: int, f: int, level: int, seed: int) -> ReadCostPoint:
         measured_cost=cluster.operation_cost(read_op.op_id),
         bound=theoretical.soda_read_cost(n, f, delta_w),
     )
-
-
-def read_cost_vs_concurrency(
-    n: int = 6,
-    f: int = 2,
-    concurrency_levels: Sequence[int] = (0, 1, 2, 4, 6),
-    *,
-    seed: int = 0,
-    jobs: int = 1,
-) -> List[ReadCostPoint]:
-    """Measure a read's communication cost as concurrent writes increase."""
-    spec = SweepSpec(
-        name="read-cost",
-        fn=read_cost_point,
-        grid=tuple({"n": n, "f": f, "level": level} for level in concurrency_levels),
-        base_seed=seed,
-        description="E4: read cost vs concurrency (Theorem 5.6)",
-    )
-    return run_sweep(spec, jobs=jobs)
 
 
 # ----------------------------------------------------------------------
@@ -245,42 +183,6 @@ def latency_point(*, n: int, f: int, delta: float, rounds: int, seed: int) -> La
         read_bound=theoretical.soda_read_latency_bound(delta),
         operations=writes.count + reads.count,
     )
-
-
-def latency_experiment(
-    n: int = 6,
-    f: int = 2,
-    *,
-    delta: float = 1.0,
-    rounds: int = 4,
-    seed: int = 0,
-    jobs: int = 1,
-) -> LatencyResult:
-    """Run writes and reads over a network with message delay exactly
-    ``delta`` and compare operation durations against 5*delta / 6*delta."""
-    return latency_sweep(n=n, f=f, delta_values=(delta,), rounds=rounds, seed=seed, jobs=jobs)[0]
-
-
-def latency_sweep(
-    n: int = 6,
-    f: int = 2,
-    delta_values: Sequence[float] = (0.5, 1.0, 2.0),
-    *,
-    rounds: int = 4,
-    seed: int = 0,
-    jobs: int = 1,
-) -> List[LatencyResult]:
-    """E5 as a sweep over the message-delay bound Δ."""
-    spec = SweepSpec(
-        name="latency",
-        fn=latency_point,
-        grid=tuple(
-            {"n": n, "f": f, "delta": delta, "rounds": rounds} for delta in delta_values
-        ),
-        base_seed=seed,
-        description="E5: latency vs message delay (Theorem 5.7)",
-    )
-    return run_sweep(spec, jobs=jobs)
 
 
 # ----------------------------------------------------------------------
@@ -333,28 +235,6 @@ def sodaerr_point(*, n: int, f: int, e: int, reads: int, seed: int) -> SodaErrPo
         measured_write_cost=cluster.operation_cost(write_rec.op_id),
         write_bound=theoretical.sodaerr_write_cost_bound(n, f, e),
     )
-
-
-def sodaerr_experiment(
-    n: int = 10,
-    f: int = 2,
-    e_values: Sequence[int] = (0, 1, 2),
-    *,
-    reads: int = 3,
-    seed: int = 0,
-    jobs: int = 1,
-) -> List[SodaErrPoint]:
-    """Sweep the error tolerance ``e``, injecting up to ``e`` disk-read
-    errors per read through a single flaky server, and verify correctness
-    plus the Theorem 6.3 cost expressions."""
-    spec = SweepSpec(
-        name="sodaerr",
-        fn=sodaerr_point,
-        grid=tuple({"n": n, "f": f, "e": e, "reads": reads} for e in e_values),
-        base_seed=seed,
-        description="E6: SODAerr error-tolerance sweep (Theorem 6.3)",
-    )
-    return run_sweep(spec, jobs=jobs)
 
 
 # ----------------------------------------------------------------------
@@ -422,47 +302,21 @@ def atomicity_point(
     }
 
 
-def atomicity_experiment(
-    protocol: str = "SODA",
-    *,
-    n: int = 5,
-    f: int = 2,
-    executions: int = 5,
-    crashes: int = 0,
-    seed: int = 0,
-    jobs: int = 1,
-    **cluster_kwargs,
-) -> AtomicityResult:
-    """Run randomized concurrent workloads and check every execution for
-    liveness (all operations by non-crashed clients complete) and atomicity
-    (black-box linearizability + the Lemma 2.1 tag argument + the online
-    incremental checker)."""
-    spec = SweepSpec(
-        name=f"atomicity-{protocol.upper()}",
-        fn=atomicity_point,
-        grid=tuple(
-            {
-                "protocol": protocol,
-                "n": n,
-                "f": f,
-                "crashes": crashes,
-                "cluster_kwargs": dict(cluster_kwargs),
-            }
-            for _ in range(executions)
-        ),
-        base_seed=seed,
-        description="E7: liveness & atomicity (Theorems 5.1/5.2, 6.1/6.2)",
-    )
-    rows = run_sweep(spec, jobs=jobs)
-    return AtomicityResult(
-        protocol=protocol,
-        executions=executions,
-        operations=sum(r["operations"] for r in rows),
-        incomplete_operations=sum(r["incomplete"] for r in rows),
-        linearizable_executions=sum(r["linearizable"] for r in rows),
-        lemma_violations=sum(r["lemma_violations"] for r in rows),
-        incremental_agreements=sum(r["incremental_agreement"] for r in rows),
-    )
+def atomicity_summary(
+    rows: Sequence[Mapping[str, int]], params: Mapping[str, Any]
+) -> List[AtomicityResult]:
+    """E7's one row: the executions of :func:`atomicity_point`, summed."""
+    return [
+        AtomicityResult(
+            protocol=params["protocol"],
+            executions=len(rows),
+            operations=sum(r["operations"] for r in rows),
+            incomplete_operations=sum(r["incomplete"] for r in rows),
+            linearizable_executions=sum(r["linearizable"] for r in rows),
+            lemma_violations=sum(r["lemma_violations"] for r in rows),
+            incremental_agreements=sum(r["incremental_agreement"] for r in rows),
+        )
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -496,31 +350,6 @@ def tradeoff_point(*, n: int, f: int, delta: int, seed: int) -> TradeoffPoint:
         soda_storage=soda.storage_peak(),
         soda_read_cost=soda.operation_cost(soda_read.op_id),
     )
-
-
-def tradeoff_experiment(
-    n: int = 6,
-    f: int = 2,
-    delta_values: Sequence[int] = (0, 1, 2, 4),
-    *,
-    seed: int = 0,
-    jobs: int = 1,
-) -> List[TradeoffPoint]:
-    """CASGC vs SODA as the concurrency bound grows.
-
-    CASGC's storage is provisioned for ``delta`` up front; SODA's storage is
-    flat and only its read cost grows when reads actually experience
-    concurrency.  Both systems are measured under a workload with roughly
-    ``delta`` writes overlapping each read.
-    """
-    spec = SweepSpec(
-        name="tradeoff",
-        fn=tradeoff_point,
-        grid=tuple({"n": n, "f": f, "delta": delta} for delta in delta_values),
-        base_seed=seed,
-        description="E8: SODA vs CASGC provisioning trade-off (Section I-B)",
-    )
-    return run_sweep(spec, jobs=jobs)
 
 
 # ----------------------------------------------------------------------
@@ -566,36 +395,6 @@ def skew_point(
     )
 
 
-def skew_experiment(
-    protocol: str = "SODA",
-    n: int = 5,
-    f: int = 2,
-    read_fractions: Sequence[float] = (0.1, 0.5, 0.9),
-    *,
-    total_ops: int = 16,
-    seed: int = 0,
-    jobs: int = 1,
-) -> List[SkewPoint]:
-    """Sweep the read fraction of a randomized mix (skewed workloads)."""
-    spec = SweepSpec(
-        name="skew",
-        fn=skew_point,
-        grid=tuple(
-            {
-                "protocol": protocol,
-                "n": n,
-                "f": f,
-                "read_fraction": fraction,
-                "total_ops": total_ops,
-            }
-            for fraction in read_fractions
-        ),
-        base_seed=seed,
-        description="scenario: skewed read/write mix vs read fraction",
-    )
-    return run_sweep(spec, jobs=jobs)
-
-
 @dataclass
 class CrashBurstPoint:
     n: int
@@ -630,25 +429,6 @@ def crash_burst_point(*, n: int, f: int, burst_width: float, seed: int) -> Crash
         completed=cluster.history.completed_count,
         linearizable=bool(check_linearizability(cluster.history, initial_value=b"")),
     )
-
-
-def crash_burst_experiment(
-    n: int = 5,
-    f: int = 2,
-    burst_widths: Sequence[float] = (0.0, 0.2, 1.0),
-    *,
-    seed: int = 0,
-    jobs: int = 1,
-) -> List[CrashBurstPoint]:
-    """Sweep the width of a correlated crash burst (0 = simultaneous)."""
-    spec = SweepSpec(
-        name="crash-burst",
-        fn=crash_burst_point,
-        grid=tuple({"n": n, "f": f, "burst_width": width} for width in burst_widths),
-        base_seed=seed,
-        description="scenario: correlated crash bursts of width w",
-    )
-    return run_sweep(spec, jobs=jobs)
 
 
 @dataclass
@@ -697,24 +477,140 @@ def slow_disk_point(
     )
 
 
-def slow_disk_experiment(
-    n: int = 5,
-    f: int = 2,
-    extra_delays: Sequence[float] = (0.0, 1.0, 4.0),
-    *,
-    slow_servers: int = 1,
-    seed: int = 0,
-    jobs: int = 1,
-) -> List[SlowDiskPoint]:
-    """Sweep the latency injected on a subset of straggling servers."""
-    spec = SweepSpec(
-        name="slow-disk",
-        fn=slow_disk_point,
-        grid=tuple(
-            {"n": n, "f": f, "extra_delay": d, "slow_servers": slow_servers}
-            for d in extra_delays
-        ),
-        base_seed=seed,
-        description="scenario: slow-disk latency injection",
-    )
-    return run_sweep(spec, jobs=jobs)
+# ----------------------------------------------------------------------
+# The table
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Sweep:
+    """One row of :data:`SWEEPS`.
+
+    ``point`` is called once per value as ``point(**fixed, <swept>=value,
+    seed=...)``.  ``values`` is the default value list, or a function of the
+    fixed keywords where the list depends on them (E2's and E3's ``f`` ranges
+    follow ``n``).  A row with no ``swept`` keyword repeats one configuration on
+    fresh seeds, ``values`` counting the repetitions.  ``seed_text``, where
+    the text is not the sweep's name, and ``fold``, where the points are
+    summed into one row, are both E7's.
+    """
+
+    claim: str
+    point: Callable[..., Any]
+    swept: Optional[str]
+    values: Union[Sequence[Any], Callable[..., Sequence[Any]]]
+    fixed: Mapping[str, Any]
+    seed_text: Optional[Callable[[Mapping[str, Any]], str]] = None
+    fold: Optional[Callable[[List[Any], Mapping[str, Any]], List[Any]]] = None
+
+
+SWEEPS: Dict[str, Sweep] = {
+    "storage": Sweep(
+        "E2: storage cost vs f (Theorem 5.3)",
+        storage_point,
+        "f",
+        lambda n, **_: range(1, (n - 1) // 2 + 1),
+        {"n": 10, "writes": 3},
+    ),
+    # n=None follows n = 2f + 1, the maximum-tolerance configuration; a
+    # given n stops the range at the largest f it tolerates.
+    "write-cost": Sweep(
+        "E3: write cost vs f (Theorem 5.4)",
+        write_cost_point,
+        "f",
+        lambda n, **_: range(1, 6 if n is None else min(5, (n - 1) // 2) + 1),
+        {"n": None, "value_size": 256},
+    ),
+    "read-cost": Sweep(
+        "E4: read cost vs concurrency (Theorem 5.6)",
+        read_cost_point,
+        "level",
+        (0, 1, 2, 4, 6),
+        {"n": 6, "f": 2},
+    ),
+    "latency": Sweep(
+        "E5: latency vs message delay (Theorem 5.7)",
+        latency_point,
+        "delta",
+        (0.5, 1.0, 2.0),
+        {"n": 6, "f": 2, "rounds": 4},
+    ),
+    "sodaerr": Sweep(
+        "E6: SODAerr error-tolerance sweep (Theorem 6.3)",
+        sodaerr_point,
+        "e",
+        (0, 1, 2),
+        {"n": 10, "f": 2, "reads": 3},
+    ),
+    "atomicity": Sweep(
+        "E7: liveness & atomicity (Theorems 5.1/5.2, 6.1/6.2)",
+        atomicity_point,
+        None,
+        range(5),
+        {"protocol": "SODA", "n": 5, "f": 2, "crashes": 0, "cluster_kwargs": {}},
+        seed_text=lambda params: f"atomicity-{params['protocol'].upper()}",
+        fold=atomicity_summary,
+    ),
+    # CASGC provisions storage for delta up front; SODA's storage is flat
+    # and its read cost grows only when reads actually meet concurrency.
+    "tradeoff": Sweep(
+        "E8: SODA vs CASGC provisioning trade-off (Section I-B)",
+        tradeoff_point,
+        "delta",
+        (0, 1, 2, 4),
+        {"n": 6, "f": 2},
+    ),
+    "skew": Sweep(
+        "scenario: skewed read/write mix vs read fraction",
+        skew_point,
+        "read_fraction",
+        (0.1, 0.5, 0.9),
+        {"protocol": "SODA", "n": 5, "f": 2, "total_ops": 16},
+    ),
+    "crash-burst": Sweep(
+        "scenario: correlated crash bursts of width w",
+        crash_burst_point,
+        "burst_width",
+        (0.0, 0.2, 1.0),
+        {"n": 5, "f": 2},
+    ),
+    "slow-disk": Sweep(
+        "scenario: slow-disk latency injection",
+        slow_disk_point,
+        "extra_delay",
+        (0.0, 1.0, 4.0),
+        {"n": 5, "f": 2, "slow_servers": 1},
+    ),
+}
+
+
+def run_sweep(
+    name: str, *, seed: int = 0, values: Optional[Sequence[Any]] = None, **fixed: Any
+) -> List[Any]:
+    """Run sweep ``name`` of :data:`SWEEPS`; returns its rows in value order.
+
+    ``values`` replaces the row's default values of its swept keyword and
+    ``fixed`` overrides the row's fixed keywords; a keyword the row does not
+    hold fixed is a :class:`ValueError`, as is a configuration the cluster
+    constructors refuse.
+    """
+    if name not in SWEEPS:
+        raise ValueError(f"unknown sweep {name!r}; available: {', '.join(SWEEPS)}")
+    sweep = SWEEPS[name]
+    unknown = sorted(set(fixed) - set(sweep.fixed))
+    if unknown:
+        raise ValueError(
+            f"sweep {name!r} holds no keyword {', '.join(unknown)} fixed "
+            f"(it takes {', '.join(sweep.fixed)})"
+        )
+    params = {**sweep.fixed, **fixed}
+    if values is None:
+        values = sweep.values(**params) if callable(sweep.values) else sweep.values
+    text = sweep.seed_text(params) if sweep.seed_text else name
+    rows = [
+        sweep.point(
+            **params,
+            **({sweep.swept: value} if sweep.swept else {}),
+            seed=derive_seed(seed, text, index),
+        )
+        for index, value in enumerate(values)
+    ]
+    return sweep.fold(rows, params) if sweep.fold else rows

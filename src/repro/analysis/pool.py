@@ -1,21 +1,23 @@
-"""Shared spawn-pool scaffolding for the sharded experiment engines.
+"""The epoch engine's spawn pool, and the seed rule every experiment shares.
 
-Every sharded engine in this package — sweeps, long runs, open-loop runs,
-adversarial runs and the fleet engine — has the same execution shape: a
+Every run of :mod:`repro.analysis.engine` — long runs, open-loop runs,
+adversarial runs, fleet mode — has the same execution shape: a
 deterministic grid of picklable payloads fans out over a ``spawn``
 multiprocessing pool, results stream back in *completion* order
-(``imap_unordered``, so post-processing pipelines against points still
+(``imap_unordered``, so post-processing pipelines against cells still
 simulating), and order-sensitive consumers restore grid order with a
-buffered next-expected cursor.  This module is that shape, extracted once:
+buffered next-expected cursor.  This module is that shape:
 
+* :func:`derive_seed` — the per-point seed of an epoch or of a paper-sweep
+  point (the paper sweeps of :mod:`repro.analysis.experiments` share this
+  rule and nothing else here: they run serially);
 * :func:`iter_unordered` — the pool body (serial in-process for ``jobs=1``
   or single-payload grids, a ``spawn`` pool otherwise);
 * :func:`in_order` — the order-restoring cursor over ``(index, result)``
   pairs;
 * :func:`resolve_workers` — the daemonic-context guard: a worker process
-  of a spawn pool cannot itself spawn children, so nested engines (a
-  ``jobs>1`` run inside a sweep pool, a fleet cell inside the fleet
-  pool) degrade to serial execution with a loud
+  of a spawn pool cannot itself spawn children, so a nested request (a
+  fleet cell inside the epoch pool) degrades to serial execution with a loud
   :class:`RuntimeWarning` instead of crashing — results are byte-identical
   either way, only the parallelism is lost.
 
@@ -29,6 +31,19 @@ from __future__ import annotations
 import multiprocessing
 import warnings
 from typing import Any, Callable, Dict, Iterable, Iterator, Sequence, Tuple
+
+from repro.sim.simulation import seed_from_text
+
+
+def derive_seed(base_seed: int, name: str, index: int) -> int:
+    """A stable per-point seed: hash of (base seed, name, point index).
+
+    Derivation (rather than ``base_seed + index``) keeps points of
+    different runs decorrelated even when their indices collide, and is
+    identical on every platform and process, which is what makes sharded
+    execution reproducible.
+    """
+    return seed_from_text(f"{base_seed}:{name}:{index}")
 
 
 def resolve_workers(requested: int, *, what: str = "worker processes") -> int:

@@ -5,21 +5,22 @@ Usage examples::
     python -m repro.cli list
     python -m repro.cli table1 --n 6 --delta 2
     python -m repro.cli demo --protocol SODA --n 5 --f 2
-    python -m repro.cli experiment storage --n 10
+    python -m repro.cli experiment storage --n 8
     python -m repro.cli experiment read-cost --n 6 --f 2
-    python -m repro.cli experiment latency --delta 1.0
-    python -m repro.cli experiment sodaerr --n 10 --f 2
-    python -m repro.cli experiment atomicity --protocol SODA --executions 3
-    python -m repro.cli experiment sweep storage --jobs 4
-    python -m repro.cli experiment sweep --list
+    python -m repro.cli experiment sodaerr
+    python -m repro.cli experiment atomicity --protocol ABD --executions 3
+    python -m repro.cli experiment slow-disk --seed 7
 
 The CLI is a thin wrapper over :mod:`repro.analysis`; anything it prints can
-also be obtained programmatically (see docs/sweeps.md for the sweep registry
-and the mapping of its entries to the paper's tables and theorems).
+also be obtained programmatically (see docs/sweeps.md for the sweep table
+and the mapping of its rows to the paper's tables and theorems).
 
-``experiment sweep <name> --jobs N`` runs any registered sweep sharded over
-``N`` worker processes; results are identical for every jobs count (each
-point derives its own seed), so ``--jobs`` is purely a wall-clock knob.
+``experiment <sweep>`` runs one row of :data:`repro.analysis.experiments.
+SWEEPS` at the row's defaults and prints its rows as ``key=value`` lines.
+``--n``, ``--f``, ``--protocol`` override a keyword the row holds fixed and
+``--executions`` the repetitions of ``atomicity``; a flag the row has no use
+for — its swept keyword, an engine flag — is refused by name (exit 2), as
+is a configuration the cluster constructors refuse.
 
 ``experiment longrun | openloop | adversary`` are the three faces of the
 one epoch engine (:mod:`repro.analysis.engine`): a long run is cut into
@@ -61,13 +62,14 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 from typing import List, Optional
 
 from repro import __version__
-from repro.analysis import experiments as exp
 from repro.analysis.engine import KINDS, Report, run_experiment, write_artefacts
-from repro.analysis.sweeps import available_sweeps, rows_as_dicts, run_named_sweep
+from repro.analysis.experiments import SWEEPS, run_sweep
 from repro.analysis.tables import format_table, generate_table1
 from repro.baselines.registry import available_protocols, make_cluster
 from repro.erasure.gf import (
@@ -80,13 +82,28 @@ from repro.metrics.latency import format_latency
 from repro.runtime.openloop import ADMISSION_POLICIES
 
 
+#: The epoch engine's three commands, as ``list`` and ``experiment -h`` show them.
+_ENGINE_COMMANDS = {
+    "longrun": "streamed real-cluster run with sharded online checking",
+    "openloop": "open-loop traffic engine with admission control and "
+    "bounded-memory latency percentiles",
+    "adversary": "multi-object longrun under a fault plan with "
+    "availability-audit reads and detection verdicts",
+}
+
+
+def _experiments() -> dict:
+    """Every ``experiment <name>``: the paper sweeps, then the engine commands."""
+    return {**{name: sweep.claim for name, sweep in SWEEPS.items()}, **_ENGINE_COMMANDS}
+
+
 def _cmd_list(args: argparse.Namespace) -> int:
     print("Available protocols:")
     for name in available_protocols():
         print(f"  {name}")
-    print("\nExperiments: storage, write-cost, read-cost, latency, sodaerr, "
-          "atomicity, tradeoff, sweep, longrun, openloop, adversary "
-          "(see `experiment -h`)")
+    print("\nExperiments (experiment <name>; Table I is the `table1` command):")
+    for name, text in _experiments().items():
+        print(f"  {name:<12} {text}")
     return 0
 
 
@@ -124,19 +141,34 @@ def _format_cell(value: object) -> str:
     return str(value)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.list or not args.sweep_name:
-        print("Available sweeps (experiment sweep <name>):")
-        for name in available_sweeps():
-            print(f"  {name}")
-        return 0
+def _cmd_sweep(name: str, args: argparse.Namespace) -> int:
+    """``experiment <sweep>``: one row of :data:`SWEEPS`, its rows printed.
+    Every flag the user gave is applied to the row or refused by name."""
+    sweep = SWEEPS[name]
+    fixed, values = {}, None
+    for dest in args.given:
+        if dest == "executions" and sweep.swept is None:
+            values = range(args.executions)
+        elif dest in sweep.fixed:
+            fixed[dest] = getattr(args, dest)
+        elif dest != "seed":
+            why = "is what it sweeps" if dest == sweep.swept else "does not apply to it"
+            print(
+                f"experiment {name}: --{dest.replace('_', '-')} {why} (this sweep "
+                f"varies {sweep.swept or 'only the seed'} and holds "
+                f"{', '.join(sweep.fixed)} fixed)",
+                file=sys.stderr,
+            )
+            return 2
     try:
-        rows = run_named_sweep(args.sweep_name, seed=args.seed, jobs=args.jobs)
+        rows = run_sweep(name, seed=args.seed, values=values, **fixed)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+        print(f"experiment {name}: {exc}", file=sys.stderr)
         return 2
-    for row in rows_as_dicts(rows):
-        print("  ".join(f"{key}={_format_cell(value)}" for key, value in row.items()))
+    for row in rows:
+        print("  ".join(f"{k}={_format_cell(v)}" for k, v in asdict(row).items()))
+    if name == "atomicity":
+        return 0 if all(r.linearizable_executions == r.executions for r in rows) else 1
     return 0
 
 
@@ -333,75 +365,24 @@ def _cmd_engine(name: str, args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     name = args.name.replace("_", "-")
-    if name == "sweep":
-        return _cmd_sweep(args)
-    if args.sweep_name is not None:
-        print(
-            f"unexpected argument {args.sweep_name!r}: only 'experiment sweep' "
-            f"takes a second name",
-            file=sys.stderr,
-        )
-        return 2
-    if name in ("longrun", "openloop", "adversary"):
+    if name in _ENGINE_COMMANDS:
         return _cmd_engine(name, args)
-    if name == "storage":
-        for p in exp.storage_cost_vs_f(n=args.n, seed=args.seed, jobs=args.jobs):
-            print(f"f={p.f}: measured={p.measured:.3f} predicted={p.predicted:.3f}")
-    elif name == "write-cost":
-        for p in exp.write_cost_vs_f(seed=args.seed, jobs=args.jobs):
-            print(f"f={p.f} n={p.n}: measured={p.measured:.2f} bound={p.bound:.0f}")
-    elif name == "read-cost":
-        for p in exp.read_cost_vs_concurrency(n=args.n, f=args.f, seed=args.seed, jobs=args.jobs):
-            print(
-                f"concurrent={p.concurrent_writes} delta_w={p.measured_delta_w}: "
-                f"cost={p.measured_cost:.2f} bound={p.bound:.2f}"
-            )
-    elif name == "latency":
-        r = exp.latency_experiment(
-            n=args.n, f=args.f, delta=args.delta, seed=args.seed, jobs=args.jobs
-        )
-        print(
-            f"max write latency={format_latency(r.max_write_latency, precision=2)} "
-            f"(bound {r.write_bound:.2f})"
-        )
-        print(
-            f"max read  latency={format_latency(r.max_read_latency, precision=2)} "
-            f"(bound {r.read_bound:.2f})"
-        )
-    elif name == "sodaerr":
-        for p in exp.sodaerr_experiment(n=args.n, f=args.f, seed=args.seed, jobs=args.jobs):
-            print(
-                f"e={p.e}: correct={p.reads_correct} errors={p.errors_injected} "
-                f"storage={p.measured_storage:.3f}/{p.predicted_storage:.3f} "
-                f"read={p.measured_read_cost:.3f}/{p.predicted_read_cost:.3f}"
-            )
-    elif name == "atomicity":
-        r = exp.atomicity_experiment(
-            args.protocol,
-            n=args.n,
-            f=args.f,
-            executions=args.executions,
-            seed=args.seed,
-            jobs=args.jobs,
-        )
-        print(
-            f"{r.protocol}: {r.linearizable_executions}/{r.executions} executions "
-            f"linearizable, {r.incomplete_operations} incomplete ops, "
-            f"{r.lemma_violations} Lemma 2.1 violations, "
-            f"{r.incremental_agreements}/{r.executions} incremental agreements"
-        )
-        return 0 if r.linearizable_executions == r.executions else 1
-    elif name == "tradeoff":
-        for p in exp.tradeoff_experiment(n=args.n, f=args.f, seed=args.seed, jobs=args.jobs):
-            print(
-                f"delta={p.delta}: CASGC storage={p.casgc_storage:.2f} "
-                f"read={p.casgc_read_cost:.2f} | SODA storage={p.soda_storage:.2f} "
-                f"read={p.soda_read_cost:.2f}"
-            )
-    else:
-        print(f"unknown experiment {args.name!r}", file=sys.stderr)
-        return 2
-    return 0
+    if name in SWEEPS:
+        return _cmd_sweep(name, args)
+    print(
+        f"unknown experiment {args.name!r}; available: {', '.join(_experiments())}",
+        file=sys.stderr,
+    )
+    return 2
+
+
+class _Given(argparse.Action):
+    """Store the flag and note on ``args.given`` that the user gave it: a
+    paper sweep applies or refuses exactly the flags given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+        namespace.given = (*namespace.given, self.dest)
 
 
 _PROG = "soda-repro"
@@ -457,73 +438,67 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run one of the paper experiments")
     p_exp.add_argument(
         "name",
-        help="storage | write-cost | read-cost | latency | sodaerr | atomicity | "
-        "tradeoff | sweep (sweep runs any registered sweep, sharded) | "
-        "longrun (streamed real-cluster run with sharded online checking) | "
-        "openloop (open-loop traffic engine with admission control and "
-        "bounded-memory latency percentiles) | "
-        "adversary (multi-object longrun under a fault plan with "
-        "availability-audit reads and detection verdicts)",
+        help=" | ".join(f"{name} ({text})" for name, text in _experiments().items()),
     )
-    p_exp.add_argument(
-        "sweep_name",
-        nargs="?",
-        default=None,
-        help="with 'sweep': the registered sweep to run (see --list)",
+    p_exp.set_defaults(given=())
+    flag = partial(p_exp.add_argument, action=_Given)
+    flag("--n", type=int, default=6, help="servers (a sweep's own default when not given)")
+    flag("--f", type=int, default=2, help="tolerated crashes (likewise)")
+    flag(
+        "--delta",
+        type=float,
+        default=1.0,
+        help="'latency' and 'tradeoff' sweep it and no sweep holds it fixed: refused",
     )
-    p_exp.add_argument("--n", type=int, default=6)
-    p_exp.add_argument("--f", type=int, default=2)
-    p_exp.add_argument("--delta", type=float, default=1.0)
-    p_exp.add_argument("--protocol", default="SODA")
-    p_exp.add_argument("--executions", type=int, default=3)
-    p_exp.add_argument("--seed", type=int, default=0)
-    p_exp.add_argument(
+    flag("--protocol", default="SODA")
+    flag("--executions", type=int, default=3, help="with 'atomicity': executions to check")
+    flag("--seed", type=int, default=0)
+    flag(
         "--jobs",
         type=int,
         default=1,
-        help="shard the sweep's points over N worker processes "
-        "(results are identical for any value)",
+        help="with 'longrun'/'openloop'/'adversary': epochs simulated at once "
+        "(artefacts are identical for any value)",
     )
-    p_exp.add_argument(
-        "--list", action="store_true", help="with 'sweep': list registered sweeps"
-    )
-    p_exp.add_argument(
+    flag(
         "--ops",
         type=int,
         default=1_000_000,
         help="with 'longrun': total operations to stream",
     )
-    p_exp.add_argument(
+    flag(
         "--epoch-ops",
         type=int,
         default=25_000,
         help="with 'longrun': operations per epoch (the sharding grain; "
         "the verdict is identical for any value of --jobs)",
     )
-    p_exp.add_argument(
+    flag(
         "--objects",
         type=int,
         default=1,
         help="with 'longrun': number of register objects in the namespace "
         "(>1 runs the multi-object engine with per-object sharded checking)",
     )
-    p_exp.add_argument(
+    flag(
         "--key-dist",
         default="uniform",
         help="with 'longrun --objects N': key popularity, 'uniform' or "
         "'zipf:<theta>' (object 0 is the hottest key)",
     )
-    p_exp.add_argument(
+    flag(
         "--results-dir",
         default="results",
         help="with 'longrun': directory for the committed JSON/CSV artefacts",
     )
-    p_exp.add_argument(
+    flag(
         "--no-artefacts",
-        action="store_true",
+        nargs=0,
+        const=True,
+        default=False,
         help="with 'longrun': skip writing artefact files",
     )
-    p_exp.add_argument(
+    flag(
         "--fleet",
         type=int,
         default=0,
@@ -534,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
         "byte-identical for any --fleet/--jobs combination (0 disables "
         "fleet mode)",
     )
-    p_exp.add_argument(
+    flag(
         "--arrival",
         default="poisson:4",
         help="with 'openloop': arrival process, 'poisson[:rate]', "
@@ -542,46 +517,46 @@ def build_parser() -> argparse.ArgumentParser:
         "'burst[:rate_on[:rate_off[:mean_on[:mean_off]]]]' or "
         "'trace:t1,t2,...' (rates are arrivals per simulated ms)",
     )
-    p_exp.add_argument(
+    flag(
         "--admission",
         default="drop",
         choices=ADMISSION_POLICIES,
         help="with 'openloop': what to do when the admission queue is full",
     )
-    p_exp.add_argument(
+    flag(
         "--queue-per-server",
         type=int,
         default=4,
         help="with 'openloop': admission queue capacity per server "
         "(total capacity = this x n)",
     )
-    p_exp.add_argument(
+    flag(
         "--op-timeout",
         type=float,
         default=0.0,
         help="with 'openloop': expire queued operations older than this many "
         "simulated ms at dispatch time (0 disables timeouts)",
     )
-    p_exp.add_argument(
+    flag(
         "--read-fraction",
         type=float,
         default=0.5,
         help="with 'openloop': fraction of arrivals that are reads",
     )
-    p_exp.add_argument(
+    flag(
         "--slo",
         type=float,
         default=10.0,
         help="with 'openloop': latency SLO threshold in simulated ms",
     )
-    p_exp.add_argument(
+    flag(
         "--clients",
         type=int,
         default=16,
         help="with 'openloop': virtual clients per object "
         "(split evenly between writers and readers)",
     )
-    p_exp.add_argument(
+    flag(
         "--faults",
         default="none",
         help="with 'longrun'/'openloop'/'adversary': unified fault plan, "
@@ -593,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(e.g. 'withhold:1:40:30;partition:2:10:12'); every leg derives "
         "from the epoch seed",
     )
-    p_exp.add_argument(
+    flag(
         "--stall-threshold",
         type=float,
         default=25.0,

@@ -25,7 +25,7 @@ Every process is a **pure function of its rng**: ``generate(rng, count)``
 consumes a fixed draw pattern determined only by the parameters and
 ``count``, so two shards that derive the same per-epoch seed produce
 byte-identical schedules regardless of ``--jobs``, worker count, or call
-ordering — the same contract :mod:`repro.analysis.sweep` relies on.
+ordering — the same contract :mod:`repro.analysis.engine` relies on.
 
 ``parse_arrival`` is the CLI surface syntax (``--arrival poisson:4``),
 mirroring :func:`repro.workloads.keyed.parse_key_dist`.

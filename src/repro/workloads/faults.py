@@ -19,7 +19,7 @@ independent *legs*:
 
 Each leg **materialises as a pure function of its own derived rng**:
 :func:`fault_seed` hashes ``(base_seed, leg name, object index)`` the same
-way :func:`repro.analysis.sweep.derive_seed` derives per-epoch seeds, so two
+way :func:`repro.analysis.pool.derive_seed` derives per-epoch seeds, so two
 shards that re-derive the same seed produce byte-identical schedules
 regardless of ``--jobs`` or worker count.  The materialised ground truth is
 recorded in :class:`AppliedFaultPlan` so reports can score audit-read

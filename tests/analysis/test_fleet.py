@@ -28,7 +28,8 @@ from repro.analysis.engine import (
     run_experiment,
     write_artefacts,
 )
-from repro.analysis.pool import in_order, iter_unordered, resolve_workers
+from repro.analysis.pool import derive_seed, in_order, iter_unordered, resolve_workers
+from repro.workloads.faults import fault_seed
 
 
 def small_fleet_run(**overrides):
@@ -144,6 +145,28 @@ class TestCapacityAccounting:
         assert len(payload["object_rows"]) == 2 * 4  # epochs x objects
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 4
+
+
+class TestSeedDerivation:
+    def test_stable(self):
+        assert derive_seed(0, "storage", 1) == derive_seed(0, "storage", 1)
+
+    def test_varies_with_every_component(self):
+        base = derive_seed(0, "storage", 1)
+        assert derive_seed(1, "storage", 1) != base
+        assert derive_seed(0, "write-cost", 1) != base
+        assert derive_seed(0, "storage", 2) != base
+
+    def test_text_formats_are_pinned(self):
+        """The three derived-seed families share one rule and differ only
+        in their text formats, which are committed bytes (every artefact
+        under ``results/`` descends from them)."""
+        assert derive_seed(0, "longrun", 0) == 45555707255896427
+        assert derive_seed(12345, "multiobj", 7) == 6718459430949554245
+        assert fault_seed(0, "crash", 0) == 6600943012843402091
+        assert fault_seed(12345, "withhold-objects", 3) == 3047226056859978451
+        assert fleet_object_seed(0, 0) == 7873489990770789343
+        assert fleet_object_seed(12345, 7) == 1804012197883522832
 
 
 class TestPoolHelpers:

@@ -57,3 +57,17 @@ class TestGenerateTable1:
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
             generate_table1(n=5)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_table1_claims_at_f_max(n):
+    """Table I at ``f = f_max = n/2 - 1``, CASGC ``delta = 2``: the paper's
+    qualitative claims hold on the measured numbers."""
+    by_name = {e.algorithm: e for e in generate_table1(n=n, delta=2, seed=2024)}
+    soda, casgc, abd = by_name["SODA"], by_name["CASGC"], by_name["ABD"]
+    assert all(e.f == n // 2 - 1 for e in by_name.values())
+    assert soda.measured_storage_cost < casgc.measured_storage_cost
+    assert soda.measured_storage_cost < abd.measured_storage_cost
+    assert soda.measured_storage_cost <= 2.0 + 1e-9
+    assert casgc.measured_write_cost < abd.measured_write_cost
+    assert soda.measured_write_cost <= soda.predicted_write_cost

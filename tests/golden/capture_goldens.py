@@ -7,11 +7,16 @@ core makes the committed fixtures stale:
 
 See README.md; the scenarios here must stay in lockstep with
 tests/sim/test_golden_trace.py and tests/analysis/test_golden_longrun.py.
+``paper_sweeps_seed0.json`` was written by this script at the last commit
+that had the per-sweep wrapper functions and their registry, through them;
+tests/analysis/test_experiments.py holds the table that replaced them to it.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import asdict
 from pathlib import Path
 
 GOLDEN_DIR = Path(__file__).resolve().parent
@@ -145,7 +150,28 @@ def record_event_trace() -> list:
     return trace
 
 
+def sweep_rows(name: str) -> list:
+    """Paper sweep ``name`` at its table defaults, seed 0: its rows as dicts,
+    NaN as ``None`` (JSON ``null``)."""
+    from repro.analysis.experiments import run_sweep
+
+    return [
+        {
+            key: None if isinstance(value, float) and math.isnan(value) else value
+            for key, value in asdict(row).items()
+        }
+        for row in run_sweep(name, seed=0)
+    ]
+
+
 def main() -> None:
+    from repro.analysis.experiments import SWEEPS
+
+    (GOLDEN_DIR / "paper_sweeps_seed0.json").write_text(
+        json.dumps({name: sweep_rows(name) for name in SWEEPS}, indent=1) + "\n"
+    )
+    print("captured paper sweeps")
+
     trace = record_event_trace()
     (GOLDEN_DIR / "golden_event_trace.json").write_text(
         json.dumps({"scenario": TRACE_SCENARIO, "events": trace}) + "\n"

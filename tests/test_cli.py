@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 import re
 
@@ -7,9 +8,11 @@ import pytest
 
 from repro import __version__
 from repro import cli
+from repro.analysis.experiments import SWEEPS
 from repro.cli import build_parser, main
 from repro.erasure import gf_native
 from repro.erasure.gf import default_backend, describe_backend, set_default_backend
+from tests.golden.capture_goldens import GOLDEN_DIR
 
 
 class TestParser:
@@ -143,9 +146,41 @@ class TestWhichBackendRan:
 
 
 class TestExperiments:
+    def test_list_names_every_experiment_with_its_claim(self, capsys):
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        for name, sweep in SWEEPS.items():
+            assert f"  {name:<12} {sweep.claim}\n" in out
+        for name in ("longrun", "openloop", "adversary"):
+            assert f"\n  {name} " in out
+        assert "table1" in out
+
+    @pytest.mark.parametrize("name", list(SWEEPS))
+    def test_every_sweep_runs_at_its_table_defaults(self, capsys, name):
+        assert main(["experiment", name]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        golden = json.loads((GOLDEN_DIR / "paper_sweeps_seed0.json").read_text())[name]
+        assert [line.split("=")[0] for line in lines] == [next(iter(row)) for row in golden]
+
     def test_storage(self, capsys):
         assert main(["experiment", "storage", "--n", "6"]) == 0
-        assert "predicted" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "predicted" in out
+        assert [line.split()[:2] for line in out.splitlines()] == [
+            ["n=6", "f=1"],
+            ["n=6", "f=2"],
+        ]
+
+    def test_storage_means_the_table_n(self, capsys):
+        assert main(["experiment", "storage"]) == 0
+        assert capsys.readouterr().out.startswith("n=10  f=1  ")
+
+    def test_write_cost_fixes_a_given_n(self, capsys):
+        assert main(["experiment", "write-cost", "--n", "9"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines] == [
+            ["n=9", f"f={f}"] for f in (1, 2, 3, 4)
+        ]
 
     def test_read_cost(self, capsys):
         assert main(["experiment", "read-cost", "--n", "6", "--f", "2"]) == 0
@@ -153,19 +188,69 @@ class TestExperiments:
 
     def test_latency(self, capsys):
         assert main(["experiment", "latency", "--n", "5", "--f", "2"]) == 0
-        assert "write latency" in capsys.readouterr().out
+        assert "max_write_latency=" in capsys.readouterr().out
+
+    def test_sodaerr_runs_without_flags(self, capsys):
+        assert main(["experiment", "sodaerr"]) == 0
+        assert capsys.readouterr().out.count("reads_correct=True") == 3
 
     def test_atomicity_exit_code(self, capsys):
         assert main(["experiment", "atomicity", "--protocol", "ABD",
                      "--executions", "1", "--n", "5", "--f", "2"]) == 0
-        assert "linearizable" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.startswith("protocol=ABD  executions=1  ")
+        assert "linearizable_executions=1" in out
+
+    def test_atomicity_exits_1_when_an_execution_is_not_linearizable(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            "repro.analysis.experiments.check_linearizability", lambda *a, **k: False
+        )
+        assert main(["experiment", "atomicity", "--executions", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "  executions=2  " in out and "  linearizable_executions=0  " in out
 
     def test_tradeoff(self, capsys):
         assert main(["experiment", "tradeoff"]) == 0
-        assert "CASGC" in capsys.readouterr().out
+        assert "casgc_storage=" in capsys.readouterr().out
 
     def test_unknown_experiment(self, capsys):
         assert main(["experiment", "nonsense"]) == 2
+        assert "unknown experiment 'nonsense'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["write-cost", "--protocol", "ABD"], "write-cost: --protocol does not apply"),
+            (["write-cost", "--f", "3"], "write-cost: --f is what it sweeps"),
+            (["tradeoff", "--delta", "2"], "tradeoff: --delta is what it sweeps"),
+            (["latency", "--delta", "1.0"], "latency: --delta is what it sweeps"),
+            (["storage", "--protocol", "CAS"], "storage: --protocol does not apply"),
+            (["storage", "--jobs", "4"], "storage: --jobs does not apply"),
+            (["storage", "--jobs", "1"], "storage: --jobs does not apply"),
+            (["skew", "--fleet", "2"], "skew: --fleet does not apply"),
+            (["sodaerr", "--ops", "10"], "sodaerr: --ops does not apply"),
+            (["latency", "--executions", "2"], "latency: --executions does not apply"),
+            (["slow-disk", "--no-artefacts"], "slow-disk: --no-artefacts does not apply"),
+            (["read-cost", "--n", "2", "--f", "2"], "read-cost: SodaCluster requires f <="),
+            (["sodaerr", "--n", "6"], "sodaerr: k = n - f - 2e must be at least 1"),
+            (["atomicity", "--protocol", "PAXOS"], "atomicity: unknown protocol 'PAXOS'"),
+        ],
+    )
+    def test_a_flag_is_applied_or_refused_by_name(self, capsys, argv, message):
+        """Exit 2 with one line on stderr, nothing run, no traceback."""
+        assert main(["experiment", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (_backend, line) = captured.err.splitlines()
+        assert line.startswith(f"experiment {message}")
+
+    def test_there_is_no_second_positional(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "atomicity", "CASGC", "--executions", "1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: CASGC" in capsys.readouterr().err
 
 
 class TestLongrunCommand:
@@ -323,31 +408,3 @@ class TestMultiObjectLongrunCommand:
             == 2
         )
         assert "unknown key distribution" in capsys.readouterr().err
-
-
-class TestSweepCommand:
-    def test_list_sweeps(self, capsys):
-        assert main(["experiment", "sweep", "--list"]) == 0
-        out = capsys.readouterr().out
-        assert "storage" in out and "slow-disk" in out
-
-    def test_no_name_lists_sweeps(self, capsys):
-        assert main(["experiment", "sweep"]) == 0
-        assert "Available sweeps" in capsys.readouterr().out
-
-    def test_run_storage_sweep(self, capsys):
-        assert main(["experiment", "sweep", "storage", "--seed", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "measured=" in out and "predicted=" in out
-
-    def test_run_sweep_with_jobs(self, capsys):
-        assert main(["experiment", "sweep", "tradeoff", "--jobs", "2"]) == 0
-        assert "casgc_storage=" in capsys.readouterr().out
-
-    def test_unknown_sweep(self, capsys):
-        assert main(["experiment", "sweep", "nonsense"]) == 2
-        assert "unknown sweep" in capsys.readouterr().err
-
-    def test_stray_positional_rejected_for_non_sweep(self, capsys):
-        assert main(["experiment", "atomicity", "CASGC", "--executions", "1"]) == 2
-        assert "unexpected argument" in capsys.readouterr().err
