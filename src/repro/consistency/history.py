@@ -34,27 +34,10 @@ class History(HistorySink):
 
     def __init__(self) -> None:
         super().__init__()
-        self._ops: Dict[str, OperationRecord] = {}
-        self._order: List[str] = []
-        # Lazily built per-kind interval index for concurrency_degree;
-        # invalidated whenever an operation is added or completes.
+        # Lazily built per-kind interval index for concurrency_degree, valid
+        # while the (invoked, completed) counts it was built at still hold.
         self._sweep_cache: Dict[Optional[str], Tuple[List[float], List[float]]] = {}
-
-    # ------------------------------------------------------------------
-    # storage hooks
-    # ------------------------------------------------------------------
-    def _store(self, record: OperationRecord) -> None:
-        if record.op_id in self._ops:
-            raise ValueError(f"duplicate operation id {record.op_id!r}")
-        self._ops[record.op_id] = record
-        self._order.append(record.op_id)
-        self._sweep_cache.clear()
-
-    def _lookup(self, op_id: str) -> Optional[OperationRecord]:
-        return self._ops.get(op_id)
-
-    def _retire(self, record: OperationRecord) -> None:
-        self._sweep_cache.clear()
+        self._sweep_stamp = (0, 0)
 
     # ------------------------------------------------------------------
     # recording extras
@@ -67,7 +50,9 @@ class History(HistorySink):
         """
         if record.kind not in (WRITE, READ):
             raise ValueError(f"unknown operation kind {record.kind!r}")
-        self._store(record)
+        if record.op_id in self._records:
+            raise ValueError(f"duplicate operation id {record.op_id!r}")
+        self._records[record.op_id] = record
         self.invoked_count += 1
         if record.is_complete:
             self.completed_count += 1
@@ -79,14 +64,14 @@ class History(HistorySink):
     # queries
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._records)
 
     def __iter__(self):
         return iter(self.operations())
 
     def operations(self) -> List[OperationRecord]:
         """All operations in invocation order."""
-        return [self._ops[op_id] for op_id in self._order]
+        return list(self._records.values())
 
     def complete_operations(self) -> List[OperationRecord]:
         return [op for op in self.operations() if op.is_complete]
@@ -103,6 +88,10 @@ class History(HistorySink):
     def _sweep_index(self, kind: Optional[str]) -> Tuple[List[float], List[float]]:
         """Sorted invocation and response times of all ops of ``kind``
         (response ``inf`` for incomplete ops), for interval counting."""
+        stamp = (self.invoked_count, self.completed_count)
+        if stamp != self._sweep_stamp:
+            self._sweep_cache.clear()
+            self._sweep_stamp = stamp
         cached = self._sweep_cache.get(kind)
         if cached is None:
             ops = self.operations() if kind is None else [

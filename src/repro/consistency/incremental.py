@@ -82,10 +82,10 @@ a stale entry behind on duplicate ``min_resp`` runs) is structurally gone.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from hashlib import blake2b
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.consistency.stream import WRITE, OperationRecord, StreamObserver
@@ -121,7 +121,7 @@ _MEMO_BYTES = 4 * 1024 * 1024
 def _value_key(value: Optional[bytes]) -> bytes:
     if value is None:
         value = b""
-    return hashlib.blake2b(value, digest_size=16).digest()
+    return blake2b(value, digest_size=16).digest()
 
 
 class _RecentWrites:
@@ -287,13 +287,8 @@ class IncrementalAtomicityChecker(StreamObserver):
 
         self._initial_key = _value_key(initial_value)
         cid = self._new_cluster(
-            self._initial_key,
-            write_id="<initial>",
-            max_inv=_NEG_INF,
-            min_resp=_NEG_INF,
-            write_invoked=_NEG_INF,
+            self._initial_key, "<initial>", _NEG_INF, _NEG_INF, _NEG_INF, True
         )
-        self._frontier[cid] = None
         self._table_insert(cid)
 
     # ------------------------------------------------------------------
@@ -308,11 +303,19 @@ class IncrementalAtomicityChecker(StreamObserver):
         self._open_write_keys[record.op_id] = (value, key)
         if value is not None and len(value) >= _MEMO_MIN_BYTES:
             self._recent_writes.remember(value, key)
-        self._register_write(record, key)
-
-    def _register_write(self, record: OperationRecord, key: bytes) -> None:
-        """Claim the cluster of value digest ``key`` for write ``record``."""
         cid = self._cid_of.get(key)
+        if cid is None:
+            # A fresh value — every write of a well-formed stream.
+            invoked = record.invoked_at
+            self._new_cluster(key, record.op_id, invoked, _INF, invoked, True)
+        else:
+            self._register_write(record, key, cid)
+
+    def _register_write(
+        self, record: OperationRecord, key: bytes, cid: Optional[int]
+    ) -> None:
+        """Claim the cluster ``cid`` of value digest ``key`` (None: there is
+        none yet) for write ``record``."""
         if cid is not None:
             if self._has_write[cid]:
                 self.duplicate_write_claims.append(
@@ -351,14 +354,8 @@ class IncrementalAtomicityChecker(StreamObserver):
                 return
             self._check_crossings(cid)
             return
-        cid = self._new_cluster(
-            key,
-            write_id=record.op_id,
-            max_inv=record.invoked_at,
-            min_resp=_INF,
-            write_invoked=record.invoked_at,
-        )
-        self._open(cid)
+        invoked = record.invoked_at
+        self._new_cluster(key, record.op_id, invoked, _INF, invoked, True)
 
     def on_complete(self, record: OperationRecord) -> None:
         if record.kind == WRITE:
@@ -374,14 +371,14 @@ class IncrementalAtomicityChecker(StreamObserver):
                 # invoke was never observed (stream joined late, or a defer
                 # placeholder holds the value): register/adopt now.
                 self.ops_seen += 1
-                self._register_write(record, key)
-                cid = self._cid_of.get(key)
-            if cid is None or self._write_id[cid] != record.op_id:
+                self._register_write(record, key, cid)
+                cid = self._cid_of[key]
+            if self._write_id[cid] != record.op_id:
                 # Duplicate write value: flagged when its invoke was observed
                 # (re-dispatching to on_invoke here would double-count the op
                 # and append the violation a second time).
                 return
-            self._update(cid, new_resp=record.responded_at)
+            self._update(cid, _NEG_INF, record.responded_at)  # a(C) holds its invocation
         else:
             self.reads_checked += 1
             value = record.value
@@ -405,22 +402,25 @@ class IncrementalAtomicityChecker(StreamObserver):
                 # constrains ordering like any cluster; the merge pass flags
                 # it as unwritten only if no shard ever saw its write.
                 cid = self._new_cluster(
-                    key,
-                    write_id=f"<unwritten:{record.op_id}>",
-                    max_inv=_NEG_INF,
-                    min_resp=_INF,
-                    write_invoked=_NEG_INF,
-                    has_write=False,
+                    key, f"<unwritten:{record.op_id}>", _NEG_INF, _INF, _NEG_INF, False
                 )
-                self._open(cid)
-            if record.responded_at is not None and (
-                record.responded_at < self._write_invoked[cid]
+            # shard-merge bookkeeping, recorded for every read — an offending
+            # one too, so the merge can recompute its violation from
+            # summaries alone
+            self._reads[cid] += 1
+            responded = record.responded_at
+            if responded is not None and responded < self._min_read_resp[cid]:
+                self._min_read_resp[cid] = responded
+            invoked = record.invoked_at
+            if (invoked, record.op_id) < (
+                self._first_read_inv[cid],
+                self._first_read_id[cid] or "",
             ):
-                # Bookkeeping still records the offending read so the shard
-                # merge can recompute this violation from summaries alone;
-                # the (a, b) crossing summary stays untouched, matching the
+                self._first_read_inv[cid] = invoked
+                self._first_read_id[cid] = record.op_id
+            if responded is not None and responded < self._write_invoked[cid]:
+                # The (a, b) crossing summary stays untouched, matching the
                 # early return of the original single-stream semantics.
-                self._note_read(cid, record)
                 self._flag(
                     Violation(
                         "read-from-future",
@@ -430,12 +430,7 @@ class IncrementalAtomicityChecker(StreamObserver):
                     )
                 )
                 return
-            self._note_read(cid, record)
-            self._update(
-                cid,
-                new_inv=record.invoked_at,
-                new_resp=record.responded_at,
-            )
+            self._update(cid, invoked, responded)
 
     def on_failed(self, record: OperationRecord) -> None:
         # A failed write never completes: forget its value now, or the memo
@@ -497,13 +492,14 @@ class IncrementalAtomicityChecker(StreamObserver):
     def _new_cluster(
         self,
         key: bytes,
-        *,
         write_id: str,
         max_inv: float,
         min_resp: float,
         write_invoked: float,
-        has_write: bool = True,
+        has_write: bool,
     ) -> int:
+        """Create the cluster of value digest ``key`` and open it (the newest
+        frontier entry, evicting the least recently used past the limit)."""
         cid = len(self._write_id)
         self._cid_of[key] = cid
         self._write_id.append(write_id)
@@ -517,19 +513,13 @@ class IncrementalAtomicityChecker(StreamObserver):
         self._first_read_inv.append(_INF)
         self._first_read_id.append(None)
         self._pos.append(-1)
+        frontier = self._frontier
+        frontier[cid] = None
+        if len(frontier) > self.frontier_limit:
+            old = next(iter(frontier))
+            del frontier[old]
+            self._is_closed[old] = True
         return cid
-
-    def _note_read(self, cid: int, record: OperationRecord) -> None:
-        self._reads[cid] += 1
-        responded = record.responded_at
-        if responded is not None and responded < self._min_read_resp[cid]:
-            self._min_read_resp[cid] = responded
-        if (record.invoked_at, record.op_id) < (
-            self._first_read_inv[cid],
-            self._first_read_id[cid] or "",
-        ):
-            self._first_read_inv[cid] = record.invoked_at
-            self._first_read_id[cid] = record.op_id
 
     def _flag(self, violation: Violation) -> None:
         if len(self.violations) < self.max_violations:
@@ -558,23 +548,27 @@ class IncrementalAtomicityChecker(StreamObserver):
         self._is_closed[cid] = False
         self._open(cid)
 
-    def _update(
-        self,
-        cid: int,
-        *,
-        new_inv: Optional[float] = None,
-        new_resp: Optional[float] = None,
-    ) -> None:
+    def _update(self, cid: int, new_inv: float, new_resp: Optional[float]) -> None:
+        """A member of cluster ``cid`` invoked at ``new_inv`` responded at
+        ``new_resp``: widen the summary, then test it for crossings."""
         if self._is_closed[cid]:
             self._reopen(cid)
         else:
-            self._open(cid)  # refresh LRU position
-        if new_inv is not None and new_inv > self._max_inv[cid]:
+            # refresh the LRU position: an open cluster is in the frontier,
+            # and moving it to the end cannot push the frontier past its limit
+            frontier = self._frontier
+            del frontier[cid]
+            frontier[cid] = None
+        if new_inv > self._max_inv[cid]:
             self._max_inv[cid] = new_inv
             self._note_a_growth(cid)
         if new_resp is not None and new_resp < self._min_resp[cid]:
             self._min_resp[cid] = new_resp
-            self._note_b_drop(cid)
+            if self._pos[cid] >= 0:
+                # A response earlier than the recorded minimum can only
+                # arrive from an out-of-order direct feed; relocate the slot.
+                self._table_remove(cid)
+            self._table_insert(cid)
         self._check_crossings(cid)
 
     # ------------------------------------------------------------------
@@ -641,16 +635,6 @@ class IncrementalAtomicityChecker(StreamObserver):
         del self._pa1[index:]
         del self._pm2[index:]
         self._recompute_prefix(index)
-
-    def _note_b_drop(self, cid: int) -> None:
-        """``min_resp`` decreased: insert into (or move within) the table."""
-        if self._pos[cid] < 0:
-            self._table_insert(cid)
-        else:
-            # A response earlier than the recorded minimum can only arrive
-            # from an out-of-order direct feed; relocate the slot.
-            self._table_remove(cid)
-            self._table_insert(cid)
 
     def _note_a_growth(self, cid: int) -> None:
         """``max_inv`` grew: refresh the prefix in place near the tail,

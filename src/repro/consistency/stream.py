@@ -20,7 +20,6 @@ event to it.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -103,16 +102,18 @@ class StreamObserver:
         pass
 
 
-class HistorySink(ABC):
+class HistorySink:
     """The narrow interface protocol clients record operations through.
 
-    Concrete sinks provide storage via :meth:`_store`, :meth:`_lookup` and
-    :meth:`_retire`; the event validation, record bookkeeping and observer
-    dispatch live here so every sink records identically.
+    The event validation, record bookkeeping and observer dispatch live
+    here so every sink records identically.  A sink keeps in ``_records``
+    every record it can still find by op id, and may evict from it in
+    :meth:`_retire`.
     """
 
     def __init__(self) -> None:
         self._observers: List[StreamObserver] = []
+        self._records: Dict[str, OperationRecord] = {}
         self.invoked_count = 0
         self.completed_count = 0
         self.failed_count = 0
@@ -146,10 +147,10 @@ class HistorySink(ABC):
     ) -> OperationRecord:
         if kind not in (WRITE, READ):
             raise ValueError(f"unknown operation kind {kind!r}")
-        record = OperationRecord(
-            op_id=op_id, kind=kind, client=client, invoked_at=time, value=value
-        )
-        self._store(record)
+        records = self._records
+        if op_id in records:
+            raise ValueError(f"duplicate operation id {op_id!r}")
+        record = records[op_id] = OperationRecord(op_id, kind, client, time, None, value)
         self.invoked_count += 1
         for observer in self._observers:
             observer.on_invoke(record)
@@ -159,11 +160,12 @@ class HistorySink(ABC):
         self,
         op_id: str,
         time: float,
-        *,
         value: Optional[bytes] = None,
         tag: Optional[object] = None,
     ) -> OperationRecord:
-        record = self._require(op_id)
+        record = self._records.get(op_id)
+        if record is None:
+            raise _unknown(op_id)
         if record.responded_at is not None:
             raise ValueError(f"operation {op_id!r} already completed")
         if time < record.invoked_at:
@@ -180,7 +182,7 @@ class HistorySink(ABC):
         return record
 
     def mark_failed(self, op_id: str) -> None:
-        record = self._require(op_id)
+        record = self.get(op_id)
         if record.failed:
             return  # counted, reported and (if incomplete) retired already
         record.failed = True
@@ -194,30 +196,21 @@ class HistorySink(ABC):
             self._retire(record)
 
     def get(self, op_id: str) -> OperationRecord:
-        return self._require(op_id)
-
-    def _require(self, op_id: str) -> OperationRecord:
-        record = self._lookup(op_id)
+        record = self._records.get(op_id)
         if record is None:
-            raise ValueError(
-                f"unknown operation id {op_id!r}: never invoked on this "
-                f"recorder, or already evicted from its retirement window"
-            )
+            raise _unknown(op_id)
         return record
 
-    # ------------------------------------------------------------------
-    # storage hooks
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def _store(self, record: OperationRecord) -> None:
-        """Remember a newly invoked operation (op_id already validated unique)."""
-
-    @abstractmethod
-    def _lookup(self, op_id: str) -> Optional[OperationRecord]:
-        """Find a resident operation, or None if unknown/evicted."""
-
     def _retire(self, record: OperationRecord) -> None:
-        """Called after a record completes; windowed sinks may evict here."""
+        """Called after a record completes or fails; windowed sinks may
+        evict here."""
+
+
+def _unknown(op_id: str) -> ValueError:
+    return ValueError(
+        f"unknown operation id {op_id!r}: never invoked on this "
+        f"recorder, or already evicted from its retirement window"
+    )
 
 
 class StreamingRecorder(HistorySink):
@@ -238,32 +231,30 @@ class StreamingRecorder(HistorySink):
         if window < 0:
             raise ValueError("window must be non-negative")
         self.window = window
-        self._active: Dict[str, OperationRecord] = {}
+        #: The retired window, a subset of ``_records``, oldest first.
         self._retired: "OrderedDict[str, OperationRecord]" = OrderedDict()
         self.evicted_count = 0
-        self.max_resident = 0
+        self._peak_before_eviction = 0
         #: Value bytes the retired window references now, and their peak.
         self.retired_bytes = 0
         self.max_retired_bytes = 0
 
-    # -- storage hooks ---------------------------------------------------
-    def _store(self, record: OperationRecord) -> None:
-        if record.op_id in self._active or record.op_id in self._retired:
-            raise ValueError(f"duplicate operation id {record.op_id!r}")
-        self._active[record.op_id] = record
-        resident = len(self._active) + len(self._retired)
-        if resident > self.max_resident:
-            self.max_resident = resident
+    @property
+    def max_resident(self) -> int:
+        """The most records ever resident at once.
 
-    def _lookup(self, op_id: str) -> Optional[OperationRecord]:
-        record = self._active.get(op_id)
-        if record is None:
-            record = self._retired.get(op_id)
-        return record
+        Residency grows only at an invocation and shrinks only by eviction
+        in :meth:`_retire`, so its peak is the largest count seen on entry
+        to ``_retire`` or now.
+        """
+        return max(self._peak_before_eviction, len(self._records))
 
     def _retire(self, record: OperationRecord) -> None:
+        records = self._records
+        if len(records) > self._peak_before_eviction:
+            self._peak_before_eviction = len(records)
         retired = self._retired
-        if self._active.pop(record.op_id, None) is not None:
+        if record.op_id not in retired:
             retired[record.op_id] = record
             value = record.value
             nbytes = self.retired_bytes + (len(value) if value is not None else 0)
@@ -275,25 +266,24 @@ class StreamingRecorder(HistorySink):
         while len(retired) > window or (
             nbytes > RETIRED_BYTE_BUDGET and len(retired) > 1
         ):
-            value = retired.popitem(last=False)[1].value
-            if value is not None:
-                nbytes -= len(value)
+            op_id, evicted = retired.popitem(last=False)
+            del records[op_id]
+            if evicted.value is not None:
+                nbytes -= len(evicted.value)
             self.evicted_count += 1
         self.retired_bytes = nbytes
         if nbytes > self.max_retired_bytes:
             self.max_retired_bytes = nbytes
-        resident = len(self._active) + len(retired)
-        if resident > self.max_resident:
-            self.max_resident = resident
 
     # -- introspection ---------------------------------------------------
     @property
     def resident_count(self) -> int:
         """Number of records currently held in memory."""
-        return len(self._active) + len(self._retired)
+        return len(self._records)
 
     def in_flight(self) -> List[OperationRecord]:
-        return list(self._active.values())
+        retired = self._retired
+        return [r for op_id, r in self._records.items() if op_id not in retired]
 
     def __len__(self) -> int:
         return self.invoked_count

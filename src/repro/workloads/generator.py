@@ -26,10 +26,13 @@ requires.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from hashlib import blake2b
+from itertools import chain, repeat
+from operator import methodcaller
+from typing import Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -112,10 +115,10 @@ def unique_value(writer_index: int, sequence: int, size: int, rng: np.random.Gen
     fill = size - len(header)
     if fill <= 0:
         return header
-    filler = hashlib.blake2b(header, digest_size=min(fill, 64)).digest()
-    if fill > 64:
-        filler = (filler * (fill // 64 + 1))[:fill]
-    return header + filler
+    if fill <= 64:
+        return header + blake2b(header, digest_size=fill).digest()
+    filler = blake2b(header, digest_size=64).digest()
+    return header + (filler * (fill // 64 + 1))[:fill]
 
 
 def run_workload(cluster: RegisterCluster, spec: WorkloadSpec) -> WorkloadResult:
@@ -205,6 +208,25 @@ class StreamSpec:
     inject: Optional[str] = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # The generator's contract: a negative gap overlaps one client's
+        # operations, a negative duration responds before it invokes, and
+        # without clients nothing is emitted.
+        for name, low, high in (
+            ("operations", 0, math.inf),
+            ("clients", 1, math.inf),
+            ("read_fraction", 0, 1),
+            ("mean_gap", 0, math.inf),
+            ("mean_duration", 0, math.inf),
+            ("value_size", 0, math.inf),
+            ("incomplete_fraction", 0, 1),
+        ):
+            value = getattr(self, name)
+            if not low <= value <= high:
+                raise ValueError(f"StreamSpec.{name}={value!r} is outside [{low}, {high}]")
+        if self.inject not in (None, "stale", "phantom"):
+            raise ValueError(f"unknown injection mode {self.inject!r}")
+
 
 @dataclass
 class StreamStats:
@@ -218,6 +240,19 @@ class StreamStats:
     injected_violation: Optional[str] = None
 
 
+#: Numbers drawn per pool: scalar Generator draws cost microseconds each,
+#: so the stream draws a pool at a time and hands out plain floats.
+_POOL = 8192
+
+
+def _pooled(draw: Callable[[int], np.ndarray]) -> Iterator[float]:
+    """``draw(_POOL)``'s numbers one float per ``next``: the first pool is
+    drawn now, every later one at the first draw past the end of the last
+    (which is freed by then)."""
+    pools = chain((draw(_POOL),), map(draw, repeat(_POOL)))
+    return chain.from_iterable(map(methodcaller("tolist"), pools))
+
+
 def stream_operations(spec: StreamSpec, sink: HistorySink) -> StreamStats:
     """Stream a synthetic concurrent register execution into ``sink``.
 
@@ -227,160 +262,118 @@ def stream_operations(spec: StreamSpec, sink: HistorySink) -> StreamStats:
     linearization point sampled inside its interval; reads return the
     register value at that point, which makes the emitted history
     linearizable by construction (the linearization points are a witness).
+
+    Random numbers come from two pools, uniform and exponential, each an
+    iterator of plain floats that costs one C-level call per draw.  The
+    uniform pool is drawn first, then the exponential one, and each kind's
+    next pool is drawn at the first draw past the end of its last, so a
+    seed calls the rng in one fixed order.  (Pooling reorders the bit
+    stream relative to one-at-a-time draws, so a seed samples a different
+    — equally valid — schedule than the revisions before it did.)  An
+    operation in flight is one list, ``[op_id, is_write, invoked_at,
+    responds_at, value, overwrote]``: a read's value is filled in at its
+    linearization point, a write's ``overwrote`` names the completed write
+    it linearized over.  Every sink call is positional.
     """
-    if spec.inject not in (None, "stale", "phantom"):
-        raise ValueError(f"unknown injection mode {spec.inject!r}")
     rng = np.random.default_rng(spec.seed)
-    stats = StreamStats()
+    uniform = _pooled(rng.random).__next__
+    exponential = _pooled(rng.standard_exponential).__next__
 
     INVOKE, APPLY, RESPOND, FAIL = 0, 1, 2, 3
-    heap: List[tuple] = []  # (time, phase, sequence, payload)
+    # (time, phase, sequence, client for INVOKE else the operation); the
+    # sequence breaks time ties in push order
+    heap: List[tuple] = []
     heappush = heapq.heappush
     heappop = heapq.heappop
-    sequence = 0
-
-    # Scalar Generator draws cost microseconds each; at four draws per
-    # operation they dominate the loop, so draw in batches and hand out
-    # plain Python floats from pools.  (Pooling reorders the underlying
-    # bit stream relative to one-at-a-time draws, so a given seed samples
-    # a different — equally valid — schedule than earlier revisions.)
-    _POOL = 8192
-    _u_pool = rng.random(_POOL).tolist()
-    _u_i = 0
-    _e_pool = rng.standard_exponential(_POOL).tolist()
-    _e_i = 0
-
-    def _uniform() -> float:
-        nonlocal _u_pool, _u_i
-        if _u_i == _POOL:
-            _u_pool = rng.random(_POOL).tolist()
-            _u_i = 0
-        value = _u_pool[_u_i]
-        _u_i += 1
-        return value
-
-    def _exponential() -> float:
-        nonlocal _e_pool, _e_i
-        if _e_i == _POOL:
-            _e_pool = rng.standard_exponential(_POOL).tolist()
-            _e_i = 0
-        value = _e_pool[_e_i]
-        _e_i += 1
-        return value
-
-    planned = [0]
-
-    def plan_op(client: int, not_before: float) -> None:
-        """Plan one client operation: its invoke drives the rest."""
-        nonlocal sequence
-        if planned[0] >= spec.operations:
-            return
-        planned[0] += 1
-        inv = not_before + _exponential() * spec.mean_gap
-        heappush(heap, (inv, INVOKE, sequence, {"client": client}))
-        sequence += 1
-
-    register = {"value": b""}
-    write_sequence = [0]
-    # Completed writes whose value was overwritten by a later, real-time
-    # ordered, completed write: reading one after quiescence is a guaranteed
-    # stale read.  Bounded to a handful — we only need one.
-    stale_candidates: List[bytes] = []
-
-    for client in range(spec.clients):
-        plan_op(client, 0.0)
-    client_counter = [spec.clients]
-
-    op_counter = 0
-    completed_writes: Dict[bytes, float] = {}  # value -> responded_at
-    last_applied_write: List[Optional[bytes]] = [None]
-
     sink_invoke = sink.invoke
     sink_respond = sink.respond
+    operations = spec.operations
     read_fraction = spec.read_fraction
+    mean_gap = spec.mean_gap
     mean_duration = spec.mean_duration
     incomplete_fraction = spec.incomplete_fraction
     value_size = spec.value_size
 
+    planned = sequence = min(spec.clients, operations)
+    for client in range(planned):  # pushed in order: its id is its sequence
+        heappush(heap, (exponential() * mean_gap, INVOKE, client, client))
+    next_client = spec.clients  # the id a crashed client's replacement takes
+    register = b""
+    last_applied: Optional[bytes] = None
+    # Completed writes whose value was overwritten by a later, real-time
+    # ordered, completed write: reading one after quiescence is a guaranteed
+    # stale read.  Bounded to a handful — we only need one.
+    stale_candidates: List[bytes] = []
+    completed_writes: Dict[bytes, float] = {}  # value -> responded_at
+    op_counter = reads = writes = completed = 0
+    time = 0.0
+
     while heap:
-        time, phase, _, payload = heappop(heap)
-        # pops come out in nondecreasing time order, so the running max is
-        # just the last popped time
-        stats.end_time = time
+        time, phase, _, item = heappop(heap)
         if phase == INVOKE:
-            client = payload["client"]
+            client = f"c{item}"
             op_counter += 1
-            op_id = f"c{client}#{op_counter}"
-            is_read = _uniform() < read_fraction
-            duration = _exponential() * mean_duration + 1e-6
+            op_id = f"{client}#{op_counter}"
+            is_read = uniform() < read_fraction
+            duration = exponential() * mean_duration + 1e-6
             resp = time + duration
-            lin = time + _uniform() * duration
-            incomplete = _uniform() < incomplete_fraction
+            lin = time + uniform() * duration
+            incomplete = uniform() < incomplete_fraction
             if is_read:
-                sink_invoke(op_id, READ, f"c{client}", time)
-                stats.reads += 1
-                op = {"op_id": op_id, "kind": READ, "inv": time, "resp": resp}
+                sink_invoke(op_id, READ, client, time)
+                reads += 1
+                op = [op_id, False, time, resp, b"", None]
             else:
-                value = unique_value(client, write_sequence[0], value_size, rng)
-                write_sequence[0] += 1
-                sink_invoke(op_id, WRITE, f"c{client}", time, value=value)
-                stats.writes += 1
-                op = {
-                    "op_id": op_id,
-                    "kind": WRITE,
-                    "inv": time,
-                    "resp": resp,
-                    "value": value,
-                }
-            stats.invoked += 1
-            heappush(heap, (lin, APPLY, sequence, {"op": op}))
-            sequence += 1
-            if not incomplete:
-                heappush(heap, (resp, RESPOND, sequence, {"op": op}))
-                sequence += 1
-                plan_op(client, resp)
-            else:
+                value = unique_value(item, writes, value_size, rng)
+                sink_invoke(op_id, WRITE, client, time, value)
+                writes += 1
+                op = [op_id, True, time, resp, value, None]
+            heappush(heap, (lin, APPLY, sequence, op))
+            if incomplete:
                 # The crashed client issues nothing more (well-formedness);
                 # marking the abandoned operation failed at its crash time
                 # lets windowed sinks retire the record, and a fresh client
                 # takes its place to keep the concurrency level.
-                heappush(heap, (resp, FAIL, sequence, {"op": op}))
-                sequence += 1
-                replacement = client_counter[0]
-                client_counter[0] += 1
-                plan_op(replacement, time + _exponential() * mean_duration)
-        elif phase == APPLY:
-            op = payload["op"]
-            if op["kind"] == WRITE:
-                previous = last_applied_write[0]
-                if (
-                    previous is not None
-                    and previous in completed_writes
-                    and completed_writes[previous] < op["inv"]
-                ):
-                    # ``previous``'s write completed before this write was
-                    # even invoked, and this write overwrote it.
-                    op["overwrote"] = previous
-                register["value"] = op["value"]
-                last_applied_write[0] = op["value"]
+                heappush(heap, (resp, FAIL, sequence + 1, op))
+                successor = next_client
+                next_client += 1
+                not_before = time + exponential() * mean_duration
             else:
-                op["result"] = register["value"]
-        elif phase == FAIL:
-            sink.mark_failed(payload["op"]["op_id"])
-        else:  # RESPOND
-            op = payload["op"]
-            if op["kind"] == WRITE:
-                sink_respond(op["op_id"], op["resp"])
-                completed_writes[op["value"]] = op["resp"]
+                heappush(heap, (resp, RESPOND, sequence + 1, op))
+                successor = item
+                not_before = resp
+            sequence += 2
+            if planned < operations:
+                planned += 1
+                inv = not_before + exponential() * mean_gap
+                heappush(heap, (inv, INVOKE, sequence, successor))
+                sequence += 1
+        elif phase == APPLY:
+            if item[1]:
+                responded = completed_writes.get(last_applied)
+                if responded is not None and responded < item[2]:
+                    # the overwritten write completed before this one was
+                    # even invoked
+                    item[5] = last_applied
+                register = last_applied = item[4]
+            else:
+                item[4] = register
+        elif phase == RESPOND:
+            if item[1]:
+                sink_respond(item[0], item[3])
+                completed_writes[item[4]] = item[3]
                 if len(completed_writes) > 64:
-                    completed_writes.pop(next(iter(completed_writes)))
-                overwrote = op.get("overwrote")
-                if overwrote is not None:
-                    stale_candidates.append(overwrote)
+                    del completed_writes[next(iter(completed_writes))]
+                if item[5] is not None:
+                    stale_candidates.append(item[5])
                     del stale_candidates[:-4]
             else:
-                sink_respond(op["op_id"], op["resp"], value=op.get("result", b""))
-            stats.completed += 1
+                sink_respond(item[0], item[3], item[4])
+            completed += 1
+        else:  # FAIL
+            sink.mark_failed(item[0])
+    # pops come out in nondecreasing time order: the last is the latest
+    stats = StreamStats(reads + writes, completed, writes, reads, time)
 
     # Seeded violations: one extra read invoked after quiescence.
     if spec.inject is not None:
@@ -388,18 +381,14 @@ def stream_operations(spec: StreamSpec, sink: HistorySink) -> StreamStats:
         resp = inv + 1.0
         if spec.inject == "phantom":
             sink.invoke("inject#phantom", READ, "c0", inv)
-            sink.respond("inject#phantom", resp, value=b"\xffnever-written\xff")
-            stats.injected_violation = "phantom"
-            stats.invoked += 1
-            stats.completed += 1
+            sink.respond("inject#phantom", resp, b"\xffnever-written\xff")
         else:
             # A value that was overwritten by a later *completed* write whose
             # own write also completed: reading it after quiescence is a
             # guaranteed stale read (both its write and the overwriting write
             # precede the read in real time).
             candidate = next(
-                (value for value in stale_candidates if value != register["value"]),
-                None,
+                (value for value in stale_candidates if value != register), None
             )
             if candidate is None:
                 raise RuntimeError(
@@ -409,8 +398,8 @@ def stream_operations(spec: StreamSpec, sink: HistorySink) -> StreamStats:
                     "read_fraction)"
                 )
             sink.invoke("inject#stale", READ, "c0", inv)
-            sink.respond("inject#stale", resp, value=candidate)
-            stats.injected_violation = "stale"
-            stats.invoked += 1
-            stats.completed += 1
+            sink.respond("inject#stale", resp, candidate)
+        stats.injected_violation = spec.inject
+        stats.invoked += 1
+        stats.completed += 1
     return stats

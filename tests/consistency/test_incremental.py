@@ -15,7 +15,7 @@ from repro.consistency.incremental import (
     IncrementalAtomicityChecker,
     check_history_incrementally,
 )
-from repro.consistency.stream import StreamingRecorder
+from repro.consistency.stream import OperationRecord, StreamingRecorder
 from repro.consistency.wgl import check_linearizability
 from repro.workloads.generator import StreamSpec, stream_operations
 
@@ -581,3 +581,57 @@ class TestReadValueMemo:
         assert stats.injected_violation == inject
         assert checker._recent_writes._entries
         assert not checker.ok
+
+
+def check_duplicate_write_flagged(checker):
+    """A second write of one value, recorded live, is flagged once."""
+    sink = StreamingRecorder(window=8)
+    sink.subscribe(checker)
+    sink.invoke("w1", WRITE, "c0", 0.0, b"same")
+    sink.respond("w1", 1.0)
+    sink.invoke("w2", WRITE, "c1", 2.0, b"same")
+    sink.respond("w2", 3.0)
+    assert [v.kind for v in checker.violations] == ["duplicate-write-value"]
+
+
+def check_crossing_closed_by_a_response_flagged(checker):
+    """Completions fed out of time order (a direct feed may): the last, ``ra``,
+    lowers its cluster's ``b`` from 10 to 4 without moving its ``a`` (``rc``
+    was invoked at the same time), and that alone closes the crossing with
+    ``w2``'s cluster (``a`` = 5, ``b`` = 2).  ``ra`` reads ``a`` after ``w2``
+    completed and ``rb`` reads ``b`` after ``ra`` completed: not linearizable."""
+    ops = {
+        op.op_id: op
+        for op in (
+            OperationRecord("w1", WRITE, "c0", 0.0, 10.0, b"a"),
+            OperationRecord("w2", WRITE, "c1", 1.0, 2.0, b"b"),
+            OperationRecord("ra", READ, "c2", 3.0, 4.0, b"a"),
+            OperationRecord("rb", READ, "c3", 5.0, 6.0, b"b"),
+            OperationRecord("rc", READ, "c4", 3.0, 20.0, b"a"),
+        )
+    }
+    for op in ops.values():
+        checker.on_invoke(op)
+    for op_id in ("w2", "w1", "rb", "rc"):
+        checker.on_complete(ops[op_id])
+    assert checker.ok
+    checker.on_complete(ops["ra"])
+    assert [v.kind for v in checker.violations] == ["cluster-cycle"]
+
+
+class TestMutants:
+    """tests/mutants/checker.py: each fast-path mutant is killed here."""
+
+    def test_unguarded_fresh_write_mutant_is_killed(self):
+        from mutants.checker import UnguardedFreshWriteChecker
+
+        check_duplicate_write_flagged(IncrementalAtomicityChecker())
+        with pytest.raises(AssertionError):
+            check_duplicate_write_flagged(UnguardedFreshWriteChecker())
+
+    def test_mutant_blind_to_responses_is_killed(self):
+        from mutants.checker import BlindToResponsesChecker
+
+        check_crossing_closed_by_a_response_flagged(IncrementalAtomicityChecker())
+        with pytest.raises(AssertionError):
+            check_crossing_closed_by_a_response_flagged(BlindToResponsesChecker())

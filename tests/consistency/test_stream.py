@@ -210,6 +210,33 @@ class TestStreamingRecorderBoundedMemory:
                 recorder.mark_failed(op_id)
 
 
+def check_one_response_per_operation(sink):
+    """A second response is refused and changes nothing: the record keeps
+    its first time and value, and observers hear of one completion."""
+    observer = sink.subscribe(_CollectingObserver())
+    sink.invoke("r1", READ, "c0", 0.0)
+    sink.respond("r1", 1.0, b"first")
+    with pytest.raises(ValueError, match="'r1' already completed"):
+        sink.respond("r1", 2.0, b"second")
+    record = sink.get("r1")
+    assert (record.responded_at, record.value) == (1.0, b"first")
+    assert sink.completed_count == 1 and observer.completed == ["r1"]
+
+
+class TestOneResponsePerOperation:
+    @pytest.mark.parametrize("sink_factory", [History, StreamingRecorder])
+    def test_second_response_is_refused(self, sink_factory):
+        check_one_response_per_operation(sink_factory())
+
+    def test_mutant_taking_a_second_response_is_killed(self):
+        """tests/mutants/recorder.py: without the check a second response
+        rewrites the record and reaches the checker twice."""
+        from mutants.recorder import RespondsTwiceRecorder
+
+        with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+            check_one_response_per_operation(RespondsTwiceRecorder())
+
+
 class TestMarkFailedTwice:
     """A second mark_failed on one operation is a no-op: counted once,
     retired once, observers told once."""

@@ -1,0 +1,58 @@
+"""Interpreter work per operation on the streamed path, as a gate.
+
+Counts Python function calls (``sys.setprofile`` ``"call"`` events) per
+completed operation while a 5 000-operation ``checker-stream``-shaped
+history (16 clients, seed 0) is generated, recorded by
+``StreamingRecorder(window=256)`` and checked by the subscribed incremental
+checker.  The count is a property of the code, not of the host, so it gates
+at its committed budget.  docs/perf.md ("Streamed path: where an operation
+goes") lists what the calls are.
+
+Print the number:  PYTHONPATH=src python tests/consistency/test_streamed_path_cost.py
+"""
+
+import sys
+from collections import Counter
+
+from repro.consistency.incremental import IncrementalAtomicityChecker
+from repro.consistency.stream import StreamingRecorder
+from repro.workloads.generator import StreamSpec, stream_operations
+
+#: Measured 10.90 (22.92 when the generator built dicts and drew through
+#: closures, and the recorder and checker called by keyword).
+CALLS_PER_OP_BUDGET = 11.0
+
+
+def _stream(operations, profile=None):
+    recorder = StreamingRecorder(window=256)
+    recorder.subscribe(IncrementalAtomicityChecker())
+    spec = StreamSpec(operations=operations, clients=16, seed=0)
+    sys.setprofile(profile)
+    try:
+        return stream_operations(spec, recorder)
+    finally:
+        sys.setprofile(None)
+
+
+def calls_per_operation():
+    """(calls per completed operation, calls by function name)."""
+    _stream(200)  # imports and first-use work stay out of the count
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    stats = _stream(5_000, profile)
+    return sum(calls.values()) / stats.completed, calls
+
+
+def test_calls_per_operation_within_budget():
+    per_op, calls = calls_per_operation()
+    assert per_op <= CALLS_PER_OP_BUDGET, (
+        f"{per_op:.2f} calls per operation; most called: {calls.most_common(8)}"
+    )
+
+
+if __name__ == "__main__":
+    print(f"{calls_per_operation()[0]:.2f}")

@@ -10,16 +10,74 @@ tests/sim/test_golden_trace.py and tests/analysis/test_golden_longrun.py.
 ``paper_sweeps_seed0.json`` was written by this script at the last commit
 that had the per-sweep wrapper functions and their registry, through them;
 tests/analysis/test_experiments.py holds the table that replaced them to it.
+``stream_tapes_seed0.json`` was written at the last commit whose streamed
+history generator built three dicts and five closure draws per operation,
+with that generator; tests/workloads/test_stream_tapes.py holds the
+rewritten one to it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import asdict
 from pathlib import Path
 
 GOLDEN_DIR = Path(__file__).resolve().parent
+
+#: Streamed-history scenarios (mirrored by tests/workloads/test_stream_tapes.py):
+#: name -> ``StreamSpec`` keywords.  The first is the ``checker-stream``
+#: benchmark shape; each other row moves one knob off it.
+_SHAPE = dict(clients=16, seed=0)
+STREAM_TAPE_SPECS = {
+    "checker-stream-20000": dict(_SHAPE, operations=20_000),
+    "incomplete-0.1": dict(_SHAPE, operations=4_000, incomplete_fraction=0.1),
+    "inject-stale": dict(_SHAPE, operations=4_000, inject="stale"),
+    "inject-phantom": dict(_SHAPE, operations=4_000, inject="phantom"),
+    "value-size-4": dict(_SHAPE, operations=4_000, value_size=4),
+    "value-size-200": dict(_SHAPE, operations=4_000, value_size=200),
+    "clients-3-reads-0.9": dict(_SHAPE, operations=4_000, clients=3, read_fraction=0.9),
+}
+
+
+class StreamTape:
+    """A sink that keeps nothing but a SHA-256 over every event it is sent.
+
+    Each ``invoke`` / ``respond`` / ``mark_failed`` call is hashed as the
+    ``repr`` of its name and arguments (times exactly, values as bytes),
+    whether the caller passed them positionally or by keyword.
+    """
+
+    def __init__(self) -> None:
+        self.events = 0
+        self._digest = hashlib.sha256()
+
+    def _note(self, *event) -> None:
+        self.events += 1
+        self._digest.update(repr(event).encode() + b"\n")
+
+    def invoke(self, op_id, kind, client, time, value=None):
+        self._note("invoke", op_id, kind, client, time, value)
+
+    def respond(self, op_id, time, value=None, tag=None):
+        self._note("respond", op_id, time, value, tag)
+
+    def mark_failed(self, op_id):
+        self._note("mark_failed", op_id)
+
+    def hexdigest(self) -> str:
+        return self._digest.hexdigest()
+
+
+def stream_tape(name: str) -> dict:
+    """Stream scenario ``name`` into a :class:`StreamTape`: its event count,
+    ``StreamStats`` fields and tape digest."""
+    from repro.workloads.generator import StreamSpec, stream_operations
+
+    tape = StreamTape()
+    stats = stream_operations(StreamSpec(**STREAM_TAPE_SPECS[name]), tape)
+    return {"events": tape.events, "stats": asdict(stats), "sha256": tape.hexdigest()}
 
 #: Golden event-trace scenario (mirrored by tests/sim/test_golden_trace.py).
 TRACE_SCENARIO = dict(
@@ -164,8 +222,18 @@ def sweep_rows(name: str) -> list:
     ]
 
 
+def capture_stream_tapes() -> None:
+    rows = {name: stream_tape(name) for name in STREAM_TAPE_SPECS}
+    (GOLDEN_DIR / "stream_tapes_seed0.json").write_text(
+        json.dumps({"specs": STREAM_TAPE_SPECS, "tapes": rows}, indent=1) + "\n"
+    )
+    print(f"captured {len(rows)} stream tapes")
+
+
 def main() -> None:
     from repro.analysis.experiments import SWEEPS
+
+    capture_stream_tapes()
 
     (GOLDEN_DIR / "paper_sweeps_seed0.json").write_text(
         json.dumps({name: sweep_rows(name) for name in SWEEPS}, indent=1) + "\n"

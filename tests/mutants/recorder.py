@@ -1,9 +1,14 @@
-"""Mutant: a recorder whose byte bound also evicts in-flight records.
+"""Mutants of the streaming recorder.
 
-Killed by ``tests/runtime/test_state_bounds.py`` — inside a SODA run at
-64 KiB a client's ``respond()`` looks its own live operation up and gets
-the "already evicted" error — and by the interleaving property of
+``EvictsInFlightRecorder`` — a byte bound that also evicts in-flight
+records.  Killed by ``tests/runtime/test_state_bounds.py`` — inside a SODA
+run at 64 KiB a client's ``respond()`` looks its own live operation up and
+gets the "already evicted" error — and by the interleaving property of
 ``tests/consistency/test_stream.py``.
+
+``RespondsTwiceRecorder`` — ``respond`` without the "already completed"
+check, so a second response overwrites the first and reaches the observers
+again.  Killed by ``tests/consistency/test_stream.py::TestOneResponsePerOperation``.
 """
 
 from repro.consistency.stream import RETIRED_BYTE_BUDGET, StreamingRecorder
@@ -14,9 +19,29 @@ class EvictsInFlightRecorder(StreamingRecorder):
 
     def _retire(self, record):
         super()._retire(record)
-        active = self._active
-        in_flight = sum(len(r.value) for r in active.values() if r.value is not None)
+        active = self.in_flight()
+        in_flight = sum(len(r.value) for r in active if r.value is not None)
         while active and self.retired_bytes + in_flight > RETIRED_BYTE_BUDGET:
-            evicted = active.pop(next(iter(active)))
+            evicted = active.pop(0)
+            del self._records[evicted.op_id]
             in_flight -= len(evicted.value or b"")
             self.evicted_count += 1
+
+
+class RespondsTwiceRecorder(StreamingRecorder):
+    """``HistorySink.respond`` minus the "already completed" check."""
+
+    def respond(self, op_id, time, value=None, tag=None):
+        record = self.get(op_id)
+        if time < record.invoked_at:
+            raise ValueError("response cannot precede invocation")
+        record.responded_at = time
+        if value is not None:
+            record.value = value
+        if tag is not None:
+            record.tag = tag
+        self.completed_count += 1
+        for observer in self._observers:
+            observer.on_complete(record)
+        self._retire(record)
+        return record
