@@ -14,7 +14,6 @@ import pytest
 from repro.erasure.batch import CachedDecoder, CachedEncoder
 from repro.erasure.mds import corrupt
 from repro.erasure.rs import ReedSolomonCode
-from repro.erasure.vandermonde import VandermondeCode
 
 VALUE_SIZE = 16 * 1024  # 16 KiB, large enough that the numpy paths dominate
 
@@ -81,11 +80,3 @@ def test_cached_decoder_repeat_throughput(benchmark):
     benchmark(repeated_reads)
     benchmark.extra_info.update(decoder.stats())
 
-
-def test_vandermonde_decode_comparison(benchmark):
-    """The matrix-based backend, for comparison with the RS fast path."""
-    code = VandermondeCode(10, 5)
-    value = _value(3)
-    elements = code.encode(value)[5:]
-    decoded = benchmark(code.decode, elements)
-    assert decoded == value

@@ -9,7 +9,7 @@ n / (n - f - 2e).
 Run with:  python examples/error_injection.py
 """
 
-from repro.core import SodaErrCluster
+from repro.core.sodaerr.cluster import SodaErrCluster
 
 
 def main() -> None:

@@ -14,8 +14,9 @@ Run with:  python examples/fault_tolerance.py [seed]
 
 import sys
 
-from repro.consistency import check_lemma_properties, check_linearizability
-from repro.core import SodaCluster
+from repro.consistency.lemma_check import check_lemma_properties
+from repro.consistency.wgl import check_linearizability
+from repro.core.soda.cluster import SodaCluster
 from repro.core.tags import TAG_ZERO
 from repro.workloads.generator import WorkloadSpec, run_workload
 

@@ -3,7 +3,7 @@
 
 Shows the minimal public-API workflow:
 
-1. build a :class:`repro.core.SodaCluster`,
+1. build a :class:`repro.core.soda.cluster.SodaCluster`,
 2. write and read values (blocking convenience API),
 3. crash ``f`` servers and keep operating,
 4. inspect the costs the paper's theorems talk about.
@@ -11,7 +11,7 @@ Shows the minimal public-API workflow:
 Run with:  python examples/quickstart.py
 """
 
-from repro.core import SodaCluster
+from repro.core.soda.cluster import SodaCluster
 
 
 def main() -> None:

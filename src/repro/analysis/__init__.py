@@ -22,22 +22,3 @@
   byte-identical under any scheduling.  Its seven artefact kinds are rows
   of one table (:data:`KINDS`) behind :func:`run_experiment`.
 """
-
-from repro.analysis import theoretical
-from repro.analysis.engine import KINDS, Report, run_experiment, write_artefacts
-from repro.analysis.experiments import SWEEPS, run_sweep
-from repro.analysis.pool import derive_seed
-from repro.analysis.tables import format_table, generate_table1
-
-__all__ = [
-    "theoretical",
-    "generate_table1",
-    "format_table",
-    "KINDS",
-    "Report",
-    "run_experiment",
-    "write_artefacts",
-    "SWEEPS",
-    "run_sweep",
-    "derive_seed",
-]

@@ -41,11 +41,9 @@ from repro.analysis import theoretical
 from repro.analysis.pool import derive_seed
 from repro.baselines.casgc import CasGcCluster
 from repro.baselines.registry import make_cluster
-from repro.consistency import (
-    check_history_incrementally,
-    check_lemma_properties,
-    check_linearizability,
-)
+from repro.consistency.incremental import check_history_incrementally
+from repro.consistency.lemma_check import check_lemma_properties
+from repro.consistency.wgl import check_linearizability
 from repro.core.soda.cluster import SodaCluster
 from repro.core.sodaerr.cluster import SodaErrCluster
 from repro.core.tags import TAG_ZERO

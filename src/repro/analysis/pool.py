@@ -3,23 +3,26 @@
 Every run of :mod:`repro.analysis.engine` — long runs, open-loop runs,
 adversarial runs, fleet mode — has the same execution shape: a
 deterministic grid of picklable payloads fans out over a ``spawn``
-multiprocessing pool, results stream back in *completion* order
-(``imap_unordered``, so post-processing pipelines against cells still
-simulating), and order-sensitive consumers restore grid order with a
-buffered next-expected cursor.  This module is that shape:
+process pool, results stream back in *completion* order (so
+post-processing pipelines against cells still simulating), and
+order-sensitive consumers restore grid order with a buffered
+next-expected cursor.  This module is that shape:
 
 * :func:`derive_seed` — the per-point seed of an epoch or of a paper-sweep
   point (the paper sweeps of :mod:`repro.analysis.experiments` share this
   rule and nothing else here: they run serially);
 * :func:`iter_unordered` — the pool body (serial in-process for ``jobs=1``
-  or single-payload grids, a ``spawn`` pool otherwise);
+  or single-payload grids, a ``spawn`` pool otherwise).  A worker that
+  dies (SIGKILL, the OOM killer) ends the run with :class:`WorkerDied`
+  naming the payloads that never finished, never a hang; a payload that
+  raises re-raises in the parent with its index attached;
 * :func:`in_order` — the order-restoring cursor over ``(index, result)``
   pairs;
-* :func:`resolve_workers` — the daemonic-context guard: a worker process
-  of a spawn pool cannot itself spawn children, so a nested request (a
-  fleet cell inside the epoch pool) degrades to serial execution with a loud
-  :class:`RuntimeWarning` instead of crashing — results are byte-identical
-  either way, only the parallelism is lost.
+* :func:`resolve_workers` — the nested-pool guard: a pool worker does not
+  fan out again, so a nested request (a fleet cell inside the epoch pool)
+  degrades to serial execution with a loud :class:`RuntimeWarning` instead
+  of multiplying the process count — results are byte-identical either
+  way, only the parallelism is lost.
 
 ``spawn`` rather than ``fork`` everywhere, so workers start from a clean
 interpreter on every platform (no inherited RNG or simulation state);
@@ -46,20 +49,33 @@ def derive_seed(base_seed: int, name: str, index: int) -> int:
     return seed_from_text(f"{base_seed}:{name}:{index}")
 
 
+class WorkerDied(RuntimeError):
+    """A pool worker process died before reporting: killed by a signal, the
+    OOM killer or an ``os._exit``.  ``indices`` are the payloads that had not
+    finished when the pool noticed; their results are lost."""
+
+    def __init__(self, indices: Sequence[int]) -> None:
+        self.indices = tuple(indices)
+        super().__init__(
+            f"a pool worker died before reporting; payloads {list(self.indices)} "
+            f"did not finish"
+        )
+
+
 def resolve_workers(requested: int, *, what: str = "worker processes") -> int:
     """Clamp a requested worker count to what this process may spawn.
 
-    Daemonic processes (every worker of a ``spawn`` pool) cannot create
-    child processes; asking for ``N > 1`` workers from inside one warns
+    A pool worker (any process started by :mod:`multiprocessing`) does not
+    fan out again: asking for ``N > 1`` workers from inside one warns
     loudly and returns 1 — the caller then runs its work serially, which
     is result-identical by construction in every engine here.
     """
     if requested < 1:
         raise ValueError(f"{what}: need at least one worker")
-    if requested > 1 and multiprocessing.current_process().daemon:
+    if requested > 1 and multiprocessing.parent_process() is not None:
         warnings.warn(
             f"{what}: {requested} worker processes requested inside a "
-            f"daemonic pool worker, which cannot spawn children; degrading "
+            f"pool worker, which does not fan out again; degrading "
             f"to serial execution (results are identical, only slower)",
             RuntimeWarning,
             stacklevel=3,
@@ -76,8 +92,10 @@ def iter_unordered(
     ``jobs=1`` (or a single payload) runs in-process — no pool, no
     pickling — and yields in payload order; ``jobs>1`` shards the payloads
     over a ``spawn`` pool and yields as workers finish.  A ``jobs>1``
-    request from inside a daemonic pool worker degrades to serial with a
-    warning (see :func:`resolve_workers`) instead of raising.
+    request from inside a pool worker degrades to serial with a warning
+    (see :func:`resolve_workers`).  A payload that raises re-raises here
+    with ``payload_index`` set on the exception; a worker that dies raises
+    :class:`WorkerDied`.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -95,9 +113,29 @@ def _iter_unordered(
         for payload in payloads:
             yield fn(payload)
         return
-    context = multiprocessing.get_context("spawn")
-    with context.Pool(processes=min(jobs, len(payloads))) as pool:
-        yield from pool.imap_unordered(fn, payloads)
+    # Imported here: a serial run (``--jobs 1``) never builds a pool.
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    executor = ProcessPoolExecutor(
+        max_workers=min(jobs, len(payloads)),
+        mp_context=multiprocessing.get_context("spawn"),
+    )
+    try:
+        index_of = {executor.submit(fn, p): i for i, p in enumerate(payloads)}
+        for future in as_completed(index_of):
+            error = future.exception()
+            if isinstance(error, BrokenProcessPool):
+                lost = [i for f, i in index_of.items() if not f.done() or f.exception()]
+                raise WorkerDied(lost) from error
+            if error is not None:
+                error.payload_index = index_of[future]
+                raise error
+            yield future.result()
+    finally:
+        # A consumer that stops early (or an error above) cancels what has
+        # not started; a broken pool has already terminated its workers.
+        executor.shutdown(wait=True, cancel_futures=True)
 
 
 def max_rss_kb() -> int:

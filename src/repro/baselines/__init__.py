@@ -11,18 +11,6 @@
   keeps coded elements for at most ``delta + 1`` versions, giving the
   ``(n / (n - 2f)) * (delta + 1)`` storage cost of Table I, row 2.
 * :mod:`repro.baselines.registry` — a name -> cluster-factory registry used
-  by the comparison experiments.
+  by the comparison experiments; it imports a protocol's cluster module on
+  the first :func:`~repro.baselines.registry.make_cluster` of it.
 """
-
-from repro.baselines.abd import AbdCluster
-from repro.baselines.cas import CasCluster
-from repro.baselines.casgc import CasGcCluster
-from repro.baselines.registry import available_protocols, make_cluster
-
-__all__ = [
-    "AbdCluster",
-    "CasCluster",
-    "CasGcCluster",
-    "available_protocols",
-    "make_cluster",
-]

@@ -3,45 +3,46 @@
 The comparison experiments (Table I, the storage/communication trade-off
 ablation) iterate over protocols by name; this module centralises the
 construction so benchmarks, examples and the CLI all build clusters the
-same way.
+same way.  A protocol's cluster module is imported by the first
+:func:`make_cluster` of it: naming the protocols loads none of them.
 """
 
 from __future__ import annotations
 
-from typing import List
+from importlib import import_module
+from typing import TYPE_CHECKING, List
 
-from repro.baselines.abd import AbdCluster
-from repro.baselines.cas import CasCluster
-from repro.baselines.casgc import CasGcCluster
-from repro.core.soda.cluster import SodaCluster
-from repro.core.sodaerr.cluster import SodaErrCluster
-from repro.runtime.cluster import RegisterCluster
+if TYPE_CHECKING:
+    from repro.runtime.cluster import RegisterCluster
+
+#: Protocol name -> (defining module, cluster class name).
+_CLUSTERS = {
+    "ABD": ("repro.baselines.abd", "AbdCluster"),
+    "CAS": ("repro.baselines.cas", "CasCluster"),
+    "CASGC": ("repro.baselines.casgc", "CasGcCluster"),
+    "SODA": ("repro.core.soda.cluster", "SodaCluster"),
+    "SODAerr": ("repro.core.sodaerr.cluster", "SodaErrCluster"),
+}
+_BY_KEY = {name.upper(): name for name in _CLUSTERS}
 
 
 def available_protocols() -> List[str]:
     """Names accepted by :func:`make_cluster`."""
-    return ["ABD", "CAS", "CASGC", "SODA", "SODAerr"]
+    return list(_CLUSTERS)
 
 
 def make_cluster(protocol: str, n: int, f: int, **kwargs) -> RegisterCluster:
-    """Build a cluster of the named protocol.
+    """Build a cluster of the named protocol (case-insensitive).
 
     Protocol-specific keyword arguments: ``delta`` for CASGC (concurrency
     bound used by garbage collection), ``e`` and the error-injection
     controls for SODAerr.  All other keyword arguments are passed through to
     the cluster constructor (seed, delay model, client counts, ...).
     """
-    name = protocol.strip().upper()
-    if name == "ABD":
-        return AbdCluster(n, f, **kwargs)
-    if name == "CAS":
-        return CasCluster(n, f, **kwargs)
-    if name == "CASGC":
-        return CasGcCluster(n, f, **kwargs)
-    if name == "SODA":
-        return SodaCluster(n, f, **kwargs)
-    if name == "SODAERR":
-        return SodaErrCluster(n, f, **kwargs)
-    raise ValueError(
-        f"unknown protocol {protocol!r}; available: {', '.join(available_protocols())}"
-    )
+    name = _BY_KEY.get(protocol.strip().upper())
+    if name is None:
+        raise ValueError(
+            f"unknown protocol {protocol!r}; available: {', '.join(available_protocols())}"
+        )
+    module, cls = _CLUSTERS[name]
+    return getattr(import_module(module), cls)(n, f, **kwargs)

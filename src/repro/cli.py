@@ -13,7 +13,9 @@ Usage examples::
 
 The CLI is a thin wrapper over :mod:`repro.analysis`; anything it prints can
 also be obtained programmatically (see docs/sweeps.md for the sweep table
-and the mapping of its rows to the paper's tables and theorems).
+and the mapping of its rows to the paper's tables and theorems).  Each
+command imports its machinery when it runs, so ``import repro.cli`` loads
+the registry and the GF backend switch and nothing else.
 
 ``experiment <sweep>`` runs one row of :data:`repro.analysis.experiments.
 SWEEPS` at the row's defaults and prints its rows as ``key=value`` lines.
@@ -65,12 +67,9 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro import __version__
-from repro.analysis.engine import KINDS, Report, run_experiment, write_artefacts
-from repro.analysis.experiments import SWEEPS, run_sweep
-from repro.analysis.tables import format_table, generate_table1
 from repro.baselines.registry import available_protocols, make_cluster
 from repro.erasure.gf import (
     BACKEND_ENV_VAR,
@@ -78,8 +77,9 @@ from repro.erasure.gf import (
     describe_backend,
     set_default_backend,
 )
-from repro.metrics.latency import format_latency
-from repro.runtime.openloop import ADMISSION_POLICIES
+
+if TYPE_CHECKING:
+    from repro.analysis.engine import Report
 
 
 #: The epoch engine's three commands, as ``list`` and ``experiment -h`` show them.
@@ -94,6 +94,8 @@ _ENGINE_COMMANDS = {
 
 def _experiments() -> dict:
     """Every ``experiment <name>``: the paper sweeps, then the engine commands."""
+    from repro.analysis.experiments import SWEEPS
+
     return {**{name: sweep.claim for name, sweep in SWEEPS.items()}, **_ENGINE_COMMANDS}
 
 
@@ -108,6 +110,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import format_table, generate_table1
+
     entries = generate_table1(n=args.n, delta=args.delta, seed=args.seed)
     print(format_table(entries))
     return 0
@@ -133,17 +137,12 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_cell(value: object) -> str:
-    if isinstance(value, float):
-        # nan means "no completed operations" (see LatencyStats.empty);
-        # format_latency renders the sentinel as '-' instead of 'nan'.
-        return format_latency(value)
-    return str(value)
-
-
 def _cmd_sweep(name: str, args: argparse.Namespace) -> int:
     """``experiment <sweep>``: one row of :data:`SWEEPS`, its rows printed.
     Every flag the user gave is applied to the row or refused by name."""
+    from repro.analysis.experiments import SWEEPS, run_sweep
+    from repro.metrics.latency import format_latency
+
     sweep = SWEEPS[name]
     fixed, values = {}, None
     for dest in args.given:
@@ -166,7 +165,13 @@ def _cmd_sweep(name: str, args: argparse.Namespace) -> int:
         print(f"experiment {name}: {exc}", file=sys.stderr)
         return 2
     for row in rows:
-        print("  ".join(f"{k}={_format_cell(v)}" for k, v in asdict(row).items()))
+        # nan means "no completed operations" (see LatencyStats.empty);
+        # format_latency renders the sentinel as '-' instead of 'nan'.
+        cells = (
+            f"{k}={format_latency(v) if isinstance(v, float) else v}"
+            for k, v in asdict(row).items()
+        )
+        print("  ".join(cells))
     if name == "atomicity":
         return 0 if all(r.linearizable_executions == r.executions for r in rows) else 1
     return 0
@@ -224,6 +229,8 @@ def _engine_params(kind, args: argparse.Namespace) -> dict:
 def _print_summary(report: Report, args: argparse.Namespace) -> None:
     """Print what the report carries: counts, rates, then whichever of the
     checker verdict, latency percentiles and detection verdict it has."""
+    from repro.metrics.latency import format_latency
+
     kind, p = report.kind, report.params
     scope = f"{len(report.epochs)} epochs ({args.jobs} jobs"
     scope += f", {report.fleet} partitions)" if kind.private else ")"
@@ -338,6 +345,8 @@ def _print_summary(report: Report, args: argparse.Namespace) -> None:
 
 def _cmd_engine(name: str, args: argparse.Namespace) -> int:
     """``experiment longrun | openloop | adversary``: one engine run."""
+    from repro.analysis.engine import KINDS, run_experiment, write_artefacts
+
     if args.objects < 1:
         print(f"--objects must be at least 1, got {args.objects}", file=sys.stderr)
         return 2
@@ -367,7 +376,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     name = args.name.replace("_", "-")
     if name in _ENGINE_COMMANDS:
         return _cmd_engine(name, args)
-    if name in SWEEPS:
+    if name in _experiments():
         return _cmd_sweep(name, args)
     print(
         f"unknown experiment {args.name!r}; available: {', '.join(_experiments())}",
@@ -411,6 +420,8 @@ def _global_flags() -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.runtime.config import ADMISSION_POLICIES
+
     parser = argparse.ArgumentParser(
         prog=_PROG,
         description="Reproduction of the SODA storage-optimized atomic register algorithms",

@@ -22,47 +22,3 @@ executions:
   *online* as operations retire off the stream, in O(ops · frontier) time
   and bounded memory — the scale-out path for million-operation histories.
 """
-
-from repro.consistency.history import History, OperationRecord
-from repro.consistency.incremental import (
-    ClusterSummary,
-    IncrementalAtomicityChecker,
-    IncrementalCheckResult,
-    check_history_incrementally,
-)
-from repro.consistency.lemma_check import AtomicityViolation, check_lemma_properties
-from repro.consistency.multiplex import ObjectCheckerMux
-from repro.consistency.shardmerge import (
-    MergedCheckResult,
-    NamespaceCheckResult,
-    ShardVerdict,
-    check_history_sharded,
-    merge_namespace_verdicts,
-    merge_shard_verdicts,
-    shard_verdict_from_checker,
-)
-from repro.consistency.stream import HistorySink, StreamingRecorder, StreamObserver
-from repro.consistency.wgl import check_linearizability
-
-__all__ = [
-    "ClusterSummary",
-    "History",
-    "HistorySink",
-    "IncrementalAtomicityChecker",
-    "IncrementalCheckResult",
-    "MergedCheckResult",
-    "NamespaceCheckResult",
-    "ObjectCheckerMux",
-    "OperationRecord",
-    "ShardVerdict",
-    "merge_namespace_verdicts",
-    "StreamingRecorder",
-    "StreamObserver",
-    "AtomicityViolation",
-    "check_lemma_properties",
-    "check_linearizability",
-    "check_history_incrementally",
-    "check_history_sharded",
-    "merge_shard_verdicts",
-    "shard_verdict_from_checker",
-]

@@ -14,9 +14,3 @@ Sub-packages / modules
 * :mod:`repro.core.sodaerr` — the SODAerr variant of Section VI that also
   tolerates silently corrupted local disk reads.
 """
-
-from repro.core.tags import Tag, TAG_ZERO
-from repro.core.soda.cluster import SodaCluster
-from repro.core.sodaerr.cluster import SodaErrCluster
-
-__all__ = ["Tag", "TAG_ZERO", "SodaCluster", "SodaErrCluster"]

@@ -7,10 +7,3 @@
   automata to the simulation substrate, records the operation history and
   exposes cost/latency metrics.
 """
-
-from repro.core.soda.cluster import SodaCluster
-from repro.core.soda.reader import SodaReader
-from repro.core.soda.server import SodaServer
-from repro.core.soda.writer import SodaWriter
-
-__all__ = ["SodaCluster", "SodaReader", "SodaServer", "SodaWriter"]

@@ -12,9 +12,7 @@ in Fig. 6:
   decoding, and decodes with the errors-and-erasures decoder ``Phi^-1_err``;
 * a server unregisters a reader only once ``k + 2e`` distinct coded
   elements of one tag are known to have been sent to it.
+
+:class:`~repro.core.sodaerr.cluster.SodaErrCluster` and
+:class:`~repro.core.sodaerr.reader.SodaErrReader` carry those changes.
 """
-
-from repro.core.sodaerr.cluster import SodaErrCluster
-from repro.core.sodaerr.reader import SodaErrReader
-
-__all__ = ["SodaErrCluster", "SodaErrReader"]

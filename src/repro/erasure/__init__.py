@@ -23,13 +23,10 @@ This package implements everything needed from scratch:
   ``native`` backend and their per-user build cache (every way of failing
   to provide them is a named reason, never an exception).
 * :mod:`repro.erasure.poly` — polynomials over GF(2^8).
-* :mod:`repro.erasure.matrix` — matrices over GF(2^8) (inversion, solving).
+* :mod:`repro.erasure.matrix` — matrices over GF(2^8) (inversion).
 * :mod:`repro.erasure.rs` — a classical Reed–Solomon codec with systematic
   encoding, erasure decoding from any ``k`` symbols and Berlekamp–Massey /
   Forney errors-and-erasures decoding.
-* :mod:`repro.erasure.vandermonde` — an alternative matrix-based MDS
-  backend (systematic Vandermonde generator matrix), used to cross-check
-  the Reed–Solomon implementation and as a simple erasure-only code.
 * :mod:`repro.erasure.mds` — the :class:`~repro.erasure.mds.MDSCode`
   interface shared by all protocol implementations, including the batched
   ``encode_many`` / ``decode_many`` pipeline.
@@ -44,38 +41,3 @@ This package implements everything needed from scratch:
 * :mod:`repro.erasure.replication` — the trivial ``[n, 1]`` replication
   "code" used by the ABD baseline.
 """
-
-from repro.erasure.batch import CachedDecoder, CachedEncoder
-from repro.erasure.gf import (
-    GF256,
-    GF_BACKENDS,
-    available_backends,
-    default_backend,
-    default_field,
-    describe_backend,
-    set_default_backend,
-)
-from repro.erasure.linear import LinearCode
-from repro.erasure.mds import CodedElement, MDSCode, DecodingError
-from repro.erasure.rs import ReedSolomonCode
-from repro.erasure.vandermonde import VandermondeCode
-from repro.erasure.replication import ReplicationCode
-
-__all__ = [
-    "GF256",
-    "GF_BACKENDS",
-    "available_backends",
-    "default_backend",
-    "default_field",
-    "describe_backend",
-    "set_default_backend",
-    "CachedDecoder",
-    "CachedEncoder",
-    "CodedElement",
-    "LinearCode",
-    "MDSCode",
-    "DecodingError",
-    "ReedSolomonCode",
-    "VandermondeCode",
-    "ReplicationCode",
-]

@@ -1,16 +1,17 @@
 """Shared machinery for matrix-defined (linear) MDS codes.
 
-Both erasure backends — the classical Reed–Solomon code and the systematic
-Vandermonde code — encode by one matrix product ``G @ message`` and decode
-erasures by inverting the ``k x k`` submatrix of ``G`` selected by the
-available element indices.  :class:`LinearCode` hosts that shared pipeline:
+A linear code — the classical Reed–Solomon code here, and the Vandermonde
+cross-check code the tests keep — encodes by one matrix product
+``G @ message`` and decodes erasures by inverting the ``k x k`` submatrix
+of ``G`` selected by the available element indices.  :class:`LinearCode`
+hosts that shared pipeline:
 
 * single-value ``encode`` / ``decode``;
 * batched ``encode_many`` / ``decode_many`` that frame same-sized values
   into one ``(batch, k, stripe)`` block per
   :meth:`~repro.erasure.gf.GF256.matmul_many` call, which shares the
   per-call overhead of small values over the batch;
-* a systematic encode matrix (identity on top, as both codes here build)
+* a systematic encode matrix (identity on top, as both codes build)
   is detected once: only the ``n - k`` parity rows are ever multiplied, and
   the first ``k`` coded elements are slices of the framed bytes;
 * a bounded LRU cache of inverted decode submatrices — there are C(n, k)

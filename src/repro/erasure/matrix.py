@@ -1,9 +1,8 @@
 """Matrix algebra over GF(2^8).
 
-Used for the Vandermonde-based MDS backend (systematic generator matrices)
-and for the erasure-only "solve a k x k system" decoding path of the
-Reed–Solomon code.  Matrices are numpy ``uint8`` arrays; all arithmetic is
-delegated to :class:`repro.erasure.gf.GF256`.
+The inversion behind the erasure-only "solve a k x k system" decoding path
+of :class:`~repro.erasure.linear.LinearCode`.  Matrices are numpy ``uint8``
+arrays; all arithmetic is delegated to :class:`repro.erasure.gf.GF256`.
 """
 
 from __future__ import annotations
@@ -20,31 +19,6 @@ class SingularMatrixError(ValueError):
 def identity(n: int) -> np.ndarray:
     """The n x n identity matrix over GF(2^8)."""
     return np.eye(n, dtype=np.uint8)
-
-
-def vandermonde(field: GF256, rows: int, cols: int, xs: list[int] | None = None) -> np.ndarray:
-    """A ``rows x cols`` Vandermonde matrix ``V[i, j] = x_i^j``.
-
-    Parameters
-    ----------
-    xs:
-        Evaluation points; defaults to consecutive powers of the field
-        generator (``alpha^0, alpha^1, ...``), which are pairwise distinct
-        for ``rows <= 255`` and therefore yield an MDS generator matrix.
-    """
-    if xs is None:
-        xs = [field.alpha_pow(i) for i in range(rows)]
-    if len(xs) != rows:
-        raise ValueError("need exactly one evaluation point per row")
-    if len(set(xs)) != rows:
-        raise ValueError("evaluation points must be pairwise distinct")
-    V = np.zeros((rows, cols), dtype=np.uint8)
-    for i, x in enumerate(xs):
-        acc = 1
-        for j in range(cols):
-            V[i, j] = acc
-            acc = field.mul(acc, x)
-    return V
 
 
 def gauss_jordan_invert(field: GF256, A: np.ndarray) -> np.ndarray:
@@ -81,62 +55,3 @@ def gauss_jordan_invert(field: GF256, A: np.ndarray) -> np.ndarray:
             factor = int(aug[r, col])
             aug[r] ^= field.scale_vec(aug[col], factor)
     return aug[:, n:]
-
-
-def solve(field: GF256, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve ``A X = B`` for ``X`` where ``A`` is square and invertible.
-
-    ``B`` may be a matrix (multiple right-hand sides); the value axis of an
-    erasure-decoding problem is passed through as columns so the whole value
-    is recovered with one inversion.
-    """
-    A_inv = gauss_jordan_invert(field, A)
-    B = np.asarray(B, dtype=np.uint8)
-    if B.ndim == 1:
-        return field.matmul(A_inv, B[:, None])[:, 0]
-    return field.matmul(A_inv, B)
-
-
-def rank(field: GF256, A: np.ndarray) -> int:
-    """Rank of a matrix over GF(2^8) (row echelon elimination)."""
-    A = np.array(A, dtype=np.uint8, copy=True)
-    rows, cols = A.shape
-    r = 0
-    for col in range(cols):
-        if r >= rows:
-            break
-        pivot_row = None
-        for i in range(r, rows):
-            if A[i, col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            A[[r, pivot_row]] = A[[pivot_row, r]]
-        pivot_inv = field.inv(int(A[r, col]))
-        A[r] = field.scale_vec(A[r], pivot_inv)
-        for i in range(rows):
-            if i != r and A[i, col] != 0:
-                A[i] ^= field.scale_vec(A[r], int(A[i, col]))
-        r += 1
-    return r
-
-
-def systematic_generator(field: GF256, n: int, k: int) -> np.ndarray:
-    """A systematic ``k x n`` MDS generator matrix.
-
-    Built from a ``n x k`` Vandermonde matrix ``V`` (with distinct
-    evaluation points) by right-multiplying with the inverse of its first
-    ``k`` rows, i.e. the returned matrix ``G`` (shape ``k x n``, column ``i``
-    producing coded element ``i``) satisfies ``G[:, :k] = I`` and every
-    ``k x k`` column submatrix is invertible.  This is the standard
-    construction used by, e.g., classic RAID-6 style erasure coders.
-    """
-    if not (1 <= k <= n <= 255):
-        raise ValueError(f"require 1 <= k <= n <= 255, got n={n} k={k}")
-    V = vandermonde(field, n, k)  # n x k
-    top = V[:k, :]
-    top_inv = gauss_jordan_invert(field, top)
-    encode_matrix = field.matmul(V, top_inv)  # n x k, first k rows identity
-    return encode_matrix.T.copy()  # k x n

@@ -9,20 +9,3 @@
 * :class:`~repro.metrics.latency.LatencyTracker` summarises operation
   durations, used to check the ``5 delta`` / ``6 delta`` latency bounds.
 """
-
-from repro.metrics.costs import CommunicationCostTracker, StorageTracker
-from repro.metrics.latency import (
-    LatencyHistogram,
-    LatencyStats,
-    LatencyTracker,
-    format_latency,
-)
-
-__all__ = [
-    "CommunicationCostTracker",
-    "StorageTracker",
-    "LatencyHistogram",
-    "LatencyStats",
-    "LatencyTracker",
-    "format_latency",
-]

@@ -14,12 +14,3 @@ of many; :mod:`repro.runtime.driver` holds what those four entry points
 share (run loop, fault-plan materialiser, value source) and
 :class:`~repro.runtime.config.RunConfig` their knobs.
 """
-
-from repro.runtime.cluster import RegisterCluster, ScheduledOperation
-
-__all__ = ["RegisterCluster", "ScheduledOperation"]
-
-# repro.runtime.namespace (MultiRegisterCluster) is intentionally not
-# imported here: it depends on repro.baselines.registry, which imports the
-# protocol packages — importing it eagerly would turn ``import
-# repro.runtime`` into an import of the whole protocol stack.

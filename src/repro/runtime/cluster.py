@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,11 +33,13 @@ from repro.metrics.costs import CommunicationCostTracker, StorageTracker
 from repro.metrics.latency import LatencyTracker
 from repro.runtime.config import RunConfig
 from repro.runtime.driver import apply_fault_plan, run_armed, value_source
-from repro.runtime.openloop import OpenLoopStats, begin_open_loop
 from repro.sim.failures import CrashSchedule, FailureInjector
 from repro.sim.network import DelayModel
 from repro.sim.process import Process
 from repro.sim.simulation import Simulation
+
+if TYPE_CHECKING:
+    from repro.runtime.openloop import OpenLoopStats
 
 
 @dataclass
@@ -554,6 +556,8 @@ class RegisterCluster(ABC):
         :class:`~repro.workloads.faults.FaultPlan` (or its spec string) and
         applies it before the run via :meth:`apply_fault_plan`.
         """
+        from repro.runtime.openloop import begin_open_loop
+
         cfg = RunConfig(**knobs)
         if faults is not None:
             self.apply_fault_plan(faults, seed=seed)

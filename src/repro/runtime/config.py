@@ -22,8 +22,7 @@ from typing import Optional
 
 __all__ = ["ADMISSION_POLICIES", "RunConfig"]
 
-#: Admission-queue overflow policies, in CLI surface order (re-exported by
-#: :mod:`repro.runtime.openloop`, its original home).
+#: Admission-queue overflow policies, in CLI surface order.
 ADMISSION_POLICIES = ("drop", "shed-reads", "backpressure")
 
 

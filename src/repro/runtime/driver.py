@@ -24,12 +24,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.runtime.config import RunConfig
-from repro.sim.adversary import (
-    CompositeAdversary,
-    DelayAdversary,
-    PartitionAdversary,
-    WithholdingAdversary,
-)
 from repro.sim.network import SlowDisk
 from repro.sim.simulation import EventBudgetExceeded, Simulation
 
@@ -143,8 +137,13 @@ def apply_fault_plan(
     materialised ground truth as an
     :class:`~repro.workloads.faults.AppliedFaultPlan`.
     """
-    # Imported here: the workloads package imports runtime.cluster, which
-    # imports this module.
+    # Imported here: only a run with a fault plan needs them.
+    from repro.sim.adversary import (
+        CompositeAdversary,
+        DelayAdversary,
+        PartitionAdversary,
+        WithholdingAdversary,
+    )
     from repro.workloads.faults import (
         AppliedFaultPlan,
         AppliedObjectFaults,

@@ -53,11 +53,11 @@ import numpy as np
 from repro.consistency.history import OperationRecord
 from repro.consistency.stream import StreamObserver
 from repro.metrics.latency import LatencyHistogram
-from repro.runtime.config import ADMISSION_POLICIES, RunConfig
+from repro.runtime.config import RunConfig
 from repro.runtime.driver import value_source
 from repro.sim.process import Process
 
-__all__ = ["ADMISSION_POLICIES", "OpenLoopStats", "begin_open_loop"]
+__all__ = ["OpenLoopStats", "begin_open_loop"]
 
 
 @dataclass

@@ -21,32 +21,3 @@ generator so executions are reproducible.  The latency analysis of Section
 V-C is reproduced with the :class:`~repro.sim.network.FixedDelay` model,
 which delivers every message after exactly ``delta`` time units.
 """
-
-from repro.sim.events import Event, EventQueue
-from repro.sim.network import (
-    DelayModel,
-    ExponentialDelay,
-    FixedDelay,
-    Network,
-    UniformDelay,
-)
-from repro.sim.process import Process, ProcessCrashed
-from repro.sim.simulation import Simulation, SimulationError
-from repro.sim.failures import CrashSchedule, DiskErrorModel, FailureInjector
-
-__all__ = [
-    "Event",
-    "EventQueue",
-    "DelayModel",
-    "FixedDelay",
-    "UniformDelay",
-    "ExponentialDelay",
-    "Network",
-    "Process",
-    "ProcessCrashed",
-    "Simulation",
-    "SimulationError",
-    "CrashSchedule",
-    "DiskErrorModel",
-    "FailureInjector",
-]

@@ -19,72 +19,9 @@ workloads that exercise the quantities the theorems talk about:
   composite (crash bursts, slow disks, delay adversary, withholding
   servers, partition/heal), each leg a pure function of its derived rng.
 
-The ``parse_*`` family re-exported here is the single documented
-spec-string surface: :func:`parse_arrival` (``poisson:4``),
-:func:`parse_key_dist` (``zipf:1.1``) and :func:`parse_faults`
+The ``parse_*`` family is the single documented spec-string surface:
+:func:`~repro.workloads.arrivals.parse_arrival` (``poisson:4``),
+:func:`~repro.workloads.keyed.parse_key_dist` (``zipf:1.1``) and
+:func:`~repro.workloads.faults.parse_faults`
 (``withhold:1:40:30;partition:2:10:12``).
 """
-
-from repro.workloads.arrivals import (
-    ArrivalProcess,
-    BurstArrivals,
-    DiurnalArrivals,
-    PoissonArrivals,
-    TraceArrivals,
-    parse_arrival,
-)
-from repro.workloads.faults import (
-    AppliedFaultPlan,
-    AppliedObjectFaults,
-    CrashLeg,
-    DelayAdversaryLeg,
-    FaultPlan,
-    PartitionLeg,
-    SlowLeg,
-    WithholdLeg,
-    fault_seed,
-    parse_faults,
-)
-from repro.workloads.generator import WorkloadResult, WorkloadSpec, run_workload
-from repro.workloads.keyed import (
-    KeyDistribution,
-    correlated_crash_schedule,
-    parse_key_dist,
-)
-from repro.workloads.scenarios import (
-    ScenarioResult,
-    concurrent_read_scenario,
-    crash_heavy_scenario,
-    sequential_scenario,
-    skewed_scenario,
-)
-
-__all__ = [
-    "AppliedFaultPlan",
-    "AppliedObjectFaults",
-    "ArrivalProcess",
-    "BurstArrivals",
-    "CrashLeg",
-    "DelayAdversaryLeg",
-    "DiurnalArrivals",
-    "FaultPlan",
-    "KeyDistribution",
-    "PartitionLeg",
-    "PoissonArrivals",
-    "ScenarioResult",
-    "SlowLeg",
-    "TraceArrivals",
-    "WithholdLeg",
-    "WorkloadSpec",
-    "WorkloadResult",
-    "correlated_crash_schedule",
-    "fault_seed",
-    "parse_arrival",
-    "parse_faults",
-    "parse_key_dist",
-    "run_workload",
-    "sequential_scenario",
-    "concurrent_read_scenario",
-    "crash_heavy_scenario",
-    "skewed_scenario",
-]

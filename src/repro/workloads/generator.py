@@ -32,14 +32,16 @@ from dataclasses import dataclass, field
 from hashlib import blake2b
 from itertools import chain, repeat
 from operator import methodcaller
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
 from repro.consistency.history import History
 from repro.consistency.stream import READ, WRITE, HistorySink
-from repro.runtime.cluster import RegisterCluster, ScheduledOperation
-from repro.sim.failures import CrashSchedule
+
+if TYPE_CHECKING:
+    from repro.runtime.cluster import RegisterCluster, ScheduledOperation
+    from repro.sim.failures import CrashSchedule
 
 
 @dataclass(frozen=True)
@@ -123,6 +125,8 @@ def unique_value(writer_index: int, sequence: int, size: int, rng: np.random.Gen
 
 def run_workload(cluster: RegisterCluster, spec: WorkloadSpec) -> WorkloadResult:
     """Schedule the workload on ``cluster``, run to quiescence, return results."""
+    from repro.sim.failures import CrashSchedule
+
     rng = np.random.default_rng(spec.seed)
     result = WorkloadResult(history=cluster.history)
 

@@ -189,13 +189,10 @@ class TestPoolHelpers:
         with pytest.raises(ValueError, match="at least one worker"):
             resolve_workers(0)
 
-    def test_resolve_workers_degrades_inside_daemonic_workers(self, monkeypatch):
+    def test_resolve_workers_degrades_inside_pool_workers(self, monkeypatch):
         import multiprocessing
 
-        class FakeProcess:
-            daemon = True
-
-        monkeypatch.setattr(multiprocessing, "current_process", FakeProcess)
+        monkeypatch.setattr(multiprocessing, "parent_process", object)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert resolve_workers(4, what="fleet cells") == 1
@@ -205,7 +202,7 @@ class TestPoolHelpers:
             for w in caught
         )
 
-    def test_resolve_workers_passes_through_outside_daemons(self):
+    def test_resolve_workers_passes_through_outside_pool_workers(self):
         assert resolve_workers(4) == 4
 
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.baselines.abd import AbdCluster
-from repro.consistency import check_lemma_properties, check_linearizability
+from repro.consistency.lemma_check import check_lemma_properties
+from repro.consistency.wgl import check_linearizability
 from repro.core.tags import TAG_ZERO
 from repro.sim.network import FixedDelay, UniformDelay
 

@@ -5,7 +5,8 @@ import pytest
 from repro.baselines.cas import CasCluster
 from repro.baselines.casgc import CasGcCluster
 from repro.baselines.registry import available_protocols, make_cluster
-from repro.consistency import check_lemma_properties, check_linearizability
+from repro.consistency.lemma_check import check_lemma_properties
+from repro.consistency.wgl import check_linearizability
 from repro.core.tags import TAG_ZERO
 from repro.sim.network import UniformDelay
 

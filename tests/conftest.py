@@ -1,7 +1,8 @@
 """Puts ``tests/`` on ``sys.path`` so test modules can ``import mutants.<module>``.
 
-``tests/mutants/`` is the registry of deliberately broken variants (ROADMAP
-item 1): small subclasses the suite must kill, importable from tests only.
+``tests/mutants/`` holds the deliberately broken variants and their registry
+(``mutants.MUTANTS``): small subclasses the suite must kill, importable from
+tests only, run by ``tests/test_kill_matrix.py``.
 """
 
 import sys

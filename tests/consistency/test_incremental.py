@@ -619,19 +619,10 @@ def check_crossing_closed_by_a_response_flagged(checker):
     assert [v.kind for v in checker.violations] == ["cluster-cycle"]
 
 
-class TestMutants:
-    """tests/mutants/checker.py: each fast-path mutant is killed here."""
-
-    def test_unguarded_fresh_write_mutant_is_killed(self):
-        from mutants.checker import UnguardedFreshWriteChecker
-
-        check_duplicate_write_flagged(IncrementalAtomicityChecker())
-        with pytest.raises(AssertionError):
-            check_duplicate_write_flagged(UnguardedFreshWriteChecker())
-
-    def test_mutant_blind_to_responses_is_killed(self):
-        from mutants.checker import BlindToResponsesChecker
-
-        check_crossing_closed_by_a_response_flagged(IncrementalAtomicityChecker())
-        with pytest.raises(AssertionError):
-            check_crossing_closed_by_a_response_flagged(BlindToResponsesChecker())
+@pytest.mark.parametrize(
+    "check", [check_duplicate_write_flagged, check_crossing_closed_by_a_response_flagged]
+)
+def test_the_checker_passes_the_checks_that_kill_its_mutants(check):
+    """The mutant registry (``tests/mutants``) kills the checker's fast-path
+    mutants with these checks; the real checker passes them."""
+    check(IncrementalAtomicityChecker())

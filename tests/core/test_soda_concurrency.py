@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.consistency import check_lemma_properties, check_linearizability
-from repro.core import SodaCluster
+from repro.consistency.lemma_check import check_lemma_properties
+from repro.consistency.wgl import check_linearizability
+from repro.core.soda.cluster import SodaCluster
 from repro.core.tags import TAG_ZERO
 from repro.sim.failures import CrashSchedule
 from repro.sim.network import ExponentialDelay, UniformDelay

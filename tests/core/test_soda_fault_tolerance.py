@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import SodaCluster
+from repro.core.soda.cluster import SodaCluster
 from repro.sim.failures import CrashSchedule
 from repro.sim.network import UniformDelay
 

@@ -16,6 +16,8 @@ import warnings
 import numpy as np
 import pytest
 
+from vandermonde import VandermondeCode
+
 from repro.erasure import gf_native
 from repro.erasure.gf import (
     GF256,
@@ -28,7 +30,6 @@ from repro.erasure.gf import (
 )
 from repro.erasure.mds import corrupt
 from repro.erasure.rs import ReedSolomonCode
-from repro.erasure.vandermonde import VandermondeCode
 
 BACKENDS = available_backends()
 

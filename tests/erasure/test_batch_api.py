@@ -9,13 +9,12 @@ the cluster-shared :class:`~repro.erasure.batch.CachedEncoder`.
 import numpy as np
 import pytest
 
-from repro.erasure import (
-    CachedEncoder,
-    DecodingError,
-    ReedSolomonCode,
-    ReplicationCode,
-    VandermondeCode,
-)
+from vandermonde import VandermondeCode
+
+from repro.erasure.batch import CachedEncoder
+from repro.erasure.mds import DecodingError
+from repro.erasure.replication import ReplicationCode
+from repro.erasure.rs import ReedSolomonCode
 
 #: Every registered MDS code backend, at representative parameters.
 CODES = [

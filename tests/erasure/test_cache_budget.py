@@ -14,7 +14,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.erasure import CachedDecoder, CachedEncoder, ReedSolomonCode, ReplicationCode
+from repro.erasure.batch import CachedDecoder, CachedEncoder
+from repro.erasure.replication import ReplicationCode
+from repro.erasure.rs import ReedSolomonCode
 from repro.erasure import batch
 
 

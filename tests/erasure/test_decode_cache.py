@@ -8,7 +8,7 @@ cache.  (How the protocols call it: ``tests/runtime/test_codec_front.py``.)
 import pytest
 
 from repro.core.tags import Tag
-from repro.erasure import ReedSolomonCode
+from repro.erasure.rs import ReedSolomonCode
 from repro.erasure.batch import CachedDecoder
 from repro.erasure.mds import corrupt
 

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vandermonde import VandermondeCode
+
 from repro.erasure import poly
 from repro.erasure.gf import default_field
 from repro.erasure.mds import CodedElement, DecodingError, corrupt
 from repro.erasure.rs import ReedSolomonCode
-from repro.erasure.vandermonde import VandermondeCode
 
 FIELD = default_field()
 

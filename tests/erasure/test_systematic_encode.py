@@ -14,11 +14,12 @@ from typing import Iterable
 import numpy as np
 import pytest
 
-from repro.erasure import ReedSolomonCode, VandermondeCode
+from vandermonde import VandermondeCode, vandermonde
+
 from repro.erasure.gf import default_field
 from repro.erasure.linear import LinearCode
-from repro.erasure.matrix import vandermonde
 from repro.erasure.mds import CodedElement, DecodingError
+from repro.erasure.rs import ReedSolomonCode
 
 PARAMETERS = ((6, 4), (8, 4), (10, 5), (5, 5))
 SIZES = (0, 1, 3, 4, 17, 64, 300, 65536)

@@ -1,12 +1,61 @@
-"""Tests for the Vandermonde matrix-based MDS code."""
+"""Tests for the Vandermonde matrix-based MDS code (``vandermonde.py``, the
+independent cross-check of the Reed-Solomon code) and its generator."""
+
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vandermonde import VandermondeCode, systematic_generator, vandermonde
+
+from repro.erasure.gf import default_field
+from repro.erasure.matrix import gauss_jordan_invert, identity
 from repro.erasure.mds import CodedElement, DecodingError, corrupt
-from repro.erasure.vandermonde import VandermondeCode
+
+FIELD = default_field()
+
+
+class TestVandermondeMatrix:
+    def test_shape_and_first_column(self):
+        V = vandermonde(FIELD, 5, 3)
+        assert V.shape == (5, 3)
+        assert np.all(V[:, 0] == 1)
+
+    def test_distinct_points_required(self):
+        with pytest.raises(ValueError):
+            vandermonde(FIELD, 3, 2, xs=[1, 1, 2])
+
+    def test_wrong_point_count(self):
+        with pytest.raises(ValueError):
+            vandermonde(FIELD, 3, 2, xs=[1, 2])
+
+    def test_square_vandermonde_invertible(self):
+        gauss_jordan_invert(FIELD, vandermonde(FIELD, 6, 6))  # must not raise
+
+
+class TestSystematicGenerator:
+    @pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (7, 4), (10, 5), (9, 9), (6, 1)])
+    def test_systematic_prefix(self, n, k):
+        G = systematic_generator(FIELD, n, k)
+        assert G.shape == (k, n)
+        assert np.array_equal(G[:, :k], identity(k))
+
+    @pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (8, 4)])
+    def test_mds_property_every_k_columns_invertible(self, n, k):
+        """Every k x k column submatrix must be invertible (MDS property)."""
+        G = systematic_generator(FIELD, n, k)
+        for cols in combinations(range(n), k):
+            gauss_jordan_invert(FIELD, G[:, list(cols)])  # must not raise
+
+    def test_invalid_parameters(self):
+        with pytest.raises(ValueError):
+            systematic_generator(FIELD, 3, 4)
+        with pytest.raises(ValueError):
+            systematic_generator(FIELD, 300, 4)
+        with pytest.raises(ValueError):
+            systematic_generator(FIELD, 4, 0)
 
 
 def pick(elements, indices):
@@ -16,8 +65,6 @@ def pick(elements, indices):
 class TestEncodeDecode:
     @pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (8, 4), (5, 5), (7, 1)])
     def test_roundtrip_all_k_subsets(self, n, k):
-        from itertools import combinations
-
         code = VandermondeCode(n, k)
         value = bytes(np.random.default_rng(5).integers(0, 256, size=64, dtype=np.uint8))
         elements = code.encode(value)

@@ -1,7 +1,7 @@
 """Mutants of the incremental atomicity checker's fast paths.
 
-Each is killed by name in ``tests/consistency/test_incremental.py``
-(``TestMutants``).
+Their kill checks live in ``tests/consistency/test_incremental.py``; the
+rows of :data:`mutants.MUTANTS` name them.
 """
 
 from repro.consistency.incremental import (

@@ -1,14 +1,16 @@
 """Mutants of the streaming recorder.
 
 ``EvictsInFlightRecorder`` — a byte bound that also evicts in-flight
-records.  Killed by ``tests/runtime/test_state_bounds.py`` — inside a SODA
-run at 64 KiB a client's ``respond()`` looks its own live operation up and
-gets the "already evicted" error — and by the interleaving property of
+records.  Inside a SODA run at 64 KiB a client's ``respond()`` looks its
+own live operation up and gets the "already evicted" error
+(``tests/runtime/test_state_bounds.py``), and so does the window contract of
 ``tests/consistency/test_stream.py``.
 
 ``RespondsTwiceRecorder`` — ``respond`` without the "already completed"
 check, so a second response overwrites the first and reaches the observers
-again.  Killed by ``tests/consistency/test_stream.py::TestOneResponsePerOperation``.
+again (``tests/consistency/test_stream.py``).
+
+The rows of :data:`mutants.MUTANTS` name the kill checks.
 """
 
 from repro.consistency.stream import RETIRED_BYTE_BUDGET, StreamingRecorder

@@ -1,4 +1,6 @@
-"""Mutants of the SODA server; each docstring names the check that kills it."""
+"""Mutants of the SODA server; each docstring names the check that kills it,
+and its row of :data:`mutants.MUTANTS` installs it over
+``repro.core.soda.cluster.SodaServer``."""
 
 from repro.core.soda.server import SodaServer
 

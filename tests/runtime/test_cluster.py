@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import SodaCluster
-from repro.baselines import AbdCluster
+from repro.core.soda.cluster import SodaCluster
+from repro.baselines.abd import AbdCluster
 from repro.sim.failures import CrashSchedule
 from repro.sim.simulation import SimulationError
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import SodaCluster
+from repro.core.soda.cluster import SodaCluster
 from repro.runtime.namespace import MultiRegisterCluster
 from repro.workloads.arrivals import PoissonArrivals, TraceArrivals
 from repro.workloads.keyed import KeyDistribution

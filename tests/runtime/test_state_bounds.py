@@ -13,17 +13,13 @@ a closed loop, each gauge stays under a constant of in-flight scale, and the
 maximum over the whole run is that of its first half — per-operation growth
 would double it.
 
-The last two tests are rows of ROADMAP item 1's mutant registry
-(``tests/mutants/``): each broken variant must fail this module's checks by
-name.
+:func:`check_soda_64k_state_bounds` is a kill check of the mutant registry
+(``tests/mutants/``): a recorder that evicts in-flight records and a server
+whose watermark lags fail it.
 """
 
 import pytest
 
-from mutants.recorder import EvictsInFlightRecorder
-from mutants.soda_server import LaggingWatermarkServer
-
-import repro.core.soda.cluster as soda_cluster
 from repro.baselines.registry import make_cluster
 from repro.consistency.incremental import IncrementalAtomicityChecker
 from repro.consistency.stream import RETIRED_BYTE_BUDGET, StreamingRecorder, StreamObserver
@@ -131,12 +127,5 @@ def test_pending_maps_and_codec_bytes_do_not_grow_with_the_run(name):
     assert recorder.max_retired_bytes <= RETIRED_BYTE_BUDGET
 
 
-def test_mutant_recorder_evicting_in_flight_records_is_killed_by_a_live_lookup():
-    with pytest.raises(ValueError, match="already evicted from its retirement window"):
-        run_and_check("SODA-64k", recorder=EvictsInFlightRecorder(window=64))
-
-
-def test_mutant_watermark_off_by_one_read_is_killed_by_the_per_read_bound(monkeypatch):
-    monkeypatch.setattr(soda_cluster, "SodaServer", LaggingWatermarkServer)
-    with pytest.raises(AssertionError, match="per_read"):
-        run_and_check("SODA-64k")
+def check_soda_64k_state_bounds(recorder=None):
+    run_and_check("SODA-64k", recorder)

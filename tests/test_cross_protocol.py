@@ -9,9 +9,11 @@ Hypothesis generates the programs.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import AbdCluster, CasGcCluster
-from repro.consistency import check_linearizability
-from repro.core import SodaCluster, SodaErrCluster
+from repro.baselines.abd import AbdCluster
+from repro.baselines.casgc import CasGcCluster
+from repro.consistency.wgl import check_linearizability
+from repro.core.soda.cluster import SodaCluster
+from repro.core.sodaerr.cluster import SodaErrCluster
 
 # A sequential program: a list of operations, each either a write (with a
 # payload index) or a read.

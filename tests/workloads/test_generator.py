@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.consistency import check_linearizability
+from repro.consistency.wgl import check_linearizability
 from repro.consistency.history import History
-from repro.core import SodaCluster
+from repro.core.soda.cluster import SodaCluster
 from repro.workloads.generator import (
     StreamSpec,
     WorkloadSpec,

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.baselines.abd import AbdCluster
-from repro.consistency import check_linearizability
-from repro.core import SodaCluster
+from repro.consistency.wgl import check_linearizability
+from repro.core.soda.cluster import SodaCluster
 from repro.sim.failures import CrashSchedule
 from repro.sim.network import SlowDisk, UniformDelay
 from repro.workloads.scenarios import (
