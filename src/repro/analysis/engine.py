@@ -63,8 +63,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from repro.analysis.pool import derive_seed, in_order, iter_unordered, max_rss_kb
-from repro.baselines.registry import make_cluster
+from repro.analysis.pool import (
+    WorkerDied,
+    derive_seed,
+    in_order,
+    iter_unordered,
+    max_rss_kb,
+)
+from repro.baselines.registry import default_kwargs, make_cluster
 from repro.consistency.history import History
 from repro.consistency.incremental import ClusterSummary, Violation
 from repro.consistency.multiplex import ObjectCheckerMux
@@ -349,17 +355,6 @@ _AUDIT_PARAMS = _columns(
 )
 
 
-def default_protocol_kwargs(protocol: str) -> Dict[str, object]:
-    """Protocol-specific construction defaults (overridable via
-    ``protocol_kwargs``, and recorded in the artefact params so every
-    report is self-describing)."""
-    if protocol.upper() == "CASGC":
-        return {"delta": 4}
-    if protocol.upper() == "SODAERR":
-        return {"e": 1}
-    return {}
-
-
 def fleet_object_seed(epoch_seed: int, object_index: int) -> int:
     """The simulation seed of one private-clock object: a stable hash of
     ``(epoch_seed, object)`` under its own tag, so fleet simulations stay
@@ -417,7 +412,7 @@ def _resolve(kind: Kind, protocol: str, params: Mapping[str, object]) -> dict:
     p["protocol_kwargs"] = (
         dict(p["protocol_kwargs"])
         if p["protocol_kwargs"] is not None
-        else default_protocol_kwargs(protocol)
+        else default_kwargs(protocol)
     )
     return p
 
@@ -457,6 +452,13 @@ def build_grid(kind: str, protocol: str = "SODA", **params) -> Grid:
         for c, groups in enumerate(cell_groups)
     ]
     return Grid(spec, p, epochs, width, cells)
+
+
+def cell_names(grid: Grid, indices) -> Tuple[str, ...]:
+    """``<kind> epoch E cell C`` for each grid position in ``indices`` — how
+    a run that loses cells (a dead worker, a raising cell) names them."""
+    kind, width = grid.kind.name, grid.width
+    return tuple(f"{kind} epoch {i // width} cell {i % width}" for i in indices)
 
 
 # ----------------------------------------------------------------------
@@ -1091,7 +1093,9 @@ def run_experiment(kind: str, protocol: str = "SODA", **params) -> Report:
     (cells per epoch, private kinds only) — up to ``jobs × fleet`` cell
     processes, none of which moves an artefact byte.
     ``keep_records`` / ``keep_samples`` capture whole histories / raw
-    latency samples of *small* runs for cross-validation.
+    latency samples of *small* runs for cross-validation.  A run that loses
+    cells — a dead worker, a cell that raises — names them (:func:`cell_names`)
+    in the error's message and its ``cells``.
     """
     grid = build_grid(kind, protocol, **params)
     spec, p = grid.kind, grid.params
@@ -1181,13 +1185,22 @@ def run_experiment(kind: str, protocol: str = "SODA", **params) -> Report:
     # every artefact byte — is identical for any jobs/fleet count.
     start = time.perf_counter()
     pending: List[Dict[str, object]] = []
-    for result in in_order(
-        iter_unordered(run_cell, grid.cells, jobs=p["jobs"] * grid.width)
-    ):
-        pending.append(result)
-        if len(pending) == grid.width:
-            fold_epoch(pending)
-            pending = []
+    try:
+        for result in in_order(
+            iter_unordered(run_cell, grid.cells, jobs=p["jobs"] * grid.width)
+        ):
+            pending.append(result)
+            if len(pending) == grid.width:
+                fold_epoch(pending)
+                pending = []
+    except WorkerDied as died:
+        raise WorkerDied(died.indices, cell_names(grid, died.indices)) from died
+    except Exception as error:
+        if not hasattr(error, "payload_index"):
+            raise
+        error.cells = cell_names(grid, [error.payload_index])
+        error.args = (f"{error.cells[0]}: {error}",)
+        raise
     verdict = None
     if closed:
         verdict = merge_namespace_verdicts(shards_by_object, initial_value=None)

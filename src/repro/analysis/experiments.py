@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 from repro.analysis import theoretical
 from repro.analysis.pool import derive_seed
 from repro.baselines.casgc import CasGcCluster
-from repro.baselines.registry import make_cluster
+from repro.baselines.registry import default_kwargs, make_cluster
 from repro.consistency.incremental import check_history_incrementally
 from repro.consistency.lemma_check import check_lemma_properties
 from repro.consistency.wgl import check_linearizability
@@ -266,11 +266,7 @@ def atomicity_point(
     WGL — the cheap checker cross-validated against the exponential one on
     every execution the experiment runs.
     """
-    extra = dict(cluster_kwargs)
-    if protocol.upper() == "CASGC":
-        extra.setdefault("delta", 4)
-    if protocol.upper() == "SODAERR":
-        extra.setdefault("e", 1)
+    extra = {**default_kwargs(protocol), **cluster_kwargs}
     cluster = make_cluster(
         protocol, n, f, num_writers=2, num_readers=2, seed=seed, **extra
     )
@@ -375,7 +371,7 @@ def skew_point(
         num_writers=2,
         num_readers=2,
         seed=seed,
-        **({"delta": 4} if protocol.upper() == "CASGC" else {}),
+        **default_kwargs(protocol),
     )
     result = skewed_scenario(
         cluster, read_fraction=read_fraction, total_ops=total_ops, seed=seed

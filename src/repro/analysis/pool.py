@@ -52,14 +52,14 @@ def derive_seed(base_seed: int, name: str, index: int) -> int:
 class WorkerDied(RuntimeError):
     """A pool worker process died before reporting: killed by a signal, the
     OOM killer or an ``os._exit``.  ``indices`` are the payloads that had not
-    finished when the pool noticed; their results are lost."""
+    finished when the pool noticed; their results are lost.  ``cells`` names
+    them, where the caller knows what they were."""
 
-    def __init__(self, indices: Sequence[int]) -> None:
+    def __init__(self, indices: Sequence[int], cells: Sequence[str] = ()) -> None:
         self.indices = tuple(indices)
-        super().__init__(
-            f"a pool worker died before reporting; payloads {list(self.indices)} "
-            f"did not finish"
-        )
+        self.cells = tuple(cells)
+        lost = ", ".join(self.cells) or f"payloads {list(self.indices)}"
+        super().__init__(f"a pool worker died before reporting; {lost} did not finish")
 
 
 def resolve_workers(requested: int, *, what: str = "worker processes") -> int:
@@ -110,8 +110,13 @@ def _iter_unordered(
     """Generator body of :func:`iter_unordered` (validation stays
     fail-fast at the call site rather than deferring to first iteration)."""
     if jobs == 1 or len(payloads) <= 1:
-        for payload in payloads:
-            yield fn(payload)
+        for index, payload in enumerate(payloads):
+            try:
+                result = fn(payload)
+            except Exception as error:
+                error.payload_index = index
+                raise
+            yield result
         return
     # Imported here: a serial run (``--jobs 1``) never builds a pool.
     from concurrent.futures import ProcessPoolExecutor, as_completed

@@ -26,9 +26,11 @@ write-back traffic).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.consistency.history import READ, WRITE, History
+from repro.consistency.history import READ, WRITE
+from repro.consistency.stream import HistorySink
+from repro.core.client import RegisterClient
 from repro.core.tags import TAG_ZERO, Tag, max_tag
 from repro.erasure.mds import MDSCode
 from repro.erasure.replication import ReplicationCode
@@ -128,42 +130,23 @@ class AbdServer(Process):
 # ----------------------------------------------------------------------
 @dataclass(slots=True)
 class _AbdWrite:
-    op_id: str
     value: bytes
+    op_id: str = ""
     phase: str = "query"
     responses: Dict[str, Tag] = field(default_factory=dict)
     tag: Optional[Tag] = None
     acks: set = field(default_factory=set)
-    callback: Optional[Callable] = None
 
 
-class AbdWriter(Process):
+class AbdWriter(RegisterClient):
     """An ABD write client."""
 
-    def __init__(
-        self, pid: str, servers: Sequence[str], history: Optional[History] = None
-    ) -> None:
-        super().__init__(pid)
-        self.servers = list(servers)
+    def __init__(self, pid: str, servers: Sequence[str], history: HistorySink) -> None:
+        super().__init__(pid, servers, history)
         self.majority = len(self.servers) // 2 + 1
-        self.history = history
-        self._current: Optional[_AbdWrite] = None
-        self._op_counter = 0
 
-    @property
-    def busy(self) -> bool:
-        return self._current is not None
-
-    def start_write(self, value: bytes, callback: Optional[Callable] = None) -> str:
-        if self._current is not None:
-            raise RuntimeError(f"writer {self.pid} already has a write in flight")
-        if self.is_crashed:
-            raise RuntimeError(f"writer {self.pid} has crashed")
-        self._op_counter += 1
-        op_id = f"write:{self.pid}:{self._op_counter}"
-        self._current = _AbdWrite(op_id=op_id, value=value, callback=callback)
-        if self.history is not None:
-            self.history.invoke(op_id, WRITE, str(self.pid), self.now, value=value)
+    def start_write(self, value: bytes) -> str:
+        op_id = self._begin(WRITE, _AbdWrite(value), value)
         self.send_many(self.servers, AbdQueryRequest(op_id=op_id, include_value=False))
         return op_id
 
@@ -187,58 +170,29 @@ class AbdWriter(Process):
             if op.phase != "store" or message.tag != op.tag:
                 return
             op.acks.add(sender)
-            if len(op.acks) < self.majority:
-                return
-            op.phase = "done"
-            self._current = None
-            if self.history is not None:
-                self.history.respond(op.op_id, self.now, tag=op.tag)
-            if op.callback is not None:
-                op.callback(op.tag)
-
-    def on_crash(self) -> None:
-        if self._current is not None and self.history is not None:
-            self.history.mark_failed(self._current.op_id)
+            if len(op.acks) >= self.majority:
+                self._end(None, op.tag)
 
 
 @dataclass(slots=True)
 class _AbdRead:
-    op_id: str
+    op_id: str = ""
     phase: str = "query"
     responses: Dict[str, tuple] = field(default_factory=dict)
     tag: Optional[Tag] = None
     value: Optional[bytes] = None
     acks: set = field(default_factory=set)
-    callback: Optional[Callable] = None
 
 
-class AbdReader(Process):
+class AbdReader(RegisterClient):
     """An ABD read client (query + write-back)."""
 
-    def __init__(
-        self, pid: str, servers: Sequence[str], history: Optional[History] = None
-    ) -> None:
-        super().__init__(pid)
-        self.servers = list(servers)
+    def __init__(self, pid: str, servers: Sequence[str], history: HistorySink) -> None:
+        super().__init__(pid, servers, history)
         self.majority = len(self.servers) // 2 + 1
-        self.history = history
-        self._current: Optional[_AbdRead] = None
-        self._op_counter = 0
 
-    @property
-    def busy(self) -> bool:
-        return self._current is not None
-
-    def start_read(self, callback: Optional[Callable] = None) -> str:
-        if self._current is not None:
-            raise RuntimeError(f"reader {self.pid} already has a read in flight")
-        if self.is_crashed:
-            raise RuntimeError(f"reader {self.pid} has crashed")
-        self._op_counter += 1
-        op_id = f"read:{self.pid}:{self._op_counter}"
-        self._current = _AbdRead(op_id=op_id, callback=callback)
-        if self.history is not None:
-            self.history.invoke(op_id, READ, str(self.pid), self.now)
+    def start_read(self) -> str:
+        op_id = self._begin(READ, _AbdRead())
         self.send_many(self.servers, AbdQueryRequest(op_id=op_id, include_value=True))
         return op_id
 
@@ -265,18 +219,8 @@ class AbdReader(Process):
             if op.phase != "writeback" or message.tag != op.tag:
                 return
             op.acks.add(sender)
-            if len(op.acks) < self.majority:
-                return
-            op.phase = "done"
-            self._current = None
-            if self.history is not None:
-                self.history.respond(op.op_id, self.now, value=op.value, tag=op.tag)
-            if op.callback is not None:
-                op.callback(op.value, op.tag)
-
-    def on_crash(self) -> None:
-        if self._current is not None and self.history is not None:
-            self.history.mark_failed(self._current.op_id)
+            if len(op.acks) >= self.majority:
+                self._end(op.value, op.tag)
 
 
 # ----------------------------------------------------------------------
@@ -308,10 +252,10 @@ class AbdCluster(RegisterCluster):
         )
 
     def _make_writer(self, pid: str) -> AbdWriter:
-        return AbdWriter(pid, self.server_ids, history=self.history)
+        return AbdWriter(pid, self.server_ids, self.history)
 
     def _make_reader(self, pid: str) -> AbdReader:
-        return AbdReader(pid, self.server_ids, history=self.history)
+        return AbdReader(pid, self.server_ids, self.history)
 
     # ------------------------------------------------------------------
     # paper-facing theoretical quantities (Table I, row 1)

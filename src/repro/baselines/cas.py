@@ -29,9 +29,11 @@ protocol rather than implementation shortcuts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence, Set
 
-from repro.consistency.history import READ, WRITE, History
+from repro.consistency.history import READ, WRITE
+from repro.consistency.stream import HistorySink
+from repro.core.client import RegisterClient
 from repro.core.tags import TAG_ZERO, Tag, max_tag
 from repro.erasure.batch import CachedDecoder, CachedEncoder
 from repro.erasure.mds import CodedElement, MDSCode
@@ -215,17 +217,16 @@ class CasServer(Process):
 # ----------------------------------------------------------------------
 @dataclass(slots=True)
 class _CasWrite:
-    op_id: str
     value: bytes
+    op_id: str = ""
     phase: str = "query"
     query_responses: Dict[str, Tag] = field(default_factory=dict)
     tag: Optional[Tag] = None
     prewrite_acks: Set[str] = field(default_factory=set)
     finalize_acks: Set[str] = field(default_factory=set)
-    callback: Optional[Callable] = None
 
 
-class CasWriter(Process):
+class CasWriter(RegisterClient):
     """A CAS write client (query / pre-write / finalize)."""
 
     def __init__(
@@ -234,33 +235,17 @@ class CasWriter(Process):
         servers: Sequence[str],
         code: MDSCode,
         quorum_size: int,
-        history: Optional[History] = None,
+        history: HistorySink,
         encoder: Optional[CachedEncoder] = None,
     ) -> None:
-        super().__init__(pid)
-        self.servers = list(servers)
+        super().__init__(pid, servers, history)
         self.code = code
         self.quorum = quorum_size
-        self.history = history
         #: The cluster's shared memoizing encoder, or a private one.
         self.encoder = CachedEncoder(code) if encoder is None else encoder
-        self._current: Optional[_CasWrite] = None
-        self._op_counter = 0
 
-    @property
-    def busy(self) -> bool:
-        return self._current is not None
-
-    def start_write(self, value: bytes, callback: Optional[Callable] = None) -> str:
-        if self._current is not None:
-            raise RuntimeError(f"writer {self.pid} already has a write in flight")
-        if self.is_crashed:
-            raise RuntimeError(f"writer {self.pid} has crashed")
-        self._op_counter += 1
-        op_id = f"write:{self.pid}:{self._op_counter}"
-        self._current = _CasWrite(op_id=op_id, value=value, callback=callback)
-        if self.history is not None:
-            self.history.invoke(op_id, WRITE, str(self.pid), self.now, value=value)
+    def start_write(self, value: bytes) -> str:
+        op_id = self._begin(WRITE, _CasWrite(value), value)
         self.send_many(self.servers, CasQueryRequest(op_id=op_id))
         return op_id
 
@@ -277,17 +262,9 @@ class CasWriter(Process):
                 return
             op.tag = max_tag(op.query_responses.values()).next_for(str(self.pid))
             op.phase = "prewrite"
-            elements = self.encoder.encode(op.value)
-            for idx, s in enumerate(self.servers):
-                self.send(
-                    s,
-                    CasPreWriteRequest(
-                        op_id=op.op_id,
-                        tag=op.tag,
-                        element=elements[idx],
-                        data_units=self.code.element_data_units,
-                    ),
-                )
+            units = self.code.element_data_units
+            for server, element in zip(self.servers, self.encoder.encode(op.value)):
+                self.send(server, CasPreWriteRequest(op.op_id, op.tag, element, units))
         elif mtype is CasPreWriteAck and message.op_id == op.op_id:
             if op.phase != "prewrite" or message.tag != op.tag:
                 return
@@ -303,32 +280,20 @@ class CasWriter(Process):
             if op.phase != "finalize" or message.tag != op.tag:
                 return
             op.finalize_acks.add(sender)
-            if len(op.finalize_acks) < self.quorum:
-                return
-            op.phase = "done"
-            self._current = None
-            if self.history is not None:
-                self.history.respond(op.op_id, self.now, tag=op.tag)
-            if op.callback is not None:
-                op.callback(op.tag)
-
-    def on_crash(self) -> None:
-        if self._current is not None and self.history is not None:
-            self.history.mark_failed(self._current.op_id)
+            if len(op.finalize_acks) >= self.quorum:
+                self._end(None, op.tag)
 
 
 @dataclass(slots=True)
 class _CasRead:
-    op_id: str
-    phase: str = "query"  # "query" -> "collect" -> "done"
+    op_id: str = ""
+    phase: str = "query"  # "query" -> "collect"
     query_responses: Dict[str, Tag] = field(default_factory=dict)
     tag: Optional[Tag] = None
     elements: Dict[int, CodedElement] = field(default_factory=dict)
-    responders: Set[str] = field(default_factory=set)
-    callback: Optional[Callable] = None
 
 
-class CasReader(Process):
+class CasReader(RegisterClient):
     """A CAS read client (query / finalize-and-collect)."""
 
     def __init__(
@@ -337,33 +302,17 @@ class CasReader(Process):
         servers: Sequence[str],
         code: MDSCode,
         quorum_size: int,
-        history: Optional[History] = None,
+        history: HistorySink,
         decoder: Optional[CachedDecoder] = None,
     ) -> None:
-        super().__init__(pid)
-        self.servers = list(servers)
+        super().__init__(pid, servers, history)
         self.code = code
         self.quorum = quorum_size
-        self.history = history
         #: The cluster's shared memoizing decoder, or a private one.
         self.decoder = decoder if decoder is not None else CachedDecoder(code)
-        self._current: Optional[_CasRead] = None
-        self._op_counter = 0
 
-    @property
-    def busy(self) -> bool:
-        return self._current is not None
-
-    def start_read(self, callback: Optional[Callable] = None) -> str:
-        if self._current is not None:
-            raise RuntimeError(f"reader {self.pid} already has a read in flight")
-        if self.is_crashed:
-            raise RuntimeError(f"reader {self.pid} has crashed")
-        self._op_counter += 1
-        op_id = f"read:{self.pid}:{self._op_counter}"
-        self._current = _CasRead(op_id=op_id, callback=callback)
-        if self.history is not None:
-            self.history.invoke(op_id, READ, str(self.pid), self.now)
+    def start_read(self) -> str:
+        op_id = self._begin(READ, _CasRead())
         self.send_many(self.servers, CasQueryRequest(op_id=op_id))
         return op_id
 
@@ -387,22 +336,11 @@ class CasReader(Process):
         elif mtype is CasFinalizeAck and message.op_id == op.op_id:
             if op.phase != "collect" or message.tag != op.tag:
                 return
-            op.responders.add(sender)
             if message.element is not None:
                 op.elements[message.element.index] = message.element
-            if len(op.elements) < self.code.k:
-                return
-            value = self.decoder.decode(op.tag, list(op.elements.values()))
-            op.phase = "done"
-            self._current = None
-            if self.history is not None:
-                self.history.respond(op.op_id, self.now, value=value, tag=op.tag)
-            if op.callback is not None:
-                op.callback(value, op.tag)
-
-    def on_crash(self) -> None:
-        if self._current is not None and self.history is not None:
-            self.history.mark_failed(self._current.op_id)
+            if len(op.elements) >= self.code.k:
+                value = self.decoder.decode(op.tag, list(op.elements.values()))
+                self._end(value, op.tag)
 
 
 # ----------------------------------------------------------------------
@@ -447,22 +385,12 @@ class CasCluster(RegisterCluster):
 
     def _make_writer(self, pid: str) -> CasWriter:
         return CasWriter(
-            pid,
-            self.server_ids,
-            self.code,
-            self.quorum_size,
-            history=self.history,
-            encoder=self.encoder,
+            pid, self.server_ids, self.code, self.quorum_size, self.history, self.encoder
         )
 
     def _make_reader(self, pid: str) -> CasReader:
         return CasReader(
-            pid,
-            self.server_ids,
-            self.code,
-            self.quorum_size,
-            history=self.history,
-            decoder=self.decoder,
+            pid, self.server_ids, self.code, self.quorum_size, self.history, self.decoder
         )
 
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ same way.  A protocol's cluster module is imported by the first
 from __future__ import annotations
 
 from importlib import import_module
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, Dict, List
 
 if TYPE_CHECKING:
     from repro.runtime.cluster import RegisterCluster
@@ -24,11 +24,20 @@ _CLUSTERS = {
     "SODAerr": ("repro.core.sodaerr.cluster", "SodaErrCluster"),
 }
 _BY_KEY = {name.upper(): name for name in _CLUSTERS}
+#: The construction arguments a protocol cannot be built without: CASGC's
+#: concurrency bound ``delta`` and SODAerr's error budget ``e``.
+_DEFAULT_KWARGS = {"CASGC": {"delta": 4}, "SODAerr": {"e": 1}}
 
 
 def available_protocols() -> List[str]:
     """Names accepted by :func:`make_cluster`."""
     return list(_CLUSTERS)
+
+
+def default_kwargs(protocol: str) -> Dict[str, object]:
+    """The protocol-specific keyword arguments every experiment builds a
+    cluster of ``protocol`` (case-insensitive) with unless it gives its own."""
+    return dict(_DEFAULT_KWARGS.get(_BY_KEY.get(protocol.strip().upper()), {}))
 
 
 def make_cluster(protocol: str, n: int, f: int, **kwargs) -> RegisterCluster:

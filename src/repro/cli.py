@@ -70,7 +70,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional
 
 from repro import __version__
-from repro.baselines.registry import available_protocols, make_cluster
+from repro.baselines.registry import available_protocols, default_kwargs, make_cluster
 from repro.erasure.gf import (
     BACKEND_ENV_VAR,
     GF_BACKENDS,
@@ -118,12 +118,9 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    kwargs = {}
-    if args.protocol.upper() == "CASGC":
-        kwargs["delta"] = 2
-    if args.protocol.upper() == "SODAERR":
-        kwargs["e"] = 1
-    cluster = make_cluster(args.protocol, args.n, args.f, seed=args.seed, **kwargs)
+    cluster = make_cluster(
+        args.protocol, args.n, args.f, seed=args.seed, **default_kwargs(args.protocol)
+    )
     value = args.value.encode()
     w = cluster.write(value)
     r = cluster.read()

@@ -73,21 +73,15 @@ class SodaCluster(RegisterCluster):
         )
 
     def _make_writer(self, pid: str) -> SodaWriter:
-        return SodaWriter(
-            pid=pid,
-            servers_in_order=self.server_ids,
-            f=self.f,
-            code=self.code,
-            history=self.history,
-        )
+        return SodaWriter(pid, self.server_ids, self.f, self.code, self.history)
 
     def _make_reader(self, pid: str) -> SodaReader:
         return SodaReader(
-            pid=pid,
-            servers_in_order=self.server_ids,
-            f=self.f,
-            code=self.code,
-            history=self.history,
+            pid,
+            self.server_ids,
+            self.f,
+            self.code,
+            self.history,
             decode_threshold=self._decode_threshold(),
             decoder=self.decoder,
         )

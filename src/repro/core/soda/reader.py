@@ -12,18 +12,21 @@ A read proceeds in three phases:
   ``md-meta-send(READ-COMPLETE, (r, t_r))`` so servers unregister the
   reader, then return the decoded value.
 
-Each read operation uses a globally unique read identifier (the operation
-id), as prescribed by the paper's "additional notes" to keep stale history
-entries at the servers from interfering with later reads by the same
-client.
+The operation id doubles as the globally unique read identifier the
+paper's "additional notes" prescribe, so stale history entries at the
+servers cannot interfere with later reads by the same client.  Op ids, one
+operation at a time and history recording are
+:class:`repro.core.client.RegisterClient`'s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.consistency.history import READ, History
+from repro.consistency.history import READ
+from repro.consistency.stream import HistorySink
+from repro.core.client import RegisterClient
 from repro.core.message_disperse import MDSender
 from repro.core.messages import (
     ReadCompletePayload,
@@ -35,23 +38,21 @@ from repro.core.messages import (
 from repro.core.tags import Tag, max_tag
 from repro.erasure.batch import CachedDecoder
 from repro.erasure.mds import CodedElement, MDSCode
-from repro.sim.process import Process
 
 
 @dataclass(slots=True)
 class _ReadOperation:
     """In-flight state of one read operation."""
 
-    op_id: str
-    phase: str = "get"  # "get" -> "value" -> "done"
+    op_id: str = ""
+    phase: str = "get"  # "get" -> "value"
     get_responses: Dict[str, Tag] = field(default_factory=dict)
     target_tag: Optional[Tag] = None
     # tag -> {server index -> coded element}
     collected: Dict[Tag, Dict[int, CodedElement]] = field(default_factory=dict)
-    callback: Optional[Callable[[bytes, Tag], None]] = None
 
 
-class SodaReader(Process):
+class SodaReader(RegisterClient):
     """A SODA read client."""
 
     def __init__(
@@ -60,16 +61,14 @@ class SodaReader(Process):
         servers_in_order: Sequence[str],
         f: int,
         code: MDSCode,
-        history: Optional[History] = None,
+        history: HistorySink,
         *,
         decode_threshold: Optional[int] = None,
         decoder: Optional[CachedDecoder] = None,
     ) -> None:
-        super().__init__(pid)
-        self.servers = list(servers_in_order)
+        super().__init__(pid, servers_in_order, history)
         self.f = f
         self.code = code
-        self.history = history
         self.majority = len(self.servers) // 2 + 1
         #: Number of distinct coded elements (for one tag) needed to decode:
         #: ``k`` for SODA, ``k + 2e`` for SODAerr.
@@ -77,37 +76,16 @@ class SodaReader(Process):
         #: The cluster's shared memoizing decoder, or a private one.
         self.decoder = decoder if decoder is not None else CachedDecoder(code)
         self._md_sender: Optional[MDSender] = None
-        self._current: Optional[_ReadOperation] = None
-        self._op_counter = 0
         self.handlers = {ReadValueResponse: self._on_element}
 
     def attach(self, simulation) -> None:
         super().attach(simulation)
         self._md_sender = MDSender(self, self.servers, self.f)
 
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
-    @property
-    def busy(self) -> bool:
-        return self._current is not None
-
-    def start_read(
-        self, callback: Optional[Callable[[bytes, Tag], None]] = None
-    ) -> str:
+    def start_read(self) -> str:
         """Invoke a read; returns the operation id (also the protocol-level
         read identifier registered at the servers)."""
-        if self._current is not None:
-            raise RuntimeError(
-                f"reader {self.pid} already has read {self._current.op_id} in flight"
-            )
-        if self.is_crashed:
-            raise RuntimeError(f"reader {self.pid} has crashed")
-        self._op_counter += 1
-        op_id = f"read:{self.pid}:{self._op_counter}"
-        self._current = _ReadOperation(op_id=op_id, callback=callback)
-        if self.history is not None:
-            self.history.invoke(op_id, READ, str(self.pid), self.now)
+        op_id = self._begin(READ, _ReadOperation())
         self.send_many(self.servers, ReadGetRequest(op_id=op_id))
         return op_id
 
@@ -157,7 +135,6 @@ class SodaReader(Process):
         tag = message.tag
         value = self.decoder.decode(tag, list(per_tag.values()))
         # read-complete: announce, then return the decoded value.
-        op.phase = "done"
         assert self._md_sender is not None
         self._md_sender.md_meta_send(
             ReadCompletePayload(
@@ -168,13 +145,4 @@ class SodaReader(Process):
             ),
             op_id=op.op_id,
         )
-        self._current = None
-        if self.history is not None:
-            self.history.respond(op.op_id, self.now, value=value, tag=tag)
-        if op.callback is not None:
-            op.callback(value, tag)
-
-    # ------------------------------------------------------------------
-    def on_crash(self) -> None:
-        if self._current is not None and self.history is not None:
-            self.history.mark_failed(self._current.op_id)
+        self._end(value, tag)

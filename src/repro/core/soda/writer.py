@@ -8,37 +8,37 @@ A write proceeds in two phases:
   ``(t_w, v)`` with the MD-VALUE primitive; the write completes once ``k``
   servers have acknowledged delivery of their coded element.
 
-The writer is well-formed: it refuses to start a new operation while one is
-in progress.
+Op ids, one operation at a time and history recording are
+:class:`repro.core.client.RegisterClient`'s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.consistency.history import WRITE, History
+from repro.consistency.history import WRITE
+from repro.consistency.stream import HistorySink
+from repro.core.client import RegisterClient
 from repro.core.message_disperse import MDSender
 from repro.core.messages import WriteAck, WriteGetRequest, WriteGetResponse
 from repro.core.tags import Tag, max_tag
 from repro.erasure.mds import MDSCode
-from repro.sim.process import Process
 
 
 @dataclass(slots=True)
 class _WriteOperation:
     """In-flight state of one write operation."""
 
-    op_id: str
     value: bytes
-    phase: str = "get"  # "get" -> "put" -> "done"
+    op_id: str = ""
+    phase: str = "get"  # "get" -> "put"
     get_responses: Dict[str, Tag] = field(default_factory=dict)
     tag: Optional[Tag] = None
     acks: set = field(default_factory=set)
-    callback: Optional[Callable[[Tag], None]] = None
 
 
-class SodaWriter(Process):
+class SodaWriter(RegisterClient):
     """A SODA write client."""
 
     def __init__(
@@ -47,51 +47,24 @@ class SodaWriter(Process):
         servers_in_order: Sequence[str],
         f: int,
         code: MDSCode,
-        history: Optional[History] = None,
+        history: HistorySink,
     ) -> None:
-        super().__init__(pid)
-        self.servers = list(servers_in_order)
+        super().__init__(pid, servers_in_order, history)
         self.f = f
         self.code = code
-        self.history = history
         self.majority = len(self.servers) // 2 + 1
         self.acks_needed = code.k
         self._md_sender: Optional[MDSender] = None
-        self._current: Optional[_WriteOperation] = None
-        self._op_counter = 0
         self.handlers = {WriteAck: self._on_ack}
 
     def attach(self, simulation) -> None:
         super().attach(simulation)
         self._md_sender = MDSender(self, self.servers, self.f)
 
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
-    @property
-    def busy(self) -> bool:
-        return self._current is not None
-
-    def start_write(
-        self, value: bytes, callback: Optional[Callable[[Tag], None]] = None
-    ) -> str:
-        """Invoke a write of ``value``; returns the operation id.
-
-        The operation completes asynchronously; its completion is visible
-        through the recorded history, the optional callback and
-        :meth:`is_complete`.
-        """
-        if self._current is not None:
-            raise RuntimeError(
-                f"writer {self.pid} already has write {self._current.op_id} in flight"
-            )
-        if self.is_crashed:
-            raise RuntimeError(f"writer {self.pid} has crashed")
-        self._op_counter += 1
-        op_id = f"write:{self.pid}:{self._op_counter}"
-        self._current = _WriteOperation(op_id=op_id, value=value, callback=callback)
-        if self.history is not None:
-            self.history.invoke(op_id, WRITE, str(self.pid), self.now, value=value)
+    def start_write(self, value: bytes) -> str:
+        """Invoke a write of ``value``; returns the operation id.  It
+        completes asynchronously, visible through the recorded history."""
+        op_id = self._begin(WRITE, _WriteOperation(value), value)
         self.send_many(self.servers, WriteGetRequest(op_id=op_id))
         return op_id
 
@@ -129,16 +102,5 @@ class SodaWriter(Process):
         ):
             return
         op.acks.add(message.server_index)
-        if len(op.acks) < self.acks_needed:
-            return
-        op.phase = "done"
-        self._current = None
-        if self.history is not None:
-            self.history.respond(op.op_id, self.now, tag=op.tag)
-        if op.callback is not None:
-            op.callback(op.tag)
-
-    # ------------------------------------------------------------------
-    def on_crash(self) -> None:
-        if self._current is not None and self.history is not None:
-            self.history.mark_failed(self._current.op_id)
+        if len(op.acks) >= self.acks_needed:
+            self._end(None, op.tag)

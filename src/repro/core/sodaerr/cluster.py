@@ -107,13 +107,7 @@ class SodaErrCluster(SodaCluster):
 
     def _make_reader(self, pid: str) -> SodaErrReader:
         return SodaErrReader(
-            pid=pid,
-            servers_in_order=self.server_ids,
-            f=self.f,
-            code=self.code,
-            e=self.e,
-            history=self.history,
-            decoder=self.decoder,
+            pid, self.server_ids, self.f, self.code, self.e, self.history, self.decoder
         )
 
     # ------------------------------------------------------------------

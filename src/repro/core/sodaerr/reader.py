@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.consistency.history import History
+from repro.consistency.stream import HistorySink
 from repro.core.soda.reader import SodaReader
 from repro.erasure.batch import CachedDecoder
 from repro.erasure.mds import MDSCode
@@ -25,7 +25,7 @@ class SodaErrReader(SodaReader):
         f: int,
         code: MDSCode,
         e: int,
-        history: Optional[History] = None,
+        history: HistorySink,
         decoder: Optional[CachedDecoder] = None,
     ) -> None:
         if e < 0:

@@ -22,7 +22,7 @@ This package implements everything needed from scratch:
 * :mod:`repro.erasure.gf_native` — the cffi-compiled kernels behind the
   ``native`` backend and their per-user build cache (every way of failing
   to provide them is a named reason, never an exception).
-* :mod:`repro.erasure.poly` — polynomials over GF(2^8).
+* :mod:`repro.erasure.poly` — the polynomials the RS generator is built from.
 * :mod:`repro.erasure.matrix` — matrices over GF(2^8) (inversion).
 * :mod:`repro.erasure.rs` — a classical Reed–Solomon codec with systematic
   encoding, erasure decoding from any ``k`` symbols and Berlekamp–Massey /

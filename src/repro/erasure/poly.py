@@ -5,12 +5,12 @@ Polynomials are represented as Python lists of integer coefficients in
 conventional presentation of Reed–Solomon generator polynomials.  The empty
 polynomial and ``[0]`` both denote the zero polynomial.
 
-These routines back the construction of the Reed–Solomon encoder: the
-generator polynomial (:func:`from_roots`) and the polynomial long division
-that derives each systematic encode-matrix column (:func:`mod`).  The
-errors-and-erasures decoder (Berlekamp–Massey, Chien search, Forney) does
-not use them — :class:`~repro.erasure.rs.ReedSolomonCode` carries its own
-*ascending*-order helpers.  They favour clarity over raw speed: the
+This is what the construction of the Reed–Solomon encoder needs, and no
+more: the generator polynomial (:func:`from_roots`) and the polynomial long
+division that derives each systematic encode-matrix column (:func:`mod`).
+The errors-and-erasures decoder (Berlekamp–Massey, Chien search, Forney)
+does not use them — :class:`~repro.erasure.rs.ReedSolomonCode` carries its
+own *ascending*-order helpers.  They favour clarity over raw speed: the
 polynomials involved have degree at most ``n - k`` (a handful of
 coefficients) and are built once per code.
 """
@@ -44,21 +44,8 @@ def degree(p: Sequence[int]) -> int:
     return len(p) - 1
 
 
-def add(p: Sequence[int], q: Sequence[int]) -> List[int]:
-    """Sum of two polynomials (coefficient-wise XOR)."""
-    p, q = list(p), list(q)
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    offset = len(p) - len(q)
-    for i, c in enumerate(q):
-        out[offset + i] ^= c
-    return normalize(out)
 
 
-def scale(field: GF256, p: Sequence[int], scalar: int) -> List[int]:
-    """Multiply every coefficient of ``p`` by ``scalar``."""
-    return normalize([field.mul(c, scalar) for c in p])
 
 
 def mul(field: GF256, p: Sequence[int], q: Sequence[int]) -> List[int]:
@@ -107,37 +94,6 @@ def divmod_poly(
 def mod(field: GF256, dividend: Sequence[int], divisor: Sequence[int]) -> List[int]:
     """Remainder of polynomial long division."""
     return divmod_poly(field, dividend, divisor)[1]
-
-
-def evaluate(field: GF256, p: Sequence[int], x: int) -> int:
-    """Evaluate ``p`` at ``x`` using Horner's rule."""
-    acc = 0
-    for c in p:
-        acc = field.mul(acc, x) ^ c
-    return acc
-
-
-def derivative(p: Sequence[int]) -> List[int]:
-    """Formal derivative over a characteristic-2 field.
-
-    In GF(2^m) the derivative of ``x^i`` is ``i * x^(i-1)`` where ``i`` is
-    reduced mod 2, so even-power terms vanish and odd-power terms keep their
-    coefficient.
-    """
-    p = normalize(p)
-    n = len(p)
-    out: List[int] = []
-    for idx, c in enumerate(p[:-1]):
-        power = n - 1 - idx
-        out.append(c if power % 2 == 1 else 0)
-    return normalize(out) if out else [0]
-
-
-def monomial(degree_: int, coefficient: int = 1) -> List[int]:
-    """The polynomial ``coefficient * x^degree``."""
-    if degree_ < 0:
-        raise ValueError("degree must be non-negative")
-    return normalize([coefficient] + [0] * degree_)
 
 
 def from_roots(field: GF256, roots: Sequence[int]) -> List[int]:

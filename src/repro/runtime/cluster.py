@@ -282,18 +282,7 @@ class RegisterCluster(ABC):
         operation at a time, per the paper's well-formedness assumption).
         """
         client = self.writer(writer)
-        handle = ScheduledOperation(kind="write", client=str(client.pid), start_time=at_time)
-
-        def start() -> None:
-            if client.is_crashed:
-                return
-            if client.busy:
-                self.sim.schedule(self._busy_retry_delay, start, label="retry write")
-                return
-            handle.op_id = client.start_write(value)
-
-        self.sim.schedule_at(at_time, start, label=f"start write @{client.pid}")
-        return handle
+        return self._schedule(at_time, "write", client, lambda: client.start_write(value))
 
     def schedule_read(
         self, at_time: float, reader: Union[int, str] = 0
@@ -303,17 +292,20 @@ class RegisterCluster(ABC):
         Retries while the chosen reader is busy, like :meth:`schedule_write`.
         """
         client = self.reader(reader)
-        handle = ScheduledOperation(kind="read", client=str(client.pid), start_time=at_time)
+        return self._schedule(at_time, "read", client, client.start_read)
+
+    def _schedule(self, at_time, kind, client, begin) -> ScheduledOperation:
+        handle = ScheduledOperation(kind, str(client.pid), at_time)
 
         def start() -> None:
             if client.is_crashed:
                 return
             if client.busy:
-                self.sim.schedule(self._busy_retry_delay, start, label="retry read")
+                self.sim.schedule(self._busy_retry_delay, start, label=f"retry {kind}")
                 return
-            handle.op_id = client.start_read()
+            handle.op_id = begin()
 
-        self.sim.schedule_at(at_time, start, label=f"start read @{client.pid}")
+        self.sim.schedule_at(at_time, start, label=f"start {kind} @{client.pid}")
         return handle
 
     def run(self, *, max_events: int = 10_000_000, max_time: float = float("inf")) -> None:

@@ -119,11 +119,6 @@ class Process:
         self.messages_sent += len(dsts)
         network.send_many(self.pid, dsts, message)
 
-    def broadcast(self, destinations, message_factory: Callable[[ProcessId], object]) -> None:
-        """Send an individually constructed message to every destination."""
-        for dst in destinations:
-            self.send(dst, message_factory(dst))
-
     def deliver(self, sender: ProcessId, message: object) -> None:
         """Hand a delivered message to its handler.
 

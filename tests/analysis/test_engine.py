@@ -21,6 +21,7 @@ from repro.analysis.engine import (
     run_experiment,
     write_artefacts,
 )
+from repro.analysis.pool import WorkerDied
 
 
 class TestKindTable:
@@ -70,6 +71,46 @@ class TestTruncationGuards:
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(RuntimeError, match="truncated"):
                 run_cell({**grid.cells[0], "max_events": 100})
+
+
+class TestLostCellsAreNamed:
+    """A run that loses cells says which: ``<kind> epoch E cell C`` in the
+    error's message and in its ``cells``."""
+
+    PARAMS = dict(ops=200, epoch_ops=100, objects=2, fleet=2, jobs=2, n=5, f=2)
+
+    def test_a_raising_cell_names_itself(self, monkeypatch):
+        real = engine._run_group
+
+        def raises_in_epoch_one(cell, gids):
+            if cell["epoch"] == 1:
+                raise ValueError("injected")
+            return real(cell, gids)
+
+        monkeypatch.setattr(engine, "_run_group", raises_in_epoch_one)
+        with pytest.raises(ValueError, match="^longrun epoch 1 cell 0: injected$") as e:
+            run_experiment("longrun", "SODA", ops=200, epoch_ops=100, n=5, f=2, jobs=1)
+        assert e.value.cells == ("longrun epoch 1 cell 0",)
+        assert e.value.payload_index == 1
+
+    def test_a_dead_worker_names_the_unfinished_cells(self, monkeypatch):
+        grid = build_grid("fleet-longrun", "SODA", **self.PARAMS)
+        assert (grid.epochs, grid.width) == (2, 2)
+        assert [grid.cells[i]["epoch"] for i in (1, 2)] == [0, 1]
+
+        def dies(fn, payloads, *, jobs):
+            assert jobs > 1 and payloads == grid.cells
+            raise WorkerDied([1, 2])
+
+        monkeypatch.setattr(engine, "iter_unordered", dies)
+        with pytest.raises(WorkerDied) as caught:
+            run_experiment("fleet-longrun", "SODA", **self.PARAMS)
+        names = ("fleet-longrun epoch 0 cell 1", "fleet-longrun epoch 1 cell 0")
+        assert caught.value.cells == names
+        assert caught.value.indices == (1, 2)
+        assert str(caught.value) == (
+            f"a pool worker died before reporting; {', '.join(names)} did not finish"
+        )
 
 
 LOSSY = dict(

@@ -13,6 +13,7 @@ import pytest
 
 from repro.analysis.experiments import SWEEPS, Sweep, run_sweep
 from repro.analysis.pool import derive_seed
+from repro.baselines.registry import available_protocols
 from tests.golden.capture_goldens import GOLDEN_DIR, sweep_rows
 
 
@@ -217,6 +218,17 @@ class TestScenarioSweeps:
         for row in rows:
             assert row.completed == row.operations
             assert row.linearizable
+
+    @pytest.mark.parametrize("protocol", available_protocols())
+    def test_one_skew_point_per_protocol(self, protocol):
+        """Every protocol builds with the registry's defaults (``skew``
+        used to pass CASGC's ``delta`` only, and SODAerr died without ``e``)."""
+        (row,) = run_sweep(
+            "skew", seed=2, values=(0.5,), protocol=protocol, total_ops=8
+        )
+        assert row.protocol == protocol
+        assert row.completed == row.operations == 8
+        assert row.linearizable
 
     def test_crash_burst_rows(self):
         for row in run_sweep("crash-burst", seed=3, values=(0.0, 0.5)):

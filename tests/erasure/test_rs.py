@@ -1,5 +1,7 @@
 """Tests for the Reed-Solomon codec (erasure and errors-and-erasures decoding)."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,8 +30,12 @@ class TestConstruction:
         code = make_code(8, 5)
         g = code.generator_poly
         assert poly.degree(g) == 3
-        for j in range(3):
-            assert poly.evaluate(FIELD, g, FIELD.alpha_pow(j)) == 0
+
+        def at(x):  # Horner's rule over the descending coefficients
+            return reduce(lambda acc, c: FIELD.mul(acc, x) ^ c, g, 0)
+
+        assert [at(FIELD.alpha_pow(j)) for j in range(3)] == [0, 0, 0]
+        assert at(FIELD.alpha_pow(3)) != 0
 
     def test_encode_matrix_systematic(self):
         code = make_code(7, 4)

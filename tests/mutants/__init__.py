@@ -47,6 +47,8 @@ class Mutant:
 
 
 _SODA_SERVER = "repro.core.soda.cluster.SodaServer"
+_SODA_WRITER = "repro.core.soda.cluster.SodaWriter"
+_CAS_WRITER = "repro.baselines.cas.CasWriter"
 
 MUTANTS = (
     Mutant(
@@ -130,6 +132,32 @@ MUTANTS = (
                 "sim/test_message_path.py::check_soda_payloads_unchanged",
                 AssertionError,
                 "payload changed after it was sent",
+            ),
+        ),
+    ),
+    Mutant(
+        "TagReusingSodaWriter",
+        "core",
+        "clients",
+        _SODA_WRITER,
+        (
+            Kill(
+                "core/test_client.py::check_soda_write_then_read",
+                AssertionError,
+                "cluster-cycle",
+            ),
+        ),
+    ),
+    Mutant(
+        "UnfinalizedCasWriter",
+        "baselines",
+        "clients",
+        _CAS_WRITER,
+        (
+            Kill(
+                "core/test_client.py::check_cas_write_then_read",
+                AssertionError,
+                "cluster-cycle",
             ),
         ),
     ),

@@ -1,0 +1,48 @@
+"""Mutants of the protocol clients; each docstring names the check that kills
+it, and its row of :data:`mutants.MUTANTS` installs it over the name its
+cluster module builds writers from."""
+
+from repro.baselines.cas import CasFinalizeRequest, CasWriter
+from repro.core.messages import WriteGetResponse
+from repro.core.soda.writer import SodaWriter
+from repro.core.tags import max_tag
+
+
+class TagReusingSodaWriter(SodaWriter):
+    """Writes under ``t_max`` instead of ``t_max.next_for(w)``.
+
+    The servers already hold ``t_max``, so they ack the write but never store
+    it (a server replaces its element only for a higher tag), and a read that
+    starts after the write completed returns the older value.  The atomicity
+    checkers see it: ``tests/core/test_client.py::check_soda_write_then_read``.
+    """
+
+    def on_message(self, sender, message):
+        op = self._current
+        if (
+            op is None
+            or type(message) is not WriteGetResponse
+            or message.op_id != op.op_id
+            or op.phase != "get"
+        ):
+            return
+        op.get_responses[sender] = message.tag
+        if len(op.get_responses) >= self.majority:
+            op.tag = max_tag(op.get_responses.values())  # no next_for: the mutation
+            op.phase = "put"
+            self._md_sender.md_value_send(op.tag, op.value, op_id=op.op_id)
+
+
+class UnfinalizedCasWriter(CasWriter):
+    """Completes after the pre-write quorum and never finalizes.
+
+    Readers only see finalized tags, so a read that starts after the write
+    completed returns the older value.  The atomicity checkers see it:
+    ``tests/core/test_client.py::check_cas_write_then_read``.
+    """
+
+    def send_many(self, dsts, message):
+        if type(message) is CasFinalizeRequest:
+            self._end(None, message.tag)
+            return
+        super().send_many(dsts, message)

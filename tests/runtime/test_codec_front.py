@@ -13,6 +13,7 @@ import pytest
 
 from repro.baselines.cas import CasReader, CasServer, CasWriter
 from repro.baselines.registry import make_cluster
+from repro.consistency.history import History
 from repro.core.soda.reader import SodaReader
 from repro.core.soda.server import SodaServer
 from repro.core.soda.writer import SodaWriter
@@ -102,11 +103,10 @@ def _write(sim, writer, value):
 
 
 def _read(sim, reader):
-    got = []
-    reader.start_read(callback=lambda value, tag: got.append(value))
+    op_id = reader.start_read()
     sim.run()
     assert not reader.busy
-    return got[0]
+    return reader.history.get(op_id).value
 
 
 def _counts(front):
@@ -137,8 +137,9 @@ def _soda_servers(code, *, threshold, flaky=()):
 def test_soda_processes_constructed_alone_memoize_privately():
     code = ReedSolomonCode(N, N - F)
     servers = _soda_servers(code, threshold=code.k)
-    writer = SodaWriter("w0", SERVER_IDS, F, code)
-    reader = SodaReader("r0", SERVER_IDS, F, code)
+    history = History()
+    writer = SodaWriter("w0", SERVER_IDS, F, code, history)
+    reader = SodaReader("r0", SERVER_IDS, F, code, history)
     sim = _simulation(*servers, writer, reader)
 
     _write(sim, writer, b"alone but memoized")
@@ -160,8 +161,9 @@ def test_sodaerr_reader_constructed_alone_decodes_around_a_corrupted_element():
     e = 1
     code = ReedSolomonCode(N, N - F - 2 * e)
     servers = _soda_servers(code, threshold=code.k + 2 * e, flaky={0})
-    writer = SodaWriter("w0", SERVER_IDS, F, code)
-    reader = SodaErrReader("r0", SERVER_IDS, F, code, e)
+    history = History()
+    writer = SodaWriter("w0", SERVER_IDS, F, code, history)
+    reader = SodaErrReader("r0", SERVER_IDS, F, code, e, history)
     sim = _simulation(*servers, writer, reader)
 
     _write(sim, writer, b"one flaky disk")
@@ -179,8 +181,9 @@ def test_cas_clients_constructed_alone_memoize_privately():
         CasServer(pid, index, code, initial_element=initial[index])
         for index, pid in enumerate(SERVER_IDS)
     ]
-    writer = CasWriter("w0", SERVER_IDS, code, N - F)
-    reader = CasReader("r0", SERVER_IDS, code, N - F)
+    history = History()
+    writer = CasWriter("w0", SERVER_IDS, code, N - F, history)
+    reader = CasReader("r0", SERVER_IDS, code, N - F, history)
     sim = _simulation(*servers, writer, reader)
 
     _write(sim, writer, b"same bytes twice")

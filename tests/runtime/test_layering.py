@@ -104,8 +104,9 @@ cluster.warm_encode([bytes(32)])
         """
         repro repro.baselines repro.baselines.registry repro.cli
         repro.consistency repro.consistency.history repro.consistency.incremental
-        repro.consistency.stream repro.core repro.core.message_disperse
-        repro.core.messages repro.core.soda repro.core.soda.cluster
+        repro.consistency.stream repro.core repro.core.client
+        repro.core.message_disperse repro.core.messages repro.core.soda
+        repro.core.soda.cluster
         repro.core.soda.reader repro.core.soda.server repro.core.soda.writer
         repro.core.tags repro.erasure repro.erasure.batch repro.erasure.gf
         repro.erasure.gf_native repro.erasure.linear repro.erasure.matrix

@@ -191,18 +191,6 @@ class TestMessaging:
         sim.run()
         assert fired == ["a"]
 
-    def test_broadcast(self):
-        sim = Simulation(seed=3)
-        sender = Echo("s")
-        receivers = [Echo(f"r{i}") for i in range(3)]
-        sim.add_processes([sender] + receivers)
-        sim.schedule(
-            0.0, lambda: sender.broadcast([r.pid for r in receivers], lambda d: f"to-{d}")
-        )
-        sim.run()
-        for r in receivers:
-            assert r.received == [("s", f"to-{r.pid}")]
-
     def test_events_processed_counter(self):
         sim = Simulation(seed=3)
         sim.add_processes([Echo("a"), Echo("b")])
