@@ -28,8 +28,9 @@ is a configuration the cluster constructors refuse.
 one epoch engine (:mod:`repro.analysis.engine`): a long run is cut into
 seeded epochs, each simulated on a fresh cluster, and folded in epoch
 order into a JSON/CSV artefact pair under ``--results-dir`` that is
-byte-identical for every ``--jobs`` / ``--fleet``.  The flags pick one of
-the engine's seven artefact kinds:
+byte-identical for every ``--jobs`` / ``--fleet``; a run that loses cells
+(a dead worker, a raising cell) names each on stderr and exits 3.  The
+flags pick one of the engine's seven artefact kinds:
 
 * ``longrun`` streams a closed-loop real-cluster run through bounded
   recorders with the incremental atomicity checker attached online
@@ -341,8 +342,13 @@ def _print_summary(report: Report, args: argparse.Namespace) -> None:
 
 
 def _cmd_engine(name: str, args: argparse.Namespace) -> int:
-    """``experiment longrun | openloop | adversary``: one engine run."""
+    """``experiment longrun | openloop | adversary``: one engine run.
+
+    Exits 0 when every object's history is atomic, 1 when one is not, 2 on
+    a usage error and 3 when the run lost cells (a worker died, a cell
+    raised): one stderr line names each lost cell, and no traceback."""
     from repro.analysis.engine import KINDS, run_experiment, write_artefacts
+    from repro.analysis.pool import WorkerDied
 
     if args.objects < 1:
         print(f"--objects must be at least 1, got {args.objects}", file=sys.stderr)
@@ -359,9 +365,23 @@ def _cmd_engine(name: str, args: argparse.Namespace) -> int:
         report = run_experiment(
             kind.name, args.protocol, **_engine_params(kind, args)
         )
-    except ValueError as exc:
-        print(f"{name}: {exc}", file=sys.stderr)
-        return 2
+    except WorkerDied as died:
+        for cell in died.cells:
+            print(f"{name}: lost {cell}: its worker died", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        if hasattr(exc, "cells"):
+            (cell,) = exc.cells
+            message = str(exc).removeprefix(f"{cell}: ")
+            print(
+                f"{name}: lost {cell}: {type(exc).__name__}: {message}",
+                file=sys.stderr,
+            )
+            return 3
+        if isinstance(exc, ValueError):
+            print(f"{name}: {exc}", file=sys.stderr)
+            return 2
+        raise
     _print_summary(report, args)
     if not args.no_artefacts:
         json_path, csv_path = write_artefacts(report, Path(args.results_dir))

@@ -47,7 +47,7 @@ discarding it.
 Flat-core layout
 ----------------
 Cluster state lives in flat parallel lists keyed by small integer cluster
-ids (``cid``), with one dict mapping 16-byte BLAKE2 value digests to cids —
+ids (``cid``), with one dict mapping 16-byte value digests to cids —
 no per-cluster objects on the hot path.  Every cluster whose ``b`` is
 finite also owns one slot in a single *interval table*: lists sorted by
 ``b`` carrying a snapshot of ``a`` plus a running top-2 prefix maximum of
@@ -85,7 +85,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from hashlib import blake2b
+from hashlib import blake2b, sha256
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.consistency.stream import WRITE, OperationRecord, StreamObserver
@@ -104,9 +104,13 @@ _EAGER_TAIL = 32
 _DIRTY_LIMIT = 16
 
 
-#: Values shorter than this are digested directly: BLAKE2 of 1 KiB costs
-#: ~1.6 us, twice what remembering a write plus finding it again costs
-#: (~0.8 us), and below that the digest is the cheaper of the two.
+#: Values at least this long are digested with SHA-256 (cut to 16 bytes),
+#: shorter ones with BLAKE2b-128: with SHA-NI, SHA-256 is the faster of the
+#: two from 1 KiB on (1.2 vs 1.6 us at 1 KiB, 46 vs 84 us at 64 KiB) and
+#: BLAKE2b below it (0.42 vs 0.50 us at 32 B; docs/perf.md, "Hash once,
+#: generate once").  It is also where the recent-writes memo starts:
+#: remembering a write and finding it again (~0.8 us) costs less than a
+#: read's second digest from here on (1.2 us at 1 KiB), not below.
 _MEMO_MIN_BYTES = 1024
 
 #: Bounds of the recent-writes memo, in entries and in bytes referenced (it
@@ -119,8 +123,12 @@ _MEMO_BYTES = 4 * 1024 * 1024
 
 
 def _value_key(value: Optional[bytes]) -> bytes:
+    """The 16-byte key of ``value``: one pure function of its bytes, shared
+    by every checker and the shard merge (``None`` keys like ``b""``)."""
     if value is None:
         value = b""
+    if len(value) >= _MEMO_MIN_BYTES:
+        return sha256(value).digest()[:16]
     return blake2b(value, digest_size=16).digest()
 
 
@@ -128,8 +136,8 @@ class _RecentWrites:
     """Digests of recently written large values, found again by comparison.
 
     A read's value is the value of a write digested moments earlier, so
-    rather than digesting the same bytes a second time (BLAKE2 runs at
-    ~0.7 GB/s, 90 us per 64 KiB) the read is matched against the remembered
+    rather than digesting the same bytes a second time (SHA-256 runs at
+    ~1.4 GB/s, 46 us per 64 KiB) the read is matched against the remembered
     write with the same length, first and last bytes by ``==`` — a
     ``memcmp``, a few us per 64 KiB — and takes that write's digest.  It is
     exact, since equal bytes have equal digests, and trusts neither tags

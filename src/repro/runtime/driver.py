@@ -84,25 +84,56 @@ def value_source(
     values are small enough to share one
     (:meth:`~repro.erasure.batch.CachedEncoder.warm`).
 
-    The filler is ``rng.bytes(size)``: for ``size >= 1`` the same bytes,
-    and the same generator state afterwards, as ``rng.integers(0, 256,
-    size=size, dtype=np.uint8).tobytes()`` (what every committed value
-    stream was drawn with; ``tests/runtime/test_driver.py`` pins the
-    equivalence) without the array in between.  ``rng.bytes(0)`` does
-    consume a draw, hence no filler is drawn for a header that already
-    fills the value.
+    The filler is the bytes ``rng.bytes(size)`` would return, and leaves
+    the generator in the state it would leave.  ``Generator.bytes`` takes
+    ``ceil(size / 4)`` words of the bit generator's uint32 stream — the
+    pending half-word (``has_uint32`` / ``uinteger``) first, then each raw
+    64-bit output low half first — and writes them little-endian; the
+    filler draws those raw outputs itself with ``random_raw``, without
+    ``bytes``' uint32 array, ``astype`` copy and slice, and copies them
+    once, into the value (docs/perf.md, "Hash once, generate once", has
+    the cost per size).  The pending half-word is read once when a refill
+    starts, carried between its values in locals and written back once
+    when it ends; nothing else draws from ``rng`` in between.  For ``size
+    >= 1`` these are also the bytes and state of ``rng.integers(0, 256,
+    size=size, dtype=np.uint8).tobytes()``, what every committed value
+    stream was drawn with; ``tests/runtime/test_driver.py`` pins both
+    equivalences.  No filler is drawn for a header that already fills the
+    value.
     """
     queue: List[bytes] = []
     seq = itertools.count()
+    bit_generator = rng.bit_generator
+    random_raw = bit_generator.random_raw
+    size = cfg.value_size
 
     def next_value() -> bytes:
         if not queue:
+            state = bit_generator.state
+            pending, word = state["has_uint32"], state["uinteger"]
             batch = []
             for _ in range(cfg.warm_batch):
                 value = f"{value_prefix}#{next(seq)}|".encode()
-                if cfg.value_size > len(value):
-                    value += rng.bytes(cfg.value_size - len(value))
+                if size > len(value):
+                    words = (size - len(value) + 3) // 4
+                    if pending:
+                        value += word.to_bytes(4, "little")
+                        pending = 0
+                        words -= 1
+                    if words:
+                        raw = random_raw((words + 1) // 2)
+                        # Like ``next_uint32``: the last output's high half
+                        # stays behind, pending only if it went unused.
+                        pending, word = words & 1, int(raw[-1]) >> 32
+                        value += raw.astype("<u8", copy=False).data.cast("B")[
+                            : size - len(value)
+                        ]
+                    else:
+                        value = value[:size]
                 batch.append(value)
+            state = bit_generator.state
+            state["has_uint32"], state["uinteger"] = pending, word
+            bit_generator.state = state
             cluster.warm_encode(batch)
             queue.extend(reversed(batch))
         return queue.pop()

@@ -619,8 +619,53 @@ def check_crossing_closed_by_a_response_flagged(checker):
     assert [v.kind for v in checker.violations] == ["cluster-cycle"]
 
 
+def _middle_changed_64k():
+    """Two 64 KiB values equal but for one byte in the middle: same length,
+    head, tail and first KiB."""
+    written = np.random.default_rng(0).bytes(64 * 1024)
+    mid = len(written) // 2
+    return written, written[:mid] + bytes([written[mid] ^ 1]) + written[mid + 1 :]
+
+
+def check_read_of_a_middle_changed_value_flagged(checker=None):
+    """A read returning a value that matches the write just made in its
+    length, head and tail but not its middle reads a value nobody wrote."""
+    if checker is None:  # the memo mutant is installed in the module
+        checker = IncrementalAtomicityChecker()
+    written, changed = _middle_changed_64k()
+    sink = StreamingRecorder(window=8)
+    sink.subscribe(checker)
+    sink.invoke("w1", WRITE, "c0", 0.0, written)
+    sink.respond("w1", 1.0)
+    sink.invoke("r1", READ, "c1", 2.0)
+    sink.respond("r1", 3.0, value=changed)
+    assert [v.kind for v in checker.violations] == ["unwritten-value"]
+
+
+def check_writes_differing_in_the_middle_are_distinct(checker):
+    """Two writes whose values differ only in the middle are two values,
+    and a read of the second after both is atomic."""
+    first, second = _middle_changed_64k()
+    sink = StreamingRecorder(window=8)
+    sink.subscribe(checker)
+    sink.invoke("w1", WRITE, "c0", 0.0, first)
+    sink.respond("w1", 1.0)
+    sink.invoke("w2", WRITE, "c0", 2.0, second)
+    sink.respond("w2", 3.0)
+    sink.invoke("r1", READ, "c1", 4.0)
+    sink.respond("r1", 5.0, value=bytes(bytearray(second)))
+    assert checker.ok, checker.violations
+    assert checker.reads_checked == 1
+
+
 @pytest.mark.parametrize(
-    "check", [check_duplicate_write_flagged, check_crossing_closed_by_a_response_flagged]
+    "check",
+    [
+        check_duplicate_write_flagged,
+        check_crossing_closed_by_a_response_flagged,
+        check_read_of_a_middle_changed_value_flagged,
+        check_writes_differing_in_the_middle_are_distinct,
+    ],
 )
 def test_the_checker_passes_the_checks_that_kill_its_mutants(check):
     """The mutant registry (``tests/mutants``) kills the checker's fast-path

@@ -111,6 +111,17 @@ ARTEFACT_SCENARIOS = {
             ops=600, epoch_ops=200, objects=4, key_dist="zipf:1.1", n=5, f=2, seed=11
         ),
     ),
+    "multiobj_soda_4x800": (
+        "multiobj-longrun",
+        "SODA",
+        dict(
+            # 4 KiB values: the checker digests them with SHA-256, the memo
+            # finds reads by comparison, and the shard merge orders its
+            # export by those digests.
+            ops=800, epoch_ops=400, objects=4, key_dist="zipf:1.1", n=5, f=2,
+            value_size=4096, seed=11,
+        ),
+    ),
     "openloop_soda_poisson_1x400": (
         "openloop",
         "SODA",

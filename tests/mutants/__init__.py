@@ -47,6 +47,7 @@ class Mutant:
 
 
 _SODA_SERVER = "repro.core.soda.cluster.SodaServer"
+_RECENT_WRITES = "repro.consistency.incremental._RecentWrites"
 _SODA_WRITER = "repro.core.soda.cluster.SodaWriter"
 _CAS_WRITER = "repro.baselines.cas.CasWriter"
 
@@ -75,6 +76,40 @@ MUTANTS = (
                 "check_crossing_closed_by_a_response_flagged",
                 AssertionError,
                 "cluster-cycle",
+            ),
+        ),
+    ),
+    Mutant(
+        "FingerprintTrustingMemo",
+        "consistency",
+        "checker",
+        _RECENT_WRITES,
+        (
+            Kill(
+                "consistency/test_incremental.py::"
+                "check_read_of_a_middle_changed_value_flagged",
+                AssertionError,
+                "unwritten-value",
+            ),
+        ),
+    ),
+    Mutant(
+        "PrefixDigestChecker",
+        "consistency",
+        "checker",
+        "instance",
+        (
+            Kill(
+                "consistency/test_incremental.py::"
+                "check_writes_differing_in_the_middle_are_distinct",
+                AssertionError,
+                "duplicate-write-value",
+            ),
+            Kill(
+                "consistency/test_incremental.py::"
+                "check_read_of_a_middle_changed_value_flagged",
+                AssertionError,
+                "unwritten-value",
             ),
         ),
     ),

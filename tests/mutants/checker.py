@@ -1,13 +1,17 @@
 """Mutants of the incremental atomicity checker's fast paths.
 
 Their kill checks live in ``tests/consistency/test_incremental.py``; the
-rows of :data:`mutants.MUTANTS` name them.
+rows of :data:`mutants.MUTANTS` name them.  The last two guard the large-value
+path: both die on 64 KiB values that differ only in the middle.
 """
+
+from dataclasses import replace
 
 from repro.consistency.incremental import (
     _INF,
     _MEMO_MIN_BYTES,
     IncrementalAtomicityChecker,
+    _RecentWrites,
     _value_key,
 )
 from repro.consistency.stream import WRITE
@@ -60,3 +64,36 @@ class BlindToResponsesChecker(IncrementalAtomicityChecker):
             self._table_insert(cid)
         if a_grew or not b_dropped:
             self._check_crossings(cid)
+
+
+class FingerprintTrustingMemo(_RecentWrites):
+    """The recent-writes memo answers on a ``(length, head, tail)`` match
+    without comparing the values, so a read of a value nobody wrote takes
+    the key of a write it merely resembles."""
+
+    def key_of(self, value):
+        candidate = self._entries.get((len(value), value[:8], value[-8:]))
+        return None if candidate is None else candidate[1]
+
+
+class PrefixDigestChecker(IncrementalAtomicityChecker):
+    """Keys a value by its first ``_MEMO_MIN_BYTES`` only: the tempting way
+    to make large values cheap to digest.  Values that differ after their
+    first KiB share a key.
+
+    The checker meets a value's bytes only in ``_value_key`` and in the
+    memo's ``==``, so feeding it every value cut to that prefix is the same
+    checker as one whose ``_value_key`` digests the prefix.
+    """
+
+    def on_invoke(self, record):
+        super().on_invoke(_prefix(record))
+
+    def on_complete(self, record):
+        super().on_complete(_prefix(record))
+
+
+def _prefix(record):
+    if record.value is None or len(record.value) <= _MEMO_MIN_BYTES:
+        return record
+    return replace(record, value=record.value[:_MEMO_MIN_BYTES])

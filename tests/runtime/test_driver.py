@@ -2,6 +2,8 @@
 cluster is the one-hosted-object namespace, a subset cluster is a view of
 the monolithic one, and every knob goes through one validated record."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,11 @@ from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.keyed import KeyDistribution
 
 N, F = 6, 2
+
+#: Multiplies the generated-case count of the filler property; the nightly
+#: fuzz workflow (.github/workflows/nightly-fuzz.yml) sets it to 10.
+FUZZ_FACTOR = int(os.environ.get("FUZZ_FACTOR", "1"))
+
 
 def leg(name, *fields):
     """Spec fragments ``name:field:…`` over the given field strategies."""
@@ -175,10 +182,12 @@ class TestKnobValidation:
 
 
 class TestValueSource:
-    """``value_source`` draws its filler with ``rng.bytes``; every committed
-    value stream (goldens, ``results/*``) was drawn with ``rng.integers(0,
-    256, size, dtype=uint8).tobytes()``.  They must be the same bytes *and*
-    leave the generator in the same state, for odd and even sizes alike."""
+    """``value_source`` draws its filler from the bit generator's raw
+    outputs; every committed value stream (goldens, ``results/*``) was drawn
+    with ``rng.integers(0, 256, size, dtype=uint8).tobytes()``, and the
+    filler claims to be ``rng.bytes(size)``.  All three must be the same
+    bytes *and* leave the generator in the same state, for odd and even
+    sizes alike, whatever half-word is pending when a refill starts."""
 
     class _NoWarm:
         @staticmethod
@@ -224,6 +233,40 @@ class TestValueSource:
             0, 2**31, dtype=np.int32
         )
         assert rng.exponential() == legacy_rng.exponential()
+
+    @settings(max_examples=120 * FUZZ_FACTOR, deadline=None)
+    @given(
+        runs=st.lists(
+            st.tuples(
+                # Fillers of 0-9 B behind the 4-5 B headers, and larger ones.
+                st.one_of(st.integers(1, 14), st.integers(15, 70_000)),
+                st.integers(1, 5),  # warm_batch
+                st.booleans(),  # one uint32 draw first: a pending half-word
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    def test_refills_match_rng_bytes_across_a_pending_half_word(self, runs, seed):
+        """Two refills per source, sources of mixed sizes on one generator,
+        each optionally entered with a half-word pending."""
+        rng = np.random.default_rng(seed)
+        reference = np.random.default_rng(seed)
+        for value_size, warm_batch, half_word in runs:
+            if half_word:
+                assert rng.integers(2**32, dtype=np.uint32) == reference.integers(
+                    2**32, dtype=np.uint32
+                )
+            cfg = RunConfig(value_size=value_size, warm_batch=warm_batch)
+            next_value = value_source(self._NoWarm, rng, cfg, "p")
+            for seq in range(2 * warm_batch):
+                header = f"p#{seq}|".encode()
+                expected = header
+                if value_size > len(header):
+                    expected += reference.bytes(value_size - len(header))
+                assert next_value() == expected
+            assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_refills_are_warmed_in_issue_order(self):
         warmed = []

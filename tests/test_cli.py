@@ -316,6 +316,57 @@ class TestLongrunCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestLostCellsExit3:
+    """A run that loses cells exits 3 (1 is "not atomic", 2 is usage) with
+    one stderr line per lost cell and no traceback; the faults are injected
+    as in ``tests/analysis/test_engine.py::TestLostCellsAreNamed``."""
+
+    ARGV = [
+        "experiment",
+        "longrun",
+        "--ops",
+        "200",
+        "--epoch-ops",
+        "100",
+        "--no-artefacts",
+    ]
+
+    @pytest.mark.parametrize("error", [ValueError, RuntimeError])
+    def test_a_raising_cell(self, capsys, monkeypatch, tmp_path, error):
+        from repro.analysis import engine
+
+        real = engine._run_group
+
+        def raises_in_epoch_one(cell, gids):
+            if cell["epoch"] == 1:
+                raise error("injected")
+            return real(cell, gids)
+
+        monkeypatch.setattr(engine, "_run_group", raises_in_epoch_one)
+        assert main([*self.ARGV, "--results-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[1:] == [
+            f"longrun: lost longrun epoch 1 cell 0: {error.__name__}: injected"
+        ]
+
+    def test_a_dead_worker(self, capsys, monkeypatch, tmp_path):
+        from repro.analysis import engine
+        from repro.analysis.pool import WorkerDied
+
+        def dies(fn, payloads, *, jobs):
+            raise WorkerDied([1, 2])
+
+        monkeypatch.setattr(engine, "iter_unordered", dies)
+        argv = [*self.ARGV, "--objects", "2", "--fleet", "2", "--jobs", "2"]
+        assert main([*argv, "--results-dir", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[1:] == [
+            "longrun: lost fleet-longrun epoch 0 cell 1: its worker died",
+            "longrun: lost fleet-longrun epoch 1 cell 0: its worker died",
+        ]
+        assert "Traceback" not in captured.err + captured.out
+
+
 class TestMultiObjectLongrunCommand:
     def test_parser_accepts_objects_and_key_dist(self):
         args = build_parser().parse_args(
