@@ -22,6 +22,7 @@ import numpy as np
 from repro.baselines.registry import make_cluster
 from repro.consistency import incremental
 from repro.consistency.stream import StreamingRecorder
+from repro.runtime import driver
 from repro.runtime.config import RunConfig
 from repro.runtime.driver import value_source
 
@@ -34,6 +35,10 @@ def best_us(fn, number):
 
 
 class NoWarm:
+    """A SODA [6,4] cluster as ``value_source`` sees it, minus the encoder."""
+
+    code = make_cluster("SODA", 6, 2).code
+
     @staticmethod
     def warm_encode(values):
         return 0
@@ -41,7 +46,8 @@ class NoWarm:
 
 def unit_costs():
     """size -> {column: us per call}.  Values are made a refill (64) at a
-    time and kept until the refill is done, as the driver keeps them."""
+    time and kept until the refill is done (the driver draws values of 16
+    KiB and up one at a time instead, as their writers ask)."""
     rows = {}
     for size in SIZES:
         number = max(4, 20_000 // (size // 64 + 8))
@@ -75,6 +81,7 @@ def soda_64k_calls(ops=1000, seed=0):
     """(digests, of which >= 1 KiB, values generated, completed ops)."""
     digests = []
     real = incremental._value_key
+    refill = driver._refill
     incremental._value_key = lambda value: (
         digests.append(len(value or b"")) or real(value)
     )
@@ -85,18 +92,22 @@ def soda_64k_calls(ops=1000, seed=0):
             "SODA", 6, 2, num_writers=2, num_readers=2, seed=seed, recorder=recorder
         )
         generated = []
-        warm = cluster.warm_encode
-        cluster.warm_encode = lambda values: generated.append(len(values)) or warm(
-            values
-        )
+
+        def counting_refill(*args):
+            for value in refill(*args):
+                generated.append(len(value))
+                yield value
+
+        driver._refill = counting_refill
         stats = cluster.run_streamed(
             operations=ops, value_size=65536, mean_gap=0.25, seed=seed + 1
         )
     finally:
         incremental._value_key = real
+        driver._refill = refill
     assert checker.ok
     large = sum(size >= incremental._MEMO_MIN_BYTES for size in digests)
-    return len(digests), large, sum(generated), stats.completed
+    return len(digests), large, len(generated), stats.completed
 
 
 def main():

@@ -59,6 +59,7 @@ import json
 import math
 import os
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
@@ -1186,13 +1187,16 @@ def run_experiment(kind: str, protocol: str = "SODA", **params) -> Report:
     start = time.perf_counter()
     pending: List[Dict[str, object]] = []
     try:
-        for result in in_order(
+        # Closed on the way out, whatever ends the loop (^C during a fold
+        # too): the pool then terminates the workers still running.
+        with closing(
             iter_unordered(run_cell, grid.cells, jobs=p["jobs"] * grid.width)
-        ):
-            pending.append(result)
-            if len(pending) == grid.width:
-                fold_epoch(pending)
-                pending = []
+        ) as results:
+            for result in in_order(results):
+                pending.append(result)
+                if len(pending) == grid.width:
+                    fold_epoch(pending)
+                    pending = []
     except WorkerDied as died:
         raise WorkerDied(died.indices, cell_names(grid, died.indices)) from died
     except Exception as error:

@@ -15,7 +15,8 @@ next-expected cursor.  This module is that shape:
   or single-payload grids, a ``spawn`` pool otherwise).  A worker that
   dies (SIGKILL, the OOM killer) ends the run with :class:`WorkerDied`
   naming the payloads that never finished, never a hang; a payload that
-  raises re-raises in the parent with its index attached;
+  raises re-raises in the parent with its index attached; a run that ends
+  early (that, or ^C in the parent) terminates the workers still running;
 * :func:`in_order` — the order-restoring cursor over ``(index, result)``
   pairs;
 * :func:`resolve_workers` — the nested-pool guard: a pool worker does not
@@ -32,6 +33,7 @@ payload functions must be module-level to stay picklable.
 from __future__ import annotations
 
 import multiprocessing
+import signal
 import warnings
 from typing import Any, Callable, Dict, Iterable, Iterator, Sequence, Tuple
 
@@ -125,6 +127,10 @@ def _iter_unordered(
     executor = ProcessPoolExecutor(
         max_workers=min(jobs, len(payloads)),
         mp_context=multiprocessing.get_context("spawn"),
+        # A terminal's ^C reaches the whole process group; the parent alone
+        # acts on it (below), so workers print no traceback of their own.
+        initializer=signal.signal,
+        initargs=(signal.SIGINT, signal.SIG_IGN),
     )
     try:
         index_of = {executor.submit(fn, p): i for i, p in enumerate(payloads)}
@@ -137,9 +143,15 @@ def _iter_unordered(
                 error.payload_index = index_of[future]
                 raise error
             yield future.result()
+    except BaseException:
+        # Whatever ends the run early — ^C in the parent, a raising payload,
+        # a consumer that stops — loses the results of the cells still
+        # running, so their workers are terminated, not waited for.
+        for process in list((executor._processes or {}).values()):
+            process.terminate()
+        raise
     finally:
-        # A consumer that stops early (or an error above) cancels what has
-        # not started; a broken pool has already terminated its workers.
+        # Cancels what has not started and reaps the workers.
         executor.shutdown(wait=True, cancel_futures=True)
 
 

@@ -29,8 +29,9 @@ one epoch engine (:mod:`repro.analysis.engine`): a long run is cut into
 seeded epochs, each simulated on a fresh cluster, and folded in epoch
 order into a JSON/CSV artefact pair under ``--results-dir`` that is
 byte-identical for every ``--jobs`` / ``--fleet``; a run that loses cells
-(a dead worker, a raising cell) names each on stderr and exits 3.  The
-flags pick one of the engine's seven artefact kinds:
+(a dead worker, a raising cell) names each on stderr and exits 3, and ^C
+exits 130 once the workers are terminated.  The flags pick one of the
+engine's seven artefact kinds:
 
 * ``longrun`` streams a closed-loop real-cluster run through bounded
   recorders with the incremental atomicity checker attached online
@@ -346,7 +347,17 @@ def _cmd_engine(name: str, args: argparse.Namespace) -> int:
 
     Exits 0 when every object's history is atomic, 1 when one is not, 2 on
     a usage error and 3 when the run lost cells (a worker died, a cell
-    raised): one stderr line names each lost cell, and no traceback."""
+    raised): one stderr line names each lost cell, and no traceback.  ^C
+    exits 130 with one stderr line: the pool has terminated its workers by
+    then, and an artefact pair is either written whole or not at all."""
+    try:
+        return _run_engine(name, args)
+    except KeyboardInterrupt:
+        print(f"{name}: interrupted", file=sys.stderr)
+        return 130
+
+
+def _run_engine(name: str, args: argparse.Namespace) -> int:
     from repro.analysis.engine import KINDS, run_experiment, write_artefacts
     from repro.analysis.pool import WorkerDied
 

@@ -14,7 +14,8 @@ above 1) in one batched :meth:`~repro.erasure.mds.MDSCode.encode_many`,
 which spreads the per-call overhead over the batch.  Large values are
 encoded one by one either way, so warming them would buy no time and hold
 a batch of encodings in memory until their writes come round; they are
-encoded by their write.
+encoded by their write.  :func:`pre_encodes` is that test, and the drivers
+ask it too: a value it turns down is not even drawn before its write.
 
 Decoding: concurrent reads of the same version decode the same
 ``(tag, element-set)`` — every read between two writes reconstructs an
@@ -61,6 +62,17 @@ DECODER_CAPACITY = 8
 #: newest entry is always kept, so a value larger than the budget is still
 #: encoded once, not ``f + 1`` times.
 CACHE_BYTE_BUDGET = 2 * 1024 * 1024
+
+
+def pre_encodes(code: MDSCode, size: int) -> bool:
+    """Whether :meth:`CachedEncoder.warm` pre-encodes ``size``-byte values of
+    ``code``: only values that share a kernel call
+    (:meth:`~repro.erasure.mds.MDSCode.batch_step` above 1).  A workload
+    driver asks the same question to decide whether to draw a batch of
+    values ahead of their writes at all
+    (:func:`~repro.runtime.driver.value_source`).  Always false for a code
+    without a batched kernel, such as ABD's replication."""
+    return code.batch_step(code.element_size(size)) > 1
 
 
 def _store(cache: OrderedDict, capacity: int, used: int, key, entry, weigh) -> int:
@@ -119,7 +131,7 @@ class CachedEncoder:
         fresh = [
             v
             for v in dict.fromkeys(values)
-            if code.batch_step(code.element_size(len(v))) > 1 and v not in self._cache
+            if pre_encodes(code, len(v)) and v not in self._cache
         ]
         fresh = fresh[: self.capacity]
         room = CACHE_BYTE_BUDGET

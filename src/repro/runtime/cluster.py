@@ -356,9 +356,12 @@ class RegisterCluster(ABC):
         engine behind ``experiment longrun`` (:mod:`repro.analysis.engine`).
 
         Writers issue globally unique values ``{value_prefix}#{seq}|…``
-        padded to ``value_size`` with seeded random bytes; upcoming values
-        are generated ``warm_batch`` at a time and, when small, pre-encoded
-        into the shared encoder cache (one batched encode each refill).
+        padded to ``value_size`` with seeded random bytes
+        (:func:`~repro.runtime.driver.value_source`): small values are
+        drawn ``warm_batch`` at a time and pre-encoded into the shared
+        encoder cache (one batched encode each refill); larger ones are
+        drawn when their writer asks for them, so none waits in memory for
+        its write.  Either way the driver's rng stream is the same.
         Readers issue reads.
         The operation budget is consumed by whichever clients are alive: a
         crashed client's slot is handed to the next live client

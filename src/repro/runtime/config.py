@@ -31,8 +31,10 @@ class RunConfig:
     """Driver knobs shared by the closed- and open-loop run engines.
 
     * ``value_size`` — written value size in bytes;
-    * ``warm_batch`` — values generated (and, when small, pre-encoded) per
-      refill of the value source;
+    * ``warm_batch`` — values per refill of the value source: the unit in
+      which written values take their place in the driver's rng stream,
+      and the batch the cluster pre-encodes when they are small (larger
+      values are drawn one at a time, when written);
     * ``mean_gap`` — closed-loop exponential think time between a client's
       operations;
     * ``start_window`` — closed-loop initial-invocation jitter window;

@@ -17,12 +17,12 @@ The public methods on the two cluster classes are "apply faults, arm,
 
 from __future__ import annotations
 
-import itertools
 import warnings
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.erasure.batch import pre_encodes
 from repro.runtime.config import RunConfig
 from repro.sim.network import SlowDisk
 from repro.sim.simulation import EventBudgetExceeded, Simulation
@@ -77,68 +77,125 @@ def value_source(
     """The written values of one driver run, as a ``next_value()`` callable.
 
     Values are globally unique — ``{value_prefix}#{seq}|`` padded to
-    ``cfg.value_size`` with bytes drawn from the driver's ``rng`` — and are
-    generated ``cfg.warm_batch`` at a time (the draw order every committed
-    artefact was produced with).  Each refill is offered to the cluster's
-    shared encoder, which pre-encodes it in one batched call when the
-    values are small enough to share one
-    (:meth:`~repro.erasure.batch.CachedEncoder.warm`).
+    ``cfg.value_size`` with bytes drawn from the driver's ``rng`` — and
+    take their place in ``rng``'s stream ``cfg.warm_batch`` at a time (the
+    draw order every committed artefact was produced with): a refill is
+    what the generator's stream holds at the first value's request, and the
+    driver's later draws (think times, arrivals, the next refill) come after
+    the whole refill, wherever in between its values are asked for.
 
-    The filler is the bytes ``rng.bytes(size)`` would return, and leaves
-    the generator in the state it would leave.  ``Generator.bytes`` takes
-    ``ceil(size / 4)`` words of the bit generator's uint32 stream — the
-    pending half-word (``has_uint32`` / ``uinteger``) first, then each raw
-    64-bit output low half first — and writes them little-endian; the
-    filler draws those raw outputs itself with ``random_raw``, without
-    ``bytes``' uint32 array, ``astype`` copy and slice, and copies them
-    once, into the value (docs/perf.md, "Hash once, generate once", has
-    the cost per size).  The pending half-word is read once when a refill
-    starts, carried between its values in locals and written back once
-    when it ends; nothing else draws from ``rng`` in between.  For ``size
-    >= 1`` these are also the bytes and state of ``rng.integers(0, 256,
-    size=size, dtype=np.uint8).tobytes()``, what every committed value
-    stream was drawn with; ``tests/runtime/test_driver.py`` pins both
-    equivalences.  No filler is drawn for a header that already fills the
-    value.
+    A refill is drawn by :func:`_refill` from a private clone of the bit
+    generator, while ``rng`` itself jumps past it in one step.  *When* a
+    value is drawn depends on whether the cluster pre-encodes it
+    (:func:`~repro.erasure.batch.pre_encodes`, the question
+    :meth:`~repro.erasure.batch.CachedEncoder.warm` asks): small values are
+    drawn a whole refill at a time and handed to the cluster's shared
+    encoder, which encodes them in one batched call; any other value is
+    drawn when its writer asks for it, so a run holds no value before its
+    write.  Both give the same bytes and leave ``rng`` in the same state.
+
+    ``rng`` must be PCG64-backed (what ``np.random.default_rng`` builds):
+    the jump is ``PCG64.advance``; any other bit generator is refused with a
+    ``TypeError``.
     """
-    queue: List[bytes] = []
-    seq = itertools.count()
     bit_generator = rng.bit_generator
-    random_raw = bit_generator.random_raw
+    if type(bit_generator) is not np.random.PCG64:
+        raise TypeError(
+            "value_source jumps its generator with PCG64.advance; "
+            f"got a {type(bit_generator).__name__} bit generator"
+        )
+    clone = np.random.PCG64(0)  # set to the driver's state at each refill
     size = cfg.value_size
+    eager = pre_encodes(cluster.code, size)
+    first = 0
+    values: Iterator[bytes] = iter(())
 
     def next_value() -> bytes:
-        if not queue:
-            state = bit_generator.state
-            pending, word = state["has_uint32"], state["uinteger"]
-            batch = []
-            for _ in range(cfg.warm_batch):
-                value = f"{value_prefix}#{next(seq)}|".encode()
-                if size > len(value):
-                    words = (size - len(value) + 3) // 4
-                    if pending:
-                        value += word.to_bytes(4, "little")
-                        pending = 0
-                        words -= 1
-                    if words:
-                        raw = random_raw((words + 1) // 2)
-                        # Like ``next_uint32``: the last output's high half
-                        # stays behind, pending only if it went unused.
-                        pending, word = words & 1, int(raw[-1]) >> 32
-                        value += raw.astype("<u8", copy=False).data.cast("B")[
-                            : size - len(value)
-                        ]
-                    else:
-                        value = value[:size]
-                batch.append(value)
-            state = bit_generator.state
-            state["has_uint32"], state["uinteger"] = pending, word
-            bit_generator.state = state
-            cluster.warm_encode(batch)
-            queue.extend(reversed(batch))
-        return queue.pop()
+        nonlocal values, first
+        value = next(values, None)
+        if value is None:
+            headers = [
+                f"{value_prefix}#{seq}|".encode()
+                for seq in range(first, first + cfg.warm_batch)
+            ]
+            first += cfg.warm_batch
+            values = _refill(bit_generator, clone, headers, size)
+            if eager:
+                batch = list(values)
+                cluster.warm_encode(batch)
+                values = iter(batch)
+            value = next(values)
+        return value
 
     return next_value
+
+
+def _refill(
+    bit_generator: np.random.PCG64,
+    clone: np.random.PCG64,
+    headers: List[bytes],
+    size: int,
+) -> Iterator[bytes]:
+    """Move ``bit_generator`` past one refill of values, then yield them.
+
+    Each value is its header padded to ``size`` with the bytes
+    ``Generator.bytes`` would return, leaving the state it would leave.
+    ``Generator.bytes`` takes ``ceil(n / 4)`` words of the bit generator's
+    uint32 stream — the pending half-word (``has_uint32`` / ``uinteger``)
+    first, then each raw 64-bit output low half first — and writes them
+    little-endian; for ``n >= 1`` these are also the bytes and state of
+    ``rng.integers(0, 256, size=n, dtype=np.uint8).tobytes()``, what every
+    committed value stream was drawn with.  A header that already fills
+    the value is the whole value, and draws nothing.
+
+    The body runs to its first ``yield`` at the first ``next``: it counts
+    the raw outputs the refill takes (and the half-word it leaves pending),
+    sets ``clone`` to ``bit_generator``'s state and moves ``bit_generator``
+    past them with ``advance(count - 1)`` and one last draw — the high half
+    of that draw is the ``uinteger`` ``Generator.bytes`` leaves.  The values
+    then come from ``clone``'s raw outputs, drawn with ``random_raw``
+    without ``bytes``' uint32 array, ``astype`` copy and slice, and copied
+    once, into the value (docs/perf.md, "Hash once, generate once").
+    ``tests/runtime/test_driver.py`` pins the bytes and the state.
+    """
+    state = bit_generator.state
+    pending = state["has_uint32"]
+    plan = []  # per value: (header, takes the pending half-word, raw outputs)
+    count = 0
+    for header in headers:
+        words = (size - len(header) + 3) // 4 if size > len(header) else 0
+        takes = bool(pending and words)
+        if takes:
+            pending = 0
+            words -= 1
+        raws = (words + 1) // 2
+        if raws:
+            # Like ``next_uint32``: the last output's high half stays
+            # behind, pending only if it went unused.
+            pending = words & 1
+            count += raws
+        plan.append((header, takes, raws))
+
+    clone.state = state
+    word = state["uinteger"]
+    if count:
+        bit_generator.advance(count - 1)
+        last = bit_generator.random_raw() >> 32
+        state = bit_generator.state
+        state["uinteger"] = last
+    state["has_uint32"] = pending
+    bit_generator.state = state
+
+    random_raw = clone.random_raw
+    for header, takes, raws in plan:
+        value = header
+        if takes:
+            value += word.to_bytes(4, "little")[: size - len(value)]
+        if raws:
+            raw = random_raw(raws)
+            word = int(raw[-1]) >> 32
+            value += raw.astype("<u8", copy=False).data.cast("B")[: size - len(value)]
+        yield value
 
 
 def apply_fault_plan(

@@ -25,6 +25,8 @@ from typing import Tuple
 
 import pytest
 
+from repro.erasure.mds import DecodingError
+
 
 @dataclass(frozen=True)
 class Kill:
@@ -50,6 +52,8 @@ _SODA_SERVER = "repro.core.soda.cluster.SodaServer"
 _RECENT_WRITES = "repro.consistency.incremental._RecentWrites"
 _SODA_WRITER = "repro.core.soda.cluster.SodaWriter"
 _CAS_WRITER = "repro.baselines.cas.CasWriter"
+_ABD_READER = "repro.baselines.abd.AbdReader"
+_SODAERR_READER = "repro.core.sodaerr.cluster.SodaErrReader"
 
 MUTANTS = (
     Mutant(
@@ -193,6 +197,36 @@ MUTANTS = (
                 "core/test_client.py::check_cas_write_then_read",
                 AssertionError,
                 "cluster-cycle",
+            ),
+        ),
+    ),
+    Mutant(
+        "NoWriteBackAbdReader",
+        "baselines",
+        "clients",
+        _ABD_READER,
+        (
+            Kill(
+                "test_cross_protocol_fuzz.py::check_abd_reads_under_straggling_writers",
+                AssertionError,
+                "cluster-cycle",
+            ),
+        ),
+    ),
+    Mutant(
+        # Its wrong decodes mostly garble the frame's length header, so the
+        # run dies of the decoder; at about a third of the seeds the checker
+        # has flagged an ``unwritten-value`` read before that.
+        "UnderstatedErrorSodaErrReader",
+        "core",
+        "clients",
+        _SODAERR_READER,
+        (
+            Kill(
+                "test_cross_protocol_fuzz.py::"
+                "check_sodaerr_reads_through_a_corrupt_server",
+                DecodingError,
+                "decoded data truncated",
             ),
         ),
     ),

@@ -2,10 +2,13 @@
 it, and its row of :data:`mutants.MUTANTS` installs it over the name its
 cluster module builds writers from."""
 
+from repro.baselines.abd import AbdQueryResponse, AbdReader
 from repro.baselines.cas import CasFinalizeRequest, CasWriter
 from repro.core.messages import WriteGetResponse
 from repro.core.soda.writer import SodaWriter
+from repro.core.sodaerr.reader import SodaErrReader
 from repro.core.tags import max_tag
+from repro.erasure.batch import CachedDecoder
 
 
 class TagReusingSodaWriter(SodaWriter):
@@ -46,3 +49,50 @@ class UnfinalizedCasWriter(CasWriter):
             self._end(None, message.tag)
             return
         super().send_many(dsts, message)
+
+
+class NoWriteBackAbdReader(AbdReader):
+    """Returns the highest-tagged value of its query quorum without writing
+    it back (regular, not atomic).
+
+    A read that sees a write's value on a server the write reached first,
+    followed by a read whose quorum the write has not reached yet, is a
+    new-old inversion.
+    """
+
+    def on_message(self, sender, message):
+        op = self._current
+        if (
+            op is None
+            or type(message) is not AbdQueryResponse
+            or message.op_id != op.op_id
+            or op.phase != "query"
+        ):
+            return
+        op.responses[sender] = (message.tag, message.value)
+        if len(op.responses) >= self.majority:
+            tag = max_tag(t for t, _ in op.responses.values())
+            value = next(v for t, v in op.responses.values() if t == tag)
+            self._end(value, tag)  # no write-back phase: the mutation
+
+
+class UnderstatedErrorSodaErrReader(SodaErrReader):
+    """Decodes as if ``e - 1`` elements could be wrong: from ``k + 2(e - 1)``
+    elements, with ``max_errors = e - 1``.
+
+    When the one element too many that it does not wait for is the corrupt
+    one, the decode returns a value nobody wrote (at ``e = 1`` a plain
+    erasure decode of ``k`` elements, one of them corrupt).
+    """
+
+    def __init__(self, pid, servers_in_order, f, code, e, history, decoder=None):
+        understated = e - 1
+        super().__init__(
+            pid,
+            servers_in_order,
+            f,
+            code,
+            understated,
+            history,
+            CachedDecoder(code, max_errors=understated),
+        )

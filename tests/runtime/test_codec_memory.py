@@ -8,6 +8,14 @@ therefore cost nothing a run can see: the bounded decoder scores the hits
 of an unbounded one, and every written value still goes through the kernel
 exactly once — no second encode because an entry was dropped before its
 ``(f + 1)``-th use.  No RSS is read; memory shows in the accounted bytes.
+
+The driver holds no value its cluster will not pre-encode: a value the
+kernel takes one at a time is drawn when its writer asks for it, so at
+most one is ever drawn but not yet written, while small values are still
+drawn and warmed a refill at a time.  Run as a script, this file prints
+that peak, in values and in bytes, for the three sizes below::
+
+    PYTHONPATH=src python tests/runtime/test_codec_memory.py
 """
 
 from collections import Counter
@@ -15,7 +23,9 @@ from collections import Counter
 import pytest
 
 from repro.baselines.registry import make_cluster
+from repro.consistency.stream import StreamObserver
 from repro.erasure import batch
+from repro.runtime import driver
 from repro.workloads.arrivals import parse_arrival
 
 
@@ -131,3 +141,84 @@ def test_every_written_value_is_encoded_by_the_kernel_once(value_size):
         assert codec["encoder_misses"] == stats.writes + 1  # and the initial value
     for front in ("encoder", "decoder"):
         assert 0 < codec[f"{front}_bytes"] <= batch.CACHE_BYTE_BUDGET
+
+
+#: Encoder counters of ``_closed_loop`` on a SODA [6,4] cluster with 2
+#: writers and 2 readers, as the driver that drew every refill ahead of its
+#: writes left them.  Drawing a value when it is written must not change
+#: what is encoded, or when.
+PINNED_ENCODER = {
+    32: dict(encoder_hits=615, encoder_misses=1, encoder_entries=257, encoder_bytes=22022),
+    4096: dict(
+        encoder_hits=606, encoder_misses=1, encoder_entries=204, encoder_bytes=2090184
+    ),
+    65536: dict(
+        encoder_hits=404, encoder_misses=203, encoder_entries=12, encoder_bytes=1966152
+    ),
+}
+
+
+def values_held(value_size):
+    """Drive ``_closed_loop`` on a SODA [6,4] 2+2 cluster and return the
+    peak number of values drawn but not yet written, their bytes at that
+    peak, the sizes of the refills handed to ``warm_encode`` and the codec
+    counters.  A value is drawn when the driver's ``_refill`` yields it and
+    written when its write is invoked."""
+    held = {"values": 0, "bytes": 0}
+    peak = {"values": 0, "bytes": 0}
+    refill = driver._refill
+
+    def counting_refill(*args):
+        for value in refill(*args):
+            held["values"] += 1
+            held["bytes"] += len(value)
+            if held["values"] > peak["values"]:
+                peak.update(held)
+            yield value
+
+    class Writes(StreamObserver):
+        def on_invoke(self, record):
+            if record.kind == "write":
+                held["values"] -= 1
+                held["bytes"] -= len(record.value)
+
+    cluster = make_cluster("SODA", 6, 2, num_writers=2, num_readers=2, seed=11)
+    cluster.history.subscribe(Writes())
+    warmed = []
+    warm_encode = cluster.warm_encode
+
+    def recording_warm_encode(values):
+        warmed.append(len(values))
+        return warm_encode(values)
+
+    cluster.warm_encode = recording_warm_encode
+    driver._refill = counting_refill
+    try:
+        stats = _closed_loop(cluster, value_size)
+    finally:
+        driver._refill = refill
+    assert stats.completed == 400 and not stats.truncated
+    return peak["values"], peak["bytes"], warmed, cluster.codec_stats()
+
+
+@pytest.mark.parametrize("value_size", sorted(PINNED_ENCODER))
+def test_values_are_held_ahead_of_their_writes_only_to_be_pre_encoded(value_size):
+    peak, peak_bytes, warmed, codec = values_held(value_size)
+    if value_size == 65536:
+        # Drawn when written: never more than the one being handed over.
+        assert peak <= 1 and peak_bytes <= value_size
+        assert warmed == []
+    else:
+        # Drawn and warmed a whole refill of 64 at a time, as before.
+        assert peak == 64 and peak_bytes == 64 * value_size
+        assert warmed and set(warmed) == {64}
+    assert {key: codec[key] for key in PINNED_ENCODER[value_size]} == (
+        PINNED_ENCODER[value_size]
+    )
+
+
+if __name__ == "__main__":
+    print("values drawn but not yet written, SODA [6,4] 2+2 closed loop, 400 ops:")
+    for size in sorted(PINNED_ENCODER):
+        peak, peak_bytes, _, _ = values_held(size)
+        print(f"  value_size {size:>6} B: peak {peak:>2} values, {peak_bytes:>7} B")

@@ -2,6 +2,7 @@
 cluster is the one-hosted-object namespace, a subset cluster is a view of
 the monolithic one, and every knob goes through one validated record."""
 
+import itertools
 import os
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.registry import make_cluster
+from repro.baselines.registry import available_protocols, default_kwargs, make_cluster
+from repro.erasure.batch import pre_encodes
+from repro.erasure.rs import ReedSolomonCode
 from repro.runtime.config import RunConfig
 from repro.runtime.driver import value_source
 from repro.runtime.namespace import MultiRegisterCluster
@@ -181,23 +184,49 @@ class TestKnobValidation:
         assert cluster.failures.injected == []
 
 
+#: A SODA [6, 4] cluster's code.  Values below ``LAZY_FROM`` bytes share a
+#: kernel call, so the value source draws them a refill at a time for the
+#: cluster to pre-encode; larger ones are drawn when their writer asks.
+CODE = ReedSolomonCode(N, N - F)
+LAZY_FROM = next(size for size in itertools.count(1) if not pre_encodes(CODE, size))
+
+#: Driver draws that run between two ``next_value()`` calls: think times,
+#: start jitter, and a 32-bit draw that leaves a half-word pending.
+DRAWS = {
+    "exponential": lambda rng: rng.exponential(0.25),
+    "uniform": lambda rng: rng.uniform(0.0, 1.0),
+    "uint32": lambda rng: rng.integers(2**32, dtype=np.uint32),
+}
+
+
+class _Cluster:
+    """What ``value_source`` reads of a cluster: its code and
+    ``warm_encode``, which records the refills it is handed."""
+
+    code = CODE
+
+    def __init__(self):
+        self.warmed = []
+
+    def warm_encode(self, values):
+        self.warmed.append(list(values))
+        return 0
+
+
 class TestValueSource:
     """``value_source`` draws its filler from the bit generator's raw
     outputs; every committed value stream (goldens, ``results/*``) was drawn
-    with ``rng.integers(0, 256, size, dtype=uint8).tobytes()``, and the
+    with ``rng.integers(0, 256, size, dtype=uint8).tobytes()``, a whole
+    refill of ``warm_batch`` values at its first value's request, and the
     filler claims to be ``rng.bytes(size)``.  All three must be the same
     bytes *and* leave the generator in the same state, for odd and even
-    sizes alike, whatever half-word is pending when a refill starts."""
-
-    class _NoWarm:
-        @staticmethod
-        def warm_encode(values):
-            return 0
+    sizes alike, whatever half-word is pending when a refill starts, and
+    whenever — between which other draws — each value is asked for."""
 
     @staticmethod
-    def _legacy_values(rng, value_size, value_prefix, count):
+    def _legacy_values(rng, value_size, value_prefix, count, first=0):
         out = []
-        for seq in range(count):
+        for seq in range(first, first + count):
             header = f"{value_prefix}#{seq}|".encode()
             filler = b""
             if value_size > len(header):
@@ -219,7 +248,7 @@ class TestValueSource:
     ):
         cfg = RunConfig(value_size=value_size, warm_batch=3)
         rng = np.random.default_rng(seed)
-        next_value = value_source(self._NoWarm, rng, cfg, value_prefix)
+        next_value = value_source(_Cluster(), rng, cfg, value_prefix)
         got = [next_value() for _ in range(3)]  # one whole refill
 
         legacy_rng = np.random.default_rng(seed)
@@ -259,7 +288,7 @@ class TestValueSource:
                     2**32, dtype=np.uint32
                 )
             cfg = RunConfig(value_size=value_size, warm_batch=warm_batch)
-            next_value = value_source(self._NoWarm, rng, cfg, "p")
+            next_value = value_source(_Cluster(), rng, cfg, "p")
             for seq in range(2 * warm_batch):
                 header = f"p#{seq}|".encode()
                 expected = header
@@ -268,18 +297,83 @@ class TestValueSource:
                 assert next_value() == expected
             assert rng.bit_generator.state == reference.bit_generator.state
 
+    @settings(max_examples=60 * FUZZ_FACTOR, deadline=None)
+    @given(
+        value_size=st.one_of(
+            st.integers(1, 14),  # headers that (nearly) fill the value
+            st.integers(15, LAZY_FROM - 1),  # pre-encoded: drawn a refill at a time
+            st.integers(LAZY_FROM, 70_000),  # drawn when written
+        ),
+        warm_batch=st.integers(1, 5),
+        half_word=st.booleans(),
+        # The draws after each value: across at least two refills when
+        # there are enough values, crossing refill boundaries at any phase.
+        between=st.lists(
+            st.lists(st.sampled_from(sorted(DRAWS)), max_size=3),
+            min_size=1,
+            max_size=12,
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    def test_draws_between_values_continue_the_legacy_stream(
+        self, value_size, warm_batch, half_word, between, seed
+    ):
+        """The legacy driver drew a whole refill at its first value's
+        request and the think times, jitter and arrivals after it.  A value
+        drawn later — when its writer asks, between those draws — must not
+        move any of them: the values, every draw in between, the state and
+        the draws after it are the legacy ones."""
+        rng = np.random.default_rng(seed)
+        reference = np.random.default_rng(seed)
+        if half_word:
+            assert DRAWS["uint32"](rng) == DRAWS["uint32"](reference)
+        cluster = _Cluster()
+        cfg = RunConfig(value_size=value_size, warm_batch=warm_batch)
+        next_value = value_source(cluster, rng, cfg, "o1/")
+        got, expected, legacy = [], [], []
+        for index, draws in enumerate(between):
+            got.append(next_value())
+            if index % warm_batch == 0:
+                legacy += self._legacy_values(
+                    reference, value_size, "o1/", warm_batch, first=index
+                )
+            expected.append(legacy[index])
+            got += [DRAWS[draw](rng) for draw in draws]
+            expected += [DRAWS[draw](reference) for draw in draws]
+        assert got == expected
+        assert rng.bit_generator.state == reference.bit_generator.state
+        for draw in sorted(DRAWS):
+            assert DRAWS[draw](rng) == DRAWS[draw](reference)
+        # When: a pre-encoded refill is handed to warm_encode whole, before
+        # any of its values is written; other values are never held.
+        refills = -(-len(between) // warm_batch)
+        if value_size < LAZY_FROM:
+            assert cluster.warmed == [
+                legacy[start : start + warm_batch]
+                for start in range(0, refills * warm_batch, warm_batch)
+            ]
+        else:
+            assert cluster.warmed == []
+
+    def test_a_generator_without_pcg64_advance_is_refused_by_name(self):
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(TypeError, match="MT19937"):
+            value_source(_Cluster(), rng, RunConfig(), "")
+
     def test_refills_are_warmed_in_issue_order(self):
-        warmed = []
-
-        class Recorder:
-            @staticmethod
-            def warm_encode(values):
-                warmed.append(list(values))
-
+        cluster = _Cluster()
         next_value = value_source(
-            Recorder, np.random.default_rng(0), RunConfig(value_size=64, warm_batch=4), "p"
+            cluster, np.random.default_rng(0), RunConfig(value_size=64, warm_batch=4), "p"
         )
         issued = [next_value() for _ in range(6)]
-        assert [len(batch) for batch in warmed] == [4, 4]
-        assert issued == (warmed[0] + warmed[1])[:6]
+        assert [len(batch) for batch in cluster.warmed] == [4, 4]
+        assert issued == (cluster.warmed[0] + cluster.warmed[1])[:6]
         assert all(len(value) == 64 and value.startswith(b"p#") for value in issued)
+
+    @pytest.mark.parametrize("protocol", available_protocols())
+    def test_no_value_is_drawn_ahead_where_warming_is_off(self, protocol):
+        """``pre_encodes`` is false wherever the cluster ignores warming."""
+        cluster = make_cluster(protocol, N, F, **default_kwargs(protocol))
+        if not cluster.warm_encoding_effective:
+            for size in (1, 32, 4096, LAZY_FROM, 65536):
+                assert not pre_encodes(cluster.code, size)

@@ -3,9 +3,15 @@
 import json
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import __version__
 from repro import cli
 from repro.analysis.experiments import SWEEPS
@@ -365,6 +371,91 @@ class TestLostCellsExit3:
             "longrun: lost fleet-longrun epoch 1 cell 0: its worker died",
         ]
         assert "Traceback" not in captured.err + captured.out
+
+
+def _pool_workers(pid):
+    """The spawn-pool workers among ``pid``'s children."""
+    workers = []
+    for child in Path(f"/proc/{pid}/task/{pid}/children").read_text().split():
+        try:
+            if b"spawn_main" in Path(f"/proc/{child}/cmdline").read_bytes():
+                workers.append(int(child))
+        except FileNotFoundError:
+            pass  # exited between the two reads
+    return workers
+
+
+def _ignores_sigint(pid):
+    """Whether ``pid`` has installed ``SIG_IGN`` for SIGINT (the pool's
+    worker initializer has run)."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except FileNotFoundError:
+        return False
+    mask = int(re.search(r"^SigIgn:\s*([0-9a-f]+)", status, re.M).group(1), 16)
+    return bool(mask >> (signal.SIGINT - 1) & 1)
+
+
+def _alive(pid):
+    """Running, not a zombie and not gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc")
+class TestInterrupt:
+    """^C in the middle of ``experiment longrun`` exits 130 at once, with
+    one stderr line and no traceback: the parent terminates its pool's
+    workers instead of waiting for their cells (each far longer than the
+    timeout here), and leaves no ``*.tmp`` behind and no worker alive."""
+
+    def _interrupt(self, tmp_path, jobs, *, whole_group):
+        argv = ["experiment", "longrun", "--ops", "400000", "--epoch-ops", "100000"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *argv, "--jobs", str(jobs)]
+            + ["--results-dir", str(tmp_path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parent.parent)},
+            start_new_session=True,  # a group of its own, for killpg
+        )
+        try:
+            backend_line = proc.stderr.readline()  # printed before the run starts
+            workers = []
+            deadline = time.monotonic() + 60
+            while jobs > 1 and time.monotonic() < deadline:
+                workers = _pool_workers(proc.pid)
+                if len(workers) == jobs and all(map(_ignores_sigint, workers)):
+                    break
+                time.sleep(0.05)
+            assert len(workers) == (jobs if jobs > 1 else 0)
+            time.sleep(1.0)  # into the cells
+            if whole_group:  # a terminal's ^C
+                os.killpg(proc.pid, signal.SIGINT)
+            else:
+                proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert backend_line.startswith("gf backend:")
+        assert proc.returncode == 130, err
+        assert err.splitlines() == ["longrun: interrupted"]
+        assert "Traceback" not in out + err
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert not any(map(_alive, workers))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sigint_to_the_parent(self, tmp_path, jobs):
+        self._interrupt(tmp_path, jobs, whole_group=False)
+
+    def test_sigint_to_the_process_group(self, tmp_path):
+        self._interrupt(tmp_path, 2, whole_group=True)
 
 
 class TestMultiObjectLongrunCommand:

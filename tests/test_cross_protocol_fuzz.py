@@ -69,6 +69,75 @@ def assert_clean(cluster, recorder, checker, stats):
     assert recorder.max_resident <= 64 + cluster.num_writers + cluster.num_readers
 
 
+def straggling_writers(protocol, seed):
+    """Every message a writer sends takes up to 8 time units longer, at
+    random: a write reaches some servers long before others, so reads that
+    overlap it find the new value on some servers and not on others — the
+    schedule in which an ABD read that skipped its write-back returns a
+    value a later read does not."""
+    cluster, recorder, checker = build(protocol, seed=seed)
+    cluster.sim.network.delay_model = SlowDisk(
+        cluster.sim.network.delay_model,
+        slow=cluster.writer_ids,
+        extra=0.0,
+        jitter=8.0,
+    )
+    stats = cluster.run_streamed(operations=OPS, seed=seed + 7)
+    assert_clean(cluster, recorder, checker, stats)
+    assert stats.completed == stats.issued == OPS
+
+
+def sodaerr_faults(seed):
+    """SODAerr at its full fault budget, the benchmark's ``sodaerr-faults``
+    shape: [8, 4] with ``e = 1``, server 1 corrupting every element it
+    reads from disk, servers 0 and 2 crashing at 100 and 200, 4 KiB values.
+    Every read must decode the value a write wrote."""
+    recorder = StreamingRecorder(window=64)
+    cluster = make_cluster(
+        "SODAerr",
+        8,
+        2,
+        e=1,
+        error_probability=1.0,
+        error_prone_servers=(1,),
+        num_writers=2,
+        num_readers=2,
+        seed=seed,
+        recorder=recorder,
+    )
+    checker = recorder.subscribe(IncrementalAtomicityChecker())
+    cluster.crash_server(0, 100.0)
+    cluster.crash_server(2, 200.0)
+    stats = cluster.run_streamed(operations=OPS, value_size=4096, seed=seed + 8)
+    assert_clean(cluster, recorder, checker, stats)
+    assert stats.completed == OPS
+
+
+# ----------------------------------------------------------------------
+# the checks that kill the reader mutants (tests/mutants/clients.py), at
+# the seeds above: FUZZ_FACTOR times as many at nightly scale
+# ----------------------------------------------------------------------
+def check_abd_reads_under_straggling_writers():
+    for seed in SEEDS:
+        straggling_writers("ABD", seed)
+
+
+def check_sodaerr_reads_through_a_corrupt_server():
+    for seed in SEEDS:
+        sodaerr_faults(seed)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        check_abd_reads_under_straggling_writers,
+        check_sodaerr_reads_through_a_corrupt_server,
+    ],
+)
+def test_the_real_readers_pass_the_checks_that_kill_their_mutants(check):
+    check()
+
+
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("seed", SEEDS)
 class TestRandomSchedules:
@@ -121,6 +190,9 @@ class TestRandomSchedules:
             assert stats.reads > stats.writes
         else:
             assert stats.writes > stats.reads
+
+    def test_straggling_writers(self, protocol, seed):
+        straggling_writers(protocol, seed)
 
     def test_client_crash_mid_run(self, protocol, seed):
         """A reader dies mid-operation: its op is marked failed, retired
