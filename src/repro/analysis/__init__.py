@@ -12,8 +12,7 @@
   points one after another on per-point derived seeds.
 * :mod:`repro.analysis.pool` — the epoch engine's spawn pool
   (completion-order fan-out, the order-restoring cursor, the
-  daemonic-worker guard) and :func:`derive_seed`, the one seed rule the
-  sweeps and the engine share.
+  daemonic-worker guard).
 * :mod:`repro.analysis.engine` — the epoch engine behind ``experiment
   longrun | openloop | adversary`` and ``--fleet``: one long real-cluster
   execution cut into seeded epochs (and, in fleet mode, per-object

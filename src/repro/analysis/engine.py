@@ -19,8 +19,8 @@ into **groups** (objects sharing one simulation clock):
   cluster without the pid namespace);
 * a *private* grouping (fleet mode) is ``fleet`` cells per epoch, LPT
   partitions of the namespace, each object a group of its own on a fresh
-  simulation seeded :func:`fleet_object_seed` — so which cell hosts an
-  object is a scheduling choice only.
+  simulation seeded ``derive_seed("fleet", epoch_seed, "object", gid)`` —
+  so which cell hosts an object is a scheduling choice only.
 
 **Cell runner.**  :func:`run_cell` is the one picklable worker entry.  A
 group is driven closed-loop (``run_streamed``), open-loop
@@ -64,13 +64,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from repro.analysis.pool import (
-    WorkerDied,
-    derive_seed,
-    in_order,
-    iter_unordered,
-    max_rss_kb,
-)
+from repro.analysis.pool import WorkerDied, in_order, iter_unordered, max_rss_kb
 from repro.baselines.registry import default_kwargs, make_cluster
 from repro.consistency.history import History
 from repro.consistency.incremental import ClusterSummary, Violation
@@ -84,9 +78,9 @@ from repro.consistency.stream import OperationRecord, StreamObserver
 from repro.metrics.latency import LatencyHistogram
 from repro.runtime.audit import AuditConfig, AuditPool
 from repro.runtime.namespace import MultiRegisterCluster, object_namespace
-from repro.sim.simulation import seed_from_text
+from repro.sim.simulation import derive_seed
 from repro.workloads.arrivals import parse_arrival
-from repro.workloads.faults import canonical_fault_spec, fault_seed
+from repro.workloads.faults import canonical_fault_spec
 from repro.workloads.keyed import parse_key_dist, partition_objects
 
 #: Artefact schema version (bump on breaking changes to the JSON layout).
@@ -356,13 +350,6 @@ _AUDIT_PARAMS = _columns(
 )
 
 
-def fleet_object_seed(epoch_seed: int, object_index: int) -> int:
-    """The simulation seed of one private-clock object: a stable hash of
-    ``(epoch_seed, object)`` under its own tag, so fleet simulations stay
-    decorrelated from every other derived stream."""
-    return seed_from_text(f"fleet:{epoch_seed}:object:{object_index}")
-
-
 def _epoch_marker(epoch_index: int) -> bytes:
     """The unique initial value of epoch ``epoch_index``'s registers."""
     return f"<longrun-epoch-{epoch_index}>".encode()
@@ -601,7 +588,11 @@ def _run_group(cell: Mapping[str, object], gids: Tuple[int, ...]) -> dict:
             p["n"],
             p["f"],
             objects=len(gids),
-            seed=fleet_object_seed(seed, gids[0]) if clock == "private" else seed,
+            seed=(
+                derive_seed("fleet", seed, "object", gids[0])
+                if clock == "private"
+                else seed
+            ),
             recorder_factory=mux.recorder if mux else None,
             protocol_kwargs=p["protocol_kwargs"],
             object_ids=gids,
@@ -629,7 +620,7 @@ def _run_group(cell: Mapping[str, object], gids: Tuple[int, ...]) -> dict:
                 rounds=p["audit_rounds"],
                 start=p["audit_start"],
             ),
-            seeds=[fault_seed(seed, "audit", gid) for gid in gids],
+            seeds=[derive_seed("faults", seed, "audit", gid) for gid in gids],
         )
         pool.start()
 

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.analysis import theoretical
-from repro.analysis.pool import derive_seed
 from repro.baselines.casgc import CasGcCluster
 from repro.baselines.registry import default_kwargs, make_cluster
 from repro.consistency.incremental import check_history_incrementally
@@ -48,6 +47,7 @@ from repro.core.soda.cluster import SodaCluster
 from repro.core.sodaerr.cluster import SodaErrCluster
 from repro.core.tags import TAG_ZERO
 from repro.sim.network import FixedDelay, UniformDelay
+from repro.sim.simulation import derive_seed
 from repro.workloads.faults import CrashLeg, FaultPlan, SlowLeg
 from repro.workloads.generator import WorkloadSpec, run_workload
 from repro.workloads.scenarios import (

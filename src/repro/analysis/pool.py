@@ -8,9 +8,6 @@ post-processing pipelines against cells still simulating), and
 order-sensitive consumers restore grid order with a buffered
 next-expected cursor.  This module is that shape:
 
-* :func:`derive_seed` — the per-point seed of an epoch or of a paper-sweep
-  point (the paper sweeps of :mod:`repro.analysis.experiments` share this
-  rule and nothing else here: they run serially);
 * :func:`iter_unordered` — the pool body (serial in-process for ``jobs=1``
   or single-payload grids, a ``spawn`` pool otherwise).  A worker that
   dies (SIGKILL, the OOM killer) ends the run with :class:`WorkerDied`
@@ -37,18 +34,6 @@ import signal
 import warnings
 from typing import Any, Callable, Dict, Iterable, Iterator, Sequence, Tuple
 
-from repro.sim.simulation import seed_from_text
-
-
-def derive_seed(base_seed: int, name: str, index: int) -> int:
-    """A stable per-point seed: hash of (base seed, name, point index).
-
-    Derivation (rather than ``base_seed + index``) keeps points of
-    different runs decorrelated even when their indices collide, and is
-    identical on every platform and process, which is what makes sharded
-    execution reproducible.
-    """
-    return seed_from_text(f"{base_seed}:{name}:{index}")
 
 
 class WorkerDied(RuntimeError):

@@ -56,8 +56,8 @@ engine's seven artefact kinds:
 
 Every summary reports this host's wall-clock rate and the capacity rate
 (completed operations per CPU-second of the critical path, one core per
-partition).  ``--faults`` accepts the unified fault-plan spec
-(:func:`repro.workloads.faults.parse_faults`) on all three commands.
+partition).  ``--faults`` accepts the unified fault-plan spec on all three
+commands; ``--help`` prints every spec form from its family table.
 """
 
 from __future__ import annotations
@@ -449,6 +449,8 @@ def _global_flags() -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.runtime.config import ADMISSION_POLICIES
+    from repro.workloads import arrivals, faults, keyed
+    from repro.workloads.spec import forms
 
     parser = argparse.ArgumentParser(
         prog=_PROG,
@@ -522,8 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     flag(
         "--key-dist",
         default="uniform",
-        help="with 'longrun --objects N': key popularity, 'uniform' or "
-        "'zipf:<theta>' (object 0 is the hottest key)",
+        help=f"with 'longrun --objects N': key popularity, {forms(keyed.KEY_DISTS)} "
+        "(object 0 is the hottest key)",
     )
     flag(
         "--results-dir",
@@ -551,9 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     flag(
         "--arrival",
         default="poisson:4",
-        help="with 'openloop': arrival process, 'poisson[:rate]', "
-        "'diurnal[:rate[:amplitude[:period]]]', "
-        "'burst[:rate_on[:rate_off[:mean_on[:mean_off]]]]' or "
+        help=f"with 'openloop': arrival process, {forms(arrivals.ARRIVALS)} or "
         "'trace:t1,t2,...' (rates are arrivals per simulated ms)",
     )
     flag(
@@ -599,11 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults",
         default="none",
         help="with 'longrun'/'openloop'/'adversary': unified fault plan, "
-        "';'-separated legs 'crash[:count[:start_lo[:start_hi[:width]]]]', "
-        "'slow[:count[:extra[:jitter]]]', "
-        "'delayadv[:factor[:start[:duration]]]', "
-        "'withhold[:short[:start[:duration[:objects]]]]', "
-        "'partition[:isolated[:start[:duration]]]' or 'none' "
+        f"';'-separated legs {forms(faults.FAULT_LEGS)} or 'none' "
         "(e.g. 'withhold:1:40:30;partition:2:10:12'); every leg derives "
         "from the epoch seed",
     )

@@ -25,7 +25,7 @@ import numpy as np
 from repro.erasure.batch import pre_encodes
 from repro.runtime.config import RunConfig
 from repro.sim.network import SlowDisk
-from repro.sim.simulation import EventBudgetExceeded, Simulation
+from repro.sim.simulation import EventBudgetExceeded, Simulation, derive_seed
 
 __all__ = ["apply_fault_plan", "run_armed", "value_source"]
 
@@ -210,8 +210,8 @@ def apply_fault_plan(
 
     ``hosted`` pairs each cluster with its *global* object index in a
     logical namespace of ``namespace_size`` objects.  Every leg derives
-    its rng per object from ``(seed, leg name, global index)`` via
-    :func:`~repro.workloads.faults.fault_seed`, and the withhold leg draws
+    its rng per object from ``("faults", seed, leg name, global index)`` via
+    :func:`~repro.sim.simulation.derive_seed`, and the withhold leg draws
     its victim objects (``objects = 0`` hits all of them) over the logical
     namespace — so materialisation is a pure function of the seed, and a
     subset of a namespace sees exactly the faults its objects would see in
@@ -236,7 +236,6 @@ def apply_fault_plan(
         AppliedFaultPlan,
         AppliedObjectFaults,
         FaultPlan,
-        fault_seed,
         parse_faults,
     )
 
@@ -249,6 +248,9 @@ def apply_fault_plan(
     if not plan:
         return AppliedFaultPlan(plan_spec=plan.spec())
 
+    def leg_rng(leg: str, gid: int) -> np.random.Generator:
+        return np.random.default_rng(derive_seed("faults", seed, leg, gid))
+
     #: global index -> the AppliedObjectFaults fields its legs filled in.
     found: Dict[int, Dict[str, object]] = {gid: {} for gid, _ in hosted}
     network = sim.network
@@ -256,14 +258,14 @@ def apply_fault_plan(
 
     if plan.crash is not None and plan.crash.count:
         for gid, obj in hosted:
-            rng = np.random.default_rng(fault_seed(seed, "crash", gid))
+            rng = leg_rng("crash", gid)
             schedule = plan.crash.materialise(obj.server_ids, rng)
             obj.apply_crash_schedule(schedule)
             found[gid]["crashed"] = tuple((e.pid, e.time) for e in schedule)
     if plan.slow is not None and plan.slow.count:
         slow_union: List[object] = []
         for gid, obj in hosted:
-            rng = np.random.default_rng(fault_seed(seed, "slow", gid))
+            rng = leg_rng("slow", gid)
             found[gid]["slow"] = chosen = plan.slow.choose(obj.server_ids, rng)
             slow_union.extend(chosen)
         network.delay_model = SlowDisk(
@@ -280,7 +282,7 @@ def apply_fault_plan(
     if plan.withhold is not None:
         leg = plan.withhold
         if leg.objects and leg.objects < namespace_size:
-            rng = np.random.default_rng(fault_seed(seed, "withhold-objects", 0))
+            rng = leg_rng("withhold-objects", 0)
             victims = set(
                 int(i)
                 for i in rng.choice(namespace_size, size=leg.objects, replace=False)
@@ -292,7 +294,7 @@ def apply_fault_plan(
         for gid, obj in hosted:
             if gid not in victims:
                 continue
-            rng = np.random.default_rng(fault_seed(seed, "withhold", gid))
+            rng = leg_rng("withhold", gid)
             withheld = leg.choose(obj.server_ids, obj.code.k, rng)
             surviving = obj.n - len(withheld)
             found[gid].update(
@@ -308,7 +310,7 @@ def apply_fault_plan(
         window = (leg.start, leg.end)
         isolated_windows: Dict[object, tuple] = {}
         for gid, obj in hosted:
-            rng = np.random.default_rng(fault_seed(seed, "partition", gid))
+            rng = leg_rng("partition", gid)
             isolated = leg.choose(obj.server_ids, rng)
             found[gid].update(isolated=isolated, partition_window=window)
             isolated_windows.update((pid, window) for pid in isolated)

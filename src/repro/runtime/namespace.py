@@ -42,7 +42,6 @@ from repro.runtime.cluster import RegisterCluster, StreamedRunStats
 from repro.runtime.config import RunConfig
 from repro.runtime.driver import apply_fault_plan, run_armed
 from repro.runtime.openloop import OpenLoopStats, begin_open_loop
-from repro.sim.failures import CrashSchedule
 from repro.sim.network import DelayModel
 from repro.sim.simulation import Simulation
 from repro.workloads.arrivals import ArrivalProcess
@@ -360,31 +359,6 @@ class MultiRegisterCluster:
     # ------------------------------------------------------------------
     def crash_server(self, index: int, which: Union[int, str], at_time: float) -> None:
         self.object(index).crash_server(which, at_time)
-
-    def apply_crash_schedule(self, schedule: CrashSchedule) -> None:
-        """Apply a namespace-wide schedule, enforcing each object's ``f``.
-
-        Events are routed to their object by pid prefix, so every
-        register's fault budget is validated independently (crashing f
-        servers of the hot object must not eat into a cold object's
-        budget).
-        """
-        by_object: Dict[int, CrashSchedule] = {}
-        known = {
-            pid: j
-            for j, obj in enumerate(self.objects)
-            for pid in (*obj.server_ids, *obj.writer_ids, *obj.reader_ids)
-        }
-        for event in schedule:
-            j = known.get(event.pid)
-            if j is None:
-                raise ValueError(
-                    f"crash schedule names {event.pid!r}, which belongs to no "
-                    f"object of this namespace"
-                )
-            by_object.setdefault(j, CrashSchedule()).add(event.pid, event.time)
-        for j, sub in sorted(by_object.items()):
-            self.object(j).apply_crash_schedule(sub)
 
     def apply_fault_plan(self, plan, *, seed: int = 0):
         """Materialise a :class:`~repro.workloads.faults.FaultPlan` (or its

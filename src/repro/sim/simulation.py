@@ -29,12 +29,13 @@ from repro.sim.network import DelayModel, Network, ProcessId, UniformDelay
 from repro.sim.process import _PROCESS_DELIVER, Process
 
 
-def seed_from_text(text: str) -> int:
-    """The one seed-derivation rule: the first 8 bytes of ``sha256(text)``,
-    little-endian, clamped to a non-negative int64 — identical on every
-    platform and process.  Callers own the text format, whose tag keeps
-    their streams decorrelated from every other derived seed."""
-    digest = hashlib.sha256(text.encode()).digest()
+def derive_seed(*parts: object) -> int:
+    """The one seed-derivation rule: the first 8 bytes of the SHA-256 of the
+    ``:``-joined ``parts``, little-endian, clamped to a non-negative int64 —
+    identical on every platform and process.  The parts name the stream
+    (``derive_seed("faults", base_seed, leg, index)``), which keeps it
+    decorrelated from every other seed derived from the same base."""
+    digest = hashlib.sha256(":".join(map(str, parts)).encode()).digest()
     return int.from_bytes(digest[:8], "little") % (2**63 - 1)
 
 

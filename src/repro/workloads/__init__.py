@@ -9,9 +9,8 @@ workloads that exercise the quantities the theorems talk about:
   for liveness/atomicity checking;
 * :mod:`repro.workloads.scenarios` — hand-crafted scenarios that pin down a
   single variable: a read overlapping exactly ``delta_w`` writes, purely
-  sequential (uncontended) operation, crash-heavy executions, and the
-  flaky-disk scenario for SODAerr — all returning
-  :class:`~repro.workloads.scenarios.ScenarioResult`;
+  sequential (uncontended) operation and skewed read/write mixes — all
+  returning :class:`~repro.workloads.scenarios.ScenarioResult`;
 * :mod:`repro.workloads.arrivals` — seeded open-loop arrival processes
   (Poisson / diurnal / burst / trace replay) for the open-loop traffic
   driver in :mod:`repro.runtime.openloop`;
@@ -19,9 +18,9 @@ workloads that exercise the quantities the theorems talk about:
   composite (crash bursts, slow disks, delay adversary, withholding
   servers, partition/heal), each leg a pure function of its derived rng.
 
-The ``parse_*`` family is the single documented spec-string surface:
-:func:`~repro.workloads.arrivals.parse_arrival` (``poisson:4``),
-:func:`~repro.workloads.keyed.parse_key_dist` (``zipf:1.1``) and
-:func:`~repro.workloads.faults.parse_faults`
-(``withhold:1:40:30;partition:2:10:12``).
+The spec strings behind ``--arrival``, ``--key-dist`` and ``--faults`` have
+one grammar, :mod:`repro.workloads.spec`, read from one family table each:
+:data:`~repro.workloads.arrivals.ARRIVALS`,
+:data:`~repro.workloads.keyed.KEY_DISTS` and
+:data:`~repro.workloads.faults.FAULT_LEGS`.
 """

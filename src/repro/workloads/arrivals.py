@@ -27,8 +27,9 @@ consumes a fixed draw pattern determined only by the parameters and
 byte-identical schedules regardless of ``--jobs``, worker count, or call
 ordering — the same contract :mod:`repro.analysis.engine` relies on.
 
-``parse_arrival`` is the CLI surface syntax (``--arrival poisson:4``),
-mirroring :func:`repro.workloads.keyed.parse_key_dist`.
+``parse_arrival`` is the CLI surface syntax (``--arrival poisson:4``):
+:data:`ARRIVALS` is its grammar, read by :mod:`repro.workloads.spec`, and a
+trace replays ``trace:t1,t2,...``.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "DiurnalArrivals",
     "BurstArrivals",
     "TraceArrivals",
+    "ARRIVALS",
     "parse_arrival",
 ]
 
@@ -69,9 +71,13 @@ class ArrivalProcess(ABC):
         the process parameters and ``count``.
         """
 
-    @abstractmethod
     def spec(self) -> str:
         """The parseable surface form (inverse of :func:`parse_arrival`)."""
+        # Imported here, as in parse_arrival: a launch that only generates
+        # arrivals loads no grammar.
+        from repro.workloads.spec import render
+
+        return render(ARRIVALS, self)
 
     @abstractmethod
     def scaled(self, factor: float) -> "ArrivalProcess":
@@ -109,9 +115,6 @@ class PoissonArrivals(ArrivalProcess):
             return np.empty(0, dtype=np.float64)
         gaps = rng.exponential(1.0 / self.rate, size=count)
         return np.cumsum(gaps)
-
-    def spec(self) -> str:
-        return f"poisson:{self.rate:g}"
 
     def scaled(self, factor: float) -> "PoissonArrivals":
         self._check_factor(factor)
@@ -172,9 +175,6 @@ class DiurnalArrivals(ArrivalProcess):
             filled += take
             t = float(candidates[-1])
         return times
-
-    def spec(self) -> str:
-        return f"diurnal:{self.rate:g}:{self.amplitude:g}:{self.period:g}"
 
     def scaled(self, factor: float) -> "DiurnalArrivals":
         self._check_factor(factor)
@@ -238,12 +238,6 @@ class BurstArrivals(ArrivalProcess):
             on = not on
         return times
 
-    def spec(self) -> str:
-        return (
-            f"burst:{self.rate_on:g}:{self.rate_off:g}"
-            f":{self.mean_on:g}:{self.mean_off:g}"
-        )
-
     def scaled(self, factor: float) -> "BurstArrivals":
         self._check_factor(factor)
         return BurstArrivals(
@@ -298,53 +292,28 @@ class TraceArrivals(ArrivalProcess):
         )
 
 
-def _parse_floats(parts: Sequence[str], spec: str) -> Tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"invalid numeric field in arrival spec {spec!r}") from None
+#: The synthetic families' grammar; a trace is a comma list, parsed on its own.
+ARRIVALS = {p.kind: p for p in (PoissonArrivals, DiurnalArrivals, BurstArrivals)}
 
 
 def parse_arrival(spec: str) -> ArrivalProcess:
-    """Parse the CLI surface syntax for arrival processes.
+    """Parse the CLI surface syntax for arrival processes: a family of
+    :data:`ARRIVALS`, or ``trace:t1,t2,...`` (comma-separated times)."""
+    from repro.workloads.spec import forms, parse
 
-    * ``poisson[:rate]`` — default rate 1;
-    * ``diurnal[:rate[:amplitude[:period]]]`` — defaults 1 / 0.5 / 200;
-    * ``burst[:rate_on[:rate_off[:mean_on[:mean_off]]]]`` — defaults
-      4 / 0 / 10 / 30;
-    * ``trace:t1,t2,...`` — comma-separated recorded times.
-    """
     text = spec.strip()
-    lowered = text.lower()
-    if lowered == "poisson" or lowered.startswith("poisson:"):
-        fields = _parse_floats(lowered.split(":")[1:], spec)
-        if len(fields) > 1:
-            raise ValueError(f"poisson arrival spec takes one rate: {spec!r}")
-        return PoissonArrivals(*fields)
-    if lowered == "diurnal" or lowered.startswith("diurnal:"):
-        fields = _parse_floats(lowered.split(":")[1:], spec)
-        if len(fields) > 3:
-            raise ValueError(
-                f"diurnal arrival spec takes rate:amplitude:period: {spec!r}"
-            )
-        return DiurnalArrivals(*fields)
-    if lowered == "burst" or lowered.startswith("burst:"):
-        fields = _parse_floats(lowered.split(":")[1:], spec)
-        if len(fields) > 4:
-            raise ValueError(
-                f"burst arrival spec takes rate_on:rate_off:mean_on:mean_off: "
-                f"{spec!r}"
-            )
-        return BurstArrivals(*fields)
-    if lowered.startswith("trace:"):
-        raw = text.split(":", 1)[1]
-        parts = [p for p in raw.split(",") if p.strip()]
+    if text.lower().startswith("trace:"):
+        parts = [p for p in text[len("trace:") :].split(",") if p.strip()]
         if not parts:
             raise ValueError(f"trace arrival spec holds no times: {spec!r}")
-        return TraceArrivals.from_times(_parse_floats(parts, spec))
-    raise ValueError(
-        f"unknown arrival process {spec!r}; expected 'poisson[:rate]', "
-        f"'diurnal[:rate[:amplitude[:period]]]', "
-        f"'burst[:rate_on[:rate_off[:mean_on[:mean_off]]]]' or "
-        f"'trace:t1,t2,...'"
-    )
+        try:
+            times = [float(p) for p in parts]
+        except ValueError:
+            raise ValueError(f"invalid numeric field in trace {spec!r}") from None
+        return TraceArrivals.from_times(times)
+    if text.split(":")[0].lower() not in ARRIVALS:
+        raise ValueError(
+            f"unknown arrival process {spec!r}; expected {forms(ARRIVALS)} or "
+            f"'trace:t1,t2,...'"
+        )
+    return parse(ARRIVALS, text, "arrival process")

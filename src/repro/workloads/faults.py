@@ -18,30 +18,28 @@ independent *legs*:
   healed after a fixed duration.
 
 Each leg **materialises as a pure function of its own derived rng**:
-:func:`fault_seed` hashes ``(base_seed, leg name, object index)`` the same
-way :func:`repro.analysis.pool.derive_seed` derives per-epoch seeds, so two
-shards that re-derive the same seed produce byte-identical schedules
-regardless of ``--jobs`` or worker count.  The materialised ground truth is
-recorded in :class:`AppliedFaultPlan` so reports can score audit-read
-detections against what was actually injected.
+:func:`~repro.sim.simulation.derive_seed` hashes ``("faults", base_seed,
+leg name, object index)``, so two shards that re-derive the same seed
+produce byte-identical schedules regardless of ``--jobs`` or worker count.
+The materialised ground truth is recorded in :class:`AppliedFaultPlan` so
+reports can score audit-read detections against what was actually injected.
 
 ``parse_faults`` is the CLI surface syntax (``--faults
-"withhold:1:40:30;partition:2:10:12"``), mirroring
-:func:`repro.workloads.arrivals.parse_arrival` and
-:func:`repro.workloads.keyed.parse_key_dist`.
+"withhold:1:40:30;partition:2:10:12"``): :data:`FAULT_LEGS` is its grammar,
+read by :mod:`repro.workloads.spec`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.sim.failures import CrashSchedule
 from repro.sim.network import ProcessId
-from repro.sim.simulation import seed_from_text
+from repro.workloads.spec import parse, render
 
 __all__ = [
     "CrashLeg",
@@ -50,26 +48,12 @@ __all__ = [
     "WithholdLeg",
     "PartitionLeg",
     "FaultPlan",
+    "FAULT_LEGS",
     "parse_faults",
     "canonical_fault_spec",
-    "fault_seed",
     "AppliedObjectFaults",
     "AppliedFaultPlan",
 ]
-
-
-def fault_seed(base_seed: int, leg: str, index: int) -> int:
-    """Derive a stable per-leg, per-object seed from the run's base seed.
-
-    :func:`~repro.sim.simulation.seed_from_text` under a ``faults:`` prefix,
-    so fault randomness never collides with epoch or sweep seeds derived
-    from the same base.
-    """
-    return seed_from_text(f"faults:{base_seed}:{leg}:{index}")
-
-
-def _format_field(value: float) -> str:
-    return f"{value:g}"
 
 
 # ----------------------------------------------------------------------
@@ -79,6 +63,7 @@ def _format_field(value: float) -> str:
 class CrashLeg:
     """A correlated crash burst of ``count`` servers per object."""
 
+    kind = "crash"
     count: int = 1
     start_lo: float = 0.0
     start_hi: float = 10.0
@@ -95,9 +80,6 @@ class CrashLeg:
         if self.width < 0:
             raise ValueError("crash burst width must be non-negative")
 
-    def spec(self) -> str:
-        fields = (self.count, self.start_lo, self.start_hi, self.width)
-        return "crash:" + ":".join(_format_field(v) for v in fields)
 
     def materialise(
         self, server_ids: Sequence[ProcessId], rng: np.random.Generator
@@ -115,6 +97,7 @@ class CrashLeg:
 class SlowLeg:
     """``count`` servers per object whose sends straggle by ``extra``."""
 
+    kind = "slow"
     count: int = 1
     extra: float = 2.0
     jitter: float = 0.0
@@ -125,9 +108,6 @@ class SlowLeg:
         if self.extra < 0 or self.jitter < 0:
             raise ValueError("slow extra delay and jitter must be non-negative")
 
-    def spec(self) -> str:
-        fields = (self.count, self.extra, self.jitter)
-        return "slow:" + ":".join(_format_field(v) for v in fields)
 
     def choose(
         self, server_ids: Sequence[ProcessId], rng: np.random.Generator
@@ -144,6 +124,7 @@ class SlowLeg:
 class DelayAdversaryLeg:
     """Stretch deliveries of reader-registration-window messages."""
 
+    kind = "delayadv"
     factor: float = 4.0
     start: float = 0.0
     duration: float = math.inf
@@ -156,9 +137,6 @@ class DelayAdversaryLeg:
         if not self.duration > 0:
             raise ValueError("delay adversary duration must be positive")
 
-    def spec(self) -> str:
-        fields = (self.factor, self.start, self.duration)
-        return "delayadv:" + ":".join(_format_field(v) for v in fields)
 
     @property
     def end(self) -> float:
@@ -176,6 +154,7 @@ class WithholdLeg:
     objects of a namespace are affected (0 = all of them).
     """
 
+    kind = "withhold"
     short: int = 1
     start: float = 5.0
     duration: float = 20.0
@@ -191,9 +170,6 @@ class WithholdLeg:
         if self.objects < 0:
             raise ValueError("withhold object count cannot be negative")
 
-    def spec(self) -> str:
-        fields = (self.short, self.start, self.duration, self.objects)
-        return "withhold:" + ":".join(_format_field(v) for v in fields)
 
     @property
     def end(self) -> float:
@@ -220,6 +196,7 @@ class WithholdLeg:
 class PartitionLeg:
     """Isolate ``isolated`` servers per object along a seeded cut, then heal."""
 
+    kind = "partition"
     isolated: int = 2
     start: float = 5.0
     duration: float = 10.0
@@ -232,9 +209,6 @@ class PartitionLeg:
         if not self.duration > 0:
             raise ValueError("partition duration must be positive")
 
-    def spec(self) -> str:
-        fields = (self.isolated, self.start, self.duration)
-        return "partition:" + ":".join(_format_field(v) for v in fields)
 
     @property
     def end(self) -> float:
@@ -271,136 +245,37 @@ class FaultPlan:
     withhold: Optional[WithholdLeg] = None
     partition: Optional[PartitionLeg] = None
 
-    @staticmethod
-    def none() -> "FaultPlan":
-        return FaultPlan()
+    def _legs(self) -> Tuple[object, ...]:
+        """The legs present, in field order."""
+        return tuple(filter(None, (getattr(self, f.name) for f in fields(self))))
 
     def __bool__(self) -> bool:
-        return any(
-            leg is not None
-            for leg in (
-                self.crash,
-                self.slow,
-                self.delay_adversary,
-                self.withhold,
-                self.partition,
-            )
-        )
+        return bool(self._legs())
 
     def spec(self) -> str:
         """Canonical surface form (inverse of :func:`parse_faults`)."""
-        fragments = [
-            leg.spec()
-            for leg in (
-                self.crash,
-                self.slow,
-                self.delay_adversary,
-                self.withhold,
-                self.partition,
-            )
-            if leg is not None
-        ]
-        return ";".join(fragments) if fragments else "none"
+        return ";".join(render(FAULT_LEGS, leg) for leg in self._legs()) or "none"
 
 
-def _parse_fields(parts: Sequence[str], spec: str) -> Tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"invalid numeric field in fault spec {spec!r}") from None
-
-
-def _parse_int(value: float, name: str, spec: str) -> int:
-    if value != int(value):
-        raise ValueError(f"{name} must be an integer in fault spec {spec!r}")
-    return int(value)
+#: The fault-leg grammar, in :class:`FaultPlan` field order.
+FAULT_LEGS = {
+    leg.kind: leg
+    for leg in (CrashLeg, SlowLeg, DelayAdversaryLeg, WithholdLeg, PartitionLeg)
+}
 
 
 def parse_faults(spec: str) -> FaultPlan:
-    """Parse the CLI surface syntax for fault plans.
-
-    Legs are ``;``-separated, each ``name[:field:...]`` with trailing
-    fields optional:
-
-    * ``crash[:count[:start_lo[:start_hi[:width]]]]`` — defaults
-      1 / 0 / 10 / 0.1;
-    * ``slow[:count[:extra[:jitter]]]`` — defaults 1 / 2 / 0;
-    * ``delayadv[:factor[:start[:duration]]]`` — defaults 4 / 0 / inf;
-    * ``withhold[:short[:start[:duration[:objects]]]]`` — defaults
-      1 / 5 / 20 / 0 (0 = every object);
-    * ``partition[:isolated[:start[:duration]]]`` — defaults 2 / 5 / 10;
-    * ``none`` — the empty plan.
-    """
-    text = spec.strip().lower()
-    if text in ("", "none"):
+    """Parse the CLI surface syntax for fault plans: ``none``, or
+    ``;``-separated legs of :data:`FAULT_LEGS`, each at most once."""
+    if spec.strip().lower() in ("", "none"):
         return FaultPlan()
     legs: Dict[str, object] = {}
-    for fragment in text.split(";"):
-        fragment = fragment.strip()
-        if not fragment:
-            continue
-        name = fragment.split(":", 1)[0]
-        fields = _parse_fields(fragment.split(":")[1:], spec)
-        if name in legs:
-            raise ValueError(f"duplicate fault leg {name!r} in spec {spec!r}")
-        if name == "crash":
-            if len(fields) > 4:
-                raise ValueError(
-                    f"crash leg takes count:start_lo:start_hi:width: {spec!r}"
-                )
-            args: List[object] = list(fields)
-            if args:
-                args[0] = _parse_int(fields[0], "crash count", spec)
-            legs[name] = CrashLeg(*args)
-        elif name == "slow":
-            if len(fields) > 3:
-                raise ValueError(f"slow leg takes count:extra:jitter: {spec!r}")
-            args = list(fields)
-            if args:
-                args[0] = _parse_int(fields[0], "slow count", spec)
-            legs[name] = SlowLeg(*args)
-        elif name == "delayadv":
-            if len(fields) > 3:
-                raise ValueError(
-                    f"delayadv leg takes factor:start:duration: {spec!r}"
-                )
-            legs[name] = DelayAdversaryLeg(*fields)
-        elif name == "withhold":
-            if len(fields) > 4:
-                raise ValueError(
-                    f"withhold leg takes short:start:duration:objects: {spec!r}"
-                )
-            args = list(fields)
-            if args:
-                args[0] = _parse_int(fields[0], "withhold short", spec)
-            if len(args) > 3:
-                args[3] = _parse_int(fields[3], "withhold objects", spec)
-            legs[name] = WithholdLeg(*args)
-        elif name == "partition":
-            if len(fields) > 3:
-                raise ValueError(
-                    f"partition leg takes isolated:start:duration: {spec!r}"
-                )
-            args = list(fields)
-            if args:
-                args[0] = _parse_int(fields[0], "partition isolated", spec)
-            legs[name] = PartitionLeg(*args)
-        else:
-            raise ValueError(
-                f"unknown fault leg {name!r} in spec {spec!r}; expected "
-                f"'crash[:count[:start_lo[:start_hi[:width]]]]', "
-                f"'slow[:count[:extra[:jitter]]]', "
-                f"'delayadv[:factor[:start[:duration]]]', "
-                f"'withhold[:short[:start[:duration[:objects]]]]', "
-                f"'partition[:isolated[:start[:duration]]]' or 'none'"
-            )
-    return FaultPlan(
-        crash=legs.get("crash"),
-        slow=legs.get("slow"),
-        delay_adversary=legs.get("delayadv"),
-        withhold=legs.get("withhold"),
-        partition=legs.get("partition"),
-    )
+    for fragment in filter(str.strip, spec.split(";")):
+        leg = parse(FAULT_LEGS, fragment, "fault leg")
+        if leg.kind in legs:
+            raise ValueError(f"duplicate fault leg {leg.kind!r} in spec {spec!r}")
+        legs[leg.kind] = leg
+    return FaultPlan(*(legs.get(kind) for kind in FAULT_LEGS))
 
 
 def canonical_fault_spec(faults: object) -> str:

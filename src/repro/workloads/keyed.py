@@ -9,15 +9,12 @@ This module supplies the key dimension:
   equally likely) and ``zipf:theta`` (rank-based power law — object 0 is
   the hottest key, object 1 the second hottest, and so on, with skew
   exponent ``theta``; ``zipf:0`` degenerates to uniform).
-* :func:`parse_key_dist` — the CLI surface syntax (``--key-dist zipf:1.1``).
+* :func:`parse_key_dist` — the CLI surface syntax (``--key-dist zipf:1.1``),
+  whose grammar is :data:`KEY_DISTS`.
 * :meth:`KeyDistribution.allocate` — a deterministic multinomial split of a
   total operation budget over objects, which is how the closed-loop
   namespace driver (:meth:`repro.runtime.namespace.MultiRegisterCluster.run_streamed`)
   turns key popularity into per-object load.
-* :func:`correlated_crash_schedule` — the correlated-key crash scenario:
-  a crash burst aimed at the servers of the *hottest* keys, so failures
-  land exactly where the load is (the adversarial case for a skewed
-  namespace; uncorrelated crashes mostly hit cold keys nobody reads).
 
 Everything is a pure function of its seed/rng, so keyed workloads shard
 over worker processes without perturbing results.
@@ -26,11 +23,11 @@ over worker processes without perturbing results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.sim.failures import CrashSchedule
+from repro.workloads.spec import parse, render
 
 
 @dataclass(frozen=True)
@@ -60,7 +57,7 @@ class KeyDistribution:
         return cls(kind="uniform")
 
     @classmethod
-    def zipf(cls, theta: float) -> "KeyDistribution":
+    def zipf(cls, theta: float = 1.0) -> "KeyDistribution":
         return cls(kind="zipf", theta=float(theta))
 
     # -- the distribution itself ----------------------------------------
@@ -97,34 +94,16 @@ class KeyDistribution:
 
     def spec(self) -> str:
         """The parseable surface form (inverse of :func:`parse_key_dist`)."""
-        if self.kind == "uniform":
-            return "uniform"
-        return f"zipf:{self.theta:g}"
+        return render(KEY_DISTS, self)
+
+
+#: The key-distribution grammar; a bare ``zipf`` is the classic ``theta = 1``.
+KEY_DISTS = {"uniform": KeyDistribution.uniform, "zipf": KeyDistribution.zipf}
 
 
 def parse_key_dist(spec: str) -> KeyDistribution:
-    """Parse the CLI surface syntax: ``uniform`` or ``zipf:<theta>``.
-
-    ``zipf`` alone defaults to the classic ``theta = 1``.
-    """
-    text = spec.strip().lower()
-    if text == "uniform":
-        return KeyDistribution.uniform()
-    if text == "zipf":
-        return KeyDistribution.zipf(1.0)
-    if text.startswith("zipf:"):
-        raw = text.split(":", 1)[1]
-        try:
-            theta = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"invalid zipf exponent {raw!r} in key distribution {spec!r}"
-            ) from None
-        return KeyDistribution.zipf(theta)
-    raise ValueError(
-        f"unknown key distribution {spec!r}; expected 'uniform', 'zipf' or "
-        f"'zipf:<theta>'"
-    )
+    """Parse the CLI surface syntax, a family of :data:`KEY_DISTS`."""
+    return parse(KEY_DISTS, spec, "key distribution")
 
 
 @dataclass(frozen=True)
@@ -203,39 +182,3 @@ def partition_objects(
         loads[target] += float(shares[j])
     return [sorted(bin_) for bin_ in bins]
 
-
-def correlated_crash_schedule(
-    dist: KeyDistribution,
-    server_ids_by_object: Sequence[Sequence[object]],
-    crashes_per_object: int,
-    rng: np.random.Generator,
-    *,
-    at: float = 0.0,
-    width: float = 1.0,
-    hot_objects: int = 1,
-) -> CrashSchedule:
-    """A crash burst correlated with key popularity.
-
-    Crashes ``crashes_per_object`` servers of each of the ``hot_objects``
-    most popular keys (per ``dist`` ordering: object 0 is hottest), at
-    times drawn uniformly from ``[at, at + width]``.  Keep
-    ``crashes_per_object <= f`` so every targeted register stays within
-    its protocol's fault budget — the namespace layer's
-    ``apply_crash_schedule`` enforces it per object.
-    """
-    if crashes_per_object < 0:
-        raise ValueError("crashes_per_object cannot be negative")
-    if hot_objects < 0 or hot_objects > len(server_ids_by_object):
-        raise ValueError(
-            f"hot_objects must be within [0, {len(server_ids_by_object)}]"
-        )
-    order = np.argsort(-dist.probabilities(len(server_ids_by_object)), kind="stable")
-    schedule = CrashSchedule()
-    for obj in order[:hot_objects]:
-        servers = list(server_ids_by_object[int(obj)])
-        victims = rng.choice(
-            len(servers), size=min(crashes_per_object, len(servers)), replace=False
-        )
-        for victim in sorted(int(v) for v in victims):
-            schedule.add(servers[victim], at + float(rng.uniform(0.0, width)))
-    return schedule

@@ -8,8 +8,6 @@ These are the workloads behind the cost experiments:
 * :func:`concurrent_read_scenario` — a single read that overlaps a
   controlled number of writes, used for the read-cost-vs-``delta_w`` curve
   of Theorem 5.6 (E4).
-* :func:`crash_heavy_scenario` — operations racing a maximal crash
-  schedule, used for the liveness experiments (E7).
 * :func:`skewed_scenario` — a randomized mix with a configurable read
   fraction, used by the skew sweep (read-heavy caches vs write-heavy
   ingest shapes).
@@ -173,35 +171,3 @@ def skewed_scenario(
         writes=[cluster.history.get(h.op_id) for h in write_handles if h.op_id],
         reads=[cluster.history.get(h.op_id) for h in read_handles if h.op_id],
     )
-
-
-def crash_heavy_scenario(
-    cluster: RegisterCluster,
-    *,
-    num_writes: int = 4,
-    num_reads: int = 4,
-    value_size: int = 64,
-    seed: int = 0,
-    crash_all_f: bool = True,
-) -> ScenarioResult:
-    """Concurrent operations racing ``f`` server crashes."""
-    rng = np.random.default_rng(seed)
-    if crash_all_f and cluster.f > 0:
-        victims = rng.choice(cluster.n, size=cluster.f, replace=False)
-        for v in victims:
-            cluster.crash_server(int(v), at_time=float(rng.uniform(0.5, 5.0)))
-    write_handles = []
-    read_handles = []
-    for i in range(num_writes):
-        writer = i % cluster.num_writers
-        at = float(rng.uniform(0.0, 8.0))
-        write_handles.append(
-            cluster.schedule_write(at, unique_value(writer, i, value_size, rng), writer=writer)
-        )
-    for i in range(num_reads):
-        reader = i % cluster.num_readers
-        read_handles.append(cluster.schedule_read(float(rng.uniform(0.0, 8.0)), reader=reader))
-    cluster.run()
-    writes = [cluster.history.get(h.op_id) for h in write_handles if h.op_id]
-    reads = [cluster.history.get(h.op_id) for h in read_handles if h.op_id]
-    return ScenarioResult(writes=writes, reads=reads)

@@ -12,8 +12,8 @@ import math
 import pytest
 
 from repro.analysis.experiments import SWEEPS, Sweep, run_sweep
-from repro.analysis.pool import derive_seed
 from repro.baselines.registry import available_protocols
+from repro.sim.simulation import derive_seed
 from tests.golden.capture_goldens import GOLDEN_DIR, sweep_rows
 
 

@@ -22,14 +22,9 @@ import warnings
 
 import pytest
 
-from repro.analysis.engine import (
-    artefact_paths,
-    fleet_object_seed,
-    run_experiment,
-    write_artefacts,
-)
-from repro.analysis.pool import derive_seed, in_order, iter_unordered, resolve_workers
-from repro.workloads.faults import fault_seed
+from repro.analysis.engine import artefact_paths, run_experiment, write_artefacts
+from repro.analysis.pool import in_order, iter_unordered, resolve_workers
+from repro.sim.simulation import derive_seed
 
 
 def small_fleet_run(**overrides):
@@ -114,16 +109,6 @@ class TestMonolithicCrossValidation:
         ]
 
 
-class TestSeedDerivation:
-    def test_fleet_object_seed_is_stable_and_spread(self):
-        # The published derivation contract: sha256("fleet:{seed}:object:{gid}").
-        assert fleet_object_seed(7, 0) == fleet_object_seed(7, 0)
-        seeds = {fleet_object_seed(7, gid) for gid in range(64)}
-        assert len(seeds) == 64
-        assert all(0 <= s < 2**63 - 1 for s in seeds)
-        assert fleet_object_seed(8, 0) != fleet_object_seed(7, 0)
-
-
 class TestCapacityAccounting:
     def test_capacity_fields_populate(self):
         report = small_fleet_run(fleet=2)
@@ -157,16 +142,28 @@ class TestSeedDerivation:
         assert derive_seed(0, "write-cost", 1) != base
         assert derive_seed(0, "storage", 2) != base
 
+    def test_fleet_object_seeds_are_spread(self):
+        seeds = {derive_seed("fleet", 7, "object", gid) for gid in range(64)}
+        assert len(seeds) == 64
+        assert all(0 <= s < 2**63 - 1 for s in seeds)
+        assert derive_seed("fleet", 8, "object", 0) != derive_seed(
+            "fleet", 7, "object", 0
+        )
+
     def test_text_formats_are_pinned(self):
-        """The three derived-seed families share one rule and differ only
-        in their text formats, which are committed bytes (every artefact
-        under ``results/`` descends from them)."""
+        """The three derived-seed families (epochs and sweep points, fault
+        legs, fleet objects) share one rule and differ only in their parts,
+        which are committed bytes (every artefact under ``results/``
+        descends from them)."""
         assert derive_seed(0, "longrun", 0) == 45555707255896427
         assert derive_seed(12345, "multiobj", 7) == 6718459430949554245
-        assert fault_seed(0, "crash", 0) == 6600943012843402091
-        assert fault_seed(12345, "withhold-objects", 3) == 3047226056859978451
-        assert fleet_object_seed(0, 0) == 7873489990770789343
-        assert fleet_object_seed(12345, 7) == 1804012197883522832
+        assert derive_seed("faults", 0, "crash", 0) == 6600943012843402091
+        assert (
+            derive_seed("faults", 12345, "withhold-objects", 3)
+            == 3047226056859978451
+        )
+        assert derive_seed("fleet", 0, "object", 0) == 7873489990770789343
+        assert derive_seed("fleet", 12345, "object", 7) == 1804012197883522832
 
 
 class TestPoolHelpers:

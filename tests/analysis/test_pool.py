@@ -1,8 +1,9 @@
 """The spawn pool fails by name: a dead worker is :class:`WorkerDied`, never
 a hang; a payload that raises re-raises with its index.
 
-The dead-worker case runs in a child interpreter under a timeout, so a
-pool that hangs again fails this test instead of stalling the suite.
+The dead-worker and out-of-memory cases run in a child interpreter under a
+timeout, so a pool that hangs again fails this test instead of stalling
+the suite.
 """
 
 import os
@@ -44,6 +45,39 @@ def test_a_killed_worker_raises_worker_died_within_seconds():
     assert done.returncode == 0, done.stderr
     word, *indices = done.stdout.split()
     assert word == "died" and "1" in indices, done.stdout
+    assert time.perf_counter() - start < 30
+
+
+OUT_OF_MEMORY_RUN = """
+from pool_payloads import out_of_memory_on_one
+from repro.analysis.pool import WorkerDied, iter_unordered
+
+try:
+    list(iter_unordered(out_of_memory_on_one, range(4), jobs=2))
+except MemoryError as exc:
+    print("memory", exc.payload_index)
+except WorkerDied as exc:
+    print("died", *exc.indices)
+"""
+
+
+def test_a_worker_out_of_address_space_ends_the_run_by_name():
+    """A payload that lowers its own ``RLIMIT_AS`` and allocates past it is a
+    ``MemoryError`` naming its payload, or a dead worker if the allocator
+    aborts it: never a hang."""
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", OUT_OF_MEMORY_RUN],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(HERE)])},
+    )
+    assert done.returncode == 0, done.stderr
+    word, *indices = done.stdout.split()
+    assert (word, indices) == ("memory", ["1"]) or (
+        word == "died" and "1" in indices
+    ), done.stdout
     assert time.perf_counter() - start < 30
 
 

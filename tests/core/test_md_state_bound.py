@@ -65,8 +65,9 @@ class CopyTap:
             if type(message) in MD_TYPES and not process.is_crashed:
                 key = (process.pid, message.mid)
                 tap.copies[key] += 1
-                # Never more copies than the topology can produce.
-                assert tap.copies[key] <= tap.expected[process.pid], key
+                assert tap.copies[key] <= tap.expected[process.pid], (
+                    f"more copies than the relay topology produces: {key}"
+                )
                 tap._current = key
             deliver(process, sender, message)
             tap._current = None
@@ -87,10 +88,14 @@ class CopyTap:
     def check(self):
         """Exactly-once delivery, and the pending map against the copies."""
         assert set(self.delivered) == set(self.copies)
-        assert set(self.delivered.values()) <= {1}
+        twice = sorted(key for key, count in self.delivered.items() if count > 1)
+        assert not twice, f"delivered more than once: {twice[:3]}"
         pending = {pid: engine.pending_copies for pid, engine in self.engines.items()}
         for (pid, mid), copies in self.copies.items():
-            assert pending[pid].get(mid, 0) == self.expected[pid] - copies, (pid, mid)
+            assert pending[pid].get(mid, 0) == self.expected[pid] - copies, (
+                f"pending_copies of {pid} holds {pending[pid].get(mid, 0)} for "
+                f"{mid}, {self.expected[pid] - copies} copies are still due"
+            )
         for pid, held in pending.items():
             assert all((pid, mid) in self.copies for mid in held)
         return pending
@@ -229,6 +234,26 @@ def test_soda_fault_free_run_leaves_no_message_id_behind(shape, seed, delay):
     pending = tap.check()
     assert all(held == {} for held in pending.values())
     assert len(tap.copies) > 60 * n  # every operation dispersed something everywhere
+
+
+def check_soda_delivers_each_md_send_once():
+    """Mutant kill (``EarlyCountdownEngine``): a fault-free SODA [6, 2] run
+    delivers every md-send exactly once at every server, so no server
+    relays one twice."""
+    _soda_run(6, 2, seed=3, delay="uniform", faults=None)[1].check()
+
+
+def check_soda_drains_every_pending_copy():
+    """Mutant kill (``LateCountdownEngine``): after a fault-free SODA
+    [6, 2] run no server holds a pending entry."""
+    cluster, tap = _soda_run(6, 2, seed=3, delay="uniform", faults=None)
+    held = {pid: len(e.pending_copies) for pid, e in tap.engines.items()}
+    assert not any(held.values()), f"pending_copies not drained: {held}"
+
+
+def test_the_real_engine_passes_the_mutant_kills():
+    check_soda_delivers_each_md_send_once()
+    check_soda_drains_every_pending_copy()
 
 
 @settings(max_examples=15, deadline=None)

@@ -54,6 +54,7 @@ _SODA_WRITER = "repro.core.soda.cluster.SodaWriter"
 _CAS_WRITER = "repro.baselines.cas.CasWriter"
 _ABD_READER = "repro.baselines.abd.AbdReader"
 _SODAERR_READER = "repro.core.sodaerr.cluster.SodaErrReader"
+_MD_ENGINE = "repro.core.soda.server.MDServerEngine"
 
 MUTANTS = (
     Mutant(
@@ -171,6 +172,32 @@ MUTANTS = (
                 "sim/test_message_path.py::check_soda_payloads_unchanged",
                 AssertionError,
                 "payload changed after it was sent",
+            ),
+        ),
+    ),
+    Mutant(
+        "EarlyCountdownEngine",
+        "core",
+        "md_engine",
+        _MD_ENGINE,
+        (
+            Kill(
+                "core/test_md_state_bound.py::check_soda_delivers_each_md_send_once",
+                AssertionError,
+                "more copies than the relay topology produces",
+            ),
+        ),
+    ),
+    Mutant(
+        "LateCountdownEngine",
+        "core",
+        "md_engine",
+        _MD_ENGINE,
+        (
+            Kill(
+                "core/test_md_state_bound.py::check_soda_drains_every_pending_copy",
+                AssertionError,
+                "pending_copies not drained",
             ),
         ),
     ),

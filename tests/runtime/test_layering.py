@@ -148,6 +148,7 @@ repro.workloads.generator.StreamSpec(operations=80_000, clients=16)
         repro.runtime.openloop repro.sim repro.sim.events repro.sim.failures
         repro.sim.network repro.sim.process repro.sim.simulation repro.workloads
         repro.workloads.arrivals repro.workloads.faults repro.workloads.keyed
+        repro.workloads.spec
         """,
     ),
 }

@@ -9,8 +9,7 @@ from repro.runtime.namespace import (
     NamespaceStats,
     object_namespace,
 )
-from repro.sim.failures import CrashSchedule
-from repro.workloads.keyed import KeyDistribution, correlated_crash_schedule
+from repro.workloads.keyed import KeyDistribution
 
 
 def make_namespace(objects=3, protocol="SODA", **kwargs):
@@ -142,61 +141,21 @@ class TestStreamedNamespaceRuns:
 
 
 class TestNamespaceFailures:
-    def test_crash_schedule_routes_per_object(self):
-        cluster = make_namespace(3)
-        schedule = CrashSchedule()
-        schedule.add("o0/s0", 1.0).add("o0/s1", 1.5).add("o2/s4", 2.0)
-        cluster.apply_crash_schedule(schedule)  # within every object's f=2
-        assert len(cluster.object(0).failures.injected) == 2
-        assert len(cluster.object(1).failures.injected) == 0
-        assert len(cluster.object(2).failures.injected) == 1
+    def test_every_object_spends_its_own_f_budget(self):
+        """The crash leg goes through each object's own ``f`` check:
+        ``crash:2`` takes two servers of every object of a [6, 2]
+        namespace, and ``crash:3`` is refused by name."""
 
-    def test_per_object_fault_budget_is_enforced(self):
-        cluster = make_namespace(2)
-        schedule = CrashSchedule()
-        for i in range(3):  # f=2, so three crashes on one object overflow
-            schedule.add(f"o1/s{i}", float(i))
+        def namespace():
+            return MultiRegisterCluster(
+                "SODA", 6, 2, objects=3, num_writers=1, num_readers=1, seed=7
+            )
+
+        cluster = namespace()
+        applied = cluster.apply_fault_plan("crash:2", seed=3)
+        assert [len(obj.crashed) for obj in applied.objects] == [2, 2, 2]
+        for obj in cluster.objects:
+            crashed = {event.pid for event in obj.failures.injected}
+            assert len(crashed) == 2 and crashed <= set(obj.server_ids)
         with pytest.raises(ValueError, match="more than f=2"):
-            cluster.apply_crash_schedule(schedule)
-
-    def test_fault_budgets_stay_per_object_across_calls(self):
-        cluster = make_namespace(2)
-        cluster.apply_crash_schedule(
-            CrashSchedule().add("o0/s0", 1.0).add("o0/s1", 1.0)
-        )
-        # Object 0's budget is spent; object 1's is untouched by it.
-        cluster.apply_crash_schedule(
-            CrashSchedule().add("o1/s0", 1.0).add("o1/s1", 1.0)
-        )
-        with pytest.raises(ValueError, match="more than f=2"):
-            cluster.apply_crash_schedule(CrashSchedule().add("o0/s2", 2.0))
-        assert len(cluster.object(0).failures.injected) == 2
-
-    def test_unknown_pid_is_rejected(self):
-        cluster = make_namespace(2)
-        with pytest.raises(ValueError, match="belongs to no object"):
-            cluster.apply_crash_schedule(CrashSchedule().add("o7/s0", 1.0))
-
-    def test_correlated_hot_key_crash_burst_stays_atomic(self):
-        """The correlated-key crash scenario: crash f servers of the hot
-        object mid-run; the checker must still see every object atomic."""
-        import numpy as np
-
-        mux = ObjectCheckerMux(3, window=64)
-        cluster = make_namespace(
-            3, num_writers=2, num_readers=2, recorder_factory=mux.recorder
-        )
-        dist = KeyDistribution.zipf(1.5)
-        schedule = correlated_crash_schedule(
-            dist,
-            cluster.server_ids_by_object(),
-            cluster.f,
-            np.random.default_rng(4),
-            at=3.0,
-            width=1.0,
-        )
-        cluster.apply_crash_schedule(schedule)
-        stats = cluster.run_streamed(operations=200, key_dist=dist, seed=11)
-        assert stats.completed == 200
-        assert mux.ok, mux.violations()
-        assert {e.pid.split("/")[0] for e in schedule} == {"o0"}
+            namespace().apply_fault_plan("crash:3", seed=3)

@@ -372,6 +372,36 @@ class TestLostCellsExit3:
         ]
         assert "Traceback" not in captured.err + captured.out
 
+    def test_a_worker_out_of_address_space(self, tmp_path):
+        """Under ``--jobs 2`` the cell of epoch 1 lowers its worker's
+        ``RLIMIT_AS`` and allocates past it: one lost-cell line naming the
+        ``MemoryError`` (or the dead worker, if the allocator aborts it)."""
+        tests = Path(__file__).resolve().parent
+        done = subprocess.run(
+            [
+                sys.executable,
+                str(tests / "analysis" / "pool_payloads.py"),
+                *self.ARGV,
+                "--jobs",
+                "2",
+                "--results-dir",
+                str(tmp_path),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        )
+        assert done.returncode == 3, done.stderr
+        lost = [line for line in done.stderr.splitlines() if " lost " in line]
+        assert len(lost) == 1, done.stderr
+        assert re.match(
+            r"longrun: lost longrun epoch 1 cell 0: "
+            r"(MemoryError: |its worker died$)",
+            lost[0],
+        ), lost
+        assert "Traceback" not in done.stderr + done.stdout
+
 
 def _pool_workers(pid):
     """The spawn-pool workers among ``pid``'s children."""

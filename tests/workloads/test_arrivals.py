@@ -184,7 +184,7 @@ class TestParse:
         "spec,match",
         [
             ("hotcold", "unknown arrival process"),
-            ("poisson:1:2", "takes one rate"),
+            ("poisson:1:2", "poisson process takes rate"),
             ("poisson:fast", "invalid numeric field"),
             ("diurnal:1:2:3:4", "rate:amplitude:period"),
             ("burst:1:2:3:4:5", "rate_on:rate_off"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim.simulation import derive_seed
 from repro.workloads.faults import (
     CrashLeg,
     DelayAdversaryLeg,
@@ -13,7 +14,6 @@ from repro.workloads.faults import (
     SlowLeg,
     WithholdLeg,
     canonical_fault_spec,
-    fault_seed,
     parse_faults,
 )
 
@@ -106,25 +106,19 @@ class TestDeterminism:
 
     @given(seed=st.integers(0, 2**32 - 1), index=st.integers(0, 64))
     @settings(max_examples=50, deadline=None)
-    def test_fault_seed_is_stable_and_leg_scoped(self, seed, index):
-        assert fault_seed(seed, "withhold", index) == fault_seed(
-            seed, "withhold", index
-        )
-        assert fault_seed(seed, "withhold", index) != fault_seed(
-            seed, "partition", index
-        )
-        assert 0 <= fault_seed(seed, "crash", index) < 2**63 - 1
+    def test_leg_seeds_are_stable_and_leg_scoped(self, seed, index):
+        withhold = derive_seed("faults", seed, "withhold", index)
+        assert withhold == derive_seed("faults", seed, "withhold", index)
+        assert withhold != derive_seed("faults", seed, "partition", index)
+        assert 0 <= derive_seed("faults", seed, "crash", index) < 2**63 - 1
 
     @given(seed=st.integers(0, 2**32 - 1), index=st.integers(0, 16))
     @settings(max_examples=50, deadline=None)
     def test_crash_leg_rederivation_is_byte_identical(self, seed, index):
         leg = CrashLeg(count=2, start_lo=1.0, start_hi=4.0, width=0.5)
-        first = leg.materialise(
-            SERVERS, np.random.default_rng(fault_seed(seed, "crash", index))
-        )
-        second = leg.materialise(
-            SERVERS, np.random.default_rng(fault_seed(seed, "crash", index))
-        )
+        leg_seed = derive_seed("faults", seed, "crash", index)
+        first = leg.materialise(SERVERS, np.random.default_rng(leg_seed))
+        second = leg.materialise(SERVERS, np.random.default_rng(leg_seed))
         assert [(e.pid, e.time) for e in first] == [
             (e.pid, e.time) for e in second
         ]
@@ -136,8 +130,8 @@ class TestDeterminism:
         partition = PartitionLeg(isolated=2)
         slow = SlowLeg(count=2)
         for leg, name in ((withhold, "withhold"), (partition, "partition"), (slow, "slow")):
-            rng_a = np.random.default_rng(fault_seed(seed, name, index))
-            rng_b = np.random.default_rng(fault_seed(seed, name, index))
+            rng_a = np.random.default_rng(derive_seed("faults", seed, name, index))
+            rng_b = np.random.default_rng(derive_seed("faults", seed, name, index))
             if name == "withhold":
                 assert leg.choose(SERVERS, 4, rng_a) == leg.choose(SERVERS, 4, rng_b)
             else:
@@ -152,7 +146,8 @@ class TestDeterminism:
         leg = PartitionLeg(isolated=2)
         picks = {
             leg.choose(
-                SERVERS, np.random.default_rng(fault_seed(seed, "partition", j))
+                SERVERS,
+                np.random.default_rng(derive_seed("faults", seed, "partition", j)),
             )
             for j in range(16)
         }

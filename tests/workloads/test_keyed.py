@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.workloads.keyed import (
     KeyDistribution,
-    correlated_crash_schedule,
     parse_key_dist,
     partition_objects,
     plan_objects,
@@ -206,49 +205,6 @@ class TestParse:
     def test_invalid_specs(self):
         with pytest.raises(ValueError, match="unknown key distribution"):
             parse_key_dist("hotcold")
-        with pytest.raises(ValueError, match="invalid zipf exponent"):
+        with pytest.raises(ValueError, match="invalid numeric field zipf theta"):
             parse_key_dist("zipf:steep")
 
-
-class TestCorrelatedCrashes:
-    def make_servers(self, objects=4, n=5):
-        return [[f"o{j}/s{i}" for i in range(n)] for j in range(objects)]
-
-    def test_targets_the_hottest_objects_servers(self):
-        servers = self.make_servers()
-        schedule = correlated_crash_schedule(
-            KeyDistribution.zipf(1.5),
-            servers,
-            2,
-            np.random.default_rng(3),
-            at=5.0,
-            width=0.5,
-        )
-        assert len(schedule) == 2
-        for event in schedule:
-            assert event.pid in servers[0]  # object 0 is the hottest
-            assert 5.0 <= event.time <= 5.5
-
-    def test_multiple_hot_objects(self):
-        servers = self.make_servers()
-        schedule = correlated_crash_schedule(
-            KeyDistribution.zipf(1.0),
-            servers,
-            1,
-            np.random.default_rng(3),
-            hot_objects=3,
-        )
-        victims = schedule.victims()
-        assert len(victims) == 3
-        owners = {pid.split("/")[0] for pid in victims}
-        assert owners == {"o0", "o1", "o2"}
-
-    def test_validation(self):
-        servers = self.make_servers()
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="cannot be negative"):
-            correlated_crash_schedule(KeyDistribution.uniform(), servers, -1, rng)
-        with pytest.raises(ValueError, match="hot_objects"):
-            correlated_crash_schedule(
-                KeyDistribution.uniform(), servers, 1, rng, hot_objects=9
-            )

@@ -10,7 +10,6 @@ from repro.sim.failures import CrashSchedule
 from repro.sim.network import SlowDisk, UniformDelay
 from repro.workloads.scenarios import (
     concurrent_read_scenario,
-    crash_heavy_scenario,
     sequential_scenario,
     skewed_scenario,
 )
@@ -71,20 +70,6 @@ class TestConcurrentReadScenario:
         result = concurrent_read_scenario(c, concurrent_writes=4, seed=8)
         bound = n / (n - f) * (c.measured_delta_w(result.read.op_id) + 1)
         assert result.read_costs(c)[0] <= bound + 1e-9
-
-
-class TestCrashHeavyScenario:
-    def test_operations_complete_despite_crashes(self):
-        c = SodaCluster(n=7, f=3, num_writers=2, num_readers=2, seed=5)
-        result = crash_heavy_scenario(c, seed=9)
-        assert result.all_complete
-        assert len(c.sim.crashed_processes()) == 3
-
-    def test_no_crashes_when_f_zero(self):
-        c = SodaCluster(n=3, f=0, seed=6)
-        result = crash_heavy_scenario(c, num_writes=2, num_reads=2, seed=10)
-        assert result.all_complete
-        assert c.sim.crashed_processes() == []
 
 
 class TestSkewedScenario:
