@@ -388,7 +388,7 @@ def _resolve(kind: Kind, protocol: str, params: Mapping[str, object]) -> dict:
         )
     if not p["slo"] > 0:
         raise ValueError("slo must be positive")
-    if p["stall_threshold"] <= 0:
+    if not p["stall_threshold"] > 0:
         raise ValueError("stall_threshold must be positive")
     p["key_dist"] = parse_key_dist(p["key_dist"]).spec()
     p["arrival"] = parse_arrival(p["arrival"]).spec()
@@ -954,18 +954,6 @@ class Report:
             for column in _CLOSED:
                 totals[row.object][column] += row[column]
         return totals
-
-    def replay_history(self, index: int = 0) -> History:
-        """Object ``index``'s merged global history (``keep_records`` runs)."""
-        if self.replay_histories is None:
-            raise TypeError(
-                f"a {self.kind.name} run records through sharded per-object "
-                f"StreamingRecorder sinks; whole-history analyses need an "
-                f"in-memory History — subscribe a stream observer for "
-                f"bounded-memory runs, or rerun a small run with "
-                f"keep_records=True"
-            )
-        return self.replay_histories[index]
 
     # -- latency ------------------------------------------------------------
     def latency(self) -> LatencyHistogram:

@@ -21,7 +21,7 @@ and an elastic ``~2 (delta_w + 1)`` read cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.analysis import theoretical
 from repro.baselines.registry import make_cluster
@@ -43,20 +43,6 @@ class Table1Entry:
     predicted_read_cost: float
     predicted_storage_cost: float
     notes: str = ""
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "algorithm": self.algorithm,
-            "n": self.n,
-            "f": self.f,
-            "measured_write_cost": round(self.measured_write_cost, 3),
-            "measured_read_cost": round(self.measured_read_cost, 3),
-            "measured_storage_cost": round(self.measured_storage_cost, 3),
-            "predicted_write_cost": round(self.predicted_write_cost, 3),
-            "predicted_read_cost": round(self.predicted_read_cost, 3),
-            "predicted_storage_cost": round(self.predicted_storage_cost, 3),
-            "notes": self.notes,
-        }
 
 
 def _run_comparison_workload(cluster: RegisterCluster, spec: WorkloadSpec):
@@ -89,7 +75,7 @@ def generate_table1(
     """
     if n % 2 != 0:
         raise ValueError("Table I assumes an even number of servers")
-    f = n // 2 - 1
+    f = theoretical.f_max(n)
     spec = WorkloadSpec(
         writes_per_writer=writes_per_writer,
         reads_per_reader=reads_per_reader,
@@ -97,14 +83,15 @@ def generate_table1(
         value_size=value_size,
         seed=seed,
     )
-    entries: List[Table1Entry] = []
-
-    protocols = [
-        ("ABD", {}, "read cost includes the write-back phase"),
-        ("CASGC", {"delta": delta}, f"garbage collection keeps delta+1={delta + 1} versions"),
-        ("SODA", {}, "read cost grows with the measured concurrency delta_w"),
-    ]
-    for name, extra, notes in protocols:
+    # name -> (extra cluster arguments, notes)
+    protocols = {
+        "ABD": ({}, "read cost includes the write-back phase"),
+        "CASGC": ({"delta": delta}, f"garbage collection keeps delta+1={delta + 1} versions"),
+        "SODA": ({}, "read cost grows with the measured concurrency delta_w"),
+    }
+    measured = {}
+    worst_delta_w = 0
+    for name, (extra, _) in protocols.items():
         cluster = make_cluster(
             name,
             n,
@@ -114,47 +101,31 @@ def generate_table1(
             seed=seed,
             **extra,
         )
-        measured_write, measured_read, measured_storage = _run_comparison_workload(
-            cluster, spec
-        )
-        if name == "ABD":
-            predicted = (
-                theoretical.abd_write_cost(n),
-                theoretical.abd_read_cost(n),
-                theoretical.abd_storage_cost(n),
-            )
-        elif name == "CASGC":
-            predicted = (
-                theoretical.cas_communication_cost(n, f),
-                theoretical.cas_communication_cost(n, f),
-                theoretical.casgc_storage_cost(n, f, delta),
-            )
-        else:
+        measured[name] = _run_comparison_workload(cluster, spec)
+        if name == "SODA":
             # SODA's predicted read cost uses the worst measured delta_w so
             # the bound is evaluated on the same executions it is compared to.
-            delta_ws = [
-                cluster.measured_delta_w(h.op_id)
-                for h in _read_handles(cluster)
-                if h is not None
-            ]
-            worst_delta_w = max(delta_ws, default=0)
-            predicted = (
-                theoretical.soda_write_cost_bound(n, f),
-                theoretical.soda_read_cost(n, f, worst_delta_w),
-                theoretical.soda_storage_cost(n, f),
+            worst_delta_w = max(
+                (cluster.measured_delta_w(op.op_id) for op in _read_handles(cluster)),
+                default=0,
             )
-            notes = f"{notes} (worst measured delta_w = {worst_delta_w})"
+    entries = []
+    for row in theoretical.table1_rows(n, delta, worst_delta_w):
+        notes = protocols[row.algorithm][1]
+        if row.algorithm == "SODA":
+            notes += f" (worst measured delta_w = {worst_delta_w})"
+        write, read, storage = measured[row.algorithm]
         entries.append(
             Table1Entry(
-                algorithm=name,
+                algorithm=row.algorithm,
                 n=n,
                 f=f,
-                measured_write_cost=measured_write,
-                measured_read_cost=measured_read,
-                measured_storage_cost=measured_storage,
-                predicted_write_cost=predicted[0],
-                predicted_read_cost=predicted[1],
-                predicted_storage_cost=predicted[2],
+                measured_write_cost=write,
+                measured_read_cost=read,
+                measured_storage_cost=storage,
+                predicted_write_cost=row.write_cost,
+                predicted_read_cost=row.read_cost,
+                predicted_storage_cost=row.storage_cost,
                 notes=notes,
             )
         )

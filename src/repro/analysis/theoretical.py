@@ -100,14 +100,6 @@ def casgc_storage_cost(n: int, f: int, delta: int) -> float:
     return cas_communication_cost(n, f) * (delta + 1)
 
 
-def cas_storage_cost(n: int, f: int, versions: int) -> float:
-    """Plain CAS keeps every version (``versions`` completed writes plus the
-    initial value)."""
-    if versions < 0:
-        raise ValueError("versions must be non-negative")
-    return cas_communication_cost(n, f) * (versions + 1)
-
-
 # ----------------------------------------------------------------------
 # Table I (f = f_max = n/2 - 1, n even)
 # ----------------------------------------------------------------------

@@ -90,9 +90,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.consistency.stream import WRITE, OperationRecord, StreamObserver
 
-#: Digest key of the distinguished initial value / any value at time -inf.
-_INITIAL = b"\x00" * 16
-
 _INF = math.inf
 _NEG_INF = -math.inf
 
@@ -839,10 +836,9 @@ def replay_operations(
 
     The ordering convention — invocations by invocation time, completions
     by response time, invocations first on ties — is the single source of
-    truth shared by :func:`check_history_incrementally` and the sharded
-    replay in :func:`repro.consistency.shardmerge.check_history_sharded`;
-    keeping it in one place keeps the differential suite's three paths
-    comparable by construction.  Returns the checker for chaining.
+    truth shared by :func:`check_history_incrementally` and the differential
+    suite's sharded replay, which keeps its three paths comparable by
+    construction.  Returns the checker for chaining.
     """
     events: List[Tuple[float, int, OperationRecord]] = []
     for op in operations:

@@ -27,7 +27,7 @@ into one namespace verdict.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.consistency.incremental import IncrementalAtomicityChecker, Violation
 from repro.consistency.shardmerge import ShardVerdict, shard_verdict_from_checker
@@ -93,9 +93,6 @@ class ObjectCheckerMux:
     def object_ok(self, index: int) -> bool:
         return self.checkers[index].ok
 
-    def object_violations(self, index: int) -> Tuple[Violation, ...]:
-        return tuple(self.checkers[index].violations)
-
     @property
     def ok(self) -> bool:
         return all(checker.ok for checker in self.checkers)
@@ -139,17 +136,3 @@ class ObjectCheckerMux:
         """Object ``index``'s contribution (shard ``shard_index``) to a
         sharded namespace check."""
         return shard_verdict_from_checker(shard_index, self.checkers[index])
-
-    def shard_verdicts(self, shard_index: int) -> List[ShardVerdict]:
-        """Package every object's checker state as that object's
-        contribution (shard ``shard_index``) to a sharded namespace check."""
-        return [
-            self.shard_verdict(shard_index, index) for index in range(len(self))
-        ]
-
-
-def project_violations(
-    violations: Sequence[Tuple[int, Violation]], index: int
-) -> List[Violation]:
-    """The subset of object-tagged ``violations`` belonging to ``index``."""
-    return [violation for obj, violation in violations if obj == index]

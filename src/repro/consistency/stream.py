@@ -81,9 +81,6 @@ class OperationRecord:
         """Real-time precedence: this op responded before the other was invoked."""
         return self.responded_at is not None and self.responded_at < other.invoked_at
 
-    def concurrent_with(self, other: "OperationRecord") -> bool:
-        return not self.precedes(other) and not other.precedes(self)
-
 
 class StreamObserver:
     """Callbacks a sink invokes as operation events are recorded.

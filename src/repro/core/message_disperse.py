@@ -37,7 +37,7 @@ for the two deliver events.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.core.messages import (
     MDMeta,
@@ -72,17 +72,11 @@ class MDSender:
             )
         self._process = process
         self._servers = list(servers_in_order)
-        self._f = f
         self._counter = 0
         # The dispersal topology is fixed at construction; precompute it
         # instead of slicing the server list on every send.
         self._dispersal = tuple(self._servers[: f + 1])
         self._pid_str = str(process.pid)
-
-    @property
-    def dispersal_set(self) -> List[str]:
-        """The first ``f + 1`` servers (the paper's set ``D``)."""
-        return list(self._dispersal)
 
     def _next_mid(self) -> MessageId:
         self._counter += 1
@@ -156,7 +150,6 @@ class MDServerEngine:
         self._server = server
         self._index = server_index
         self._servers = list(servers_in_order)
-        self._f = f
         self._code = code
         self._encoder = CachedEncoder(code) if encoder is None else encoder
         self._on_value_deliver = on_value_deliver

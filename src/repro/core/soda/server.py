@@ -189,9 +189,6 @@ class SodaServer(Process):
             ReadDispersePayload: self._on_read_disperse,
         }
         self._md_sender: Optional[MDSender] = None
-        # Counters exposed for tests and experiments.
-        self.elements_relayed_to_readers = 0
-        self.writes_applied = 0
 
     # ------------------------------------------------------------------
     # wiring
@@ -243,7 +240,6 @@ class SodaServer(Process):
         if tag > self.tag:
             self.tag = tag
             self.element = element
-            self.writes_applied += 1
             if self.storage_tracker is not None:
                 self.storage_tracker.update(self.pid, self.stored_data_units)
         # Acknowledge to the writer.
@@ -320,7 +316,6 @@ class SodaServer(Process):
                 reg.read_id, tag, element, self.index, self.code.element_data_units
             ),
         )
-        self.elements_relayed_to_readers += 1
         self._note_history(tag, self.index, reg.read_id)
         self.md_sender.md_meta_send(
             ReadDispersePayload(

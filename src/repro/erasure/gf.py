@@ -50,7 +50,7 @@ from __future__ import annotations
 import os
 import warnings
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -408,15 +408,6 @@ class GF256:
     # ------------------------------------------------------------------
     # misc helpers
     # ------------------------------------------------------------------
-    def dot(self, xs: Sequence[int], ys: Sequence[int]) -> int:
-        """Inner product of two equal-length scalar sequences."""
-        if len(xs) != len(ys):
-            raise ValueError("dot product requires equal-length sequences")
-        acc = 0
-        for x, y in zip(xs, ys):
-            acc ^= self.mul(x, y)
-        return acc
-
     def elements(self) -> Iterable[int]:
         """Iterate over every field element (0..255)."""
         return range(FIELD_SIZE)

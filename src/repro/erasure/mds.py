@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -68,18 +68,9 @@ class MDSCode(ABC):
         return self._k
 
     @property
-    def storage_overhead(self) -> float:
-        """Total storage cost in value units when each server stores one element."""
-        return self._n / self._k
-
-    @property
     def element_data_units(self) -> float:
         """Normalized size of one coded element (the paper's ``1/k`` units)."""
         return 1.0 / self._k
-
-    def max_erasures(self) -> int:
-        """Erasure-only fault tolerance ``n - k``."""
-        return self._n - self._k
 
     # ------------------------------------------------------------------
     # framing helpers shared by the concrete codes
@@ -189,26 +180,8 @@ class MDSCode(ABC):
         """
         return [self.decode(elements) for elements in element_sets]
 
-    # ------------------------------------------------------------------
-    # convenience
-    # ------------------------------------------------------------------
-    def encode_map(self, value: bytes) -> Dict[int, CodedElement]:
-        """Encode and return a ``server index -> element`` mapping."""
-        return {el.index: el for el in self.encode(value)}
-
-    def project(self, value: bytes, index: int) -> CodedElement:
-        """The single coded element destined for ``index`` (Phi_i in the paper)."""
-        if not 0 <= index < self._n:
-            raise ValueError(f"element index {index} out of range [0, {self._n})")
-        return self.encode(value)[index]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(n={self._n}, k={self._k})"
-
-
-def as_elements(mapping: Mapping[int, bytes]) -> List[CodedElement]:
-    """Convert an ``index -> data`` mapping into a list of coded elements."""
-    return [CodedElement(index=i, data=d) for i, d in mapping.items()]
 
 
 def corrupt(element: CodedElement, xor_mask: int = 0xA5) -> CodedElement:
@@ -223,10 +196,3 @@ def corrupt(element: CodedElement, xor_mask: int = 0xA5) -> CodedElement:
         data = bytes([xor_mask & 0xFF])
     return CodedElement(index=element.index, data=data)
 
-
-def elements_subset(
-    elements: Sequence[CodedElement], indices: Iterable[int]
-) -> List[CodedElement]:
-    """Select the elements whose index is in ``indices`` (order preserved)."""
-    wanted = set(indices)
-    return [el for el in elements if el.index in wanted]

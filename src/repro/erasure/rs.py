@@ -406,19 +406,3 @@ class ReedSolomonCode(LinearCode):
             if j % 2 == 1:
                 out[j - 1] = p[j]
         return out
-
-    # ------------------------------------------------------------------
-    # reference / introspection helpers used by tests
-    # ------------------------------------------------------------------
-    @property
-    def generator_poly(self) -> List[int]:
-        """The generator polynomial (descending coefficients)."""
-        return list(self._generator_poly)
-
-    def is_codeword(self, symbols: Sequence[int]) -> bool:
-        """Check whether a full n-symbol column is a codeword (zero syndromes)."""
-        if len(symbols) != self.n:
-            raise ValueError(f"expected {self.n} symbols, got {len(symbols)}")
-        col = np.asarray(symbols, dtype=np.uint8)[:, None]
-        syndromes = self.field.matmul(self._syndrome_matrix, col)
-        return not np.any(syndromes != 0)

@@ -23,15 +23,8 @@ class CommunicationCostTracker:
     """
 
     def __init__(self) -> None:
-        # One record per attributed operation, ``data units + messages * 1j``:
-        # a complex is the one built-in pair of doubles, so an operation costs
-        # one dict entry and one 32-byte object (a ``[units, messages]`` list
-        # behind the same entry would weigh more than the two dicts it
-        # replaces — docs/perf.md, "Memory: what a cluster holds").  Real
-        # parts add exactly as floats do; counts are exact below 2**53.
-        self._per_op: Dict[Hashable, complex] = {}
-        self.total_data_units = 0.0
-        self.unattributed_data_units = 0.0
+        # One float per attributed operation: the data units sent for it.
+        self._per_op: Dict[Hashable, float] = {}
 
     def attach(self, network: Network) -> "CommunicationCostTracker":
         # The first tracker per network is accounted inline on the send
@@ -42,24 +35,16 @@ class CommunicationCostTracker:
         return self
 
     def record(self, record: MessageRecord) -> None:
-        units = record.data_units
-        self.total_data_units += units
         op = record.op_id
-        if op is None:
-            self.unattributed_data_units += units
-            return
-        self._per_op[op] = self._per_op.get(op, 0j) + (units + 1j)
+        if op is not None:
+            self._per_op[op] = self._per_op.get(op, 0.0) + record.data_units
 
     def cost_of(self, op_id: Hashable) -> float:
         """Total data units transmitted on behalf of ``op_id``."""
-        return self._per_op.get(op_id, 0j).real
-
-    def messages_of(self, op_id: Hashable) -> int:
-        """Number of messages (including metadata) attributed to ``op_id``."""
-        return int(self._per_op.get(op_id, 0j).imag)
+        return self._per_op.get(op_id, 0.0)
 
     def costs(self) -> Dict[Hashable, float]:
-        return {op: record.real for op, record in self._per_op.items()}
+        return dict(self._per_op)
 
 
 class StorageTracker:
@@ -87,9 +72,6 @@ class StorageTracker:
     @property
     def current_total(self) -> float:
         return sum(self._per_server.values())
-
-    def per_server(self) -> Dict[Hashable, float]:
-        return dict(self._per_server)
 
     def peak(self) -> float:
         """The worst-case total storage cost observed so far."""

@@ -68,10 +68,6 @@ class LatencyStats:
     def empty() -> "LatencyStats":
         return LatencyStats(count=0, min=_NAN, max=_NAN, mean=_NAN)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.count == 0
-
 
 class LatencyTracker:
     """Aggregates operation durations, optionally split by operation kind.
@@ -126,9 +122,6 @@ class LatencyTracker:
             mean=mean(durations),
         )
 
-    def kinds(self) -> List[str]:
-        return sorted(self._durations)
-
 
 class LatencyHistogram:
     """A bounded-memory log-bucketed (HDR-style) latency histogram.
@@ -142,9 +135,8 @@ class LatencyHistogram:
 
     Histograms with identical parameters merge associatively
     (:meth:`merge`), so per-epoch and per-shard histograms compose into
-    fleet-wide percentiles, and :meth:`to_jsonable` /
-    :meth:`from_jsonable` round-trip canonically for byte-identical
-    artefacts.
+    fleet-wide percentiles, and :meth:`to_jsonable` is canonical for
+    byte-identical artefacts.
     """
 
     DEFAULT_FLOOR = 1e-6
@@ -300,20 +292,6 @@ class LatencyHistogram:
             "max": self._max if self.count else None,
             "buckets": {str(i): self.counts[i] for i in sorted(self.counts)},
         }
-
-    @classmethod
-    def from_jsonable(cls, payload: Dict[str, object]) -> "LatencyHistogram":
-        hist = cls(
-            floor=float(payload["floor"]),
-            subbuckets=int(payload["subbuckets"]),
-        )
-        hist.counts = {int(i): int(c) for i, c in payload["buckets"].items()}
-        hist.count = int(payload["count"])
-        hist.total = float(payload["total"])
-        if hist.count:
-            hist._min = float(payload["min"])
-            hist._max = float(payload["max"])
-        return hist
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LatencyHistogram):

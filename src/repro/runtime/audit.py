@@ -305,6 +305,3 @@ class AuditPool:
     def start(self) -> None:
         for client in self.clients:
             client.start()
-
-    def reports(self) -> List[AuditReport]:
-        return [client.report() for client in self.clients]

@@ -55,10 +55,6 @@ class ScheduledOperation:
     start_time: float
     op_id: Optional[str] = None
 
-    @property
-    def started(self) -> bool:
-        return self.op_id is not None
-
 
 @dataclass
 class StreamedRunStats:
@@ -77,10 +73,6 @@ class StreamedRunStats:
     #: thing.  Consumers that aggregate across runs (``experiment
     #: longrun``) must treat a truncated run as an error, not a result.
     truncated: bool = False
-
-    @property
-    def in_flight_at_end(self) -> int:
-        return self.issued - self.completed - self.failed
 
 
 class RegisterCluster(ABC):
@@ -578,11 +570,6 @@ class RegisterCluster(ABC):
     # ------------------------------------------------------------------
     def crash_server(self, which: Union[int, str], at_time: float) -> None:
         pid = which if isinstance(which, str) else self.server_ids[which]
-        self.failures.crash_at(pid, at_time)
-
-    def crash_client(self, pid: str, at_time: float) -> None:
-        if pid not in self.writers and pid not in self.readers:
-            raise ValueError(f"unknown client {pid!r}")
         self.failures.crash_at(pid, at_time)
 
     def apply_crash_schedule(self, schedule: CrashSchedule) -> None:

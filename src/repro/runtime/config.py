@@ -60,7 +60,7 @@ class RunConfig:
             raise ValueError("value_size must be at least 1")
         if self.warm_batch < 1:
             raise ValueError("warm_batch must be at least 1")
-        if self.mean_gap < 0 or self.start_window < 0:
+        if not (self.mean_gap >= 0 and self.start_window >= 0):
             raise ValueError("mean_gap and start_window must be non-negative")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ValueError("read_fraction must be within [0, 1]")

@@ -223,9 +223,6 @@ class MultiRegisterCluster:
         """The protocol instance serving object ``index``."""
         return self.objects[index]
 
-    def server_ids_by_object(self) -> List[List[str]]:
-        return [list(obj.server_ids) for obj in self.objects]
-
     # ------------------------------------------------------------------
     # blocking operations (shared clock: other objects progress too)
     # ------------------------------------------------------------------

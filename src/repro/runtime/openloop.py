@@ -99,10 +99,6 @@ class OpenLoopStats:
     #: ``numpy.percentile`` on small runs).
     samples: Optional[Dict[str, List[float]]] = None
 
-    @property
-    def in_flight_at_end(self) -> int:
-        return self.issued - self.completed - self.failed
-
     def latency(self) -> LatencyHistogram:
         """Reads and writes merged into one histogram (a fresh copy)."""
         return self.read_latency.copy().merge(self.write_latency)

@@ -127,41 +127,6 @@ class UniformDelay(DelayModel):
         return self.high
 
 
-class ExponentialDelay(DelayModel):
-    """Heavy-ish tailed delays: ``base + Exp(mean)`` optionally capped.
-
-    Models an asynchronous network where most messages are fast but some
-    straggle; with no cap there is no Δ bound, matching the paper's fully
-    asynchronous setting.
-    """
-
-    def __init__(self, mean: float = 1.0, base: float = 0.0, cap: Optional[float] = None) -> None:
-        if mean <= 0:
-            raise ValueError("mean must be positive")
-        if base < 0:
-            raise ValueError("base must be non-negative")
-        if cap is not None and cap < base:
-            raise ValueError("cap must be at least base")
-        self.mean = mean
-        self.base = base
-        self.cap = cap
-
-    def sample(self, src: ProcessId, dst: ProcessId, rng: np.random.Generator) -> float:
-        delay = self.base + float(rng.exponential(self.mean))
-        if self.cap is not None:
-            delay = min(delay, self.cap)
-        return delay
-
-    def sample_block(self, n: int, rng: np.random.Generator) -> List[float]:
-        block = self.base + rng.exponential(self.mean, size=n)
-        if self.cap is not None:
-            np.minimum(block, self.cap, out=block)
-        return block.tolist()
-
-    def max_delay(self) -> Optional[float]:
-        return self.cap
-
-
 class SlowDisk(DelayModel):
     """Latency injection: messages *from* designated slow processes straggle.
 
@@ -362,14 +327,11 @@ class Network:
             stats.metadata_messages += 1
         tracker = self._cost_tracker
         if tracker is not None:
-            # Inlined CommunicationCostTracker.record (same aggregates).
-            tracker.total_data_units += units
+            # Inlined CommunicationCostTracker.record (same costs).
             op = getattr(payload, "op_id", None)
-            if op is None:
-                tracker.unattributed_data_units += units
-            else:
+            if op is not None:
                 per_op = tracker._per_op
-                per_op[op] = per_op.get(op, 0j) + (units + 1j)
+                per_op[op] = per_op.get(op, 0.0) + units
         record = None
         if self._observed:
             record = MessageRecord(src, dst, payload, now)
@@ -427,7 +389,7 @@ class Network:
         if op is not None:
             # Per-op costs list every attributed operation, metadata
             # included, at 0.0 if need be.
-            attributed = tracker._per_op.get(op, 0j) + fanout * 1j
+            attributed = tracker._per_op.get(op, 0.0)
         if units == 0.0:
             stats.metadata_messages += fanout
         else:
@@ -435,12 +397,8 @@ class Network:
             # stay bit-identical to the per-message loop.
             for _ in dsts:
                 stats.total_data_units += units
-                if tracker is not None:
-                    tracker.total_data_units += units
-                    if op is None:
-                        tracker.unattributed_data_units += units
-                    else:
-                        attributed += units
+                if op is not None:
+                    attributed += units
         if op is not None:
             tracker._per_op[op] = attributed
         queue = sim._queue

@@ -21,10 +21,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.simulation import Simulation
 
 
-class ProcessCrashed(RuntimeError):
-    """Raised when an operation is attempted on behalf of a crashed process."""
-
-
 class Process:
     """A named automaton attached to a :class:`~repro.sim.simulation.Simulation`."""
 
@@ -33,7 +29,6 @@ class Process:
         self._sim: Optional["Simulation"] = None
         self._network = None  # bound on attach; avoids sim-property hops per send
         self._crashed = False
-        self.messages_received = 0
         self.messages_sent = 0
         #: ``type(message) -> handler(message)`` for the messages this
         #: process handles without needing the sender; a delivery is one
@@ -128,7 +123,6 @@ class Process:
         """
         if self._crashed:
             return
-        self.messages_received += 1
         handler = self.handlers.get(type(message))
         if handler is not None:
             handler(message)

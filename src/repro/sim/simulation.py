@@ -149,9 +149,6 @@ class Simulation:
     def processes(self) -> Dict[ProcessId, Process]:
         return dict(self._processes)
 
-    def crashed_processes(self) -> List[ProcessId]:
-        return [pid for pid, p in self._processes.items() if p.is_crashed]
-
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
@@ -266,7 +263,6 @@ class Simulation:
                     else:
                         # Process.deliver, inlined.
                         stats.messages_delivered += 1
-                        destination.messages_received += 1
                         payload = entry[5]
                         handler = destination.handlers.get(type(payload))
                         if handler is not None:

@@ -148,12 +148,6 @@ class DiurnalArrivals(ArrivalProcess):
         if not self.period > 0:
             raise ValueError("diurnal period must be positive")
 
-    def rate_at(self, t: float) -> float:
-        """The instantaneous arrival rate at time ``t``."""
-        return self.rate * (
-            1.0 + self.amplitude * float(np.sin(2.0 * np.pi * t / self.period))
-        )
-
     def generate(self, rng: np.random.Generator, count: int) -> np.ndarray:
         self._check_count(count)
         times = np.empty(count, dtype=np.float64)

@@ -335,9 +335,6 @@ class AppliedFaultPlan:
     def __bool__(self) -> bool:
         return bool(self.objects)
 
-    def by_object(self) -> Dict[int, AppliedObjectFaults]:
-        return {obj.object_index: obj for obj in self.objects}
-
     def to_jsonable(self) -> Dict[str, object]:
         return {
             "spec": self.plan_spec,

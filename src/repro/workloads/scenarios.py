@@ -40,10 +40,6 @@ class ScenarioResult:
     reads: List[OperationRecord]
 
     @property
-    def all_complete(self) -> bool:
-        return all(op.is_complete for op in self.writes + self.reads)
-
-    @property
     def read(self) -> OperationRecord:
         """The scenario's (first) read — for single-read scenarios."""
         if not self.reads:

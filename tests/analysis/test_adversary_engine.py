@@ -100,6 +100,8 @@ class TestValidation:
             run_experiment("adversary-longrun", "SODA", ops=0)
         with pytest.raises(ValueError):
             run_experiment("adversary-longrun", "SODA", stall_threshold=0.0)
+        with pytest.raises(ValueError, match="stall_threshold must be positive"):
+            run_experiment("adversary-longrun", "SODA", stall_threshold=float("nan"))
         with pytest.raises(ValueError):
             run_experiment("adversary-longrun", "SODA", faults="meteor:1")
         with pytest.raises(ValueError, match="must not be 'none'"):

@@ -32,7 +32,7 @@ class TestVerdictCrossValidation:
         the single-stream incremental checker and WGL: all three verdict
         paths must agree that the real cluster execution is atomic."""
         report = small_run(ops=180, epoch_ops=60, keep_records=True)
-        history = report.replay_history()
+        history = report.replay_histories[0]
         assert len(history) == report.issued + len(report.epochs)  # + markers
         assert report.ok
         assert bool(check_history_incrementally(history, initial_value=GENESIS))
@@ -46,7 +46,7 @@ class TestVerdictCrossValidation:
         for (start, end), (next_start, _) in zip(spans, spans[1:]):
             assert end + EPOCH_GAP <= next_start + 1e-9
         # Every replayed record falls inside its epoch's global span.
-        for op in report.replay_history().operations():
+        for op in report.replay_histories[0].operations():
             assert op.invoked_at >= spans[0][0] - EPOCH_GAP
 
     @pytest.mark.parametrize("protocol", ["SODA", "SODAerr", "ABD", "CAS", "CASGC"])
@@ -82,19 +82,10 @@ class TestBoundedMemory:
 
 
 class TestWholeHistoryGuard:
-    def test_replay_history_raises_like_a_streaming_sink(self):
-        """The sharded run raises the same clear error as a single-process
-        streaming cluster instead of an AttributeError."""
-        report = small_run()
-        with pytest.raises(TypeError, match="StreamingRecorder"):
-            report.replay_history()
-        with pytest.raises(TypeError, match="stream observer"):
-            report.replay_history()
-
     def test_keep_records_unlocks_whole_history_analyses(self):
         report = small_run(ops=120, epoch_ops=60, keep_records=True)
         tracker = LatencyTracker()
-        tracker.record_operations(report.replay_history().operations())
+        tracker.record_operations(report.replay_histories[0].operations())
         assert tracker.stats("write").count == report.writes + len(report.epochs)
 
 

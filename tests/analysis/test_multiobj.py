@@ -36,7 +36,7 @@ class TestVerdictCrossValidation:
         report = small_run(ops=180, epoch_ops=60, keep_records=True)
         assert report.ok
         for j in range(report.objects):
-            history = report.replay_history(j)
+            history = report.replay_histories[j]
             # markers: one per epoch; plus every operation the object served
             ops_served = sum(
                 row.issued for row in report.object_rows if row.object == j
@@ -134,8 +134,3 @@ class TestValidation:
             run_experiment(
                 "multiobj-longrun", "SODA", ops=10, objects=2, key_dist="hotcold"
             )
-
-    def test_whole_history_guard(self):
-        report = small_run()
-        with pytest.raises(TypeError, match="keep_records"):
-            report.replay_history(0)

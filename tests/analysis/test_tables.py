@@ -43,11 +43,6 @@ class TestGenerateTable1:
         assert casgc.measured_read_cost < abd.measured_read_cost
         assert soda.measured_write_cost > casgc.measured_write_cost
 
-    def test_as_dict_round(self, table_entries):
-        d = table_entries[0].as_dict()
-        assert d["algorithm"] == "ABD"
-        assert isinstance(d["measured_write_cost"], float)
-
     def test_format_table(self, table_entries):
         text = format_table(table_entries)
         assert "Algorithm" in text

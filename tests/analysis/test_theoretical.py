@@ -65,12 +65,6 @@ class TestBaselineFormulas:
         with pytest.raises(ValueError):
             th.casgc_storage_cost(6, 2, -1)
 
-    def test_cas_storage(self):
-        assert th.cas_storage_cost(6, 2, 3) == pytest.approx(12.0)
-        with pytest.raises(ValueError):
-            th.cas_storage_cost(6, 2, -1)
-
-
 class TestTableOne:
     def test_f_max(self):
         assert th.f_max(6) == 2

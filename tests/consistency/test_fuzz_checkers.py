@@ -31,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_incremental import ReferenceAtomicityChecker
+from sharded_check import check_history_sharded
 
 from repro.consistency.history import READ, WRITE, History
 from repro.consistency.incremental import (
@@ -38,7 +39,6 @@ from repro.consistency.incremental import (
     check_history_incrementally,
     replay_operations,
 )
-from repro.consistency.shardmerge import check_history_sharded
 from repro.consistency.wgl import check_linearizability
 
 SHARD_COUNTS = (1, 2, 3)

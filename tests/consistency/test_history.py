@@ -1,6 +1,5 @@
 """Tests for operation history recording."""
 
-import numpy as np
 import pytest
 
 from repro.consistency.history import READ, WRITE, History
@@ -82,26 +81,10 @@ class TestQueries:
         w1, r1, w2 = h.get("w1"), h.get("r1"), h.get("w2")
         assert w1.precedes(w2)
         assert not w2.precedes(w1)
-        assert w1.concurrent_with(r1)
-        assert r1.concurrent_with(w1)
-        assert not w1.concurrent_with(w2)
+        # Overlapping operations precede neither way.
+        assert not w1.precedes(r1) and not r1.precedes(w1)
         # An incomplete operation never precedes anything.
         assert not w2.precedes(w1)
-
-    def test_concurrency_degree(self):
-        h = self.build()
-        assert h.concurrency_degree(h.get("r1")) == 1
-        assert h.concurrency_degree(h.get("r1"), kind=WRITE) == 1
-        assert h.concurrency_degree(h.get("w1"), kind=READ) == 1
-        assert h.concurrency_degree(h.get("w2")) == 0
-
-    def test_restricted_to_complete(self):
-        h = self.build()
-        restricted = h.restricted_to_complete()
-        assert len(restricted) == 2
-        assert all(op.is_complete for op in restricted.operations())
-        # Original history is untouched.
-        assert len(h) == 3
 
     def test_unknown_op_id_raises_descriptive_valueerror(self):
         h = self.build()
@@ -109,34 +92,3 @@ class TestQueries:
             h.get("missing")
         with pytest.raises(ValueError, match="unknown operation id"):
             h.mark_failed("missing")
-
-    def test_concurrency_degree_matches_brute_force(self):
-        """The interval-sweep implementation against the O(n^2) definition."""
-        rng = np.random.default_rng(5)
-        h = History()
-        for i in range(120):
-            kind = WRITE if rng.random() < 0.5 else READ
-            inv = float(rng.uniform(0, 50))
-            h.invoke(f"op{i}", kind, f"c{i % 7}", inv)
-        for i in range(120):
-            if rng.random() < 0.2:
-                continue  # leave some incomplete
-            op = h.get(f"op{i}")
-            h.respond(f"op{i}", op.invoked_at + float(rng.uniform(0.0, 8.0)))
-        for kind in (None, WRITE, READ):
-            for op in h.operations():
-                brute = sum(
-                    1
-                    for other in h.operations()
-                    if other.op_id != op.op_id
-                    and (kind is None or other.kind == kind)
-                    and op.concurrent_with(other)
-                )
-                assert h.concurrency_degree(op, kind=kind) == brute
-
-    def test_concurrency_degree_index_invalidated_by_new_ops(self):
-        h = self.build()
-        r1 = h.get("r1")
-        assert h.concurrency_degree(r1) == 1
-        h.invoke("w3", WRITE, "w1", 1.5)  # concurrent with r1
-        assert h.concurrency_degree(r1) == 2

@@ -10,6 +10,8 @@ bounded recorder where the in-memory ``History`` is never materialised.
 import numpy as np
 import pytest
 
+from crash_client import crash_client
+
 from repro.consistency.history import READ, WRITE, History
 from repro.consistency.incremental import (
     IncrementalAtomicityChecker,
@@ -436,8 +438,8 @@ class TestWriteValueHashedOnce:
         cluster = SodaCluster(
             n=6, f=2, num_writers=2, num_readers=2, seed=5, recorder=recorder
         )
-        cluster.crash_client("w0", at_time=3.0)
-        cluster.crash_client("r1", at_time=4.0)
+        crash_client(cluster, "w0", at_time=3.0)
+        crash_client(cluster, "r1", at_time=4.0)
         stats = cluster.run_streamed(operations=1_000, seed=6, value_size=256)
         assert stats.failed >= 1 and stats.completed + stats.failed == stats.issued
         assert checker.ok, checker.violations

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.consistency.multiplex import ObjectCheckerMux, project_violations
+from repro.consistency.multiplex import ObjectCheckerMux
 from repro.consistency.shardmerge import merge_namespace_verdicts
 from repro.consistency.stream import READ, WRITE
 
@@ -26,6 +26,11 @@ def inject_stale_read(recorder, *, prefix, base=8.0):
     recorder.respond(f"{prefix}bad", base + 1.0, value=f"{prefix}-v1".encode())
 
 
+
+def shard_verdicts(mux, shard_index=0):
+    """Every object's contribution (shard ``shard_index``) to a namespace check."""
+    return [mux.shard_verdict(shard_index, j) for j in range(len(mux))]
+
 class TestIsolation:
     """The satellite acceptance: a violation injected on object k flags
     exactly object k, never its neighbours."""
@@ -42,9 +47,7 @@ class TestIsolation:
             assert mux.checker(j).ok == (j != victim)
         tagged = mux.violations()
         assert {obj for obj, _ in tagged} == {victim}
-        assert project_violations(tagged, victim) and not project_violations(
-            tagged, (victim + 1) % 3
-        )
+        assert all(not mux.checker(j).violations for j in range(3) if j != victim)
 
     def test_phantom_read_on_one_object(self):
         mux = ObjectCheckerMux(2, window=16)
@@ -90,7 +93,7 @@ class TestNamespaceMerge:
         for j in range(3):
             feed_clean_history(mux.recorder(j), prefix=f"o{j}")
         inject_stale_read(mux.recorder(2), prefix="o2")
-        verdicts = mux.shard_verdicts(0)
+        verdicts = shard_verdicts(mux)
         assert len(verdicts) == 3
         merged = merge_namespace_verdicts([[v] for v in verdicts])
         assert not merged.ok
@@ -109,7 +112,7 @@ class TestNamespaceMerge:
         mux = ObjectCheckerMux(2, window=16)
         for j in range(2):
             feed_clean_history(mux.recorder(j), prefix=f"o{j}")
-        merged = merge_namespace_verdicts([[v] for v in mux.shard_verdicts(0)])
+        merged = merge_namespace_verdicts([[v] for v in shard_verdicts(mux)])
         payload = merged.to_jsonable()
         assert payload["ok"] is True
         assert payload["objects"] == 2
@@ -155,14 +158,14 @@ class TestVerdictsTrackTheHistory:
         mux = self._stale_read_on_object_two()
         reports = mux.violations()
         assert [(obj, v.kind) for obj, v in reports] == [(2, "cluster-cycle")]
-        assert mux.object_violations(2) == (reports[0][1],)
+        assert mux.checker(2).violations == [reports[0][1]]
         for j in (0, 1, 3):
-            assert mux.object_violations(j) == ()
+            assert mux.checker(j).violations == []
         assert len(mux.shard_verdict(0, 2).violations) == 1
 
     def test_two_muxes_fed_the_same_events_export_equal_verdicts(self):
         first, second = (self._stale_read_on_object_two() for _ in range(2))
-        assert first.shard_verdicts(0) == second.shard_verdicts(0)
+        assert shard_verdicts(first) == shard_verdicts(second)
         assert first.violations() == second.violations()
 
     def test_abandoned_writes_leave_nothing_behind(self):

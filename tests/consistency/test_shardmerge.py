@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from sharded_check import check_history_sharded
+
 from repro.consistency.history import READ, WRITE, History
 from repro.consistency.incremental import (
     ClusterSummary,
@@ -13,7 +15,6 @@ from repro.consistency.incremental import (
 from repro.consistency.shardmerge import (
     MergedCheckResult,
     ShardVerdict,
-    check_history_sharded,
     merge_shard_verdicts,
     shard_verdict_from_checker,
     shift_summary,

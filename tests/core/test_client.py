@@ -134,12 +134,17 @@ def test_invocation_before_the_first_send_response_after_the_last(protocol):
 
 
 # ----------------------------------------------------------------------
-# the checks that kill the client mutants (tests/mutants/clients.py)
+# the checks that kill the client mutants (tests/mutants/clients.py) and
+# the stale-tag server (tests/mutants/soda_server.py)
 # ----------------------------------------------------------------------
 def _write_then_read_is_atomic(protocol):
     cluster = _cluster(protocol)
-    cluster.write(b"written")
-    # Strictly after the write's response, so the read must return its value.
+    cluster.write(b"overwritten")
+    # A second write by the same writer strictly after the first's response
+    # must be stored under a tag above the first's ...
+    cluster.schedule_write(cluster.sim.now + 1.0, b"written")
+    cluster.run()
+    # ... and strictly after its response, the read must return its value.
     cluster.schedule_read(cluster.sim.now + 1.0)
     cluster.run()
     verdict = check_history_incrementally(cluster.history, initial_value=b"")

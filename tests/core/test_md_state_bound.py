@@ -17,12 +17,14 @@ from functools import partial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exponential_delay import ExponentialDelay
+
 from repro.baselines.registry import make_cluster
 from repro.core.message_disperse import MDSender, MDServerEngine
 from repro.core.messages import MDMeta, MDValueCoded, MDValueFull
 from repro.core.tags import Tag
 from repro.erasure.rs import ReedSolomonCode
-from repro.sim.network import ExponentialDelay, FixedDelay, UniformDelay
+from repro.sim.network import FixedDelay, UniformDelay
 from repro.sim.process import Process
 from repro.sim.simulation import Simulation
 

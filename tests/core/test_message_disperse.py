@@ -62,7 +62,7 @@ def build(n=5, f=2, seed=0):
 class TestMDSenderBasics:
     def test_dispersal_set_is_first_f_plus_one(self):
         _, _, _, _, sender = build(n=7, f=3)
-        assert sender.dispersal_set == ["s0", "s1", "s2", "s3"]
+        assert sender._dispersal == ("s0", "s1", "s2", "s3")
 
     def test_mid_uniqueness(self):
         sim, code, servers, client, sender = build()

@@ -2,12 +2,14 @@
 
 import pytest
 
+from exponential_delay import ExponentialDelay
+
 from repro.consistency.lemma_check import check_lemma_properties
 from repro.consistency.wgl import check_linearizability
 from repro.core.soda.cluster import SodaCluster
 from repro.core.tags import TAG_ZERO
 from repro.sim.failures import CrashSchedule
-from repro.sim.network import ExponentialDelay, UniformDelay
+from repro.sim.network import UniformDelay
 
 
 def run_concurrent_workload(

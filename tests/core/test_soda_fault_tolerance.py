@@ -2,6 +2,8 @@
 
 import pytest
 
+from crash_client import crash_client
+
 from repro.core.soda.cluster import SodaCluster
 from repro.sim.failures import CrashSchedule
 from repro.sim.network import UniformDelay
@@ -73,7 +75,7 @@ class TestClientCrashes:
         # Start a write and crash the writer almost immediately, before it
         # can finish (message delays are at least 0.1).
         c.writer(0).start_write(b"never finished")
-        c.crash_client("w0", at_time=0.05)
+        crash_client(c, "w0", at_time=0.05)
         c.run()
         failed_op = c.history.operations()[0]
         assert not failed_op.is_complete
@@ -88,7 +90,7 @@ class TestClientCrashes:
         c = SodaCluster(n=5, f=2, num_writers=2, seed=11)
         c.writer(0).start_write(b"phantom write")
         # Let the write-get and dispersal get going, then crash the writer.
-        c.crash_client("w0", at_time=3.0)
+        crash_client(c, "w0", at_time=3.0)
         c.run()
         read_rec = c.read()
         assert read_rec.value in (b"", b"phantom write")
@@ -101,7 +103,7 @@ class TestClientCrashes:
         """Theorem 5.5: servers do not relay to a failed reader forever."""
         c = SodaCluster(n=5, f=2, num_readers=2, num_writers=1, seed=12)
         c.reader(0).start_read()
-        c.crash_client("r0", at_time=0.5)
+        crash_client(c, "r0", at_time=0.5)
         # Subsequent writes trigger relaying to registered readers; after
         # enough READ-DISPERSE exchanges the dead reader must be dropped.
         for i in range(4):
@@ -120,7 +122,7 @@ class TestClientCrashes:
     def test_failed_read_recorded_as_incomplete(self):
         c = SodaCluster(n=5, f=2, seed=13)
         c.reader(0).start_read()
-        c.crash_client("r0", at_time=0.01)
+        crash_client(c, "r0", at_time=0.01)
         c.run()
         ops = c.history.operations()
         assert len(ops) == 1

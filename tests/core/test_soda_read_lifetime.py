@@ -11,13 +11,14 @@ whole history does.
 
 import pytest
 
+from exponential_delay import ExponentialDelay
+
 import repro.core.soda.cluster as soda_cluster
 from repro.baselines.registry import make_cluster
 from repro.consistency.incremental import IncrementalAtomicityChecker
 from repro.consistency.stream import StreamingRecorder
 from repro.core.soda.cluster import SodaCluster
 from repro.core.soda.server import RegistrationLog, SodaServer
-from repro.sim.network import ExponentialDelay
 
 
 class _ShadowServer(SodaServer):

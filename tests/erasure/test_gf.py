@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gf_reference import dot
+
 from repro.erasure.gf import FIELD_SIZE, GF256, default_field
 
 FIELD = default_field()
@@ -151,16 +153,12 @@ class TestVectorOps:
         C = FIELD.matmul(A, B)
         for i in range(3):
             for j in range(2):
-                expected = FIELD.dot([int(x) for x in A[i]], [int(x) for x in B[:, j]])
+                expected = dot(FIELD, [int(x) for x in A[i]], [int(x) for x in B[:, j]])
                 assert C[i, j] == expected
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError):
             FIELD.matmul(np.zeros((2, 3), dtype=np.uint8), np.zeros((2, 3), dtype=np.uint8))
-
-    def test_dot_length_mismatch(self):
-        with pytest.raises(ValueError):
-            FIELD.dot([1, 2], [1])
 
 
 def test_default_field_is_cached():

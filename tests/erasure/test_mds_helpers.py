@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from repro.erasure.mds import (
     CodedElement,
     DecodingError,
-    as_elements,
     corrupt,
-    elements_subset,
 )
 from repro.erasure.rs import ReedSolomonCode
 
@@ -26,11 +24,6 @@ class TestCodedElement:
 
 
 class TestHelpers:
-    def test_as_elements(self):
-        els = as_elements({0: b"a", 3: b"b"})
-        assert {e.index for e in els} == {0, 3}
-        assert {e.data for e in els} == {b"a", b"b"}
-
     def test_corrupt_changes_data_and_keeps_index(self):
         el = CodedElement(2, b"hello")
         bad = corrupt(el)
@@ -44,12 +37,6 @@ class TestHelpers:
     def test_corrupt_zero_mask_rejected(self):
         with pytest.raises(ValueError):
             corrupt(CodedElement(0, b"x"), xor_mask=0)
-
-    def test_elements_subset(self):
-        els = [CodedElement(i, bytes([i])) for i in range(5)]
-        subset = elements_subset(els, [1, 3])
-        assert [e.index for e in subset] == [1, 3]
-
 
 class TestFraming:
     @given(value=st.binary(max_size=300), k=st.integers(1, 6))
@@ -70,6 +57,4 @@ class TestFraming:
 
     def test_storage_overhead_properties(self):
         code = ReedSolomonCode(9, 3)
-        assert code.storage_overhead == pytest.approx(3.0)
         assert code.element_data_units == pytest.approx(1 / 3)
-        assert code.max_erasures() == 6

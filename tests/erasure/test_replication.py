@@ -13,9 +13,7 @@ class TestReplication:
         code = ReplicationCode(5)
         assert code.n == 5
         assert code.k == 1
-        assert code.storage_overhead == 5.0
         assert code.element_data_units == 1.0
-        assert code.max_erasures() == 4
 
     def test_every_element_decodes_alone(self):
         code = ReplicationCode(4)

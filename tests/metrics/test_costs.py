@@ -32,13 +32,10 @@ class TestCommunicationCostTracker:
         t.record(record(0.0, "op2"))
         assert t.cost_of("op1") == pytest.approx(1.5)
         assert t.cost_of("op2") == pytest.approx(0.25)
-        assert t.messages_of("op2") == 2
-        assert t.total_data_units == pytest.approx(1.75)
 
     def test_unattributed(self):
         t = CommunicationCostTracker()
         t.record(record(2.0, None))
-        assert t.unattributed_data_units == 2.0
         assert t.cost_of("anything") == 0.0
         assert t.costs() == {}
 
@@ -54,20 +51,17 @@ class TestCommunicationCostTracker:
             max_size=200,
         )
     )
-    def test_one_record_per_op_adds_like_a_float_and_an_int(self, messages):
-        """The per-op record packs both sums in one object; they must come
-        out as the separately kept float and int would — bit for bit."""
+    def test_one_record_per_op_adds_like_a_float(self, messages):
+        """Each operation's record is one running float sum, bit for bit."""
         t = CommunicationCostTracker()
-        units_of, messages_of = defaultdict(float), defaultdict(int)
+        units_of = defaultdict(float)
         for units, op in messages:
             t.record(record(units, op))
             if op is not None:
                 units_of[op] += units
-                messages_of[op] += 1
         assert t.costs() == dict(units_of)
-        assert {op: t.messages_of(op) for op in units_of} == dict(messages_of)
         for op in units_of:
-            assert type(t.cost_of(op)) is float and type(t.messages_of(op)) is int
+            assert type(t.cost_of(op)) is float
             assert t.cost_of(op) == units_of[op]
 
     def test_attach_to_network(self):
@@ -94,12 +88,6 @@ class TestStorageTracker:
         t.update("s1", 0.0)
         assert t.current_total == pytest.approx(0.5)
         assert t.peak() == pytest.approx(2.5)  # peak is sticky
-
-    def test_per_server_view(self):
-        t = StorageTracker()
-        t.update("s1", 0.25)
-        t.update("s2", 0.75)
-        assert t.per_server() == {"s1": 0.25, "s2": 0.75}
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -31,7 +31,6 @@ class TestLatencyTracker:
         # min/max/mean are nan sentinels that render as '-'.
         stats = LatencyTracker().stats()
         assert stats.count == 0
-        assert stats.is_empty
         assert math.isnan(stats.min)
         assert math.isnan(stats.max)
         assert math.isnan(stats.mean)
@@ -48,11 +47,9 @@ class TestLatencyTracker:
         assert writes.min == 1.0
         assert writes.max == 3.0
         assert writes.mean == pytest.approx(2.0)
-        assert not writes.is_empty
         combined = t.stats()
         assert combined.count == 4
         assert combined.max == 6.0
-        assert t.kinds() == ["read", "write"]
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
@@ -180,23 +177,18 @@ class TestLatencyHistogram:
         with pytest.raises(ValueError, match="bucket geometry"):
             LatencyHistogram().merge(LatencyHistogram(subbuckets=16))
 
-    def test_jsonable_round_trip(self):
+    def test_jsonable_shape(self):
         hist = LatencyHistogram()
         for v in (0.1, 1.0, 1.0, 7.5):
             hist.record(v)
         payload = hist.to_jsonable()
         assert payload["count"] == 4
         assert all(isinstance(k, str) for k in payload["buckets"])
-        restored = LatencyHistogram.from_jsonable(payload)
-        assert restored == hist
-        assert restored.to_jsonable() == payload
 
-    def test_empty_jsonable_round_trip(self):
+    def test_empty_jsonable(self):
         payload = LatencyHistogram().to_jsonable()
+        assert payload["count"] == 0
         assert payload["min"] is None and payload["max"] is None
-        restored = LatencyHistogram.from_jsonable(payload)
-        assert restored.count == 0
-        assert math.isnan(restored.percentile(99.0))
 
     def test_summary_keys(self):
         hist = LatencyHistogram()

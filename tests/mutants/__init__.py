@@ -176,6 +176,19 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "StaleTagSodaServer",
+        "core",
+        "soda_server",
+        _SODA_SERVER,
+        (
+            Kill(
+                "core/test_client.py::check_soda_write_then_read",
+                AssertionError,
+                "cluster-cycle",
+            ),
+        ),
+    ),
+    Mutant(
         "EarlyCountdownEngine",
         "core",
         "md_engine",

@@ -2,6 +2,8 @@
 
 import pytest
 
+from crash_client import crash_client
+
 from repro.core.soda.cluster import SodaCluster
 from repro.baselines.abd import AbdCluster
 from repro.sim.failures import CrashSchedule
@@ -41,9 +43,9 @@ class TestScheduling:
     def test_scheduled_operation_handle_filled(self):
         c = SodaCluster(n=4, f=1, seed=3)
         handle = c.schedule_write(1.0, b"scheduled")
-        assert not handle.started
+        assert handle.op_id is None
         c.run()
-        assert handle.started
+        assert handle.op_id is not None
         assert c.history.get(handle.op_id).value == b"scheduled"
 
     def test_busy_client_retries_until_free(self):
@@ -53,20 +55,20 @@ class TestScheduling:
         h1 = c.schedule_write(1.0, b"first")
         h2 = c.schedule_write(1.0, b"second")
         c.run()
-        assert h1.started and h2.started
+        assert h1.op_id is not None and h2.op_id is not None
         assert len(c.history.complete_operations()) == 2
 
     def test_scheduled_op_on_crashed_client_is_skipped(self):
         c = SodaCluster(n=4, f=1, num_writers=2, seed=5)
-        c.crash_client("w1", at_time=0.5)
+        crash_client(c, "w1", at_time=0.5)
         handle = c.schedule_write(1.0, b"never", writer=1)
         c.run()
-        assert not handle.started
+        assert handle.op_id is None
 
     def test_crash_unknown_client_rejected(self):
         c = SodaCluster(n=4, f=1)
-        with pytest.raises(ValueError):
-            c.crash_client("nobody", at_time=1.0)
+        with pytest.raises(ValueError, match="unknown client 'nobody'"):
+            crash_client(c, "nobody", at_time=1.0)
 
     def test_crash_schedule_over_f_rejected(self):
         c = SodaCluster(n=4, f=1)
@@ -130,7 +132,7 @@ class TestRunStreamed:
         assert stats.completed == 30
         assert stats.failed == 0
         assert stats.writes + stats.reads == 30
-        assert stats.in_flight_at_end == 0
+        assert stats.issued == stats.completed + stats.failed
         assert stats.events > 0
         # The default sink is the keep-everything History; every op landed.
         assert isinstance(c.history, History)
@@ -160,7 +162,7 @@ class TestRunStreamed:
 
     def test_writer_crash_drops_out_of_the_loop(self):
         c = SodaCluster(n=5, f=2, num_writers=1, num_readers=1, seed=6)
-        c.crash_client("w0", at_time=5.0)
+        crash_client(c, "w0", at_time=5.0)
         stats = c.run_streamed(operations=200, seed=9)
         # The lone writer died early: writes stop, the surviving reader
         # absorbs the remaining budget and the run terminates cleanly.
@@ -171,8 +173,8 @@ class TestRunStreamed:
 
     def test_all_clients_crashed_leaves_budget_unconsumed(self):
         c = SodaCluster(n=5, f=2, num_writers=1, num_readers=1, seed=6)
-        c.crash_client("w0", at_time=5.0)
-        c.crash_client("r0", at_time=5.0)
+        crash_client(c, "w0", at_time=5.0)
+        crash_client(c, "r0", at_time=5.0)
         stats = c.run_streamed(operations=200, seed=9)
         # Nobody is left to issue operations: the loop winds down instead
         # of hanging, with the unissued budget simply abandoned.
@@ -192,7 +194,7 @@ class TestRunStreamed:
         """A budget slot handed to an already-crashed client must move to
         the next live client instead of being silently dropped."""
         c = SodaCluster(n=5, f=2, num_writers=1, num_readers=1, seed=6)
-        c.crash_client("w0", at_time=0.0)  # dead before the kickoff fires
+        crash_client(c, "w0", at_time=0.0)  # dead before the kickoff fires
         stats = c.run_streamed(operations=1, seed=2)
         assert stats.issued == 1
         assert stats.reads == 1  # the surviving reader took the slot
@@ -212,4 +214,4 @@ class TestRunStreamed:
         stats = c.run_streamed(operations=10, seed=1)
         assert stats.issued == 10
         assert stats.completed == 10
-        assert stats.in_flight_at_end == 0
+        assert stats.issued == stats.completed + stats.failed

@@ -170,6 +170,8 @@ class TestKnobValidation:
             (dict(policy="retry"), "unknown admission policy 'retry'"),
             (dict(queue_per_server=0), "queue_per_server must be at least 1"),
             (dict(op_timeout=0.0), "op_timeout must be positive"),
+            (dict(mean_gap=float("nan")), "must be non-negative"),
+            (dict(start_window=float("nan")), "must be non-negative"),
         ],
     )
     def test_every_rejection_surfaces_through_every_entry_point(self, knobs, message):

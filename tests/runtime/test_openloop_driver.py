@@ -26,7 +26,7 @@ class TestOpenLoopBasics:
         assert stats.completed == 200
         assert stats.failed == 0
         assert stats.rejected == 0
-        assert stats.in_flight_at_end == 0
+        assert stats.issued == stats.completed + stats.failed
         assert stats.writes + stats.reads == 200
         assert not stats.truncated
         hist = stats.latency()

@@ -94,13 +94,9 @@ def _protocol_run(protocol: str, *, observed: bool):
     return dict(
         stream=stream,
         network=asdict(network.stats),
-        cost_total=cluster.costs.total_data_units,
-        cost_unattributed=cluster.costs.unattributed_data_units,
         cost_per_op=cluster.costs.costs(),
-        messages_per_op={op: cluster.costs.messages_of(op) for op in cluster.costs.costs()},
         end_time=cluster.sim.now,
         events=cluster.sim.events_processed,
-        received={pid: p.messages_received for pid, p in cluster.sim.processes.items()},
         sent={pid: p.messages_sent for pid, p in cluster.sim.processes.items()},
     )
 
@@ -179,12 +175,9 @@ def _fanout_run(plan, *, many, model, crashed, adversary, extra_tracker):
         stream=stream,
         got={pid: s.got for pid, s in sinks.items()},
         sent={pid: s.messages_sent for pid, s in sinks.items()},
-        received={pid: s.messages_received for pid, s in sinks.items()},
         network=asdict(sim.network.stats),
-        totals=(tracker.total_data_units, tracker.unattributed_data_units),
         per_op=tracker.costs(),
-        messages_per_op={op: tracker.messages_of(op) for op in tracker.costs()},
-        second=None if second is None else (second.total_data_units, second.costs()),
+        second=None if second is None else second.costs(),
         rng_next=float(sim.rng.uniform()),  # both drew the same number of delays
     )
 

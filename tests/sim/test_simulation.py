@@ -139,12 +139,6 @@ class TestProcessRegistry:
         with pytest.raises(RuntimeError):
             p.send("anyone", "hello")
 
-    def test_crashed_processes_listing(self):
-        sim = Simulation(seed=1)
-        a, b = sim.add_processes([Echo("a"), Echo("b")])
-        a.crash()
-        assert sim.crashed_processes() == ["a"]
-
 
 class TestMessaging:
     def test_ping_pong(self):

@@ -321,6 +321,12 @@ class TestLongrunCommand:
         )
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("threshold", ["nan", "-1", "0"])
+    def test_a_stall_threshold_that_is_not_positive_exits_2(self, capsys, threshold):
+        argv = ["experiment", "adversary", "--ops", "200", "--faults", "withhold:1:8:20:0"]
+        assert main([*argv, "--stall-threshold", threshold, "--no-artefacts"]) == 2
+        assert "adversary: stall_threshold must be positive" in capsys.readouterr().err
+
 
 class TestLostCellsExit3:
     """A run that loses cells exits 3 (1 is "not atomic", 2 is usage) with

@@ -13,6 +13,7 @@ differential tests in ``tests/consistency/test_fuzz_checkers.py``.
 import os
 
 import pytest
+from crash_client import crash_client
 from sent_payloads import SentPayloads
 
 from repro.baselines.registry import available_protocols, make_cluster
@@ -199,7 +200,7 @@ class TestRandomSchedules:
         from the bounded recorder, ignored by the checker, and the rest of
         the run stays atomic."""
         cluster, recorder, checker = build(protocol, seed=seed)
-        cluster.crash_client(cluster.reader_ids[0], at_time=6.0)
+        crash_client(cluster, cluster.reader_ids[0], at_time=6.0)
         stats = cluster.run_streamed(operations=OPS, seed=seed + 5)
         assert_clean(cluster, recorder, checker, stats)
         # The surviving clients carried on past the crash.

@@ -104,11 +104,6 @@ class TestDiurnal:
         trough = ((phase > 65.0) & (phase < 85.0)).sum()
         assert peak > 2 * trough
 
-    def test_rate_at(self):
-        process = DiurnalArrivals(rate=2.0, amplitude=0.5, period=100.0)
-        assert process.rate_at(25.0) == pytest.approx(3.0)
-        assert process.rate_at(75.0) == pytest.approx(1.0)
-
     def test_validation(self):
         with pytest.raises(ValueError, match="amplitude"):
             DiurnalArrivals(amplitude=1.5)

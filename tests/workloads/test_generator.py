@@ -54,7 +54,7 @@ class TestRunWorkload:
         result = run_workload(c, spec)
         assert result.crash_schedule is not None
         assert len(result.crash_schedule) == 3
-        assert len(c.sim.crashed_processes()) == 3
+        assert sum(p.is_crashed for p in c.sim.processes.values()) == 3
         # Liveness: client operations still complete.
         assert len(c.history.incomplete_operations()) == 0
 

@@ -15,13 +15,17 @@ from repro.workloads.scenarios import (
 )
 
 
+def all_complete(result):
+    return all(op.is_complete for op in result.writes + result.reads)
+
+
 class TestSequentialScenario:
     def test_counts_and_completion(self):
         c = SodaCluster(n=5, f=2, seed=0)
         result = sequential_scenario(c, num_writes=3, num_reads=2, seed=1)
         assert len(result.writes) == 3
         assert len(result.reads) == 2
-        assert result.all_complete
+        assert all_complete(result)
 
     def test_reads_return_last_write(self):
         c = SodaCluster(n=5, f=2, seed=0)
@@ -36,7 +40,7 @@ class TestSequentialScenario:
     def test_works_for_baselines(self):
         c = AbdCluster(n=5, f=2, seed=0)
         result = sequential_scenario(c, num_writes=2, num_reads=2, seed=4)
-        assert result.all_complete
+        assert all_complete(result)
 
 
 class TestConcurrentReadScenario:
@@ -57,7 +61,7 @@ class TestConcurrentReadScenario:
         result = concurrent_read_scenario(c, concurrent_writes=3, seed=5)
         assert len(result.writes) == 4
         assert len(result.reads) == 1
-        assert result.all_complete
+        assert all_complete(result)
 
     def test_delta_w_tracks_concurrency_level(self):
         c = SodaCluster(n=6, f=2, num_writers=3, seed=3)
@@ -78,7 +82,7 @@ class TestSkewedScenario:
         result = skewed_scenario(c, read_fraction=0.75, total_ops=12, seed=11)
         assert len(result.reads) == 9
         assert len(result.writes) == 3
-        assert result.all_complete
+        assert all_complete(result)
         assert check_linearizability(c.history, initial_value=b"")
 
     def test_pure_write_workload(self):
@@ -122,7 +126,7 @@ class TestCrashBurst:
         )
         c.apply_crash_schedule(schedule)
         result = sequential_scenario(c, num_writes=2, num_reads=2, seed=14)
-        assert result.all_complete
+        assert all_complete(result)
 
 
 class TestSlowDisk:
@@ -144,4 +148,4 @@ class TestSlowDisk:
         model = SlowDisk(UniformDelay(0.1, 1.0), slow=["s0"], extra=4.0)
         c = SodaCluster(n=5, f=2, seed=15, delay_model=model)
         result = sequential_scenario(c, num_writes=2, num_reads=2, seed=16)
-        assert result.all_complete
+        assert all_complete(result)
