@@ -74,12 +74,8 @@ from repro.baselines.registry import make_cluster  # noqa: E402
 from repro.consistency.incremental import IncrementalAtomicityChecker  # noqa: E402
 from repro.consistency.stream import StreamingRecorder  # noqa: E402
 from repro.core.soda.cluster import SodaCluster  # noqa: E402
-from repro.workloads.generator import (  # noqa: E402
-    StreamSpec,
-    WorkloadSpec,
-    run_workload,
-    stream_operations,
-)
+from repro.workloads.generator import StreamSpec, stream_operations  # noqa: E402
+from repro.workloads.scenarios import WorkloadSpec, run_workload  # noqa: E402
 
 SCHEMA_VERSION = 1
 
@@ -191,13 +187,13 @@ def _protocol_row(protocol: str, *, ops: int, seed: int) -> Dict[str, float]:
         seed=seed,
     )
     start = time.perf_counter()
-    result = run_workload(cluster, spec)
+    run_workload(cluster, spec)
     wall = time.perf_counter() - start
     scheduled = 4 * ops
     key = protocol.lower()
     return {
         f"{key}_events_per_s": cluster.sim.events_processed / wall,
-        f"{key}_completion_ratio": result.completed_operations / scheduled,
+        f"{key}_completion_ratio": cluster.history.completed_count / scheduled,
     }
 
 
@@ -216,17 +212,18 @@ def bench_sim(*, quick: bool = False, seed: int = 7) -> Dict[str, object]:
         seed=seed,
     )
     start = time.perf_counter()
-    result = run_workload(cluster, spec)
+    run_workload(cluster, spec)
     wall = time.perf_counter() - start
     events = cluster.sim.events_processed
     scheduled = 2 * ops + 2 * ops  # writes + reads across both client pairs
+    completed = cluster.history.completed_count
     results = {
         "events": float(events),
         "wall_s": wall,
         "events_per_s": events / wall,
-        "completed_operations": float(result.completed_operations),
-        "completion_ratio": result.completed_operations / scheduled,
-        "operations_per_s": result.completed_operations / wall,
+        "completed_operations": float(completed),
+        "completion_ratio": completed / scheduled,
+        "operations_per_s": completed / wall,
     }
 
     # Per-protocol rows (ABD/CAS/CASGC/SODA): same cluster shape, smaller

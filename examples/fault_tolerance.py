@@ -18,7 +18,7 @@ from repro.consistency.lemma_check import check_lemma_properties
 from repro.consistency.wgl import check_linearizability
 from repro.core.soda.cluster import SodaCluster
 from repro.core.tags import TAG_ZERO
-from repro.workloads.generator import WorkloadSpec, run_workload
+from repro.workloads.scenarios import WorkloadSpec, run_workload
 
 
 def main() -> None:
@@ -32,11 +32,11 @@ def main() -> None:
         server_crashes=f,
         seed=seed + 1,
     )
-    result = run_workload(cluster, spec)
+    run_workload(cluster, spec)
 
     print(f"SODA n={n}, f={f}; workload seed={seed}")
     print(f"crash schedule: " + ", ".join(
-        f"{e.pid}@t={e.time:.1f}" for e in result.crash_schedule))
+        f"{e.pid}@t={e.time:.1f}" for e in cluster.failures.injected))
     print(f"operations invoked : {len(cluster.history)}")
     print(f"operations complete: {len(cluster.history.complete_operations())}")
 

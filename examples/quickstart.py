@@ -11,6 +11,7 @@ Shows the minimal public-API workflow:
 Run with:  python examples/quickstart.py
 """
 
+from repro.analysis import theoretical
 from repro.core.soda.cluster import SodaCluster
 
 
@@ -25,12 +26,12 @@ def main() -> None:
     print(f"\nwrite completed: tag={write_rec.tag}, "
           f"latency={write_rec.duration:.2f} time units, "
           f"communication cost={cluster.operation_cost(write_rec.op_id):.2f} value units "
-          f"(bound 5f^2 = {cluster.theoretical_write_cost_bound():.0f})")
+          f"(bound 5f^2 = {theoretical.soda_write_cost_bound(n, f):.0f})")
 
     read_rec = cluster.read()
     print(f"read returned   : {read_rec.value!r} (tag={read_rec.tag}), "
           f"cost={cluster.operation_cost(read_rec.op_id):.2f} value units "
-          f"(uncontended bound n/(n-f) = {cluster.theoretical_read_cost(0):.2f})")
+          f"(uncontended bound n/(n-f) = {theoretical.soda_read_cost(n, f, 0):.2f})")
 
     # --- crash f servers and keep going --------------------------------
     cluster.crash_server(0, at_time=cluster.sim.now)

@@ -34,12 +34,14 @@ table defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.analysis import theoretical
 from repro.baselines.casgc import CasGcCluster
 from repro.baselines.registry import default_kwargs, make_cluster
+from repro.consistency.history import OperationRecord
 from repro.consistency.incremental import check_history_incrementally
 from repro.consistency.lemma_check import check_lemma_properties
 from repro.consistency.wgl import check_linearizability
@@ -49,9 +51,10 @@ from repro.core.tags import TAG_ZERO
 from repro.sim.network import FixedDelay, UniformDelay
 from repro.sim.simulation import derive_seed
 from repro.workloads.faults import CrashLeg, FaultPlan, SlowLeg
-from repro.workloads.generator import WorkloadSpec, run_workload
 from repro.workloads.scenarios import (
+    WorkloadSpec,
     concurrent_read_scenario,
+    run_workload,
     sequential_scenario,
     skewed_scenario,
 )
@@ -72,7 +75,7 @@ class StoragePoint:
 def storage_point(*, n: int, f: int, writes: int, seed: int) -> StoragePoint:
     """One point of E2: worst-case total storage for a single (n, f)."""
     cluster = SodaCluster(n=n, f=f, seed=seed)
-    sequential_scenario(cluster, num_writes=writes, num_reads=1, seed=seed)
+    sequential_scenario(cluster, num_writes=writes, num_reads=1)
     return StoragePoint(
         n=n,
         f=f,
@@ -102,7 +105,7 @@ def write_cost_point(
     system_n = n if n is not None else 2 * f + 1
     cluster = SodaCluster(n=system_n, f=f, seed=seed)
     result = sequential_scenario(
-        cluster, num_writes=3, num_reads=0, value_size=value_size, seed=seed
+        cluster, num_writes=3, num_reads=0, value_size=value_size
     )
     costs = [cluster.operation_cost(w.op_id) for w in result.writes]
     return WriteCostPoint(
@@ -131,9 +134,7 @@ def read_cost_point(*, n: int, f: int, level: int, seed: int) -> ReadCostPoint:
     cluster = SodaCluster(
         n=n, f=f, num_writers=max(1, min(level, 4)), num_readers=1, seed=seed
     )
-    read_op = concurrent_read_scenario(
-        cluster, concurrent_writes=level, seed=seed
-    ).read
+    read_op = concurrent_read_scenario(cluster, concurrent_writes=level).read
     delta_w = cluster.measured_delta_w(read_op.op_id)
     return ReadCostPoint(
         n=n,
@@ -158,6 +159,12 @@ class LatencyResult:
     operations: int
 
 
+def _longest(ops: Sequence[OperationRecord]) -> float:
+    """The longest duration of the complete operations of ``ops``; NaN when
+    none completed, so an empty set never reads as zero latency."""
+    return max((op.duration for op in ops if op.is_complete), default=math.nan)
+
+
 def latency_point(*, n: int, f: int, delta: float, rounds: int, seed: int) -> LatencyResult:
     """One point of E5: operation durations under a fixed message delay."""
     cluster = SodaCluster(
@@ -169,17 +176,14 @@ def latency_point(*, n: int, f: int, delta: float, rounds: int, seed: int) -> La
         window=rounds * 8 * delta,
         seed=seed,
     )
-    run_workload(cluster, spec)
-    tracker = cluster.latency_tracker()
-    writes = tracker.stats("write")
-    reads = tracker.stats("read")
+    result = run_workload(cluster, spec)
     return LatencyResult(
         delta=delta,
-        max_write_latency=writes.max,
-        max_read_latency=reads.max,
+        max_write_latency=_longest(result.writes),
+        max_read_latency=_longest(result.reads),
         write_bound=theoretical.soda_write_latency_bound(delta),
         read_bound=theoretical.soda_read_latency_bound(delta),
-        operations=writes.count + reads.count,
+        operations=cluster.history.completed_count,
     )
 
 
@@ -330,13 +334,9 @@ def tradeoff_point(*, n: int, f: int, delta: int, seed: int) -> TradeoffPoint:
     casgc = CasGcCluster(
         n=n, f=f, delta=delta, num_writers=max(1, min(delta, 3)), seed=seed
     )
-    casgc_read = concurrent_read_scenario(
-        casgc, concurrent_writes=delta, seed=seed
-    ).read
+    casgc_read = concurrent_read_scenario(casgc, concurrent_writes=delta).read
     soda = SodaCluster(n=n, f=f, num_writers=max(1, min(delta, 3)), seed=seed)
-    soda_read = concurrent_read_scenario(
-        soda, concurrent_writes=delta, seed=seed
-    ).read
+    soda_read = concurrent_read_scenario(soda, concurrent_writes=delta).read
     return TradeoffPoint(
         delta=delta,
         casgc_storage=casgc.storage_peak(),
@@ -456,17 +456,14 @@ def slow_disk_point(
     spec = WorkloadSpec(
         writes_per_writer=2, reads_per_reader=2, window=10.0, seed=seed + 1
     )
-    run_workload(cluster, spec)
-    tracker = cluster.latency_tracker()
-    reads = tracker.stats("read")
-    writes = tracker.stats("write")
+    result = run_workload(cluster, spec)
     return SlowDiskPoint(
         n=n,
         f=f,
         extra_delay=extra_delay,
         slow_servers=slow_servers,
-        max_read_latency=reads.max,
-        max_write_latency=writes.max,
+        max_read_latency=_longest(result.reads),
+        max_write_latency=_longest(result.writes),
         completed=cluster.history.completed_count,
     )
 

@@ -25,8 +25,7 @@ from typing import List
 
 from repro.analysis import theoretical
 from repro.baselines.registry import make_cluster
-from repro.runtime.cluster import RegisterCluster
-from repro.workloads.generator import WorkloadSpec, run_workload
+from repro.workloads.scenarios import WorkloadSpec, run_workload
 
 
 @dataclass
@@ -43,17 +42,6 @@ class Table1Entry:
     predicted_read_cost: float
     predicted_storage_cost: float
     notes: str = ""
-
-
-def _run_comparison_workload(cluster: RegisterCluster, spec: WorkloadSpec):
-    result = run_workload(cluster, spec)
-    write_costs = result.write_costs(cluster)
-    read_costs = result.read_costs(cluster)
-    return (
-        max(write_costs, default=0.0),
-        max(read_costs, default=0.0),
-        cluster.storage_peak(),
-    )
 
 
 def generate_table1(
@@ -101,12 +89,21 @@ def generate_table1(
             seed=seed,
             **extra,
         )
-        measured[name] = _run_comparison_workload(cluster, spec)
+        result = run_workload(cluster, spec)
+        measured[name] = (
+            max(result.write_costs(cluster), default=0.0),
+            max(result.read_costs(cluster), default=0.0),
+            cluster.storage_peak(),
+        )
         if name == "SODA":
             # SODA's predicted read cost uses the worst measured delta_w so
             # the bound is evaluated on the same executions it is compared to.
             worst_delta_w = max(
-                (cluster.measured_delta_w(op.op_id) for op in _read_handles(cluster)),
+                (
+                    cluster.measured_delta_w(op.op_id)
+                    for op in result.reads
+                    if op.is_complete
+                ),
                 default=0,
             )
     entries = []
@@ -130,11 +127,6 @@ def generate_table1(
             )
         )
     return entries
-
-
-def _read_handles(cluster: RegisterCluster):
-    """Completed reads of a cluster as pseudo-handles (op records)."""
-    return [op for op in cluster.full_history().reads() if op.is_complete]
 
 
 def format_table(entries: List[Table1Entry]) -> str:

@@ -262,9 +262,3 @@ class AbdCluster(RegisterCluster):
     # ------------------------------------------------------------------
     def theoretical_storage_cost(self) -> float:
         return float(self.n)
-
-    def theoretical_write_cost_bound(self) -> float:
-        return float(self.n)
-
-    def theoretical_read_cost(self, delta_w: int = 0) -> float:
-        return float(self.n)

@@ -396,12 +396,6 @@ class CasCluster(RegisterCluster):
     # ------------------------------------------------------------------
     # paper-facing theoretical quantities
     # ------------------------------------------------------------------
-    def theoretical_write_cost_bound(self) -> float:
-        return self.n / (self.n - 2 * self.f)
-
-    def theoretical_read_cost(self, delta_w: int = 0) -> float:
-        return self.n / (self.n - 2 * self.f)
-
     def theoretical_storage_cost(self, versions: Optional[int] = None) -> float:
         """Plain CAS keeps every version: the storage cost after ``versions``
         completed writes is ``(versions + 1) * n / (n - 2f)`` (the ``+ 1``

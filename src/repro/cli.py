@@ -114,15 +114,23 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _cmd_table1(args: argparse.Namespace) -> int:
     from repro.analysis.tables import format_table, generate_table1
 
-    entries = generate_table1(n=args.n, delta=args.delta, seed=args.seed)
+    try:
+        entries = generate_table1(n=args.n, delta=args.delta, seed=args.seed)
+    except ValueError as exc:
+        print(f"table1: {exc}", file=sys.stderr)
+        return 2
     print(format_table(entries))
     return 0
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    cluster = make_cluster(
-        args.protocol, args.n, args.f, seed=args.seed, **default_kwargs(args.protocol)
-    )
+    try:
+        cluster = make_cluster(
+            args.protocol, args.n, args.f, seed=args.seed, **default_kwargs(args.protocol)
+        )
+    except ValueError as exc:
+        print(f"demo: {exc}", file=sys.stderr)
+        return 2
     value = args.value.encode()
     w = cluster.write(value)
     r = cluster.read()
@@ -164,8 +172,8 @@ def _cmd_sweep(name: str, args: argparse.Namespace) -> int:
         print(f"experiment {name}: {exc}", file=sys.stderr)
         return 2
     for row in rows:
-        # nan means "no completed operations" (see LatencyStats.empty);
-        # format_latency renders the sentinel as '-' instead of 'nan'.
+        # nan means "no completed operations" (a latency row's max over no
+        # operation); format_latency renders the sentinel as '-', not 'nan'.
         cells = (
             f"{k}={format_latency(v) if isinstance(v, float) else v}"
             for k, v in asdict(row).items()
@@ -210,7 +218,7 @@ def _engine_params(kind, args: argparse.Namespace) -> dict:
             read_fraction=args.read_fraction,
             policy=args.admission,
             queue_per_server=args.queue_per_server,
-            op_timeout=args.op_timeout if args.op_timeout > 0 else None,
+            op_timeout=args.op_timeout or None,
             slo=args.slo,
             num_writers=writers,
             num_readers=max(1, args.clients - writers),
@@ -363,6 +371,13 @@ def _run_engine(name: str, args: argparse.Namespace) -> int:
 
     if args.objects < 1:
         print(f"--objects must be at least 1, got {args.objects}", file=sys.stderr)
+        return 2
+    if not args.op_timeout >= 0:
+        print(
+            f"{name}: --op-timeout must be a non-negative number of simulated ms "
+            f"(0 disables timeouts), got {args.op_timeout}",
+            file=sys.stderr,
+        )
         return 2
     kind = KINDS[_engine_kind(name, args)]
     if not kind.namespace and args.key_dist != "uniform":

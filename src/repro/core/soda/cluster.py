@@ -122,15 +122,3 @@ class SodaCluster(RegisterCluster):
     def theoretical_storage_cost(self) -> float:
         """Theorem 5.3: total storage cost ``n / (n - f)``."""
         return self.n / (self.n - self.f)
-
-    def theoretical_write_cost_bound(self) -> float:
-        """Theorem 5.4: write communication cost is at most ``5 f^2``
-        (for ``f >= 1``; with ``f = 0`` the only traffic is the single
-        full-value message to the one-element dispersal set)."""
-        if self.f == 0:
-            return 1.0
-        return 5.0 * self.f * self.f
-
-    def theoretical_read_cost(self, delta_w: int) -> float:
-        """Theorem 5.6: read cost is at most ``(n / (n - f)) * (delta_w + 1)``."""
-        return self.n / (self.n - self.f) * (delta_w + 1)

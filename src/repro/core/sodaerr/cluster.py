@@ -115,6 +115,3 @@ class SodaErrCluster(SodaCluster):
     # ------------------------------------------------------------------
     def theoretical_storage_cost(self) -> float:
         return self.n / (self.n - self.f - 2 * self.e)
-
-    def theoretical_read_cost(self, delta_w: int) -> float:
-        return self.n / (self.n - self.f - 2 * self.e) * (delta_w + 1)

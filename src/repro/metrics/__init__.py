@@ -6,6 +6,8 @@
 * :class:`~repro.metrics.costs.StorageTracker` maintains the running total
   of coded data stored across all servers and its maximum over the
   execution (the paper's *worst-case total storage cost*).
-* :class:`~repro.metrics.latency.LatencyTracker` summarises operation
-  durations, used to check the ``5 delta`` / ``6 delta`` latency bounds.
+* :class:`~repro.metrics.latency.LatencyHistogram` summarises the
+  latencies of the open-loop engine's streamed runs (p50/p99/p999, SLO
+  attainment); the ``5 delta`` / ``6 delta`` bounds of Section V-C are
+  checked against the history's own operation durations.
 """

@@ -2,33 +2,28 @@
 
 The paper bounds the duration of a successful SODA write by ``5 * delta``
 and of a read by ``6 * delta`` when every message is delivered within
-``delta`` time units.  :class:`LatencyTracker` collects operation durations
-from the recorded history and reports the summary statistics compared in
-experiment E5.
+``delta`` time units; experiment E5 reads the longest durations straight
+off the recorded history.
 
-:class:`LatencyHistogram` is the bounded-memory streaming counterpart for
-the open-loop engine: an HDR-style log-bucketed histogram that reports
+:class:`LatencyHistogram` summarises the latencies of the open-loop
+engine's streamed runs: an HDR-style log-bucketed histogram that reports
 p50/p99/p999 and SLO attainment next to the exact count/mean/min/max, and
 merges across shards and epochs (fleet mode aggregates per-shard
 histograms the same way :mod:`repro.consistency.shardmerge` composes
 verdicts).
 
-Empty :class:`LatencyStats` use ``nan`` sentinels — "no completed
-operations" must not render as "zero latency".  Use :func:`format_latency`
-wherever a latency lands in a table; it renders the sentinels as ``-``.
+An empty summary reports ``nan`` — "no completed operations" must not
+render as "zero latency".  Use :func:`format_latency` wherever a latency
+lands in a table; it renders the sentinel as ``-``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from statistics import mean
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Optional
 
 __all__ = [
     "LatencyHistogram",
-    "LatencyStats",
-    "LatencyTracker",
     "format_latency",
 ]
 
@@ -47,80 +42,6 @@ def format_latency(value: Optional[float], *, precision: int = 3) -> str:
     if math.isnan(number):
         return "-"
     return f"{number:.{precision}f}"
-
-
-@dataclass(frozen=True)
-class LatencyStats:
-    """Summary statistics of a set of operation durations.
-
-    An empty set reports ``nan`` for ``min``/``max``/``mean`` — the
-    sentinels deliberately poison arithmetic instead of masquerading as a
-    zero-latency execution.  Formatters render them as ``-`` via
-    :func:`format_latency`.
-    """
-
-    count: int
-    min: float
-    max: float
-    mean: float
-
-    @staticmethod
-    def empty() -> "LatencyStats":
-        return LatencyStats(count=0, min=_NAN, max=_NAN, mean=_NAN)
-
-
-class LatencyTracker:
-    """Aggregates operation durations, optionally split by operation kind.
-
-    Malformed history records (negative duration — a responded-before-
-    invoked bookkeeping bug upstream) fed through
-    :meth:`record_operations` are *counted* in :attr:`malformed` rather
-    than aborting the whole aggregation; :meth:`record` keeps the hard
-    raise for direct callers, where a negative duration is a caller bug.
-    """
-
-    def __init__(self) -> None:
-        self._durations: dict[str, List[float]] = {}
-        #: Records dropped by :meth:`record_operations` because their
-        #: duration was negative.
-        self.malformed = 0
-
-    def record(self, kind: str, duration: float) -> None:
-        if duration < 0:
-            raise ValueError("duration cannot be negative")
-        self._durations.setdefault(kind, []).append(duration)
-
-    def record_operations(self, operations: Iterable) -> None:
-        """Record every completed operation from a history.
-
-        Accepts any iterable of objects exposing ``kind``, ``invoked_at``
-        and ``responded_at`` attributes (see
-        :class:`repro.consistency.history.OperationRecord`).  Records with
-        a negative duration are counted in :attr:`malformed` and skipped,
-        so one corrupt record cannot discard the whole report.
-        """
-        for op in operations:
-            if getattr(op, "responded_at", None) is None:
-                continue
-            duration = op.responded_at - op.invoked_at
-            if duration < 0:
-                self.malformed += 1
-                continue
-            self._durations.setdefault(op.kind, []).append(duration)
-
-    def stats(self, kind: Optional[str] = None) -> LatencyStats:
-        if kind is None:
-            durations = [d for ds in self._durations.values() for d in ds]
-        else:
-            durations = self._durations.get(kind, [])
-        if not durations:
-            return LatencyStats.empty()
-        return LatencyStats(
-            count=len(durations),
-            min=min(durations),
-            max=max(durations),
-            mean=mean(durations),
-        )
 
 
 class LatencyHistogram:

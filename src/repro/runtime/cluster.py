@@ -8,7 +8,7 @@ façade owns:
   every experiment is reproducible),
 * the server, writer and reader processes,
 * the :class:`~repro.consistency.history.History` of client operations,
-* the communication-cost, storage-cost and latency trackers, and
+* the communication-cost and storage-cost trackers, and
 * failure injection (server/client crash schedules).
 
 Protocol subclasses provide the erasure code and the concrete process
@@ -30,7 +30,6 @@ from repro.consistency.stream import HistorySink, StreamObserver
 from repro.erasure.batch import CachedDecoder, CachedEncoder
 from repro.erasure.mds import CodedElement, MDSCode
 from repro.metrics.costs import CommunicationCostTracker, StorageTracker
-from repro.metrics.latency import LatencyTracker
 from repro.runtime.config import RunConfig
 from repro.runtime.driver import apply_fault_plan, run_armed, value_source
 from repro.sim.failures import CrashSchedule, FailureInjector
@@ -336,7 +335,7 @@ class RegisterCluster(ABC):
         """Drive ``operations`` client operations through the live cluster
         in a closed loop, with memory bounded by the client count.
 
-        Unlike :func:`repro.workloads.generator.run_workload`, which
+        Unlike :func:`repro.workloads.scenarios.run_workload`, which
         schedules every operation (and pre-generates every value) up
         front, this driver keeps exactly one pending invocation per
         client: whenever a client's operation completes (or its client
@@ -607,9 +606,6 @@ class RegisterCluster(ABC):
         """Worst-case total storage cost observed so far (in value units)."""
         return self.storage.peak()
 
-    def storage_current(self) -> float:
-        return self.storage.current_total
-
     def codec_stats(self) -> Dict[str, int]:
         """Hit/miss counters of the codec front, flattened.
 
@@ -638,27 +634,3 @@ class RegisterCluster(ABC):
                 f"stream observer for bounded-memory runs instead"
             )
         return self.history
-
-    def latency_tracker(self) -> LatencyTracker:
-        tracker = LatencyTracker()
-        tracker.record_operations(self.full_history().operations())
-        return tracker
-
-    def summary(self) -> Dict[str, object]:
-        """A compact dictionary of headline metrics for reports."""
-        history = self.full_history()
-        writes = [op for op in history.writes() if op.is_complete]
-        reads = [op for op in history.reads() if op.is_complete]
-        write_costs = [self.operation_cost(op.op_id) for op in writes]
-        read_costs = [self.operation_cost(op.op_id) for op in reads]
-        return {
-            "protocol": self.protocol_name,
-            "n": self.n,
-            "f": self.f,
-            "k": self.code.k,
-            "completed_writes": len(writes),
-            "completed_reads": len(reads),
-            "max_write_cost": max(write_costs, default=0.0),
-            "max_read_cost": max(read_costs, default=0.0),
-            "storage_peak": self.storage_peak(),
-        }

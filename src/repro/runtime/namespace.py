@@ -388,9 +388,6 @@ class MultiRegisterCluster:
         simultaneous, so this is the worst-case provisioning bound)."""
         return sum(obj.storage_peak() for obj in self.objects)
 
-    def storage_current(self) -> float:
-        return sum(obj.storage_current() for obj in self.objects)
-
     def codec_stats(self) -> Dict[str, int]:
         """Namespace-wide codec counters: the per-object
         :meth:`~repro.runtime.cluster.RegisterCluster.codec_stats` summed
@@ -412,13 +409,3 @@ class MultiRegisterCluster:
             ),
             default=0,
         )
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "protocol": self.protocol_name,
-            "objects": len(self.objects),
-            "n": self.n,
-            "f": self.f,
-            "storage_peak": self.storage_peak(),
-            "events_processed": self.sim.events_processed,
-        }

@@ -79,15 +79,6 @@ class DelayModel(ABC):
         """
         return None
 
-    def max_delay(self) -> Optional[float]:
-        """An upper bound on delays if one exists (``None`` = unbounded).
-
-        The latency analysis of Section V-C assumes such a bound Δ; delay
-        models that have one report it here so experiments can compare
-        measured latencies against ``5Δ`` / ``6Δ``.
-        """
-        return None
-
 
 class FixedDelay(DelayModel):
     """Every message takes exactly ``delta`` time units (synchronous-looking)."""
@@ -104,9 +95,6 @@ class FixedDelay(DelayModel):
         # Consumes no randomness, exactly like n scalar sample() calls.
         return [self.delta] * n
 
-    def max_delay(self) -> float:
-        return self.delta
-
 
 class UniformDelay(DelayModel):
     """Delays drawn uniformly from ``[low, high]`` — bounded asynchrony."""
@@ -122,9 +110,6 @@ class UniformDelay(DelayModel):
 
     def sample_block(self, n: int, rng: np.random.Generator) -> List[float]:
         return rng.uniform(self.low, self.high, size=n).tolist()
-
-    def max_delay(self) -> float:
-        return self.high
 
 
 class SlowDisk(DelayModel):
@@ -164,12 +149,6 @@ class SlowDisk(DelayModel):
             if self.jitter:
                 delay += float(rng.uniform(0.0, self.jitter))
         return delay
-
-    def max_delay(self) -> Optional[float]:
-        base_max = self.base.max_delay()
-        if base_max is None:
-            return None
-        return base_max + self.extra + self.jitter
 
 
 # ----------------------------------------------------------------------

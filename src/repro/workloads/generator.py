@@ -1,11 +1,5 @@
-"""Randomized concurrent workloads, batch and streaming.
-
-A :class:`WorkloadSpec` describes a mix of writes and reads issued by a set
-of clients over a window of simulated time, optionally together with server
-crashes (bounded by the cluster's ``f``).  :func:`run_workload` schedules
-the operations on any :class:`~repro.runtime.cluster.RegisterCluster`, runs
-the simulation to quiescence and returns the recorded history together with
-per-operation costs — everything the atomicity and cost experiments need.
+"""Streamed synthetic register histories, and the unique write values every
+workload writes.
 
 For histories too long to materialise (the ROADMAP's million-operation
 target), :func:`stream_operations` is the *streaming mode*: it synthesises
@@ -17,7 +11,8 @@ atomicity checker subscribed — without ever holding more than the in-flight
 operations in memory.  Generated executions are linearizable by
 construction (each operation takes effect at a sampled linearization
 point); the ``inject`` modes deliberately corrupt reads so checker tests
-have seeded violations.
+have seeded violations.  Workloads on a live cluster are
+:mod:`repro.workloads.scenarios`.
 
 Write values are generated to be globally unique (they embed the writer id
 and a sequence number), which the black-box linearizability checker
@@ -28,90 +23,24 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import blake2b
 from itertools import chain, repeat
 from operator import methodcaller
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
-from repro.consistency.history import History
 from repro.consistency.stream import READ, WRITE, HistorySink
 
-if TYPE_CHECKING:
-    from repro.runtime.cluster import RegisterCluster, ScheduledOperation
-    from repro.sim.failures import CrashSchedule
 
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """Parameters of a randomized concurrent workload.
-
-    Attributes
-    ----------
-    writes_per_writer / reads_per_reader:
-        Number of operations each client issues.
-    window:
-        Operations are invoked at times drawn uniformly from ``[0, window]``
-        (subject to the one-at-a-time well-formedness of each client).
-    value_size:
-        Size in bytes of each written value (the payload is random bytes
-        plus a unique header).
-    server_crashes:
-        Number of servers to crash at random times (must not exceed the
-        cluster's ``f``).
-    crash_window:
-        Crash times are drawn uniformly from ``[0, crash_window]``
-        (defaults to ``window``).
-    seed:
-        Seed for the workload's own randomness (independent from the
-        cluster's delay randomness).
-    """
-
-    writes_per_writer: int = 3
-    reads_per_reader: int = 3
-    window: float = 10.0
-    value_size: int = 64
-    server_crashes: int = 0
-    crash_window: Optional[float] = None
-    seed: int = 0
-
-
-@dataclass
-class WorkloadResult:
-    """Outcome of one workload execution."""
-
-    history: History
-    write_handles: List[ScheduledOperation] = field(default_factory=list)
-    read_handles: List[ScheduledOperation] = field(default_factory=list)
-    crash_schedule: Optional[CrashSchedule] = None
-
-    def write_costs(self, cluster: RegisterCluster) -> List[float]:
-        return [
-            cluster.operation_cost(h.op_id) for h in self.write_handles if h.op_id
-        ]
-
-    def read_costs(self, cluster: RegisterCluster) -> List[float]:
-        return [
-            cluster.operation_cost(h.op_id) for h in self.read_handles if h.op_id
-        ]
-
-    @property
-    def completed_operations(self) -> int:
-        return self.history.completed_count
-
-
-def unique_value(writer_index: int, sequence: int, size: int, rng: np.random.Generator) -> bytes:
+def unique_value(writer_index: int, sequence: int, size: int) -> bytes:
     """A write value that is globally unique and has the requested size.
 
     Uniqueness is carried entirely by the header; the filler only pads the
     value to ``size``, so it is derived by hashing the header rather than
-    drawn from ``rng`` — one digest is ~8x cheaper than materialising a
+    drawn from a generator — one digest is ~8x cheaper than materialising a
     fresh ndarray of random bytes, which used to dominate streamed ingest.
-    (``rng`` stays in the signature for call-site stability; not drawing
-    from it means streams sample different — equally valid — schedules per
-    seed than earlier revisions did.)
     """
     header = f"w{writer_index}#{sequence}|".encode()
     fill = size - len(header)
@@ -121,51 +50,6 @@ def unique_value(writer_index: int, sequence: int, size: int, rng: np.random.Gen
         return header + blake2b(header, digest_size=fill).digest()
     filler = blake2b(header, digest_size=64).digest()
     return header + (filler * (fill // 64 + 1))[:fill]
-
-
-def run_workload(cluster: RegisterCluster, spec: WorkloadSpec) -> WorkloadResult:
-    """Schedule the workload on ``cluster``, run to quiescence, return results."""
-    from repro.sim.failures import CrashSchedule
-
-    rng = np.random.default_rng(spec.seed)
-    result = WorkloadResult(history=cluster.history)
-
-    if spec.server_crashes:
-        if spec.server_crashes > cluster.f:
-            raise ValueError(
-                f"workload crashes {spec.server_crashes} servers but the cluster "
-                f"only tolerates f={cluster.f}"
-            )
-        schedule = CrashSchedule.random(
-            cluster.server_ids,
-            spec.server_crashes,
-            rng,
-            time_range=(0.0, spec.crash_window or spec.window),
-            exact=True,
-        )
-        cluster.apply_crash_schedule(schedule)
-        result.crash_schedule = schedule
-
-    # Generate every write value up front so the whole batch can be
-    # pre-encoded with one batched call before the simulation starts.
-    sequence = 0
-    planned: List[tuple] = []  # (writer index, start time, value)
-    for w_index in range(cluster.num_writers):
-        for _ in range(spec.writes_per_writer):
-            at = float(rng.uniform(0.0, spec.window))
-            value = unique_value(w_index, sequence, spec.value_size, rng)
-            sequence += 1
-            planned.append((w_index, at, value))
-    cluster.warm_encode([value for _, _, value in planned])
-    for w_index, at, value in planned:
-        result.write_handles.append(cluster.schedule_write(at, value, writer=w_index))
-    for r_index in range(cluster.num_readers):
-        for _ in range(spec.reads_per_reader):
-            at = float(rng.uniform(0.0, spec.window))
-            result.read_handles.append(cluster.schedule_read(at, reader=r_index))
-
-    cluster.run()
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -328,7 +212,7 @@ def stream_operations(spec: StreamSpec, sink: HistorySink) -> StreamStats:
                 reads += 1
                 op = [op_id, False, time, resp, b"", None]
             else:
-                value = unique_value(item, writes, value_size, rng)
+                value = unique_value(item, writes, value_size)
                 sink_invoke(op_id, WRITE, client, time, value)
                 writes += 1
                 op = [op_id, True, time, resp, value, None]

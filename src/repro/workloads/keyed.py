@@ -1,6 +1,6 @@
 """Keyed (multi-object) workload generation.
 
-The single-register workloads in :mod:`repro.workloads.generator` drive one
+The single-register workloads in :mod:`repro.workloads.scenarios` drive one
 register; a production namespace serves *many* keys with skewed popularity.
 This module supplies the key dimension:
 

@@ -152,6 +152,12 @@ class TestLatency:
         )
         assert r2.max_write_latency == pytest.approx(2 * r1.max_write_latency)
 
+    def test_no_operation_reads_as_nan_not_zero(self):
+        (row,) = run_sweep("latency", values=(1.0,), rounds=0)
+        assert row.operations == 0
+        assert math.isnan(row.max_write_latency)
+        assert math.isnan(row.max_read_latency)
+
 
 class TestSodaErrExperiment:
     @pytest.mark.parametrize("n, f, seed", [(10, 2, 1), (8, 2, 17), (10, 2, 17), (12, 4, 17)])

@@ -12,7 +12,6 @@ from repro.analysis.engine import (
 )
 from repro.consistency.incremental import check_history_incrementally
 from repro.consistency.wgl import check_linearizability
-from repro.metrics.latency import LatencyTracker
 
 #: An initial value nothing in a long run ever writes or reads — the merged
 #: replay history models every epoch's initial state as an explicit marker
@@ -84,9 +83,9 @@ class TestBoundedMemory:
 class TestWholeHistoryGuard:
     def test_keep_records_unlocks_whole_history_analyses(self):
         report = small_run(ops=120, epoch_ops=60, keep_records=True)
-        tracker = LatencyTracker()
-        tracker.record_operations(report.replay_histories[0].operations())
-        assert tracker.stats("write").count == report.writes + len(report.epochs)
+        writes = report.replay_histories[0].writes()
+        completed = [op for op in writes if op.is_complete]
+        assert len(completed) == report.writes + len(report.epochs)
 
 
 class TestArtefacts:

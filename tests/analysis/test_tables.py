@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.tables import format_table, generate_table1
+from tests.golden.capture_goldens import GOLDEN_DIR, table1_stdout
 
 
 @pytest.fixture(scope="module")
@@ -66,3 +67,10 @@ def test_table1_claims_at_f_max(n):
     assert soda.measured_storage_cost <= 2.0 + 1e-9
     assert casgc.measured_write_cost < abd.measured_write_cost
     assert soda.measured_write_cost <= soda.predicted_write_cost
+
+
+def test_table1_stdout_matches_the_golden():
+    """``table1 --n 6 --seed 0`` prints, byte for byte, what it printed when
+    the golden was captured (measured costs, predictions and layout)."""
+    golden = (GOLDEN_DIR / "table1_n6_seed0.txt").read_text()
+    assert table1_stdout() == golden

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import theoretical
 from repro.baselines.cas import CasCluster
 from repro.baselines.casgc import CasGcCluster
 from repro.baselines.registry import available_protocols, make_cluster
@@ -56,7 +57,7 @@ class TestCasCosts:
         expected = n / (n - 2 * f)
         assert c.operation_cost(w.op_id) == pytest.approx(expected)
         assert c.operation_cost(r.op_id) <= expected + 1e-9
-        assert c.theoretical_write_cost_bound() == pytest.approx(expected)
+        assert theoretical.cas_communication_cost(n, f) == pytest.approx(expected)
 
     def test_storage_grows_without_bound(self):
         """Plain CAS keeps every version — its storage grows linearly with

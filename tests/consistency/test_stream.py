@@ -426,14 +426,12 @@ class TestClusterWithStreamingRecorder:
 
         cluster = SodaCluster(n=5, f=2, seed=2, recorder=StreamingRecorder(window=8))
         with pytest.raises(TypeError, match="StreamingRecorder"):
-            cluster.summary()
+            cluster.full_history()
         read = cluster.read()
         # Every whole-history entry point routes through the same guard
         # instead of crashing with an AttributeError deep inside.
         with pytest.raises(TypeError, match="StreamingRecorder"):
             cluster.measured_delta_w(read.op_id)
-        with pytest.raises(TypeError, match="StreamingRecorder"):
-            cluster.latency_tracker()
 
 
 class TestHistoryRecordBulkLoad:

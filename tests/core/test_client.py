@@ -18,6 +18,7 @@ from repro.consistency.incremental import check_history_incrementally
 from repro.consistency.stream import StreamObserver
 from repro.consistency.wgl import check_linearizability
 from repro.core.client import RegisterClient
+from repro.sim.network import FixedDelay
 
 PROTOCOLS = available_protocols()
 
@@ -134,8 +135,9 @@ def test_invocation_before_the_first_send_response_after_the_last(protocol):
 
 
 # ----------------------------------------------------------------------
-# the checks that kill the client mutants (tests/mutants/clients.py) and
-# the stale-tag server (tests/mutants/soda_server.py)
+# the checks that kill the client mutants (tests/mutants/clients.py), the
+# stale-tag server (tests/mutants/soda_server.py) and the tagless decoder
+# cache (tests/mutants/decoder.py)
 # ----------------------------------------------------------------------
 def _write_then_read_is_atomic(protocol):
     cluster = _cluster(protocol)
@@ -160,8 +162,28 @@ def check_cas_write_then_read():
     _write_then_read_is_atomic("CAS")
 
 
+def check_soda_read_write_read():
+    """One reader reads, a write completes, the reader reads again, each
+    operation strictly after the last: the second read must return the
+    second value (``TaglessCachedDecoder`` serves it the first read's, which
+    decoded from the same servers' elements: under equal delays every read
+    hears from the same servers first)."""
+    cluster = _cluster("SODA", delay_model=FixedDelay(1.0))
+    cluster.write(b"first")
+    for step in (
+        lambda at: cluster.schedule_read(at),
+        lambda at: cluster.schedule_write(at, b"second"),
+        lambda at: cluster.schedule_read(at),
+    ):
+        step(cluster.sim.now + 1.0)
+        cluster.run()
+    verdict = check_history_incrementally(cluster.history, initial_value=b"")
+    assert verdict.ok, [v.kind for v in verdict.violations]
+
+
 @pytest.mark.parametrize(
-    "check", [check_soda_write_then_read, check_cas_write_then_read]
+    "check",
+    [check_soda_write_then_read, check_cas_write_then_read, check_soda_read_write_read],
 )
 def test_the_real_clients_pass_the_checks_that_kill_their_mutants(check):
     check()

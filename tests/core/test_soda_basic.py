@@ -44,7 +44,7 @@ class TestClusterConstruction:
     def test_initial_storage_cost(self):
         c = SodaCluster(n=6, f=2, initial_value=b"init")
         # Every server stores one coded element of size 1/k from the start.
-        assert c.storage_current() == pytest.approx(6 / 4)
+        assert c.storage.current_total == pytest.approx(6 / 4)
 
 
 class TestSequentialOperations:

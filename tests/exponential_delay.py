@@ -39,6 +39,3 @@ class ExponentialDelay(DelayModel):
         if self.cap is not None:
             np.minimum(block, self.cap, out=block)
         return block.tolist()
-
-    def max_delay(self) -> Optional[float]:
-        return self.cap

@@ -13,7 +13,9 @@ tests/analysis/test_experiments.py holds the table that replaced them to it.
 ``stream_tapes_seed0.json`` was written at the last commit whose streamed
 history generator built three dicts and five closure draws per operation,
 with that generator; tests/workloads/test_stream_tapes.py holds the
-rewritten one to it.
+rewritten one to it.  ``table1_n6_seed0.txt`` was written at the last
+commit whose Table I ran through the generator module's own scheduler and
+result class; tests/analysis/test_tables.py holds the one scheduler to it.
 """
 
 from __future__ import annotations
@@ -192,7 +194,7 @@ def write_scenario(name: str, directory: Path, **scheduling):
 
 def record_event_trace() -> list:
     from repro.core.soda.cluster import SodaCluster
-    from repro.workloads.generator import WorkloadSpec, run_workload
+    from repro.workloads.scenarios import WorkloadSpec, run_workload
 
     s = TRACE_SCENARIO
     cluster = SodaCluster(
@@ -233,6 +235,24 @@ def sweep_rows(name: str) -> list:
     ]
 
 
+def table1_stdout() -> str:
+    """What ``python -m repro.cli table1 --n 6 --seed 0`` prints on stdout."""
+    import contextlib
+    import io
+
+    from repro.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["table1", "--n", "6", "--seed", "0"]) == 0
+    return out.getvalue()
+
+
+def capture_table1() -> None:
+    (GOLDEN_DIR / "table1_n6_seed0.txt").write_text(table1_stdout())
+    print("captured Table I")
+
+
 def capture_stream_tapes() -> None:
     rows = {name: stream_tape(name) for name in STREAM_TAPE_SPECS}
     (GOLDEN_DIR / "stream_tapes_seed0.json").write_text(
@@ -245,6 +265,7 @@ def main() -> None:
     from repro.analysis.experiments import SWEEPS
 
     capture_stream_tapes()
+    capture_table1()
 
     (GOLDEN_DIR / "paper_sweeps_seed0.json").write_text(
         json.dumps({name: sweep_rows(name) for name in SWEEPS}, indent=1) + "\n"

@@ -1,17 +1,11 @@
-"""Tests for latency statistics and the bounded-memory histogram."""
+"""Tests for latency formatting and the bounded-memory histogram."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.consistency.history import READ, WRITE, History
-from repro.metrics.latency import (
-    LatencyHistogram,
-    LatencyStats,
-    LatencyTracker,
-    format_latency,
-)
+from repro.metrics.latency import LatencyHistogram, format_latency
 
 
 class TestFormatLatency:
@@ -23,68 +17,6 @@ class TestFormatLatency:
         assert format_latency(2.4567) == "2.457"
         assert format_latency(2.4567, precision=1) == "2.5"
         assert format_latency(0.0) == "0.000"
-
-
-class TestLatencyTracker:
-    def test_empty_stats_use_nan_sentinels(self):
-        # Regression: an empty tracker must not report zero latency --
-        # min/max/mean are nan sentinels that render as '-'.
-        stats = LatencyTracker().stats()
-        assert stats.count == 0
-        assert math.isnan(stats.min)
-        assert math.isnan(stats.max)
-        assert math.isnan(stats.mean)
-        empty = LatencyStats.empty()
-        assert empty.count == 0 and math.isnan(empty.mean)
-
-    def test_record_and_summarize(self):
-        t = LatencyTracker()
-        for d in (1.0, 2.0, 3.0):
-            t.record("write", d)
-        t.record("read", 6.0)
-        writes = t.stats("write")
-        assert writes.count == 3
-        assert writes.min == 1.0
-        assert writes.max == 3.0
-        assert writes.mean == pytest.approx(2.0)
-        combined = t.stats()
-        assert combined.count == 4
-        assert combined.max == 6.0
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyTracker().record("write", -0.1)
-
-    def test_record_operations_from_history(self):
-        h = History()
-        h.invoke("w1", WRITE, "w", 0.0, value=b"a")
-        h.respond("w1", 4.0)
-        h.invoke("r1", READ, "r", 1.0)
-        h.respond("r1", 6.0, value=b"a")
-        h.invoke("w2", WRITE, "w", 10.0, value=b"b")  # incomplete, skipped
-        t = LatencyTracker()
-        t.record_operations(h.operations())
-        assert t.stats("write").count == 1
-        assert t.stats("write").max == 4.0
-        assert t.stats("read").max == 5.0
-        assert t.malformed == 0
-
-    def test_record_operations_counts_malformed_instead_of_raising(self):
-        # Regression: one corrupt record (responded before invoked) used
-        # to abort the whole aggregation with ValueError.
-        class Rec:
-            def __init__(self, kind, invoked_at, responded_at):
-                self.kind = kind
-                self.invoked_at = invoked_at
-                self.responded_at = responded_at
-
-        t = LatencyTracker()
-        t.record_operations(
-            [Rec("write", 0.0, 2.0), Rec("read", 5.0, 1.0), Rec("read", 3.0, 4.0)]
-        )
-        assert t.malformed == 1
-        assert t.stats().count == 2
-        assert t.stats("read").count == 1
 
 
 class TestLatencyHistogram:

@@ -55,6 +55,7 @@ _CAS_WRITER = "repro.baselines.cas.CasWriter"
 _ABD_READER = "repro.baselines.abd.AbdReader"
 _SODAERR_READER = "repro.core.sodaerr.cluster.SodaErrReader"
 _MD_ENGINE = "repro.core.soda.server.MDServerEngine"
+_DECODER = "repro.runtime.cluster.CachedDecoder"
 
 MUTANTS = (
     Mutant(
@@ -211,6 +212,19 @@ MUTANTS = (
                 "core/test_md_state_bound.py::check_soda_drains_every_pending_copy",
                 AssertionError,
                 "pending_copies not drained",
+            ),
+        ),
+    ),
+    Mutant(
+        "TaglessCachedDecoder",
+        "erasure",
+        "decoder",
+        _DECODER,
+        (
+            Kill(
+                "core/test_client.py::check_soda_read_write_read",
+                AssertionError,
+                "cluster-cycle",
             ),
         ),
     ),

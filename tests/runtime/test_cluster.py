@@ -19,25 +19,6 @@ class TestLookups:
         assert c.server(3).pid == "s3"
         assert c.server("s2").pid == "s2"
 
-    def test_summary_structure(self):
-        c = SodaCluster(n=4, f=1, seed=1)
-        c.write(b"x")
-        c.read()
-        c.run()
-        s = c.summary()
-        assert s["protocol"] == "SODA"
-        assert s["completed_writes"] == 1
-        assert s["completed_reads"] == 1
-        assert s["storage_peak"] > 0
-
-    def test_latency_tracker_from_history(self):
-        c = SodaCluster(n=4, f=1, seed=2)
-        c.write(b"x")
-        c.read()
-        tracker = c.latency_tracker()
-        assert tracker.stats("write").count == 1
-        assert tracker.stats("read").count == 1
-
 
 class TestScheduling:
     def test_scheduled_operation_handle_filled(self):
@@ -118,7 +99,6 @@ class TestCrossProtocolApi:
         assert r.value == b"api"
         assert c.operation_cost(w.op_id) > 0
         assert c.storage_peak() > 0
-        assert c.summary()["n"] == 5
 
 
 class TestRunStreamed:

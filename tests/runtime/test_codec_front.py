@@ -27,7 +27,7 @@ from repro.sim.failures import DiskErrorModel
 from repro.sim.network import FixedDelay
 from repro.sim.simulation import Simulation
 from repro.workloads.arrivals import parse_arrival
-from repro.workloads.generator import WorkloadSpec, run_workload
+from repro.workloads.scenarios import WorkloadSpec, run_workload
 
 CODED_PROTOCOLS = {"CAS": {}, "CASGC": {"delta": 4}, "SODA": {}, "SODAerr": {"e": 1}}
 

@@ -39,7 +39,6 @@ class TestDelayModels:
         model = FixedDelay(2.5)
         rng = np.random.default_rng(0)
         assert model.sample("a", "b", rng) == 2.5
-        assert model.max_delay() == 2.5
 
     def test_fixed_delay_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -50,7 +49,6 @@ class TestDelayModels:
         rng = np.random.default_rng(0)
         samples = [model.sample("a", "b", rng) for _ in range(200)]
         assert all(0.5 <= s <= 2.0 for s in samples)
-        assert model.max_delay() == 2.0
 
     def test_uniform_delay_invalid(self):
         with pytest.raises(ValueError):
@@ -63,8 +61,6 @@ class TestDelayModels:
         rng = np.random.default_rng(0)
         samples = [model.sample("a", "b", rng) for _ in range(200)]
         assert all(0.2 <= s <= 5.0 for s in samples)
-        assert model.max_delay() == 5.0
-        assert ExponentialDelay(mean=1.0).max_delay() is None
 
     def test_exponential_delay_invalid(self):
         with pytest.raises(ValueError):

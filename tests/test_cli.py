@@ -51,6 +51,24 @@ class TestParser:
         assert main(["demo", "--protocol", "CASGC", "--n", "6", "--f", "2"]) == 0
         assert "CASGC" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["table1", "--n", "5"], "table1: Table I assumes an even number of servers"),
+            (["table1", "--delta", "-1"], "table1: delta (the concurrency bound) must be"),
+            (["demo", "--n", "3", "--f", "2"], "demo: SodaCluster requires f <= (n-1)/2"),
+            (["demo", "--protocol", "CAS", "--n", "4"], "demo: CasCluster requires f <="),
+            (["demo", "--f", "-1"], "demo: f cannot be negative"),
+        ],
+    )
+    def test_a_usage_error_exits_2_with_one_line(self, capsys, argv, message):
+        """Like ``experiment <sweep>``: nothing printed, no traceback."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (_backend, line) = captured.err.splitlines()
+        assert line.startswith(message)
+
 
     def test_removed_split_gf_backend_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -320,6 +338,24 @@ class TestLongrunCommand:
             == 0
         )
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("timeout", ["nan", "-5"])
+    def test_an_op_timeout_that_is_nan_or_negative_exits_2(self, capsys, timeout):
+        # Both used to run without timeouts: only "0" disables them.
+        argv = ["experiment", "openloop", "--ops", "400", "--epoch-ops", "400"]
+        assert main([*argv, "--op-timeout", timeout, "--no-artefacts"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "openloop: --op-timeout must be a non-negative number" in captured.err
+
+    @pytest.mark.parametrize("timeout, param", [("0", None), ("2.5", 2.5)])
+    def test_an_op_timeout_of_zero_disables_timeouts(self, timeout, param):
+        from repro.analysis.engine import KINDS
+
+        args = build_parser().parse_args(
+            ["experiment", "openloop", "--op-timeout", timeout]
+        )
+        assert cli._engine_params(KINDS["openloop"], args)["op_timeout"] == param
 
     @pytest.mark.parametrize("threshold", ["nan", "-1", "0"])
     def test_a_stall_threshold_that_is_not_positive_exits_2(self, capsys, threshold):

@@ -1,78 +1,26 @@
-"""Tests for the randomized workload generator."""
+"""Tests for the streamed history generator and the unique write values."""
 
 import pytest
 
-from repro.consistency.wgl import check_linearizability
 from repro.consistency.history import History
-from repro.core.soda.cluster import SodaCluster
 from repro.workloads.generator import (
     StreamSpec,
-    WorkloadSpec,
-    run_workload,
     stream_operations,
     unique_value,
 )
-import numpy as np
 
 
 class TestUniqueValue:
     def test_uniqueness(self):
-        rng = np.random.default_rng(0)
-        values = {unique_value(w, s, 64, rng) for w in range(3) for s in range(20)}
+        values = {unique_value(w, s, 64) for w in range(3) for s in range(20)}
         assert len(values) == 60
 
     def test_requested_size(self):
-        rng = np.random.default_rng(0)
-        assert len(unique_value(1, 2, 128, rng)) == 128
+        assert len(unique_value(1, 2, 128)) == 128
 
     def test_tiny_size_still_unique_header(self):
-        rng = np.random.default_rng(0)
-        v = unique_value(1, 2, 3, rng)
+        v = unique_value(1, 2, 3)
         assert v.startswith(b"w1#2")
-
-
-class TestRunWorkload:
-    def test_all_operations_scheduled_and_completed(self):
-        c = SodaCluster(n=5, f=2, num_writers=2, num_readers=2, seed=0)
-        spec = WorkloadSpec(writes_per_writer=2, reads_per_reader=2, seed=1)
-        result = run_workload(c, spec)
-        assert len(result.write_handles) == 4
-        assert len(result.read_handles) == 4
-        assert all(h.op_id for h in result.write_handles + result.read_handles)
-        assert result.completed_operations == 8
-        assert len(result.write_costs(c)) == 4
-        assert len(result.read_costs(c)) == 4
-
-    def test_linearizable_output(self):
-        c = SodaCluster(n=5, f=2, num_writers=2, num_readers=2, seed=3)
-        run_workload(c, WorkloadSpec(seed=4))
-        assert check_linearizability(c.history, initial_value=b"")
-
-    def test_crash_injection(self):
-        c = SodaCluster(n=7, f=3, num_writers=2, num_readers=2, seed=5)
-        spec = WorkloadSpec(server_crashes=3, seed=6)
-        result = run_workload(c, spec)
-        assert result.crash_schedule is not None
-        assert len(result.crash_schedule) == 3
-        assert sum(p.is_crashed for p in c.sim.processes.values()) == 3
-        # Liveness: client operations still complete.
-        assert len(c.history.incomplete_operations()) == 0
-
-    def test_crashes_beyond_f_rejected(self):
-        c = SodaCluster(n=5, f=1, seed=7)
-        with pytest.raises(ValueError):
-            run_workload(c, WorkloadSpec(server_crashes=2, seed=8))
-
-    def test_deterministic_given_seeds(self):
-        def run_once():
-            c = SodaCluster(n=5, f=2, num_writers=2, num_readers=2, seed=11)
-            run_workload(c, WorkloadSpec(seed=12))
-            return [
-                (op.op_id, op.kind, op.invoked_at, op.responded_at, op.value)
-                for op in c.history.operations()
-            ]
-
-        assert run_once() == run_once()
 
 
 class TestStreamSpecValidation:

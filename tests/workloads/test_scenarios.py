@@ -1,4 +1,4 @@
-"""Tests for the hand-crafted experiment scenarios."""
+"""Tests for the workloads that schedule operations on a live cluster."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,9 @@ from repro.core.soda.cluster import SodaCluster
 from repro.sim.failures import CrashSchedule
 from repro.sim.network import SlowDisk, UniformDelay
 from repro.workloads.scenarios import (
+    WorkloadSpec,
     concurrent_read_scenario,
+    run_workload,
     sequential_scenario,
     skewed_scenario,
 )
@@ -19,59 +21,102 @@ def all_complete(result):
     return all(op.is_complete for op in result.writes + result.reads)
 
 
+class TestRunWorkload:
+    def test_all_operations_scheduled_and_completed(self):
+        c = SodaCluster(n=5, f=2, num_writers=2, num_readers=2, seed=0)
+        spec = WorkloadSpec(writes_per_writer=2, reads_per_reader=2, seed=1)
+        result = run_workload(c, spec)
+        assert len(result.writes) == 4
+        assert len(result.reads) == 4
+        assert all_complete(result)
+        assert c.history.completed_count == 8
+        assert len(result.write_costs(c)) == 4
+        assert len(result.read_costs(c)) == 4
+
+    def test_linearizable_output(self):
+        c = SodaCluster(n=5, f=2, num_writers=2, num_readers=2, seed=3)
+        run_workload(c, WorkloadSpec(seed=4))
+        assert check_linearizability(c.history, initial_value=b"")
+
+    def test_crash_injection(self):
+        c = SodaCluster(n=7, f=3, num_writers=2, num_readers=2, seed=5)
+        spec = WorkloadSpec(server_crashes=3, seed=6)
+        run_workload(c, spec)
+        assert len(c.failures.injected) == 3
+        assert sum(p.is_crashed for p in c.sim.processes.values()) == 3
+        # Liveness: client operations still complete.
+        assert len(c.history.incomplete_operations()) == 0
+
+    def test_crashes_beyond_f_rejected(self):
+        c = SodaCluster(n=5, f=1, seed=7)
+        with pytest.raises(ValueError):
+            run_workload(c, WorkloadSpec(server_crashes=2, seed=8))
+
+    def test_deterministic_given_seeds(self):
+        def run_once():
+            c = SodaCluster(n=5, f=2, num_writers=2, num_readers=2, seed=11)
+            run_workload(c, WorkloadSpec(seed=12))
+            return [
+                (op.op_id, op.kind, op.invoked_at, op.responded_at, op.value)
+                for op in c.history.operations()
+            ]
+
+        assert run_once() == run_once()
+
+
 class TestSequentialScenario:
     def test_counts_and_completion(self):
         c = SodaCluster(n=5, f=2, seed=0)
-        result = sequential_scenario(c, num_writes=3, num_reads=2, seed=1)
+        result = sequential_scenario(c, num_writes=3, num_reads=2)
         assert len(result.writes) == 3
         assert len(result.reads) == 2
         assert all_complete(result)
 
     def test_reads_return_last_write(self):
         c = SodaCluster(n=5, f=2, seed=0)
-        result = sequential_scenario(c, num_writes=2, num_reads=1, seed=2)
+        result = sequential_scenario(c, num_writes=2, num_reads=1)
         assert result.reads[0].value == result.writes[-1].value
 
     def test_zero_reads(self):
         c = SodaCluster(n=5, f=2, seed=0)
-        result = sequential_scenario(c, num_writes=1, num_reads=0, seed=3)
+        result = sequential_scenario(c, num_writes=1, num_reads=0)
         assert result.reads == []
 
     def test_works_for_baselines(self):
         c = AbdCluster(n=5, f=2, seed=0)
-        result = sequential_scenario(c, num_writes=2, num_reads=2, seed=4)
+        result = sequential_scenario(c, num_writes=2, num_reads=2)
         assert all_complete(result)
 
 
 class TestConcurrentReadScenario:
     def test_read_completes_and_returns_valid_value(self):
         c = SodaCluster(n=6, f=2, num_writers=2, seed=1)
-        result = concurrent_read_scenario(c, concurrent_writes=3, seed=5)
+        result = concurrent_read_scenario(c, concurrent_writes=3)
         assert result.read.is_complete
         written = {op.value for op in c.history.writes()}
         assert result.read.value in written | {b""}
 
     def test_zero_concurrency(self):
         c = SodaCluster(n=6, f=2, seed=2)
-        result = concurrent_read_scenario(c, concurrent_writes=0, seed=6)
+        result = concurrent_read_scenario(c, concurrent_writes=0)
         assert result.read.is_complete
 
     def test_writes_include_baseline_and_concurrent(self):
         c = SodaCluster(n=6, f=2, num_writers=2, seed=1)
-        result = concurrent_read_scenario(c, concurrent_writes=3, seed=5)
+        result = concurrent_read_scenario(c, concurrent_writes=3)
         assert len(result.writes) == 4
         assert len(result.reads) == 1
         assert all_complete(result)
 
     def test_delta_w_tracks_concurrency_level(self):
         c = SodaCluster(n=6, f=2, num_writers=3, seed=3)
-        result = concurrent_read_scenario(c, concurrent_writes=3, seed=7)
+        result = concurrent_read_scenario(c, concurrent_writes=3)
         assert c.measured_delta_w(result.read.op_id) >= 1
 
     def test_cost_within_theorem_bound(self):
         n, f = 6, 2
         c = SodaCluster(n=n, f=f, num_writers=3, seed=4)
-        result = concurrent_read_scenario(c, concurrent_writes=4, seed=8)
+        result = concurrent_read_scenario(c, concurrent_writes=4)
         bound = n / (n - f) * (c.measured_delta_w(result.read.op_id) + 1)
         assert result.read_costs(c)[0] <= bound + 1e-9
 
@@ -125,7 +170,7 @@ class TestCrashBurst:
             c.server_ids, 2, rng, start_range=(1.0, 2.0), width=0.0
         )
         c.apply_crash_schedule(schedule)
-        result = sequential_scenario(c, num_writes=2, num_reads=2, seed=14)
+        result = sequential_scenario(c, num_writes=2, num_reads=2)
         assert all_complete(result)
 
 
@@ -136,10 +181,6 @@ class TestSlowDisk:
         assert model.sample("s0", "r0", rng) >= 3.1
         assert model.sample("s1", "r0", rng) <= 0.2
 
-    def test_max_delay_accounts_for_injection(self):
-        model = SlowDisk(UniformDelay(0.1, 1.0), slow=["s0"], extra=2.0, jitter=0.5)
-        assert model.max_delay() == pytest.approx(3.5)
-
     def test_negative_extra_rejected(self):
         with pytest.raises(ValueError):
             SlowDisk(UniformDelay(), slow=[], extra=-1.0)
@@ -147,5 +188,5 @@ class TestSlowDisk:
     def test_cluster_still_completes_with_straggler(self):
         model = SlowDisk(UniformDelay(0.1, 1.0), slow=["s0"], extra=4.0)
         c = SodaCluster(n=5, f=2, seed=15, delay_model=model)
-        result = sequential_scenario(c, num_writes=2, num_reads=2, seed=16)
+        result = sequential_scenario(c, num_writes=2, num_reads=2)
         assert all_complete(result)
