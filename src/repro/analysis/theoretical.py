@@ -22,11 +22,12 @@ def soda_storage_cost(n: int, f: int) -> float:
 def soda_write_cost_bound(n: int, f: int) -> float:
     """Theorem 5.4: write communication cost is at most ``5 f^2``.
 
-    For ``f = 0`` the dispersal set is a single server and the only data
-    traffic is that one full-value message.
+    For ``f = 0`` the dispersal set is a single server: the writer sends it
+    the full value, and it sends each of the other ``n - 1`` servers a coded
+    element of ``1/k = 1/n``, so the cost is ``1 + (n - 1) / n``.
     """
     _check(n, f)
-    return 1.0 if f == 0 else 5.0 * f * f
+    return 1.0 + (n - 1) / n if f == 0 else 5.0 * f * f
 
 
 def soda_read_cost(n: int, f: int, delta_w: int) -> float:
@@ -83,7 +84,9 @@ def abd_write_cost(n: int) -> float:
 
 
 def abd_read_cost(n: int) -> float:
-    return float(n)
+    """The query phase brings back up to ``n`` values and the write-back
+    phase sends the value to all ``n`` servers: ``2n``."""
+    return 2.0 * n
 
 
 def cas_communication_cost(n: int, f: int) -> float:

@@ -448,7 +448,8 @@ def _global_flags() -> argparse.ArgumentParser:
     flags.add_argument(
         "--version",
         action="store_true",
-        help="print the version and the resolved GF(2^8) backend, then exit",
+        help="print the version, the resolved GF(2^8) backend and the "
+        "simulator's run loop, then exit",
     )
     flags.add_argument(
         "--gf-backend",
@@ -659,7 +660,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = early if early.version else build_parser().parse_args(argv)
     with _backend_pinned(args.gf_backend):
         if args.version:
-            print(f"{_PROG} {__version__} (gf backend: {describe_backend()})")
+            from repro.sim.run_loop import describe as describe_run_loop
+
+            print(
+                f"{_PROG} {__version__} (gf backend: {describe_backend()}, "
+                f"run loop: {describe_run_loop()})"
+            )
             sys.exit(0)
         # Results and artefacts are byte-equal across backends, so this line
         # is the only place a run says which kernels it used.

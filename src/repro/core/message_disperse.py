@@ -49,6 +49,7 @@ from repro.core.tags import Tag
 from repro.erasure.batch import CachedEncoder
 from repro.erasure.mds import CodedElement, MDSCode
 from repro.sim.process import Process
+from repro.sim.simulation import LATER_COPY_HANDLERS
 
 
 class MDSender:
@@ -182,37 +183,19 @@ class MDServerEngine:
         # entry.
         self._later_copies = position
         self._pending: Dict[MessageId, int] = {}
-        # Exact message types are final; dict dispatch on type() replaces
-        # the isinstance chain the per-message handle() used to walk.
-        self._handlers = {
-            MDValueFull: self._handle_full,
-            MDValueCoded: self._handle_coded,
-            MDMeta: self._handle_meta,
-        }
-
-    # ------------------------------------------------------------------
-    # dispatch
-    # ------------------------------------------------------------------
-    def handle(self, sender: str, message: object) -> bool:
-        """Process a message if it belongs to a message-disperse protocol.
-
-        Returns True if the message was consumed, False otherwise (so the
-        server can dispatch it to its own protocol handlers).
-        """
-        handler = self._handlers.get(type(message))
-        if handler is None:
-            return False
-        handler(message)
-        return True
 
     def handler_map(self) -> dict:
-        """``message type -> unary handler`` mapping.
+        """``message type -> unary handler`` (message types are final).
 
         The owning server publishes it as its :attr:`Process.handlers`
         table, so a message-disperse delivery is one dict lookup and one
         call from the event loop.
         """
-        return dict(self._handlers)
+        return {
+            MDValueFull: self._handle_full,
+            MDValueCoded: self._handle_coded,
+            MDMeta: self._handle_meta,
+        }
 
     # ------------------------------------------------------------------
     # copy countdown
@@ -288,3 +271,12 @@ class MDServerEngine:
         """Copies still due per delivered md-send.  Empty once every copy
         of every send has arrived."""
         return dict(self._pending)
+
+
+# The three handlers' later-copy branch, which the compiled run loop runs
+# itself for an engine of exactly this type (a subclass is called as usual).
+LATER_COPY_HANDLERS[MDServerEngine] = (
+    MDServerEngine._handle_full,
+    MDServerEngine._handle_coded,
+    MDServerEngine._handle_meta,
+)

@@ -35,7 +35,10 @@ in every process that encodes a value.  A cached file that does not load
 (truncated, foreign) is rebuilt once; a build that fails leaves a
 ``<digest>.unavailable`` marker holding the reason, so the workers of a pool
 on a host without a C toolchain read one line each and do not each retry the
-compile.  Delete the marker to try again.
+compile.  Delete the marker to try again.  The machinery is
+:class:`CompiledModule`; :mod:`repro.sim.run_loop` builds the simulator's
+run loop with it too, in the directory of its own digest (a directory named
+by ``REPRO_GF_NATIVE_CACHE`` holds both, each failed build its own marker).
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ import shutil
 import sys
 import tempfile
 import threading
-from typing import Optional, Tuple
+from types import ModuleType
+from typing import Callable, Optional, Tuple
 
 MODULE_NAME = "_repro_gf_native"
 #: Environment variable naming the build directory outright.
@@ -159,14 +163,6 @@ void gf_mul_vec(const unsigned char *table, const unsigned char *a,
 }
 """
 
-_lock = threading.Lock()
-_loaded: Optional[Tuple[object, object]] = None
-_error: Optional[str] = None
-
-
-def _source_digest() -> str:
-    return hashlib.sha256((CDEF + C_SOURCE).encode()).hexdigest()[:16]
-
 
 def _creatable(path: str) -> bool:
     """Whether ``path`` exists, or could be created, as a writable directory."""
@@ -176,24 +172,6 @@ def _creatable(path: str) -> bool:
             return False
         path = parent
     return os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)
-
-
-def _cache_dir() -> str:
-    """The directory this source revision's build (or its marker) lives in."""
-    override = os.environ.get(CACHE_ENV_VAR)
-    if override:
-        return override
-    leaf = f"{_source_digest()}-py{sys.version_info.major}{sys.version_info.minor}"
-    user_cache = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(user_cache):  # unset, or relative and so to be ignored
-        user_cache = os.path.join(os.path.expanduser("~"), ".cache")
-    if os.path.isabs(user_cache) and _creatable(user_cache):
-        return os.path.join(user_cache, "repro-gf-native", leaf)
-    # One level, so the only directory above it that is not ours is the
-    # temp dir itself, whose sticky bit keeps other users from renaming it.
-    return os.path.join(
-        tempfile.gettempdir(), f"repro-gf-native-uid{_uid()}-{leaf}"
-    )
 
 
 def _uid() -> Optional[int]:
@@ -208,82 +186,147 @@ def _require_owned(path: str) -> None:
     owner = os.stat(path).st_uid
     if owner != uid:
         raise RuntimeError(
-            f"refusing to import compiled kernels from {path}: it is owned by "
+            f"refusing to import a compiled module from {path}: it is owned by "
             f"uid {owner}, not by the current uid {uid}"
         )
 
 
-def _find_extension(directory: str) -> Optional[str]:
-    for name in sorted(os.listdir(directory)):
-        if name.startswith(MODULE_NAME) and name.endswith((".so", ".pyd")):
-            return os.path.join(directory, name)
-    return None
+class CompiledModule:
+    """A C extension built from ``source`` at first use into the build cache
+    above: ``build(build_dir)`` compiles it in a fresh directory of the
+    cache and returns the built file's path."""
+
+    def __init__(self, name: str, source: str, build: Callable[[str], str]) -> None:
+        self.name = name
+        self._source = source
+        self._build = build
+        self._lock = threading.Lock()
+        self._loaded: Optional[ModuleType] = None
+        self._error: Optional[str] = None
+
+    def _source_digest(self) -> str:
+        return hashlib.sha256(self._source.encode()).hexdigest()[:16]
+
+    def _cache_dir(self) -> str:
+        """The directory this source revision's build (or its marker) lives in."""
+        override = os.environ.get(CACHE_ENV_VAR)
+        if override:
+            return override
+        leaf = (
+            f"{self._source_digest()}-py{sys.version_info.major}{sys.version_info.minor}"
+        )
+        user_cache = os.environ.get("XDG_CACHE_HOME", "")
+        if not os.path.isabs(user_cache):  # unset, or relative and so to be ignored
+            user_cache = os.path.join(os.path.expanduser("~"), ".cache")
+        if os.path.isabs(user_cache) and _creatable(user_cache):
+            return os.path.join(user_cache, "repro-gf-native", leaf)
+        # One level, so the only directory above it that is not ours is the
+        # temp dir itself, whose sticky bit keeps other users from renaming it.
+        return os.path.join(
+            tempfile.gettempdir(), f"repro-gf-native-uid{_uid()}-{leaf}"
+        )
+
+    def _find_extension(self, directory: str) -> Optional[str]:
+        for name in sorted(os.listdir(directory)):
+            if name.startswith(self.name) and name.endswith((".so", ".pyd")):
+                return os.path.join(directory, name)
+        return None
+
+    def _load_extension(self, path: str) -> ModuleType:
+        """Import the extension at ``path`` (in a directory already checked
+        to be ours); ``ImportError`` when it is not this module."""
+        _require_owned(path)
+        spec = importlib.util.spec_from_file_location(self.name, path)
+        if spec is None or spec.loader is None:  # pragma: no cover - loader quirk
+            raise ImportError(f"no loader for {path}")
+        module = importlib.util.module_from_spec(spec)
+        try:
+            spec.loader.exec_module(module)
+        except OSError as exc:
+            raise ImportError(f"{path} is not the compiled {self.name}: {exc}") from exc
+        return module
+
+    def _compile(self, cache_dir: str, marker: str) -> str:
+        """Build the extension and publish it into ``cache_dir``; returns its path."""
+        if importlib.util.find_spec("cffi") is None:  # both builds run on cffi
+            raise RuntimeError("cffi is not installed")
+        # A fresh directory inside the cache: same filesystem, so publishing
+        # is one atomic rename of the finished file.  A concurrent builder's
+        # rename lands the same bytes; a process that has the old file
+        # mapped keeps it.
+        build_dir = tempfile.mkdtemp(prefix="build-", dir=cache_dir)
+        try:
+            try:
+                built = self._build(build_dir)
+            except Exception as exc:  # cffi, setuptools and the compiler all raise their own
+                reason = f"C toolchain unavailable or build failed: {exc}"
+                with open(marker, "w") as handle:
+                    handle.write(reason + "\n")
+                raise RuntimeError(reason) from exc
+            published = os.path.join(cache_dir, os.path.basename(built))
+            os.replace(built, published)
+            return published
+        finally:
+            shutil.rmtree(build_dir, ignore_errors=True)
+
+    def _provide(self) -> ModuleType:
+        cache_dir = self._cache_dir()
+        marker = os.path.join(cache_dir, f"{self._source_digest()}.unavailable")
+        try:
+            os.makedirs(cache_dir, mode=0o700, exist_ok=True)
+            _require_owned(cache_dir)
+            cached = self._find_extension(cache_dir)
+            if cached is not None:
+                try:
+                    return self._load_extension(cached)
+                except ImportError:
+                    # Truncated or foreign: out of the way, then one rebuild.
+                    os.unlink(cached)
+            elif os.path.exists(marker):
+                with open(marker) as handle:
+                    reason = handle.read().strip()
+                raise RuntimeError(
+                    f"{reason} (recorded in {marker}; delete it to retry)"
+                )
+            return self._load_extension(self._compile(cache_dir, marker))
+        except (OSError, ImportError) as exc:
+            raise RuntimeError(f"build cache {cache_dir} is unusable: {exc}") from exc
+
+    def load(self) -> ModuleType:
+        """The compiled module, built on first use; ``RuntimeError`` with the
+        reason, and nothing else, when it cannot be provided (kept, so a
+        process tries once)."""
+        with self._lock:
+            if self._loaded is not None:
+                return self._loaded
+            if self._error is not None:
+                raise RuntimeError(self._error)
+            try:
+                self._loaded = self._provide()
+            except RuntimeError as exc:
+                self._error = str(exc)
+                raise
+            return self._loaded
+
+    def availability_error(self) -> Optional[str]:
+        """``None`` when the module loads, else the human-readable reason."""
+        try:
+            self.load()
+        except RuntimeError as exc:
+            return str(exc)
+        return None
 
 
-def _load_extension(path: str) -> Tuple[object, object]:
-    """Import the extension at ``path`` (in a directory already checked to be
-    ours); ``ImportError`` when it is not the kernel module."""
-    _require_owned(path)
-    spec = importlib.util.spec_from_file_location(MODULE_NAME, path)
-    if spec is None or spec.loader is None:  # pragma: no cover - loader quirk
-        raise ImportError(f"no loader for {path}")
-    module = importlib.util.module_from_spec(spec)
-    try:
-        spec.loader.exec_module(module)
-        return module.ffi, module.lib
-    except (OSError, AttributeError) as exc:
-        raise ImportError(f"{path} is not the compiled kernel module: {exc}") from exc
-
-
-def _compile(cache_dir: str, marker: str) -> str:
-    """Build the extension and publish it into ``cache_dir``; returns its path."""
-    try:
-        from cffi import FFI
-    except ImportError as exc:
-        raise RuntimeError(f"cffi is not installed: {exc}") from exc
+def _build_kernels(build_dir: str) -> str:
+    from cffi import FFI
 
     builder = FFI()
     builder.cdef(CDEF)
     builder.set_source(MODULE_NAME, C_SOURCE, extra_compile_args=["-O3"])
-    # A fresh directory inside the cache: same filesystem, so publishing is
-    # one atomic rename of the finished file.  A concurrent builder's rename
-    # lands the same bytes; a process that has the old file mapped keeps it.
-    build_dir = tempfile.mkdtemp(prefix="build-", dir=cache_dir)
-    try:
-        try:
-            built = builder.compile(tmpdir=build_dir)
-        except Exception as exc:  # cffi, setuptools and the compiler all raise their own
-            reason = f"C toolchain unavailable or build failed: {exc}"
-            with open(marker, "w") as handle:
-                handle.write(reason + "\n")
-            raise RuntimeError(reason) from exc
-        published = os.path.join(cache_dir, os.path.basename(built))
-        os.replace(built, published)
-        return published
-    finally:
-        shutil.rmtree(build_dir, ignore_errors=True)
+    return builder.compile(tmpdir=build_dir)
 
 
-def _provide() -> Tuple[object, object]:
-    cache_dir = _cache_dir()
-    marker = os.path.join(cache_dir, f"{_source_digest()}.unavailable")
-    try:
-        os.makedirs(cache_dir, mode=0o700, exist_ok=True)
-        _require_owned(cache_dir)
-        cached = _find_extension(cache_dir)
-        if cached is not None:
-            try:
-                return _load_extension(cached)
-            except ImportError:
-                # Truncated or foreign: out of the way, then one rebuild.
-                os.unlink(cached)
-        elif os.path.exists(marker):
-            with open(marker) as handle:
-                reason = handle.read().strip()
-            raise RuntimeError(f"{reason} (recorded in {marker}; delete it to retry)")
-        return _load_extension(_compile(cache_dir, marker))
-    except (OSError, ImportError) as exc:
-        raise RuntimeError(f"build cache {cache_dir} is unusable: {exc}") from exc
+KERNELS = CompiledModule(MODULE_NAME, CDEF + C_SOURCE, _build_kernels)
 
 
 def load() -> Tuple[object, object]:
@@ -292,27 +335,12 @@ def load() -> Tuple[object, object]:
     Raises ``RuntimeError`` (with the underlying reason) when the native
     backend cannot be provided on this host.
     """
-    global _loaded, _error
-    with _lock:
-        if _loaded is not None:
-            return _loaded
-        if _error is not None:
-            raise RuntimeError(_error)
-        try:
-            _loaded = _provide()
-        except RuntimeError as exc:
-            _error = str(exc)
-            raise
-        return _loaded
+    module = KERNELS.load()
+    return module.ffi, module.lib
 
 
-def availability_error() -> Optional[str]:
-    """``None`` when the native backend loads, else the human-readable reason."""
-    try:
-        load()
-    except RuntimeError as exc:
-        return str(exc)
-    return None
+#: ``None`` when the native backend loads, else the human-readable reason.
+availability_error = KERNELS.availability_error
 
 
 def is_available() -> bool:

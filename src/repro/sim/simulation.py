@@ -7,13 +7,14 @@ façades drive it with :meth:`Simulation.run` (until quiescence) or
 against runaway executions with event-count and time limits.
 
 The quiescence loop in :meth:`Simulation.run` is the hottest code in the
-repository (every simulated message is one heap entry), so it is
-deliberately flat: emptiness check, cancelled-event skip, time-limit check
-and pop are one heap traversal, clock and accounting updates are inlined, a
-message entry (see :mod:`repro.sim.events`) is delivered in place, and the
-optional :attr:`Simulation.event_hook` costs one predictable branch per
-event when unused.  :meth:`Simulation.step` and :meth:`Simulation.run_until`
-share :meth:`Simulation._deliver_entry`.
+repository (every simulated message is one heap entry).  Where a C compiler
+is available it runs compiled (:mod:`repro.sim.run_loop`); the Python loop
+it mirrors is deliberately flat: emptiness check, cancelled-event skip,
+time-limit check and pop are one heap traversal, clock and accounting
+updates are inlined, a message entry (see :mod:`repro.sim.events`) is
+delivered in place, and the optional :attr:`Simulation.event_hook` costs
+one predictable branch per event when unused.  :meth:`Simulation.step` and
+:meth:`Simulation.run_until` share :meth:`Simulation._deliver_entry`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,23 @@ def derive_seed(*parts: object) -> int:
     decorrelated from every other seed derived from the same base."""
     digest = hashlib.sha256(":".join(map(str, parts)).encode()).digest()
     return int.from_bytes(digest[:8], "little") % (2**63 - 1)
+
+
+#: ``engine type -> its copy-countdown handlers``, registered where the engine
+#: is defined: the compiled run loop counts a later copy (one whose ``mid``
+#: the engine's ``_pending`` holds) down itself for an engine of that type.
+LATER_COPY_HANDLERS: Dict[type, tuple] = {}
+
+
+def _compiled_loop():
+    """The compiled loop's ``run`` (built at the first call, then cached by
+    its module), or ``None`` where it cannot be built."""
+    from repro.sim.run_loop import LOOP
+
+    try:
+        return LOOP.load().run
+    except RuntimeError:
+        return None
 
 
 class SimulationError(RuntimeError):
@@ -216,7 +234,9 @@ class Simulation:
         message without a record, for a process whose ``deliver`` is
         :meth:`Process.deliver` itself, is delivered in place; every other
         message goes through :meth:`_deliver_message`.  Which processes
-        qualify is resolved here, once per call.
+        qualify is resolved here, once per call.  Without an ``event_hook``
+        the compiled loop of :mod:`repro.sim.run_loop` runs this same body,
+        where it builds.
         """
         queue = self._queue
         heap = queue._heap
@@ -227,6 +247,12 @@ class Simulation:
         stats = self.network.stats
         for process in processes.values():
             process._deliver_inline = type(process).deliver is _PROCESS_DELIVER
+        if hook is None and type(max_events) is int:
+            run = _compiled_loop()
+            if run is not None:
+                errors = (SimulationError, EventBudgetExceeded)
+                run(self, max_time, max_events, (NO_ARG, *errors, LATER_COPY_HANDLERS))
+                return
         processed = 0
         try:
             while True:

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.analysis.tables import format_table, generate_table1
+from repro.analysis.theoretical import soda_write_cost_bound
+from repro.baselines.registry import make_cluster
 from tests.golden.capture_goldens import GOLDEN_DIR, table1_stdout
 
 
@@ -67,6 +69,30 @@ def test_table1_claims_at_f_max(n):
     assert soda.measured_storage_cost <= 2.0 + 1e-9
     assert casgc.measured_write_cost < abd.measured_write_cost
     assert soda.measured_write_cost <= soda.predicted_write_cost
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_every_measured_cost_is_within_its_prediction(n):
+    """Every cell of Table I: the measured cost is at most the predicted
+    worst case (an ABD read pays for its write-back: ``2n``)."""
+    for entry in generate_table1(n=n, delta=2, seed=0):
+        for cost in ("write", "read", "storage"):
+            measured = getattr(entry, f"measured_{cost}_cost")
+            predicted = getattr(entry, f"predicted_{cost}_cost")
+            assert measured <= predicted + 1e-9, (entry.algorithm, cost, measured, predicted)
+
+
+def test_soda_write_at_f_zero_is_within_its_bound():
+    """``f = 0``: the one dispersal server sends the other ``n - 1`` servers
+    a coded element each, on top of the writer's full value."""
+    cluster = make_cluster("SODA", 3, 0, seed=0)
+    write = cluster.write(b"hello from the SODA reproduction")
+    cluster.run()
+    assert cluster.operation_cost(write.op_id) == pytest.approx(5 / 3)
+    assert cluster.operation_cost(write.op_id) <= soda_write_cost_bound(3, 0) + 1e-9
+    soda = generate_table1(n=2, seed=0)[2]
+    assert (soda.algorithm, soda.f) == ("SODA", 0)
+    assert "1.50/1.50" in format_table([soda])
 
 
 def test_table1_stdout_matches_the_golden():

@@ -21,7 +21,7 @@ class TestSodaFormulas:
     def test_write_cost_bound(self):
         assert th.soda_write_cost_bound(5, 2) == 20.0
         assert th.soda_write_cost_bound(11, 5) == 125.0
-        assert th.soda_write_cost_bound(4, 0) == 1.0
+        assert th.soda_write_cost_bound(4, 0) == 1.75
 
     def test_read_cost(self):
         assert th.soda_read_cost(6, 2, 0) == pytest.approx(1.5)
@@ -53,7 +53,7 @@ class TestBaselineFormulas:
     def test_abd(self):
         assert th.abd_storage_cost(7) == 7.0
         assert th.abd_write_cost(7) == 7.0
-        assert th.abd_read_cost(7) == 7.0
+        assert th.abd_read_cost(7) == 14.0
 
     def test_cas(self):
         assert th.cas_communication_cost(8, 2) == pytest.approx(2.0)

@@ -24,7 +24,7 @@ from repro.core.message_disperse import MDSender, MDServerEngine
 from repro.core.messages import MDMeta, MDValueCoded, MDValueFull
 from repro.core.tags import Tag
 from repro.erasure.rs import ReedSolomonCode
-from repro.sim.network import FixedDelay, UniformDelay
+from repro.sim.network import DelayModel, FixedDelay, UniformDelay
 from repro.sim.process import Process
 from repro.sim.simulation import Simulation
 
@@ -107,9 +107,9 @@ class CopyTap:
 # the primitives alone
 # ----------------------------------------------------------------------
 class EngineServer(Process):
-    def __init__(self, pid, index, server_ids, f, code):
+    def __init__(self, pid, index, server_ids, f, code, engine=MDServerEngine):
         super().__init__(pid)
-        self.engine = MDServerEngine(
+        self.engine = engine(
             server=self,
             server_index=index,
             servers_in_order=server_ids,
@@ -201,6 +201,58 @@ def test_position_zero_and_f_zero_store_nothing_even_mid_run():
         sim.run()
         assert sim.events_processed > 6
     assert set(sizes) == {0}
+
+
+class SenderSlowToTheFirst(DelayModel):
+    """The client's copies to the first ``f`` dispersal servers take 5.0,
+    every other message 0.5."""
+
+    def __init__(self, slow):
+        self.slow = set(slow)
+
+    def sample(self, src, dst, rng):
+        return 5.0 if src == "c" and dst in self.slow else 0.5
+
+
+def check_md_meta_is_uniform_after_f_crashes():
+    """Mutant kill (``ShortMetaRelayEngine``): ``[5, 2]``, one md-meta-send
+    whose copy reaches the last dispersal server ``s2`` first; ``s0`` and
+    ``s1`` crash before theirs arrive.  ``s2`` delivered, so every live
+    server must (uniformity, Theorem 3.1), and the outside servers hold
+    exactly the two copies the crashes took.  The engine is the one SODA
+    servers are built from."""
+    from repro.core.soda import server as soda_server
+
+    n, f = 5, 2
+    server_ids = [f"s{i}" for i in range(n)]
+    sim = Simulation(seed=0, delay_model=SenderSlowToTheFirst(server_ids[:f]))
+    code = ReedSolomonCode(n, n - f)
+    servers = [
+        EngineServer(pid, i, server_ids, f, code, engine=soda_server.MDServerEngine)
+        for i, pid in enumerate(server_ids)
+    ]
+    delivered = {server.pid: [] for server in servers}
+    for server in servers:
+        server.engine._on_meta_deliver = (
+            lambda payload, origin, op_id, pid=server.pid: delivered[pid].append(payload)
+        )
+    sim.add_processes(servers)
+    client = sim.add_process(Client("c"))
+    mid = MDSender(client, server_ids, f).md_meta_send("meta", op_id="op")
+    for server in servers[:f]:
+        sim.schedule(1.0, server.crash)
+    sim.run()
+    assert delivered["s2"] == ["meta"]
+    for server in servers[f + 1 :]:
+        assert delivered[server.pid] == ["meta"], (
+            f"uniformity violated: {server.pid} never delivered {mid}, "
+            f"which s2 delivered"
+        )
+        assert server.engine.pending_copies == {mid: f}
+
+
+def test_the_real_engine_is_uniform_after_f_crashes():
+    check_md_meta_is_uniform_after_f_crashes()
 
 
 # ----------------------------------------------------------------------

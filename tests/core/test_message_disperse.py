@@ -36,9 +36,8 @@ class RecordingServer(Process):
                 (payload, origin, op)
             ),
         )
+        self.handlers = self.engine.handler_map()
 
-    def on_message(self, sender, message):
-        self.engine.handle(sender, message)
 
 
 class Client(Process):

@@ -227,14 +227,14 @@ class TestDefaultResolution:
 
     @staticmethod
     def _native_loads(monkeypatch):
-        monkeypatch.setattr(gf_native, "load", lambda: ("ffi", "lib"))
+        monkeypatch.setattr(gf_native.KERNELS, "load", lambda: ("ffi", "lib"))
 
     @staticmethod
     def _native_fails(monkeypatch, reason="no C compiler on this host"):
         def load():
             raise RuntimeError(reason)
 
-        monkeypatch.setattr(gf_native, "load", load)
+        monkeypatch.setattr(gf_native.KERNELS, "load", load)
 
     def test_native_when_the_kernel_loads(self, monkeypatch):
         self._native_loads(monkeypatch)
@@ -265,7 +265,7 @@ class TestDefaultResolution:
         def load():
             raise AssertionError("the compiled kernel was probed")
 
-        monkeypatch.setattr(gf_native, "load", load)
+        monkeypatch.setattr(gf_native.KERNELS, "load", load)
         monkeypatch.setenv("REPRO_GF_BACKEND", "numpy")
         assert default_backend() == "numpy" and describe_backend() == "numpy"
         monkeypatch.delenv("REPRO_GF_BACKEND")
@@ -278,16 +278,16 @@ class TestDefaultResolution:
     def test_marker_file_is_honoured(self, monkeypatch, tmp_path):
         """A host whose build failed once resolves to numpy from the marker
         alone — quietly, and without compiling again."""
-        marker = tmp_path / f"{gf_native._source_digest()}.unavailable"
+        marker = tmp_path / f"{gf_native.KERNELS._source_digest()}.unavailable"
         marker.write_text("C toolchain unavailable or build failed: cc: not found\n")
         monkeypatch.setenv(gf_native.CACHE_ENV_VAR, str(tmp_path))
-        monkeypatch.setattr(gf_native, "_loaded", None)
-        monkeypatch.setattr(gf_native, "_error", None)
+        monkeypatch.setattr(gf_native.KERNELS, "_loaded", None)
+        monkeypatch.setattr(gf_native.KERNELS, "_error", None)
 
         def compile_(*args):
             raise AssertionError("a compile was attempted")
 
-        monkeypatch.setattr(gf_native, "_compile", compile_)
+        monkeypatch.setattr(gf_native.KERNELS, "_compile", compile_)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert default_backend() == "numpy"

@@ -26,8 +26,8 @@ needs_native = pytest.mark.skipif(
 @pytest.fixture
 def fresh(monkeypatch):
     """``gf_native`` as a new process finds it: nothing loaded, no error kept."""
-    monkeypatch.setattr(gf_native, "_loaded", None)
-    monkeypatch.setattr(gf_native, "_error", None)
+    monkeypatch.setattr(gf_native.KERNELS, "_loaded", None)
+    monkeypatch.setattr(gf_native.KERNELS, "_error", None)
 
 
 @pytest.fixture
@@ -42,15 +42,15 @@ def built(tmp_path_factory):
     """One real build, into a cache directory that already exists, empty."""
     directory = tmp_path_factory.mktemp("prebuilt")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gf_native, "_loaded", None)
-        patch.setattr(gf_native, "_error", None)
+        patch.setattr(gf_native.KERNELS, "_loaded", None)
+        patch.setattr(gf_native.KERNELS, "_error", None)
         patch.setenv(gf_native.CACHE_ENV_VAR, str(directory))
         ffi, lib = gf_native.load()
     return directory, lib
 
 
 def _marker(directory):
-    return directory / f"{gf_native._source_digest()}.unavailable"
+    return directory / f"{gf_native.KERNELS._source_digest()}.unavailable"
 
 
 def _no_compile(*args):
@@ -61,7 +61,7 @@ def _copy_of(built_directory):
     """A stand-in for ``_compile`` that publishes the module's one real build."""
 
     def compile_(cache_dir, marker):
-        source = gf_native._find_extension(str(built_directory))
+        source = gf_native.KERNELS._find_extension(str(built_directory))
         return shutil.copy(source, cache_dir)
 
     return compile_
@@ -87,17 +87,17 @@ class TestCacheLocation:
     def test_override_names_the_directory_outright(self, monkeypatch, tmp_path):
         monkeypatch.setenv(gf_native.CACHE_ENV_VAR, str(tmp_path / "here"))
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-        assert gf_native._cache_dir() == str(tmp_path / "here")
+        assert gf_native.KERNELS._cache_dir() == str(tmp_path / "here")
 
     def test_xdg_cache_home_then_home_cache(self, monkeypatch, tmp_path):
         monkeypatch.delenv(gf_native.CACHE_ENV_VAR, raising=False)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-        under_xdg = gf_native._cache_dir()
+        under_xdg = gf_native.KERNELS._cache_dir()
         assert under_xdg.startswith(str(tmp_path / "xdg" / "repro-gf-native"))
-        assert gf_native._source_digest() in os.path.basename(under_xdg)
+        assert gf_native.KERNELS._source_digest() in os.path.basename(under_xdg)
         monkeypatch.delenv("XDG_CACHE_HOME")
         monkeypatch.setenv("HOME", str(tmp_path / "home"))
-        assert gf_native._cache_dir().startswith(
+        assert gf_native.KERNELS._cache_dir().startswith(
             str(tmp_path / "home" / ".cache" / "repro-gf-native")
         )
 
@@ -112,23 +112,23 @@ class TestCacheLocation:
         locked.mkdir(mode=0o500)
         monkeypatch.delenv(gf_native.CACHE_ENV_VAR, raising=False)
         monkeypatch.setenv("XDG_CACHE_HOME", str(locked / "cache"))
-        assert f"repro-gf-native-uid{os.getuid()}-" in gf_native._cache_dir()
+        assert f"repro-gf-native-uid{os.getuid()}-" in gf_native.KERNELS._cache_dir()
 
     def test_relative_xdg_cache_home_is_ignored(self, monkeypatch, tmp_path):
         monkeypatch.delenv(gf_native.CACHE_ENV_VAR, raising=False)
         monkeypatch.setenv("XDG_CACHE_HOME", "relative/cache")
         monkeypatch.setenv("HOME", str(tmp_path))
-        assert gf_native._cache_dir().startswith(str(tmp_path / ".cache"))
+        assert gf_native.KERNELS._cache_dir().startswith(str(tmp_path / ".cache"))
 
     def test_no_home_at_all_falls_back_to_the_temp_directory(self, monkeypatch):
         monkeypatch.delenv(gf_native.CACHE_ENV_VAR, raising=False)
         monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
         monkeypatch.setattr(os.path, "expanduser", lambda path: path)
-        assert "repro-gf-native-uid" in os.path.basename(gf_native._cache_dir())
+        assert "repro-gf-native-uid" in os.path.basename(gf_native.KERNELS._cache_dir())
 
     @needs_native
     def test_directory_is_created_private(self, cache, built, monkeypatch):
-        monkeypatch.setattr(gf_native, "_compile", _copy_of(built[0]))
+        monkeypatch.setattr(gf_native.KERNELS, "_compile", _copy_of(built[0]))
         assert not cache.exists()
         gf_native.load()
         assert stat.S_IMODE(cache.stat().st_mode) == 0o700
@@ -144,23 +144,23 @@ class TestLoadFailuresAreReasons:
         existing cache directory failed, the build was deleted, and the
         import of the deleted file escaped ``load()``."""
         directory, lib = built
-        assert gf_native._find_extension(str(directory)) is not None
+        assert gf_native.KERNELS._find_extension(str(directory)) is not None
         # Only the extension is published; the build directory is gone.
         assert [p.name for p in directory.iterdir()] == [
-            os.path.basename(gf_native._find_extension(str(directory)))
+            os.path.basename(gf_native.KERNELS._find_extension(str(directory)))
         ]
         assert lib is not None
 
     def test_truncated_cached_file_is_rebuilt_once(self, cache, built, monkeypatch):
         """ISSUE 16 (b): ``ImportError: file too short``."""
         cache.mkdir()
-        good = gf_native._find_extension(str(built[0]))
+        good = gf_native.KERNELS._find_extension(str(built[0]))
         bad = cache / os.path.basename(good)
         bad.write_bytes(open(good, "rb").read()[:100])
         calls = []
         copy = _copy_of(built[0])
         monkeypatch.setattr(
-            gf_native, "_compile", lambda *a: calls.append(a) or copy(*a)
+            gf_native.KERNELS, "_compile", lambda *a: calls.append(a) or copy(*a)
         )
         assert gf_native.availability_error() is None
         assert len(calls) == 1
@@ -178,7 +178,7 @@ class TestLoadFailuresAreReasons:
                 handle.write("still not an ELF file")
             return path
 
-        monkeypatch.setattr(gf_native, "_compile", republish_garbage)
+        monkeypatch.setattr(gf_native.KERNELS, "_compile", republish_garbage)
         reason = gf_native.availability_error()
         assert reason is not None and str(cache) in reason
         assert not gf_native.is_available()
@@ -187,13 +187,13 @@ class TestLoadFailuresAreReasons:
         self, cache, built, monkeypatch
     ):
         cache.mkdir()
-        shutil.copy(gf_native._find_extension(str(built[0])), cache)
-        monkeypatch.setattr(gf_native, "_compile", _no_compile)
+        shutil.copy(gf_native.KERNELS._find_extension(str(built[0])), cache)
+        monkeypatch.setattr(gf_native.KERNELS, "_compile", _no_compile)
         monkeypatch.setattr(gf_native, "_uid", lambda: os.getuid() + 1)
         reason = gf_native.availability_error()
         assert "refusing to import" in reason and "owned by uid" in reason
         # The foreign file is left alone.
-        assert gf_native._find_extension(str(cache)) is not None
+        assert gf_native.KERNELS._find_extension(str(cache)) is not None
 
     def test_unusable_cache_directory_is_a_reason(self, fresh, monkeypatch, tmp_path):
         blocker = tmp_path / "a-file"
@@ -233,8 +233,8 @@ class TestUnavailableMarker:
     ):
         first = gf_native.availability_error()
         # A pool worker on the same host: fresh module state, same cache.
-        monkeypatch.setattr(gf_native, "_loaded", None)
-        monkeypatch.setattr(gf_native, "_error", None)
+        monkeypatch.setattr(gf_native.KERNELS, "_loaded", None)
+        monkeypatch.setattr(gf_native.KERNELS, "_error", None)
         second = gf_native.availability_error()
         assert broken_toolchain == [1]
         assert second.startswith(first) and str(_marker(cache)) in second
@@ -246,13 +246,13 @@ class TestUnavailableMarker:
     ):
         cache.mkdir()
         (cache / "0123456789abcdef.unavailable").write_text("stale reason\n")
-        monkeypatch.setattr(gf_native, "_compile", _copy_of(built[0]))
+        monkeypatch.setattr(gf_native.KERNELS, "_compile", _copy_of(built[0]))
         assert gf_native.availability_error() is None
 
     @needs_native
     def test_an_extension_beside_a_marker_wins(self, cache, built, monkeypatch):
         cache.mkdir()
-        shutil.copy(gf_native._find_extension(str(built[0])), cache)
+        shutil.copy(gf_native.KERNELS._find_extension(str(built[0])), cache)
         _marker(cache).write_text("an earlier failure\n")
-        monkeypatch.setattr(gf_native, "_compile", _no_compile)
+        monkeypatch.setattr(gf_native.KERNELS, "_compile", _no_compile)
         assert gf_native.availability_error() is None

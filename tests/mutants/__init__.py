@@ -216,6 +216,24 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "ShortMetaRelayEngine",
+        "core",
+        "md_engine",
+        _MD_ENGINE,
+        (
+            Kill(
+                "core/test_md_state_bound.py::check_md_meta_is_uniform_after_f_crashes",
+                AssertionError,
+                "uniformity violated",
+            ),
+            Kill(
+                "core/test_md_state_bound.py::check_soda_drains_every_pending_copy",
+                AssertionError,
+                "pending_copies not drained",
+            ),
+        ),
+    ),
+    Mutant(
         "TaglessCachedDecoder",
         "erasure",
         "decoder",

@@ -4,7 +4,8 @@ docstring names the check that kills it, and its row of
 ``repro.core.soda.server.MDServerEngine``.
 
 The count is set in ``__init__``, so it reaches MD-VALUE (through
-``_later_copy``) and MD-META (whose countdown is inlined) alike.
+``_later_copy``) and MD-META (whose countdown is inlined) alike; so do the
+relay targets.
 """
 
 from repro.core.message_disperse import MDServerEngine
@@ -37,3 +38,24 @@ class LateCountdownEngine(MDServerEngine):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._later_copies += 1
+
+
+class ShortMetaRelayEngine(MDServerEngine):
+    """An MD-META relay that stops short: the last server of the dispersal
+    set forwards to its later peers (it has none) but sends nothing to the
+    servers outside the set.
+
+    Fault-free, every outside server still hears from the other ``f``
+    dispersal servers, so it delivers, but one of its ``f + 1`` copies
+    never comes and its pending entry never drains.  Once the first ``f``
+    dispersal servers crash before their copies arrive, an outside server
+    never delivers at all: uniformity (Theorem 3.1) is lost.
+    ``check_md_meta_is_uniform_after_f_crashes`` of
+    ``tests/core/test_md_state_bound.py`` kills it by the second, the
+    drained-map check by the first.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if not self._forward_targets and self._outside_dispersal:
+            self._meta_targets = self._forward_targets

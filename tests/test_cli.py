@@ -18,6 +18,8 @@ from repro.analysis.experiments import SWEEPS
 from repro.cli import build_parser, main
 from repro.erasure import gf_native
 from repro.erasure.gf import default_backend, describe_backend, set_default_backend
+from repro.sim import run_loop
+from repro.sim.run_loop import describe as describe_run_loop
 from tests.golden.capture_goldens import GOLDEN_DIR
 
 
@@ -93,7 +95,21 @@ class TestWhichBackendRan:
             main(["--version"])
         assert exit_info.value.code == 0
         out = capsys.readouterr().out
-        assert out == f"soda-repro {__version__} (gf backend: {describe_backend()})\n"
+        assert out == (
+            f"soda-repro {__version__} (gf backend: {describe_backend()}, "
+            f"run loop: {describe_run_loop()})\n"
+        )
+
+    def test_version_names_a_python_run_loop_with_its_reason(self, capsys, monkeypatch):
+        def load():
+            raise RuntimeError("no C compiler on this host")
+
+        monkeypatch.setattr(run_loop.LOOP, "load", load)
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert capsys.readouterr().out.endswith(
+            "run loop: python (native unavailable: no C compiler on this host))\n"
+        )
 
     def test_every_run_says_so_once_on_stderr(self, capsys):
         assert main(["demo", "--protocol", "SODA", "--n", "5", "--f", "2"]) == 0
@@ -105,7 +121,7 @@ class TestWhichBackendRan:
         def load():
             raise RuntimeError("no C compiler on this host")
 
-        monkeypatch.setattr(gf_native, "load", load)
+        monkeypatch.setattr(gf_native.KERNELS, "load", load)
         assert main(["list"]) == 0
         assert capsys.readouterr().err == (
             "gf backend: numpy (native unavailable: no C compiler on this host)\n"
@@ -165,7 +181,10 @@ class TestWhichBackendRan:
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 0
-        assert capsys.readouterr().out == f"soda-repro {__version__} (gf backend: numpy)\n"
+        assert capsys.readouterr().out == (
+            f"soda-repro {__version__} (gf backend: numpy, "
+            f"run loop: {describe_run_loop()})\n"
+        )
         assert "REPRO_GF_BACKEND" not in os.environ
 
 
