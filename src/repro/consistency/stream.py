@@ -126,8 +126,8 @@ class HistorySink:
     def unsubscribe(self, observer: StreamObserver) -> None:
         """Detach an observer (no-op if it was never subscribed).
 
-        Transient observers — e.g. the closed-loop driver behind one
-        :meth:`~repro.runtime.cluster.RegisterCluster.run_streamed` call —
+        Transient observers — e.g. the :class:`~repro.runtime.driver.Driver`
+        behind one ``run_streamed`` / ``run_open_loop`` call —
         detach themselves so repeated runs do not accumulate dead
         observers on a long-lived sink.
         """

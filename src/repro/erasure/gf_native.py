@@ -36,9 +36,11 @@ in every process that encodes a value.  A cached file that does not load
 ``<digest>.unavailable`` marker holding the reason, so the workers of a pool
 on a host without a C toolchain read one line each and do not each retry the
 compile.  Delete the marker to try again.  The machinery is
-:class:`CompiledModule`; :mod:`repro.sim.run_loop` builds the simulator's
-run loop with it too, in the directory of its own digest (a directory named
-by ``REPRO_GF_NATIVE_CACHE`` holds both, each failed build its own marker).
+:class:`CompiledModule`, which compiles in a child process, so the build
+tooling's imports and memory and the compiler's output stay out of the
+process that asked; :mod:`repro.sim.run_loop` builds the simulator's run
+loop with it too, in the directory of its own digest (a directory named by
+``REPRO_GF_NATIVE_CACHE`` holds both, each failed build its own marker).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import sys
 import tempfile
 import threading
 from types import ModuleType
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 MODULE_NAME = "_repro_gf_native"
 #: Environment variable naming the build directory outright.
@@ -193,13 +195,15 @@ def _require_owned(path: str) -> None:
 
 class CompiledModule:
     """A C extension built from ``source`` at first use into the build cache
-    above: ``build(build_dir)`` compiles it in a fresh directory of the
-    cache and returns the built file's path."""
+    above.  ``compile_code`` is Python code run in a child process with the
+    arguments ``build_dir source_path name``: it compiles ``source``
+    (written to ``source_path``) into the extension module ``name`` inside
+    ``build_dir`` and prints the built file's path last."""
 
-    def __init__(self, name: str, source: str, build: Callable[[str], str]) -> None:
+    def __init__(self, name: str, source: str, compile_code: str) -> None:
         self.name = name
         self._source = source
-        self._build = build
+        self._compile_code = compile_code
         self._lock = threading.Lock()
         self._loaded: Optional[ModuleType] = None
         self._error: Optional[str] = None
@@ -246,6 +250,24 @@ class CompiledModule:
             raise ImportError(f"{path} is not the compiled {self.name}: {exc}") from exc
         return module
 
+    def _build(self, build_dir: str) -> str:
+        import signal  # imported here: only a cold build needs them
+        import subprocess
+
+        source = os.path.join(build_dir, "source.c")
+        with open(source, "w") as handle:
+            handle.write(self._source)
+        done = subprocess.run(
+            [sys.executable, "-c", self._compile_code, build_dir, source, self.name],
+            capture_output=True,
+            text=True,
+        )
+        if done.returncode == -signal.SIGINT:  # ^C, not a toolchain to record
+            raise KeyboardInterrupt
+        if done.returncode != 0:
+            raise RuntimeError((done.stderr.strip().splitlines() or ["no output"])[-1])
+        return done.stdout.strip().splitlines()[-1]
+
     def _compile(self, cache_dir: str, marker: str) -> str:
         """Build the extension and publish it into ``cache_dir``; returns its path."""
         if importlib.util.find_spec("cffi") is None:  # both builds run on cffi
@@ -258,7 +280,7 @@ class CompiledModule:
         try:
             try:
                 built = self._build(build_dir)
-            except Exception as exc:  # cffi, setuptools and the compiler all raise their own
+            except Exception as exc:  # the child's failure, or the cache's
                 reason = f"C toolchain unavailable or build failed: {exc}"
                 with open(marker, "w") as handle:
                     handle.write(reason + "\n")
@@ -317,16 +339,15 @@ class CompiledModule:
         return None
 
 
-def _build_kernels(build_dir: str) -> str:
-    from cffi import FFI
+#: Compiles the kernels: ``CDEF`` declares, and the source file (``CDEF``'s
+#: prototypes, then ``C_SOURCE``) defines, what ``lib`` exposes.
+_COMPILE = (
+    "import sys; from cffi import FFI; ffi = FFI(); ffi.cdef(%r); "
+    "ffi.set_source(sys.argv[3], open(sys.argv[2]).read(), "
+    "extra_compile_args=['-O3']); print(ffi.compile(tmpdir=sys.argv[1]))" % CDEF
+)
 
-    builder = FFI()
-    builder.cdef(CDEF)
-    builder.set_source(MODULE_NAME, C_SOURCE, extra_compile_args=["-O3"])
-    return builder.compile(tmpdir=build_dir)
-
-
-KERNELS = CompiledModule(MODULE_NAME, CDEF + C_SOURCE, _build_kernels)
+KERNELS = CompiledModule(MODULE_NAME, CDEF + C_SOURCE, _COMPILE)
 
 
 def load() -> Tuple[object, object]:

@@ -10,7 +10,10 @@ benchmarks.
 
 Long runs go through ``run_streamed`` (closed loop) and ``run_open_loop``
 on a cluster or on a :class:`~repro.runtime.namespace.MultiRegisterCluster`
-of many; :mod:`repro.runtime.driver` holds what those four entry points
-share (run loop, fault-plan materialiser, value source) and
-:class:`~repro.runtime.config.RunConfig` their knobs.
+of many.  All four arm the one :class:`~repro.runtime.driver.Driver` per
+register object, under its :class:`~repro.runtime.driver.ClosedLoop` or
+:class:`~repro.runtime.driver.OpenLoop` arrival policy, with one
+:class:`~repro.runtime.driver.RunStats` each; :mod:`repro.runtime.driver`
+also holds the run loop, the fault-plan materialiser and the value source,
+and :class:`~repro.runtime.config.RunConfig` the knobs.
 """

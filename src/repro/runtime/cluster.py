@@ -21,24 +21,26 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.consistency.history import History, OperationRecord
-from repro.consistency.stream import HistorySink, StreamObserver
+from repro.consistency.stream import HistorySink
 from repro.erasure.batch import CachedDecoder, CachedEncoder
 from repro.erasure.mds import CodedElement, MDSCode
 from repro.metrics.costs import CommunicationCostTracker, StorageTracker
 from repro.runtime.config import RunConfig
-from repro.runtime.driver import apply_fault_plan, run_armed, value_source
+from repro.runtime.driver import (
+    BUSY_RETRY_DELAY,
+    ClosedLoop,
+    OpenLoop,
+    RunStats,
+    apply_fault_plan,
+    run_armed,
+)
 from repro.sim.failures import CrashSchedule, FailureInjector
 from repro.sim.network import DelayModel
 from repro.sim.process import Process
 from repro.sim.simulation import Simulation
-
-if TYPE_CHECKING:
-    from repro.runtime.openloop import OpenLoopStats
 
 
 @dataclass
@@ -53,25 +55,6 @@ class ScheduledOperation:
     client: str
     start_time: float
     op_id: Optional[str] = None
-
-
-@dataclass
-class StreamedRunStats:
-    """Outcome of one :meth:`RegisterCluster.run_streamed` closed loop."""
-
-    requested: int
-    issued: int = 0
-    completed: int = 0
-    failed: int = 0
-    writes: int = 0
-    reads: int = 0
-    end_time: float = 0.0
-    events: int = 0
-    #: True when the run exhausted its event budget before quiescence —
-    #: the stats describe a *prefix* of the requested run, not the whole
-    #: thing.  Consumers that aggregate across runs (``experiment
-    #: longrun``) must treat a truncated run as an error, not a result.
-    truncated: bool = False
 
 
 class RegisterCluster(ABC):
@@ -259,10 +242,6 @@ class RegisterCluster(ABC):
     # ------------------------------------------------------------------
     # scheduled (concurrent) operations
     # ------------------------------------------------------------------
-    #: Delay between retries when a scheduled operation finds its client busy
-    #: (clients are well-formed: one operation at a time).
-    _busy_retry_delay = 0.25
-
     def schedule_write(
         self, at_time: float, value: bytes, writer: Union[int, str] = 0
     ) -> ScheduledOperation:
@@ -292,7 +271,7 @@ class RegisterCluster(ABC):
             if client.is_crashed:
                 return
             if client.busy:
-                self.sim.schedule(self._busy_retry_delay, start, label=f"retry {kind}")
+                self.sim.schedule(BUSY_RETRY_DELAY, start, label=f"retry {kind}")
                 return
             handle.op_id = begin()
 
@@ -320,7 +299,7 @@ class RegisterCluster(ABC):
         return self.encoder.warm(values)
 
     # ------------------------------------------------------------------
-    # closed-loop streaming runs
+    # closed- and open-loop runs
     # ------------------------------------------------------------------
     def run_streamed(
         self,
@@ -331,35 +310,15 @@ class RegisterCluster(ABC):
         max_events: Optional[int] = None,
         faults=None,
         **knobs,
-    ) -> StreamedRunStats:
+    ) -> RunStats:
         """Drive ``operations`` client operations through the live cluster
-        in a closed loop, with memory bounded by the client count.
-
-        Unlike :func:`repro.workloads.scenarios.run_workload`, which
-        schedules every operation (and pre-generates every value) up
-        front, this driver keeps exactly one pending invocation per
-        client: whenever a client's operation completes (or its client
-        crashes), the next operation for that client is scheduled after an
-        exponential think time.  Combined with a bounded
-        :class:`~repro.consistency.stream.StreamingRecorder` sink and the
-        online incremental checker, a million-operation *real cluster
-        simulation* runs in O(clients + window) resident history — the
-        engine behind ``experiment longrun`` (:mod:`repro.analysis.engine`).
-
-        Writers issue globally unique values ``{value_prefix}#{seq}|…``
-        padded to ``value_size`` with seeded random bytes
-        (:func:`~repro.runtime.driver.value_source`): small values are
-        drawn ``warm_batch`` at a time and pre-encoded into the shared
-        encoder cache (one batched encode each refill); larger ones are
-        drawn when their writer asks for them, so none waits in memory for
-        its write.  Either way the driver's rng stream is the same.
-        Readers issue reads.
-        The operation budget is consumed by whichever clients are alive: a
-        crashed client's slot is handed to the next live client
-        round-robin, so the budget drains fully while anyone survives, and
-        a fully crashed client set winds the run down (fewer issued
-        operations) instead of hanging.  All randomness derives from
-        ``seed``, making the run reproducible event-for-event.
+        in a closed loop (:class:`~repro.runtime.driver.ClosedLoop`), with
+        memory bounded by the client count: with a bounded
+        :class:`~repro.consistency.stream.StreamingRecorder` and the online
+        incremental checker, a million-operation run keeps O(clients +
+        window) history — the engine behind ``experiment longrun``.
+        Writers write unique ``{value_prefix}#{seq}|…`` values
+        (:func:`~repro.runtime.driver.value_source`); readers read.
 
         ``knobs`` are the :class:`~repro.runtime.config.RunConfig` fields
         (``value_size``, ``mean_gap``, ``start_window``, ``warm_batch``),
@@ -367,151 +326,11 @@ class RegisterCluster(ABC):
         :class:`~repro.workloads.faults.FaultPlan` (or its spec string) and
         applies it before the run via :meth:`apply_fault_plan`.
         """
-        cfg = RunConfig(**knobs)
-        if faults is not None:
-            self.apply_fault_plan(faults, seed=seed)
-        stats, finalize = self._begin_streamed(
-            cfg, operations=operations, seed=seed, value_prefix=value_prefix
+        return self._drive(
+            "streamed", ClosedLoop, operations, seed, value_prefix, max_events,
+            faults, knobs,
         )
-        stats.events = run_armed(
-            self.sim,
-            [(stats, finalize)],
-            operations=operations,
-            max_events=max_events,
-            label="streamed",
-        )
-        return stats
 
-    def _begin_streamed(
-        self, cfg: RunConfig, *, operations: int, seed: int, value_prefix: str
-    ):
-        """Arm one closed-loop streamed run without running the simulation.
-
-        Schedules the initial per-client invocations and subscribes the
-        closed-loop driver, then returns ``(stats, finalize)``: the caller
-        runs the simulation (possibly alongside other clusters sharing it —
-        the multi-object namespace layer arms one driver per register
-        object) and calls ``finalize()`` afterwards to detach the driver
-        and seal ``stats.end_time``.  ``cfg`` is the validated knob record
-        of the public call.
-        """
-        if operations < 0:
-            raise ValueError("operations cannot be negative")
-        rng = np.random.default_rng(seed)
-        stats = StreamedRunStats(requested=operations)
-
-        clients: List[Process] = [
-            *(self.writers[pid] for pid in self.writer_ids),
-            *(self.readers[pid] for pid in self.reader_ids),
-        ]
-        by_pid = {str(client.pid): client for client in clients}
-        index_of = {str(client.pid): i for i, client in enumerate(clients)}
-        state = {"remaining": operations, "active": True}
-        next_value = value_source(self, rng, cfg, value_prefix)
-        # Operations issued by THIS run and still outstanding: the sink may
-        # also carry completions of externally scheduled operations, which
-        # must not perturb the stats or trigger extra closed-loop issues.
-        outstanding: set = set()
-
-        def live_replacement(after: Process) -> Optional[Process]:
-            """The next non-crashed client after ``after``, round-robin."""
-            start = index_of[str(after.pid)]
-            for shift in range(1, len(clients) + 1):
-                candidate = clients[(start + shift) % len(clients)]
-                if not candidate.is_crashed:
-                    return candidate
-            return None
-
-        def issue(client: Process) -> None:
-            if not state["active"] or state["remaining"] <= 0:
-                return
-            if client.is_crashed:
-                # Hand the budget slot to a surviving client instead of
-                # abandoning it — the budget is consumed by whichever
-                # clients are alive; only a fully crashed client set
-                # leaves it unconsumed.
-                replacement = live_replacement(client)
-                if replacement is not None:
-                    self.sim.schedule(
-                        self._busy_retry_delay,
-                        lambda: issue(replacement),
-                        label="reassign streamed op",
-                    )
-                return
-            if client.busy:
-                self.sim.schedule(
-                    self._busy_retry_delay,
-                    lambda: issue(client),
-                    label="retry streamed op",
-                )
-                return
-            state["remaining"] -= 1
-            if str(client.pid) in self.writers:
-                op_id = client.start_write(next_value())
-                stats.writes += 1
-            else:
-                op_id = client.start_read()
-                stats.reads += 1
-            outstanding.add(op_id)
-            stats.issued += 1
-
-        cluster = self
-
-        class _ClosedLoopDriver(StreamObserver):
-            def _advance(self, record: OperationRecord, failed: bool) -> None:
-                if not state["active"]:
-                    return
-                if record.op_id not in outstanding:
-                    return  # not one of this run's operations
-                outstanding.discard(record.op_id)
-                if failed:
-                    stats.failed += 1
-                else:
-                    stats.completed += 1
-                finished_at = (
-                    record.responded_at
-                    if record.responded_at is not None
-                    else cluster.sim.now
-                )
-                stats.end_time = max(stats.end_time, finished_at)
-                client = by_pid.get(record.client)
-                if client is None or state["remaining"] <= 0:
-                    return
-                if client.is_crashed:
-                    client = live_replacement(client)
-                    if client is None:
-                        return
-                gap = float(rng.exponential(cfg.mean_gap)) if cfg.mean_gap else 0.0
-                next_client = client
-                cluster.sim.schedule(
-                    gap, lambda: issue(next_client), label="next streamed op"
-                )
-
-            def on_complete(self, record: OperationRecord) -> None:
-                self._advance(record, failed=False)
-
-            def on_failed(self, record: OperationRecord) -> None:
-                self._advance(record, failed=True)
-
-        driver = self.history.subscribe(_ClosedLoopDriver())
-        for index, client in enumerate(clients):
-            if index >= operations:
-                break
-            at = float(rng.uniform(0.0, cfg.start_window)) if cfg.start_window else 0.0
-            self.sim.schedule(
-                at, (lambda c: lambda: issue(c))(client), label="start streamed op"
-            )
-
-        def finalize() -> None:
-            state["active"] = False
-            self.history.unsubscribe(driver)
-            stats.end_time = max(stats.end_time, self.sim.now)
-
-        return stats, finalize
-
-    # ------------------------------------------------------------------
-    # open-loop runs
-    # ------------------------------------------------------------------
     def run_open_loop(
         self,
         *,
@@ -522,47 +341,39 @@ class RegisterCluster(ABC):
         max_events: Optional[int] = None,
         faults=None,
         **knobs,
-    ) -> OpenLoopStats:
-        """Drive ``operations`` arrivals through the cluster open-loop.
-
-        ``arrival`` is an :class:`~repro.workloads.arrivals.ArrivalProcess`
-        fixing the invocation schedule up front — load does not self-limit
-        the way the closed loop does.  Saturation is absorbed by a bounded
-        admission queue (``queue_per_server * n`` entries) under the
-        configured overflow ``policy`` (``drop`` / ``shed-reads`` /
-        ``backpressure``) with ``op_timeout`` queue waits counted as
-        failures; completion latency is measured from arrival (queueing
-        included) into mergeable per-kind latency histograms.  See
-        :mod:`repro.runtime.openloop` for the full mechanics.
+    ) -> RunStats:
+        """Drive ``operations`` arrivals through the cluster open-loop
+        (:class:`~repro.runtime.driver.OpenLoop`): ``arrival``, an
+        :class:`~repro.workloads.arrivals.ArrivalProcess`, fixes the
+        invocation schedule up front, a bounded admission queue absorbs
+        saturation under ``policy``, and latency is measured from arrival.
 
         ``knobs`` are the :class:`~repro.runtime.config.RunConfig` fields
         (``read_fraction``, ``policy``, ``queue_per_server``,
         ``op_timeout``, ``value_size``, ``warm_batch``, ``keep_samples``),
-        validated there.  ``faults`` accepts a
-        :class:`~repro.workloads.faults.FaultPlan` (or its spec string) and
-        applies it before the run via :meth:`apply_fault_plan`.
+        validated there.  ``faults`` is as in :meth:`run_streamed`.
         """
-        from repro.runtime.openloop import begin_open_loop
+        return self._drive(
+            "open-loop", OpenLoop, operations, seed, value_prefix, max_events,
+            faults, knobs, arrival=arrival,
+        )
 
+    def _drive(
+        self, label, policy, operations, seed, value_prefix, max_events, faults,
+        knobs, **arrival,
+    ) -> RunStats:
         cfg = RunConfig(**knobs)
         if faults is not None:
             self.apply_fault_plan(faults, seed=seed)
-        stats, finalize = begin_open_loop(
-            self,
-            cfg,
-            operations=operations,
-            arrival=arrival,
-            seed=seed,
-            value_prefix=value_prefix,
+        driver = policy(
+            self, cfg, operations=operations, seed=seed, value_prefix=value_prefix,
+            **arrival,
         )
-        stats.events = run_armed(
-            self.sim,
-            [(stats, finalize)],
-            operations=operations,
-            max_events=max_events,
-            label="open-loop",
+        driver.stats.events = run_armed(
+            self.sim, [driver], operations=operations, max_events=max_events,
+            label=label,
         )
-        return stats
+        return driver.stats
 
     # ------------------------------------------------------------------
     # failures

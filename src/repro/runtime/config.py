@@ -1,18 +1,12 @@
 """Driver knobs: one validated record.
 
-The closed-loop (:meth:`~repro.runtime.cluster.RegisterCluster.run_streamed`)
-and open-loop (:meth:`~repro.runtime.cluster.RegisterCluster.run_open_loop`)
-entry points of a bare cluster and of a
-:class:`~repro.runtime.namespace.MultiRegisterCluster` all take their knobs
-as keyword arguments and build one :class:`RunConfig` from them per call
-(an unknown name is a ``TypeError``, an out-of-range value a
-``ValueError``); the arm functions consume that record.
-
-Knobs that only one driver reads are simply ignored by the other: the
-closed loop has no admission queue (``policy`` / ``queue_per_server`` /
-``op_timeout`` / ``read_fraction`` do not apply — its read mix is the
-client mix), and the open loop has no think time (``mean_gap`` /
-``start_window`` do not apply — arrivals fix the schedule).
+The ``run_streamed`` / ``run_open_loop`` entry points of a bare cluster and
+of a :class:`~repro.runtime.namespace.MultiRegisterCluster` build one
+:class:`RunConfig` from their keyword arguments per call (an unknown name
+is a ``TypeError``, an out-of-range value a ``ValueError``) and arm a
+:class:`~repro.runtime.driver.Driver` with it.  Each arrival policy reads
+its own knobs and ignores the other's: the closed loop has no admission
+queue and its read mix is the client mix; the open loop has no think time.
 """
 
 from __future__ import annotations

@@ -1,15 +1,19 @@
-"""The one driver layer under every ``run_*`` entry point.
+"""The one traffic driver under every ``run_*`` entry point.
 
 A bare :class:`~repro.runtime.cluster.RegisterCluster` is the
 one-hosted-object case of a
 :class:`~repro.runtime.namespace.MultiRegisterCluster`: both put their
-register objects on one :class:`~repro.sim.simulation.Simulation`, so the
-parts of a run that only see *the simulation and the objects on it* exist
-once, here:
+register objects on one :class:`~repro.sim.simulation.Simulation` and arm
+one :class:`Driver` per object, so the parts of a run that only see *the
+simulation and the objects on it* exist once, here:
 
+* :class:`Driver` — one run's operations on one cluster: the outstanding
+  operations, the history subscription, the issue of a write or a read,
+  the completion fold into one :class:`RunStats` and ``finalize``.  Two
+  arrival policies sit on it, :class:`ClosedLoop` and :class:`OpenLoop`;
 * :func:`run_armed` — the run loop (event budget, truncation, finalizers);
 * :func:`apply_fault_plan` — the fault-plan materialiser;
-* :func:`value_source` — the written-value generator of both drivers.
+* :func:`value_source` — the written-value generator of the driver.
 
 The public methods on the two cluster classes are "apply faults, arm,
 :func:`run_armed`".
@@ -18,36 +22,379 @@ The public methods on the two cluster classes are "apply faults, arm,
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from collections import deque
+from dataclasses import dataclass
+from functools import partial
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Deque,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
+from repro.consistency.stream import StreamObserver
 from repro.erasure.batch import pre_encodes
 from repro.runtime.config import RunConfig
 from repro.sim.network import SlowDisk
 from repro.sim.simulation import EventBudgetExceeded, Simulation, derive_seed
 
-__all__ = ["apply_fault_plan", "run_armed", "value_source"]
+if TYPE_CHECKING:
+    from repro.metrics.latency import LatencyHistogram
+
+#: Delay before a start that found its client busy is tried again (clients
+#: are well-formed: one operation at a time).
+BUSY_RETRY_DELAY = 0.25
+
+
+@dataclass
+class RunStats:
+    """Outcome of one driver run on one register object, either loop.
+
+    ``requested`` operations are ``issued`` (``writes`` + ``reads``) and
+    end up ``completed`` or ``failed`` (their client crashed).  The open
+    loop admits them first: each of its ``arrived`` arrivals is either
+    dispatched or queued (``admitted``), rejected at a full queue
+    (``rejected``), or — for a write under ``shed-reads`` — admitted by
+    evicting a queued read (the victim counts in ``shed_reads``).  An
+    admitted arrival is issued unless its queue wait exceeded the timeout
+    (``timed_out``) or the run ended first (``queued_at_end``).  The closed
+    loop has no admission: those fields stay zero, ``policy`` empty and the
+    latency histograms ``None``.
+    """
+
+    requested: int
+    policy: str = ""
+    queue_capacity: int = 0
+    arrived: int = 0
+    admitted: int = 0
+    issued: int = 0
+    completed: int = 0
+    failed: int = 0
+    rejected: int = 0
+    shed_reads: int = 0
+    timed_out: int = 0
+    writes: int = 0
+    reads: int = 0
+    max_queue_depth: int = 0
+    queued_at_end: int = 0
+    stall_time: float = 0.0
+    end_time: float = 0.0
+    events: int = 0
+    #: The run exhausted its event budget: the stats describe a prefix
+    #: (:func:`run_armed`), which aggregating consumers must refuse.
+    truncated: bool = False
+    #: Open loop: completion latency from arrival, per operation kind, and
+    #: its raw samples when ``keep_samples`` is set.
+    read_latency: Optional[LatencyHistogram] = None
+    write_latency: Optional[LatencyHistogram] = None
+    samples: Optional[Dict[str, List[float]]] = None
+
+    def latency(self) -> LatencyHistogram:
+        """Reads and writes merged into one histogram (a fresh copy)."""
+        return self.read_latency.copy().merge(self.write_latency)
+
+
+class Driver(StreamObserver):
+    """One run's operations on one cluster, armed without running it.
+
+    Keeps the operations *this* run issued (the history may also carry
+    operations scheduled by others, which must not perturb the stats).
+    :meth:`issue` starts a write of the next :func:`value_source` value, or
+    a read; each settled operation of the run is folded into :attr:`stats`
+    and handed to the policy's :meth:`_settled`.  The caller runs the
+    simulation, possibly with other objects' drivers, then calls
+    :meth:`finalize` to unsubscribe it.  All randomness comes from
+    ``np.random.default_rng(seed)``, drawn by each policy in its own fixed
+    order, so a run is reproducible event-for-event.
+    """
+
+    def __init__(
+        self, cluster, cfg: RunConfig, *, operations: int, seed: int, value_prefix: str
+    ) -> None:
+        if operations < 0:
+            raise ValueError("operations cannot be negative")
+        self.cluster = cluster
+        self.sim = cluster.sim
+        self.cfg = cfg
+        self.rng = np.random.default_rng(seed)
+        self.stats = RunStats(requested=operations)
+        self.active = True
+        #: op id -> the policy's token for each operation still outstanding.
+        self.outstanding: Dict[str, object] = {}
+        self.next_value = value_source(cluster, self.rng, cfg, value_prefix)
+
+    def issue(self, client, kind: str, token) -> None:
+        """Start a ``kind`` operation on the idle ``client``."""
+        stats = self.stats
+        if kind == "write":
+            op_id = client.start_write(self.next_value())
+            stats.writes += 1
+        else:
+            op_id = client.start_read()
+            stats.reads += 1
+        self.outstanding[op_id] = token
+        stats.issued += 1
+
+    def _settle(self, record) -> None:
+        token = self.outstanding.pop(record.op_id, None)
+        if token is None:
+            return  # not one of this run's operations
+        stats = self.stats
+        finished_at = (
+            record.responded_at if record.responded_at is not None else self.sim.now
+        )
+        stats.end_time = max(stats.end_time, finished_at)
+        if record.failed:
+            stats.failed += 1
+        else:
+            stats.completed += 1
+        self._settled(record, token, finished_at)
+
+    # One callback for both: ``record.failed`` tells them apart, and a
+    # record that fails after completing has already left ``outstanding``.
+    on_complete = on_failed = _settle
+
+    def _settled(self, record, token, finished_at: float) -> None:
+        """The policy's step after an operation of the run settled."""
+        raise NotImplementedError
+
+    def finalize(self) -> None:
+        self.active = False
+        self.cluster.history.unsubscribe(self)
+        self.stats.end_time = max(self.stats.end_time, self.sim.now)
+
+
+class ClosedLoop(Driver):
+    """The closed loop: one pending invocation per client.
+
+    Each client starts within ``start_window`` and, whenever its operation
+    settles, issues its next one after an exponential think time of mean
+    ``mean_gap`` — so offered load self-limits.  Writers write, readers
+    read.  A start that finds its client busy is tried again
+    :data:`BUSY_RETRY_DELAY` later.  The operation budget is consumed by
+    whichever clients are alive: a crashed client's slot is handed to the
+    next live client round-robin, so the budget drains fully while anyone
+    survives, and a fully crashed client set winds the run down (fewer
+    issued operations) instead of hanging.
+    """
+
+    def __init__(self, cluster, cfg: RunConfig, **run) -> None:
+        super().__init__(cluster, cfg, **run)
+        self.clients = [cluster.writers[pid] for pid in cluster.writer_ids] + [
+            cluster.readers[pid] for pid in cluster.reader_ids
+        ]
+        cluster.history.subscribe(self)
+        window = cfg.start_window
+        for client in self.clients[: self.stats.requested]:
+            at = float(self.rng.uniform(0.0, window)) if window else 0.0
+            start = partial(self._start, client)
+            self.sim.schedule(at, start, label="start streamed op")
+
+    def _live_after(self, client):
+        """The next non-crashed client after ``client``, round-robin."""
+        clients = self.clients
+        start = clients.index(client)
+        for shift in range(1, len(clients) + 1):
+            candidate = clients[(start + shift) % len(clients)]
+            if not candidate.is_crashed:
+                return candidate
+        return None
+
+    def _start(self, client) -> None:
+        if not self.active or self.stats.issued >= self.stats.requested:
+            return
+        if client.is_crashed or client.busy:
+            # A crashed client hands its budget slot on instead of
+            # abandoning it; a busy one tries again.
+            crashed = client.is_crashed
+            retry = self._live_after(client) if crashed else client
+            if retry is not None:
+                self.sim.schedule(
+                    BUSY_RETRY_DELAY,
+                    partial(self._start, retry),
+                    label="reassign streamed op" if crashed else "retry streamed op",
+                )
+            return
+        kind = "write" if str(client.pid) in self.cluster.writers else "read"
+        self.issue(client, kind, client)
+
+    def _settled(self, record, client, finished_at: float) -> None:
+        if self.stats.issued >= self.stats.requested:
+            return
+        if client.is_crashed:
+            client = self._live_after(client)
+            if client is None:
+                return
+        mean_gap = self.cfg.mean_gap
+        gap = float(self.rng.exponential(mean_gap)) if mean_gap else 0.0
+        self.sim.schedule(gap, partial(self._start, client), label="next streamed op")
+
+
+class OpenLoop(Driver):
+    """The open loop: an arrival process fixes the invocation schedule up
+    front (drawn with the operation kinds before anything else, 8 bytes per
+    operation), and the cluster either keeps up or visibly degrades.
+
+    * **Virtual clients.**  Arrivals are multiplexed over the writer and
+      reader pools: an idle client is taken from a free list at dispatch
+      (lowest-numbered first) and returned on completion; a crashed one
+      leaves the rotation for good.
+    * **Bounded admission queue.**  An arrival with no idle client of its
+      kind waits in a FIFO queue of ``queue_per_server * n`` entries.  A
+      full queue applies the policy: ``drop`` rejects the arrival;
+      ``shed-reads`` rejects a read, and admits a write by evicting the
+      oldest queued read; ``backpressure`` pauses the arrival stream until
+      the queue drains below capacity (``stall_time``), and the arrivals
+      due meanwhile arrive then.  The event queue stays bounded by
+      ``clients + queue capacity + 1`` either way.
+    * **Timeout-as-failure.**  With ``op_timeout`` set, a queued arrival
+      whose wait exceeds it is expired at dispatch time (``timed_out``),
+      never silently retried.
+    * **Latency** is measured from *arrival*, queueing included, into one
+      mergeable histogram per operation kind.
+    """
+
+    def __init__(self, cluster, cfg: RunConfig, *, arrival, **run) -> None:
+        from repro.metrics.latency import LatencyHistogram
+
+        super().__init__(cluster, cfg, **run)
+        operations = self.stats.requested
+        self.arrival_times = arrival.generate(self.rng, operations)
+        self.is_read = self.rng.random(operations) < cfg.read_fraction
+        stats = self.stats
+        stats.policy = cfg.policy
+        stats.queue_capacity = cfg.queue_per_server * cluster.n
+        stats.read_latency, stats.write_latency = LatencyHistogram(), LatencyHistogram()
+        if cfg.keep_samples:
+            stats.samples = {"read": [], "write": []}
+        # Free lists, reversed so .pop() hands out the lowest-numbered idle
+        # client first (deterministic assignment order).
+        self.idle = {
+            "write": [cluster.writers[pid] for pid in reversed(cluster.writer_ids)],
+            "read": [cluster.readers[pid] for pid in reversed(cluster.reader_ids)],
+        }
+        self.queues: Dict[str, Deque[float]] = {"write": deque(), "read": deque()}
+        self.stalled = False
+        self.stall_started = 0.0
+        cluster.history.subscribe(self)
+        self._schedule_next_arrival()
+
+    def _queue_depth(self) -> int:
+        return len(self.queues["write"]) + len(self.queues["read"])
+
+    def _dispatch(self, kind: str, arrival_time: float) -> bool:
+        """Issue one ``kind`` operation on an idle client, if any."""
+        pool = self.idle[kind]
+        while pool and pool[-1].is_crashed:
+            pool.pop()
+        if not pool:
+            return False
+        self.issue(pool.pop(), kind, (arrival_time, kind))
+        return True
+
+    def _schedule_next_arrival(self) -> None:
+        index = self.stats.arrived
+        if self.stalled or index >= self.stats.requested:
+            return
+        self.sim.schedule_at(
+            max(self.arrival_times[index], self.sim.now),
+            self._on_arrival,
+            label="open-loop arrival",
+        )
+
+    def _on_arrival(self) -> None:
+        if not self.active:
+            return
+        stats, queues = self.stats, self.queues
+        capacity = stats.queue_capacity
+        index = stats.arrived
+        kind = "read" if self.is_read[index] else "write"
+        now = self.sim.now
+        depth = self._queue_depth()
+        if depth >= capacity and self.cfg.policy == "backpressure":
+            # Stall the arrival stream: this arrival (and everything
+            # behind it) waits until the queue drains below capacity.
+            self.stalled = True
+            self.stall_started = now
+            return
+        stats.arrived += 1
+        if not queues[kind] and self._dispatch(kind, now):
+            stats.admitted += 1
+        elif depth < capacity:
+            queues[kind].append(now)
+            stats.admitted += 1
+            stats.max_queue_depth = max(stats.max_queue_depth, depth + 1)
+        elif self.cfg.policy == "shed-reads" and kind == "write" and queues["read"]:
+            queues["read"].popleft()
+            stats.shed_reads += 1
+            queues[kind].append(now)
+            stats.admitted += 1
+        else:
+            stats.rejected += 1
+        self._schedule_next_arrival()
+
+    def _settled(self, record, token, finished_at: float) -> None:
+        arrival_time, kind = token
+        stats = self.stats
+        if not record.failed:
+            latency = finished_at - arrival_time
+            hist = stats.write_latency if kind == "write" else stats.read_latency
+            hist.record(latency)
+            if stats.samples is not None:
+                stats.samples[kind].append(latency)
+        pool = self.cluster.writers if kind == "write" else self.cluster.readers
+        client = pool.get(record.client)
+        if client is not None and not client.is_crashed:
+            self.idle[kind].append(client)
+        # Drain queued arrivals of this kind onto newly idle clients.
+        queue = self.queues[kind]
+        now, timeout = self.sim.now, self.cfg.op_timeout
+        while queue:
+            arrival_time = queue[0]
+            if timeout is not None and now - arrival_time > timeout:
+                queue.popleft()
+                stats.timed_out += 1
+                continue
+            if not self._dispatch(kind, arrival_time):
+                break
+            queue.popleft()
+        if self.stalled and self._queue_depth() < stats.queue_capacity:
+            stats.stall_time += now - self.stall_started
+            self.stalled = False
+            self._schedule_next_arrival()
+
+    def finalize(self) -> None:
+        super().finalize()
+        if self.stalled:
+            self.stats.stall_time += self.sim.now - self.stall_started
+            self.stalled = False
+        self.stats.queued_at_end = self._queue_depth()
 
 
 def run_armed(
     sim: Simulation,
-    armed: Sequence[Tuple[object, Callable[[], None]]],
+    drivers: Sequence[Driver],
     *,
     operations: int,
     max_events: Optional[int],
     label: str,
 ) -> int:
-    """Run ``sim`` to quiescence under the armed drivers; return the
-    number of events processed.
+    """Run ``sim`` to quiescence under the armed ``drivers`` (one per
+    hosted object); return the number of events processed.
 
-    ``armed`` holds the ``(stats, finalize)`` pairs of the drivers armed on
-    the simulation (one per hosted object).  ``max_events=None`` takes the
-    default budget, which scales with ``operations``.  A run that exhausts
-    its budget is flagged loudly instead of masquerading as a completed
-    one: every ``stats.truncated`` is set — the stats then describe a
-    *prefix* of the requested run — and a ``RuntimeWarning`` names the
-    ``label`` of the entry point.  The finalizers run either way.
+    ``max_events=None`` takes the default budget, which scales with
+    ``operations``.  A run that exhausts its budget is flagged loudly
+    instead of masquerading as a completed one: every driver's
+    ``stats.truncated`` is set — the stats then describe a *prefix* of the
+    requested run — and a ``RuntimeWarning`` names the ``label`` of the
+    entry point.  The drivers are finalized either way.
     """
     budget = max_events if max_events is not None else max(
         10_000_000, operations * 2_000
@@ -56,9 +403,9 @@ def run_armed(
     try:
         sim.run(max_events=budget)
     except EventBudgetExceeded:
-        for stats, _ in armed:
-            stats.truncated = True
-        completed = sum(stats.completed for stats, _ in armed)
+        for driver in drivers:
+            driver.stats.truncated = True
+        completed = sum(driver.stats.completed for driver in drivers)
         warnings.warn(
             f"{label} run truncated: event budget of {budget} exhausted "
             f"after {completed}/{operations} completed operations",
@@ -66,8 +413,8 @@ def run_armed(
             stacklevel=3,  # past this function and its run_* caller
         )
     finally:
-        for _, finalize in armed:
-            finalize()
+        for driver in drivers:
+            driver.finalize()
     return sim.events_processed - events_before
 
 
@@ -79,24 +426,17 @@ def value_source(
     Values are globally unique — ``{value_prefix}#{seq}|`` padded to
     ``cfg.value_size`` with bytes drawn from the driver's ``rng`` — and
     take their place in ``rng``'s stream ``cfg.warm_batch`` at a time (the
-    draw order every committed artefact was produced with): a refill is
-    what the generator's stream holds at the first value's request, and the
-    driver's later draws (think times, arrivals, the next refill) come after
-    the whole refill, wherever in between its values are asked for.
-
-    A refill is drawn by :func:`_refill` from a private clone of the bit
-    generator, while ``rng`` itself jumps past it in one step.  *When* a
-    value is drawn depends on whether the cluster pre-encodes it
-    (:func:`~repro.erasure.batch.pre_encodes`, the question
-    :meth:`~repro.erasure.batch.CachedEncoder.warm` asks): small values are
-    drawn a whole refill at a time and handed to the cluster's shared
-    encoder, which encodes them in one batched call; any other value is
-    drawn when its writer asks for it, so a run holds no value before its
-    write.  Both give the same bytes and leave ``rng`` in the same state.
-
-    ``rng`` must be PCG64-backed (what ``np.random.default_rng`` builds):
-    the jump is ``PCG64.advance``; any other bit generator is refused with a
-    ``TypeError``.
+    draw order every committed artefact was produced with): the driver's
+    later draws come after the whole refill, wherever in between its values
+    are asked for.  A refill is drawn by :func:`_refill` from a private
+    clone of the bit generator while ``rng`` jumps past it with
+    ``PCG64.advance``, so ``rng`` must be PCG64-backed (a ``TypeError``
+    otherwise).  Values the cluster pre-encodes
+    (:func:`~repro.erasure.batch.pre_encodes`) are drawn a refill at a time
+    and warmed into its shared encoder in one batched call; any other value
+    is drawn when its writer asks for it.  Both give the same bytes and
+    leave ``rng`` in the same state (docs/perf.md, "A value is drawn when
+    it is written").
     """
     bit_generator = rng.bit_generator
     if type(bit_generator) is not np.random.PCG64:
@@ -139,23 +479,18 @@ def _refill(
     """Move ``bit_generator`` past one refill of values, then yield them.
 
     Each value is its header padded to ``size`` with the bytes
-    ``Generator.bytes`` would return, leaving the state it would leave.
-    ``Generator.bytes`` takes ``ceil(n / 4)`` words of the bit generator's
-    uint32 stream — the pending half-word (``has_uint32`` / ``uinteger``)
-    first, then each raw 64-bit output low half first — and writes them
-    little-endian; for ``n >= 1`` these are also the bytes and state of
-    ``rng.integers(0, 256, size=n, dtype=np.uint8).tobytes()``, what every
-    committed value stream was drawn with.  A header that already fills
-    the value is the whole value, and draws nothing.
+    ``Generator.bytes`` would return, leaving the state it would leave:
+    ``ceil(n / 4)`` words of the uint32 stream — the pending half-word
+    (``has_uint32`` / ``uinteger``) first, then each raw 64-bit output low
+    half first — little-endian; for ``n >= 1`` also the bytes and state of
+    ``rng.integers(0, 256, size=n, dtype=np.uint8).tobytes()``.  A header
+    that already fills the value draws nothing.
 
-    The body runs to its first ``yield`` at the first ``next``: it counts
-    the raw outputs the refill takes (and the half-word it leaves pending),
+    At the first ``next`` the body counts the raw outputs the refill takes,
     sets ``clone`` to ``bit_generator``'s state and moves ``bit_generator``
-    past them with ``advance(count - 1)`` and one last draw — the high half
-    of that draw is the ``uinteger`` ``Generator.bytes`` leaves.  The values
-    then come from ``clone``'s raw outputs, drawn with ``random_raw``
-    without ``bytes``' uint32 array, ``astype`` copy and slice, and copied
-    once, into the value (docs/perf.md, "Hash once, generate once").
+    past them with ``advance(count - 1)`` and one last draw, whose high
+    half is the ``uinteger`` ``Generator.bytes`` leaves; the values then
+    come from ``clone``'s ``random_raw``, copied once into the value.
     ``tests/runtime/test_driver.py`` pins the bytes and the state.
     """
     state = bit_generator.state

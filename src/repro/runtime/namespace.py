@@ -24,8 +24,9 @@ embed the namespaced client pid.
 :meth:`MultiRegisterCluster.run_streamed` / ``run_open_loop`` drive the
 whole namespace: a :class:`~repro.workloads.keyed.KeyDistribution` splits
 the operation budget over objects (Zipf-skewed hot keys or uniform), each
-object arms its own closed- or open-loop driver, and one shared simulation
-run (:func:`repro.runtime.driver.run_armed`) drives them all concurrently.
+object arms its own :class:`~repro.runtime.driver.Driver` (closed- or
+open-loop), and one shared simulation run
+(:func:`repro.runtime.driver.run_armed`) drives them all concurrently.
 """
 
 from __future__ import annotations
@@ -38,14 +39,19 @@ from repro.consistency.history import OperationRecord
 from repro.consistency.stream import HistorySink
 from repro.metrics.costs import CommunicationCostTracker
 from repro.metrics.latency import LatencyHistogram
-from repro.runtime.cluster import RegisterCluster, StreamedRunStats
+from repro.runtime.cluster import RegisterCluster
 from repro.runtime.config import RunConfig
-from repro.runtime.driver import apply_fault_plan, run_armed
-from repro.runtime.openloop import OpenLoopStats, begin_open_loop
+from repro.runtime.driver import (
+    ClosedLoop,
+    OpenLoop,
+    RunStats,
+    apply_fault_plan,
+    run_armed,
+)
 from repro.sim.network import DelayModel
 from repro.sim.simulation import Simulation
 from repro.workloads.arrivals import ArrivalProcess
-from repro.workloads.keyed import KeyDistribution, ObjectPlan, plan_objects
+from repro.workloads.keyed import KeyDistribution, plan_objects
 
 
 def object_namespace(index: int) -> str:
@@ -64,10 +70,9 @@ _ADDITIVE = frozenset(
 class NamespaceStats:
     """Outcome of one namespace-wide run, closed- or open-loop.
 
-    ``per_object`` holds the hosted objects' own driver stats
-    (:class:`~repro.runtime.cluster.StreamedRunStats` or
-    :class:`~repro.runtime.openloop.OpenLoopStats`) and ``allocation``
-    their shares of the multinomial budget split.  Every additive
+    ``per_object`` holds the hosted objects' own
+    :class:`~repro.runtime.driver.RunStats` and ``allocation`` their shares
+    of the multinomial budget split.  Every additive
     per-object counter (``completed``, ``rejected``, ``stall_time`` …)
     reads here as its sum; the open loop's latency histograms and samples
     read as their merge, always folded in object order, so they are
@@ -75,9 +80,7 @@ class NamespaceStats:
     """
 
     requested: int
-    per_object: List[Union[StreamedRunStats, OpenLoopStats]] = field(
-        default_factory=list
-    )
+    per_object: List[RunStats] = field(default_factory=list)
     end_time: float = 0.0
     events: int = 0
 
@@ -255,32 +258,19 @@ class MultiRegisterCluster:
         """Drive ``operations`` keyed client operations through the
         namespace in one shared simulation run.
 
-        The operation budget is split over objects by one deterministic
-        multinomial draw from ``key_dist`` (uniform by default); each
-        object then runs its own closed loop — one pending invocation per
-        client, per-object derived seeds, per-object unique value prefixes
-        (``{value_prefix}o{j}|…``) — concurrently on the shared clock.
-        Everything derives from ``seed``, so the run is reproducible
-        event-for-event and independent of how many worker processes a
-        sharded analysis fans epochs over.
-
-        ``knobs`` and ``faults`` are those of
+        The budget is split over objects by one deterministic multinomial
+        draw from ``key_dist`` (uniform by default); each object runs its
+        own closed loop, with a derived seed and the value prefix
+        ``{value_prefix}o{j}|``, on the shared clock.  Everything derives
+        from ``seed``, so the run is reproducible event-for-event for any
+        shard fan-out.  ``knobs`` and ``faults`` are those of
         :meth:`RegisterCluster.run_streamed
         <repro.runtime.cluster.RegisterCluster.run_streamed>`; the fault
         plan applies namespace-wide (:meth:`apply_fault_plan`).
         """
-        cfg = RunConfig(**knobs)
-
-        def arm(obj: RegisterCluster, gid: int, plan: ObjectPlan):
-            return obj._begin_streamed(
-                cfg,
-                operations=plan.allocation[gid],
-                seed=plan.object_seeds[gid],
-                value_prefix=f"{value_prefix}o{gid}|",
-            )
-
         return self._run(
-            "namespace streamed", arm, operations, key_dist, seed, max_events, faults
+            "namespace streamed", ClosedLoop, operations, key_dist, seed,
+            value_prefix, max_events, faults, knobs,
         )
 
     def run_open_loop(
@@ -297,43 +287,27 @@ class MultiRegisterCluster:
     ) -> NamespaceStats:
         """Drive ``operations`` open-loop arrivals through the namespace.
 
-        The operation budget is split over objects by one deterministic
-        multinomial draw from ``key_dist`` (uniform by default), and the
-        arrival process is rescaled per object by its popularity
+        As :meth:`run_streamed`, with one open loop per object whose
+        arrival process is ``arrival`` rescaled by the object's popularity
         (:meth:`~repro.workloads.arrivals.ArrivalProcess.scaled`), so the
         namespace-wide offered rate matches ``arrival`` while the hot key
-        sees proportionally more traffic.  Each object arms its own
-        open-loop driver (bounded admission queue, policy, timeout) with a
-        derived seed, and one shared simulation run drives them all —
-        reproducible event-for-event for any shard fan-out.  Trace
-        arrivals cannot be rescaled and raise ``ValueError`` here.
-
-        ``knobs`` and ``faults`` are those of
+        sees proportionally more traffic; trace arrivals cannot be
+        rescaled and raise ``ValueError``.  ``knobs`` are those of
         :meth:`RegisterCluster.run_open_loop
-        <repro.runtime.cluster.RegisterCluster.run_open_loop>`; the fault
-        plan applies namespace-wide (:meth:`apply_fault_plan`).
+        <repro.runtime.cluster.RegisterCluster.run_open_loop>`.
         """
-        cfg = RunConfig(**knobs)
-
-        def arm(obj: RegisterCluster, gid: int, plan: ObjectPlan):
-            return begin_open_loop(
-                obj,
-                cfg,
-                operations=plan.allocation[gid],
-                arrival=arrival.scaled(plan.probabilities[gid]),
-                seed=plan.object_seeds[gid],
-                value_prefix=f"{value_prefix}o{gid}|",
-            )
-
         return self._run(
-            "namespace open-loop", arm, operations, key_dist, seed, max_events, faults
+            "namespace open-loop", OpenLoop, operations, key_dist, seed,
+            value_prefix, max_events, faults, knobs, arrival,
         )
 
     def _run(
-        self, label, arm, operations, key_dist, seed, max_events, faults
+        self, label, policy, operations, key_dist, seed, value_prefix, max_events,
+        faults, knobs, arrival: Optional[ArrivalProcess] = None,
     ) -> NamespaceStats:
-        """Apply ``faults``, split the budget, ``arm`` one driver per
+        """Apply ``faults``, split the budget, arm one ``policy`` driver per
         hosted object and run them all on the shared simulation."""
+        cfg = RunConfig(**knobs)
         if operations < 0:
             raise ValueError("operations cannot be negative")
         if faults is not None:
@@ -343,10 +317,19 @@ class MultiRegisterCluster:
         # reproduces the monolithic per-object budgets, arrival shares
         # and driver seeds.
         plan = plan_objects(dist, operations, self.namespace_size, seed)
-        armed = [arm(obj, gid, plan) for gid, obj in zip(self.object_ids, self.objects)]
-        stats = NamespaceStats(operations, per_object=[own for own, _ in armed])
+        drivers = []
+        for gid, obj in zip(self.object_ids, self.objects):
+            run = dict(
+                operations=plan.allocation[gid],
+                seed=plan.object_seeds[gid],
+                value_prefix=f"{value_prefix}o{gid}|",
+            )
+            if arrival is not None:
+                run["arrival"] = arrival.scaled(plan.probabilities[gid])
+            drivers.append(policy(obj, cfg, **run))
+        stats = NamespaceStats(operations, per_object=[d.stats for d in drivers])
         stats.events = run_armed(
-            self.sim, armed, operations=operations, max_events=max_events, label=label
+            self.sim, drivers, operations=operations, max_events=max_events, label=label
         )
         stats.end_time = self.sim.now
         return stats

@@ -13,11 +13,6 @@ and dropped counters are written before every call into Python and on exit.
 
 from __future__ import annotations
 
-import os
-import signal
-import subprocess
-import sys
-
 from repro.erasure.gf_native import CompiledModule
 
 MODULE_NAME = "_repro_run_loop"
@@ -355,32 +350,14 @@ PyMODINIT_FUNC PyInit__repro_run_loop(void) {
 """
 
 
-#: Compiles argv[2] into module argv[3] in argv[1]; prints the built path.
+#: Compiles the source file argv[2] into module argv[3] in argv[1]; prints
+#: the built path.
 _COMPILE = (
     "import sys; from cffi import ffiplatform as p; "
     "print(p.compile(sys.argv[1], p.get_extension(*sys.argv[2:])))"
 )
 
-
-def _build(build_dir: str) -> str:
-    """Compile in a child process, so the compiler's output and the build
-    tooling's memory stay out of the process that runs the simulation."""
-    source = os.path.join(build_dir, f"{MODULE_NAME}.c")
-    with open(source, "w") as handle:
-        handle.write(C_SOURCE)
-    done = subprocess.run(
-        [sys.executable, "-c", _COMPILE, build_dir, source, MODULE_NAME],
-        capture_output=True,
-        text=True,
-    )
-    if done.returncode == -signal.SIGINT:  # ^C, not a toolchain to record
-        raise KeyboardInterrupt
-    if done.returncode != 0:
-        raise RuntimeError((done.stderr.strip().splitlines() or ["no output"])[-1])
-    return done.stdout.strip().splitlines()[-1]
-
-
-LOOP = CompiledModule(MODULE_NAME, C_SOURCE, _build)
+LOOP = CompiledModule(MODULE_NAME, C_SOURCE, _COMPILE)
 
 
 def describe() -> str:

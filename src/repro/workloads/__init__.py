@@ -15,8 +15,8 @@ workloads that exercise the quantities the theorems talk about:
   checker runs with no cluster, and the unique write values every workload
   writes;
 * :mod:`repro.workloads.arrivals` — seeded open-loop arrival processes
-  (Poisson / diurnal / burst / trace replay) for the open-loop traffic
-  driver in :mod:`repro.runtime.openloop`;
+  (Poisson / diurnal / burst / trace replay) for the open-loop policy of
+  the traffic driver, :class:`repro.runtime.driver.OpenLoop`;
 * :mod:`repro.workloads.faults` — the unified :class:`FaultPlan`
   composite (crash bursts, slow disks, delay adversary, withholding
   servers, partition/heal), each leg a pure function of its derived rng.

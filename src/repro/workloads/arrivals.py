@@ -1,11 +1,11 @@
 """Open-loop arrival processes.
 
-The closed-loop drivers (:meth:`repro.runtime.cluster.RegisterCluster.run_streamed`)
-issue one operation per client at a time, so offered load self-limits to
-whatever the cluster can absorb — latency *tails* are unobservable.  The
-open-loop driver (:mod:`repro.runtime.openloop`) instead takes an arrival
-*schedule*: a sequence of absolute invocation times generated up front by
-one of the processes in this module.
+The closed loop (:class:`repro.runtime.driver.ClosedLoop`) issues one
+operation per client at a time, so offered load self-limits and latency
+*tails* are unobservable.  The open loop
+(:class:`repro.runtime.driver.OpenLoop`) instead takes an arrival
+*schedule* of absolute invocation times, generated up front by one of the
+processes in this module.
 
 Four families cover the traffic shapes the ROADMAP names:
 

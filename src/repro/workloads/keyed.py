@@ -12,9 +12,10 @@ This module supplies the key dimension:
 * :func:`parse_key_dist` — the CLI surface syntax (``--key-dist zipf:1.1``),
   whose grammar is :data:`KEY_DISTS`.
 * :meth:`KeyDistribution.allocate` — a deterministic multinomial split of a
-  total operation budget over objects, which is how the closed-loop
-  namespace driver (:meth:`repro.runtime.namespace.MultiRegisterCluster.run_streamed`)
-  turns key popularity into per-object load.
+  total operation budget over objects, which is how a namespace run
+  (:meth:`repro.runtime.namespace.MultiRegisterCluster.run_streamed` /
+  ``run_open_loop``) turns key popularity into per-object load, one
+  :class:`~repro.runtime.driver.Driver` per object.
 
 Everything is a pure function of its seed/rng, so keyed workloads shard
 over worker processes without perturbing results.

@@ -11,6 +11,9 @@ holds no extension" case); every other test copies its output.
 import os
 import shutil
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,14 +211,18 @@ class TestLoadFailuresAreReasons:
 class TestUnavailableMarker:
     @pytest.fixture
     def broken_toolchain(self, monkeypatch):
-        cffi = pytest.importorskip("cffi")
+        """A compiler that fails in the build's child process; the list
+        counts the children started."""
+        pytest.importorskip("cffi")
+        monkeypatch.setenv("CC", "/bin/false")
         attempts = []
+        run = subprocess.run
 
-        def compile_(self, *args, **kwargs):
+        def counted(*args, **kwargs):
             attempts.append(1)
-            raise cffi.VerificationError("CompileError: command 'cc' failed")
+            return run(*args, **kwargs)
 
-        monkeypatch.setattr(cffi.FFI, "compile", compile_)
+        monkeypatch.setattr(subprocess, "run", counted)
         return attempts
 
     def test_failed_build_writes_the_reason(self, cache, broken_toolchain):
@@ -256,3 +263,45 @@ class TestUnavailableMarker:
         _marker(cache).write_text("an earlier failure\n")
         monkeypatch.setattr(gf_native.KERNELS, "_compile", _no_compile)
         assert gf_native.availability_error() is None
+
+
+# ----------------------------------------------------------------------
+# a cold build runs in a child process
+# ----------------------------------------------------------------------
+_FIRST_ENCODE = """
+import sys
+from repro.erasure.gf import default_backend
+from repro.erasure.rs import ReedSolomonCode
+
+ReedSolomonCode(6, 4).encode(bytes(range(32)))
+assert default_backend() == "native", default_backend()
+tooling = ("setuptools", "distutils")
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] in tooling)))
+"""
+
+
+@needs_native
+def test_a_cold_build_leaves_the_asking_process_clean(tmp_path):
+    """The first encode with an empty cache builds the kernels, under
+    ``-W error``: nothing reaches the process's stderr, and the build
+    tooling (setuptools, distutils) is imported only by the child that
+    compiles."""
+    env = {
+        key: value
+        for key, value in os.environ.items()
+        if key not in ("REPRO_GF_BACKEND", "PYTHONWARNINGS")
+    }
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    env[gf_native.CACHE_ENV_VAR] = str(cache)
+    env["PYTHONPATH"] = str(Path(gf_native.__file__).resolve().parents[2])
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _FIRST_ENCODE],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert done.stdout.strip() == ""
+    assert gf_native.KERNELS._find_extension(str(cache)) is not None

@@ -16,6 +16,9 @@ with that generator; tests/workloads/test_stream_tapes.py holds the
 rewritten one to it.  ``table1_n6_seed0.txt`` was written at the last
 commit whose Table I ran through the generator module's own scheduler and
 result class; tests/analysis/test_tables.py holds the one scheduler to it.
+``driver_stats_seed0.json`` was written at the last commit whose closed and
+open loops were two drivers with a stats class each;
+tests/runtime/test_driver_stats.py holds the one driver to it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 GOLDEN_DIR = Path(__file__).resolve().parent
@@ -80,6 +83,117 @@ def stream_tape(name: str) -> dict:
     tape = StreamTape()
     stats = stream_operations(StreamSpec(**STREAM_TAPE_SPECS[name]), tape)
     return {"events": tape.events, "stats": asdict(stats), "sha256": tape.hexdigest()}
+
+#: Driver-stats scenarios (mirrored by tests/runtime/test_driver_stats.py):
+#: name -> cluster keywords (``objects`` makes it a MultiRegisterCluster),
+#: client crashes (pid -> time) and ``run_streamed`` / ``run_open_loop``
+#: keywords (an ``arrival`` makes it open-loop; specs as strings).
+_OPEN = dict(
+    operations=300, arrival="poisson:4", queue_per_server=1, op_timeout=3.0, seed=1
+)
+_SMALL = dict(n=5, f=2, num_writers=2, num_readers=2, seed=7)
+DRIVER_STATS_RUNS = {
+    # w1 and w2 die mid-operation (each fails an issued op, and the slot
+    # goes to the next live client at its completion), r0 before its first
+    # start; w2's and r0's next starts hand their slots on round-robin.
+    # Live clients are often busy (the 0.25 retry).
+    "closed-client-crash": dict(
+        cluster=dict(n=5, f=2, num_writers=3, num_readers=3, seed=3),
+        crash={"w1": 4.0, "r0": 0.0, "w2": 20.0},
+        run=dict(operations=240, mean_gap=0.1, seed=5),
+    ),
+    "open-drop": dict(
+        cluster=_SMALL, run=dict(_OPEN, policy="drop", keep_samples=True)
+    ),
+    "open-shed-reads": dict(cluster=_SMALL, run=dict(_OPEN, policy="shed-reads")),
+    "open-backpressure": dict(
+        cluster=_SMALL, run=dict(_OPEN, policy="backpressure", keep_samples=True)
+    ),
+    "namespace-closed-zipf": dict(
+        cluster=dict(_SMALL, objects=4, seed=11),
+        run=dict(operations=400, key_dist="zipf:1.1", seed=3),
+    ),
+    "namespace-open-zipf": dict(
+        cluster=dict(_SMALL, objects=4, seed=11),
+        run=dict(
+            _OPEN, operations=400, arrival="poisson:3", key_dist="zipf:1.1",
+            policy="shed-reads", keep_samples=True,
+        ),
+    ),
+}
+
+#: What a namespace run's stats answer besides their dataclass fields (the
+#: allocation, the summed counters and the merged histograms); a name its
+#: per-object stats do not have is left out.
+_NAMESPACE_READS = (
+    "allocation truncated arrived admitted issued completed failed rejected "
+    "shed_reads timed_out writes reads queued_at_end stall_time read_latency "
+    "write_latency samples"
+).split()
+
+
+def _jsonable(value):
+    """``value`` as JSON; a numpy scalar as ``{"<type>": value}``, so that a
+    field that changes between ``float`` and ``numpy.float64`` shows."""
+    if hasattr(value, "to_jsonable"):
+        return value.to_jsonable()
+    if hasattr(value, "dtype"):
+        return {type(value).__name__: value.item()}
+    if is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _jsonable(item) for key, item in value.items()}
+    return value
+
+
+def run_driver_scenario(name: str):
+    """Build and run driver-stats scenario ``name``; return its stats."""
+    from repro.baselines.registry import make_cluster
+    from repro.runtime.namespace import MultiRegisterCluster
+    from repro.workloads.arrivals import parse_arrival
+    from repro.workloads.keyed import parse_key_dist
+
+    scenario = DRIVER_STATS_RUNS[name]
+    shape = dict(scenario["cluster"])
+    if "objects" in shape:
+        cluster = MultiRegisterCluster("SODA", **shape)
+    else:
+        cluster = make_cluster("SODA", **shape)
+    for pid, at_time in scenario.get("crash", {}).items():
+        cluster.failures.crash_at(pid, at_time)
+    run = dict(scenario["run"])
+    if "key_dist" in run:
+        run["key_dist"] = parse_key_dist(run["key_dist"])
+    if "arrival" in run:
+        run["arrival"] = parse_arrival(run["arrival"])
+        stats = cluster.run_open_loop(**run)
+    else:
+        stats = cluster.run_streamed(**run)
+    return stats
+
+
+def driver_stats(name: str) -> dict:
+    """Run driver-stats scenario ``name``: every field of its stats, as JSON."""
+    stats = run_driver_scenario(name)
+    captured = _jsonable(stats)
+    if "objects" in DRIVER_STATS_RUNS[name]["cluster"]:
+        for read in _NAMESPACE_READS:
+            try:
+                captured[read] = _jsonable(getattr(stats, read))
+            except AttributeError:
+                continue
+    return captured
+
+
+def capture_driver_stats() -> None:
+    rows = {name: driver_stats(name) for name in DRIVER_STATS_RUNS}
+    (GOLDEN_DIR / "driver_stats_seed0.json").write_text(
+        json.dumps({"runs": DRIVER_STATS_RUNS, "stats": rows}, indent=1) + "\n"
+    )
+    print(f"captured {len(rows)} driver stats")
+
 
 #: Golden event-trace scenario (mirrored by tests/sim/test_golden_trace.py).
 TRACE_SCENARIO = dict(
@@ -266,6 +380,7 @@ def main() -> None:
 
     capture_stream_tapes()
     capture_table1()
+    capture_driver_stats()
 
     (GOLDEN_DIR / "paper_sweeps_seed0.json").write_text(
         json.dumps({name: sweep_rows(name) for name in SWEEPS}, indent=1) + "\n"

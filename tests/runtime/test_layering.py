@@ -145,7 +145,7 @@ repro.workloads.generator.StreamSpec(operations=80_000, clients=16)
         repro.erasure.mds repro.metrics repro.metrics.costs repro.metrics.latency
         repro.runtime repro.runtime.audit repro.runtime.cluster
         repro.runtime.config repro.runtime.driver repro.runtime.namespace
-        repro.runtime.openloop repro.sim repro.sim.events repro.sim.failures
+        repro.sim repro.sim.events repro.sim.failures
         repro.sim.network repro.sim.process repro.sim.simulation repro.workloads
         repro.workloads.arrivals repro.workloads.faults repro.workloads.keyed
         repro.workloads.spec
