@@ -668,8 +668,6 @@ def _run_group(cell: Mapping[str, object], gids: Tuple[int, ...]) -> dict:
                 verdict=verdict,
                 records=tuple(taps[j].records.values()) if taps else None,
             )
-        else:
-            measured["stall_time"] = float(own.stall_time)
         if audited:
             stall_taps[j].finish(stats.end_time)
             ground = applied.objects[j]
@@ -700,7 +698,7 @@ def _run_group(cell: Mapping[str, object], gids: Tuple[int, ...]) -> dict:
             )
         objects.append(measured)
     group = {
-        "end_time": stats.end_time if closed else float(stats.end_time),
+        "end_time": stats.end_time,
         "events": stats.events,
         "objects": objects,
         "max_retired_bytes": mux.max_retired_bytes if mux else 0,

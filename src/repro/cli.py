@@ -15,7 +15,7 @@ The CLI is a thin wrapper over :mod:`repro.analysis`; anything it prints can
 also be obtained programmatically (see docs/sweeps.md for the sweep table
 and the mapping of its rows to the paper's tables and theorems).  Each
 command imports its machinery when it runs, so ``import repro.cli`` loads
-the registry and the GF backend switch and nothing else.
+the registry and the GF backend resolution and nothing else.
 
 ``experiment <sweep>`` runs one row of :data:`repro.analysis.experiments.
 SWEEPS` at the row's defaults and prints its rows as ``key=value`` lines.
@@ -63,9 +63,7 @@ commands; ``--help`` prints every spec form from its family table.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
@@ -73,12 +71,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 from repro import __version__
 from repro.baselines.registry import available_protocols, default_kwargs, make_cluster
-from repro.erasure.gf import (
-    BACKEND_ENV_VAR,
-    GF_BACKENDS,
-    describe_backend,
-    set_default_backend,
-)
+from repro.erasure.gf import describe_backend
 
 if TYPE_CHECKING:
     from repro.analysis.engine import Report
@@ -441,24 +434,14 @@ _PROG = "soda-repro"
 
 
 def _global_flags() -> argparse.ArgumentParser:
-    """The flags that stand before the command.  :func:`main` reads them
-    ahead of the full parse: ``--version`` needs no command and must name
-    the backend ``--gf-backend`` selects, whichever of the two comes first."""
+    """The flag that stands before the command.  :func:`main` reads it
+    ahead of the full parse: ``--version`` needs no command."""
     flags = argparse.ArgumentParser(prog=_PROG, add_help=False, allow_abbrev=False)
     flags.add_argument(
         "--version",
         action="store_true",
         help="print the version, the resolved GF(2^8) backend and the "
         "simulator's run loop, then exit",
-    )
-    flags.add_argument(
-        "--gf-backend",
-        choices=GF_BACKENDS,
-        default=None,
-        help="GF(2^8) kernel backend for erasure coding (default: the "
-        "REPRO_GF_BACKEND env var, else the compiled 'native' kernels when "
-        "they load or build and 'numpy' otherwise; an explicit 'native' "
-        "needs cffi plus a C toolchain and fails fast when unavailable)",
     )
     return flags
 
@@ -632,45 +615,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextmanager
-def _backend_pinned(backend: Optional[str]):
-    """Pin the GF backend ``--gf-backend`` names for one :func:`main` call,
-    then put the process back as it was: a later ``main()`` in the same
-    process (tests, notebooks, the benchmark's in-process CLI loop) resolves
-    its own backend."""
-    if backend is None:
-        yield
-        return
-    previous_env = os.environ.get(BACKEND_ENV_VAR)
-    previous_pin = set_default_backend(backend)
-    # Pool workers are spawned: they resolve from the environment.
-    os.environ[BACKEND_ENV_VAR] = backend
-    try:
-        yield
-    finally:
-        set_default_backend(previous_pin)
-        if previous_env is None:
-            os.environ.pop(BACKEND_ENV_VAR, None)
-        else:
-            os.environ[BACKEND_ENV_VAR] = previous_env
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     early, _ = _global_flags().parse_known_args(argv)
-    args = early if early.version else build_parser().parse_args(argv)
-    with _backend_pinned(args.gf_backend):
-        if args.version:
-            from repro.sim.run_loop import describe as describe_run_loop
+    if early.version:
+        from repro.sim.run_loop import describe as describe_run_loop
 
-            print(
-                f"{_PROG} {__version__} (gf backend: {describe_backend()}, "
-                f"run loop: {describe_run_loop()})"
-            )
-            sys.exit(0)
-        # Results and artefacts are byte-equal across backends, so this line
-        # is the only place a run says which kernels it used.
-        print(f"gf backend: {describe_backend()}", file=sys.stderr)
-        return args.func(args)
+        print(
+            f"{_PROG} {__version__} (gf backend: {describe_backend()}, "
+            f"run loop: {describe_run_loop()})"
+        )
+        sys.exit(0)
+    args = build_parser().parse_args(argv)
+    # Results and artefacts are byte-equal across backends, so this line
+    # is the only place a run says which kernels it used.
+    print(f"gf backend: {describe_backend()}", file=sys.stderr)
+    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -16,9 +16,9 @@ This package implements everything needed from scratch:
 * :mod:`repro.erasure.gf` — arithmetic in GF(2^8), with two
   byte-identical bulk-kernel backends: compiled C kernels (``native``, the
   default wherever they load or build) and full-table numpy gathers
-  (``numpy``, the portable fallback and the tests' reference), pinned per
-  field instance or process-wide via ``REPRO_GF_BACKEND`` / the
-  ``--gf-backend`` CLI flag.
+  (``numpy``, the portable fallback and the tests' reference); a field
+  instance may name its backend, and the process-wide default is whichever
+  loads.
 * :mod:`repro.erasure.gf_native` — the cffi-compiled kernels behind the
   ``native`` backend and their per-user build cache (every way of failing
   to provide them is a named reason, never an exception).

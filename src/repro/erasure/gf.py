@@ -38,17 +38,14 @@ depended on it.)
 
 The process-wide default backend (:func:`default_backend`) is ``native``
 when the compiled kernels load and ``numpy``, silently, when they do not —
-:func:`describe_backend` names the reason.  ``REPRO_GF_BACKEND`` (and the CLI
-flag ``--gf-backend``, via :func:`set_default_backend`) are explicit
-overrides: an env-selected ``native`` that cannot load falls back to
-``numpy`` with a warning, while an explicit
-:func:`set_default_backend`/constructor request raises.
+:func:`describe_backend` names the reason.  That is the rule
+:mod:`repro.sim.run_loop` resolves the simulator's loop by, and there is
+no override: a host without a C toolchain (or a process run with
+``CC=/bin/false`` and an empty ``REPRO_GF_NATIVE_CACHE``) gets ``numpy``.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from functools import lru_cache
 from typing import Iterable, List, Optional
 
@@ -66,15 +63,11 @@ ORDER = FIELD_SIZE - 1  # multiplicative group order
 
 #: The interchangeable bulk-kernel backends (see the module docstring).
 GF_BACKENDS = ("numpy", "native")
-#: Environment variable consulted by :func:`default_backend`.
-BACKEND_ENV_VAR = "REPRO_GF_BACKEND"
 
 #: Bytes of one input row the numpy kernel works on at a time.  Its ``intp``
 #: index is eight times that (256 KiB), which with the output rows it feeds
 #: stays inside a private L2 while every output row reuses it.
 KERNEL_BLOCK = 32 * 1024
-
-_backend_override: Optional[str] = None
 
 
 class GF256:
@@ -421,81 +414,20 @@ class GF256:
 
 def available_backends() -> List[str]:
     """The subset of :data:`GF_BACKENDS` usable on this host."""
-    return [
-        name
-        for name in GF_BACKENDS
-        if name != "native" or gf_native.is_available()
-    ]
-
-
-def set_default_backend(backend: Optional[str]) -> Optional[str]:
-    """Pin the process-wide default backend (``None`` restores env/default).
-
-    An explicit request for ``"native"`` raises ``RuntimeError`` when the
-    compiled kernels cannot be built, unlike the env-var path which falls
-    back to ``numpy`` with a warning and the unset default which falls back
-    silently.  Returns the pin it replaces, so a caller that pins for the
-    length of one call can put it back.
-    """
-    global _backend_override
-    previous = _backend_override
-    if backend is not None:
-        if backend not in GF_BACKENDS:
-            raise ValueError(
-                f"unknown GF backend {backend!r}; expected one of {GF_BACKENDS}"
-            )
-        if backend == "native":
-            error = gf_native.availability_error()
-            if error is not None:
-                raise RuntimeError(f"native GF backend unavailable: {error}")
-    _backend_override = backend
-    return previous
-
-
-def _requested_backend() -> Optional[str]:
-    """The explicitly chosen backend (override, then environment), if any."""
-    if _backend_override is not None:
-        return _backend_override
-    env = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
-    if not env:
-        return None
-    if env not in GF_BACKENDS:
-        raise ValueError(
-            f"{BACKEND_ENV_VAR}={env!r} is not a GF backend; "
-            f"expected one of {GF_BACKENDS}"
-        )
-    return env
+    return list(GF_BACKENDS) if gf_native.is_available() else ["numpy"]
 
 
 def default_backend() -> str:
-    """Resolve the backend new ``default_field()`` instances use.
-
-    Precedence: :func:`set_default_backend` override, then the
-    ``REPRO_GF_BACKEND`` environment variable, then ``"native"`` when the
-    compiled kernels load (a cached build) or build, else ``"numpy"``.
-    """
-    requested = _requested_backend()
-    if requested == "numpy":
-        return "numpy"
-    error = gf_native.availability_error()
-    if error is None:
-        return "native"
-    if requested == "native":
-        warnings.warn(
-            f"{BACKEND_ENV_VAR}=native requested but the compiled backend "
-            f"is unavailable ({error}); falling back to the numpy kernels",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return "numpy"
+    """The backend new :func:`default_field` instances use: ``"native"``
+    when the compiled kernels load (a cached build) or build, else
+    ``"numpy"``."""
+    return "native" if gf_native.is_available() else "numpy"
 
 
 def describe_backend() -> str:
     """The resolved default backend and, on a fallback, why ``native`` is out."""
-    backend = default_backend()
-    if backend == "numpy" and _requested_backend() != "numpy":
-        return f"numpy (native unavailable: {gf_native.availability_error()})"
-    return backend
+    error = gf_native.availability_error()
+    return "native" if error is None else f"numpy (native unavailable: {error})"
 
 
 @lru_cache(maxsize=None)
@@ -506,8 +438,8 @@ def _field_for_backend(backend: str) -> GF256:
 def default_field() -> GF256:
     """A process-wide shared GF(2^8) instance with the default polynomial.
 
-    One instance is cached per backend, so flipping the default backend
-    mid-process (tests, CLI) hands out the matching cached field without
-    rebuilding tables for backends already seen.
+    One instance is cached per backend, so a test that hides the compiled
+    kernels mid-process is handed the cached numpy field without
+    rebuilding tables.
     """
     return _field_for_backend(default_backend())

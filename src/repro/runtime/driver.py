@@ -304,7 +304,7 @@ class OpenLoop(Driver):
         if self.stalled or index >= self.stats.requested:
             return
         self.sim.schedule_at(
-            max(self.arrival_times[index], self.sim.now),
+            max(float(self.arrival_times[index]), self.sim.now),
             self._on_arrival,
             label="open-loop arrival",
         )

@@ -13,14 +13,17 @@ checks the same property through the CLI at larger sizes.
 
 The baseline runs on the backend a user gets (``native`` where the compiled
 kernels load); ``tests/analysis/test_golden_longrun.py`` pins those bytes to
-the committed goldens, and the backend axis here re-runs every scenario on
-the ``numpy`` reference, workers included.
+the committed goldens, and the backend axis here re-runs every scenario as
+a host without a C toolchain would: the ``numpy`` kernels and the Python
+run loop, workers included.
 """
 
 import pytest
 
 from repro.analysis.engine import KINDS
-from repro.erasure.gf import BACKEND_ENV_VAR, default_backend
+from repro.erasure import gf_native
+from repro.erasure.gf import default_backend
+from repro.sim import run_loop
 from tests.golden.capture_goldens import ARTEFACT_SCENARIOS, write_scenario
 
 
@@ -76,16 +79,40 @@ def test_artefact_bytes_invariant_under_scheduling(
         assert getattr(report, axis) == value
 
 
+@pytest.fixture(scope="module")
+def empty_build_cache(tmp_path_factory):
+    """A build cache no worker has written to yet: under ``CC=/bin/false``
+    the first worker records each compiled module's failed build there and
+    every later one reads the marker."""
+    return tmp_path_factory.mktemp("no-toolchain-cache")
+
+
+def _hide_toolchain(monkeypatch, cache):
+    def unavailable():
+        raise RuntimeError("no C toolchain")
+
+    # In this process: the seam a failed build leaves behind.
+    monkeypatch.setattr(gf_native.KERNELS, "load", unavailable)
+    monkeypatch.setattr(run_loop.LOOP, "load", unavailable)
+    # In the spawned workers: a host whose compiler fails, with nothing cached.
+    monkeypatch.setenv("CC", "/bin/false")
+    monkeypatch.setenv(gf_native.CACHE_ENV_VAR, str(cache))
+
+
 @pytest.mark.parametrize("name", sorted(ARTEFACT_SCENARIOS))
 def test_artefact_bytes_invariant_under_gf_backend(
-    tmp_path, baselines, monkeypatch, name
+    tmp_path, baselines, monkeypatch, empty_build_cache, name
 ):
     expected = baselines(name)  # on the default-resolved backend
-    # Through the environment, so that spawned workers follow.
-    monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
+    _hide_toolchain(monkeypatch, empty_build_cache)
     assert default_backend() == "numpy"
     report, *paths = write_scenario(name, tmp_path, jobs=2)
     assert report.ok
     assert [path.read_bytes() for path in paths] == expected, (
         f"{name}: artefact bytes differ between the default backend and numpy"
+    )
+    # The workers fell back: each module's build failed and none was built.
+    assert sorted(path.name for path in empty_build_cache.iterdir()) == sorted(
+        f"{module._source_digest()}.unavailable"
+        for module in (gf_native.KERNELS, run_loop.LOOP)
     )

@@ -83,6 +83,27 @@ def test_the_watermark_is_the_set_of_finished_reads(monkeypatch, protocol, n, kw
         assert dict(server._done_upto) == issued
 
 
+def check_soda_reads_leave_no_per_read_state():
+    """Concurrent writes and reads to quiescence leave no per-read state at
+    any server: no registration, history entry or finished-read marker.
+
+    Most reads are unregistered by the relay threshold alone.  Heavy-tailed
+    delays let a read's READ-VALUE reach some server after the elements that
+    would have unregistered it there, and only READ-COMPLETE ends those."""
+    cluster = make_cluster(
+        "SODA", 5, 2, num_writers=2, num_readers=2, seed=4,
+        delay_model=ExponentialDelay(mean=1.0),
+    )
+    stats = cluster.run_streamed(operations=200, value_size=32, mean_gap=0.0, seed=8)
+    assert stats.completed == 200
+    held = [server.per_read_entries for server in cluster.servers]
+    assert held == [0] * 5, f"per-read state left at the servers: {held}"
+
+
+def test_soda_reads_leave_no_per_read_state():
+    check_soda_reads_leave_no_per_read_state()
+
+
 class TestRegistrationLog:
     def test_window_is_first_registration_to_last_unregistration(self):
         log = RegistrationLog()

@@ -26,7 +26,6 @@ from repro.erasure.gf import (
     default_backend,
     default_field,
     describe_backend,
-    set_default_backend,
 )
 from repro.erasure.mds import corrupt
 from repro.erasure.rs import ReedSolomonCode
@@ -183,48 +182,21 @@ def test_backend_listing_and_selection():
     assert default_backend() in BACKENDS
     with pytest.raises(ValueError):
         GF256(backend="fortran")
-    with pytest.raises(ValueError):
-        set_default_backend("fortran")
     # The removed 4-bit split-table backend is no longer a selectable value.
     with pytest.raises(ValueError, match="unknown GF backend"):
         GF256(backend="split")
-    with pytest.raises(ValueError, match="unknown GF backend"):
-        set_default_backend("split")
-    try:
-        set_default_backend("numpy")
-        assert default_backend() == "numpy"
-        assert default_field().backend == "numpy"
-    finally:
-        set_default_backend(None)
 
 
 @needs_native
 def test_native_backend_selected_field():
-    try:
-        set_default_backend("native")
-        assert default_field().backend == "native"
-    finally:
-        set_default_backend(None)
-
-
-def test_backend_env_var(monkeypatch):
-    monkeypatch.setenv("REPRO_GF_BACKEND", " NumPy ")
-    assert default_backend() == "numpy"
-    for removed_or_unknown in ("split", "cobol"):
-        monkeypatch.setenv("REPRO_GF_BACKEND", removed_or_unknown)
-        with pytest.raises(ValueError, match="is not a GF backend"):
-            default_backend()
+    assert default_backend() == "native"
+    assert default_field().backend == "native"
 
 
 # ----------------------------------------------------------------------
-# the unset default: native when it loads, numpy (silently) when not
+# the default: native when it loads, numpy (silently) when not
 # ----------------------------------------------------------------------
 class TestDefaultResolution:
-    @pytest.fixture(autouse=True)
-    def unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_GF_BACKEND", raising=False)
-        set_default_backend(None)
-
     @staticmethod
     def _native_loads(monkeypatch):
         monkeypatch.setattr(gf_native.KERNELS, "load", lambda: ("ffi", "lib"))
@@ -252,28 +224,6 @@ class TestDefaultResolution:
             "numpy (native unavailable: no C compiler on this host)"
         )
         assert available_backends() == ["numpy"]
-
-    def test_explicit_env_native_that_cannot_load_still_warns(self, monkeypatch):
-        self._native_fails(monkeypatch)
-        monkeypatch.setenv("REPRO_GF_BACKEND", "native")
-        with pytest.warns(RuntimeWarning, match="no C compiler on this host"):
-            assert default_backend() == "numpy"
-        with pytest.raises(RuntimeError, match="native GF backend unavailable"):
-            set_default_backend("native")
-
-    def test_explicit_numpy_never_probes_the_kernel(self, monkeypatch):
-        def load():
-            raise AssertionError("the compiled kernel was probed")
-
-        monkeypatch.setattr(gf_native.KERNELS, "load", load)
-        monkeypatch.setenv("REPRO_GF_BACKEND", "numpy")
-        assert default_backend() == "numpy" and describe_backend() == "numpy"
-        monkeypatch.delenv("REPRO_GF_BACKEND")
-        try:
-            set_default_backend("numpy")
-            assert default_backend() == "numpy" and describe_backend() == "numpy"
-        finally:
-            set_default_backend(None)
 
     def test_marker_file_is_honoured(self, monkeypatch, tmp_path):
         """A host whose build failed once resolves to numpy from the marker

@@ -286,11 +286,7 @@ def test_a_cold_build_leaves_the_asking_process_clean(tmp_path):
     ``-W error``: nothing reaches the process's stderr, and the build
     tooling (setuptools, distutils) is imported only by the child that
     compiles."""
-    env = {
-        key: value
-        for key, value in os.environ.items()
-        if key not in ("REPRO_GF_BACKEND", "PYTHONWARNINGS")
-    }
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
     cache = tmp_path / "cache"
     cache.mkdir()
     env[gf_native.CACHE_ENV_VAR] = str(cache)

@@ -17,7 +17,9 @@ rewritten one to it.  ``table1_n6_seed0.txt`` was written at the last
 commit whose Table I ran through the generator module's own scheduler and
 result class; tests/analysis/test_tables.py holds the one scheduler to it.
 ``driver_stats_seed0.json`` was written at the last commit whose closed and
-open loops were two drivers with a stats class each;
+open loops were two drivers with a stats class each, and its
+``{"float64": x}`` tags were later read as plain floats, once the open
+loop stopped leaving numpy floats in its stats;
 tests/runtime/test_driver_stats.py holds the one driver to it.
 """
 

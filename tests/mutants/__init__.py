@@ -51,6 +51,7 @@ class Mutant:
 _SODA_SERVER = "repro.core.soda.cluster.SodaServer"
 _RECENT_WRITES = "repro.consistency.incremental._RecentWrites"
 _SODA_WRITER = "repro.core.soda.cluster.SodaWriter"
+_SODA_READER = "repro.core.soda.cluster.SodaReader"
 _CAS_WRITER = "repro.baselines.cas.CasWriter"
 _ABD_READER = "repro.baselines.abd.AbdReader"
 _SODAERR_READER = "repro.core.sodaerr.cluster.SodaErrReader"
@@ -256,6 +257,20 @@ MUTANTS = (
                 "core/test_client.py::check_soda_write_then_read",
                 AssertionError,
                 "cluster-cycle",
+            ),
+        ),
+    ),
+    Mutant(
+        "SkipsReadCompleteSodaReader",
+        "core",
+        "clients",
+        _SODA_READER,
+        (
+            Kill(
+                "core/test_soda_read_lifetime.py::"
+                "check_soda_reads_leave_no_per_read_state",
+                AssertionError,
+                "per-read state left",
             ),
         ),
     ),

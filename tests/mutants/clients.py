@@ -5,6 +5,7 @@ cluster module builds writers from."""
 from repro.baselines.abd import AbdQueryResponse, AbdReader
 from repro.baselines.cas import CasFinalizeRequest, CasWriter
 from repro.core.messages import WriteGetResponse
+from repro.core.soda.reader import SodaReader
 from repro.core.soda.writer import SodaWriter
 from repro.core.sodaerr.reader import SodaErrReader
 from repro.core.tags import max_tag
@@ -34,6 +35,30 @@ class TagReusingSodaWriter(SodaWriter):
             op.tag = max_tag(op.get_responses.values())  # no next_for: the mutation
             op.phase = "put"
             self._md_sender.md_value_send(op.tag, op.value, op_id=op.op_id)
+
+
+class SkipsReadCompleteSodaReader(SodaReader):
+    """Returns the decoded value without ``md-meta-send(READ-COMPLETE)``.
+
+    Every read it makes is still atomic, and the relay threshold still
+    unregisters most of them.  A server that its READ-VALUE reached after
+    the elements that would have unregistered it keeps the registration for
+    good, and relays every later write to a reader that no longer listens:
+    ``tests/core/test_soda_read_lifetime.py::check_soda_reads_leave_no_per_read_state``.
+    """
+
+    def _on_element(self, message):
+        op = self._current
+        if op is None or message.op_id != op.op_id or op.phase != "value":
+            return
+        if message.tag < op.target_tag:
+            return
+        per_tag = op.collected.setdefault(message.tag, {})
+        per_tag[message.element.index] = message.element
+        if len(per_tag) < self.decode_threshold:
+            return
+        value = self.decoder.decode(message.tag, list(per_tag.values()))
+        self._end(value, message.tag)  # no READ-COMPLETE: the mutation
 
 
 class UnfinalizedCasWriter(CasWriter):

@@ -17,7 +17,7 @@ from repro import cli
 from repro.analysis.experiments import SWEEPS
 from repro.cli import build_parser, main
 from repro.erasure import gf_native
-from repro.erasure.gf import default_backend, describe_backend, set_default_backend
+from repro.erasure.gf import describe_backend
 from repro.sim import run_loop
 from repro.sim.run_loop import describe as describe_run_loop
 from tests.golden.capture_goldens import GOLDEN_DIR
@@ -72,23 +72,9 @@ class TestParser:
         assert line.startswith(message)
 
 
-    def test_removed_split_gf_backend_is_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(["--gf-backend", "split", "list"])
-        assert exit_info.value.code == 2
-        assert "invalid choice: 'split'" in capsys.readouterr().err
-        assert build_parser().parse_args(["--gf-backend", "numpy", "list"])
-
-
 class TestWhichBackendRan:
     """Artefacts are byte-equal across backends, so the version line and one
     stderr line per run are where a run names its kernels."""
-
-    @pytest.fixture(autouse=True)
-    def unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_GF_BACKEND", raising=False)
-        yield
-        set_default_backend(None)
 
     def test_version_names_the_resolved_backend(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -100,16 +86,24 @@ class TestWhichBackendRan:
             f"run loop: {describe_run_loop()})\n"
         )
 
-    def test_version_names_a_python_run_loop_with_its_reason(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "module, names",
+        [
+            (run_loop.LOOP, "run loop: python (native unavailable: {}))"),
+            (gf_native.KERNELS, "gf backend: numpy (native unavailable: {}), "),
+        ],
+        ids=["run-loop", "gf-kernels"],
+    )
+    def test_version_names_a_fallback_with_its_reason(
+        self, capsys, monkeypatch, module, names
+    ):
         def load():
             raise RuntimeError("no C compiler on this host")
 
-        monkeypatch.setattr(run_loop.LOOP, "load", load)
+        monkeypatch.setattr(module, "load", load)
         with pytest.raises(SystemExit):
             main(["--version"])
-        assert capsys.readouterr().out.endswith(
-            "run loop: python (native unavailable: no C compiler on this host))\n"
-        )
+        assert names.format("no C compiler on this host") in capsys.readouterr().out
 
     def test_every_run_says_so_once_on_stderr(self, capsys):
         assert main(["demo", "--protocol", "SODA", "--n", "5", "--f", "2"]) == 0
@@ -126,66 +120,6 @@ class TestWhichBackendRan:
         assert capsys.readouterr().err == (
             "gf backend: numpy (native unavailable: no C compiler on this host)\n"
         )
-
-    def test_explicit_flag_reaches_spawned_workers(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_GF_BACKEND", "native")
-        seen = []
-
-        def list_command(args):
-            seen.append(os.environ["REPRO_GF_BACKEND"])
-            return 0
-
-        monkeypatch.setattr(cli, "_cmd_list", list_command)
-        assert main(["--gf-backend", "numpy", "list"]) == 0
-        assert capsys.readouterr().err == "gf backend: numpy\n"
-        # Pool and checker workers resolve from the environment they inherit
-        # while the command runs ...
-        assert seen == ["numpy"]
-        # ... and the caller's environment is its own again afterwards.
-        assert os.environ["REPRO_GF_BACKEND"] == "native"
-
-    @pytest.mark.parametrize("env_before", [None, "native"])
-    def test_the_flag_pins_one_call_not_the_process(self, capsys, monkeypatch, env_before):
-        if env_before is not None:
-            monkeypatch.setenv("REPRO_GF_BACKEND", env_before)
-        before = default_backend()
-        assert main(["--gf-backend", "numpy", "list"]) == 0
-        assert capsys.readouterr().err == "gf backend: numpy\n"
-        assert os.environ.get("REPRO_GF_BACKEND") == env_before
-        assert default_backend() == before
-        # The next main() in the same process resolves its own backend.
-        assert main(["list"]) == 0
-        assert capsys.readouterr().err == f"gf backend: {describe_backend()}\n"
-
-    def test_a_failing_command_still_unpins(self, monkeypatch):
-        def boom(args):
-            raise RuntimeError("command failed")
-
-        monkeypatch.setattr(cli, "_cmd_list", boom)
-        before = default_backend()
-        with pytest.raises(RuntimeError, match="command failed"):
-            main(["--gf-backend", "numpy", "list"])
-        assert "REPRO_GF_BACKEND" not in os.environ
-        assert default_backend() == before
-
-    def test_a_pin_made_by_the_caller_survives(self):
-        set_default_backend("numpy")
-        assert main(["--gf-backend", "numpy", "list"]) == 0
-        assert default_backend() == "numpy"
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["--gf-backend", "numpy", "--version"], ["--version", "--gf-backend", "numpy"]],
-    )
-    def test_version_names_the_backend_the_flags_select(self, capsys, argv):
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        assert exit_info.value.code == 0
-        assert capsys.readouterr().out == (
-            f"soda-repro {__version__} (gf backend: numpy, "
-            f"run loop: {describe_run_loop()})\n"
-        )
-        assert "REPRO_GF_BACKEND" not in os.environ
 
 
 class TestExperiments:

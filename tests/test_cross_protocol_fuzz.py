@@ -14,6 +14,7 @@ import os
 
 import pytest
 from crash_client import crash_client
+from pct import PCTScheduler
 from sent_payloads import SentPayloads
 
 from repro.baselines.registry import available_protocols, make_cluster
@@ -22,6 +23,7 @@ from repro.consistency.stream import StreamingRecorder
 from repro.sim.adversary import WithholdingAdversary
 from repro.sim.failures import CrashSchedule
 from repro.sim.network import SlowDisk, UniformDelay
+from repro.sim.simulation import derive_seed
 
 PROTOCOLS = available_protocols()
 
@@ -112,6 +114,24 @@ def sodaerr_faults(seed):
     stats = cluster.run_streamed(operations=OPS, value_size=4096, seed=seed + 8)
     assert_clean(cluster, recorder, checker, stats)
     assert stats.completed == OPS
+
+
+def pct_schedule(protocol, seed, depth):
+    """One PCT schedule of bug depth ``depth`` (``tests/pct.py``): its
+    change points are drawn over the sends the same run makes unperturbed.
+    Returns the scheduler."""
+    cluster, _, _ = build(protocol, seed=seed)
+    cluster.run_streamed(operations=OPS, seed=seed + 9)
+    steps = cluster.sim.network.stats.messages_sent
+    cluster, recorder, checker = build(protocol, seed=seed)
+    scheduler = PCTScheduler(
+        depth=depth, steps=steps, seed=derive_seed("pct", seed, depth)
+    )
+    cluster.sim.network.install_adversary(scheduler)
+    stats = cluster.run_streamed(operations=OPS, seed=seed + 9)
+    assert_clean(cluster, recorder, checker, stats)
+    assert stats.completed == OPS
+    return scheduler
 
 
 # ----------------------------------------------------------------------
@@ -226,3 +246,19 @@ class TestRandomSchedules:
         assert_clean(cluster, recorder, checker, stats)
         assert stats.completed > OPS // 2
         payloads.check()
+
+
+#: PCT schedules per protocol and depth: FUZZ_FACTOR times as many nightly.
+PCT_SEEDS = tuple(FUZZ_SEED + seed for seed in range(4 * FUZZ_FACTOR))
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_pct_schedules_stay_atomic(protocol, depth):
+    """Random priorities per send (depth 1), plus one or two sends demoted
+    past a whole operation: every read still returns an atomic value and
+    every operation completes."""
+    schedulers = [pct_schedule(protocol, seed, depth) for seed in PCT_SEEDS]
+    # The demotions land: a change point past the end of a run is rare.
+    demoted = sum(scheduler.demoted for scheduler in schedulers)
+    assert demoted >= (depth - 1) * (len(PCT_SEEDS) - 1)
