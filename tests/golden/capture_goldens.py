@@ -267,6 +267,20 @@ ARTEFACT_SCENARIOS = {
             faults="withhold:1:8:20;partition:2:2:5", audit_rounds=30, seed=11,
         ),
     ),
+    "adversary_soda_3x600": (
+        "adversary-longrun",
+        "SODA",
+        dict(
+            # Every fault leg at once: crash bursts, slow disks and the delay
+            # adversary beside withholding and a partition.
+            ops=600, epoch_ops=300, objects=3,
+            faults=(
+                "crash:1:1:9:0.1;slow:1:2;delayadv:4:1:20;"
+                "withhold:1:5:20:2;partition:1:4:12"
+            ),
+            seed=11,
+        ),
+    ),
     "fleet_soda_4x240": (
         "fleet-longrun",
         "SODA",
