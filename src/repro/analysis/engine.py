@@ -80,7 +80,7 @@ from repro.runtime.audit import AuditConfig, AuditPool
 from repro.runtime.namespace import MultiRegisterCluster, object_namespace
 from repro.sim.simulation import derive_seed
 from repro.workloads.arrivals import parse_arrival
-from repro.workloads.faults import canonical_fault_spec
+from repro.workloads.faults import as_fault_plan
 from repro.workloads.keyed import parse_key_dist, partition_objects
 
 #: Artefact schema version (bump on breaking changes to the JSON layout).
@@ -392,7 +392,7 @@ def _resolve(kind: Kind, protocol: str, params: Mapping[str, object]) -> dict:
         raise ValueError("stall_threshold must be positive")
     p["key_dist"] = parse_key_dist(p["key_dist"]).spec()
     p["arrival"] = parse_arrival(p["arrival"]).spec()
-    p["faults"] = canonical_fault_spec(p["faults"])
+    p["faults"] = as_fault_plan(p["faults"]).spec()
     if kind.driver == "audited" and p["faults"] == "none":
         raise ValueError(
             f"{kind.name!r} audits a fault plan; faults must not be 'none'"

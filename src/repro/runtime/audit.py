@@ -17,9 +17,9 @@ missed probe can be bad luck (the probe or its reply raced a partition
 heal), but ``confirm`` consecutive misses of the same server are
 vanishingly unlikely unless the server really is unreachable or
 withholding — probe replies ride the same network as protocol traffic and
-are subject to the same adversaries (:mod:`repro.sim.adversary` drops
-``AuditProbeResponse`` from withholding servers, partitions drop both
-directions, crashed servers never answer).
+are subject to the same adversaries (:mod:`repro.workloads.faults`: a
+withholding server's ``AuditProbeResponse`` is dropped, a partition drops
+both directions, crashed servers never answer).
 
 Servers need no audit-specific code: protocol servers silently ignore
 unknown message types, and the :class:`AuditPool` answers probes on their

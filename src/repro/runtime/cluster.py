@@ -34,7 +34,6 @@ from repro.runtime.driver import (
     ClosedLoop,
     OpenLoop,
     RunStats,
-    apply_fault_plan,
     run_armed,
 )
 from repro.sim.failures import CrashSchedule, FailureInjector
@@ -308,7 +307,6 @@ class RegisterCluster(ABC):
         seed: int = 0,
         value_prefix: str = "",
         max_events: Optional[int] = None,
-        faults=None,
         **knobs,
     ) -> RunStats:
         """Drive ``operations`` client operations through the live cluster
@@ -322,13 +320,11 @@ class RegisterCluster(ABC):
 
         ``knobs`` are the :class:`~repro.runtime.config.RunConfig` fields
         (``value_size``, ``mean_gap``, ``start_window``, ``warm_batch``),
-        validated there.  ``faults`` accepts a
-        :class:`~repro.workloads.faults.FaultPlan` (or its spec string) and
-        applies it before the run via :meth:`apply_fault_plan`.
+        validated there.  A fault plan is applied before the run
+        (:meth:`apply_fault_plan`).
         """
         return self._drive(
-            "streamed", ClosedLoop, operations, seed, value_prefix, max_events,
-            faults, knobs,
+            "streamed", ClosedLoop, operations, seed, value_prefix, max_events, knobs
         )
 
     def run_open_loop(
@@ -339,7 +335,6 @@ class RegisterCluster(ABC):
         seed: int = 0,
         value_prefix: str = "",
         max_events: Optional[int] = None,
-        faults=None,
         **knobs,
     ) -> RunStats:
         """Drive ``operations`` arrivals through the cluster open-loop
@@ -351,20 +346,18 @@ class RegisterCluster(ABC):
         ``knobs`` are the :class:`~repro.runtime.config.RunConfig` fields
         (``read_fraction``, ``policy``, ``queue_per_server``,
         ``op_timeout``, ``value_size``, ``warm_batch``, ``keep_samples``),
-        validated there.  ``faults`` is as in :meth:`run_streamed`.
+        validated there.
         """
         return self._drive(
             "open-loop", OpenLoop, operations, seed, value_prefix, max_events,
-            faults, knobs, arrival=arrival,
+            knobs, arrival=arrival,
         )
 
     def _drive(
-        self, label, policy, operations, seed, value_prefix, max_events, faults,
-        knobs, **arrival,
+        self, label, policy, operations, seed, value_prefix, max_events, knobs,
+        **arrival,
     ) -> RunStats:
         cfg = RunConfig(**knobs)
-        if faults is not None:
-            self.apply_fault_plan(faults, seed=seed)
         driver = policy(
             self, cfg, operations=operations, seed=seed, value_prefix=value_prefix,
             **arrival,
@@ -399,12 +392,14 @@ class RegisterCluster(ABC):
     def apply_fault_plan(self, plan, *, seed: int = 0):
         """Materialise a :class:`~repro.workloads.faults.FaultPlan` (or its
         spec string) on this register — the one-hosted-object case of
-        :func:`repro.runtime.driver.apply_fault_plan`, which documents the
-        legs.  Returns (and keeps as ``applied_faults``) the
+        :meth:`~repro.workloads.faults.FaultPlan.apply`, which documents the
+        legs — and return the
         :class:`~repro.workloads.faults.AppliedFaultPlan` ground truth.
         """
-        self.applied_faults = apply_fault_plan(self.sim, [(0, self)], 1, plan, seed)
-        return self.applied_faults
+        # Imported here: only a run with a fault plan loads the legs.
+        from repro.workloads.faults import as_fault_plan
+
+        return as_fault_plan(plan).apply(self.sim, [(0, self)], 1, seed)
 
     # ------------------------------------------------------------------
     # metrics accessors

@@ -12,11 +12,11 @@ simulation and the objects on it* exist once, here:
   the completion fold into one :class:`RunStats` and ``finalize``.  Two
   arrival policies sit on it, :class:`ClosedLoop` and :class:`OpenLoop`;
 * :func:`run_armed` — the run loop (event budget, truncation, finalizers);
-* :func:`apply_fault_plan` — the fault-plan materialiser;
 * :func:`value_source` — the written-value generator of the driver.
 
-The public methods on the two cluster classes are "apply faults, arm,
-:func:`run_armed`".
+The public ``run_*`` methods on the two cluster classes are "arm,
+:func:`run_armed`"; a fault plan is applied before them
+(:meth:`repro.workloads.faults.FaultPlan.apply`).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Tuple,
 )
 
 import numpy as np
@@ -42,8 +41,7 @@ import numpy as np
 from repro.consistency.stream import StreamObserver
 from repro.erasure.batch import pre_encodes
 from repro.runtime.config import RunConfig
-from repro.sim.network import SlowDisk
-from repro.sim.simulation import EventBudgetExceeded, Simulation, derive_seed
+from repro.sim.simulation import EventBudgetExceeded, Simulation
 
 if TYPE_CHECKING:
     from repro.metrics.latency import LatencyHistogram
@@ -531,135 +529,3 @@ def _refill(
             word = int(raw[-1]) >> 32
             value += raw.astype("<u8", copy=False).data.cast("B")[: size - len(value)]
         yield value
-
-
-def apply_fault_plan(
-    sim: Simulation,
-    hosted: Sequence[Tuple[int, object]],
-    namespace_size: int,
-    plan,
-    seed: int,
-):
-    """Materialise a :class:`~repro.workloads.faults.FaultPlan` (or its
-    spec string) on the register objects ``hosted`` on ``sim``.
-
-    ``hosted`` pairs each cluster with its *global* object index in a
-    logical namespace of ``namespace_size`` objects.  Every leg derives
-    its rng per object from ``("faults", seed, leg name, global index)`` via
-    :func:`~repro.sim.simulation.derive_seed`, and the withhold leg draws
-    its victim objects (``objects = 0`` hits all of them) over the logical
-    namespace — so materialisation is a pure function of the seed, and a
-    subset of a namespace sees exactly the faults its objects would see in
-    the whole.
-
-    Crash legs go through each object's own ``f``-budget check; the slow
-    sets merge into one :class:`~repro.sim.network.SlowDisk` wrap of the
-    delay model; all adversary windows merge into **one** composite on
-    the shared network (valid because objects never exchange cross-object
-    messages), extending any adversary already installed.  Returns the
-    materialised ground truth as an
-    :class:`~repro.workloads.faults.AppliedFaultPlan`.
-    """
-    # Imported here: only a run with a fault plan needs them.
-    from repro.sim.adversary import (
-        CompositeAdversary,
-        DelayAdversary,
-        PartitionAdversary,
-        WithholdingAdversary,
-    )
-    from repro.workloads.faults import (
-        AppliedFaultPlan,
-        AppliedObjectFaults,
-        FaultPlan,
-        parse_faults,
-    )
-
-    if isinstance(plan, str):
-        plan = parse_faults(plan)
-    if not isinstance(plan, FaultPlan):
-        raise TypeError(
-            f"expected a FaultPlan or fault spec string, got {type(plan).__name__}"
-        )
-    if not plan:
-        return AppliedFaultPlan(plan_spec=plan.spec())
-
-    def leg_rng(leg: str, gid: int) -> np.random.Generator:
-        return np.random.default_rng(derive_seed("faults", seed, leg, gid))
-
-    #: global index -> the AppliedObjectFaults fields its legs filled in.
-    found: Dict[int, Dict[str, object]] = {gid: {} for gid, _ in hosted}
-    network = sim.network
-    adversaries = []
-
-    if plan.crash is not None and plan.crash.count:
-        for gid, obj in hosted:
-            rng = leg_rng("crash", gid)
-            schedule = plan.crash.materialise(obj.server_ids, rng)
-            obj.apply_crash_schedule(schedule)
-            found[gid]["crashed"] = tuple((e.pid, e.time) for e in schedule)
-    if plan.slow is not None and plan.slow.count:
-        slow_union: List[object] = []
-        for gid, obj in hosted:
-            rng = leg_rng("slow", gid)
-            found[gid]["slow"] = chosen = plan.slow.choose(obj.server_ids, rng)
-            slow_union.extend(chosen)
-        network.delay_model = SlowDisk(
-            network.delay_model,
-            slow_union,
-            extra=plan.slow.extra,
-            jitter=plan.slow.jitter,
-        )
-    if plan.delay_adversary is not None:
-        leg = plan.delay_adversary
-        adversaries.append(
-            DelayAdversary(factor=leg.factor, start=leg.start, end=leg.end)
-        )
-    if plan.withhold is not None:
-        leg = plan.withhold
-        if leg.objects and leg.objects < namespace_size:
-            rng = leg_rng("withhold-objects", 0)
-            victims = set(
-                int(i)
-                for i in rng.choice(namespace_size, size=leg.objects, replace=False)
-            )
-        else:
-            victims = set(range(namespace_size))
-        window = (leg.start, leg.end)
-        withheld_windows: Dict[object, tuple] = {}
-        for gid, obj in hosted:
-            if gid not in victims:
-                continue
-            rng = leg_rng("withhold", gid)
-            withheld = leg.choose(obj.server_ids, obj.code.k, rng)
-            surviving = obj.n - len(withheld)
-            found[gid].update(
-                withheld=withheld,
-                withhold_window=window,
-                surviving_elements=surviving,
-                below_k=surviving < obj.code.k,
-            )
-            withheld_windows.update((pid, window) for pid in withheld)
-        adversaries.append(WithholdingAdversary(withheld_windows))
-    if plan.partition is not None:
-        leg = plan.partition
-        window = (leg.start, leg.end)
-        isolated_windows: Dict[object, tuple] = {}
-        for gid, obj in hosted:
-            rng = leg_rng("partition", gid)
-            isolated = leg.choose(obj.server_ids, rng)
-            found[gid].update(isolated=isolated, partition_window=window)
-            isolated_windows.update((pid, window) for pid in isolated)
-        adversaries.append(PartitionAdversary(isolated_windows))
-    if adversaries:
-        if network._adversary is not None:
-            adversaries = [network._adversary, *adversaries]
-        network.install_adversary(
-            adversaries[0] if len(adversaries) == 1 else CompositeAdversary(adversaries)
-        )
-
-    return AppliedFaultPlan(
-        plan_spec=plan.spec(),
-        objects=tuple(
-            AppliedObjectFaults(object_index=gid, **found[gid]) for gid, _ in hosted
-        ),
-    )

@@ -41,13 +41,7 @@ from repro.metrics.costs import CommunicationCostTracker
 from repro.metrics.latency import LatencyHistogram
 from repro.runtime.cluster import RegisterCluster
 from repro.runtime.config import RunConfig
-from repro.runtime.driver import (
-    ClosedLoop,
-    OpenLoop,
-    RunStats,
-    apply_fault_plan,
-    run_armed,
-)
+from repro.runtime.driver import ClosedLoop, OpenLoop, RunStats, run_armed
 from repro.sim.network import DelayModel
 from repro.sim.simulation import Simulation
 from repro.workloads.arrivals import ArrivalProcess
@@ -252,7 +246,6 @@ class MultiRegisterCluster:
         seed: int = 0,
         value_prefix: str = "",
         max_events: Optional[int] = None,
-        faults=None,
         **knobs,
     ) -> NamespaceStats:
         """Drive ``operations`` keyed client operations through the
@@ -263,14 +256,14 @@ class MultiRegisterCluster:
         own closed loop, with a derived seed and the value prefix
         ``{value_prefix}o{j}|``, on the shared clock.  Everything derives
         from ``seed``, so the run is reproducible event-for-event for any
-        shard fan-out.  ``knobs`` and ``faults`` are those of
+        shard fan-out.  ``knobs`` are those of
         :meth:`RegisterCluster.run_streamed
-        <repro.runtime.cluster.RegisterCluster.run_streamed>`; the fault
-        plan applies namespace-wide (:meth:`apply_fault_plan`).
+        <repro.runtime.cluster.RegisterCluster.run_streamed>`; a fault plan
+        applies namespace-wide (:meth:`apply_fault_plan`), before the run.
         """
         return self._run(
             "namespace streamed", ClosedLoop, operations, key_dist, seed,
-            value_prefix, max_events, faults, knobs,
+            value_prefix, max_events, knobs,
         )
 
     def run_open_loop(
@@ -282,7 +275,6 @@ class MultiRegisterCluster:
         seed: int = 0,
         value_prefix: str = "",
         max_events: Optional[int] = None,
-        faults=None,
         **knobs,
     ) -> NamespaceStats:
         """Drive ``operations`` open-loop arrivals through the namespace.
@@ -298,20 +290,18 @@ class MultiRegisterCluster:
         """
         return self._run(
             "namespace open-loop", OpenLoop, operations, key_dist, seed,
-            value_prefix, max_events, faults, knobs, arrival,
+            value_prefix, max_events, knobs, arrival,
         )
 
     def _run(
         self, label, policy, operations, key_dist, seed, value_prefix, max_events,
-        faults, knobs, arrival: Optional[ArrivalProcess] = None,
+        knobs, arrival: Optional[ArrivalProcess] = None,
     ) -> NamespaceStats:
-        """Apply ``faults``, split the budget, arm one ``policy`` driver per
-        hosted object and run them all on the shared simulation."""
+        """Split the budget, arm one ``policy`` driver per hosted object and
+        run them all on the shared simulation."""
         cfg = RunConfig(**knobs)
         if operations < 0:
             raise ValueError("operations cannot be negative")
-        if faults is not None:
-            self.apply_fault_plan(faults, seed=seed)
         dist = key_dist if key_dist is not None else KeyDistribution.uniform()
         # Drawn over the whole logical namespace, so a subset cluster
         # reproduces the monolithic per-object budgets, arrival shares
@@ -343,20 +333,19 @@ class MultiRegisterCluster:
     def apply_fault_plan(self, plan, *, seed: int = 0):
         """Materialise a :class:`~repro.workloads.faults.FaultPlan` (or its
         spec string) on the whole namespace
-        (:func:`repro.runtime.driver.apply_fault_plan` documents the legs).
+        (:meth:`~repro.workloads.faults.FaultPlan.apply` documents the legs).
 
         Every per-object rng derives from the object's *global* index and
         the withhold victim draw runs over the *logical* namespace size,
         so a subset cluster materialises exactly the faults its objects
-        would see in the monolithic namespace.  Returns (and keeps as
-        ``applied_faults``) the
+        would see in the monolithic namespace.  Returns the
         :class:`~repro.workloads.faults.AppliedFaultPlan` ground truth.
         """
+        # Imported here: only a run with a fault plan loads the legs.
+        from repro.workloads.faults import as_fault_plan
+
         hosted = list(zip(self.object_ids, self.objects))
-        self.applied_faults = apply_fault_plan(
-            self.sim, hosted, self.namespace_size, plan, seed
-        )
-        return self.applied_faults
+        return as_fault_plan(plan).apply(self.sim, hosted, self.namespace_size, seed)
 
     # ------------------------------------------------------------------
     # metrics

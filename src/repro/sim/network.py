@@ -217,7 +217,7 @@ class Network:
         self._delay_pos = 0
         self._buffered_model: Optional[DelayModel] = None
         self._block_capable = False
-        # Optional message adversary (repro.sim.adversary): inspects each
+        # Optional message adversary (see install_adversary): inspects each
         # in-flight message after the delay is drawn and may stretch or
         # drop the delivery.
         self._adversary = None
@@ -270,12 +270,16 @@ class Network:
     def install_adversary(self, adversary) -> None:
         """Install a message adversary (or ``None`` to remove it).
 
-        The adversary's :meth:`~repro.sim.adversary.Adversary.intervene`
-        runs on every send after the delay model has drawn the nominal
-        delay; it may stretch the delay or drop the message outright
-        (counted in ``stats.messages_dropped``).  Adversaries consume no
-        randomness, so installing one never perturbs the delay-sampling
-        rng stream.
+        An adversary is any object with ``intervene(record, delay, now) ->
+        (delay, drop)``: it runs on every send with the message's
+        :class:`MessageRecord`, the nominal delay the delay model drew and
+        the clock at send time, and returns the delay to use (it may
+        stretch it) and whether to drop the message outright (counted in
+        ``stats.messages_dropped``).  It must be deterministic given its
+        own state and these arguments, and draw nothing from the
+        simulation's generators, so installing one never perturbs the
+        delay-sampling rng stream.  The fault legs' adversaries live in
+        :mod:`repro.workloads.faults`.
         """
         self._adversary = adversary
         self._refresh_observed()

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.analysis import engine
 from repro.analysis.engine import (
     EPOCH_GAP,
     artefact_paths,
@@ -61,11 +62,42 @@ class TestVerdictCrossValidation:
         assert report.completed == 120
         assert report.verdict.shards == 2
 
+    def test_rebased_writes_sit_where_the_replay_has_them(self):
+        check_rebased_writes_sit_where_the_replay_has_them()
+
     def test_online_checkers_run_per_epoch(self):
         report = small_run()
         assert all(row.checker_ok for row in report.epochs)
         assert report.verdict.ops_seen == report.issued
         assert report.distinct_writes == report.writes
+
+
+def check_rebased_writes_sit_where_the_replay_has_them():
+    """The merged verdict and the kept replay history see one global
+    timeline: every write a rebased epoch verdict claims (its marker write
+    included) is invoked where the replay history invokes it."""
+    rebase = engine.rebase_verdict
+    rebased = []
+
+    def spy(verdict, epoch_index, offset):
+        rebased.append(rebase(verdict, epoch_index, offset))
+        return rebased[-1]
+
+    engine.rebase_verdict = spy
+    try:
+        report = small_run(ops=120, epoch_ops=60, keep_records=True)
+    finally:
+        engine.rebase_verdict = rebase
+    replayed = {
+        op.op_id: op.invoked_at for op in report.replay_histories[0].operations()
+    }
+    claims = [(v.index, s) for v in rebased for s in v.summaries if s.has_write]
+    assert len(claims) > len(report.epochs)
+    for epoch, summary in claims:
+        assert summary.write_invoked == replayed[summary.write_id], (
+            f"epoch {epoch}: write {summary.write_id} rebased to "
+            f"{summary.write_invoked} but replayed at {replayed[summary.write_id]}"
+        )
 
 
 class TestBoundedMemory:

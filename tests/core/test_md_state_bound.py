@@ -270,9 +270,9 @@ def _soda_run(n, f, seed, delay, faults, operations=60):
     )
     tap = CopyTap({server.pid: server._md_engine for server in cluster.servers}, f)
     with tap:
-        cluster.run_streamed(
-            operations=operations, mean_gap=0.25, seed=seed + 1, faults=faults
-        )
+        if faults is not None:
+            cluster.apply_fault_plan(faults, seed=seed + 1)
+        cluster.run_streamed(operations=operations, mean_gap=0.25, seed=seed + 1)
     return cluster, tap
 
 

@@ -19,7 +19,8 @@ result class; tests/analysis/test_tables.py holds the one scheduler to it.
 ``driver_stats_seed0.json`` was written at the last commit whose closed and
 open loops were two drivers with a stats class each, and its
 ``{"float64": x}`` tags were later read as plain floats, once the open
-loop stopped leaving numpy floats in its stats;
+loop stopped leaving numpy floats in its stats, and it was re-captured by
+this script once more to gain the closed runs' zero admission fields;
 tests/runtime/test_driver_stats.py holds the one driver to it.
 """
 

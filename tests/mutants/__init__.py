@@ -57,6 +57,7 @@ _ABD_READER = "repro.baselines.abd.AbdReader"
 _SODAERR_READER = "repro.core.sodaerr.cluster.SodaErrReader"
 _MD_ENGINE = "repro.core.soda.server.MDServerEngine"
 _DECODER = "repro.runtime.cluster.CachedDecoder"
+_REBASE = "repro.analysis.engine.rebase_verdict"
 
 MUTANTS = (
     Mutant(
@@ -231,6 +232,20 @@ MUTANTS = (
                 "core/test_md_state_bound.py::check_soda_drains_every_pending_copy",
                 AssertionError,
                 "pending_copies not drained",
+            ),
+        ),
+    ),
+    Mutant(
+        "GaplessRebase",
+        "analysis",
+        "engine",
+        _REBASE,
+        (
+            Kill(
+                "analysis/test_longrun.py::"
+                "check_rebased_writes_sit_where_the_replay_has_them",
+                AssertionError,
+                "rebased to .* but replayed at",
             ),
         ),
     ),

@@ -8,8 +8,8 @@ lowers the priority of the step about to run below every drawn one.  A bug
 of depth ``d`` then shows with probability at least ``1/(n k^(d-1))`` per
 run.
 
-Here a step is a send.  :class:`PCTScheduler` is an
-:class:`~repro.sim.adversary.Adversary` that replaces each message's delay
+Here a step is a send.  :class:`PCTScheduler` is a message adversary
+(:meth:`~repro.sim.network.Network.install_adversary`) that replaces each message's delay
 with the one its random priority maps to: the higher the priority, the
 sooner the delivery, within ``spread``.  The send at a change point is
 demoted to a delay longer than an operation, and the change point drawn
@@ -22,11 +22,10 @@ asynchronous model (Section II) allows.  Importable as ``pct`` through
 import random
 from typing import Tuple
 
-from repro.sim.adversary import Adversary
 from repro.sim.network import MessageRecord
 
 
-class PCTScheduler(Adversary):
+class PCTScheduler:
     """Random per-send priorities, ``depth - 1`` demotions among the first
     ``steps`` sends; draws only from its own ``random.Random(seed)``."""
 

@@ -23,7 +23,6 @@ from sent_payloads import SentPayloads
 import repro.sim.network as network_module
 from repro.baselines.registry import make_cluster
 from repro.metrics.costs import CommunicationCostTracker
-from repro.sim.adversary import Adversary
 from repro.sim.network import FixedDelay, Network, SlowDisk, UniformDelay
 from repro.sim.process import Process
 from repro.sim.simulation import Simulation
@@ -121,7 +120,7 @@ def check_soda_payloads_unchanged():
 # ----------------------------------------------------------------------
 # (b) send_many == a loop of sends
 # ----------------------------------------------------------------------
-class DropLegTo(Adversary):
+class DropLegTo:
     """Drops every message addressed to one process."""
 
     def __init__(self, victim):

@@ -99,7 +99,9 @@ def _cluster(protocol, **kwargs):
 def test_closed_loop_runs_are_identical(monkeypatch, protocol, faults):
     def scenario():
         cluster = _cluster(protocol)
-        cluster.run_streamed(operations=60, mean_gap=0.25, seed=3, faults=faults)
+        if faults:
+            cluster.apply_fault_plan(faults, seed=3)
+        cluster.run_streamed(operations=60, mean_gap=0.25, seed=3)
         return _state(cluster.sim, cluster)
 
     state = _under_both_loops(monkeypatch, scenario)

@@ -20,10 +20,10 @@ from sent_payloads import SentPayloads
 from repro.baselines.registry import available_protocols, make_cluster
 from repro.consistency.incremental import IncrementalAtomicityChecker
 from repro.consistency.stream import StreamingRecorder
-from repro.sim.adversary import WithholdingAdversary
 from repro.sim.failures import CrashSchedule
 from repro.sim.network import SlowDisk, UniformDelay
 from repro.sim.simulation import derive_seed
+from repro.workloads.faults import WithholdingAdversary, WithholdLeg
 
 PROTOCOLS = available_protocols()
 
@@ -240,7 +240,9 @@ class TestRandomSchedules:
         )
         cluster.apply_crash_schedule(schedule)
         cluster.sim.network.install_adversary(
-            WithholdingAdversary({cluster.server_ids[-1]: (3.0, 12.0)})
+            WithholdingAdversary(
+                WithholdLeg(start=3.0, duration=9.0), frozenset(cluster.server_ids[-1:])
+            )
         )
         stats = cluster.run_streamed(operations=OPS * FUZZ_FACTOR, seed=seed + 6)
         assert_clean(cluster, recorder, checker, stats)

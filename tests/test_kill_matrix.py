@@ -74,5 +74,5 @@ def test_every_mutant_has_a_row():
         for name, obj in inspect.getmembers(module, inspect.isclass)
         if obj.__module__ == module.__name__
     }
-    assert len(modules) == 6
+    assert len(modules) == 7
     assert defined == {mutant.name for mutant in MUTANTS}

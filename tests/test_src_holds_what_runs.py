@@ -60,7 +60,6 @@ ALLOWLIST = {
         "test tap: the largest recorder across a namespace's objects"
     ),
     "attr gc_evictions": "test tap: versions CASGC garbage-collected, counted by its tests",
-    "attr stretched": "test tap: messages a delay adversary slowed, counted by its tests",
     "attr reads_seen": "test tap: local reads the disk-error model saw, counted by its tests",
     "attr failed_count": (
         "test tap: operations a sink recorded as failed, counted by the "
