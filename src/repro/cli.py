@@ -618,11 +618,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     early, _ = _global_flags().parse_known_args(argv)
     if early.version:
+        from repro.consistency.checker_core import describe as describe_checker_core
         from repro.sim.run_loop import describe as describe_run_loop
 
         print(
             f"{_PROG} {__version__} (gf backend: {describe_backend()}, "
-            f"run loop: {describe_run_loop()})"
+            f"run loop: {describe_run_loop()}, "
+            f"checker core: {describe_checker_core()})"
         )
         sys.exit(0)
     args = build_parser().parse_args(argv)

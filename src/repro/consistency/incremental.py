@@ -59,10 +59,12 @@ only shrinks, the crossing predicate is monotone, and the table answers
 first responses arrive in nondecreasing order, so table inserts are
 tail-appends (O(1) amortized); a-growth near the tail refreshes the prefix
 in place, and rare far-from-tail growth parks the cid in a small *dirty
-overlay* that queries scan with current values and a compaction folds back
-in batches.  Out-of-order direct feeds fall back to a mid-table insert
-that rebuilds the prefix from the insertion point — correct, merely
-slower, and never hit by the simulator's time-ordered streams.
+overlay* that queries scan with current values (when its bound on ``a``
+could cross) and a compaction folds back in batches.  Out-of-order direct
+feeds fall back to a mid-table insert that rebuilds the prefix from the
+insertion point — correct, merely slower, and never hit by the
+simulator's time-ordered streams.  Where it builds, the per-operation path
+runs compiled (:mod:`repro.consistency.checker_core`) on these same lists.
 
 The crossing test itself is therefore O(log n) on clean histories; only
 when a crossing *exists* (the history is non-linearizable) does the
@@ -279,8 +281,10 @@ class IncrementalAtomicityChecker(StreamObserver):
         self._pm1: List[float] = []
         self._pa1: List[int] = []
         self._pm2: List[float] = []
-        # cids whose a grew past their snapshot without a prefix refresh
+        # cids whose a grew past their snapshot without a prefix refresh,
+        # and an upper bound on their current a (-inf once compacted)
         self._dirty: Dict[int, None] = {}
+        self._dirty_a: float = _NEG_INF
 
         #: op id -> (value object, its digest) per open write.  A sink
         #: completes a write with the bytes object it was invoked with, so
@@ -295,11 +299,15 @@ class IncrementalAtomicityChecker(StreamObserver):
             self._initial_key, "<initial>", _NEG_INF, _NEG_INF, _NEG_INF, True
         )
         self._table_insert(cid)
+        #: True until the first event binds the executor (see _bind_core).
+        self._core_pending = True
 
     # ------------------------------------------------------------------
     # StreamObserver interface
     # ------------------------------------------------------------------
     def on_invoke(self, record: OperationRecord) -> None:
+        if self._core_pending and self._bind_core():
+            return self.on_invoke(record)
         self.ops_seen += 1
         if record.kind != WRITE:
             return
@@ -363,6 +371,8 @@ class IncrementalAtomicityChecker(StreamObserver):
         self._new_cluster(key, record.op_id, invoked, _INF, invoked, True)
 
     def on_complete(self, record: OperationRecord) -> None:
+        if self._core_pending and self._bind_core():
+            return self.on_complete(record)
         if record.kind == WRITE:
             # The digest from invoke serves only the very object it was
             # computed from: a response carrying other bytes is hashed anew.
@@ -393,22 +403,9 @@ class IncrementalAtomicityChecker(StreamObserver):
                 key = _value_key(value)
             cid = self._cid_of.get(key)
             if cid is None:
-                if self.unknown_values == "flag":
-                    self._flag(
-                        Violation(
-                            "unwritten-value",
-                            f"read {record.op_id} returned a value no observed "
-                            f"write produced (and not the initial value)",
-                            (record.op_id,),
-                        )
-                    )
+                cid = self._unknown_read(record, key)
+                if cid is None:
                     return
-                # defer mode: a write-less placeholder joins the frontier and
-                # constrains ordering like any cluster; the merge pass flags
-                # it as unwritten only if no shard ever saw its write.
-                cid = self._new_cluster(
-                    key, f"<unwritten:{record.op_id}>", _NEG_INF, _INF, _NEG_INF, False
-                )
             # shard-merge bookkeeping, recorded for every read — an offending
             # one too, so the merge can recompute its violation from
             # summaries alone
@@ -426,25 +423,66 @@ class IncrementalAtomicityChecker(StreamObserver):
             if responded is not None and responded < self._write_invoked[cid]:
                 # The (a, b) crossing summary stays untouched, matching the
                 # early return of the original single-stream semantics.
-                self._flag(
-                    Violation(
-                        "read-from-future",
-                        f"read {record.op_id} responded before its write "
-                        f"{self._write_id[cid]} was invoked",
-                        (record.op_id, self._write_id[cid]),
-                    )
-                )
+                self._flag_read_from_future(record, cid)
                 return
             self._update(cid, invoked, responded)
+
+    def _unknown_read(self, record: OperationRecord, key: bytes) -> Optional[int]:
+        """A read returned a value no cluster holds: flag it (``None``), or in
+        defer mode give it a write-less placeholder cluster (its cid), which
+        joins the frontier and constrains ordering like any cluster; the
+        merge pass flags it as unwritten only if no shard ever saw its write."""
+        if self.unknown_values == "flag":
+            self._flag(
+                Violation(
+                    "unwritten-value",
+                    f"read {record.op_id} returned a value no observed "
+                    f"write produced (and not the initial value)",
+                    (record.op_id,),
+                )
+            )
+            return None
+        return self._new_cluster(
+            key, f"<unwritten:{record.op_id}>", _NEG_INF, _INF, _NEG_INF, False
+        )
+
+    def _flag_read_from_future(self, record: OperationRecord, cid: int) -> None:
+        self._flag(
+            Violation(
+                "read-from-future",
+                f"read {record.op_id} responded before its write "
+                f"{self._write_id[cid]} was invoked",
+                (record.op_id, self._write_id[cid]),
+            )
+        )
 
     def on_failed(self, record: OperationRecord) -> None:
         # A failed write never completes: forget its value now, or the memo
         # would pin one value per abandoned write for the rest of the run.
         self._open_write_keys.pop(record.op_id, None)
 
-    # Direct-feed aliases for callers not going through a sink.
-    observe_invoke = on_invoke
-    observe_complete = on_complete
+    # Direct-feed aliases for callers not going through a sink: whichever
+    # executor the first event bound.
+    observe_invoke = property(lambda self: self.on_invoke)
+    observe_complete = property(lambda self: self.on_complete)
+
+    def _bind_core(self) -> bool:
+        """At the first event, where it loads: ``on_invoke`` /
+        ``on_complete`` become the compiled core's, on this checker's own
+        lists and dicts.  A subclass keeps the Python methods it may
+        override.  True if it bound."""
+        self._core_pending = False
+        if type(self) is not IncrementalAtomicityChecker:
+            return False
+        from repro.consistency.checker_core import CORE
+
+        try:
+            core = CORE.load().Core(self, globals())
+        except RuntimeError:
+            return False
+        self.on_invoke = core.on_invoke
+        self.on_complete = core.on_complete
+        return True
 
     # ------------------------------------------------------------------
     # results
@@ -635,7 +673,7 @@ class IncrementalAtomicityChecker(StreamObserver):
         for shifted in self._tcid[index:]:
             pos[shifted] -= 1
         pos[cid] = -1
-        self._dirty.pop(cid, None)
+        self._dirty.pop(cid, None)  # _dirty_a may stay high: only conservative
         del self._pm1[index:]
         del self._pa1[index:]
         del self._pm2[index:]
@@ -645,15 +683,19 @@ class IncrementalAtomicityChecker(StreamObserver):
         """``max_inv`` grew: refresh the prefix in place near the tail,
         otherwise park the cid in the dirty overlay."""
         index = self._pos[cid]
-        if index < 0 or cid in self._dirty:
+        if index < 0:
             return
-        if len(self._tb) - index <= _EAGER_TAIL:
-            self._ta[index] = self._max_inv[cid]
-            self._recompute_prefix(index)
-        else:
+        a = self._max_inv[cid]
+        if cid not in self._dirty:
+            if len(self._tb) - index <= _EAGER_TAIL:
+                self._ta[index] = a
+                self._recompute_prefix(index)
+                return
             self._dirty[cid] = None
-            if len(self._dirty) > _DIRTY_LIMIT:
-                self._compact()
+        if a > self._dirty_a:
+            self._dirty_a = a
+        if len(self._dirty) > _DIRTY_LIMIT:
+            self._compact()
 
     def _compact(self) -> None:
         """Fold the dirty overlay's current ``a`` values back into the
@@ -667,6 +709,7 @@ class IncrementalAtomicityChecker(StreamObserver):
             if index < lowest:
                 lowest = index
         self._dirty.clear()
+        self._dirty_a = _NEG_INF
         self._recompute_prefix(lowest)
 
     def _recompute_prefix(self, start: int) -> None:
@@ -713,8 +756,8 @@ class IncrementalAtomicityChecker(StreamObserver):
         # the top-2 prefix excludes cid's own slot.  Snapshot a-values are
         # lower bounds, so a hit is always real; anything the snapshot
         # understates sits in the dirty overlay and is scanned with current
-        # values.  On clean histories both probes miss and this is the
-        # whole test.
+        # values, unless the overlay's bound on a rules every entry out.  On
+        # clean histories both probes miss and this is the whole test.
         index = bisect_left(self._tb, a)
         if index:
             last = index - 1
@@ -724,7 +767,7 @@ class IncrementalAtomicityChecker(StreamObserver):
             if best > b:
                 self._flag_crossing(cid)
                 return
-        if self._dirty:
+        if self._dirty_a > b:
             min_resp = self._min_resp
             max_inv = self._max_inv
             for other in self._dirty:
@@ -780,7 +823,7 @@ class IncrementalAtomicityChecker(StreamObserver):
                 assert self._tcid[index] == cid
                 assert self._tb[index] == self._min_resp[cid]
                 if cid in self._dirty:
-                    assert self._ta[index] <= self._max_inv[cid]
+                    assert self._ta[index] <= self._max_inv[cid] <= self._dirty_a
                 else:
                     assert self._ta[index] == self._max_inv[cid]
         assert len(self._tb) == len(self._ta) == len(self._tcid)

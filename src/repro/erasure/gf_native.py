@@ -39,8 +39,10 @@ compile.  Delete the marker to try again.  The machinery is
 :class:`CompiledModule`, which compiles in a child process, so the build
 tooling's imports and memory and the compiler's output stay out of the
 process that asked; :mod:`repro.sim.run_loop` builds the simulator's run
-loop with it too, in the directory of its own digest (a directory named by
-``REPRO_GF_NATIVE_CACHE`` holds both, each failed build its own marker).
+loop and :mod:`repro.consistency.checker_core` the checker's per-operation
+path with it too, each in the directory of its own digest (a directory named
+by ``REPRO_GF_NATIVE_CACHE`` holds all three, each failed build its own
+marker).
 """
 
 from __future__ import annotations
@@ -338,6 +340,13 @@ class CompiledModule:
             return str(exc)
         return None
 
+
+#: Compiles a plain CPython extension (the run loop, the checker core): the
+#: source file argv[2] into module argv[3] in argv[1]; prints the built path.
+EXTENSION_COMPILE = (
+    "import sys; from cffi import ffiplatform as p; "
+    "print(p.compile(sys.argv[1], p.get_extension(*sys.argv[2:])))"
+)
 
 #: Compiles the kernels: ``CDEF`` declares, and the source file (``CDEF``'s
 #: prototypes, then ``C_SOURCE``) defines, what ``lib`` exposes.

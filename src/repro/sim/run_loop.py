@@ -13,7 +13,7 @@ and dropped counters are written before every call into Python and on exit.
 
 from __future__ import annotations
 
-from repro.erasure.gf_native import CompiledModule
+from repro.erasure.gf_native import EXTENSION_COMPILE, CompiledModule
 
 MODULE_NAME = "_repro_run_loop"
 
@@ -349,15 +349,7 @@ PyMODINIT_FUNC PyInit__repro_run_loop(void) {
 }
 """
 
-
-#: Compiles the source file argv[2] into module argv[3] in argv[1]; prints
-#: the built path.
-_COMPILE = (
-    "import sys; from cffi import ffiplatform as p; "
-    "print(p.compile(sys.argv[1], p.get_extension(*sys.argv[2:])))"
-)
-
-LOOP = CompiledModule(MODULE_NAME, C_SOURCE, _COMPILE)
+LOOP = CompiledModule(MODULE_NAME, C_SOURCE, EXTENSION_COMPILE)
 
 
 def describe() -> str:

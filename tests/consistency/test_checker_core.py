@@ -1,0 +1,277 @@
+"""The compiled checker core against the Python checker, event by event.
+
+``repro.consistency.checker_core`` runs ``on_invoke`` / ``on_complete`` of
+an :class:`IncrementalAtomicityChecker` on the checker's own lists and
+dicts.  Here one checker runs compiled and one in Python over the same
+hypothesis-drawn event stream, and after every event every list, dict and
+counter of the two (and their violations and recent-writes memo) must be
+equal -- in order and in type, so a compiled store of ``3.0`` where Python
+stores ``3`` fails.  The streams use ``int`` times, in-order and scrambled
+direct feeds, both ``unknown_values`` modes, repeated write values, failed
+operations, values of at least 1 KiB, responses carrying a copy of the
+written bytes, and frontiers of one or two clusters, so that evictions and
+reopens happen.
+"""
+
+import gc
+import weakref
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.consistency import checker_core, incremental
+from repro.consistency.incremental import (
+    IncrementalAtomicityChecker,
+    check_history_incrementally,
+)
+from repro.consistency.stream import READ, WRITE, OperationRecord, StreamingRecorder
+
+pytestmark = pytest.mark.skipif(
+    checker_core.CORE.availability_error() is not None,
+    reason=f"compiled checker core unavailable: {checker_core.CORE.availability_error()}",
+)
+
+#: Executor bindings, left out of the comparison.
+_BINDINGS = ("on_invoke", "on_complete")
+
+VALUES = [b"", b"a", b"b", b"c", b"A" * 1024, b"B" * 1500, b"A" * 1023 + b"Z"]
+
+
+def _unavailable():
+    raise RuntimeError("no C toolchain")
+
+
+def _compiled(**options):
+    checker = IncrementalAtomicityChecker(**options)
+    assert checker._bind_core()
+    return checker
+
+
+def _python(**options):
+    checker = IncrementalAtomicityChecker(**options)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checker_core.CORE, "load", _unavailable)
+        assert not checker._bind_core()
+    return checker
+
+
+def state(checker):
+    """Every list, dict and counter of ``checker``, printed with types and
+    dict order."""
+    rows = {
+        name: value for name, value in vars(checker).items() if name not in _BINDINGS
+    }
+    memo = rows.pop("_recent_writes")
+    rows["_recent_writes"] = (list(memo._entries.items()), memo._bytes)
+    return repr(sorted(rows.items()))
+
+
+operations = st.lists(
+    st.tuples(
+        st.sampled_from([WRITE, READ]),
+        st.integers(0, 30),  # invocation time
+        st.integers(0, 12),  # duration
+        st.integers(0, len(VALUES) - 1),  # value
+        st.sampled_from(["complete", "copy", "fail", "open"]),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+def _events(ops, scrambled, data):
+    """The feed: (phase, record) in live-stream order or scrambled, an
+    invoke always before its own completion."""
+    events = []
+    for index, (kind, start, duration, value, fate) in enumerate(ops):
+        written = VALUES[value]
+        invoked = OperationRecord(
+            f"op{index}", kind, f"c{index % 3}", start, None,
+            written if kind == WRITE else None,
+        )
+        events.append((start, 0, invoked))
+        if fate == "fail":
+            events.append((start + duration, 2, invoked))
+        elif fate != "open":
+            answer = bytes(bytearray(written)) if fate == "copy" else written
+            done = OperationRecord(
+                invoked.op_id, kind, invoked.client, start, start + duration,
+                written if kind == WRITE and fate == "complete" else answer,
+            )
+            events.append((start + duration, 1, done))
+    events.sort(key=lambda event: (event[0], event[1]))
+    if scrambled:
+        shuffled = data.draw(st.permutations(events))
+        invoked, pending, events = set(), {}, []
+        for event in shuffled:
+            op_id = event[2].op_id
+            if event[1] == 0:
+                events.append(event)
+                invoked.add(op_id)
+                events.extend(pending.pop(op_id, []))
+            elif op_id in invoked:
+                events.append(event)
+            else:
+                pending.setdefault(op_id, []).append(event)
+    return [(phase, record) for _, phase, record in events]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ops=operations,
+    scrambled=st.booleans(),
+    frontier_limit=st.sampled_from([1, 2, 256]),
+    unknown_values=st.sampled_from(["flag", "defer"]),
+    initial=st.sampled_from([b"", VALUES[4]]),
+    overlay=st.sampled_from([(32, 16), (0, 16), (1, 2)]),
+    data=st.data(),
+)
+def test_every_event_leaves_both_executors_in_the_same_state(
+    ops, scrambled, frontier_limit, unknown_values, initial, overlay, data
+):
+    """``overlay`` is (``_EAGER_TAIL``, ``_DIRTY_LIMIT``): the defaults,
+    every a-growth parked in the dirty overlay, or one slot eager and the
+    overlay compacted at its third entry."""
+    options = dict(
+        frontier_limit=frontier_limit, unknown_values=unknown_values, initial_value=initial
+    )
+    compiled, python = _compiled(**options), _python(**options)
+    assert state(compiled) == state(python)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(incremental, "_EAGER_TAIL", overlay[0])
+        patch.setattr(incremental, "_DIRTY_LIMIT", overlay[1])
+        for phase, record in _events(ops, scrambled, data):
+            for checker in (compiled, python):
+                if phase == 0:
+                    checker.on_invoke(record)
+                elif phase == 1:
+                    checker.on_complete(record)
+                else:
+                    checker.on_failed(record)
+            assert state(compiled) == state(python), (phase, record)
+        compiled._audit()
+
+
+@pytest.mark.parametrize("make", [_compiled, _python], ids=["native", "python"])
+def test_a_crossing_only_the_overlay_holds_is_flagged(make, monkeypatch):
+    """Every a-growth parks in the overlay.  ``r1`` grows the cluster of
+    ``w1`` to 3 (its snapshot stays 0) and crosses nothing; ``r2`` grows
+    that of ``w2`` to 5, and the crossing (``w1`` responded at 1 < 5,
+    ``w1``'s a = 3 > 2, ``w2``'s response) is in the overlay alone."""
+    monkeypatch.setattr(incremental, "_EAGER_TAIL", 0)
+    checker = make()
+    ops = [
+        ("w1", WRITE, 0.0, 1.0, b"1"),
+        ("w2", WRITE, 0.5, 2.0, b"2"),
+        ("r1", READ, 3.0, 4.0, b"1"),
+        ("r2", READ, 5.0, 6.0, b"2"),
+    ]
+    for op_id, kind, start, end, value in ops:
+        checker.on_invoke(OperationRecord(op_id, kind, "c", start, None, value))
+        checker.on_complete(OperationRecord(op_id, kind, "c", start, end, value))
+        assert checker.ok == (op_id != "r2")
+    assert list(checker._dirty) == [1, 2] and checker._dirty_a == 5.0
+    assert [v.op_ids for v in checker.violations] == [("w2", "w1")]
+
+
+def test_the_overlay_and_compaction_paths_match(monkeypatch):
+    """Every a-growth beyond the last slot parks in the dirty overlay, and
+    the third compacts it, on a stream long enough to do both often."""
+    from repro.workloads.generator import StreamSpec, stream_operations
+
+    monkeypatch.setattr(incremental, "_EAGER_TAIL", 1)
+    monkeypatch.setattr(incremental, "_DIRTY_LIMIT", 2)
+    states = []
+    for make in (_compiled, _python):
+        recorder = StreamingRecorder(window=64)
+        checker = recorder.subscribe(make())
+        stream_operations(
+            StreamSpec(operations=2_000, clients=8, inject="stale", seed=3), recorder
+        )
+        checker._audit()
+        assert not checker.ok
+        states.append(state(checker))
+    assert states[0] == states[1]
+
+
+class TestBinding:
+    def test_the_first_event_binds_not_the_construction(self):
+        checker = IncrementalAtomicityChecker()
+        assert checker._core_pending and "on_invoke" not in vars(checker)
+        checker.observe_invoke(OperationRecord("w1", WRITE, "c", 0.0, None, b"x"))
+        for name in _BINDINGS:
+            assert type(vars(checker)[name]).__name__ == "builtin_function_or_method"
+        assert checker.observe_invoke == vars(checker)["on_invoke"]
+        assert checker.observe_complete == vars(checker)["on_complete"]
+        assert checker.ops_seen == 1 and not checker._core_pending
+
+    def test_replay_reaches_the_core(self, monkeypatch):
+        bound = []
+        bind = IncrementalAtomicityChecker._bind_core
+        monkeypatch.setattr(
+            IncrementalAtomicityChecker,
+            "_bind_core",
+            lambda self: bound.append(bind(self)) or bound[-1],
+        )
+        from repro.consistency.history import History
+
+        history = History()
+        history.invoke("w1", WRITE, "c", 0, b"x")
+        history.respond("w1", 1)
+        assert check_history_incrementally(history).ok
+        assert bound == [True]
+
+    def test_a_subclass_keeps_the_python_methods(self):
+        class Subclass(IncrementalAtomicityChecker):
+            pass
+
+        checker = Subclass()
+        checker.on_invoke(OperationRecord("w1", WRITE, "c", 0.0, None, b"x"))
+        assert not any(name in vars(checker) for name in _BINDINGS)
+        assert checker.ops_seen == 1
+
+    def test_an_unavailable_core_keeps_the_python_methods(self, monkeypatch):
+        monkeypatch.setattr(checker_core.CORE, "load", _unavailable)
+        checker = IncrementalAtomicityChecker()
+        checker.on_complete(OperationRecord("w1", WRITE, "c", 0.0, 1.0, b"x"))
+        assert not any(name in vars(checker) for name in _BINDINGS)
+        assert checker.ops_seen == 1 and checker.ok
+        assert checker_core.describe().startswith("python (native unavailable: ")
+
+    def test_a_record_of_another_type_is_read_by_attribute(self):
+        """Fields are read off their slots only in an ``OperationRecord``."""
+        from types import SimpleNamespace
+
+        compiled, python = _compiled(), _python()
+        for at, kind, value in ((0, WRITE, b"x"), (2, READ, b"x"), (4, READ, b"y")):
+            record = SimpleNamespace(
+                op_id=f"op{at}", kind=kind, invoked_at=at, responded_at=at + 1, value=value
+            )
+            for checker in (compiled, python):
+                checker.on_invoke(record)
+                checker.on_complete(record)
+            assert state(compiled) == state(python)
+        assert [v.kind for v in compiled.violations] == ["unwritten-value"]
+
+    def test_a_bound_checker_is_collected(self):
+        """The core and the checker refer to each other; the cycle goes."""
+        checker = _compiled()
+        checker.on_invoke(OperationRecord("w1", WRITE, "c", 0.0, None, b"x"))
+        gone = weakref.ref(checker)
+        del checker
+        gc.collect()
+        assert gone() is None
+
+    def test_an_error_in_a_python_step_propagates(self, monkeypatch):
+        """A raising ``_value_key`` raises out of the compiled call, and the
+        counters moved as far as Python's would have."""
+        checker = _compiled()
+
+        def broken(value):
+            raise ValueError("digest failed")
+
+        monkeypatch.setattr(incremental, "_value_key", broken)
+        with pytest.raises(ValueError, match="digest failed"):
+            checker.on_invoke(OperationRecord("w1", WRITE, "c", 0.0, None, b"x"))
+        assert checker.ops_seen == 1 and not checker._open_write_keys

@@ -41,6 +41,10 @@ from repro.consistency.incremental import (
 )
 from repro.consistency.wgl import check_linearizability
 
+#: Every comparison runs under both executors of the incremental checker
+#: (``executor`` in conftest.py): its compiled core, and the Python methods.
+pytestmark = pytest.mark.usefixtures("executor")
+
 SHARD_COUNTS = (1, 2, 3)
 
 #: Nightly-fuzz knobs (see .github/workflows/nightly-fuzz.yml): FUZZ_FACTOR

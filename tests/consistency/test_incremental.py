@@ -237,7 +237,7 @@ class TestStreamingScale:
             )
 
     @pytest.mark.parametrize("mode", ["stale", "phantom"])
-    def test_streamed_injection_is_caught(self, mode):
+    def test_streamed_injection_is_caught(self, mode, executor):
         recorder = StreamingRecorder(window=64)
         checker = recorder.subscribe(IncrementalAtomicityChecker())
         stats = stream_operations(
@@ -355,6 +355,7 @@ def hashed(monkeypatch):
     return seen
 
 
+@pytest.mark.usefixtures("executor")
 class TestWriteValueHashedOnce:
     """A write's value is digested at invoke; completion reuses that digest
     only for the very same bytes object, and nothing is kept for a write
@@ -446,6 +447,7 @@ class TestWriteValueHashedOnce:
         assert not checker._open_write_keys
 
 
+@pytest.mark.usefixtures("executor")
 class TestReadValueMemo:
     """A read's value is identified by comparing it with a recently written
     one; whatever the comparison cannot settle is digested as before, so
@@ -669,7 +671,8 @@ def check_writes_differing_in_the_middle_are_distinct(checker):
         check_writes_differing_in_the_middle_are_distinct,
     ],
 )
-def test_the_checker_passes_the_checks_that_kill_its_mutants(check):
+def test_the_checker_passes_the_checks_that_kill_its_mutants(check, executor):
     """The mutant registry (``tests/mutants``) kills the checker's fast-path
-    mutants with these checks; the real checker passes them."""
+    mutants with these checks; the real checker passes them, under either
+    executor."""
     check(IncrementalAtomicityChecker())

@@ -16,6 +16,8 @@ from repro import __version__
 from repro import cli
 from repro.analysis.experiments import SWEEPS
 from repro.cli import build_parser, main
+from repro.consistency import checker_core
+from repro.consistency.checker_core import describe as describe_checker_core
 from repro.erasure import gf_native
 from repro.erasure.gf import describe_backend
 from repro.sim import run_loop
@@ -83,16 +85,18 @@ class TestWhichBackendRan:
         out = capsys.readouterr().out
         assert out == (
             f"soda-repro {__version__} (gf backend: {describe_backend()}, "
-            f"run loop: {describe_run_loop()})\n"
+            f"run loop: {describe_run_loop()}, "
+            f"checker core: {describe_checker_core()})\n"
         )
 
     @pytest.mark.parametrize(
         "module, names",
         [
-            (run_loop.LOOP, "run loop: python (native unavailable: {}))"),
+            (run_loop.LOOP, "run loop: python (native unavailable: {}), "),
             (gf_native.KERNELS, "gf backend: numpy (native unavailable: {}), "),
+            (checker_core.CORE, "checker core: python (native unavailable: {}))"),
         ],
-        ids=["run-loop", "gf-kernels"],
+        ids=["run-loop", "gf-kernels", "checker-core"],
     )
     def test_version_names_a_fallback_with_its_reason(
         self, capsys, monkeypatch, module, names
