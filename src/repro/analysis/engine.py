@@ -62,7 +62,7 @@ import time
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.analysis.pool import WorkerDied, in_order, iter_unordered, max_rss_kb
 from repro.baselines.registry import default_kwargs, make_cluster
@@ -1060,6 +1060,17 @@ def _artefact_params(grid: Grid) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # the fold
 # ----------------------------------------------------------------------
+def epoch_cells(results: Iterable[Dict[str, object]], width: int):
+    """Grid-ordered cell results, one epoch's ``width`` cells at a time
+    (the grid is epoch-major)."""
+    cells: List[Dict[str, object]] = []
+    for result in results:
+        cells.append(result)
+        if len(cells) == width:
+            yield cells
+            cells = []
+
+
 def run_experiment(kind: str, protocol: str = "SODA", **params) -> Report:
     """Run one experiment of ``kind`` (a key of :data:`KINDS`).
 
@@ -1162,18 +1173,14 @@ def run_experiment(kind: str, protocol: str = "SODA", **params) -> Report:
     # complete epoch.  The folded state — hence the merged verdict and
     # every artefact byte — is identical for any jobs/fleet count.
     start = time.perf_counter()
-    pending: List[Dict[str, object]] = []
     try:
         # Closed on the way out, whatever ends the loop (^C during a fold
         # too): the pool then terminates the workers still running.
         with closing(
             iter_unordered(run_cell, grid.cells, jobs=p["jobs"] * grid.width)
         ) as results:
-            for result in in_order(results):
-                pending.append(result)
-                if len(pending) == grid.width:
-                    fold_epoch(pending)
-                    pending = []
+            for cells in epoch_cells(in_order(results), grid.width):
+                fold_epoch(cells)
     except WorkerDied as died:
         raise WorkerDied(died.indices, cell_names(grid, died.indices)) from died
     except Exception as error:

@@ -71,7 +71,8 @@ from typing import TYPE_CHECKING, List, Optional
 
 from repro import __version__
 from repro.baselines.registry import available_protocols, default_kwargs, make_cluster
-from repro.erasure.gf import describe_backend
+from repro.erasure.gf import KERNELS
+from repro.native import NATIVE
 
 if TYPE_CHECKING:
     from repro.analysis.engine import Report
@@ -618,19 +619,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     early, _ = _global_flags().parse_known_args(argv)
     if early.version:
-        from repro.consistency.checker_core import describe as describe_checker_core
-        from repro.sim.run_loop import describe as describe_run_loop
-
-        print(
-            f"{_PROG} {__version__} (gf backend: {describe_backend()}, "
-            f"run loop: {describe_run_loop()}, "
-            f"checker core: {describe_checker_core()})"
-        )
+        tiers = ", ".join(f"{module.label}: {module.describe()}" for module in NATIVE)
+        print(f"{_PROG} {__version__} ({tiers})")
         sys.exit(0)
     args = build_parser().parse_args(argv)
     # Results and artefacts are byte-equal across backends, so this line
     # is the only place a run says which kernels it used.
-    print(f"gf backend: {describe_backend()}", file=sys.stderr)
+    print(f"{KERNELS.label}: {KERNELS.describe()}", file=sys.stderr)
     return args.func(args)
 
 

@@ -1,7 +1,7 @@
 """The incremental atomicity checker's per-operation path, compiled.
 
-A plain CPython extension built by :class:`~repro.erasure.gf_native.
-CompiledModule`, like the run loop.  ``Core(checker, globals)`` runs
+A plain CPython extension built by :class:`~repro.native.CompiledModule`,
+like the run loop.  ``Core(checker, globals)`` runs
 ``on_invoke`` / ``on_complete`` on the checker's own lists and dicts, storing
 the objects Python would store: ``_new_cluster``, ``_update``, the tail
 append of ``_table_insert``, ``_note_a_growth`` / ``_recompute_prefix`` and
@@ -12,7 +12,7 @@ Python reads them, so patching any of them acts on both executors alike.
 
 from __future__ import annotations
 
-from repro.erasure.gf_native import EXTENSION_COMPILE, CompiledModule
+from repro.native import CompiledModule
 
 MODULE_NAME = "_repro_checker_core"
 
@@ -511,10 +511,4 @@ PyMODINIT_FUNC PyInit__repro_checker_core(void) {
 }
 """
 
-CORE = CompiledModule(MODULE_NAME, C_SOURCE, EXTENSION_COMPILE)
-
-
-def describe() -> str:
-    """The executor a checker's first event binds, and why on a fallback."""
-    error = CORE.availability_error()
-    return "native" if error is None else f"python (native unavailable: {error})"
+CORE = CompiledModule(MODULE_NAME, C_SOURCE, "checker core", "python")

@@ -15,13 +15,12 @@ This package implements everything needed from scratch:
 
 * :mod:`repro.erasure.gf` — arithmetic in GF(2^8), with two
   byte-identical bulk-kernel backends: compiled C kernels (``native``, the
-  default wherever they load or build) and full-table numpy gathers
+  default wherever they load or build; one of the compiled modules of
+  :mod:`repro.native`, whose build cache turns every way of failing to
+  provide them into a named reason) and full-table numpy gathers
   (``numpy``, the portable fallback and the tests' reference); a field
   instance may name its backend, and the process-wide default is whichever
   loads.
-* :mod:`repro.erasure.gf_native` — the cffi-compiled kernels behind the
-  ``native`` backend and their per-user build cache (every way of failing
-  to provide them is a named reason, never an exception).
 * :mod:`repro.erasure.poly` — the polynomials the RS generator is built from.
 * :mod:`repro.erasure.matrix` — matrices over GF(2^8) (inversion).
 * :mod:`repro.erasure.rs` — a classical Reed–Solomon codec with systematic

@@ -20,17 +20,18 @@ backends — byte-identical, differing only in how the per-coefficient
 table product is computed:
 
 ``native``
-    Compiled C kernels (:mod:`repro.erasure.gf_native`, built once per user
-    at runtime via cffi) consuming the same product table; uses a 16-lane
-    ``pshufb`` split-table product on SSSE3-capable x86-64 hosts and a
-    scalar table walk elsewhere.  The default wherever cffi and a C
-    toolchain (or a cached build) are present.
+    :data:`KERNELS`, a C extension (:class:`repro.native.CompiledModule`,
+    built once per user at first use) with one entry, ``matmul_many``,
+    consuming the same product table: a 16-lane ``pshufb`` split-table
+    product on SSSE3-capable x86-64 hosts and a scalar table walk
+    elsewhere.  The default wherever a C toolchain (or a cached build) is
+    present.
 ``numpy``
     The portable fallback and the reference the tests compare ``native``
     against: one ``take`` per non-trivial coefficient against a 256-byte
     row of the full 64 KiB product table, run over cache-sized blocks of
     the operand (:data:`KERNEL_BLOCK`) so an input row's index is built
-    once and reused by every output row.
+    once and reused by every output row.  ``mul_vec`` always runs here.
 
 (A third, pure-numpy 4-bit split-table backend was removed in PR 13: it
 benched below the default table kernel on every committed row and nothing
@@ -38,10 +39,10 @@ depended on it.)
 
 The process-wide default backend (:func:`default_backend`) is ``native``
 when the compiled kernels load and ``numpy``, silently, when they do not —
-:func:`describe_backend` names the reason.  That is the rule
-:mod:`repro.sim.run_loop` resolves the simulator's loop by, and there is
-no override: a host without a C toolchain (or a process run with
-``CC=/bin/false`` and an empty ``REPRO_GF_NATIVE_CACHE``) gets ``numpy``.
+``KERNELS.describe()`` names the reason.  That is the rule every module of
+:data:`repro.native.NATIVE` resolves by, and there is no override: a host
+without a C toolchain (or a process run with ``CC=/bin/false`` and an empty
+``REPRO_GF_NATIVE_CACHE``) gets ``numpy``.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
-from repro.erasure import gf_native
+from repro.native import CompiledModule
 
 # Default primitive polynomial for GF(2^8): x^8 + x^4 + x^3 + x + 1.
 DEFAULT_PRIMITIVE_POLY = 0x11B
@@ -68,6 +69,139 @@ GF_BACKENDS = ("numpy", "native")
 #: index is eight times that (256 KiB), which with the output rows it feeds
 #: stays inside a private L2 while every output row reuses it.
 KERNEL_BLOCK = 32 * 1024
+
+#: The ``native`` backend's C source.  ``matmul_many(A, table, stacked, out,
+#: batch, m, p, q)`` writes ``out[b] = A @ stacked[b]`` for every ``b`` of
+#: the batch, walking the (coefficient, row) loop with the same 0/1
+#: shortcuts as the numpy kernel and the full product ``table`` for the
+#: rest.  On x86-64 with SSSE3 a row product is a 16-lane split-table
+#: ``pshufb``: the lane tables are the coefficient's table row sampled at
+#: ``x`` and ``x << 4``, and ``row[b] == row[b & 0xF] ^ row[(b >> 4) << 4]``
+#: by GF-linearity over XOR, so it is bit-identical to the table walk.
+C_SOURCE = r"""
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <stdint.h>
+#include <string.h>
+
+static void row_xor(uint8_t *dst, const uint8_t *src, Py_ssize_t q)
+{
+    for (Py_ssize_t i = 0; i < q; i++)
+        dst[i] ^= src[i];
+}
+
+static void row_mul_xor_scalar(uint8_t *dst, const uint8_t *src,
+                               const uint8_t *row, Py_ssize_t q)
+{
+    for (Py_ssize_t i = 0; i < q; i++)
+        dst[i] ^= row[src[i]];
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+
+__attribute__((target("ssse3")))
+static void row_mul_xor_ssse3(uint8_t *dst, const uint8_t *src,
+                              const uint8_t *row, Py_ssize_t q)
+{
+    uint8_t lo_tab[16], hi_tab[16];
+    for (int x = 0; x < 16; x++) {
+        lo_tab[x] = row[x];
+        hi_tab[x] = row[x << 4];
+    }
+    const __m128i tlo = _mm_loadu_si128((const __m128i *)lo_tab);
+    const __m128i thi = _mm_loadu_si128((const __m128i *)hi_tab);
+    const __m128i mask = _mm_set1_epi8(0x0f);
+    Py_ssize_t i = 0;
+    for (; i + 16 <= q; i += 16) {
+        __m128i b = _mm_loadu_si128((const __m128i *)(src + i));
+        __m128i lo = _mm_and_si128(b, mask);
+        __m128i hi = _mm_and_si128(_mm_srli_epi16(b, 4), mask);
+        __m128i prod = _mm_xor_si128(_mm_shuffle_epi8(tlo, lo),
+                                     _mm_shuffle_epi8(thi, hi));
+        __m128i d = _mm_loadu_si128((const __m128i *)(dst + i));
+        _mm_storeu_si128((__m128i *)(dst + i), _mm_xor_si128(d, prod));
+    }
+    for (; i < q; i++)
+        dst[i] ^= row[src[i]];
+}
+
+static int have_ssse3(void) { return __builtin_cpu_supports("ssse3"); }
+#else
+static int have_ssse3(void) { return 0; }
+#endif
+
+static void matmul(const uint8_t *A, const uint8_t *table, const uint8_t *B,
+                   uint8_t *out, Py_ssize_t m, Py_ssize_t p, Py_ssize_t q,
+                   int fast)
+{
+    memset(out, 0, (size_t)m * (size_t)q);
+    for (Py_ssize_t j = 0; j < p; j++) {
+        const uint8_t *brow = B + j * q;
+        for (Py_ssize_t i = 0; i < m; i++) {
+            const uint8_t coeff = A[i * p + j];
+            if (coeff == 0)
+                continue;
+            uint8_t *orow = out + i * q;
+            if (coeff == 1) {
+                row_xor(orow, brow, q);
+                continue;
+            }
+            const uint8_t *trow = table + (Py_ssize_t)coeff * 256;
+#if defined(__x86_64__) && defined(__GNUC__)
+            if (fast) {
+                row_mul_xor_ssse3(orow, brow, trow, q);
+                continue;
+            }
+#endif
+            row_mul_xor_scalar(orow, brow, trow, q);
+        }
+    }
+}
+
+/* a * b * c, or -1 when one is negative or the product overflows */
+static Py_ssize_t size(Py_ssize_t a, Py_ssize_t b, Py_ssize_t c)
+{
+    if (a < 0 || b < 0 || c < 0 || (b && a > PY_SSIZE_T_MAX / b))
+        return -1;
+    return c && a * b > PY_SSIZE_T_MAX / c ? -1 : a * b * c;
+}
+
+static PyObject *matmul_many(PyObject *self, PyObject *args)
+{
+    Py_buffer A, table, stacked, out;
+    Py_ssize_t batch, m, p, q;
+    if (!PyArg_ParseTuple(args, "y*y*y*w*nnnn", &A, &table, &stacked, &out,
+                          &batch, &m, &p, &q))
+        return NULL;
+    PyObject *result = NULL;
+    if (A.len != size(1, m, p) || table.len != 256 * 256
+            || stacked.len != size(batch, p, q) || out.len != size(batch, m, q))
+        PyErr_SetString(PyExc_ValueError,
+                        "matmul_many: a buffer's length does not match the shape");
+    else {
+        const int fast = have_ssse3();
+        for (Py_ssize_t b = 0; b < batch; b++)
+            matmul((const uint8_t *)A.buf, (const uint8_t *)table.buf,
+                   (const uint8_t *)stacked.buf + b * p * q,
+                   (uint8_t *)out.buf + b * m * q, m, p, q, fast);
+        result = Py_NewRef(Py_None);
+    }
+    PyBuffer_Release(&A), PyBuffer_Release(&table);
+    PyBuffer_Release(&stacked), PyBuffer_Release(&out);
+    return result;
+}
+
+static PyMethodDef methods[] = {
+    {"matmul_many", matmul_many, METH_VARARGS, "out[b] = A @ stacked[b] over GF(2^8)"},
+    {NULL, NULL, 0, NULL}};
+static struct PyModuleDef definition = {
+    PyModuleDef_HEAD_INIT, "_repro_gf_kernels", NULL, -1, methods};
+
+PyMODINIT_FUNC PyInit__repro_gf_kernels(void) { return PyModule_Create(&definition); }
+"""
+
+KERNELS = CompiledModule("_repro_gf_kernels", C_SOURCE, "gf backend", "numpy")
 
 
 class GF256:
@@ -155,7 +289,7 @@ class GF256:
         self.backend = backend
         # The compiled kernels consume self._mul_table directly, so their
         # products are the same table lookups the numpy backend gathers.
-        self._native = gf_native.load() if backend == "native" else None
+        self._native = KERNELS.load() if backend == "native" else None
 
     # ------------------------------------------------------------------
     # scalar operations
@@ -221,28 +355,14 @@ class GF256:
     def mul_vec(self, a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
         """Element-wise product of two uint8 arrays (or array and scalar).
 
-        One gather into the (flattened) 256 x 256 product table on the
-        default backend; the index arrays broadcast against each other
-        exactly like ``a * b``.  The native backend calls the compiled
-        table-walk kernel; both produce identical bytes.
+        One gather into the (flattened) 256 x 256 product table, on every
+        backend; the index arrays broadcast against each other exactly like
+        ``a * b``.
         """
         a = np.asarray(a, dtype=np.uint8)
         b = np.asarray(b, dtype=np.uint8)
         if a.shape != b.shape:
             a, b = np.broadcast_arrays(a, b)
-        if self.backend == "native":
-            a = np.ascontiguousarray(a)
-            b = np.ascontiguousarray(b)
-            out = np.empty(a.shape, dtype=np.uint8)
-            ffi, lib = self._native
-            lib.gf_mul_vec(
-                ffi.from_buffer(self._mul_table),
-                ffi.from_buffer(a),
-                ffi.from_buffer(b),
-                ffi.from_buffer(out),
-                a.size,
-            )
-            return out
         idx = a.astype(np.intp)
         idx <<= 8
         idx += b
@@ -312,23 +432,17 @@ class GF256:
         if out.size == 0:
             return out
         if self.backend == "native":
-            # The compiled kernel has no per-call setup worth amortising:
-            # one call per slice, contiguous in, contiguous out.
-            A = np.ascontiguousarray(A)
-            stacked = np.ascontiguousarray(stacked)
-            ffi, lib = self._native
-            a_buf = ffi.from_buffer(A)
-            table = ffi.from_buffer(self._mul_table)
-            for b in range(batch):
-                lib.gf_matmul(
-                    a_buf,
-                    table,
-                    ffi.from_buffer(stacked[b]),
-                    ffi.from_buffer(out[b]),
-                    m,
-                    p,
-                    q,
-                )
+            # One C call for the whole batch, contiguous in and out.
+            self._native.matmul_many(
+                np.ascontiguousarray(A),
+                self._mul_table,
+                np.ascontiguousarray(stacked),
+                out,
+                batch,
+                m,
+                p,
+                q,
+            )
             return out
         coeffs = A.tolist()
         if batch > 1 and batch * q <= KERNEL_BLOCK:
@@ -414,20 +528,14 @@ class GF256:
 
 def available_backends() -> List[str]:
     """The subset of :data:`GF_BACKENDS` usable on this host."""
-    return list(GF_BACKENDS) if gf_native.is_available() else ["numpy"]
+    return list(GF_BACKENDS) if default_backend() == "native" else ["numpy"]
 
 
 def default_backend() -> str:
     """The backend new :func:`default_field` instances use: ``"native"``
     when the compiled kernels load (a cached build) or build, else
     ``"numpy"``."""
-    return "native" if gf_native.is_available() else "numpy"
-
-
-def describe_backend() -> str:
-    """The resolved default backend and, on a fallback, why ``native`` is out."""
-    error = gf_native.availability_error()
-    return "native" if error is None else f"numpy (native unavailable: {error})"
+    return "native" if KERNELS.availability_error() is None else "numpy"
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,6 @@
 """The compiled quiescence loop behind :meth:`Simulation.run`.
 
-A plain CPython extension (it holds and calls Python objects, which a cffi
-``cdef`` cannot carry), built by :class:`~repro.erasure.gf_native.CompiledModule`.
+A plain CPython extension, built by :class:`~repro.native.CompiledModule`.
 It runs the Python loop's body step for step on the same heap, popping it
 exactly as ``heapq`` does, and calls into Python for everything but a *later
 copy* of a message-disperse send (Section III): a delivery to a handler
@@ -13,7 +12,7 @@ and dropped counters are written before every call into Python and on exit.
 
 from __future__ import annotations
 
-from repro.erasure.gf_native import EXTENSION_COMPILE, CompiledModule
+from repro.native import CompiledModule
 
 MODULE_NAME = "_repro_run_loop"
 
@@ -349,10 +348,4 @@ PyMODINIT_FUNC PyInit__repro_run_loop(void) {
 }
 """
 
-LOOP = CompiledModule(MODULE_NAME, C_SOURCE, EXTENSION_COMPILE)
-
-
-def describe() -> str:
-    """The loop :meth:`Simulation.run` resolves to, and why on a fallback."""
-    error = LOOP.availability_error()
-    return "native" if error is None else f"python (native unavailable: {error})"
+LOOP = CompiledModule(MODULE_NAME, C_SOURCE, "run loop", "python")

@@ -21,10 +21,8 @@ run loop, workers included.
 import pytest
 
 from repro.analysis.engine import KINDS
-from repro.consistency import checker_core
-from repro.erasure import gf_native
 from repro.erasure.gf import default_backend
-from repro.sim import run_loop
+from repro.native import CACHE_ENV_VAR, NATIVE
 from tests.golden.capture_goldens import ARTEFACT_SCENARIOS, write_scenario
 
 
@@ -93,11 +91,11 @@ def _hide_toolchain(monkeypatch, cache):
         raise RuntimeError("no C toolchain")
 
     # In this process: the seam a failed build leaves behind.
-    for module in (gf_native.KERNELS, run_loop.LOOP, checker_core.CORE):
+    for module in NATIVE:
         monkeypatch.setattr(module, "load", unavailable)
     # In the spawned workers: a host whose compiler fails, with nothing cached.
     monkeypatch.setenv("CC", "/bin/false")
-    monkeypatch.setenv(gf_native.CACHE_ENV_VAR, str(cache))
+    monkeypatch.setenv(CACHE_ENV_VAR, str(cache))
 
 
 @pytest.mark.parametrize("name", sorted(ARTEFACT_SCENARIOS))
@@ -114,6 +112,5 @@ def test_artefact_bytes_invariant_under_gf_backend(
     )
     # The workers fell back: each module's build failed and none was built.
     assert sorted(path.name for path in empty_build_cache.iterdir()) == sorted(
-        f"{module._source_digest()}.unavailable"
-        for module in (gf_native.KERNELS, run_loop.LOOP, checker_core.CORE)
+        f"{module._source_digest()}.unavailable" for module in NATIVE
     )

@@ -43,7 +43,21 @@ def small_fleet_run(**overrides):
     return run_experiment("fleet-longrun", defaults.pop("protocol"), **defaults)
 
 
+def check_every_epoch_folds_every_object():
+    """A two-cell fleet run: every epoch's object rows name every object
+    once, and the totals count every issued operation, so a fold that
+    loses a cell's objects fails here by epoch."""
+    report = small_fleet_run(fleet=2)
+    for epoch in range(2):
+        folded = sorted(row.object for row in report.object_rows if row.epoch == epoch)
+        assert folded == [0, 1, 2, 3], f"epoch {epoch} folded objects {folded}"
+    assert report.issued == 240
+
+
 class TestFleetReports:
+    def test_every_epoch_folds_every_object(self):
+        check_every_epoch_folds_every_object()
+
     def test_adversary_detection_contract_holds_per_object(self):
         """Not just determinism: every withheld-below-k register flagged
         before any foreground stall, no healthy register ever flagged."""

@@ -14,6 +14,7 @@ reopens happen.
 """
 
 import gc
+import random
 import weakref
 
 import pytest
@@ -136,12 +137,18 @@ def test_every_event_leaves_both_executors_in_the_same_state(
     options = dict(
         frontier_limit=frontier_limit, unknown_values=unknown_values, initial_value=initial
     )
+    _compare_per_event(_events(ops, scrambled, data), overlay, **options)
+
+
+def _compare_per_event(events, overlay, **options):
+    """A compiled and a Python checker over ``events``: their states must
+    agree before the first and after every event."""
     compiled, python = _compiled(**options), _python(**options)
     assert state(compiled) == state(python)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(incremental, "_EAGER_TAIL", overlay[0])
         patch.setattr(incremental, "_DIRTY_LIMIT", overlay[1])
-        for phase, record in _events(ops, scrambled, data):
+        for phase, record in events:
             for checker in (compiled, python):
                 if phase == 0:
                     checker.on_invoke(record)
@@ -149,8 +156,35 @@ def test_every_event_leaves_both_executors_in_the_same_state(
                     checker.on_complete(record)
                 else:
                     checker.on_failed(record)
-            assert state(compiled) == state(python), (phase, record)
+            assert state(compiled) == state(python), (
+                f"the executors diverged at {(phase, record)}"
+            )
         compiled._audit()
+
+
+def check_fixed_streams_per_event():
+    """The per-event differential on fixed in-order streams, under each
+    overlay shape: the kill check of the core's C-source mutants."""
+    draw = random.Random(0)
+    for seed in range(8):
+        ops = [
+            (
+                draw.choice([WRITE, READ]),
+                draw.randrange(31),
+                draw.randrange(13),
+                draw.randrange(len(VALUES)),
+                draw.choice(["complete", "copy", "fail", "open"]),
+            )
+            for _ in range(24)
+        ]
+        for overlay in [(32, 16), (0, 16), (1, 2)]:
+            _compare_per_event(
+                _events(ops, False, None), overlay, frontier_limit=(1, 2, 256)[seed % 3]
+            )
+
+
+def test_fixed_streams_leave_both_executors_in_the_same_state():
+    check_fixed_streams_per_event()
 
 
 @pytest.mark.parametrize("make", [_compiled, _python], ids=["native", "python"])
@@ -237,7 +271,7 @@ class TestBinding:
         checker.on_complete(OperationRecord("w1", WRITE, "c", 0.0, 1.0, b"x"))
         assert not any(name in vars(checker) for name in _BINDINGS)
         assert checker.ops_seen == 1 and checker.ok
-        assert checker_core.describe().startswith("python (native unavailable: ")
+        assert checker_core.CORE.describe().startswith("python (native unavailable: ")
 
     def test_a_record_of_another_type_is_read_by_attribute(self):
         """Fields are read off their slots only in an ``OperationRecord``."""

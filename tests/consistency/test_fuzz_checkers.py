@@ -42,8 +42,9 @@ from repro.consistency.incremental import (
 from repro.consistency.wgl import check_linearizability
 
 #: Every comparison runs under both executors of the incremental checker
-#: (``executor`` in conftest.py): its compiled core, and the Python methods.
-pytestmark = pytest.mark.usefixtures("executor")
+#: (``twin`` in tests/conftest.py): its compiled core, and the Python methods.
+TWINS = ("checker core",)
+pytestmark = pytest.mark.usefixtures("twin")
 
 SHARD_COUNTS = (1, 2, 3)
 

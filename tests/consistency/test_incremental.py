@@ -21,6 +21,9 @@ from repro.consistency.stream import OperationRecord, StreamingRecorder
 from repro.consistency.wgl import check_linearizability
 from repro.workloads.generator import StreamSpec, stream_operations
 
+#: The ``twin`` fixture's tests run under both executors of the checker.
+TWINS = ("checker core",)
+
 
 def _random_history(rng, *, clients=4, ops_per_client=6, corrupt=False):
     """A history that is linearizable by construction (operations take
@@ -237,7 +240,7 @@ class TestStreamingScale:
             )
 
     @pytest.mark.parametrize("mode", ["stale", "phantom"])
-    def test_streamed_injection_is_caught(self, mode, executor):
+    def test_streamed_injection_is_caught(self, mode, twin):
         recorder = StreamingRecorder(window=64)
         checker = recorder.subscribe(IncrementalAtomicityChecker())
         stats = stream_operations(
@@ -355,7 +358,7 @@ def hashed(monkeypatch):
     return seen
 
 
-@pytest.mark.usefixtures("executor")
+@pytest.mark.usefixtures("twin")
 class TestWriteValueHashedOnce:
     """A write's value is digested at invoke; completion reuses that digest
     only for the very same bytes object, and nothing is kept for a write
@@ -447,7 +450,7 @@ class TestWriteValueHashedOnce:
         assert not checker._open_write_keys
 
 
-@pytest.mark.usefixtures("executor")
+@pytest.mark.usefixtures("twin")
 class TestReadValueMemo:
     """A read's value is identified by comparing it with a recently written
     one; whatever the comparison cannot settle is digested as before, so
@@ -671,7 +674,7 @@ def check_writes_differing_in_the_middle_are_distinct(checker):
         check_writes_differing_in_the_middle_are_distinct,
     ],
 )
-def test_the_checker_passes_the_checks_that_kill_its_mutants(check, executor):
+def test_the_checker_passes_the_checks_that_kill_its_mutants(check, twin):
     """The mutant registry (``tests/mutants``) kills the checker's fast-path
     mutants with these checks; the real checker passes them, under either
     executor."""

@@ -83,7 +83,7 @@ def test_compiled_calls_per_operation_within_budget():
 
 if __name__ == "__main__":
     print(f"python executor: {calls_per_operation()[0]:.2f}")
-    print(f"checker core ({checker_core.describe()}): ", end="")
+    print(f"checker core ({checker_core.CORE.describe()}): ", end="")
     if checker_core.CORE.availability_error() is None:
         print(f"{calls_per_operation(compiled=True)[0]:.2f}")
     else:

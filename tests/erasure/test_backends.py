@@ -1,6 +1,6 @@
 """Differential kernel-equivalence fuzz across the GF(2^8) backends.
 
-The numpy (full 256x256 table) and native (compiled cffi kernels)
+The numpy (full 256x256 table) and native (compiled C kernels)
 backends must produce byte-identical results for every bulk operation —
 the backend choice is a pure speed knob, never a semantics knob.  These
 tests pit the backends against each other on random inputs for every
@@ -18,24 +18,27 @@ import pytest
 
 from vandermonde import VandermondeCode
 
-from repro.erasure import gf_native
 from repro.erasure.gf import (
     GF256,
     GF_BACKENDS,
+    KERNELS,
     available_backends,
     default_backend,
     default_field,
-    describe_backend,
 )
 from repro.erasure.mds import corrupt
 from repro.erasure.rs import ReedSolomonCode
+from repro.native import CACHE_ENV_VAR
 
 BACKENDS = available_backends()
 
 needs_native = pytest.mark.skipif(
-    not gf_native.is_available(),
-    reason="native GF backend unavailable (no C toolchain / cffi)",
+    KERNELS.availability_error() is not None,
+    reason="native GF backend unavailable (no C toolchain)",
 )
+
+#: The ``twin`` fixture's tests run with the kernels compiled and hidden.
+TWINS = ("gf backend",)
 
 #: (primitive polynomial, generator) pairs: the repository default (AES
 #: polynomial 0x11B, generator 0x03) and the other common GF(2^8)
@@ -53,17 +56,6 @@ def _fields(poly: int, generator: int):
 # ----------------------------------------------------------------------
 # raw kernels
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("poly,generator", FIELD_PARAMS)
-def test_mul_vec_identical_across_backends(poly, generator):
-    fields = _fields(poly, generator)
-    rng = np.random.default_rng(7)
-    a = rng.integers(0, 256, 4097, dtype=np.uint8)
-    b = rng.integers(0, 256, 4097, dtype=np.uint8)
-    reference = fields["numpy"].mul_vec(a, b)
-    for backend, field in fields.items():
-        assert np.array_equal(field.mul_vec(a, b), reference), backend
-
-
 @pytest.mark.parametrize("poly,generator", FIELD_PARAMS)
 def test_matmul_identical_across_backends(poly, generator):
     fields = _fields(poly, generator)
@@ -109,6 +101,28 @@ def test_matmul_many_validates_shapes():
         )
     empty = field.matmul_many(A, np.zeros((0, 5, 7), dtype=np.uint8))
     assert empty.shape == (0, 10, 7)
+
+
+@needs_native
+def test_the_kernel_refuses_buffers_that_do_not_match_the_shape():
+    """The C entry checks every length against ``(batch, m, p, q)``."""
+    kernels = KERNELS.load()
+    table = GF256(backend="native")._mul_table
+    A, stacked, out = bytes(6), bytes(2 * 3 * 5), bytearray(2 * 2 * 5)
+    kernels.matmul_many(A, table, stacked, out, 2, 2, 3, 5)  # the right shape
+    for args in [
+        (bytes(5), table, stacked, out, 2, 2, 3, 5),  # A short
+        (A, table[:128], stacked, out, 2, 2, 3, 5),  # half a table
+        (A, table, stacked[:-1], out, 2, 2, 3, 5),  # one operand byte short
+        (A, table, stacked, out[:-1], 2, 2, 3, 5),  # one output byte short
+        (A, table, stacked, out, 3, 2, 3, 5),  # a batch too many
+        (A, table, stacked, out, -2, -2, 3, 5),  # negative sizes
+        (A, table, stacked, out, 2, 2, 3, 2**62),  # an overflowing product
+    ]:
+        with pytest.raises(ValueError, match="does not match the shape"):
+            kernels.matmul_many(*args)
+    with pytest.raises(TypeError):  # the output must be writable
+        kernels.matmul_many(A, table, stacked, bytes(20), 2, 2, 3, 5)
 
 
 # ----------------------------------------------------------------------
@@ -197,49 +211,33 @@ def test_native_backend_selected_field():
 # the default: native when it loads, numpy (silently) when not
 # ----------------------------------------------------------------------
 class TestDefaultResolution:
-    @staticmethod
-    def _native_loads(monkeypatch):
-        monkeypatch.setattr(gf_native.KERNELS, "load", lambda: ("ffi", "lib"))
-
-    @staticmethod
-    def _native_fails(monkeypatch, reason="no C compiler on this host"):
-        def load():
-            raise RuntimeError(reason)
-
-        monkeypatch.setattr(gf_native.KERNELS, "load", load)
-
-    def test_native_when_the_kernel_loads(self, monkeypatch):
-        self._native_loads(monkeypatch)
-        assert default_backend() == "native"
-        assert describe_backend() == "native"
-        assert available_backends() == ["numpy", "native"]
-
-    def test_numpy_without_a_warning_when_it_does_not(self, monkeypatch):
-        self._native_fails(monkeypatch)
+    def test_native_when_the_kernels_load_numpy_quietly_when_not(self, twin):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert default_backend() == "numpy"
-            assert default_field().backend == "numpy"
-        assert describe_backend() == (
-            "numpy (native unavailable: no C compiler on this host)"
-        )
-        assert available_backends() == ["numpy"]
+            assert default_backend() == ("native" if twin == "native" else "numpy")
+            assert default_field().backend == default_backend()
+        if twin == "native":
+            assert KERNELS.describe() == "native"
+            assert available_backends() == ["numpy", "native"]
+        else:
+            assert KERNELS.describe() == "numpy (native unavailable: no C toolchain)"
+            assert available_backends() == ["numpy"]
 
     def test_marker_file_is_honoured(self, monkeypatch, tmp_path):
         """A host whose build failed once resolves to numpy from the marker
         alone — quietly, and without compiling again."""
-        marker = tmp_path / f"{gf_native.KERNELS._source_digest()}.unavailable"
+        marker = tmp_path / f"{KERNELS._source_digest()}.unavailable"
         marker.write_text("C toolchain unavailable or build failed: cc: not found\n")
-        monkeypatch.setenv(gf_native.CACHE_ENV_VAR, str(tmp_path))
-        monkeypatch.setattr(gf_native.KERNELS, "_loaded", None)
-        monkeypatch.setattr(gf_native.KERNELS, "_error", None)
+        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+        monkeypatch.setattr(KERNELS, "_loaded", None)
+        monkeypatch.setattr(KERNELS, "_error", None)
 
         def compile_(*args):
             raise AssertionError("a compile was attempted")
 
-        monkeypatch.setattr(gf_native.KERNELS, "_compile", compile_)
+        monkeypatch.setattr(KERNELS, "_compile", compile_)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert default_backend() == "numpy"
-        assert "cc: not found" in describe_backend()
-        assert str(marker) in describe_backend()
+        assert "cc: not found" in KERNELS.describe()
+        assert str(marker) in KERNELS.describe()

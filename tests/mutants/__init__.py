@@ -13,7 +13,13 @@ the test modules that define them.
   standing where the real checker or recorder would;
 * ``"<module>.<attribute>"`` — the mutant replaces that attribute for the
   duration of the check (a cluster module then builds its servers from it),
-  and the check is called with no argument.
+  and the check is called with no argument;
+* ``"native:<label>"`` — a C-source mutant (``mutants/native.py``) of the
+  compiled module of ``repro.native.NATIVE`` with that label: its source is
+  built into a temporary cache and stands in for the module's ``load``
+  for the duration of the check, which is called with no argument (the
+  row is skipped where it cannot be built, or where the host does not
+  compile the code it changes).
 
 A kill names its check as ``"<path under tests/>::<function>"`` and the
 exception and message the mutant must die with, so a check that breaks for
@@ -58,6 +64,7 @@ _SODAERR_READER = "repro.core.sodaerr.cluster.SodaErrReader"
 _MD_ENGINE = "repro.core.soda.server.MDServerEngine"
 _DECODER = "repro.runtime.cluster.CachedDecoder"
 _REBASE = "repro.analysis.engine.rebase_verdict"
+_EPOCH_CELLS = "repro.analysis.engine.epoch_cells"
 
 MUTANTS = (
     Mutant(
@@ -250,6 +257,19 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "LastCellDroppingEpochs",
+        "analysis",
+        "engine",
+        _EPOCH_CELLS,
+        (
+            Kill(
+                "analysis/test_fleet.py::check_every_epoch_folds_every_object",
+                AssertionError,
+                "epoch 0 folded objects",
+            ),
+        ),
+    ),
+    Mutant(
         "TaglessCachedDecoder",
         "erasure",
         "decoder",
@@ -312,6 +332,45 @@ MUTANTS = (
                 "test_cross_protocol_fuzz.py::check_abd_reads_under_straggling_writers",
                 AssertionError,
                 "cluster-cycle",
+            ),
+        ),
+    ),
+    Mutant(
+        "FlippedDirtyACore",
+        "consistency",
+        "native",
+        "native:checker core",
+        (
+            Kill(
+                "consistency/test_checker_core.py::check_fixed_streams_per_event",
+                AssertionError,
+                "the executors diverged",
+            ),
+        ),
+    ),
+    Mutant(
+        "EarlyCountdownLoop",
+        "sim",
+        "native",
+        "native:run loop",
+        (
+            Kill(
+                "sim/test_run_loop.py::check_soda_runs_are_identical",
+                AssertionError,
+                "the compiled and the Python loop diverged",
+            ),
+        ),
+    ),
+    Mutant(
+        "ShiftedHighLaneKernels",
+        "erasure",
+        "native",
+        "native:gf backend",
+        (
+            Kill(
+                "erasure/test_vectors.py::check_coded_elements",
+                AssertionError,
+                "soda-6-4-64KiB: the native codec no longer produces",
             ),
         ),
     ),

@@ -1,0 +1,45 @@
+"""C-source mutants of the compiled modules of ``repro.native.NATIVE``.
+
+No subclass reaches C: the checker core binds only for the exact checker
+class, and a subclassed message-disperse engine sends the run loop down its
+Python path.  So a mutant here is one text substitution on a registered
+module's C source: ``old`` (which must occur exactly once) becomes ``new``.
+Its row of :data:`mutants.MUTANTS` installs it as ``native:<label>``:
+``tests/test_kill_matrix.py`` builds the mutated source with
+``CompiledModule`` into a temporary cache and patches the registered
+module's ``load`` to return it for the duration of the check.  Nothing
+under ``src/`` knows about them.
+"""
+
+
+class FlippedDirtyACore:
+    """The checker core raises ``_dirty_a`` when a parked a-growth is
+    *lower* than it, not higher, so the overlay's bound lags the
+    Python checker's.  The per-event differential of
+    ``tests/consistency/test_checker_core.py`` kills it."""
+
+    old = "TRY(higher = cmp(a, bound, Py_GT));"
+    new = "TRY(higher = cmp(a, bound, Py_LT));"
+
+
+class EarlyCountdownLoop:
+    """The run loop drops a message-disperse send's pending entry when two
+    copies are still due, not one; the last copy then reaches the Python
+    handler as if it were a first one.  ``tests/sim/test_run_loop.py``
+    kills it by comparing the run with the Python loop's."""
+
+    old = "if (!overflow && copies == 1) {"
+    new = "if (!overflow && copies == 2) {"
+
+
+class ShiftedHighLaneKernels:
+    """The SSSE3 row product samples its high-nibble lane table at
+    ``x << 3`` instead of ``x << 4``, so every 16-byte block of a row of at
+    least 16 bytes is multiplied wrong (shorter rows take the scalar tail
+    and stay right).  The committed 64 KiB vector of
+    ``tests/erasure/test_vectors.py`` kills it.  Hosts other than x86-64
+    compile the scalar path alone, so the row is skipped there."""
+
+    machines = ("x86_64", "AMD64")
+    old = "hi_tab[x] = row[x << 4];"
+    new = "hi_tab[x] = row[x << 3];"

@@ -90,7 +90,7 @@ STARTUP_BUDGET = {
         "import repro.cli",
         """
         repro repro.baselines repro.baselines.registry repro.cli repro.erasure
-        repro.erasure.gf repro.erasure.gf_native
+        repro.erasure.gf repro.native
         """,
     ),
     "soda-small build": (
@@ -109,9 +109,9 @@ cluster.warm_encode([bytes(32)])
         repro.core.soda.cluster
         repro.core.soda.reader repro.core.soda.server repro.core.soda.writer
         repro.core.tags repro.erasure repro.erasure.batch repro.erasure.gf
-        repro.erasure.gf_native repro.erasure.linear repro.erasure.matrix
+        repro.erasure.linear repro.erasure.matrix
         repro.erasure.mds repro.erasure.poly repro.erasure.rs repro.metrics
-        repro.metrics.costs repro.runtime
+        repro.metrics.costs repro.native repro.runtime
         repro.runtime.cluster repro.runtime.config repro.runtime.driver repro.sim
         repro.sim.events repro.sim.failures repro.sim.network repro.sim.process
         repro.sim.simulation repro.workloads repro.workloads.arrivals
@@ -129,7 +129,7 @@ repro.workloads.generator.StreamSpec(operations=80_000, clients=16)
         repro repro.baselines repro.baselines.registry repro.cli
         repro.consistency repro.consistency.incremental
         repro.consistency.stream repro.erasure repro.erasure.gf
-        repro.erasure.gf_native repro.workloads repro.workloads.arrivals
+        repro.native repro.workloads repro.workloads.arrivals
         repro.workloads.generator
         """,
     ),

@@ -71,7 +71,7 @@ def _under_both_loops(monkeypatch, scenario):
         states.append(scenario())
     assert runs, "the scenario never reached the compiled loop"
     compiled_state, python_state = states
-    assert compiled_state == python_state
+    assert compiled_state == python_state, "the compiled and the Python loop diverged"
     return compiled_state
 
 
@@ -108,6 +108,15 @@ def test_closed_loop_runs_are_identical(monkeypatch, protocol, faults):
     assert len(state["history"]) >= 60
     if faults and "withhold" in faults:
         assert state["stats"][2] > 0  # the adversary dropped messages
+
+
+def check_soda_runs_are_identical():
+    """SODA's closed loop, fault-free and under crashes: the compiled loop
+    counts its message-disperse later copies down itself, so this is the
+    kill check of the loop's C-source mutants."""
+    for faults in (None, "crash:2:3:10"):
+        with pytest.MonkeyPatch.context() as patch:
+            test_closed_loop_runs_are_identical(patch, "SODA", faults)
 
 
 @pytest.mark.parametrize("protocol", ("ABD", "SODA"))

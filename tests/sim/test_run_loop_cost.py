@@ -32,7 +32,7 @@ from repro.baselines.registry import make_cluster
 from repro.consistency.incremental import IncrementalAtomicityChecker
 from repro.consistency.stream import StreamingRecorder
 from repro.sim import simulation
-from repro.sim.run_loop import LOOP, describe
+from repro.sim.run_loop import LOOP
 
 N, F = 6, 2
 #: Copies of one md-send over the whole [6, 2] cluster: 1 + 2 + 3 in the
@@ -131,7 +131,7 @@ def _table(monkeypatch):
         rows[name] = (layers, c_calls, entries, deliveries, events)
     names = sorted(set().union(*(set(r[0]) | set(r[1]) for r in rows.values())))
     lines = [
-        f"run loop: {describe()}",
+        f"run loop: {LOOP.describe()}",
         "",
         "| layer | frames/op (python) | frames/op (compiled) "
         "| C calls/op (python) | C calls/op (compiled) |",

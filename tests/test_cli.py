@@ -16,13 +16,14 @@ from repro import __version__
 from repro import cli
 from repro.analysis.experiments import SWEEPS
 from repro.cli import build_parser, main
-from repro.consistency import checker_core
-from repro.consistency.checker_core import describe as describe_checker_core
-from repro.erasure import gf_native
-from repro.erasure.gf import describe_backend
-from repro.sim import run_loop
-from repro.sim.run_loop import describe as describe_run_loop
+from repro.consistency.checker_core import CORE
+from repro.erasure.gf import KERNELS
+from repro.native import NATIVE
+from repro.sim.run_loop import LOOP
 from tests.golden.capture_goldens import GOLDEN_DIR
+
+#: The ``twin`` fixture's test runs on both GF backends.
+TWINS = ("gf backend",)
 
 
 class TestParser:
@@ -84,26 +85,27 @@ class TestWhichBackendRan:
         assert exit_info.value.code == 0
         out = capsys.readouterr().out
         assert out == (
-            f"soda-repro {__version__} (gf backend: {describe_backend()}, "
-            f"run loop: {describe_run_loop()}, "
-            f"checker core: {describe_checker_core()})\n"
+            f"soda-repro {__version__} (gf backend: {KERNELS.describe()}, "
+            f"run loop: {LOOP.describe()}, "
+            f"checker core: {CORE.describe()})\n"
         )
 
     @pytest.mark.parametrize(
-        "module, names",
+        "label, names",
         [
-            (run_loop.LOOP, "run loop: python (native unavailable: {}), "),
-            (gf_native.KERNELS, "gf backend: numpy (native unavailable: {}), "),
-            (checker_core.CORE, "checker core: python (native unavailable: {}))"),
+            ("run loop", "run loop: python (native unavailable: {}), "),
+            ("gf backend", "gf backend: numpy (native unavailable: {}), "),
+            ("checker core", "checker core: python (native unavailable: {}))"),
         ],
         ids=["run-loop", "gf-kernels", "checker-core"],
     )
     def test_version_names_a_fallback_with_its_reason(
-        self, capsys, monkeypatch, module, names
+        self, capsys, monkeypatch, label, names
     ):
         def load():
             raise RuntimeError("no C compiler on this host")
 
+        (module,) = [module for module in NATIVE if module.label == label]
         monkeypatch.setattr(module, "load", load)
         with pytest.raises(SystemExit):
             main(["--version"])
@@ -112,17 +114,15 @@ class TestWhichBackendRan:
     def test_every_run_says_so_once_on_stderr(self, capsys):
         assert main(["demo", "--protocol", "SODA", "--n", "5", "--f", "2"]) == 0
         captured = capsys.readouterr()
-        assert captured.err == f"gf backend: {describe_backend()}\n"
+        assert captured.err == f"gf backend: {KERNELS.describe()}\n"
         assert "gf backend" not in captured.out
 
-    def test_a_fallback_comes_with_its_reason(self, capsys, monkeypatch):
-        def load():
-            raise RuntimeError("no C compiler on this host")
-
-        monkeypatch.setattr(gf_native.KERNELS, "load", load)
+    def test_a_fallback_comes_with_its_reason(self, capsys, twin):
         assert main(["list"]) == 0
         assert capsys.readouterr().err == (
-            "gf backend: numpy (native unavailable: no C compiler on this host)\n"
+            "gf backend: native\n"
+            if twin == "native"
+            else "gf backend: numpy (native unavailable: no C toolchain)\n"
         )
 
 

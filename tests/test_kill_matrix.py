@@ -8,6 +8,7 @@ counting as killed.
 
 import importlib
 import inspect
+import platform
 import re
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from mutants import MUTANTS
+from repro.native import CACHE_ENV_VAR, NATIVE, CompiledModule
 
 TESTS = Path(__file__).resolve().parent
 
@@ -41,12 +43,33 @@ ROWS = [
 ]
 
 
+def install_native(cls, label, monkeypatch, cache):
+    """Build the registered module of ``label`` with ``cls``'s substitution
+    into ``cache`` and have its ``load`` return the mutant."""
+    if platform.machine() not in getattr(cls, "machines", (platform.machine(),)):
+        pytest.skip(f"{cls.__name__} changes code not compiled on this host")
+    (module,) = [module for module in NATIVE if module.label == label]
+    assert module.source.count(cls.old) == 1, f"{cls.__name__}: no single {cls.old!r}"
+    mutated = CompiledModule(
+        module.name, module.source.replace(cls.old, cls.new), label, module.fallback
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(CACHE_ENV_VAR, str(cache))
+        error = mutated.availability_error()
+    if error is not None:
+        pytest.skip(f"{cls.__name__} cannot be built: {error}")
+    monkeypatch.setattr(module, "load", mutated.load)
+
+
 @pytest.mark.parametrize("mutant, kill", ROWS)
-def test_the_mutant_is_killed(mutant, kill, monkeypatch):
+def test_the_mutant_is_killed(mutant, kill, monkeypatch, tmp_path):
     cls = mutant_class(mutant)
     check = resolve_check(kill.check)
     if mutant.install == "instance":
         args = (cls(),)
+    elif mutant.install.startswith("native:"):
+        install_native(cls, mutant.install.split(":", 1)[1], monkeypatch, tmp_path)
+        args = ()
     else:
         owner, attr = mutant.install.rsplit(".", 1)
         monkeypatch.setattr(importlib.import_module(owner), attr, cls)
@@ -74,5 +97,5 @@ def test_every_mutant_has_a_row():
         for name, obj in inspect.getmembers(module, inspect.isclass)
         if obj.__module__ == module.__name__
     }
-    assert len(modules) == 7
+    assert len(modules) == 8
     assert defined == {mutant.name for mutant in MUTANTS}
