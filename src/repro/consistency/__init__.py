@@ -13,7 +13,9 @@ executions:
 * :mod:`repro.consistency.history` is the in-memory sink (the full
   :class:`History` log) consumed by the offline checkers and analyses;
 * :mod:`repro.consistency.lemma_check` verifies the Lemma 2.1 properties
-  directly from the recorded tags (the proof technique used in the paper);
+  directly from the recorded tags (the proof technique used in the paper),
+  as a stream observer with O(1) work per operation; the offline check is
+  a replay of a recorded history through it;
 * :mod:`repro.consistency.wgl` is an independent Wing–Gong–Lowe style
   linearizability checker for read/write registers that only looks at
   invocation/response times and values — it knows nothing about tags, so it

@@ -872,16 +872,17 @@ class IncrementalCheckResult:
         return self.ok
 
 
-def replay_operations(
-    checker: IncrementalAtomicityChecker, operations
-) -> IncrementalAtomicityChecker:
-    """Feed recorded operations to a checker in live-stream event order.
+def replay_operations(observer: StreamObserver, operations) -> StreamObserver:
+    """Feed recorded operations to an observer in live-stream event order.
 
     The ordering convention — invocations by invocation time, completions
-    by response time, invocations first on ties — is the single source of
-    truth shared by :func:`check_history_incrementally` and the differential
-    suite's sharded replay, which keeps its three paths comparable by
-    construction.  Returns the checker for chaining.
+    by response time, invocations first on ties (so an operation that
+    responds at the instant another is invoked does not precede it in real
+    time) — is the single source of truth shared by
+    :func:`check_history_incrementally`, the Lemma 2.1 check of
+    :mod:`repro.consistency.lemma_check` and the differential suite's
+    sharded replay, which keeps their paths comparable by construction.
+    Returns the observer for chaining.
     """
     events: List[Tuple[float, int, OperationRecord]] = []
     for op in operations:
@@ -891,10 +892,10 @@ def replay_operations(
     events.sort(key=lambda e: (e[0], e[1]))
     for _, phase, op in events:
         if phase == 0:
-            checker.on_invoke(op)
+            observer.on_invoke(op)
         else:
-            checker.on_complete(op)
-    return checker
+            observer.on_complete(op)
+    return observer
 
 
 def check_history_incrementally(

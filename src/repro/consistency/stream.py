@@ -77,10 +77,6 @@ class OperationRecord:
             return None
         return self.responded_at - self.invoked_at
 
-    def precedes(self, other: "OperationRecord") -> bool:
-        """Real-time precedence: this op responded before the other was invoked."""
-        return self.responded_at is not None and self.responded_at < other.invoked_at
-
 
 class StreamObserver:
     """Callbacks a sink invokes as operation events are recorded.

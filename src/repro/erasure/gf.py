@@ -122,8 +122,7 @@ static void row_mul_xor_ssse3(uint8_t *dst, const uint8_t *src,
         __m128i d = _mm_loadu_si128((const __m128i *)(dst + i));
         _mm_storeu_si128((__m128i *)(dst + i), _mm_xor_si128(d, prod));
     }
-    for (; i < q; i++)
-        dst[i] ^= row[src[i]];
+    row_mul_xor_scalar(dst + i, src + i, row, q - i);
 }
 
 static int have_ssse3(void) { return __builtin_cpu_supports("ssse3"); }

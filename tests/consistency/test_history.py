@@ -76,16 +76,6 @@ class TestQueries:
         h = self.build()
         assert len(list(h)) == 3
 
-    def test_precedence_and_concurrency(self):
-        h = self.build()
-        w1, r1, w2 = h.get("w1"), h.get("r1"), h.get("w2")
-        assert w1.precedes(w2)
-        assert not w2.precedes(w1)
-        # Overlapping operations precede neither way.
-        assert not w1.precedes(r1) and not r1.precedes(w1)
-        # An incomplete operation never precedes anything.
-        assert not w2.precedes(w1)
-
     def test_unknown_op_id_raises_descriptive_valueerror(self):
         h = self.build()
         with pytest.raises(ValueError, match="unknown operation id 'missing'"):

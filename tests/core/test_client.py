@@ -15,9 +15,11 @@ import pytest
 import repro
 from repro.baselines.registry import available_protocols, default_kwargs, make_cluster
 from repro.consistency.incremental import check_history_incrementally
+from repro.consistency.lemma_check import check_lemma_properties
 from repro.consistency.stream import StreamObserver
 from repro.consistency.wgl import check_linearizability
 from repro.core.client import RegisterClient
+from repro.core.tags import TAG_ZERO
 from repro.sim.network import FixedDelay
 
 PROTOCOLS = available_protocols()
@@ -139,7 +141,7 @@ def test_invocation_before_the_first_send_response_after_the_last(protocol):
 # stale-tag server (tests/mutants/soda_server.py) and the tagless decoder
 # cache (tests/mutants/decoder.py)
 # ----------------------------------------------------------------------
-def _write_then_read_is_atomic(protocol):
+def _write_then_read(protocol):
     cluster = _cluster(protocol)
     cluster.write(b"overwritten")
     # A second write by the same writer strictly after the first's response
@@ -149,6 +151,11 @@ def _write_then_read_is_atomic(protocol):
     # ... and strictly after its response, the read must return its value.
     cluster.schedule_read(cluster.sim.now + 1.0)
     cluster.run()
+    return cluster
+
+
+def _write_then_read_is_atomic(protocol):
+    cluster = _write_then_read(protocol)
     verdict = check_history_incrementally(cluster.history, initial_value=b"")
     assert verdict.ok, [v.kind for v in verdict.violations]
     assert check_linearizability(cluster.history, initial_value=b"")
@@ -156,6 +163,13 @@ def _write_then_read_is_atomic(protocol):
 
 def check_soda_write_then_read():
     _write_then_read_is_atomic("SODA")
+
+
+def check_soda_write_then_read_tags():
+    """The same scenario through the tags: Lemma 2.1's P1-P3 hold."""
+    history = _write_then_read("SODA").history
+    violations = check_lemma_properties(history, initial_tag=TAG_ZERO, initial_value=b"")
+    assert violations == [], [v.kind for v in violations]
 
 
 def check_cas_write_then_read():
@@ -183,7 +197,12 @@ def check_soda_read_write_read():
 
 @pytest.mark.parametrize(
     "check",
-    [check_soda_write_then_read, check_cas_write_then_read, check_soda_read_write_read],
+    [
+        check_soda_write_then_read,
+        check_soda_write_then_read_tags,
+        check_cas_write_then_read,
+        check_soda_read_write_read,
+    ],
 )
 def test_the_real_clients_pass_the_checks_that_kill_their_mutants(check):
     check()

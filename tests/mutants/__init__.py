@@ -18,8 +18,9 @@ the test modules that define them.
   compiled module of ``repro.native.NATIVE`` with that label: its source is
   built into a temporary cache and stands in for the module's ``load``
   for the duration of the check, which is called with no argument (the
-  row is skipped where it cannot be built, or where the host does not
-  compile the code it changes).
+  row is skipped where it cannot be built, where the host does not
+  compile the code it changes, or, for a mutant marked ``nightly``, unless
+  ``FUZZ_FACTOR`` is above 1: tier-1 builds at most three of them).
 
 A kill names its check as ``"<path under tests/>::<function>"`` and the
 exception and message the mutant must die with, so a check that breaks for
@@ -196,6 +197,11 @@ MUTANTS = (
                 AssertionError,
                 "cluster-cycle",
             ),
+            Kill(
+                "core/test_client.py::check_soda_write_then_read_tags",
+                AssertionError,
+                "P2",
+            ),
         ),
     ),
     Mutant(
@@ -293,6 +299,11 @@ MUTANTS = (
                 AssertionError,
                 "cluster-cycle",
             ),
+            Kill(
+                "core/test_client.py::check_soda_write_then_read_tags",
+                AssertionError,
+                "P2",
+            ),
         ),
     ),
     Mutant(
@@ -362,6 +373,19 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "UnnamedFirstReadCore",
+        "consistency",
+        "native",
+        "native:checker core",
+        (
+            Kill(
+                "consistency/test_checker_core.py::check_fixed_streams_per_event",
+                AssertionError,
+                "the executors diverged",
+            ),
+        ),
+    ),
+    Mutant(
         "ShiftedHighLaneKernels",
         "erasure",
         "native",
@@ -371,6 +395,19 @@ MUTANTS = (
                 "erasure/test_vectors.py::check_coded_elements",
                 AssertionError,
                 "soda-6-4-64KiB: the native codec no longer produces",
+            ),
+        ),
+    ),
+    Mutant(
+        "OffByOneScalarKernels",
+        "erasure",
+        "native",
+        "native:gf backend",
+        (
+            Kill(
+                "erasure/test_vectors.py::check_coded_elements",
+                AssertionError,
+                "soda-6-4-32B: the native codec no longer produces",
             ),
         ),
     ),

@@ -7,8 +7,10 @@ module's C source: ``old`` (which must occur exactly once) becomes ``new``.
 Its row of :data:`mutants.MUTANTS` installs it as ``native:<label>``:
 ``tests/test_kill_matrix.py`` builds the mutated source with
 ``CompiledModule`` into a temporary cache and patches the registered
-module's ``load`` to return it for the duration of the check.  Nothing
-under ``src/`` knows about them.
+module's ``load`` to return it for the duration of the check.  A mutant
+with ``nightly = True`` runs only when ``FUZZ_FACTOR`` is above 1, as in
+the nightly fuzz workflow: each build costs about a second, and tier-1
+builds three.  Nothing under ``src/`` knows about them.
 """
 
 
@@ -20,6 +22,18 @@ class FlippedDirtyACore:
 
     old = "TRY(higher = cmp(a, bound, Py_GT));"
     new = "TRY(higher = cmp(a, bound, Py_LT));"
+
+
+class UnnamedFirstReadCore:
+    """The checker core moves a cluster's first read's invocation time but
+    not its op id, so ``_first_read_id`` keeps naming an earlier read (or
+    none) and a violation found later names the wrong witness.  The
+    per-event differential of ``tests/consistency/test_checker_core.py``
+    kills it."""
+
+    nightly = True
+    old = "|| put(O(FIRST_READ_ID), i, op_id) < 0))"
+    new = "))"
 
 
 class EarlyCountdownLoop:
@@ -43,3 +57,15 @@ class ShiftedHighLaneKernels:
     machines = ("x86_64", "AMD64")
     old = "hi_tab[x] = row[x << 4];"
     new = "hi_tab[x] = row[x << 3];"
+
+
+class OffByOneScalarKernels:
+    """The scalar row product looks a byte up at ``src[i] ^ 1`` in its
+    coefficient's table row, so every byte of a row shorter than 16 (and of
+    every longer row's tail, and every row on a host without SSSE3) is
+    multiplied wrong.  The committed short-row vectors of
+    ``tests/erasure/test_vectors.py`` kill it."""
+
+    nightly = True
+    old = "dst[i] ^= row[src[i]];"
+    new = "dst[i] ^= row[src[i] ^ 1];"

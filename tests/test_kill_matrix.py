@@ -8,6 +8,7 @@ counting as killed.
 
 import importlib
 import inspect
+import os
 import platform
 import re
 import sys
@@ -19,6 +20,10 @@ from mutants import MUTANTS
 from repro.native import CACHE_ENV_VAR, NATIVE, CompiledModule
 
 TESTS = Path(__file__).resolve().parent
+
+#: Nightly-fuzz knob (see .github/workflows/nightly-fuzz.yml): above 1, the
+#: C-source mutants marked ``nightly`` are built and run too.
+FUZZ_FACTOR = int(os.environ.get("FUZZ_FACTOR", "1"))
 
 
 def resolve_check(ref: str):
@@ -46,6 +51,8 @@ ROWS = [
 def install_native(cls, label, monkeypatch, cache):
     """Build the registered module of ``label`` with ``cls``'s substitution
     into ``cache`` and have its ``load`` return the mutant."""
+    if getattr(cls, "nightly", False) and FUZZ_FACTOR <= 1:
+        pytest.skip(f"{cls.__name__} runs nightly (FUZZ_FACTOR > 1)")
     if platform.machine() not in getattr(cls, "machines", (platform.machine(),)):
         pytest.skip(f"{cls.__name__} changes code not compiled on this host")
     (module,) = [module for module in NATIVE if module.label == label]
