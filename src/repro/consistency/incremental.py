@@ -64,7 +64,10 @@ could cross) and a compaction folds back in batches.  Out-of-order direct
 feeds fall back to a mid-table insert that rebuilds the prefix from the
 insertion point — correct, merely slower, and never hit by the
 simulator's time-ordered streams.  Where it builds, the per-operation path
-runs compiled (:mod:`repro.consistency.checker_core`) on these same lists.
+runs compiled (:mod:`repro.consistency.checker_core`) on unboxed typed
+columns in place of the numeric and flag lists (~114 B less per cluster);
+a subclass, or a host that cannot compile, keeps the lists.  Either way a
+time is stored as a float (:func:`_as_time`).
 
 The crossing test itself is therefore O(log n) on clean histories; only
 when a crossing *exists* (the history is non-linearizable) does the
@@ -85,6 +88,7 @@ a stale entry behind on duplicate ``min_resp`` runs) is structurally gone.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from hashlib import blake2b, sha256
@@ -119,6 +123,18 @@ _MEMO_MIN_BYTES = 1024
 #: would be digested instead, which is only slower.
 _MEMO_ENTRIES = 8
 _MEMO_BYTES = 4 * 1024 * 1024
+
+
+def _as_time(op_id: str, time) -> float:
+    """``float(time)`` of a float (``numpy.float64`` too) or an int a float
+    holds exactly; anything else is refused with the op's id, not rounded."""
+    finite = isinstance(time, int) and abs(time) <= sys.float_info.max
+    if isinstance(time, float) or (finite and float(time) == time):
+        return float(time)
+    raise TypeError(
+        f"{op_id}: a time is a float or an int a float holds exactly, "
+        f"not {type(time).__name__} {time!r}"
+    )
 
 
 def _value_key(value: Optional[bytes]) -> bytes:
@@ -320,6 +336,8 @@ class IncrementalAtomicityChecker(StreamObserver):
         if cid is None:
             # A fresh value — every write of a well-formed stream.
             invoked = record.invoked_at
+            if type(invoked) is not float:
+                invoked = _as_time(record.op_id, invoked)
             self._new_cluster(key, record.op_id, invoked, _INF, invoked, True)
         else:
             self._register_write(record, key, cid)
@@ -329,11 +347,12 @@ class IncrementalAtomicityChecker(StreamObserver):
     ) -> None:
         """Claim the cluster ``cid`` of value digest ``key`` (None: there is
         none yet) for write ``record``."""
+        invoked = record.invoked_at
+        if type(invoked) is not float:
+            invoked = _as_time(record.op_id, invoked)
         if cid is not None:
             if self._has_write[cid]:
-                self.duplicate_write_claims.append(
-                    (key, record.op_id, record.invoked_at)
-                )
+                self.duplicate_write_claims.append((key, record.op_id, invoked))
                 self._flag(
                     Violation(
                         "duplicate-write-value",
@@ -351,11 +370,11 @@ class IncrementalAtomicityChecker(StreamObserver):
                 self._open(cid)
             self._write_id[cid] = record.op_id
             self._has_write[cid] = True
-            self._write_invoked[cid] = record.invoked_at
-            if record.invoked_at > self._max_inv[cid]:
-                self._max_inv[cid] = record.invoked_at
+            self._write_invoked[cid] = invoked
+            if invoked > self._max_inv[cid]:
+                self._max_inv[cid] = invoked
                 self._note_a_growth(cid)
-            if self._min_read_resp[cid] < record.invoked_at:
+            if self._min_read_resp[cid] < invoked:
                 self._flag(
                     Violation(
                         "read-from-future",
@@ -367,7 +386,6 @@ class IncrementalAtomicityChecker(StreamObserver):
                 return
             self._check_crossings(cid)
             return
-        invoked = record.invoked_at
         self._new_cluster(key, record.op_id, invoked, _INF, invoked, True)
 
     def on_complete(self, record: OperationRecord) -> None:
@@ -393,7 +411,10 @@ class IncrementalAtomicityChecker(StreamObserver):
                 # (re-dispatching to on_invoke here would double-count the op
                 # and append the violation a second time).
                 return
-            self._update(cid, _NEG_INF, record.responded_at)  # a(C) holds its invocation
+            responded = record.responded_at
+            if type(responded) is not float and responded is not None:
+                responded = _as_time(record.op_id, responded)
+            self._update(cid, _NEG_INF, responded)  # a(C) holds its invocation
         else:
             self.reads_checked += 1
             value = record.value
@@ -411,9 +432,13 @@ class IncrementalAtomicityChecker(StreamObserver):
             # summaries alone
             self._reads[cid] += 1
             responded = record.responded_at
+            if type(responded) is not float and responded is not None:
+                responded = _as_time(record.op_id, responded)
             if responded is not None and responded < self._min_read_resp[cid]:
                 self._min_read_resp[cid] = responded
             invoked = record.invoked_at
+            if type(invoked) is not float:
+                invoked = _as_time(record.op_id, invoked)
             if (invoked, record.op_id) < (
                 self._first_read_inv[cid],
                 self._first_read_id[cid] or "",
@@ -468,9 +493,9 @@ class IncrementalAtomicityChecker(StreamObserver):
 
     def _bind_core(self) -> bool:
         """At the first event, where it loads: ``on_invoke`` /
-        ``on_complete`` become the compiled core's, on this checker's own
-        lists and dicts.  A subclass keeps the Python methods it may
-        override.  True if it bound."""
+        ``on_complete`` become the compiled core's, on typed columns in place
+        of this checker's numeric lists and on its other lists and dicts.  A
+        subclass keeps the Python methods it may override.  True if it bound."""
         self._core_pending = False
         if type(self) is not IncrementalAtomicityChecker:
             return False

@@ -18,6 +18,8 @@ imported from a directory or file another uid owns.  A cached file that
 does not load is rebuilt once; a failed build leaves a
 ``<digest>.unavailable`` marker with the reason, so the workers of a pool
 read one line each instead of each retrying.  Delete it to try again.
+A new build keeps the newest four builds of its module and removes older
+ones the current uid owns, so the cache does not grow per revision.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import shutil
 import sys
 import tempfile
 import threading
+from contextlib import suppress
 from functools import lru_cache
 from types import ModuleType
 from typing import Iterator, List, Optional, Tuple
@@ -187,9 +190,39 @@ class CompiledModule:
                 raise RuntimeError(reason) from exc
             published = os.path.join(cache_dir, os.path.basename(built))
             os.replace(built, published)
-            return published
         finally:
             shutil.rmtree(build_dir, ignore_errors=True)
+        self._prune(published)
+        return published
+
+    def _prune(self, published: str) -> None:
+        """Remove this module's builds older (by mtime) than the newest four
+        -- four, so two trees taking turns do not rebuild each other -- where
+        the current uid owns them: in a directory named outright, files beside
+        ``published``; else sibling digest directories, each once empty."""
+        import glob  # imported here: only a new build needs it
+
+        directory, uid = os.path.dirname(published), _uid()
+        digest = "[0-9a-f]" * 16
+        build = f"{glob.escape(self.name)}-{digest}*"
+        if os.environ.get(CACHE_ENV_VAR):
+            pattern = os.path.join(glob.escape(directory), build)
+        else:
+            parent, leaf = os.path.split(directory)
+            prefix = glob.escape(leaf.split(self._source_digest())[0])
+            pattern = os.path.join(glob.escape(parent), f"{prefix}{digest}-py*", build)
+        builds = []
+        for path in glob.glob(pattern):
+            with suppress(OSError):  # gone meanwhile
+                if path.endswith((".so", ".pyd")):
+                    builds.append((os.lstat(path), path))
+        builds.sort(key=lambda entry: entry[0].st_mtime, reverse=True)
+        for status, path in builds[4:]:
+            if path != published and uid in (None, status.st_uid):
+                with suppress(OSError):
+                    os.unlink(path)
+                    if uid in (None, os.stat(os.path.dirname(path)).st_uid):
+                        os.rmdir(os.path.dirname(path))  # fails unless now empty
 
     def _provide(self) -> ModuleType:
         cache_dir = self._cache_dir()
@@ -201,9 +234,12 @@ class CompiledModule:
             if cached is not None:
                 try:
                     return self._load_extension(cached)
-                except ImportError:
-                    # Truncated or foreign: out of the way, then one rebuild.
-                    os.unlink(cached)
+                except (ImportError, FileNotFoundError):
+                    # Truncated, foreign or pruned: out of the way, one rebuild.
+                    with suppress(FileNotFoundError):
+                        os.unlink(cached)
+                    os.makedirs(cache_dir, mode=0o700, exist_ok=True)
+                    _require_owned(cache_dir)
             elif os.path.exists(marker):
                 with open(marker) as handle:
                     reason = handle.read().strip()

@@ -1,12 +1,13 @@
 """The compiled checker core against the Python checker, event by event.
 
 ``repro.consistency.checker_core`` runs ``on_invoke`` / ``on_complete`` of
-an :class:`IncrementalAtomicityChecker` on the checker's own lists and
-dicts.  Here one checker runs compiled and one in Python over the same
-hypothesis-drawn event stream, and after every event every list, dict and
-counter of the two (and their violations and recent-writes memo) must be
-equal -- in order and in type, so a compiled store of ``3.0`` where Python
-stores ``3`` fails.  The streams use ``int`` times, in-order and scrambled
+an :class:`IncrementalAtomicityChecker` on typed columns that stand in for
+the checker's numeric lists, and on its other lists and dicts.  Here one
+checker runs compiled and one in Python over the same hypothesis-drawn
+event stream, and after every event every list, column, dict and counter
+of the two (and their violations and recent-writes memo) must be equal --
+in order and in type, a column read as the list it replaces.  Both store
+times as floats, so the streams use ``int`` times, in-order and scrambled
 direct feeds, both ``unknown_values`` modes, repeated write values, failed
 operations, values of at least 1 KiB, responses carrying a copy of the
 written bytes, and frontiers of one or two clusters, so that evictions and
@@ -16,6 +17,7 @@ reopens happen.
 import gc
 import random
 import weakref
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -58,10 +60,13 @@ def _python(**options):
 
 
 def state(checker):
-    """Every list, dict and counter of ``checker``, printed with types and
-    dict order."""
+    """Every list, column, dict and counter of ``checker``, printed with
+    types and dict order (a column as the list it stands for)."""
+    column = checker_core.CORE.load().Column
     rows = {
-        name: value for name, value in vars(checker).items() if name not in _BINDINGS
+        name: list(value) if type(value) is column else value
+        for name, value in vars(checker).items()
+        if name not in _BINDINGS
     }
     memo = rows.pop("_recent_writes")
     rows["_recent_writes"] = (list(memo._entries.items()), memo._bytes)
@@ -227,6 +232,51 @@ def test_the_overlay_and_compaction_paths_match(monkeypatch):
         assert not checker.ok
         states.append(state(checker))
     assert states[0] == states[1]
+
+
+column_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["append", "insert", "set", "del", "del-slice", "read-slice"]),
+        st.integers(-6, 6),
+        st.integers(-6, 6),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from("dq?"), ops=column_ops)
+def test_a_column_acts_as_the_list_it_replaces(kind, ops):
+    """Everything the checker's Python methods do to a column, on a column
+    and a list side by side: same items, same errors."""
+    make = {"d": float, "q": int, "?": lambda x: x % 2 == 1}[kind]
+    column, mirror = checker_core.CORE.load().Column(kind, [make(1)]), [make(1)]
+    for op, i, j in ops:
+        results = []
+        for target in (column, mirror):
+            try:
+                if op == "append":
+                    target.append(make(i))
+                elif op == "insert":
+                    target.insert(i, make(j))
+                elif op == "set":
+                    target[i] = make(j)
+                elif op == "del":
+                    del target[i]
+                elif op == "del-slice":
+                    del target[i:]
+                results.append(
+                    (list(target[i:j]), target[i], target[-1]) if target else ()
+                )
+            except IndexError as exc:
+                results.append(type(exc))
+        assert results[0] == results[1] and len(column) == len(mirror), (op, i, j)
+        assert list(column) == mirror and [type(x) for x in column] == [
+            type(x) for x in mirror
+        ]
+    assert bisect_left(column, make(0)) == bisect_left(mirror, make(0))
+    with pytest.raises(TypeError, match="column holds no"):
+        column.append("x")
 
 
 class TestBinding:

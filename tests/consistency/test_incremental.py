@@ -338,7 +338,7 @@ class TestReopenAfterDuplicateMinResp:
                 match=rf"interval-table slot for cluster {cid} is stale \(pos={stale}\)",
             ):
                 checker._table_remove(cid)
-            assert checker._tcid == table  # nothing was evicted
+            assert list(checker._tcid) == table  # nothing was evicted
 
 
 @pytest.fixture
@@ -679,3 +679,38 @@ def test_the_checker_passes_the_checks_that_kill_its_mutants(check, twin):
     mutants with these checks; the real checker passes them, under either
     executor."""
     check(IncrementalAtomicityChecker())
+
+
+class TestTimesAreFloats:
+    """Both executors store ``float(t)``: ints a float holds exactly and
+    float subclasses are taken; any other time is refused with its op id
+    (a nanosecond ``int`` is not rounded)."""
+
+    def test_exact_times_are_stored_as_floats(self, twin):
+        checker = IncrementalAtomicityChecker()
+        for op in (
+            OperationRecord("w1", WRITE, "c0", 1, None, b"x"),
+            OperationRecord("w1", WRITE, "c0", 1, 2, b"x"),
+            OperationRecord("r1", READ, "c1", np.float64(3.5), None, None),
+            OperationRecord("r1", READ, "c1", np.float64(3.5), 4, b"x"),
+        ):
+            (checker.on_invoke if op.responded_at is None else checker.on_complete)(op)
+        (row,) = [s for s in checker.cluster_summaries() if s.write_id == "w1"]
+        times = (row.write_invoked, row.max_inv, row.min_resp, row.min_read_resp)
+        assert times == (1.0, 3.5, 2.0, 4.0)
+        assert {type(t) for t in times} == {float} and checker.ok
+
+    @pytest.mark.parametrize(
+        "invoked, responded",
+        [(2**53 + 1, None), (0.0, 2**53 + 1), (0.0, 10**400), (0.0, "1.0"), (None, None)],
+    )
+    def test_any_other_time_is_refused_by_op_id(self, twin, invoked, responded):
+        checker = IncrementalAtomicityChecker()
+        bad = responded if invoked == 0.0 else invoked
+        kind = WRITE if responded is None else READ
+        if kind == READ:
+            checker.on_invoke(OperationRecord("w1", WRITE, "c0", 0.0, None, b"x"))
+            checker.on_complete(OperationRecord("w1", WRITE, "c0", 0.0, 0.5, b"x"))
+        with pytest.raises(TypeError, match=f"^op7: a time is a float or an int .* {bad!r}$"):
+            op = OperationRecord("op7", kind, "c1", invoked, responded, b"x")
+            (checker.on_invoke if responded is None else checker.on_complete)(op)

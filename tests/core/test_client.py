@@ -176,7 +176,7 @@ def check_cas_write_then_read():
     _write_then_read_is_atomic("CAS")
 
 
-def check_soda_read_write_read():
+def _read_write_read():
     """One reader reads, a write completes, the reader reads again, each
     operation strictly after the last: the second read must return the
     second value (``TaglessCachedDecoder`` serves it the first read's, which
@@ -191,8 +191,19 @@ def check_soda_read_write_read():
     ):
         step(cluster.sim.now + 1.0)
         cluster.run()
-    verdict = check_history_incrementally(cluster.history, initial_value=b"")
+    return cluster
+
+
+def check_soda_read_write_read():
+    verdict = check_history_incrementally(_read_write_read().history, initial_value=b"")
     assert verdict.ok, [v.kind for v in verdict.violations]
+
+
+def check_soda_read_write_read_tags():
+    """The same scenario through the tags: Lemma 2.1's P1-P3 hold."""
+    history = _read_write_read().history
+    violations = check_lemma_properties(history, initial_tag=TAG_ZERO, initial_value=b"")
+    assert violations == [], [v.kind for v in violations]
 
 
 @pytest.mark.parametrize(
@@ -202,6 +213,7 @@ def check_soda_read_write_read():
         check_soda_write_then_read_tags,
         check_cas_write_then_read,
         check_soda_read_write_read,
+        check_soda_read_write_read_tags,
     ],
 )
 def test_the_real_clients_pass_the_checks_that_kill_their_mutants(check):

@@ -286,6 +286,11 @@ MUTANTS = (
                 AssertionError,
                 "cluster-cycle",
             ),
+            Kill(
+                "core/test_client.py::check_soda_read_write_read_tags",
+                AssertionError,
+                "P3",
+            ),
         ),
     ),
     Mutant(

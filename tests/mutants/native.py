@@ -20,8 +20,8 @@ class FlippedDirtyACore:
     Python checker's.  The per-event differential of
     ``tests/consistency/test_checker_core.py`` kills it."""
 
-    old = "TRY(higher = cmp(a, bound, Py_GT));"
-    new = "TRY(higher = cmp(a, bound, Py_LT));"
+    old = "if (a > bound && store("
+    new = "if (a < bound && store("
 
 
 class UnnamedFirstReadCore:
@@ -32,8 +32,8 @@ class UnnamedFirstReadCore:
     kills it."""
 
     nightly = True
-    old = "|| put(O(FIRST_READ_ID), i, op_id) < 0))"
-    new = "))"
+    old = "TRY(PyList_SetItem(O(FIRST_READ_ID), i, Py_NewRef(op_id)));"
+    new = ""
 
 
 class EarlyCountdownLoop:

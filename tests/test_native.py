@@ -230,6 +230,99 @@ class TestLoadFailuresAreReasons:
 
 
 # ----------------------------------------------------------------------
+# a new build keeps the newest four of its module
+# ----------------------------------------------------------------------
+class TestPruning:
+    @pytest.fixture
+    def fake_build(self, fresh, monkeypatch):
+        """``_build`` writes a stand-in file where the compiler would."""
+
+        def build(build_dir):
+            path = os.path.join(build_dir, _build_name(KERNELS.name, KERNELS._source_digest()))
+            Path(path).write_text("a build")
+            return path
+
+        monkeypatch.setattr(KERNELS, "_build", build)
+
+    @staticmethod
+    def _stage(directory, name, digest, age):
+        """A build of ``name`` at ``digest``, ``age`` seconds old."""
+        directory.mkdir(parents=True, exist_ok=True)
+        path = directory / _build_name(name, digest)
+        path.write_text("an old build")
+        os.utime(path, (path.stat().st_mtime - age,) * 2)
+        return path
+
+    def test_six_builds_in_a_named_directory_leave_the_newest_four(
+        self, cache, fake_build
+    ):
+        old = [self._stage(cache, KERNELS.name, f"{i:016x}", 100 - i) for i in range(5)]
+        other = [self._stage(cache, "_repro_run_loop", f"{i:016x}", 200) for i in range(5)]
+        marker = cache / "0000000000000000.unavailable"
+        marker.write_text("an old failure\n")
+        published = KERNELS._compile(str(cache), str(_marker(cache)))
+        kept = sorted(p.name for p in cache.iterdir() if p.name.startswith(KERNELS.name))
+        assert kept == sorted([os.path.basename(published), *(p.name for p in old[2:])])
+        assert all(p.exists() for p in other) and marker.exists()
+
+    def test_sibling_digest_directories_go_with_their_builds(
+        self, fresh, fake_build, monkeypatch, tmp_path
+    ):
+        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        root = tmp_path / "repro-gf-native"
+        old = [
+            self._stage(root / f"{i:016x}-py39", KERNELS.name, f"{i:016x}", 100 - i)
+            for i in range(5)
+        ]
+        (old[1].parent / "0000000000000001.unavailable").write_text("a failure\n")
+        other = self._stage(root / f"{9:016x}-py39", "_repro_run_loop", f"{9:016x}", 200)
+        cache_dir = KERNELS._cache_dir()
+        os.makedirs(cache_dir)
+        KERNELS._compile(cache_dir, os.path.join(cache_dir, "marker"))
+        assert not old[0].parent.exists()  # empty once its build went
+        assert [p.name for p in old[1].parent.iterdir()] == ["0000000000000001.unavailable"]
+        assert all(p.exists() for p in old[2:]) and other.exists()
+        assert KERNELS._find_extension(cache_dir) is not None
+
+    def test_builds_of_another_uid_are_left(self, cache, fake_build, monkeypatch):
+        old = [self._stage(cache, KERNELS.name, f"{i:016x}", 100 - i) for i in range(5)]
+        monkeypatch.setattr(native, "_uid", lambda: os.getuid() + 1)
+        monkeypatch.setattr(native, "_require_owned", lambda path: None)
+        KERNELS._compile(str(cache), str(_marker(cache)))
+        assert all(p.exists() for p in old)
+
+    @needs_native
+    def test_a_build_that_vanishes_before_its_import_is_rebuilt(
+        self, cache, built, monkeypatch
+    ):
+        """Another process pruned it between ``_find_extension`` and the
+        import, its directory with it."""
+        cache.mkdir()
+        shutil.copy(KERNELS._find_extension(str(built[0])), cache)
+        find = KERNELS._find_extension
+
+        def find_then_vanish(directory):
+            found = find(directory)
+            if directory == str(cache):
+                shutil.rmtree(directory)
+            return found
+
+        calls = []
+        copy = _copy_of(built[0])
+        monkeypatch.setattr(KERNELS, "_find_extension", find_then_vanish)
+        monkeypatch.setattr(KERNELS, "_compile", lambda *a: calls.append(a) or copy(*a))
+        assert KERNELS.availability_error() is None
+        assert len(calls) == 1 and _kernel_works(KERNELS.load())
+
+
+def _build_name(name, digest):
+    import sysconfig
+
+    return f"{name}-{digest}{sysconfig.get_config_var('EXT_SUFFIX')}"
+
+
+# ----------------------------------------------------------------------
 # a failed build is recorded once
 # ----------------------------------------------------------------------
 class TestUnavailableMarker:
