@@ -2,16 +2,19 @@
 
 A plain CPython extension built by :class:`~repro.native.CompiledModule`,
 like the run loop.  ``Core(checker, globals)`` puts typed columns
-(``Column``: unboxed doubles, 64-bit ints, one byte per flag) in place of
-the checker's fifteen numeric and flag lists and runs ``on_invoke`` /
-``on_complete`` on them and on its other lists and dicts: ``_new_cluster``,
-``_update``, the tail append of ``_table_insert``, ``_note_a_growth`` /
-``_recompute_prefix`` and ``_check_crossings``.  Every other branch calls
-the checker's method, which uses a column as the list: ``len``, item get,
-set and ``del``, slice reads and deletes, ``append``, ``insert``,
-iteration.  Non-float times go through ``incremental._as_time``.  Digests,
-counters, ``_dirty_a`` and the tuning constants are read where Python
-reads them, so patching any of them acts on both executors alike.
+(``Column``: unboxed doubles, 64-bit ints, one byte per flag, or op ids as
+UTF-8) in place of the checker's seventeen per-cluster and table lists, and
+a ``KeyTable`` (16-byte digests by cid, with a C slot index) in place of
+``_cid_of``, and runs ``on_invoke`` / ``on_complete`` on them and on its
+dicts: ``_new_cluster``, ``_update``, the tail append of ``_table_insert``,
+``_note_a_growth`` / ``_recompute_prefix`` and ``_check_crossings``.  Every
+other branch calls the checker's method, which uses a column as the list
+(``len``, item get, set and ``del``, slice reads and deletes, ``append``,
+``insert``, iteration) and a key table as the dict (``get``, ``[]``, an
+append-only ``[]=``, ``len``, ``in``, ``items()``, ``values()``).  Non-float
+times go through ``incremental._as_time``, a non-str op id through
+``_as_op_id``.  Digests, counters, ``_dirty_a`` and the tuning constants
+are read where Python reads them, so patching any of them acts alike.
 """
 
 from __future__ import annotations
@@ -27,17 +30,25 @@ C_SOURCE = r"""
 
 #define TRY(status) do { if ((status) < 0) return -1; } while (0)
 
-/* A column: a vector of doubles ('d'), long longs ('q') or flags ('?', a
- * byte each) through PyMem_*, over-allocated as a list is.  An item passes
- * as a double: a 'q' column holds ints of at most 2**53. */
+/* A column: a vector of doubles ('d'), long longs ('q'), flags ('?', a
+ * byte each) or names ('s') through PyMem_*, over-allocated as a list is.
+ * An item passes as a double: a 'q' column holds ints of at most 2**53.  A
+ * name is a str or None: an item (offset << 24 | length) of its UTF-8 in an
+ * arena, -1 for None.  Lone surrogates pass through, so byte order is
+ * code-point order.  A set appends to the arena, compacted once the names
+ * replaced outweigh the live ones.  A key table (below) is a column too. */
 typedef struct {
     PyObject_HEAD
     Py_ssize_t size, allocated;
     int kind;
     char *items;
+    char *arena;                 /* 's': names' bytes, used of room, dead of them replaced */
+    Py_ssize_t used, room, dead;
+    int32_t *index;              /* 'k': cid per slot (-1 free), slots a power of two */
+    Py_ssize_t slots;
 } Column;
 
-#define WIDTH(col) ((col)->kind == '?' ? 1 : 8)
+#define WIDTH(col) ((col)->kind == '?' ? 1 : (col)->kind == 'k' ? 16 : 8)
 
 static double at(Column *col, Py_ssize_t i) {
     char *item = col->items + i * WIDTH(col);
@@ -54,17 +65,23 @@ static void put(Column *col, Py_ssize_t i, double x) {
         *item = x != 0;
 }
 
-static int resize(Column *col, Py_ssize_t size) { /* by list_resize's rule */
-    if (size > col->allocated || size < col->allocated >> 1) {
+/* Room in *items for size items of width bytes, by list_resize's rule. */
+static int reserve(char **items, Py_ssize_t *allocated, Py_ssize_t size, Py_ssize_t width) {
+    if (size > *allocated || size < *allocated >> 1) {
         size_t room = size ? ((size_t)size + (size >> 3) + 6) & ~(size_t)3 : 0;
-        char *items = room > (size_t)PY_SSIZE_T_MAX / 8 ? NULL
-                                                          : PyMem_Realloc(col->items, room * WIDTH(col));
-        if (items == NULL && room) {
+        char *moved = room > (size_t)PY_SSIZE_T_MAX / width ? NULL
+                                                             : PyMem_Realloc(*items, room * width);
+        if (moved == NULL && room) {
             PyErr_NoMemory();
             return -1;
         }
-        col->items = items, col->allocated = room;
+        *items = moved, *allocated = room;
     }
+    return 0;
+}
+
+static int resize(Column *col, Py_ssize_t size) {
+    TRY(reserve(&col->items, &col->allocated, size, WIDTH(col)));
     col->size = size;
     return 0;
 }
@@ -78,7 +95,71 @@ static int place(Column *col, Py_ssize_t i, double x) { /* col.insert(i, x) */
     return 0;
 }
 
+/* name's UTF-8 into *text, *size (NULL, 0 for None); *held, if set, is the bytes to release. */
+static int utf8(PyObject *name, const char **text, Py_ssize_t *size, PyObject **held) {
+    *held = NULL, *text = NULL, *size = 0;
+    if (name == Py_None)
+        return 0;
+    if (!PyUnicode_Check(name))
+        PyErr_Format(PyExc_TypeError, "a name column holds str or None, not %.200s",
+                     Py_TYPE(name)->tp_name);
+    else if ((*text = PyUnicode_AsUTF8AndSize(name, size)) == NULL
+             && PyErr_ExceptionMatches(PyExc_UnicodeEncodeError) /* a lone surrogate */
+             && (PyErr_Clear(), *held = PyUnicode_AsEncodedString(name, "utf-8", "surrogatepass")))
+        *text = PyBytes_AS_STRING(*held), *size = PyBytes_GET_SIZE(*held);
+    return PyErr_Occurred() ? -1 : 0;
+}
+
+/* The length of names[i] (-1 for None), its bytes in *text ("" for None). */
+static Py_ssize_t name_at(Column *names, Py_ssize_t i, const char **text) {
+    long long item = ((long long *)names->items)[i];
+    *text = item < 0 ? "" : names->arena + (item >> 24);
+    return item < 0 ? -1 : item & 0xffffff;
+}
+
+static int compact(Column *names) { /* drop the bytes of the names replaced */
+    char *arena = NULL;
+    const char *text;
+    Py_ssize_t room = 0, used = 0, size;
+    TRY(reserve(&arena, &room, names->used - names->dead + 1, 1));
+    for (Py_ssize_t i = 0; i < names->size; i++)
+        if ((size = name_at(names, i, &text)) >= 0) {
+            memcpy(arena + used, text, size);
+            ((long long *)names->items)[i] = (long long)used << 24 | size, used += size;
+        }
+    PyMem_Free(names->arena);
+    names->arena = arena, names->room = room, names->used = used, names->dead = 0;
+    return 0;
+}
+
+/* names[i] = text (None if NULL), appending at i == len(names). */
+static int name_store(Column *names, Py_ssize_t i, const char *text, Py_ssize_t size) {
+    long long was = i < names->size ? ((long long *)names->items)[i] : -1;
+    if (size > 0xffffff)
+        return PyErr_SetString(PyExc_OverflowError, "a name column holds names under 16 MiB"), -1;
+    TRY(text ? reserve(&names->arena, &names->room, names->used + size + 1, 1) : 0);
+    TRY(i == names->size ? resize(names, i + 1) : 0);
+    ((long long *)names->items)[i] = text ? (long long)names->used << 24 | size : -1;
+    if (text != NULL)
+        memcpy(names->arena + names->used, text, size), names->used += size;
+    names->dead += was < 0 ? 0 : was & 0xffffff;
+    return names->dead > 4096 && 2 * names->dead > names->used ? compact(names) : 0;
+}
+
+static int name_put(Column *names, Py_ssize_t i, PyObject *name) { /* names[i] = name */
+    const char *text;
+    Py_ssize_t size;
+    PyObject *held;
+    int status = utf8(name, &text, &size, &held) < 0 ? -1 : name_store(names, i, text, size);
+    Py_XDECREF(held);
+    return status;
+}
+
 static PyObject *box(Column *col, Py_ssize_t i) {
+    const char *text;
+    Py_ssize_t size = col->kind == 's' ? name_at(col, i, &text) : 0;
+    if (col->kind == 's')
+        return size < 0 ? Py_NewRef(Py_None) : PyUnicode_DecodeUTF8(text, size, "surrogatepass");
     double x = at(col, i);
     return col->kind == 'd' ? PyFloat_FromDouble(x)
            : col->kind == 'q' ? PyLong_FromLongLong((long long)x) : PyBool_FromLong(x != 0);
@@ -87,7 +168,7 @@ static PyObject *box(Column *col, Py_ssize_t i) {
 static int unbox(Column *col, PyObject *value, double *x) { /* a float, an int or a bool */
     long long q = 0;
     if (col->kind == 'd' ? !PyFloat_Check(value)
-        : col->kind == 'q' ? !PyLong_Check(value) : !PyBool_Check(value)) {
+        : col->kind == 'q' ? !PyLong_Check(value) : col->kind != '?' || !PyBool_Check(value)) {
         PyErr_Format(PyExc_TypeError, "a '%c' column holds no %.200s", col->kind,
                      Py_TYPE(value)->tp_name);
         return -1;
@@ -137,6 +218,8 @@ static int assign(Column *col, PyObject *key, PyObject *value) { /* col[i] = v, 
     double x;
     if (!PySlice_Check(key)) {
         TRY(index_of(col, key, &start));
+        if (value != NULL && col->kind == 's')
+            return name_put(col, start, value);
         if (value != NULL) {
             TRY(unbox(col, value, &x));
             put(col, start, x);
@@ -154,9 +237,14 @@ static int assign(Column *col, PyObject *key, PyObject *value) { /* col[i] = v, 
     return resize(col, col->size - (stop - start));
 }
 
-static PyObject *append(Column *col, PyObject *value) {
+static int push(Column *col, PyObject *value) { /* col.append(value) */
     double x;
-    return unbox(col, value, &x) < 0 || place(col, col->size, x) < 0 ? NULL : Py_NewRef(Py_None);
+    return col->kind == 's' ? name_put(col, col->size, value)
+           : unbox(col, value, &x) < 0 ? -1 : place(col, col->size, x);
+}
+
+static PyObject *append(Column *col, PyObject *value) {
+    return push(col, value) < 0 ? NULL : Py_NewRef(Py_None);
 }
 
 static PyObject *insert(Column *col, PyObject *args) {
@@ -170,8 +258,15 @@ static PyObject *insert(Column *col, PyObject *args) {
 }
 
 static void column_dealloc(Column *col) {
-    PyMem_Free(col->items);
+    PyMem_Free(col->items), PyMem_Free(col->arena), PyMem_Free(col->index);
     Py_TYPE(col)->tp_free((PyObject *)col);
+}
+
+static Column *empty(PyTypeObject *type, int kind) { /* allocates nothing until its first item */
+    Column *col = PyObject_New(Column, type);
+    if (col != NULL)
+        memset(&col->size, 0, sizeof(Column) - offsetof(Column, size)), col->kind = kind;
+    return col;
 }
 
 /* Column(kind, iterable) */
@@ -179,16 +274,14 @@ static PyObject *column_new(PyTypeObject *type, PyObject *args, PyObject *kwargs
     int kind;
     PyObject *items, *fast = NULL;
     Column *col = NULL;
-    double x;
     if (!PyArg_ParseTuple(args, "CO:Column", &kind, &items))
         return NULL;
-    if (kind != 'd' && kind != 'q' && kind != '?')
-        PyErr_Format(PyExc_ValueError, "a column's kind is 'd', 'q' or '?', not '%c'", kind);
-    else if ((fast = PySequence_Fast(items, "a column is made from an iterable")) != NULL
-             && (col = PyObject_New(Column, type)) != NULL)
-        col->size = col->allocated = 0, col->kind = kind, col->items = NULL;
+    if (kind != 'd' && kind != 'q' && kind != '?' && kind != 's')
+        PyErr_Format(PyExc_ValueError, "a column's kind is 'd', 'q', '?' or 's', not '%c'", kind);
+    else if ((fast = PySequence_Fast(items, "a column is made from an iterable")) != NULL)
+        col = empty(type, kind);
     for (Py_ssize_t k = 0; col != NULL && k < PySequence_Fast_GET_SIZE(fast); k++)
-        if (unbox(col, PySequence_Fast_GET_ITEM(fast, k), &x) < 0 || place(col, k, x) < 0)
+        if (push(col, PySequence_Fast_GET_ITEM(fast, k)) < 0)
             Py_CLEAR(col);
     Py_XDECREF(fast);
     return (PyObject *)col;
@@ -211,30 +304,141 @@ static PyTypeObject ColumnType = {
     .tp_as_sequence = &column_sequence, .tp_as_mapping = &column_mapping,
     .tp_methods = column_methods};
 
+/* A key table: the dict of 16-byte value digests to cids it replaces, in
+ * cid order and append-only.  Its 'k' items hold key cid at cid; the index
+ * holds each cid at the slot its key's first 8 bytes name (a digest is
+ * uniform already), or past it by linear probing, at most two thirds full. */
+static Py_ssize_t probe(Column *table, const char *key) { /* key's slot, or its free one */
+    unsigned long long hash;
+    memcpy(&hash, key, 8);
+    Py_ssize_t mask = table->slots - 1, s = (Py_ssize_t)(hash & mask);
+    while (table->index[s] >= 0 && memcmp(table->items + 16 * (Py_ssize_t)table->index[s], key, 16))
+        s = (s + 1) & mask;
+    return s;
+}
+
+static const char *digest_of(PyObject *key) { /* a 16-byte key's bytes, or NULL */
+    return PyBytes_Check(key) && PyBytes_GET_SIZE(key) == 16 ? PyBytes_AS_STRING(key) : NULL;
+}
+
+static Py_ssize_t find(Column *table, PyObject *key) { /* key's cid, -1 if it has none */
+    const char *digest = digest_of(key);
+    return digest == NULL || table->slots == 0 ? -1 : table->index[probe(table, digest)];
+}
+
+static int add(Column *table, PyObject *key) { /* table[key] = len(table), key not in it */
+    const char *digest = digest_of(key);
+    Py_ssize_t n = table->size, slots = table->slots ? 2 * table->slots : 8;
+    if (digest == NULL)
+        return PyErr_Format(PyExc_TypeError, "a key table holds 16-byte keys, not %R", key), -1;
+    if ((n + 1) * 3 > table->slots * 2) { /* a new index, twice as large */
+        int32_t *index = n < INT32_MAX ? PyMem_Malloc(slots * sizeof(int32_t)) : NULL;
+        if (index == NULL)
+            return PyErr_NoMemory(), -1;
+        PyMem_Free(table->index);
+        table->index = memset(index, 0xff, slots * sizeof(int32_t)), table->slots = slots;
+        for (Py_ssize_t j = 0; j < n; j++)
+            index[probe(table, table->items + 16 * j)] = (int32_t)j;
+    }
+    TRY(resize(table, n + 1));
+    memcpy(table->items + 16 * n, digest, 16);
+    table->index[probe(table, digest)] = (int32_t)n;
+    return 0;
+}
+
+/* table.get(key, otherwise), a new reference; table[key] if otherwise is NULL */
+static PyObject *lookup(Column *table, PyObject *key, PyObject *otherwise) {
+    Py_ssize_t cid = find(table, key);
+    if (cid < 0 && otherwise == NULL)
+        PyErr_SetObject(PyExc_KeyError, key);
+    return cid < 0 ? Py_XNewRef(otherwise) : PyLong_FromSsize_t(cid);
+}
+
+static PyObject *key_subscript(Column *table, PyObject *key) { return lookup(table, key, NULL); }
+
+static int key_assign(Column *table, PyObject *key, PyObject *cid) { /* table[key] = cid */
+    Py_ssize_t i = cid != NULL && PyLong_Check(cid) ? PyLong_AsSsize_t(cid) : -1;
+    if (i != table->size || find(table, key) >= 0) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "a key table takes a new key at cid len(table)");
+        return -1;
+    }
+    return add(table, key);
+}
+
+static int key_contains(Column *table, PyObject *key) { return find(table, key) >= 0; }
+
+static PyObject *key_get(Column *table, PyObject *key) { return lookup(table, key, Py_None); }
+
+static PyObject *key_items(Column *table, PyObject *unused) { /* as a list, in cid order */
+    PyObject *list = PyList_New(table->size), *row;
+    for (Py_ssize_t i = 0; list != NULL && i < table->size; i++) {
+        if ((row = Py_BuildValue("(y#n)", table->items + 16 * i, (Py_ssize_t)16, i)) == NULL)
+            Py_CLEAR(list);
+        else
+            PyList_SET_ITEM(list, i, row);
+    }
+    return list;
+}
+
+static PyObject *key_values(Column *table, PyObject *unused) { /* the cids: a range */
+    return PyObject_CallFunction((PyObject *)&PyRange_Type, "n", table->size);
+}
+
+/* KeyTable(dict): the dict's keys, its cids 0, 1, ... in order */
+static PyObject *key_table_new(PyTypeObject *type, PyObject *args, PyObject *kwargs) {
+    PyObject *dict, *key, *cid;
+    Py_ssize_t pos = 0;
+    Column *table = NULL;
+    if (PyArg_ParseTuple(args, "O!:KeyTable", &PyDict_Type, &dict))
+        table = empty(type, 'k');
+    while (table != NULL && PyDict_Next(dict, &pos, &key, &cid))
+        if (key_assign(table, key, cid) < 0)
+            Py_CLEAR(table);
+    return (PyObject *)table;
+}
+
+static PySequenceMethods key_sequence = {.sq_contains = (objobjproc)key_contains};
+static PyMappingMethods key_mapping = {.mp_length = (lenfunc)length,
+                                       .mp_subscript = (binaryfunc)key_subscript,
+                                       .mp_ass_subscript = (objobjargproc)key_assign};
+static PyMethodDef key_methods[] = {
+    {"get", (PyCFunction)key_get, METH_O, "dict.get, with no default"},
+    {"items", (PyCFunction)key_items, METH_NOARGS, "dict.items, as a list"},
+    {"values", (PyCFunction)key_values, METH_NOARGS, "dict.values, as a range"},
+    {NULL, NULL, 0, NULL}};
+
+static PyTypeObject KeyTableType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_repro_checker_core.KeyTable",
+    .tp_basicsize = sizeof(Column), .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_new = key_table_new, .tp_dealloc = (destructor)column_dealloc,
+    .tp_as_sequence = &key_sequence, .tp_as_mapping = &key_mapping, .tp_methods = key_methods};
+
 /* Held by a Core: the checker's columns (per cluster, then per table slot),
- * lists and dicts, two module names (slots 0..HELD-1, named like the names
+ * key table and dicts, two module names (slots 0..HELD-1, named like the names
  * below), then the checker, its __dict__ and its module's globals.  The other
  * names are read where Python reads them: the instance's, the module's, the
  * record's, and the methods called for every branch but the common one. */
 enum { MAX_INV, MIN_RESP, WRITE_INVOKED, MIN_READ_RESP, FIRST_READ_INV, READS, POS, HAS_WRITE,
-       IS_CLOSED, TB, TA, TCID, PM1, PM2, PA1, COLUMNS, WRITE_ID = COLUMNS, FIRST_READ_ID,
-       CID_OF, FRONTIER, DIRTY, OPEN_WRITE_KEYS, WRITE, RECORD, HELD,
+       IS_CLOSED, WRITE_ID, FIRST_READ_ID, TB, TA, TCID, PM1, PM2, PA1, CID_OF, FRONTIER, DIRTY,
+       OPEN_WRITE_KEYS, WRITE, RECORD, HELD,
        OPS_SEEN = HELD, READS_CHECKED, DIRTY_A, FRONTIER_LIMIT, RECENT_WRITES,
-       VALUE_KEY, AS_TIME, MEMO_MIN_BYTES, EAGER_TAIL, DIRTY_LIMIT, KIND, OP_ID, VALUE,
+       VALUE_KEY, AS_TIME, AS_OP_ID, MEMO_MIN_BYTES, EAGER_TAIL, DIRTY_LIMIT, KIND, OP_ID, VALUE,
        INVOKED_AT, RESPONDED_AT, REGISTER_WRITE, REOPEN, TABLE_INSERT, TABLE_REMOVE, COMPACT,
        FLAG_CROSSING, UNKNOWN_READ, READ_FROM_FUTURE, REMEMBER, KEY_OF, DICT, NAMES };
 enum { CHECKER = HELD, ATTRS, GLOBALS, OWNED };
-static const char kinds[COLUMNS + 1] = "dddddqq??ddqddq";
+static const char kinds[FRONTIER + 1] = "dddddqq??ssddqddqk";
 static const char *names[NAMES] = {
     "_max_inv", "_min_resp", "_write_invoked", "_min_read_resp", "_first_read_inv", "_reads",
-    "_pos", "_has_write", "_is_closed", "_tb", "_ta", "_tcid", "_pm1", "_pm2", "_pa1",
-    "_write_id", "_first_read_id", "_cid_of", "_frontier", "_dirty", "_open_write_keys",
+    "_pos", "_has_write", "_is_closed", "_write_id", "_first_read_id", "_tb", "_ta", "_tcid",
+    "_pm1", "_pm2", "_pa1", "_cid_of", "_frontier", "_dirty", "_open_write_keys",
     "WRITE", "OperationRecord", "ops_seen", "reads_checked", "_dirty_a", "frontier_limit",
-    "_recent_writes", "_value_key", "_as_time", "_MEMO_MIN_BYTES", "_EAGER_TAIL",
+    "_recent_writes", "_value_key", "_as_time", "_as_op_id", "_MEMO_MIN_BYTES", "_EAGER_TAIL",
     "_DIRTY_LIMIT", "kind", "op_id", "value", "invoked_at", "responded_at", "_register_write",
     "_reopen", "_table_insert", "_table_remove", "_compact", "_flag_crossing", "_unknown_read",
     "_flag_read_from_future", "remember", "key_of", "__dict__"};
-static PyObject *S[NAMES], *ONE, *EMPTY;
+static PyObject *S[NAMES], *ONE;
 
 typedef struct {
     PyObject_HEAD
@@ -259,7 +463,7 @@ static int within(Core *c, int first, int last, Py_ssize_t i) { /* i indexes tho
 /* The index of cluster cid (-1 on error), checked against its columns: no step shrinks them. */
 static Py_ssize_t cluster(Core *c, PyObject *cid) {
     Py_ssize_t i = PyLong_AsSsize_t(cid);
-    return (i == -1 && PyErr_Occurred()) || within(c, MAX_INV, IS_CLOSED, i) < 0 ? -1 : i;
+    return (i == -1 && PyErr_Occurred()) || within(c, MAX_INV, FIRST_READ_ID, i) < 0 ? -1 : i;
 }
 
 static PyObject *get(PyObject *dict, int name) { /* dict[name], borrowed */
@@ -307,16 +511,36 @@ static PyObject *field(Core *c, PyObject *record, int name) {
     return value ? Py_NewRef(value) : PyObject_GetAttr(record, S[name]);
 }
 
+/* _value_key(a), _as_time(a, b) or _as_op_id(a), as the module names them;
+ * or checker._recent_writes.<name>(a[, b]).  A new reference. */
+static PyObject *call(Core *c, int name, PyObject *a, PyObject *b) {
+    int global = name >= VALUE_KEY && name <= AS_OP_ID;
+    PyObject *owner = get(O(global ? GLOBALS : ATTRS), global ? name : RECENT_WRITES), *result;
+    if (owner == NULL)
+        return NULL;
+    Py_INCREF(owner);
+    PyObject *args[3] = {owner, a, b};
+    result = global ? PyObject_Vectorcall(owner, args + 1, 1 + (b != NULL), NULL)
+                    : PyObject_VectorcallMethod(S[name], args, 2 + (b != NULL), NULL);
+    Py_DECREF(owner);
+    return result;
+}
+
+/* record.op_id, a new reference: anything but a str goes through _as_op_id(op_id). */
+static PyObject *op_id_of(Core *c, PyObject *record) {
+    PyObject *op_id = field(c, record, OP_ID);
+    if (op_id != NULL && !PyUnicode_Check(op_id))
+        Py_SETREF(op_id, call(c, AS_OP_ID, op_id, NULL));
+    return op_id;
+}
+
 /* record.<name> as a time into *t: a float as it is, anything else through
  * _as_time(op_id, time).  1, and no *t, for a response time of None. */
 static int time_of(Core *c, PyObject *record, int name, PyObject *op_id, double *t) {
-    PyObject *held = field(c, record, name), *as_time;
+    PyObject *held = field(c, record, name);
     int none = held == Py_None && name == RESPONDED_AT;
-    if (held != NULL && !none && !PyFloat_CheckExact(held)) {
-        as_time = Py_XNewRef(get(O(GLOBALS), AS_TIME));
-        Py_SETREF(held, as_time ? PyObject_CallFunctionObjArgs(as_time, op_id, held, NULL) : NULL);
-        Py_XDECREF(as_time);
-    }
+    if (held != NULL && !none && !PyFloat_CheckExact(held))
+        Py_SETREF(held, call(c, AS_TIME, op_id, held));
     int status = none ? 1 : as_double(held, t);
     Py_XDECREF(held);
     return status;
@@ -332,20 +556,6 @@ static PyObject *method(Core *c, int name, PyObject *a, PyObject *b, PyObject *d
     PyObject *args[4] = {O(CHECKER), a, b, d};
     return PyObject_VectorcallMethod(S[name], args, 1 + (a != NULL) + (b != NULL) + (d != NULL),
                                      NULL);
-}
-
-/* _value_key(value), or checker._recent_writes.<name>(value[, key]). */
-static PyObject *digest(Core *c, int name, PyObject *value, PyObject *key) {
-    int global = name == VALUE_KEY;
-    PyObject *owner = get(O(global ? GLOBALS : ATTRS), global ? name : RECENT_WRITES), *result;
-    if (owner == NULL)
-        return NULL;
-    Py_INCREF(owner);
-    PyObject *args[3] = {owner, value, key};
-    result = global ? PyObject_CallOneArg(owner, value)
-                    : PyObject_VectorcallMethod(S[name], args, 2 + (key != NULL), NULL);
-    Py_DECREF(owner);
-    return result;
 }
 
 static int is_large(Core *c, PyObject *value) { /* len(value) >= _MEMO_MIN_BYTES */
@@ -378,11 +588,11 @@ static int recompute_prefix(Core *c, Py_ssize_t start) {
 
 /* _new_cluster(key, op_id, invoked, _INF, invoked, True) */
 static int new_cluster(Core *c, PyObject *key, PyObject *op_id, double invoked) {
-    double row[COLUMNS] = {invoked, Py_HUGE_VAL, invoked, Py_HUGE_VAL, Py_HUGE_VAL, 0, -1, 1, 0};
-    PyObject *cid = PyLong_FromSsize_t(PyList_GET_SIZE(O(WRITE_ID))), *old;
-    int status = cid == NULL || PyDict_SetItem(O(CID_OF), key, cid) < 0
-                 || PyList_Append(O(WRITE_ID), op_id) < 0
-                 || PyList_Append(O(FIRST_READ_ID), Py_None) < 0 ? -1 : 0, over = 0;
+    double row[IS_CLOSED + 1] = {invoked, Py_HUGE_VAL, invoked, Py_HUGE_VAL, Py_HUGE_VAL, 0, -1, 1, 0};
+    Py_ssize_t n = COL(WRITE_ID)->size;
+    PyObject *cid = PyLong_FromSsize_t(n), *old;
+    int status = cid == NULL || add(COL(CID_OF), key) < 0 || name_put(COL(WRITE_ID), n, op_id) < 0
+                 || name_store(COL(FIRST_READ_ID), n, NULL, 0) < 0 ? -1 : 0, over = 0;
     for (int k = MAX_INV; status == 0 && k <= IS_CLOSED; k++)
         status = place(COL(k), COL(k)->size, row[k]);
     if (status == 0 && (status = PyDict_SetItem(O(FRONTIER), cid, Py_None)) == 0)
@@ -489,25 +699,24 @@ static int is_write(Core *c, PyObject *record) { /* record.kind == WRITE */
 }
 
 static PyObject *on_invoke(Core *c, PyObject *record) {
-    PyObject *value = NULL, *key = NULL, *op_id = NULL, *pair = NULL, *cid;
+    PyObject *op_id = op_id_of(c, record), *value = NULL, *key = NULL, *pair = NULL, *cid = NULL;
     double invoked;
-    int status = bump(O(ATTRS), OPS_SEEN) < 0 ? -1 : is_write(c, record), large;
+    int status = op_id == NULL || bump(O(ATTRS), OPS_SEEN) < 0 ? -1 : is_write(c, record), large;
     if (status > 0) {
         status = -1;
-        if ((value = field(c, record, VALUE)) && (key = digest(c, VALUE_KEY, value, NULL))
-            && (op_id = field(c, record, OP_ID)) && (pair = PyTuple_Pack(2, value, key))
+        if ((value = field(c, record, VALUE)) && (key = call(c, VALUE_KEY, value, NULL))
+            && (pair = PyTuple_Pack(2, value, key))
             && PyDict_SetItem(O(OPEN_WRITE_KEYS), op_id, pair) == 0
             && (large = is_large(c, value)) >= 0
-            && (!large || done(digest(c, REMEMBER, value, key)) == 0)) {
-            if ((cid = Py_XNewRef(PyDict_GetItemWithError(O(CID_OF), key))) != NULL) {
+            && (!large || done(call(c, REMEMBER, value, key)) == 0)
+            && (cid = lookup(COL(CID_OF), key, Py_None)) != NULL) {
+            if (cid != Py_None)
                 status = done(method(c, REGISTER_WRITE, record, key, cid));
-                Py_DECREF(cid);
-            } else if (!PyErr_Occurred() && time_of(c, record, INVOKED_AT, op_id, &invoked) == 0) {
+            else if (time_of(c, record, INVOKED_AT, op_id, &invoked) == 0)
                 status = new_cluster(c, key, op_id, invoked);
-            }
         }
     }
-    Py_XDECREF(value), Py_XDECREF(key), Py_XDECREF(op_id), Py_XDECREF(pair);
+    Py_XDECREF(value), Py_XDECREF(key), Py_XDECREF(op_id), Py_XDECREF(pair), Py_XDECREF(cid);
     return status < 0 ? NULL : Py_NewRef(Py_None);
 }
 
@@ -526,47 +735,45 @@ static int write_completes(Core *c, PyObject *record, PyObject *op_id, PyObject 
     Py_XDECREF(held);
     *key = held && held == value ? PySequence_GetItem(memo, 1) : NULL;
     Py_XDECREF(memo);
-    if ((memo && held == NULL) || (*key == NULL && (*key = digest(c, VALUE_KEY, value, NULL)) == NULL))
+    if ((memo && held == NULL) || (*key == NULL && (*key = call(c, VALUE_KEY, value, NULL)) == NULL)
+        || (*cid = lookup(COL(CID_OF), *key, Py_None)) == NULL)
         return -1;
-    *cid = Py_XNewRef(PyDict_GetItemWithError(O(CID_OF), *key));
-    int has = *cid ? ((j = cluster(c, *cid)) < 0 ? -1 : COL(HAS_WRITE)->items[j])
-                   : PyErr_Occurred() ? -1 : 0;
+    int has = *cid != Py_None ? ((j = cluster(c, *cid)) < 0 ? -1 : COL(HAS_WRITE)->items[j]) : 0;
     if (has != 0) /* a write registered at its invoke, or an error */
         return has < 0 ? -1 : 0;
     TRY(bump(O(ATTRS), OPS_SEEN));
-    TRY(done(method(c, REGISTER_WRITE, record, *key, *cid ? *cid : Py_None)));
-    Py_XSETREF(*cid, Py_XNewRef(PyDict_GetItemWithError(O(CID_OF), *key)));
-    if (*cid == NULL && !PyErr_Occurred())
+    TRY(done(method(c, REGISTER_WRITE, record, *key, *cid)));
+    Py_SETREF(*cid, lookup(COL(CID_OF), *key, Py_None));
+    if (*cid == Py_None)
         PyErr_SetObject(PyExc_KeyError, *key);
-    return *cid == NULL ? -1 : 0;
+    return *cid == NULL || *cid == Py_None ? -1 : 0;
 }
 
-/* (invoked, op_id) < (first_inv, first_id or "") as tuples compare */
-static int first_read(double invoked, PyObject *op_id, double first_inv, PyObject *first_id) {
-    int named, same;
-    if (invoked != first_inv)
-        return invoked < first_inv;
-    TRY(named = PyObject_IsTrue(first_id));
-    first_id = named ? first_id : EMPTY;
-    TRY(same = PyObject_RichCompareBool(op_id, first_id, Py_EQ));
-    return same ? 0 : PyObject_RichCompareBool(op_id, first_id, Py_LT);
+/* (invoked, op_id) < (first_inv, first_id or "") as tuples compare: op_id's
+ * UTF-8 is text, and UTF-8 byte order is code-point order. */
+static int first_read(Core *c, Py_ssize_t i, double invoked, const char *text, Py_ssize_t size) {
+    const char *first;
+    Py_ssize_t length = name_at(COL(FIRST_READ_ID), i, &first), order;
+    if (invoked != D(FIRST_READ_INV)[i])
+        return invoked < D(FIRST_READ_INV)[i];
+    length = length < 0 ? 0 : length;
+    order = memcmp(text, first, size < length ? size : length);
+    return order < 0 || (order == 0 && size < length);
 }
 
 /* on_complete of a read after its key: the bookkeeping, then _update. */
-static int read_completes(Core *c, PyObject *record, PyObject *op_id, PyObject *cid,
-                          Py_ssize_t i) {
+static int read_completes(Core *c, PyObject *record, PyObject *op_id, const char *text,
+                          Py_ssize_t size, PyObject *cid, Py_ssize_t i) {
     double responded, invoked;
-    int none, earlier;
+    int none;
     Q(READS)[i] += 1;
     TRY(none = time_of(c, record, RESPONDED_AT, op_id, &responded));
     if (!none && responded < D(MIN_READ_RESP)[i])
         D(MIN_READ_RESP)[i] = responded;
     TRY(time_of(c, record, INVOKED_AT, op_id, &invoked));
-    PyObject *first_id = PyList_GetItem(O(FIRST_READ_ID), i);
-    TRY(earlier = first_id ? first_read(invoked, op_id, D(FIRST_READ_INV)[i], first_id) : -1);
-    if (earlier) {
+    if (first_read(c, i, invoked, text, size)) {
         D(FIRST_READ_INV)[i] = invoked;
-        TRY(PyList_SetItem(O(FIRST_READ_ID), i, Py_NewRef(op_id)));
+        TRY(name_store(COL(FIRST_READ_ID), i, text, size));
     }
     if (!none && responded < D(WRITE_INVOKED)[i])
         return done(method(c, READ_FROM_FUTURE, record, cid, NULL));
@@ -574,37 +781,41 @@ static int read_completes(Core *c, PyObject *record, PyObject *op_id, PyObject *
 }
 
 static PyObject *on_complete(Core *c, PyObject *record) {
-    PyObject *op_id = field(c, record, OP_ID), *value = NULL, *key = NULL, *cid = NULL, *held;
-    int write = op_id && (value = field(c, record, VALUE)) ? is_write(c, record) : -1;
-    int status = write, large, found, other = -1, none;
-    Py_ssize_t i;
+    PyObject *op_id = op_id_of(c, record), *value = NULL, *key = NULL, *cid = NULL, *held = NULL;
+    const char *text, *name;
+    Py_ssize_t i, size;
+    int write = op_id && utf8(op_id, &text, &size, &held) == 0
+                && (value = field(c, record, VALUE)) ? is_write(c, record) : -1;
+    int status = write, large, found, none;
     double responded;
     if (write > 0 && (status = write_completes(c, record, op_id, value, &key, &cid)) == 0) {
-        /* another write claimed the value: flagged at its invoke */
-        if ((i = cluster(c, cid)) < 0
-            || (held = PyList_GetItem(O(WRITE_ID), i)) == NULL
-            || (other = PyObject_RichCompareBool(held, op_id, Py_NE)) < 0)
+        if ((i = cluster(c, cid)) < 0)
             status = -1;
-        else if (!other && (none = time_of(c, record, RESPONDED_AT, op_id, &responded)) >= 0)
+        else if (name_at(COL(WRITE_ID), i, &name) != size || memcmp(name, text, size))
+            status = 0; /* another write claimed the value: flagged at its invoke */
+        else if ((none = time_of(c, record, RESPONDED_AT, op_id, &responded)) >= 0)
             status = update(c, cid, i, -Py_HUGE_VAL, none ? NULL : &responded);
         else
-            status = other ? 0 : -1;
+            status = -1;
     } else if (write == 0) {
         status = bump(O(ATTRS), READS_CHECKED) < 0 || (large = is_large(c, value)) < 0 ? -1 : 0;
         if (status == 0 && large) { /* key_of(value) or _value_key(value) */
-            if ((key = digest(c, KEY_OF, value, NULL)) == NULL || (found = PyObject_IsTrue(key)) < 0)
+            if ((key = call(c, KEY_OF, value, NULL)) == NULL || (found = PyObject_IsTrue(key)) < 0)
                 status = -1;
             else if (!found)
                 Py_CLEAR(key);
         }
-        if (status == 0 && key == NULL && (key = digest(c, VALUE_KEY, value, NULL)) == NULL)
+        if (status == 0 && key == NULL && (key = call(c, VALUE_KEY, value, NULL)) == NULL)
             status = -1;
-        if (status == 0 && (cid = Py_XNewRef(PyDict_GetItemWithError(O(CID_OF), key))) == NULL)
-            status = PyErr_Occurred() || (cid = method(c, UNKNOWN_READ, record, key, NULL)) == NULL ? -1 : 0;
-        if (status == 0 && cid != Py_None)
-            status = (i = cluster(c, cid)) < 0 ? -1 : read_completes(c, record, op_id, cid, i);
+        if (status == 0 && (cid = lookup(COL(CID_OF), key, Py_None)) == Py_None)
+            Py_SETREF(cid, method(c, UNKNOWN_READ, record, key, NULL));
+        if (status == 0 && cid == NULL)
+            status = -1;
+        else if (status == 0 && cid != Py_None)
+            status = (i = cluster(c, cid)) < 0 ? -1
+                     : read_completes(c, record, op_id, text, size, cid, i);
     }
-    Py_XDECREF(op_id), Py_XDECREF(value), Py_XDECREF(key), Py_XDECREF(cid);
+    Py_XDECREF(op_id), Py_XDECREF(value), Py_XDECREF(key), Py_XDECREF(cid), Py_XDECREF(held);
     return status < 0 ? NULL : Py_NewRef(Py_None);
 }
 
@@ -626,8 +837,8 @@ static void dealloc(Core *c) {
     PyObject_GC_Del(c);
 }
 
-/* Core(checker, globals): the columns it puts in place of the checker's
- * lists, and the lists and dicts the checker never rebinds. */
+/* Core(checker, globals): the columns and key table it puts in place of the
+ * checker's lists and _cid_of, and the dicts the checker never rebinds. */
 static PyObject *new(PyTypeObject *type, PyObject *args, PyObject *kwargs) {
     PyObject *checker, *globals;
     Core *c;
@@ -641,18 +852,18 @@ static PyObject *new(PyTypeObject *type, PyObject *args, PyObject *kwargs) {
     int status = (O(ATTRS) = PyObject_GetAttr(checker, S[DICT])) ? 0 : -1;
     for (int k = 0; status == 0 && k < HELD; k++) {
         PyObject *held = get(k < WRITE ? O(ATTRS) : globals, k);
-        if (held == NULL || k >= COLUMNS)
+        if (held == NULL || k >= FRONTIER)
             O(k) = Py_XNewRef(held);
-        else /* in place of the list */
-            O(k) = PyObject_CallFunction((PyObject *)&ColumnType, "CO", kinds[k], held);
-        if (O(k) == NULL || (k >= COLUMNS && k < CID_OF && !PyList_CheckExact(held))
-            || (k >= CID_OF && k < WRITE && !PyDict_CheckExact(held))) {
+        else /* in place of the list or dict */
+            O(k) = k == CID_OF ? PyObject_CallOneArg((PyObject *)&KeyTableType, held)
+                   : PyObject_CallFunction((PyObject *)&ColumnType, "CO", kinds[k], held);
+        if (O(k) == NULL || (k >= FRONTIER && k < WRITE && !PyDict_CheckExact(held))) {
             if (O(k) != NULL)
-                PyErr_Format(PyExc_TypeError, "checker.%U is not a list or dict", S[k]);
+                PyErr_Format(PyExc_TypeError, "checker.%U is not a dict", S[k]);
             status = -1;
         }
     }
-    for (int k = 0; status == 0 && k < COLUMNS; k++)
+    for (int k = 0; status == 0 && k < FRONTIER; k++)
         status = PyDict_SetItem(O(ATTRS), S[k], O(k));
     for (int k = KIND; status == 0 && k <= RESPONDED_AT; k++) { /* slotted dataclass fields */
         PyObject *member = PyType_Check(O(RECORD))
@@ -687,12 +898,13 @@ PyMODINIT_FUNC PyInit__repro_checker_core(void) {
     for (int i = 0; i < NAMES; i++)
         if ((S[i] = PyUnicode_InternFromString(names[i])) == NULL)
             return NULL;
-    if (!(ONE = PyLong_FromLong(1)) || !(EMPTY = PyUnicode_FromString(""))
-        || PyType_Ready(&ColumnType) < 0 || PyType_Ready(&CoreType) < 0)
+    if (!(ONE = PyLong_FromLong(1)) || PyType_Ready(&ColumnType) < 0
+        || PyType_Ready(&KeyTableType) < 0 || PyType_Ready(&CoreType) < 0)
         return NULL;
     PyObject *module = PyModule_Create(&definition);
     if (module != NULL && (PyModule_AddObjectRef(module, "Core", (PyObject *)&CoreType) < 0
-                           || PyModule_AddObjectRef(module, "Column", (PyObject *)&ColumnType) < 0))
+                           || PyModule_AddObjectRef(module, "Column", (PyObject *)&ColumnType) < 0
+                           || PyModule_AddObjectRef(module, "KeyTable", (PyObject *)&KeyTableType) < 0))
         Py_CLEAR(module);
     return module;
 }

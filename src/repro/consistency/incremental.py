@@ -65,9 +65,9 @@ feeds fall back to a mid-table insert that rebuilds the prefix from the
 insertion point — correct, merely slower, and never hit by the
 simulator's time-ordered streams.  Where it builds, the per-operation path
 runs compiled (:mod:`repro.consistency.checker_core`) on unboxed typed
-columns in place of the numeric and flag lists (~114 B less per cluster);
-a subclass, or a host that cannot compile, keeps the lists.  Either way a
-time is stored as a float (:func:`_as_time`).
+columns and a C key table in place of the lists and the digest dict (~264 B
+less per cluster); a subclass, or a host that cannot compile, keeps them.
+Either way a time is a float (:func:`_as_time`) and an op id a str.
 
 The crossing test itself is therefore O(log n) on clean histories; only
 when a crossing *exists* (the history is non-linearizable) does the
@@ -135,6 +135,13 @@ def _as_time(op_id: str, time) -> float:
         f"{op_id}: a time is a float or an int a float holds exactly, "
         f"not {type(time).__name__} {time!r}"
     )
+
+
+def _as_op_id(op_id) -> str:
+    """An op id is a str: anything else is refused before its event acts."""
+    if isinstance(op_id, str):
+        return op_id
+    raise TypeError(f"{op_id!r}: an op id is a str, not {type(op_id).__name__}")
 
 
 def _value_key(value: Optional[bytes]) -> bytes:
@@ -324,6 +331,8 @@ class IncrementalAtomicityChecker(StreamObserver):
     def on_invoke(self, record: OperationRecord) -> None:
         if self._core_pending and self._bind_core():
             return self.on_invoke(record)
+        if type(record.op_id) is not str:
+            _as_op_id(record.op_id)
         self.ops_seen += 1
         if record.kind != WRITE:
             return
@@ -391,6 +400,8 @@ class IncrementalAtomicityChecker(StreamObserver):
     def on_complete(self, record: OperationRecord) -> None:
         if self._core_pending and self._bind_core():
             return self.on_complete(record)
+        if type(record.op_id) is not str:
+            _as_op_id(record.op_id)
         if record.kind == WRITE:
             # The digest from invoke serves only the very object it was
             # computed from: a response carrying other bytes is hashed anew.
@@ -532,23 +543,22 @@ class IncrementalAtomicityChecker(StreamObserver):
 
         Rows are sorted by ``(key, write_id)`` so the export is canonical —
         independent of update order, frontier evictions and dict iteration.
+        A row holds one float per distinct number, the infinities the
+        module's: a column boxes a new float at every read.
         """
         rows = []
+        columns = (self._write_invoked, self._max_inv, self._min_resp, self._min_read_resp,
+                   self._first_read_inv)
         for key, cid in self._cid_of.items():
+            boxed = {_INF: _INF, _NEG_INF: _NEG_INF}  # a zero by its repr: -0.0 == 0.0
+            numbers = [boxed.setdefault(x or repr(x), x) for c in columns for x in [c[cid]]]
+            write_id = self._write_id[cid]
+            initial = key == self._initial_key and write_id == "<initial>"
             rows.append(
                 ClusterSummary(
-                    key=key,
-                    write_id=self._write_id[cid],
-                    has_write=self._has_write[cid],
-                    write_invoked=self._write_invoked[cid],
-                    max_inv=self._max_inv[cid],
-                    min_resp=self._min_resp[cid],
-                    min_read_resp=self._min_read_resp[cid],
-                    reads=self._reads[cid],
-                    first_read_inv=self._first_read_inv[cid],
-                    first_read_id=self._first_read_id[cid],
-                    initial=key == self._initial_key
-                    and self._write_id[cid] == "<initial>",
+                    key, "<initial>" if initial else write_id, self._has_write[cid],
+                    *numbers[:4], self._reads[cid], numbers[4],
+                    self._first_read_id[cid], initial,
                 )
             )
         rows.sort(key=lambda r: (r.key, r.write_id))

@@ -1,13 +1,14 @@
 """The compiled checker core against the Python checker, event by event.
 
 ``repro.consistency.checker_core`` runs ``on_invoke`` / ``on_complete`` of
-an :class:`IncrementalAtomicityChecker` on typed columns that stand in for
-the checker's numeric lists, and on its other lists and dicts.  Here one
-checker runs compiled and one in Python over the same hypothesis-drawn
-event stream, and after every event every list, column, dict and counter
-of the two (and their violations and recent-writes memo) must be equal --
-in order and in type, a column read as the list it replaces.  Both store
-times as floats, so the streams use ``int`` times, in-order and scrambled
+an :class:`IncrementalAtomicityChecker` on typed columns and a key table
+that stand in for the checker's lists and its digest dict, and on its other
+dicts.  Here one checker runs compiled and one in Python over the same
+hypothesis-drawn event stream, and after every event every list, column,
+dict and counter of the two (and their violations and recent-writes memo)
+must be equal -- in order and in type, a column read as the list it
+replaces and a key table as the dict.  Both store times as floats, so the
+streams use ``int`` times, op ids drawn as text, in-order and scrambled
 direct feeds, both ``unknown_values`` modes, repeated write values, failed
 operations, values of at least 1 KiB, responses carrying a copy of the
 written bytes, and frontiers of one or two clusters, so that evictions and
@@ -20,7 +21,7 @@ import weakref
 from bisect import bisect_left
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.consistency import checker_core, incremental
@@ -61,10 +62,15 @@ def _python(**options):
 
 def state(checker):
     """Every list, column, dict and counter of ``checker``, printed with
-    types and dict order (a column as the list it stands for)."""
-    column = checker_core.CORE.load().Column
+    types and dict order (a column as the list it stands for, a key table as
+    the dict)."""
+    core = checker_core.CORE.load()
     rows = {
-        name: list(value) if type(value) is column else value
+        name: list(value)
+        if type(value) is core.Column
+        else dict(value.items())
+        if type(value) is core.KeyTable
+        else value
         for name, value in vars(checker).items()
         if name not in _BINDINGS
     }
@@ -86,14 +92,14 @@ operations = st.lists(
 )
 
 
-def _events(ops, scrambled, data):
+def _events(ops, scrambled, data, ids=None):
     """The feed: (phase, record) in live-stream order or scrambled, an
-    invoke always before its own completion."""
+    invoke always before its own completion; ``ids`` names the ops."""
     events = []
     for index, (kind, start, duration, value, fate) in enumerate(ops):
         written = VALUES[value]
         invoked = OperationRecord(
-            f"op{index}", kind, f"c{index % 3}", start, None,
+            ids[index] if ids else f"op{index}", kind, f"c{index % 3}", start, None,
             written if kind == WRITE else None,
         )
         events.append((start, 0, invoked))
@@ -147,7 +153,8 @@ def test_every_event_leaves_both_executors_in_the_same_state(
 
 def _compare_per_event(events, overlay, **options):
     """A compiled and a Python checker over ``events``: their states must
-    agree before the first and after every event."""
+    agree before the first and after every event, and their summaries at
+    the end."""
     compiled, python = _compiled(**options), _python(**options)
     assert state(compiled) == state(python)
     with pytest.MonkeyPatch.context() as patch:
@@ -165,6 +172,51 @@ def _compare_per_event(events, overlay, **options):
                 f"the executors diverged at {(phase, record)}"
             )
         compiled._audit()
+    assert compiled.cluster_summaries() == python.cluster_summaries(), (
+        "the executors diverged in their summaries"
+    )
+
+
+#: Op ids as ``st.text()`` draws them, and lone surrogates, which a name
+#: column keeps as UTF-8 with the surrogates passed through.
+op_ids = st.text(st.one_of(st.characters(), st.characters(categories=["Cs"])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ops=operations,
+    scrambled=st.booleans(),
+    frontier_limit=st.sampled_from([1, 2, 256]),
+    unknown_values=st.sampled_from(["flag", "defer"]),
+    data=st.data(),
+)
+def test_text_op_ids_leave_both_executors_in_the_same_state(
+    ops, scrambled, frontier_limit, unknown_values, data
+):
+    """Empty, non-ASCII and lone-surrogate op ids: the name columns hold
+    them, the core orders tied first reads by their UTF-8 bytes and compares
+    a completing write's id with its cluster's in place, and every violation
+    names them as Python does."""
+    ids = data.draw(st.lists(op_ids, min_size=len(ops), max_size=len(ops), unique=True))
+    options = dict(frontier_limit=frontier_limit, unknown_values=unknown_values)
+    _compare_per_event(_events(ops, scrambled, data, ids), (32, 16), **options)
+
+
+@pytest.mark.parametrize("kind", [WRITE, READ])
+def test_an_op_id_that_is_no_str_is_refused_by_name_in_both_executors(kind):
+    """A name column holds text, so an op id of another type is refused
+    (the way ``_as_time`` refuses a time) before its event moves anything."""
+    compiled, python = _compiled(), _python()
+    record = OperationRecord(7, kind, "c", 0.0, 1.0, b"x")
+    refusals = []
+    for checker in (compiled, python):
+        for event in (checker.on_invoke, checker.on_complete):
+            with pytest.raises(TypeError) as refused:
+                event(record)
+            refusals.append(str(refused.value))
+    assert refusals == ["7: an op id is a str, not int"] * 4
+    assert state(compiled) == state(python)
+    assert compiled.ops_seen == 0 and compiled.reads_checked == 0
 
 
 def check_fixed_streams_per_event():
@@ -277,6 +329,111 @@ def test_a_column_acts_as_the_list_it_replaces(kind, ops):
     assert bisect_left(column, make(0)) == bisect_left(mirror, make(0))
     with pytest.raises(TypeError, match="column holds no"):
         column.append("x")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["append", "set"]),
+            st.integers(-6, 6),
+            st.none() | op_ids | st.text(min_size=200, max_size=400),
+        ),
+        max_size=40,
+    )
+)
+def test_a_name_column_acts_as_the_list_it_replaces(ops):
+    """What the checker's Python methods do to a name column (append, set,
+    index, iterate), on a name column and a list side by side; enough long
+    names are replaced that the arena is compacted."""
+    mirror = [None, "<initial>"]
+    column = checker_core.CORE.load().Column("s", mirror)
+    for _ in range(30):  # 12 KiB of replaced names: one compaction at least
+        for target in (column, mirror):
+            target[1] = "x" * 400
+    for op, i, name in ops:
+        results = []
+        for target in (column, mirror):
+            try:
+                if op == "append":
+                    target.append(name)
+                else:
+                    target[i] = name
+                results.append((target[i], target[-1]))
+            except IndexError as exc:
+                results.append(type(exc))
+        assert results[0] == results[1] and list(column) == mirror, (op, i, name)
+    with pytest.raises(TypeError, match="a name column holds str or None, not int"):
+        column.append(7)
+
+
+#: First halves of keys: the third differs from the first only in the top
+#: bit of its 8th byte, which no slot mask reaches, so the two share a slot
+#: in every index.
+PREFIXES = [bytes(8), b"\x01" * 8, bytes(7) + b"\x80"]
+key_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "get", "item", "in"]),
+        st.sampled_from(PREFIXES),
+        st.sampled_from([bytes(8), b"\xff" * 8]) | st.binary(min_size=8, max_size=8),
+    ),
+    max_size=120,
+)
+
+
+def _key_step(table, op, key):
+    """One step on a key table or on the dict it stands for, and its outcome."""
+    if op == "add":
+        if key in table:  # a key table takes each key once, at cid len(table)
+            return "held"
+        table[key] = len(table)
+        return len(table)
+    if op == "item":
+        try:
+            return table[key]
+        except KeyError:
+            return "missing"
+    return table.get(key) if op == "get" else key in table
+
+
+@settings(max_examples=100, deadline=None)
+@example(steps=[("add", bytes(8), bytes(8)), ("get", bytes(8), b"\xff" * 8)])
+@example(steps=[("add", bytes(8), bytes(8)), ("add", bytes(8), b"\xff" * 8)])
+@given(steps=key_steps)
+def check_a_key_table_acts_as_a_dict(steps):
+    """Crafted 16-byte keys, many sharing their first 8 bytes or a slot, on
+    a key table and a dict side by side: the same outcomes, and the same
+    ``len``, ``items()`` and ``values()`` in cid order, through every
+    growth of the index.  The kill check of the key table's C mutants."""
+    table, mirror = checker_core.CORE.load().KeyTable({}), {}
+    for op, head, tail in steps:
+        try:
+            outcome = _key_step(table, op, head + tail)
+        except TypeError as refused:
+            outcome = refused
+        assert (outcome, len(table), table.items(), list(table.values())) == (
+            _key_step(mirror, op, head + tail),
+            len(mirror),
+            list(mirror.items()),
+            list(mirror.values()),
+        ), f"the key table and the dict disagree at {op} {(head + tail).hex()}"
+
+
+def test_a_key_table_acts_as_the_dict_it_replaces():
+    check_a_key_table_acts_as_a_dict()
+    table = checker_core.CORE.load().KeyTable({bytes(16): 0, b"k" * 16: 1})
+    assert table.items() == [(bytes(16), 0), (b"k" * 16, 1)]
+    assert table.get(b"short") is None and b"short" not in table and 3 not in table
+    for key, cid, error in [
+        (b"short", 2, "holds 16-byte keys, not b'short'"),
+        (bytes(16), 2, "takes a new key at cid len"),
+        (b"n" * 16, 3, "takes a new key at cid len"),
+    ]:
+        with pytest.raises(TypeError, match=error):
+            table[key] = cid
+    with pytest.raises(TypeError, match="takes a new key at cid len"):
+        checker_core.CORE.load().KeyTable({bytes(16): 1})
+    assert len(table) == 2
 
 
 class TestBinding:

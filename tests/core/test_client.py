@@ -176,6 +176,13 @@ def check_cas_write_then_read():
     _write_then_read_is_atomic("CAS")
 
 
+def check_cas_write_then_read_tags():
+    """The same scenario through CAS's tags: Lemma 2.1's P1-P3 hold."""
+    history = _write_then_read("CAS").history
+    violations = check_lemma_properties(history, initial_tag=TAG_ZERO, initial_value=b"")
+    assert violations == [], [v.kind for v in violations]
+
+
 def _read_write_read():
     """One reader reads, a write completes, the reader reads again, each
     operation strictly after the last: the second read must return the
@@ -212,6 +219,7 @@ def check_soda_read_write_read_tags():
         check_soda_write_then_read,
         check_soda_write_then_read_tags,
         check_cas_write_then_read,
+        check_cas_write_then_read_tags,
         check_soda_read_write_read,
         check_soda_read_write_read_tags,
     ],

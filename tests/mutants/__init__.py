@@ -336,6 +336,11 @@ MUTANTS = (
                 AssertionError,
                 "cluster-cycle",
             ),
+            Kill(
+                "core/test_client.py::check_cas_write_then_read_tags",
+                AssertionError,
+                "P1",
+            ),
         ),
     ),
     Mutant(
@@ -387,6 +392,19 @@ MUTANTS = (
                 "consistency/test_checker_core.py::check_fixed_streams_per_event",
                 AssertionError,
                 "the executors diverged",
+            ),
+        ),
+    ),
+    Mutant(
+        "HalfKeyCore",
+        "consistency",
+        "native",
+        "native:checker core",
+        (
+            Kill(
+                "consistency/test_checker_core.py::check_a_key_table_acts_as_a_dict",
+                AssertionError,
+                "the key table and the dict disagree",
             ),
         ),
     ),

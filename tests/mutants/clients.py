@@ -66,7 +66,11 @@ class UnfinalizedCasWriter(CasWriter):
 
     Readers only see finalized tags, so a read that starts after the write
     completed returns the older value.  The atomicity checkers see it:
-    ``tests/core/test_client.py::check_cas_write_then_read``.
+    ``tests/core/test_client.py::check_cas_write_then_read``, and through
+    the tags ``check_cas_write_then_read_tags`` (Lemma 2.1's P1: the read
+    carries the initial tag, below the writes that completed before it; and
+    P2: the second write, seeing no finalized tag above the initial one,
+    reuses the first's).
     """
 
     def send_many(self, dsts, message):

@@ -26,14 +26,26 @@ class FlippedDirtyACore:
 
 class UnnamedFirstReadCore:
     """The checker core moves a cluster's first read's invocation time but
-    not its op id, so ``_first_read_id`` keeps naming an earlier read (or
-    none) and a violation found later names the wrong witness.  The
-    per-event differential of ``tests/consistency/test_checker_core.py``
-    kills it."""
+    does not store its op id in the first-read name column, so
+    ``_first_read_id`` keeps naming an earlier read (or none) and a
+    violation found later names the wrong witness.  The per-event
+    differential of ``tests/consistency/test_checker_core.py`` kills it."""
 
     nightly = True
-    old = "TRY(PyList_SetItem(O(FIRST_READ_ID), i, Py_NewRef(op_id)));"
+    old = "TRY(name_store(COL(FIRST_READ_ID), i, text, size));"
     new = ""
+
+
+class HalfKeyCore:
+    """The key table's probe compares only the first 8 of a key's 16 bytes,
+    the 8 it hashes on, so a digest sharing them with a held one finds that
+    one's cid.  ``tests/consistency/test_checker_core.py``'s key table
+    against a dict, on crafted keys that share their first 8 bytes, kills
+    it."""
+
+    nightly = True
+    old = "], key, 16))"
+    new = "], key, 8))"
 
 
 class EarlyCountdownLoop:
